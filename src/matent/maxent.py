@@ -23,7 +23,7 @@ one-variable reference curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "potential_from_coeffs",
     "dual_objective",
     "scalar_quadrature_log_i",
-    "chain_log_i",
     "FitOptions",
     "FitResult",
     "fit_projection",
@@ -196,16 +195,6 @@ def scalar_quadrature_log_i(R: float, npoints: int = 4001) -> Callable[[NcPoly],
     return estimator
 
 
-def chain_log_i(n: int, N: int, R: float, rng: np.random.Generator,
-                opts: Optional[TIOptions] = None) -> Callable[[NcPoly], ScalarEstimate]:
-    """Thermodynamic-integration log I estimator bound to a model shape."""
-
-    def estimator(potential: NcPoly) -> ScalarEstimate:
-        return estimate_log_I(GibbsModel(n, N, R, potential, 1.0), opts=opts, rng=rng)
-
-    return estimator
-
-
 def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,
                    eps: float, N: int,
                    log_i_estimator: Callable[[NcPoly], ScalarEstimate]) -> ScalarEstimate:
@@ -223,7 +212,11 @@ def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Budgets and knobs for the stochastic-approximation fit."""
+    """Budgets and knobs for the stochastic-approximation fit.
+
+    ``ti`` budgets the log-normalizer of the fitted model for n >= 2 only;
+    for one matrix that normalizer is exact and ``ti`` is unused.
+    """
 
     iterations: int = 140
     steps_per_iter: int = 240
@@ -241,13 +234,6 @@ class FitOptions:
     final_stride: int = 2
     ti: TIOptions = field(default_factory=TIOptions)
     init_coeffs: Optional[Tuple[float, ...]] = None
-
-    def scaled_down(self, f: float) -> "FitOptions":
-        """Proportionally smaller budget (used by quick smoke paths)."""
-        return replace(self,
-                       iterations=max(10, int(self.iterations * f)),
-                       final_steps=max(400, int(self.final_steps * f)),
-                       final_burnin=max(100, int(self.final_burnin * f)))
 
 
 @dataclass(frozen=True)
@@ -600,11 +586,16 @@ def log_energy_quadrature(density: Callable[[np.ndarray], np.ndarray], R: float,
     if not 0.99 < mass < 1.01:
         raise ValueError(f"density mass on [-R, R] is {mass:.4f}, expected 1")
     f = f / mass
-    diff = np.abs(xs[:, None] - xs[None, :])
-    with np.errstate(divide="ignore"):
-        w = np.where(diff > 0, np.log(np.maximum(diff, 1e-300)), 0.0)
-    np.fill_diagonal(w, math.log(dx) - 1.5)
-    return float(f @ w @ f)
+    # f W f in row blocks, so no dense npoints x npoints temporary is built
+    fw = np.zeros(npoints)
+    for start in range(0, npoints, 250):
+        rows = np.arange(start, min(start + 250, npoints))
+        diff = np.abs(xs[rows, None] - xs[None, :])
+        diff[rows - start, rows] = 1.0
+        w = np.log(diff)
+        w[rows - start, rows] = math.log(dx) - 1.5
+        fw += f[rows] @ w
+    return float(fw @ f)
 
 
 def reference_constant(N: int, R: float) -> float:

@@ -95,6 +95,23 @@ def log_i_linear_exact(c: float, R: float) -> float:
     return a + math.log1p(-math.exp(-2.0 * a)) - math.log(abs(c))
 
 
+def log_i_ratio_two_eigen_quad(coeffs: Sequence[float], R: float,
+                               npoints: int = 2000) -> float:
+    """log(I(V) / Vol) of the N = 2 one-matrix model by tensor quadrature.
+
+    The eigenvalue density of a 2 x 2 Hermitian model is proportional to
+    (x - y)^2 exp(-2 (V(x) + V(y))) on [-R, R]^2; the angular factor cancels
+    in the ratio to the same integral at V = 0. Midpoint grid on the square,
+    no orthogonal polynomials involved.
+    """
+    xs, _ = scalar_grid(R, npoints)
+    logw = -2.0 * potential_values(coeffs, xs)
+    shift = float(logw.max())
+    w = np.exp(logw - shift)
+    vdm = (xs[:, None] - xs[None, :]) ** 2
+    return 2.0 * shift + math.log(float(w @ vdm @ w)) - math.log(float(vdm.sum()))
+
+
 def langevin_mean(theta: float, R: float) -> float:
     """Mean of the density proportional to exp(theta x) on [-R, R]."""
     t = theta * R

@@ -10,7 +10,7 @@ from matent.estimates import EstimatorError
 from matent.matrices import MatrixTuple
 from matent.moments import arcsine_moments, empirical_moments
 from matent.ncpoly import NcPoly
-from matent.sampler import (ChainEngine, GibbsModel, TIOptions, estimate_log_I,
+from matent.sampler import (ChainEngine, GibbsModel, TIOptions, _ti_log_I, estimate_log_I,
                             gibbs_entropy, integrated_autocorrelation_time,
                             log_ball_volume, mcmc_chain, microstate_hit_rate)
 from matent.streams import substream
@@ -134,6 +134,68 @@ def test_estimate_log_i_linear_matches_closed_form():
                          rng=substream(12, "ti-lin"))
     want = oracles.log_i_linear_exact(c, R)
     assert abs(est.value - want) <= 3 * est.stderr + est.bias_bound + 0.02
+
+
+def _scalar_poly(coeffs):
+    return NcPoly(1, {(1,) * k: c for k, c in enumerate(coeffs) if c})
+
+
+def test_exact_log_i_constant_potential():
+    # V = c is not the zero potential, so this goes through the n = 1 route;
+    # the Gibbs factor is the constant exp(-beta N^2 c)
+    c, beta, R = 0.7, 0.6, 3.0
+    for N in range(1, 65):
+        est = estimate_log_I(GibbsModel(1, N, R, _scalar_poly([c]), beta))
+        assert est.stderr == 0.0
+        assert est.value == pytest.approx(log_ball_volume(N, R) - beta * N * N * c, abs=1e-10)
+
+
+def test_exact_log_i_linear_n1_matches_closed_form():
+    for c, R in ((0.9, 2.0), (-0.4, 1.0), (3.0, 4.0)):
+        est = estimate_log_I(GibbsModel(1, 1, R, c * NcPoly.generator(1, 1), 1.0))
+        assert est.value == pytest.approx(oracles.log_i_linear_exact(c, R), abs=1e-10)
+
+
+def test_exact_log_i_n2_matches_tensor_quadrature():
+    R = 2.0
+    for coeffs in ([0.0, 0.3, 0.5], [0.0, -0.2, 0.1, 0.4, 0.3], [0.0, 0.0, 0.0, 0.0, 1.5]):
+        est = estimate_log_I(GibbsModel(1, 2, R, _scalar_poly(coeffs), 1.0))
+        want = oracles.log_i_ratio_two_eigen_quad(coeffs, R)
+        assert est.value - log_ball_volume(2, R) == pytest.approx(want, abs=2e-6)
+
+
+def test_exact_log_i_bias_bound_at_large_n():
+    pot = _scalar_poly([0.0, 0.1, 0.45, -0.05, 0.02, 0.0, 0.003])
+    est = estimate_log_I(GibbsModel(1, 64, 4.0, pot, 1.0))
+    assert est.stderr == 0.0
+    assert est.bias_bound <= 1e-8
+    assert est.value < log_ball_volume(64, 4.0)
+
+
+def test_exact_log_i_flags_unresolved_weight():
+    # a weight narrower than the node spacing is not resolved: the quadrature
+    # error shows in bias_bound, or the recurrence runs out of nodes
+    narrow = estimate_log_I(GibbsModel(1, 16, 4.0, 100.0 * NcPoly.from_word(1, (1, 1)), 1.0))
+    assert narrow.bias_bound > 1.0
+    with pytest.raises(EstimatorError):
+        estimate_log_I(GibbsModel(1, 16, 4.0, 1e5 * NcPoly.from_word(1, (1, 1)), 1.0))
+
+
+def test_ti_error_bars_cover_exact_log_i():
+    # the annealed route on a one-matrix model, against the exact route
+    pot = _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.1])
+    model = GibbsModel(1, 4, 2.0, pot, 1.0)
+    exact = estimate_log_I(model)
+    opts = TIOptions(nodes=11, node_burnin=100, node_steps=400)
+    misses = []
+    for seed in range(8):
+        ti = _ti_log_I(model, None, opts, substream(seed, "ti-calib"), None)
+        diff = ti.value - exact.value
+        print(f"seed {seed}: TI - exact {diff:+.4f}, z {diff / ti.stderr:+.2f}, "
+              f"bias_bound {ti.bias_bound:.4f}")
+        if abs(diff) > 3 * ti.stderr + ti.bias_bound + exact.bias_bound:
+            misses.append(seed)
+    assert misses == []
 
 
 def test_estimate_log_i_below_volume_for_positive_potential():
