@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,15 +30,15 @@ import yaml
 from . import __version__
 from .estimates import EstimatorError, ScalarEstimate
 from .matrices import BlockMap, build_compression, log_jacobian_functional_calculus
-from .maxent import (FitOptions, FitResult, InfeasibleTargetError, chi_tilde_curve,
-                     fit_projection, free_pressure, one_variable_chi_reference)
+from .maxent import (FitOptions, FitResult, InfeasibleTargetError, fit_projection,
+                     free_pressure, one_variable_chi_reference)
 from .moments import (MomentSpec, arcsine_moments, empirical_moments,
                       free_product_moments, semicircle_moments)
 from .ncpoly import NcPoly
 from .orbital import (OrbitalRequest, chain_rule_check, orbital_entropy,
                       talagrand_report)
-from .sampler import (GibbsModel, TIOptions, estimate_log_I, gibbs_entropy,
-                      log_ball_volume, mcmc_chain, microstate_hit_rate)
+from .sampler import (GibbsModel, TIOptions, log_ball_volume, mcmc_chain,
+                      microstate_hit_rate)
 from .streams import substream
 
 __all__ = [

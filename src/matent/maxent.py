@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import logsumexp
 
-from .estimates import EstimatorError, ScalarEstimate, mean_with_batch_stderr
+from .estimates import ScalarEstimate, mean_with_batch_stderr
 from .matrices import MatrixTuple
 from .moments import MomentSpec, moment_pairing
 from .ncpoly import NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word, trace_moment
@@ -146,8 +147,7 @@ class _BasisMeasurer:
         self.N = N
         self.scalar = basis.n == 1
         if self.scalar:
-            self.max_deg = int(max(el.degree for el in basis.elements))
-            self.deg_index = np.array([el.degree - 1 for el in basis.elements])
+            self.degrees = basis.degrees
         else:
             words = sorted({el.word for el in basis.elements}, key=lambda w: (len(w), w))
             self.words = words
@@ -156,13 +156,7 @@ class _BasisMeasurer:
 
     def from_state(self, blocks, eigs) -> np.ndarray:
         if self.scalar:
-            lam = eigs[0]
-            powers = np.empty(self.max_deg)
-            acc = np.ones_like(lam)
-            for k in range(self.max_deg):
-                acc = acc * lam
-                powers[k] = acc.mean()
-            return powers[self.deg_index]
+            return (eigs[0][:, None] ** self.degrees).mean(axis=0)
         tms = [trace_moment(blocks, w) for w in self.words]
         return np.array([tms[i].real if kind == "re" else tms[i].imag
                          for i, kind in self.selector])
@@ -184,12 +178,7 @@ def scalar_quadrature_log_i(R: float, npoints: int = 4001) -> Callable[[NcPoly],
     logdx = math.log(2.0 * R / npoints)
 
     def estimator(potential: NcPoly) -> ScalarEstimate:
-        coeffs = potential.scalar_coeffs()
-        v = np.zeros_like(xs)
-        for k, c in enumerate(coeffs):
-            if c != 0.0:
-                v += c * xs ** k
-        val = float(logsumexp(-v) + logdx)
+        val = float(logsumexp(-polyval(xs, potential.scalar_coeffs())) + logdx)
         return ScalarEstimate(val, 0.0, npoints, bias_bound=(2.0 * R / npoints) ** 2)
 
     return estimator

@@ -7,6 +7,13 @@ representative of a word is therefore the lexicographic minimum over all
 rotations of the word and of its reversal; storing one value per canonical
 class is enough to recover every word's trace value (up to conjugation for
 the reversed orientation).
+
+Every word product in the package is multiplied out by one private helper,
+:func:`_word_product`, behind two public faces: :func:`trace_moment` (the
+normalized trace of one word) and :meth:`NcPoly.evaluate` (the matrix value
+of a polynomial). Both take blocks with leading batch axes, shape
+(..., N, N), and return values batched over the same axes, (...) and
+(..., N, N); a single tuple gives a Python complex and an (N, N) array.
 """
 
 from __future__ import annotations
@@ -221,29 +228,40 @@ class NcPoly:
         return coeffs
 
     def evaluate(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Value of the polynomial on a tuple of matrices."""
+        """Value of the polynomial on blocks of shape (..., N, N), same shape out."""
         if len(blocks) != self.n:
             raise ValueError(f"expected {self.n} blocks, got {len(blocks)}")
-        N = blocks[0].shape[0]
-        out = np.zeros((N, N), dtype=complex)
-        eye = np.eye(N)
+        shape = np.shape(blocks[0])
+        out = np.zeros(shape, dtype=complex)
         for w, c in self.terms.items():
-            if not w:
-                out += c * eye
-                continue
-            prod = blocks[w[0] - 1]
-            for g in w[1:]:
-                prod = prod @ blocks[g - 1]
-            out += c * prod
+            out += c * (_word_product(blocks, w) if w else np.eye(shape[-1]))
         return out
 
 
-def trace_moment(blocks: Sequence[np.ndarray], word: Word) -> complex:
-    """Normalized trace (1/N) Tr of the word evaluated on matrices."""
-    w = tuple(word)
-    if not w:
-        return 1.0 + 0.0j
-    prod = blocks[w[0] - 1]
-    for g in w[1:]:
+def _word_product(blocks: Sequence[np.ndarray], word: Word, trace: bool = False) -> np.ndarray:
+    """Product of a nonempty word's factors on blocks of shape (..., N, N).
+
+    The one loop that multiplies out a word. With ``trace`` the last factor
+    is contracted as a trace instead of multiplied, giving Tr of the word
+    with shape (...).
+    """
+    prod = blocks[word[0] - 1]
+    for g in word[1:-1] if trace else word[1:]:
         prod = prod @ blocks[g - 1]
-    return complex(np.trace(prod) / prod.shape[0])
+    if not trace:
+        return prod
+    if len(word) == 1:
+        return np.trace(prod, axis1=-2, axis2=-1)
+    return np.einsum("...ij,...ji->...", prod, blocks[word[-1] - 1])
+
+
+def trace_moment(blocks: Sequence[np.ndarray], word: Word):
+    """Normalized trace (1/N) Tr of the word on blocks of shape (..., N, N).
+
+    A single tuple gives a Python complex, stacked blocks an array of shape
+    (...).
+    """
+    w = tuple(word)
+    shape = np.shape(blocks[0])
+    value = _word_product(blocks, w, trace=True) / shape[-1] if w else np.ones(shape[:-2])
+    return complex(value) if np.ndim(value) == 0 else value

@@ -12,7 +12,13 @@ N^-2 normalization is the finite-size stand-in for the orbital part of the
 entropy curve. The inner expectation is estimated by a nested Monte Carlo
 log-mean-exp with max shift; its downward (Jensen) bias is tracked by a
 leave-one-out jackknife and checked by comparing against the half-inner-
-sample value.
+sample value. Every log weight -beta N Tr V, of the outer samples and of
+their conjugated copies alike, comes from the sampler's energy function
+(``sampler._Energy``, built on the word evaluator of :mod:`matent.ncpoly`)
+called once per stack: the S outer samples as (S, N, N) blocks, and the
+``s_in`` copies of one sample as (s_in, N, N) blocks. One outer chain feeds
+each report; :func:`talagrand_report` hands its samples to both the orbital
+estimate and the moment barycenters.
 
 The chain-rule identity Ent(mu|nu) = Ent(mu|U^pi mu) + Ent(U^pi mu|nu) for a
 conjugation-invariant reference nu (here: uniform on the ball product), the
@@ -30,11 +36,11 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .estimates import EstimatorError, ScalarEstimate, mean_with_batch_stderr
-from .matrices import BlockMap, MatrixTuple, haar_unitary_batch
+from .matrices import BlockMap, MatrixTuple, conjugate_tuple, haar_unitary_batch
 from .moments import MomentSpec, empirical_moments, free_product_moments, moment_distance
-from .ncpoly import canonical_classes, trace_moment
-from .sampler import (ChainEngine, GibbsModel, TIOptions, estimate_log_I,
-                      log_ball_volume, mcmc_chain)
+from .ncpoly import canonical_classes
+from .sampler import (GibbsModel, TIOptions, _Energy, estimate_log_I, log_ball_volume,
+                      mcmc_chain)
 
 __all__ = [
     "OrbitalRequest",
@@ -102,43 +108,6 @@ class OrbitalEstimate:
     self_consistent: bool
 
 
-class _BatchEnergy:
-    """beta * N * Tr V evaluated on stacks of conjugated tuples."""
-
-    def __init__(self, model: GibbsModel):
-        self.model = model
-        self.terms = list(model.potential.terms.items())
-
-    def log_weight(self, blocks: Sequence[np.ndarray]) -> float:
-        """log of the unnormalized density at one tuple."""
-        m = self.model
-        total = 0.0 + 0.0j
-        for w, c in self.terms:
-            if not w:
-                total += c * m.N
-                continue
-            prod = blocks[w[0] - 1]
-            for g in w[1:]:
-                prod = prod @ blocks[g - 1]
-            total += c * np.trace(prod)
-        return -m.beta * m.N * float(total.real)
-
-    def log_weights_batch(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
-        """log weights for a stack of tuples; stacks[b] has shape (S, N, N)."""
-        m = self.model
-        S = stacks[0].shape[0]
-        total = np.zeros(S, dtype=complex)
-        for w, c in self.terms:
-            if not w:
-                total += c * m.N
-                continue
-            prod = stacks[w[0] - 1]
-            for g in w[1:]:
-                prod = prod @ stacks[g - 1]
-            total += c * np.trace(prod, axis1=1, axis2=2)
-        return -m.beta * m.N * total.real
-
-
 class _InnerSampler:
     """Draws conjugated copies of a tuple and their log weights."""
 
@@ -148,7 +117,7 @@ class _InnerSampler:
         self.blockmap = blockmap
         self.s_in = s_in
         self.rng = rng
-        self.energy = _BatchEnergy(model)
+        self.energy = _Energy(model.n, model.N, model.potential)
 
     def conjugated(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
         us = haar_unitary_batch(self.s_in * self.blockmap.ell, self.model.N, self.rng)
@@ -160,7 +129,7 @@ class _InnerSampler:
         return out
 
     def log_weights(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        e = self.energy.log_weights_batch(self.conjugated(blocks))
+        e = -self.model.beta * self.energy.from_state(self.conjugated(blocks))
         if not np.all(np.isfinite(e)):
             raise EstimatorError("conjugated weights overflowed or vanished")
         return e
@@ -196,14 +165,13 @@ def _jackknife_bias(e: np.ndarray) -> float:
 def _collect_terms(samples: Sequence[MatrixTuple], inner: _InnerSampler):
     """Per-sample log density w, inner log-mean weights (full and half),
     and jackknife biases for both resolutions."""
-    w = np.empty(len(samples))
+    w = -inner.model.beta * inner.energy.from_samples(samples)
     full = np.empty(len(samples))
     half = np.empty(len(samples))
     bias_full = np.empty(len(samples))
     bias_half = np.empty(len(samples))
     for i, t in enumerate(samples):
         e = inner.log_weights(t.blocks)
-        w[i] = inner.energy.log_weight(t.blocks)
         full[i] = _log_mean_exp(e)
         bias_full[i] = _jackknife_bias(e)
         eh = e[: e.size // 2]
@@ -221,10 +189,20 @@ def orbital_entropy(request: OrbitalRequest, rng: np.random.Generator) -> Orbita
     jackknife bias bound and the half-inner-sample shift make the nested
     bias visible rather than silently absorbed.
     """
+    return _orbital_from_samples(_outer_chain(request, rng), request, rng)
+
+
+def _outer_chain(request: OrbitalRequest, rng: np.random.Generator) -> List[MatrixTuple]:
+    samples, _ = mcmc_chain(request.model, request.s_out * request.chain_thin,
+                            request.chain_burnin, request.chain_thin, rng=rng)
+    return samples
+
+
+def _orbital_from_samples(samples: Sequence[MatrixTuple], request: OrbitalRequest,
+                          rng: np.random.Generator) -> OrbitalEstimate:
+    """The nested estimate of :func:`orbital_entropy` on given outer samples."""
     model = request.model
     nsq = model.N * model.N
-    samples, _ = mcmc_chain(model, request.s_out * request.chain_thin,
-                            request.chain_burnin, request.chain_thin, rng=rng)
     inner = _InnerSampler(model, request.blockmap, request.s_in, rng)
     w, full, half, bias_full, bias_half = _collect_terms(samples, inner)
 
@@ -277,13 +255,6 @@ class ChainRuleReport:
     s_in: int
 
 
-def _conjugate_blocks_once(t: MatrixTuple, blockmap: BlockMap,
-                           rng: np.random.Generator) -> List[np.ndarray]:
-    us = haar_unitary_batch(blockmap.ell, t.N, rng)
-    return [us[blockmap.groups[i]] @ b @ us[blockmap.groups[i]].conj().T
-            for i, b in enumerate(t.blocks)]
-
-
 def chain_rule_check(model: GibbsModel, blockmap: BlockMap,
                      s_out: int = 256, s_in: int = 128,
                      rng: np.random.Generator = None,
@@ -304,15 +275,13 @@ def chain_rule_check(model: GibbsModel, blockmap: BlockMap,
     log_i = estimate_log_I(model, opts=ti, rng=rng)
     inner = _InnerSampler(model, blockmap, s_in, rng)
 
-    w = np.empty(len(samples))
+    w = -model.beta * inner.energy.from_samples(samples)
     inner_mu = np.empty(len(samples))
     inner_conj = np.empty(len(samples))
     for i, t in enumerate(samples):
-        e = inner.log_weights(t.blocks)
-        w[i] = inner.energy.log_weight(t.blocks)
-        inner_mu[i] = _log_mean_exp(e)
-        rotated = _conjugate_blocks_once(t, blockmap, rng)
-        inner_conj[i] = _log_mean_exp(inner.log_weights(rotated))
+        inner_mu[i] = _log_mean_exp(inner.log_weights(t.blocks))
+        rotated = conjugate_tuple(t, haar_unitary_batch(blockmap.ell, t.N, rng), blockmap)
+        inner_conj[i] = _log_mean_exp(inner.log_weights(rotated.blocks))
 
     w_est = mean_with_batch_stderr(w)
     total = ScalarEstimate(log_i.value - w_est.value - base,
@@ -476,15 +445,13 @@ def talagrand_report(model: GibbsModel, blockmap: BlockMap, K: int = 4,
         raise ValueError("transport checks are limited to degree K <= 6")
     request = OrbitalRequest(model, blockmap, s_out=s_out, s_in=s_in,
                              chain_burnin=chain_burnin, chain_thin=chain_thin)
-    orb = orbital_entropy(request, rng)
-
-    samples, _ = mcmc_chain(model, s_out * chain_thin, chain_burnin, chain_thin, rng=rng)
+    samples = _outer_chain(request, rng)
+    orb = _orbital_from_samples(samples, request, rng)
     bary = _mean_moments([empirical_moments(t, K) for t in samples])
-    conj_specs = []
-    for t in samples:
-        rotated = _conjugate_blocks_once(t, blockmap, rng)
-        conj_specs.append(empirical_moments(rotated, K, R=model.R))
-    proxy_conj = _mean_moments(conj_specs)
+    proxy_conj = _mean_moments([
+        empirical_moments(conjugate_tuple(t, haar_unitary_batch(blockmap.ell, t.N, rng),
+                                          blockmap), K)
+        for t in samples])
     groups = [[i + 1 for i in range(model.n) if blockmap.groups[i] == g]
               for g in range(blockmap.ell)]
     proxy_free = free_product_moments([_group_marginal(bary, g) for g in groups], K)

@@ -20,16 +20,23 @@ orthogonal polynomials for the weight exp(-beta N V) on [-R, R], computed by
 a discretized Stieltjes procedure on Gauss-Legendre nodes. For n >= 2 it is
 estimated by thermodynamic integration along beta, anchored at the exact
 log-volume of the ball (Mehta/Selberg closed form).
+
+Energies N Tr V(M) come from one function, ``_Energy.from_state``: from the
+spectrum by ``polyval`` for a one-matrix state, otherwise through the word
+evaluator of :mod:`matent.ncpoly` (:meth:`NcPoly.evaluate`) on blocks of
+shape (..., N, N), so one call prices a single state or a whole stack (the
+orbital estimators and :func:`gibbs_entropy` pass stacks).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, roots_legendre
 
 from .estimates import EstimatorError, ScalarEstimate, mean_with_batch_stderr
@@ -128,7 +135,12 @@ def _gue_increment(N: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class _Energy:
-    """Evaluates E(M) = N Tr V(M), from eigenvalues when n == 1."""
+    """Evaluates E(M) = N Tr V(M) on one state or on a stack of states.
+
+    With eigenvalues of a one-matrix state it is N sum_i V(l_i) by
+    ``polyval``; otherwise N Tr of :meth:`NcPoly.evaluate` on blocks of shape
+    (..., N, N), which gives energies of shape (...).
+    """
 
     def __init__(self, n: int, N: int, potential: NcPoly):
         self.n = n
@@ -138,23 +150,17 @@ class _Energy:
     def set_potential(self, potential: NcPoly) -> None:
         self.potential = potential
         self.is_zero = potential.is_zero()
-        self._coeffs = potential.scalar_coeffs() if (self.n == 1 and not self.is_zero) else None
+        self.coeffs = potential.scalar_coeffs() if self.n == 1 else None
 
-    def from_state(self, blocks: Sequence[np.ndarray], eigs: Sequence[np.ndarray]) -> float:
-        if self.is_zero:
-            return 0.0
-        if self._coeffs is not None:
-            lam = eigs[0]
-            total = 0.0
-            power = np.ones_like(lam)
-            for k, c in enumerate(self._coeffs):
-                if k > 0:
-                    power = power * lam
-                if c != 0.0:
-                    total += c * power.sum()
-            return float(self.N * total)
-        val = np.trace(self.potential.evaluate(blocks)).real
-        return float(self.N * val)
+    def from_state(self, blocks: Optional[Sequence[np.ndarray]],
+                   eigs: Optional[Sequence[np.ndarray]] = None):
+        if eigs is not None and self.coeffs is not None:
+            return self.N * polyval(eigs[0], self.coeffs).sum(axis=-1)
+        return self.N * np.trace(self.potential.evaluate(blocks), axis1=-2, axis2=-1).real
+
+    def from_samples(self, samples: Sequence[MatrixTuple]) -> np.ndarray:
+        """Energies of matrix tuples, evaluated as one (S, N, N) stack per position."""
+        return self.from_state([np.stack([t.blocks[i] for t in samples]) for i in range(self.n)])
 
 
 class ChainEngine:
@@ -272,9 +278,12 @@ class ChainEngine:
         model = self.model
         lam = self.lam
         N = lam.size
-        coeffs = self._energy_fn._coeffs
         bumps = self.step_scale * self.rng.standard_normal(N)
         logu = np.log(self.rng.random(N))
+        # the potential's share of every site's log ratio; site i still holds
+        # its start-of-sweep value when it is visited
+        coeffs = self._energy_fn.coeffs
+        dv = model.beta * N * (polyval(lam + bumps, coeffs) - polyval(lam, coeffs))
         accepted = 0
         self.proposed += N
         with np.errstate(divide="ignore"):
@@ -287,17 +296,7 @@ class ChainEngine:
                 diff_new = np.abs(x_new - lam)
                 diff_old[i] = 1.0
                 diff_new[i] = 1.0
-                log_ratio = 2.0 * float(np.log(diff_new).sum() - np.log(diff_old).sum())
-                if model.beta != 0.0 and coeffs is not None:
-                    dv = 0.0
-                    p_old = 1.0
-                    p_new = 1.0
-                    for k in range(1, len(coeffs)):
-                        p_old *= x_old
-                        p_new *= x_new
-                        if coeffs[k] != 0.0:
-                            dv += coeffs[k] * (p_new - p_old)
-                    log_ratio -= model.beta * N * dv
+                log_ratio = 2.0 * float(np.log(diff_new).sum() - np.log(diff_old).sum()) - dv[i]
                 if log_ratio >= 0 or logu[i] < log_ratio:
                     lam[i] = x_new
                     accepted += 1
@@ -464,7 +463,7 @@ def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
         t, g = roots_legendre(M)
         x = R * t
         logg = np.log(R * g)
-        logw = logg - model.beta * N * np.polynomial.polynomial.polyval(x, coeffs)
+        logw = logg - model.beta * N * polyval(x, coeffs)
         return _log_heine_norms(x, logw, N) - _log_heine_norms(x, logg, N)
 
     # at N = 64, R = 4 and V = x^2/2, 200 nodes miss by about 100 nats, 300 agree
@@ -627,11 +626,7 @@ def gibbs_entropy(model: GibbsModel, log_i: ScalarEstimate,
     if model.potential.is_zero() or model.beta == 0.0:
         return ScalarEstimate(log_i.value, log_i.stderr, log_i.count, log_i.bias_bound)
     energy = _Energy(model.n, model.N, model.potential)
-    vals = np.array([
-        energy.from_state(s.blocks, [np.linalg.eigvalsh(b) for b in s.blocks])
-        for s in samples
-    ])
-    e = mean_with_batch_stderr(vals)
+    e = mean_with_batch_stderr(energy.from_samples(samples))
     return ScalarEstimate(
         log_i.value + model.beta * e.value,
         math.hypot(log_i.stderr, model.beta * e.stderr),

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
+from matent.matrices import MatrixTuple
 from matent.maxent import (FitOptions, InfeasibleTargetError, build_dual_basis,
                            chi_tilde_curve, dual_objective, eta_bound_check,
                            fit_projection, free_pressure, log_energy_quadrature,
                            one_variable_chi_reference, reference_constant, rho,
                            scalar_maxent_oracle, scalar_quadrature_log_i,
-                           target_vector)
+                           target_vector, _BasisMeasurer)
 from matent.moments import MomentSpec, semicircle_moments
-from matent.ncpoly import NcPoly
+from matent.ncpoly import NcPoly, trace_moment
 from matent.sampler import TIOptions, log_ball_volume
 from matent.streams import substream
 
@@ -34,6 +35,17 @@ def test_dual_basis_structure():
     b2 = build_dual_basis(2, 6)
     assert any(e.kind == "im" for e in b2.elements)
     assert all(e.degree == 6 for e in b2.elements if e.kind == "im")
+
+
+def test_basis_measurer_spectral_path_matches_word_traces():
+    # one-matrix basis moments come from eigenvalue power means; the word
+    # evaluator on the matrix itself is the reference
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    t = MatrixTuple(1, 6, 10.0, ((g + g.conj().T) / 2,))
+    basis = build_dual_basis(1, 5)
+    want = [trace_moment(t.blocks, el.word).real for el in basis.elements]
+    np.testing.assert_allclose(_BasisMeasurer(basis, 6).from_tuple(t), want, rtol=1e-10)
 
 
 def test_target_vector_semicircle():

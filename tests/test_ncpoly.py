@@ -93,16 +93,33 @@ def test_poly_degree_and_zero():
     assert NcPoly.from_word(2, (1, 2, 1)).degree == 3
 
 
+def _hermitian_stack(rng, shape):
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return (g + np.swapaxes(g, -1, -2).conj()) / 2
+
+
 def test_evaluate_matches_trace_moment():
     rng = np.random.default_rng(3)
-    blocks = []
-    for _ in range(2):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        blocks.append((g + g.conj().T) / 2)
+    blocks = [_hermitian_stack(rng, (4, 4)) for _ in range(2)]
     w = (1, 2, 2, 1)
     p = NcPoly.from_word(2, w)
     ev = p.evaluate(blocks)
+    assert isinstance(trace_moment(blocks, w), complex)
     assert np.trace(ev) / 4 == pytest.approx(trace_moment(blocks, w))
+    # stacked tuples, leading axes (2, 3): the same values tuple by tuple
+    stacks = [_hermitian_stack(rng, (2, 3, 4, 4)) for _ in range(2)]
+    poly = p + 0.5 * NcPoly.from_word(2, (2,)) - 1.5j * NcPoly.one(2)
+    values = poly.evaluate(stacks)
+    assert values.shape == (2, 3, 4, 4)
+    for word in (w, (2,), ()):
+        assert trace_moment(stacks, word).shape == (2, 3)
+    for a in range(2):
+        for b in range(3):
+            one = [s[a, b] for s in stacks]
+            np.testing.assert_allclose(values[a, b], poly.evaluate(one), atol=1e-12)
+            for word in (w, (2,), ()):
+                assert trace_moment(stacks, word)[a, b] == pytest.approx(
+                    trace_moment(one, word), abs=1e-12)
 
 
 @given(words_n2.filter(lambda w: len(w) >= 1))
@@ -127,3 +144,8 @@ def test_trace_moment_cyclic(w, k):
     k = k % len(w)
     rotated = w[k:] + w[:k]
     assert trace_moment(blocks, rotated) == pytest.approx(trace_moment(blocks, w))
+    # a stack of the tuple and its negation: word degree sets the sign
+    stacks = [np.stack([b, -b]) for b in blocks]
+    np.testing.assert_allclose(trace_moment(stacks, rotated),
+                               [trace_moment(blocks, w), (-1) ** len(w) * trace_moment(blocks, w)],
+                               atol=1e-12)

@@ -6,10 +6,10 @@ import pytest
 from matent.matrices import BlockMap, MatrixTuple
 from matent.moments import MomentSpec
 from matent.ncpoly import NcPoly
-from matent.orbital import (OrbitalRequest, chain_rule_check, dW_moment_lower_bound,
-                            dW_upper_bound, entropy_split_check, orbital_entropy,
-                            talagrand_report)
-from matent.sampler import GibbsModel, TIOptions
+from matent.orbital import (OrbitalRequest, _InnerSampler, chain_rule_check,
+                            dW_moment_lower_bound, dW_upper_bound, entropy_split_check,
+                            orbital_entropy, talagrand_report)
+from matent.sampler import GibbsModel, TIOptions, _Energy, mcmc_chain
 from matent.streams import substream
 
 
@@ -30,6 +30,30 @@ def test_request_validation():
         OrbitalRequest(model, BlockMap.full(2), s_in=4)
     with pytest.raises(ValueError):
         OrbitalRequest(model, BlockMap.full(3))
+
+
+def test_stacked_log_weights_equal_per_tuple_energies():
+    # N Tr V on a stack of tuples, against one tuple at a time and against
+    # the potential c (X1 - X2)^2 + 0.3 written out by hand
+    c, N, beta = 0.7, 5, 0.6
+    model = GibbsModel(2, N, 2.0, coupled_potential(c) + 0.3, beta)
+    samples, _ = mcmc_chain(model, 60, 50, 6, rng=substream(9, "stack"))
+    energy = _Energy(2, N, model.potential)
+    stacked = energy.from_samples(samples)
+    assert stacked.shape == (len(samples),)
+    for value, t in zip(stacked, samples):
+        d = t.blocks[0] - t.blocks[1]
+        assert value == pytest.approx(N * (c * np.trace(d @ d).real + 0.3 * N), rel=1e-12)
+        assert value == pytest.approx(energy.from_state(t.blocks), rel=1e-12)
+    # the inner sampler prices its s_in conjugated copies as one stack
+    blockmap = BlockMap.full(2)
+    e = _InnerSampler(model, blockmap, 16, substream(10, "stack")).log_weights(samples[0].blocks)
+    copies = _InnerSampler(model, blockmap, 16, substream(10, "stack")).conjugated(
+        samples[0].blocks)
+    assert e.shape == (16,)
+    for k in range(16):
+        assert e[k] == pytest.approx(-beta * energy.from_state([b[k] for b in copies]),
+                                     rel=1e-12)
 
 
 def test_zero_potential_gives_exact_zero():

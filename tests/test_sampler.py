@@ -10,8 +10,8 @@ from matent.estimates import EstimatorError
 from matent.matrices import MatrixTuple
 from matent.moments import arcsine_moments, empirical_moments
 from matent.ncpoly import NcPoly
-from matent.sampler import (ChainEngine, GibbsModel, TIOptions, _ti_log_I, estimate_log_I,
-                            gibbs_entropy, integrated_autocorrelation_time,
+from matent.sampler import (ChainEngine, GibbsModel, TIOptions, _heine_log_I, _ti_log_I,
+                            estimate_log_I, gibbs_entropy, integrated_autocorrelation_time,
                             log_ball_volume, mcmc_chain, microstate_hit_rate)
 from matent.streams import substream
 
@@ -112,8 +112,6 @@ def test_energy_eigenvalue_path_matches_matrix_path():
     engine = ChainEngine(model, substream(11, "energy"))
     engine.run(200)
     m = engine.blocks[0]
-    direct = 6.0 * float(np.trace(
-        -0.3 * m + 0.7 * m @ m + 0.1 * np.linalg.matrix_power(m, 4)).real) / 6.0 * 6.0
     # E = N * (unnormalized trace of V) = N^2 * normalized trace
     want = 6.0 * float(np.trace(-0.3 * m + 0.7 * (m @ m)
                                 + 0.1 * np.linalg.matrix_power(m, 4)).real)
@@ -196,6 +194,33 @@ def test_ti_error_bars_cover_exact_log_i():
         if abs(diff) > 3 * ti.stderr + ti.bias_bound + exact.bias_bound:
             misses.append(seed)
     assert misses == []
+
+
+def test_gas_sweep_energy_matches_exact_derivative():
+    # d/dt log I(tV) = -E[N Tr V] at t = 1; the potential is scaled instead
+    # of beta, which may not exceed 1. The n = 1 sweep's potential term is
+    # then checked against Heine's exact route.
+    N = 8
+    pot = _scalar_poly([0.0, 0.2, 0.5, 0.0, 0.25])
+
+    def slope(h):
+        lo, hi = (_heine_log_I(GibbsModel(1, N, 2.0, t * pot, 1.0)) for t in (1 - h, 1 + h))
+        return (hi.value - lo.value) / (2 * h), (hi.bias_bound + lo.bias_bound) / (2 * h)
+
+    d, quad_err = slope(1e-3)
+    d_wide, _ = slope(2e-3)
+    # central differences err by O(h^2): the h and 2h values differ by 3x that
+    want, diff_err = -d, abs(d - d_wide) / 3 + quad_err
+    engine = ChainEngine(GibbsModel(1, N, 2.0, pot, 1.0), substream(21, "sweep-dv"))
+    engine.tune(1000)
+    engine.run(500)
+    series = np.empty(15000)
+    for i in range(series.size):
+        engine.step()
+        series[i] = engine.energy
+    se = math.sqrt(series.var(ddof=1) * integrated_autocorrelation_time(series) / series.size)
+    print(f"chain {series.mean():.4f} +- {se:.4f}, exact {want:.4f} (+- {diff_err:.1e})")
+    assert abs(series.mean() - want) <= 3 * se + diff_err
 
 
 def test_estimate_log_i_below_volume_for_positive_potential():
