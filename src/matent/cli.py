@@ -216,7 +216,7 @@ def build_blockmap(params: Optional[Sequence[int]], n: int) -> BlockMap:
 def _fit_options(params: Optional[Dict]) -> FitOptions:
     if not params:
         return FitOptions()
-    allowed = {f for f in FitOptions.__dataclass_fields__} - {"ti", "init_coeffs"}
+    allowed = {f for f in FitOptions.__dataclass_fields__} - {"ti"}
     opts = FitOptions()
     fields = {}
     for k, v in params.items():
@@ -234,9 +234,7 @@ def _ti_options(params: Optional[Dict]) -> TIOptions:
     allowed = set(TIOptions.__dataclass_fields__)
     for k in params:
         _require(k in allowed, f"unknown ti option {k!r}")
-    floats = {"step_scale", "grid_power"}
-    return TIOptions(**{k: (float(v) if k in floats else int(v))
-                        for k, v in params.items()})
+    return TIOptions(**{k: int(v) for k, v in params.items()})
 
 
 def _est(e: ScalarEstimate) -> Dict:

@@ -80,13 +80,14 @@ def combine_linear(terms, constant: float = 0.0) -> ScalarEstimate:
     return ScalarEstimate(value, math.sqrt(var), count, bias)
 
 
-def mean_with_batch_stderr(xs, nbatch: int = 20) -> ScalarEstimate:
+def mean_with_batch_stderr(xs) -> ScalarEstimate:
     """Mean of a (possibly autocorrelated) series with batch-means stderr.
 
-    The series is split into ``nbatch`` contiguous batches; the spread of the
-    batch means absorbs autocorrelation without an explicit correlation-time
-    fit. Falls back to the naive stderr when the series is too short to batch.
+    The series is split into 20 contiguous batches; the spread of the batch
+    means absorbs autocorrelation without an explicit correlation-time fit.
+    Falls back to the naive stderr when the series has fewer than 80 points.
     """
+    nbatch = 20
     x = np.asarray(xs, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a 1-d series of at least 2 points")

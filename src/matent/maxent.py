@@ -166,14 +166,14 @@ class _BasisMeasurer:
         return self.from_state(t.blocks, eigs)
 
 
-def scalar_quadrature_log_i(R: float, npoints: int = 4001) -> Callable[[NcPoly], ScalarEstimate]:
+def scalar_quadrature_log_i(R: float) -> Callable[[NcPoly], ScalarEstimate]:
     """Deterministic log I estimator for one variable at N = 1.
 
-    log of the integral of exp(-V) over [-R, R] on a midpoint grid; usable as
-    the injectable estimator of :func:`dual_objective` wherever chains would
-    be overkill. The grid discretization bound is reported.
+    log of the integral of exp(-V) over [-R, R] on a 4001-point midpoint grid;
+    usable as the injectable estimator of :func:`dual_objective` wherever
+    chains would be overkill. The grid discretization bound is reported.
     """
-
+    npoints = 4001
     xs = -R + (np.arange(npoints) + 0.5) * (2.0 * R / npoints)
     logdx = math.log(2.0 * R / npoints)
 
@@ -201,28 +201,30 @@ def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Budgets and knobs for the stochastic-approximation fit.
+    """Budgets for the stochastic-approximation fit; the keys of a ``fit:`` section.
 
-    ``ti`` budgets the log-normalizer of the fitted model for n >= 2 only;
-    for one matrix that normalizer is exact and ``ti`` is unused.
+    Iteration t (counted from 0) runs ``discard_per_iter`` tuning steps and
+    then ``steps_per_iter`` steps, measuring every 4th state, and moves the
+    scaled coefficients by ``step_size / (1 + t/25)^0.6`` times the moment
+    residual. The iterates of the second half of ``iterations`` are averaged.
+    The fit stops once ``min_iterations`` have run and every smoothed residual
+    is within ``moment_tol`` (scaled); a scaled coefficient beyond 60 with
+    residuals stuck above 3 tolerances raises :class:`InfeasibleTargetError`.
+    The averaged model is then run for ``final_burnin`` steps and measured on
+    every 2nd of ``final_steps`` steps. ``ti`` budgets the log-normalizer of
+    the fitted model for n >= 2 only; for one matrix that normalizer is exact
+    and ``ti`` is unused.
     """
 
     iterations: int = 140
     steps_per_iter: int = 240
     discard_per_iter: int = 60
-    observe_stride: int = 4
     step_size: float = 2.0
-    decay_power: float = 0.6
-    decay_scale: float = 25.0
-    average_start: float = 0.5
     moment_tol: float = 0.01
-    coeff_bound: float = 60.0
     min_iterations: int = 25
     final_steps: int = 10000
     final_burnin: int = 1500
-    final_stride: int = 2
     ti: TIOptions = field(default_factory=TIOptions)
-    init_coeffs: Optional[Tuple[float, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -283,10 +285,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     tol_scaled = np.maximum(eps_scaled, opts.moment_tol)
 
     mu = np.zeros(len(basis))
-    if opts.init_coeffs is not None:
-        mu = np.asarray(opts.init_coeffs, dtype=float) * scales
-    model = GibbsModel(n, N, R, potential_from_coeffs(basis, mu / scales), 1.0)
-    engine = ChainEngine(model, rng)
+    engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n), 1.0), rng)
     engine.tune(400)
     measurer = _BasisMeasurer(basis, N)
 
@@ -303,19 +302,19 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
         acc: List[np.ndarray] = []
         engine.run(opts.steps_per_iter,
                    observe=lambda e: acc.append(measurer.from_state(e.blocks, e.eigs)),
-                   every=opts.observe_stride)
+                   every=4)
         mhat = np.mean(acc, axis=0) / scales
         resid = mhat - tt
         ema = resid if ema is None else ema_w * ema + (1 - ema_w) * resid
         resid_history.append(float(np.max(np.abs(ema))))
-        step = opts.step_size / (1.0 + t / opts.decay_scale) ** opts.decay_power
+        step = opts.step_size / (1.0 + t / 25.0) ** 0.6
         mu = _soft_threshold(mu - step * (tt - mhat), step * eps_scaled)
-        if t >= opts.average_start * opts.iterations:
+        if t >= 0.5 * opts.iterations:
             mubar += mu
             nbar += 1
-        if np.max(np.abs(mu)) > opts.coeff_bound and np.max(np.abs(ema) / tol_scaled) > 3.0:
+        if np.max(np.abs(mu)) > 60.0 and np.max(np.abs(ema) / tol_scaled) > 3.0:
             raise InfeasibleTargetError(
-                f"coefficients diverged (|mu| > {opts.coeff_bound}) with residuals "
+                f"coefficients diverged (|mu| > 60.0) with residuals "
                 f"stuck at {np.max(np.abs(ema)):.3g} (scaled); "
                 f"target not approximable at N={N}, K={K}, eps={eps}",
                 diagnostics={"mu": mu.tolist(), "residual_scaled": ema.tolist(),
@@ -340,7 +339,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
         obs.append(measurer.from_state(e.blocks, e.eigs))
         energies.append(e.energy)
 
-    engine.run(opts.final_steps, observe=_collect, every=opts.final_stride)
+    engine.run(opts.final_steps, observe=_collect, every=2)
     omat = np.asarray(obs)
     moment_means = omat.mean(axis=0) * 1.0
     residuals = moment_means - targets
@@ -355,10 +354,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
         energy_est.count,
         log_i.bias_bound,
     )
-    linear = float(np.dot(lam, targets))
-    dual = ScalarEstimate(
-        log_i.value + N * N * (linear + eps * float(np.abs(lam).sum())),
-        log_i.stderr, log_i.count, log_i.bias_bound)
+    dual = dual_objective(basis, lam, tau, eps, N, lambda _: log_i)
     tol_abs = tol_scaled * scales
     converged = bool(np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
     trajectory = {
@@ -485,17 +481,16 @@ class ScalarMaxentResult:
     iterations: int
 
 
-def scalar_maxent_oracle(constraints: dict, R: float, grid_size: int = 2001,
-                         tol: float = 1e-11, max_iter: int = 200) -> ScalarMaxentResult:
-    """Newton solution of one-variable maxent on a midpoint grid.
+def scalar_maxent_oracle(constraints: dict, R: float) -> ScalarMaxentResult:
+    """Newton solution of one-variable maxent on a 2001-point midpoint grid.
 
     ``constraints`` maps powers (>= 1) to target raw moments. Fully
     independent of the chain machinery: dense grid, exact gradients and
-    Hessians of the dual, damped Newton with backtracking. Targets outside
-    the moment body raise :class:`InfeasibleTargetError`.
+    Hessians of the dual, damped Newton with backtracking, at most 200 steps
+    to a gradient below 1e-11. Targets outside the moment body raise
+    :class:`InfeasibleTargetError`.
     """
-    if grid_size < 1000:
-        raise ValueError("grid must have at least 1000 points")
+    grid_size = 2001
     powers = tuple(sorted(int(p) for p in constraints))
     if not powers or powers[0] < 1:
         raise ValueError("constraint powers must be >= 1")
@@ -517,10 +512,10 @@ def scalar_maxent_oracle(constraints: dict, R: float, grid_size: int = 2001,
     phi, p = dual_parts(theta)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 201):
         mean = p @ feats
         grad = mean - a_scaled
-        if np.max(np.abs(grad)) < tol:
+        if np.max(np.abs(grad)) < 1e-11:
             converged = True
             break
         cov = feats.T @ (feats * p[:, None]) - np.outer(mean, mean)
@@ -561,13 +556,13 @@ def scalar_maxent_oracle(constraints: dict, R: float, grid_size: int = 2001,
                               xs, p / dx, converged, it)
 
 
-def log_energy_quadrature(density: Callable[[np.ndarray], np.ndarray], R: float,
-                          npoints: int = 4000) -> float:
-    """Double integral of log|s - t| against the density, midpoint rule.
+def log_energy_quadrature(density: Callable[[np.ndarray], np.ndarray], R: float) -> float:
+    """Double integral of log|s - t| against the density, 4000-point midpoint rule.
 
     The diagonal cells use the exact mean of log|s - t| over a square,
     log(dx) - 3/2, which removes the integrable singularity.
     """
+    npoints = 4000
     dx = 2.0 * R / npoints
     xs = -R + (np.arange(npoints) + 0.5) * dx
     f = np.asarray(density(xs), dtype=float) * dx
@@ -605,13 +600,12 @@ class ChiReference:
 
 
 def one_variable_chi_reference(density: Callable[[np.ndarray], np.ndarray],
-                               R: float, N: int, npoints: int = 4000,
-                               calibration_R: Optional[float] = None) -> ChiReference:
+                               R: float, N: int) -> ChiReference:
     """Reference entropy-curve value for a one-variable spectral density.
 
     log-energy of the density plus the constant calibrated at the same N
     from the uniform/arcsine ensemble (see :func:`reference_constant`).
     """
-    c = reference_constant(N, R if calibration_R is None else calibration_R)
-    e = log_energy_quadrature(density, R, npoints)
+    c = reference_constant(N, R)
+    e = log_energy_quadrature(density, R)
     return ChiReference(e + c, e, c)

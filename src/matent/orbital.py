@@ -240,8 +240,9 @@ class ChainRuleReport:
     ``total`` = Ent(mu|nu), ``orbital`` = Ent(mu|U^pi mu), ``conjugated`` =
     Ent(U^pi mu|nu); the identity says residual = total - orbital -
     conjugated vanishes. ``residual_stderr`` is the paired per-sample
-    stderr (shared pieces cancel exactly); ``combined_stderr`` treats the
-    three terms as independent (conservative).
+    stderr (shared pieces cancel exactly) and ``holds`` means |residual| <=
+    3 residual_stderr; ``combined_stderr`` treats the three terms as
+    independent, which counts the shared log I twice.
     """
 
     total: ScalarEstimate
@@ -297,7 +298,7 @@ def chain_rule_check(model: GibbsModel, blockmap: BlockMap,
     residual_se = float(paired.std(ddof=1) / math.sqrt(paired.size))
     combined = math.sqrt(total.stderr ** 2 + orb.stderr ** 2 + conjugated.stderr ** 2)
     return ChainRuleReport(total, orb, conjugated, residual, residual_se,
-                           combined, bool(abs(residual) <= 3.0 * combined),
+                           combined, bool(abs(residual) <= 3.0 * residual_se),
                            len(samples), s_in)
 
 

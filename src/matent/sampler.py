@@ -104,10 +104,10 @@ class ChainDiagnostics:
     tracked: str
 
 
-def integrated_autocorrelation_time(xs, c: float = 5.0) -> float:
+def integrated_autocorrelation_time(xs) -> float:
     """Integrated autocorrelation time with the standard automatic window.
 
-    Uses the FFT autocorrelation and the smallest window W with W >= c *
+    Uses the FFT autocorrelation and the smallest window W with W >= 5
     tau(W). Returns 1.0 for series too short or constant to resolve.
     """
     x = np.asarray(xs, dtype=float)
@@ -124,7 +124,7 @@ def integrated_autocorrelation_time(xs, c: float = 5.0) -> float:
         return 1.0
     acf /= acf[0]
     taus = 2.0 * np.cumsum(acf) - 1.0
-    window = np.arange(n) >= c * taus
+    window = np.arange(n) >= 5.0 * taus
     w = int(np.argmax(window)) if window.any() else n - 1
     return float(max(1.0, taus[w]))
 
@@ -177,38 +177,23 @@ class ChainEngine:
     eigenvectors, so retained samples follow the matrix law exactly.
     """
 
-    def __init__(self, model: GibbsModel, rng: np.random.Generator,
-                 step_scale: Optional[float] = None,
-                 init: Optional[MatrixTuple] = None):
+    def __init__(self, model: GibbsModel, rng: np.random.Generator):
         self.model = model
         self.rng = rng
         N = model.N
         self.spectral = model.n == 1
-        if init is not None and ((init.n, init.N) != (model.n, model.N)
-                                 or init.R > model.R + 1e-9):
-            raise ValueError("initial tuple incompatible with model")
         if self.spectral:
-            if init is not None:
-                self.lam = np.linalg.eigvalsh(init.blocks[0]).astype(float)
-            else:
-                # distinct points: coincident eigenvalues have zero gas density
-                self.lam = np.linspace(-model.R / 2.0, model.R / 2.0, N)
+            # distinct points: coincident eigenvalues have zero gas density
+            self.lam = np.linspace(-model.R / 2.0, model.R / 2.0, N)
             self.eigs = [self.lam]
+            self.step_scale = model.R / N  # typical gas spacing
         else:
-            if init is not None:
-                self.blocks = [np.array(b) for b in init.blocks]
-            else:
-                self.blocks = [np.zeros((N, N), dtype=complex) for _ in range(model.n)]
+            self.blocks = [np.zeros((N, N), dtype=complex) for _ in range(model.n)]
             self.eigs = [np.linalg.eigvalsh(b) for b in self.blocks]
+            self.step_scale = model.R / (2.0 * math.sqrt(N))
         self._energy_fn = _Energy(model.n, model.N, model.potential)
         self.energy = self._energy_fn.from_state(None if self.spectral else self.blocks,
                                                  self.eigs)
-        if step_scale:
-            self.step_scale = step_scale
-        elif self.spectral:
-            self.step_scale = model.R / N  # typical gas spacing
-        else:
-            self.step_scale = model.R / (2.0 * math.sqrt(N))
         self.accepted = 0
         self.proposed = 0
 
@@ -312,15 +297,14 @@ class ChainEngine:
             if observe is not None and (i + 1) % every == 0:
                 observe(self)
 
-    def tune(self, steps: int, interval: int = 50,
-             band: Tuple[float, float] = ACCEPT_BAND) -> None:
-        """Adapt the step size toward the target acceptance band.
+    def tune(self, steps: int, interval: int = 50) -> None:
+        """Adapt the step size toward the acceptance band ``ACCEPT_BAND``.
 
         Multiplicative updates proportional to the log of the window
         acceptance over the band midpoint; the factor is clamped so a noisy
         window cannot destabilize the scale.
         """
-        target = (band[0] + band[1]) / 2.0
+        target = (ACCEPT_BAND[0] + ACCEPT_BAND[1]) / 2.0
         done = 0
         while done < steps:
             chunk = min(interval, steps - done)
@@ -346,8 +330,7 @@ class ChainEngine:
 
 
 def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
-               step_scale: Optional[float] = None, rng: np.random.Generator = None,
-               init: Optional[MatrixTuple] = None,
+               rng: np.random.Generator = None,
                record_path: Optional[str] = None) -> Tuple[List[MatrixTuple], ChainDiagnostics]:
     """Run a Metropolis chain and retain every ``thin``-th post-burn-in state.
 
@@ -360,7 +343,7 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
         raise ValueError("an explicit numpy Generator is required")
     if steps < 1 or burnin < 0 or thin < 1:
         raise ValueError("need steps >= 1, burnin >= 0, thin >= 1")
-    engine = ChainEngine(model, rng, step_scale=step_scale, init=init)
+    engine = ChainEngine(model, rng)
     engine.tune(int(burnin * 0.8))
     engine.run(burnin - int(burnin * 0.8))
     engine.reset_counters()
@@ -453,8 +436,10 @@ def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
         log I = log Vol + sum_{k<N} log(h_k(V) / h_k(0)).
 
     The norms come from M-point Gauss-Legendre quadrature; M must grow with
-    N for the nodes to resolve the weight's bulk, and the distance to the
-    2M-point value is reported as ``bias_bound``.
+    N, and with the narrowness of the weight, for the nodes to resolve its
+    bulk. M starts at max(300, 8N) and doubles while the M- and 2M-point
+    values differ by more than 1e-8 nats, up to M = 9600; their distance is
+    reported as ``bias_bound``.
     """
     N, R = model.N, model.R
     coeffs = model.potential.scalar_coeffs()
@@ -467,33 +452,34 @@ def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
         return _log_heine_norms(x, logw, N) - _log_heine_norms(x, logg, N)
 
     # at N = 64, R = 4 and V = x^2/2, 200 nodes miss by about 100 nats, 300 agree
-    # with 4000 to 1e-12 relative
+    # with 4000 to 1e-12 relative; a narrow weight needs more (N = 16, R = 4,
+    # V = 100 x^2 is 386 nats off at 300 nodes and resolved from 4800)
     M = max(300, 8 * N)
     coarse, fine = value(M), value(2 * M)
+    while abs(coarse - fine) > 1e-8 and 2 * M <= 9600:
+        M *= 2
+        coarse, fine = fine, value(2 * M)
     return ScalarEstimate(log_ball_volume(N, R) + coarse, 0.0, M, abs(coarse - fine))
 
 
 @dataclass(frozen=True)
 class TIOptions:
-    """Budget for thermodynamic integration over beta.
+    """Budget for thermodynamic integration over beta; the keys of a ``ti:`` section.
 
-    Used only for n >= 2; one-matrix log normalizers are exact and ignore it.
+    ``nodes`` beta values beta_k = beta (k / (nodes - 1))^2.5 are visited by
+    one forward and one backward annealing sweep; each node gets
+    ``node_burnin`` tuning steps and ``node_steps / 2`` measured steps per
+    sweep. Used only for n >= 2; one-matrix log normalizers are exact and
+    ignore it.
     """
 
     nodes: int = 31
     node_burnin: int = 300
     node_steps: int = 2000
-    step_scale: Optional[float] = None
-    # power-law node packing toward beta = 0, where the mean energy has a
-    # 1/beta-like corner before the reference measure takes over
-    grid_power: float = 2.5
-    # independent annealing passes; the budget above is split across them
-    sweeps: int = 2
 
 
 def _ti_sweep(model: GibbsModel, grid: np.ndarray, node_burnin: int,
-              node_steps: int, step_scale: Optional[float],
-              rng: np.random.Generator, init: Optional[MatrixTuple],
+              node_steps: int, rng: np.random.Generator,
               forward: bool) -> Tuple[float, float, float]:
     """One annealed pass over the beta grid: (integral, stderr, disc bound).
 
@@ -502,7 +488,7 @@ def _ti_sweep(model: GibbsModel, grid: np.ndarray, node_burnin: int,
     of that lag so the pair average cancels it to first order.
     """
     start = 0.0 if forward else float(grid[-1])
-    engine = ChainEngine(model.with_beta(start), rng, step_scale=step_scale, init=init)
+    engine = ChainEngine(model.with_beta(start), rng)
     engine.tune(3 * node_burnin)
     means = np.empty(grid.size)
     errs = np.empty(grid.size)
@@ -551,38 +537,35 @@ def _ti_sweep(model: GibbsModel, grid: np.ndarray, node_burnin: int,
     return integral, se, disc
 
 
-def estimate_log_I(model: GibbsModel, beta_grid: Optional[Sequence[float]] = None,
-                   opts: Optional[TIOptions] = None,
-                   rng: np.random.Generator = None,
-                   init: Optional[MatrixTuple] = None) -> ScalarEstimate:
+def estimate_log_I(model: GibbsModel, opts: Optional[TIOptions] = None,
+                   rng: np.random.Generator = None) -> ScalarEstimate:
     """log I(beta) of a Gibbs model, exact wherever an exact route exists.
 
     Exact (stderr 0) when the potential or beta vanishes: n log Vol. For
     n == 1 it is deterministic by Heine's identity (see :func:`_heine_log_I`),
-    with the quadrature error in ``bias_bound``; ``beta_grid``, ``opts``,
-    ``rng`` and ``init`` are then unused. For n >= 2 it is estimated by
-    annealed thermodynamic integration (see :func:`_ti_log_I`).
+    with the quadrature error in ``bias_bound``; ``opts`` and ``rng`` are
+    then unused. For n >= 2 it is estimated by annealed thermodynamic
+    integration with the budget ``opts`` (see :func:`_ti_log_I`).
     """
     if model.potential.is_zero() or model.beta == 0.0:
         return ScalarEstimate.exact(model.n * log_ball_volume(model.N, model.R))
     if model.n == 1:
         return _heine_log_I(model)
-    return _ti_log_I(model, beta_grid, opts, rng, init)
+    return _ti_log_I(model, opts, rng)
 
 
-def _ti_log_I(model: GibbsModel, beta_grid: Optional[Sequence[float]],
-              opts: Optional[TIOptions], rng: np.random.Generator,
-              init: Optional[MatrixTuple]) -> ScalarEstimate:
+def _ti_log_I(model: GibbsModel, opts: Optional[TIOptions],
+              rng: np.random.Generator) -> ScalarEstimate:
     """log I(beta) by thermodynamic integration from the exact ball volume.
 
     d/dbeta log I = -E_beta[N Tr V], so log I(beta) = n log Vol minus the
     trapezoid of the mean energy along an increasing beta grid from 0,
     power-law packed near 0 where the integrand has most of its curvature.
-    The budget is split over annealing sweeps run in alternating directions,
-    which cancels the chain's schedule-lag bias to first order; node means
-    within a sweep share one chain, so the between-sweep spread is the
-    trustworthy error signal and the reported stderr is the larger of the
-    spread and the per-node IAT-corrected sum. The trapezoid discretization error goes to
+    The budget is split over a forward and a backward annealing sweep, which
+    cancels the chain's schedule-lag bias to first order; node means within
+    a sweep share one chain, so the between-sweep spread is the trustworthy
+    error signal and the reported stderr is the larger of the spread and the
+    per-node IAT-corrected sum. The trapezoid discretization error goes to
     ``bias_bound`` via second divided differences.
     """
     if opts is None:
@@ -590,28 +573,20 @@ def _ti_log_I(model: GibbsModel, beta_grid: Optional[Sequence[float]],
     base = model.n * log_ball_volume(model.N, model.R)
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
-    if beta_grid is None:
-        ts = np.linspace(0.0, 1.0, opts.nodes)
-        beta_grid = model.beta * ts ** opts.grid_power
-    grid = np.asarray(beta_grid, dtype=float)
-    if grid[0] != 0.0 or abs(grid[-1] - model.beta) > 1e-12 or np.any(np.diff(grid) <= 0):
-        raise ValueError("beta grid must increase from 0 to model.beta")
+    if opts.nodes < 2:
+        raise ValueError("thermodynamic integration needs at least 2 beta nodes")
+    # power-law node packing toward beta = 0, where the mean energy has a
+    # 1/beta-like corner before the reference measure takes over
+    grid = model.beta * np.linspace(0.0, 1.0, opts.nodes) ** 2.5
 
-    sweeps = max(1, int(opts.sweeps))
-    per_node = max(2, opts.node_steps // sweeps)
-    integrals = np.empty(sweeps)
-    ses = np.empty(sweeps)
-    discs = np.empty(sweeps)
-    for s in range(sweeps):
-        integrals[s], ses[s], discs[s] = _ti_sweep(
-            model, grid, opts.node_burnin, per_node, opts.step_scale, rng, init,
-            forward=(s % 2 == 0))
+    per_node = max(2, opts.node_steps // 2)
+    sweeps = [_ti_sweep(model, grid, opts.node_burnin, per_node, rng, forward)
+              for forward in (True, False)]
+    integrals, ses, discs = np.array(sweeps).T
     integral = float(integrals.mean())
-    se = math.sqrt(float(np.mean(ses ** 2)) / sweeps)
-    if sweeps > 1:
-        spread = float(integrals.std(ddof=1) / math.sqrt(sweeps))
-        se = max(se, spread)
-    return ScalarEstimate(base - integral, se, sweeps * per_node * grid.size,
+    se = math.sqrt(float(np.mean(ses ** 2)) / 2)
+    spread = float(integrals.std(ddof=1) / math.sqrt(2))
+    return ScalarEstimate(base - integral, max(se, spread), 2 * per_node * grid.size,
                           float(discs.mean()))
 
 

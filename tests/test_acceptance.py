@@ -238,8 +238,8 @@ def test_criterion_09_chain_rule_identity():
                            ti=TIOptions(nodes=21, node_steps=800),
                            chain_burnin=1200, chain_thin=20)
     _record(9, "relative entropy splits through the orbital term", rep.holds,
-            f"residual {rep.residual:+.4f} (3 combined se {3 * rep.combined_stderr:.4f}, "
-            f"paired se {rep.residual_stderr:.4f})", t0)
+            f"residual {rep.residual:+.4f} (3 paired se {3 * rep.residual_stderr:.4f}, "
+            f"combined se {rep.combined_stderr:.4f})", t0)
 
 
 def test_criterion_10_orbital_talagrand_on_coupling_grid():

@@ -101,11 +101,25 @@ def test_build_blockmap_default_and_explicit():
 def test_fit_options_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown fit option"):
         cli._fit_options({"momentum": 0.9})
-    opts = cli._fit_options({"iterations": 50, "ti": {"nodes": 11, "grid_power": 2.0}})
+    opts = cli._fit_options({"iterations": 50, "ti": {"nodes": 11, "node_steps": 600}})
     assert opts.iterations == 50
-    assert opts.ti.nodes == 11 and opts.ti.grid_power == 2.0
+    assert opts.ti.nodes == 11 and opts.ti.node_steps == 600
     with pytest.raises(ConfigError, match="unknown ti option"):
         cli._fit_options({"ti": {"cooling": 3}})
+
+
+@pytest.mark.parametrize("key", ["observe_stride", "final_stride", "decay_power",
+                                 "decay_scale", "average_start", "coeff_bound",
+                                 "init_coeffs"])
+def test_fit_options_reject_fixed_schedule_keys(key):
+    with pytest.raises(ConfigError, match="unknown fit option"):
+        cli._fit_options({key: 1})
+
+
+@pytest.mark.parametrize("key", ["step_scale", "grid_power", "sweeps"])
+def test_ti_options_reject_fixed_schedule_keys(key):
+    with pytest.raises(ConfigError, match="unknown ti option"):
+        cli._fit_options({"ti": {key: 1}})
 
 
 def test_main_volume_end_to_end(tmp_path):

@@ -170,11 +170,21 @@ def test_exact_log_i_bias_bound_at_large_n():
     assert est.value < log_ball_volume(64, 4.0)
 
 
+def test_exact_log_i_resolves_narrow_gaussian_weight():
+    # V = c x^2 with its bulk far inside the walls: log I is the Gaussian
+    # integral over the N real diagonal and N(N-1)/2 complex entries
+    N = 16
+    for c in (10.0, 100.0):
+        est = estimate_log_I(GibbsModel(1, N, 4.0, c * NcPoly.from_word(1, (1, 1)), 1.0))
+        gauss = (N / 2 * math.log(math.pi / (N * c))
+                 + N * (N - 1) / 2 * math.log(math.pi / (2 * N * c)))
+        assert est.value == pytest.approx(gauss, abs=1e-8)
+        assert est.bias_bound <= 1e-8
+
+
 def test_exact_log_i_flags_unresolved_weight():
-    # a weight narrower than the node spacing is not resolved: the quadrature
-    # error shows in bias_bound, or the recurrence runs out of nodes
-    narrow = estimate_log_I(GibbsModel(1, 16, 4.0, 100.0 * NcPoly.from_word(1, (1, 1)), 1.0))
-    assert narrow.bias_bound > 1.0
+    # a weight narrower than the node spacing leaves the recurrence without
+    # N resolved nodes, which raises rather than returning a number
     with pytest.raises(EstimatorError):
         estimate_log_I(GibbsModel(1, 16, 4.0, 1e5 * NcPoly.from_word(1, (1, 1)), 1.0))
 
@@ -187,13 +197,20 @@ def test_ti_error_bars_cover_exact_log_i():
     opts = TIOptions(nodes=11, node_burnin=100, node_steps=400)
     misses = []
     for seed in range(8):
-        ti = _ti_log_I(model, None, opts, substream(seed, "ti-calib"), None)
+        ti = _ti_log_I(model, opts, substream(seed, "ti-calib"))
         diff = ti.value - exact.value
         print(f"seed {seed}: TI - exact {diff:+.4f}, z {diff / ti.stderr:+.2f}, "
               f"bias_bound {ti.bias_bound:.4f}")
         if abs(diff) > 3 * ti.stderr + ti.bias_bound + exact.bias_bound:
             misses.append(seed)
     assert misses == []
+
+
+def test_ti_needs_two_beta_nodes():
+    pot = NcPoly.from_word(2, (1, 2)) + NcPoly.from_word(2, (2, 1))
+    with pytest.raises(ValueError, match="at least 2 beta nodes"):
+        _ti_log_I(GibbsModel(2, 3, 1.0, pot, 1.0), TIOptions(nodes=1),
+                  substream(0, "ti-nodes"))
 
 
 def test_gas_sweep_energy_matches_exact_derivative():
