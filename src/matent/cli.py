@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +29,8 @@ import yaml
 
 from . import __version__
 from .estimates import EstimatorError, ScalarEstimate
-from .matrices import BlockMap, build_compression, log_jacobian_functional_calculus
+from .matrices import (BlockMap, MatrixTuple, build_compression,
+                       log_jacobian_functional_calculus)
 from .maxent import (FitOptions, FitResult, InfeasibleTargetError, fit_projection,
                      free_pressure, one_variable_chi_reference)
 from .moments import (MomentSpec, arcsine_moments, empirical_moments,
@@ -135,6 +136,8 @@ def load_config(path: str, seed_override: Optional[int] = None,
         else:
             threads = 1
     _require(isinstance(threads, int) and threads >= 1, "threads must be a positive integer")
+    unknown = sorted(set(raw) - set(_KEYS[kind]))
+    _require(not unknown, f"unknown {kind} key(s) {unknown}")
     return ExperimentConfig(kind=str(kind), seed=int(seed), params=raw,
                             out=out, threads=int(threads))
 
@@ -213,28 +216,20 @@ def build_blockmap(params: Optional[Sequence[int]], n: int) -> BlockMap:
     return BlockMap(tuple(int(g) for g in params))
 
 
-def _fit_options(params: Optional[Dict]) -> FitOptions:
-    if not params:
-        return FitOptions()
-    allowed = {f for f in FitOptions.__dataclass_fields__} - {"ti"}
-    opts = FitOptions()
+def _options(cls, params: Optional[Dict], section: str):
+    """Settings dataclass ``cls`` from a config section; each value takes the
+    type of its default, and a dataclass-valued field its own nested section."""
+    defaults = cls()
     fields = {}
-    for k, v in params.items():
-        if k == "ti":
-            fields["ti"] = _ti_options(v)
-            continue
-        _require(k in allowed, f"unknown fit option {k!r}")
-        fields[k] = type(getattr(opts, k))(v)
-    return replace(opts, **fields)
+    for k, v in (params or {}).items():
+        _require(k in cls.__dataclass_fields__, f"unknown {section} option {k!r}")
+        default = getattr(defaults, k)
+        fields[k] = _options(type(default), v, k) if is_dataclass(default) else type(default)(v)
+    return replace(defaults, **fields)
 
 
-def _ti_options(params: Optional[Dict]) -> TIOptions:
-    if not params:
-        return TIOptions()
-    allowed = set(TIOptions.__dataclass_fields__)
-    for k in params:
-        _require(k in allowed, f"unknown ti option {k!r}")
-    return TIOptions(**{k: int(v) for k, v in params.items()})
+def _fit_options(params: Optional[Dict]) -> FitOptions:
+    return _options(FitOptions, params, "fit")
 
 
 def _est(e: ScalarEstimate) -> Dict:
@@ -242,13 +237,41 @@ def _est(e: ScalarEstimate) -> Dict:
             "bias_bound": e.bias_bound}
 
 
-def _chain_params(params: Optional[Dict]) -> Dict:
+def _chain(cfg: ExperimentConfig, model: GibbsModel, stream: str, **kwargs):
+    """Samples and diagnostics of the chain described by the ``chain:`` section."""
     p = {"steps": 20000, "burnin": 2000, "thin": 10}
-    if params:
-        for k, v in params.items():
-            _require(k in p, f"unknown chain option {k!r}")
-            p[k] = int(v)
-    return p
+    for k, v in (cfg.param("chain") or {}).items():
+        _require(k in p, f"unknown chain option {k!r}")
+        p[k] = int(v)
+    return mcmc_chain(model, p["steps"], p["burnin"], p["thin"],
+                      rng=substream(cfg.seed, stream), **kwargs)
+
+
+def _spectrum(samples: Sequence[MatrixTuple]) -> np.ndarray:
+    """Eigenvalues of the first block of every sample, concatenated."""
+    return np.concatenate([np.linalg.eigvalsh(t.blocks[0]) for t in samples])
+
+
+def _orbital_requests(cfg: ExperimentConfig, couplings: Optional[Sequence],
+                      **defaults) -> List[Tuple[Optional[float], OrbitalRequest]]:
+    """(c, request) per coupling c, whose potential is c (X1 - X2)^2, or (None,
+    request) for the model as given; budget keys default to ``defaults``, else
+    to :class:`OrbitalRequest`'s."""
+    budget = {k: int(cfg.param(k, defaults.get(k, getattr(OrbitalRequest, k))))
+              for k in ("s_out", "s_in", "chain_burnin", "chain_thin")}
+    out = []
+    for c in [None] if couplings is None else couplings:
+        params = cfg.param("model", {})
+        if c is not None:
+            c = float(c)
+            params = dict(params, potential={"name": "coupled", "c": c})
+        model = build_model(params)
+        try:
+            req = OrbitalRequest(model, build_blockmap(cfg.param("groups"), model.n), **budget)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        out.append((c, req))
+    return out
 
 
 def _histogram(values: np.ndarray, bins: int, lo: float, hi: float):
@@ -287,12 +310,8 @@ def _run_volume(cfg: ExperimentConfig):
 
 def _run_sample(cfg: ExperimentConfig):
     model = build_model(cfg.param("model", {}))
-    ch = _chain_params(cfg.param("chain"))
     K = int(cfg.param("K", 4))
-    record_path = cfg.param("record_file")
-    samples, diag = mcmc_chain(model, ch["steps"], ch["burnin"], ch["thin"],
-                               rng=substream(cfg.seed, "sample"),
-                               record_path=record_path)
+    samples, diag = _chain(cfg, model, "sample", record_path=cfg.param("record_file"))
     specs = [empirical_moments(t, K) for t in samples]
     words = [w for w in specs[0].class_reps if w]
     mrows = []
@@ -301,8 +320,7 @@ def _run_sample(cfg: ExperimentConfig):
         mrows.append((".".join(map(str, w)), float(vals.real.mean()),
                       float(vals.imag.mean()),
                       float(vals.real.std(ddof=1) / math.sqrt(len(vals)))))
-    eigs = np.concatenate([np.linalg.eigvalsh(t.blocks[0]) for t in samples])
-    hist = _histogram(eigs, int(cfg.param("bins", 40)), -model.R, model.R)
+    hist = _histogram(_spectrum(samples), int(cfg.param("bins", 40)), -model.R, model.R)
     result = {"kind": "sample", "diagnostics": asdict(diag),
               "moments": [{"word": r[0], "re": r[1], "im": r[2], "stderr": r[3]}
                           for r in mrows]}
@@ -312,14 +330,14 @@ def _run_sample(cfg: ExperimentConfig):
     }
 
 
-def _fit_common(cfg: ExperimentConfig) -> Tuple[FitResult, MomentSpec, int, int]:
+def _fit_common(cfg: ExperimentConfig) -> Tuple[FitResult, int, int]:
     tau = build_target(cfg.param("target", {}))
     N = int(cfg.param("N", 8))
     K = int(cfg.param("K", tau.K))
     fit = fit_projection(tau, N, K, eps=float(cfg.param("eps", 0.0)),
                          opts=_fit_options(cfg.param("fit")),
                          rng=substream(cfg.seed, "fit", N))
-    return fit, tau, N, K
+    return fit, N, K
 
 
 def _fit_record(fit: FitResult, N: int, K: int) -> Dict:
@@ -351,18 +369,16 @@ def _fit_tables(fit: FitResult) -> Dict:
 
 
 def _run_fit(cfg: ExperimentConfig):
-    fit, _, N, K = _fit_common(cfg)
+    fit, N, K = _fit_common(cfg)
     rec = _fit_record(fit, N, K)
     rec["kind"] = "fit"
     return [rec], _fit_tables(fit)
 
 
 def _run_rho(cfg: ExperimentConfig):
-    fit, tau, N, K = _fit_common(cfg)
+    fit, N, K = _fit_common(cfg)
     rec = _fit_record(fit, N, K)
-    rec["kind"] = "rho"
-    rec["chi_value"] = fit.rho.value / (N * N) + tau.n / 2.0 * math.log(N)
-    rec["chi_stderr"] = fit.rho.stderr / (N * N)
+    rec.update({"kind": "rho", "chi_value": fit.chi.value, "chi_stderr": fit.chi.stderr})
     return [rec], _fit_tables(fit)
 
 
@@ -370,9 +386,8 @@ def _chi_point(args):
     (seed, tau, N, K, eps, opts) = args
     fit = fit_projection(tau, N, K, eps=eps, opts=opts,
                          rng=substream(seed, "chi", N))
-    value = fit.rho.scaled(1.0 / (N * N)).shifted(tau.n / 2.0 * math.log(N))
     rec = _fit_record(fit, N, K)
-    rec.update({"kind": "chi-tilde", "value": value.value, "stderr": value.stderr})
+    rec.update({"kind": "chi-tilde", "value": fit.chi.value, "stderr": fit.chi.stderr})
     return rec
 
 
@@ -383,14 +398,14 @@ def _run_chi_tilde(cfg: ExperimentConfig):
     K = int(cfg.param("K", tau.K))
     eps = float(cfg.param("eps", 0.0))
     opts = _fit_options(cfg.param("fit"))
+    ref = cfg.param("reference_density")
+    _require(ref in (None, "semicircle"), f"unknown reference_density {ref!r}")
     work = [(cfg.seed, tau, int(N), K, eps, opts) for N in sizes]
     recs = _parallel_map(_chi_point, work, cfg.threads)
     rows = [(r["N"], r["value"], r["stderr"]) for r in recs]
-    ref = cfg.param("reference_density")
-    if ref == "semicircle":
-        var = float(cfg.param("reference_variance", 1.0))
+    if ref is not None:
+        dens = _semicircle_density(float(cfg.param("reference_variance", 1.0)))
         for r in recs:
-            dens = _semicircle_density(var)
             r["reference"] = one_variable_chi_reference(dens, tau.R, r["N"]).chi
     return recs, {"chi_tilde": (("N", "value", "stderr"), rows)}
 
@@ -409,7 +424,7 @@ def _run_pressure(cfg: ExperimentConfig):
     P = build_potential(cfg.param("potential"), n)
     R = float(cfg.param("R", 2.0))
     sizes = cfg.param("sizes") or [int(cfg.param("N", 8))]
-    ti = _ti_options(cfg.param("ti"))
+    ti = _options(TIOptions, cfg.param("ti"), "ti")
     results = []
     rows = []
     for N in sizes:
@@ -420,58 +435,32 @@ def _run_pressure(cfg: ExperimentConfig):
 
 
 def _orbital_point(args):
-    (seed, base_params, c, s_out, s_in, burnin, thin, groups) = args
-    params = dict(base_params)
-    params["potential"] = {"name": "coupled", "c": c}
-    model = build_model(params)
-    req = OrbitalRequest(model, build_blockmap(groups, model.n),
-                         s_out=s_out, s_in=s_in,
-                         chain_burnin=burnin, chain_thin=thin)
-    est = orbital_entropy(req, substream(seed, "orbital", str(c)))
-    return {"kind": "orbital", "coupling": c, "value": est.value,
-            "stderr": est.stderr, "bias_bound": est.bias_bound, "raw": est.raw,
-            "kl": est.kl, "half_shift": est.half_shift,
-            "self_consistent": est.self_consistent,
-            "s_out": est.s_out, "s_in": est.s_in}
+    (seed, c, req) = args
+    path = ("orbital",) if c is None else ("orbital", str(c))
+    est = orbital_entropy(req, substream(seed, *path))
+    rec = {"kind": "orbital", "value": est.value, "stderr": est.stderr,
+           "bias_bound": est.bias_bound, "raw": est.raw, "kl": est.kl,
+           "half_shift": est.half_shift, "self_consistent": est.self_consistent,
+           "s_out": est.s_out, "s_in": est.s_in}
+    if c is not None:
+        rec["coupling"] = c
+    return rec
 
 
 def _run_orbital(cfg: ExperimentConfig):
-    mp = cfg.param("model", {})
-    s_out = int(cfg.param("s_out", 256))
-    s_in = int(cfg.param("s_in", 128))
-    burnin = int(cfg.param("chain_burnin", 1500))
-    thin = int(cfg.param("chain_thin", 25))
-    groups = cfg.param("groups")
     couplings = cfg.param("couplings")
-    if couplings is None:
-        model = build_model(mp)
-        req = OrbitalRequest(model, build_blockmap(groups, model.n),
-                             s_out=s_out, s_in=s_in,
-                             chain_burnin=burnin, chain_thin=thin)
-        est = orbital_entropy(req, substream(cfg.seed, "orbital"))
-        rec = {"kind": "orbital", "value": est.value, "stderr": est.stderr,
-               "bias_bound": est.bias_bound, "raw": est.raw, "kl": est.kl,
-               "half_shift": est.half_shift, "self_consistent": est.self_consistent,
-               "s_out": est.s_out, "s_in": est.s_in}
-        return [rec], {"orbital": (("value", "stderr", "bias_bound"),
-                                   [(est.value, est.stderr, est.bias_bound)])}
-    work = [(cfg.seed, mp, float(c), s_out, s_in, burnin, thin, groups)
-            for c in couplings]
+    work = [(cfg.seed, c, req) for c, req in _orbital_requests(cfg, couplings)]
     recs = _parallel_map(_orbital_point, work, cfg.threads)
-    rows = [(r["coupling"], r["value"], r["stderr"], r["bias_bound"]) for r in recs]
-    return recs, {"orbital": (("coupling", "value", "stderr", "bias_bound"), rows)}
+    header = ("value", "stderr", "bias_bound")
+    if couplings is not None:
+        header = ("coupling",) + header
+    return recs, {"orbital": (header, [tuple(r[k] for k in header) for r in recs])}
 
 
 def _run_chain_rule(cfg: ExperimentConfig):
-    model = build_model(cfg.param("model", {}))
-    bm = build_blockmap(cfg.param("groups"), model.n)
-    rep = chain_rule_check(
-        model, bm,
-        s_out=int(cfg.param("s_out", 256)), s_in=int(cfg.param("s_in", 128)),
-        rng=substream(cfg.seed, "chain-rule"),
-        chain_burnin=int(cfg.param("chain_burnin", 1500)),
-        chain_thin=int(cfg.param("chain_thin", 25)),
-        ti=_ti_options(cfg.param("ti")))
+    [(_, req)] = _orbital_requests(cfg, None)
+    rep = chain_rule_check(req, substream(cfg.seed, "chain-rule"),
+                           ti=_options(TIOptions, cfg.param("ti"), "ti"))
     rec = {"kind": "chain-rule", "total": _est(rep.total),
            "orbital": _est(rep.orbital), "conjugated": _est(rep.conjugated),
            "residual": rep.residual, "residual_stderr": rep.residual_stderr,
@@ -483,14 +472,8 @@ def _run_chain_rule(cfg: ExperimentConfig):
 
 
 def _talagrand_point(args):
-    (seed, base_params, c, K, s_out, s_in, burnin, thin, groups) = args
-    params = dict(base_params)
-    params["potential"] = {"name": "coupled", "c": c}
-    model = build_model(params)
-    rep = talagrand_report(model, build_blockmap(groups, model.n), K=K,
-                           s_out=s_out, s_in=s_in,
-                           rng=substream(seed, "talagrand", str(c)),
-                           chain_burnin=burnin, chain_thin=thin)
+    (seed, c, req, K) = args
+    rep = talagrand_report(req, substream(seed, "talagrand", str(c)), K=K)
     return {"kind": "talagrand", "coupling": c,
             "orbital_value": rep.orbital.value, "orbital_stderr": rep.orbital.stderr,
             "lhs_free": rep.lhs_free, "lhs_conj": rep.lhs_conj,
@@ -500,14 +483,11 @@ def _talagrand_point(args):
 
 
 def _run_talagrand(cfg: ExperimentConfig):
-    mp = cfg.param("model", {})
-    couplings = cfg.param("couplings") or [1.0]
-    work = [(cfg.seed, mp, float(c), int(cfg.param("K", 4)),
-             int(cfg.param("s_out", 192)), int(cfg.param("s_in", 96)),
-             int(cfg.param("chain_burnin", 1500)), int(cfg.param("chain_thin", 20)),
-             cfg.param("groups"))
-            for c in couplings]
-    recs = _parallel_map(_talagrand_point, work, cfg.threads)
+    K = int(cfg.param("K", 4))
+    requests = _orbital_requests(cfg, cfg.param("couplings") or [1.0],
+                                 s_out=192, s_in=96, chain_thin=20)
+    recs = _parallel_map(_talagrand_point, [(cfg.seed, c, req, K) for c, req in requests],
+                         cfg.threads)
     rows = [(r["coupling"], r["lhs_free"], r["lhs_conj"], r["rhs"],
              r["rhs_upper"], r["orbital_value"], r["freeness_gap"]) for r in recs]
     return recs, {"talagrand": (("coupling", "lhs_free", "lhs_conj", "rhs",
@@ -541,11 +521,8 @@ def _run_duality_check(cfg: ExperimentConfig):
 def _run_arcsine_demo(cfg: ExperimentConfig):
     N = int(cfg.param("N", 64))
     R = float(cfg.param("R", 2.0))
-    ch = _chain_params(cfg.param("chain"))
-    model = GibbsModel(1, N, R, NcPoly.zero(1), 0.0)
-    samples, diag = mcmc_chain(model, ch["steps"], ch["burnin"], ch["thin"],
-                               rng=substream(cfg.seed, "arcsine"))
-    eigs = np.concatenate([np.linalg.eigvalsh(t.blocks[0]) for t in samples])
+    samples, diag = _chain(cfg, GibbsModel(1, N, R, NcPoly.zero(1), 0.0), "arcsine")
+    eigs = _spectrum(samples)
     m2 = float(np.mean(eigs ** 2))
     m4 = float(np.mean(eigs ** 4))
     bins = int(cfg.param("bins", 48))
@@ -570,9 +547,7 @@ def _run_compression_check(cfg: ExperimentConfig):
     N = int(cfg.param("N", 4))
     n_pot = build_potential(cfg.param("potential"), 1)
     model = GibbsModel(1, N, float(win["T"]), n_pot, 1.0 if not n_pot.is_zero() else 0.0)
-    ch = _chain_params(cfg.param("chain"))
-    samples, _ = mcmc_chain(model, ch["steps"], ch["burnin"], ch["thin"],
-                            rng=substream(cfg.seed, "compression"))
+    samples, _ = _chain(cfg, model, "compression")
     logj = np.array([log_jacobian_functional_calculus(t.blocks[0], fn) for t in samples])
     bound = N * N * abs(math.log(fn.alpha))
     worst = float(np.max(np.abs(logj)))
@@ -618,6 +593,25 @@ _RUNNERS = {
 }
 
 EXPERIMENT_KINDS = tuple(sorted(_RUNNERS))
+
+_NESTED = ("model", "groups", "s_out", "s_in", "chain_burnin", "chain_thin")
+# the top-level keys each kind reads, besides kind, seed, out and threads
+_KEYS = {
+    "volume": ("sizes", "N", "R"),
+    "sample": ("model", "chain", "K", "bins", "record_file"),
+    "fit": ("target", "N", "K", "eps", "fit"),
+    "rho": ("target", "N", "K", "eps", "fit"),
+    "chi-tilde": ("target", "sizes", "K", "eps", "fit", "reference_density",
+                  "reference_variance"),
+    "pressure": ("n", "potential", "R", "sizes", "N", "ti"),
+    "orbital": _NESTED + ("couplings",),
+    "chain-rule": _NESTED + ("ti",),
+    "talagrand": _NESTED + ("couplings", "K"),
+    "duality-check": ("targets", "fit"),
+    "arcsine-demo": ("N", "R", "chain", "bins"),
+    "compression-check": ("window", "N", "potential", "chain"),
+    "hit-rate": ("target", "eps", "K", "N", "steps", "burnin", "thin"),
+}
 
 
 def run(config: ExperimentConfig) -> RunRecord:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -151,24 +151,32 @@ class BlockMap:
 
 
 def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed N x N unitary.
-
-    QR of a complex Ginibre matrix with the R-diagonal phases divided out,
-    which makes the factorization unique and the Q factor exactly Haar.
-    """
-    z = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar-distributed N x N unitary (a batch of one)."""
+    return haar_unitary_batch(1, N, rng)[0]
 
 
 def haar_unitary_batch(count: int, N: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` independent Haar unitaries, batched QR."""
+    """Stack of ``count`` independent Haar unitaries, batched QR.
+
+    QR of complex Ginibre matrices with the R-diagonal phases divided out,
+    which makes the factorization unique and the Q factors exactly Haar.
+    """
     z = (rng.standard_normal((count, N, N))
          + 1j * rng.standard_normal((count, N, N))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
+
+
+def _conjugate_blocks(blocks: Sequence[np.ndarray], unitaries: np.ndarray,
+                      blockmap: BlockMap) -> List[np.ndarray]:
+    """U_{g(i)} M_i U_{g(i)}^* for every block M_i; ``unitaries`` has shape
+    (..., ell, N, N), and a stack of them gives a stack of copies per block."""
+    out = []
+    for b, g in zip(blocks, blockmap.groups):
+        u = unitaries[..., g, :, :]
+        out.append(u @ b @ np.conj(np.swapaxes(u, -1, -2)))
+    return out
 
 
 def conjugate_tuple(t: MatrixTuple, unitaries: Sequence[np.ndarray],
@@ -183,11 +191,8 @@ def conjugate_tuple(t: MatrixTuple, unitaries: Sequence[np.ndarray],
         raise ValueError("block map size does not match tuple")
     if len(unitaries) != blockmap.ell:
         raise ValueError(f"need {blockmap.ell} unitaries, got {len(unitaries)}")
-    out = []
-    for i, b in enumerate(t.blocks):
-        u = unitaries[blockmap.groups[i]]
-        out.append(hermitize(u @ b @ u.conj().T))
-    return MatrixTuple(t.n, t.N, t.R, tuple(out))
+    return MatrixTuple(t.n, t.N, t.R, tuple(
+        hermitize(b) for b in _conjugate_blocks(t.blocks, np.asarray(unitaries), blockmap)))
 
 
 def operator_norm(m: np.ndarray) -> float:

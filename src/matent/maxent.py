@@ -23,18 +23,19 @@ one-variable reference curve.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 from scipy.special import logsumexp
 
 from .estimates import ScalarEstimate, mean_with_batch_stderr
 from .matrices import MatrixTuple
 from .moments import MomentSpec, moment_pairing
 from .ncpoly import NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word, trace_moment
-from .sampler import ChainEngine, GibbsModel, TIOptions, estimate_log_I, log_ball_volume
+from .sampler import (ChainEngine, GibbsModel, TIOptions, _entropy, estimate_log_I,
+                      log_ball_volume)
 
 __all__ = [
     "InfeasibleTargetError",
@@ -44,7 +45,6 @@ __all__ = [
     "target_vector",
     "potential_from_coeffs",
     "dual_objective",
-    "scalar_quadrature_log_i",
     "FitOptions",
     "FitResult",
     "fit_projection",
@@ -166,31 +166,14 @@ class _BasisMeasurer:
         return self.from_state(t.blocks, eigs)
 
 
-def scalar_quadrature_log_i(R: float) -> Callable[[NcPoly], ScalarEstimate]:
-    """Deterministic log I estimator for one variable at N = 1.
-
-    log of the integral of exp(-V) over [-R, R] on a 4001-point midpoint grid;
-    usable as the injectable estimator of :func:`dual_objective` wherever
-    chains would be overkill. The grid discretization bound is reported.
-    """
-    npoints = 4001
-    xs = -R + (np.arange(npoints) + 0.5) * (2.0 * R / npoints)
-    logdx = math.log(2.0 * R / npoints)
-
-    def estimator(potential: NcPoly) -> ScalarEstimate:
-        val = float(logsumexp(-polyval(xs, potential.scalar_coeffs())) + logdx)
-        return ScalarEstimate(val, 0.0, npoints, bias_bound=(2.0 * R / npoints) ** 2)
-
-    return estimator
-
-
 def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,
                    eps: float, N: int,
                    log_i_estimator: Callable[[NcPoly], ScalarEstimate]) -> ScalarEstimate:
     """F(lam) = log I(P_lam) + N^2 (tau(P_lam) + eps ||lam||_1).
 
-    The log I backend is injectable (chain-based or quadrature); the
-    statistical error is whatever the backend reports.
+    ``log_i_estimator`` maps a potential to its log I (for instance
+    ``lambda V: estimate_log_I(GibbsModel(n, N, R, V), ...)``); the
+    statistical error is whatever it reports.
     """
     lam = np.asarray(coeffs, dtype=float)
     est = log_i_estimator(potential_from_coeffs(basis, lam))
@@ -252,6 +235,12 @@ class FitResult:
     trajectory: dict
     model: GibbsModel
 
+    @property
+    def chi(self) -> ScalarEstimate:
+        """Entropy-curve value rho/N^2 + (n/2) log N of the fitted model."""
+        N = self.model.N
+        return self.rho.scaled(1.0 / (N * N)).shifted(self.model.n / 2.0 * math.log(N))
+
 
 def _soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
@@ -265,7 +254,9 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
 
     Coordinates are preconditioned by R^degree so that step sizes and
     tolerances are scale-free; the per-element tolerance is
-    max(eps, moment_tol * R^degree) in absolute units. Divergence of the
+    max(eps, moment_tol * R^degree) in absolute units. The fit is
+    ``converged`` when every final residual is within its tolerance plus 3
+    stderr; otherwise a ``RuntimeWarning`` is issued. Divergence of the
     coefficients with stalled residuals raises
     :class:`InfeasibleTargetError` (the supremum is -infinity there).
     """
@@ -348,15 +339,13 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     ])
     energy_est = mean_with_batch_stderr(np.asarray(energies))
     log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)
-    rho_est = ScalarEstimate(
-        log_i.value + energy_est.value,
-        math.hypot(log_i.stderr, energy_est.stderr),
-        energy_est.count,
-        log_i.bias_bound,
-    )
+    rho_est = _entropy(log_i, final_model.beta, energy_est)
     dual = dual_objective(basis, lam, tau, eps, N, lambda _: log_i)
     tol_abs = tol_scaled * scales
     converged = bool(np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
+    if not converged:
+        warnings.warn(f"fit at N={N}, K={K} did not converge: a final moment residual "
+                      f"exceeds its tolerance plus 3 stderr", RuntimeWarning, stacklevel=2)
     trajectory = {
         "residual_max_scaled": resid_history,
         "sa_converged": converged_sa,
@@ -410,8 +399,7 @@ def chi_tilde_curve(tau: MomentSpec, N_list: Sequence[int], K: int,
     out = []
     for N in N_list:
         fit = fit_projection(tau, int(N), K, eps=eps, opts=opts, rng=rng_factory(int(N)), R=R)
-        value = fit.rho.scaled(1.0 / (N * N)).shifted(tau.n / 2.0 * math.log(N))
-        out.append(ChiTildePoint(int(N), value, fit))
+        out.append(ChiTildePoint(int(N), fit.chi, fit))
     return out
 
 
@@ -450,7 +438,7 @@ def eta_bound_check(tau: MomentSpec, P: NcPoly, N: int, K: int,
         raise ValueError("an explicit numpy Generator is required")
     R = float(tau.R if R is None else R)
     fit = fit_projection(tau, N, K, eps=eps, opts=opts, rng=rng, R=R)
-    chi = fit.rho.scaled(1.0 / (N * N)).shifted(tau.n / 2.0 * math.log(N))
+    chi = fit.chi
     tau_p = moment_pairing(tau, P)
     pressure = free_pressure(P, N, R, rng, opts.ti if opts else None)
     sigma = math.hypot(chi.stderr, pressure.stderr)

@@ -88,9 +88,6 @@ class MomentSpec:
     def class_reps(self):
         return sorted(self.values, key=lambda w: (len(w), w))
 
-    def has(self, word: Word) -> bool:
-        return canonical_class(tuple(word)) in self.values
-
     def value(self, word: Word) -> complex:
         """Trace value of an arbitrary word of degree <= K."""
         w = tuple(word)

@@ -36,7 +36,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .estimates import EstimatorError, ScalarEstimate, mean_with_batch_stderr
-from .matrices import BlockMap, MatrixTuple, conjugate_tuple, haar_unitary_batch
+from .matrices import (BlockMap, MatrixTuple, _conjugate_blocks, conjugate_tuple,
+                       haar_unitary_batch)
 from .moments import MomentSpec, empirical_moments, free_product_moments, moment_distance
 from .ncpoly import canonical_classes
 from .sampler import (GibbsModel, TIOptions, _Energy, estimate_log_I, log_ball_volume,
@@ -65,7 +66,8 @@ class OrbitalRequest:
 
     ``s_out`` outer equilibrium samples, ``s_in`` inner Haar draws per outer
     sample; both at least 16 so the jackknife and the half-sample
-    self-consistency check are meaningful.
+    self-consistency check are meaningful. It is the budget of all four
+    orbital reports, from :func:`orbital_entropy` to :func:`talagrand_report`.
     """
 
     model: GibbsModel
@@ -122,11 +124,7 @@ class _InnerSampler:
     def conjugated(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
         us = haar_unitary_batch(self.s_in * self.blockmap.ell, self.model.N, self.rng)
         us = us.reshape(self.s_in, self.blockmap.ell, self.model.N, self.model.N)
-        out = []
-        for i, b in enumerate(blocks):
-            u = us[:, self.blockmap.groups[i]]
-            out.append(u @ b @ np.conj(np.swapaxes(u, 1, 2)))
-        return out
+        return _conjugate_blocks(blocks, us, self.blockmap)
 
     def log_weights(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         e = -self.model.beta * self.energy.from_state(self.conjugated(blocks))
@@ -256,25 +254,22 @@ class ChainRuleReport:
     s_in: int
 
 
-def chain_rule_check(model: GibbsModel, blockmap: BlockMap,
-                     s_out: int = 256, s_in: int = 128,
-                     rng: np.random.Generator = None,
-                     chain_burnin: int = 1500, chain_thin: int = 25,
+def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
                      ti: Optional[TIOptions] = None) -> ChainRuleReport:
     """Verify Ent(mu|nu) = Ent(mu|U^pi mu) + Ent(U^pi mu|nu) within noise.
 
     nu is the uniform ensemble (conjugation-invariant, as required for the
-    identity). All three terms are estimated from one chain run plus one
-    thermodynamic-integration normalizer; the residual is additionally
-    evaluated in its paired per-sample form, in which the shared log I and
-    log-volume contributions cancel identically.
+    identity). The request gives the model, the block map and the nested
+    budget, as for :func:`orbital_entropy`. All three terms are estimated
+    from one outer chain plus one log-normalizer (budget ``ti`` for n >= 2);
+    the residual is additionally evaluated in its paired per-sample form, in
+    which the shared log I and log-volume contributions cancel identically.
     """
-    if rng is None:
-        raise ValueError("an explicit numpy Generator is required")
+    model, blockmap = request.model, request.blockmap
     base = model.n * log_ball_volume(model.N, model.R)
-    samples, _ = mcmc_chain(model, s_out * chain_thin, chain_burnin, chain_thin, rng=rng)
+    samples = _outer_chain(request, rng)
     log_i = estimate_log_I(model, opts=ti, rng=rng)
-    inner = _InnerSampler(model, blockmap, s_in, rng)
+    inner = _InnerSampler(model, blockmap, request.s_in, rng)
 
     w = -model.beta * inner.energy.from_samples(samples)
     inner_mu = np.empty(len(samples))
@@ -299,7 +294,7 @@ def chain_rule_check(model: GibbsModel, blockmap: BlockMap,
     combined = math.sqrt(total.stderr ** 2 + orb.stderr ** 2 + conjugated.stderr ** 2)
     return ChainRuleReport(total, orb, conjugated, residual, residual_se,
                            combined, bool(abs(residual) <= 3.0 * residual_se),
-                           len(samples), s_in)
+                           len(samples), request.s_in)
 
 
 @dataclass(frozen=True)
@@ -315,22 +310,17 @@ class SplitReport:
     holds: bool
 
 
-def entropy_split_check(model: GibbsModel, blockmap: Optional[BlockMap] = None,
-                        s_out: int = 256, s_in: int = 128,
-                        rng: np.random.Generator = None,
-                        chain_burnin: int = 1500, chain_thin: int = 25,
+def entropy_split_check(request: OrbitalRequest, rng: np.random.Generator,
                         ti: Optional[TIOptions] = None) -> SplitReport:
     """Restate the chain rule with absolute differential entropies.
 
     Adding n log Vol to both relative terms turns the identity into
-    Ent(mu) = Ent(mu|U^pi mu) + Ent(U^pi mu); by default the block map is the
-    full partition (every position conjugated independently).
+    Ent(mu) = Ent(mu|U^pi mu) + Ent(U^pi mu); the request and ``ti`` are
+    those of :func:`chain_rule_check`.
     """
-    if blockmap is None:
-        blockmap = BlockMap.full(model.n)
+    model = request.model
     base = model.n * log_ball_volume(model.N, model.R)
-    rep = chain_rule_check(model, blockmap, s_out=s_out, s_in=s_in, rng=rng,
-                           chain_burnin=chain_burnin, chain_thin=chain_thin, ti=ti)
+    rep = chain_rule_check(request, rng, ti=ti)
     return SplitReport(
         entropy=rep.total.shifted(base),
         orbital=rep.orbital,
@@ -428,10 +418,8 @@ def _group_marginal(spec: MomentSpec, members: Sequence[int]) -> MomentSpec:
     return MomentSpec(len(members), spec.K, spec.R, vals)
 
 
-def talagrand_report(model: GibbsModel, blockmap: BlockMap, K: int = 4,
-                     s_out: int = 256, s_in: int = 128,
-                     rng: np.random.Generator = None,
-                     chain_burnin: int = 1500, chain_thin: int = 25) -> TalagrandReport:
+def talagrand_report(request: OrbitalRequest, rng: np.random.Generator,
+                     K: int = 4) -> TalagrandReport:
     """Check the transport-entropy bound at degree K (K <= 6).
 
     The conjugation-relative entropy controls how far the ensemble can sit
@@ -439,13 +427,12 @@ def talagrand_report(model: GibbsModel, blockmap: BlockMap, K: int = 4,
     (exact, from the non-crossing recursion) and the empirical conjugation
     randomization provide the comparison state, and their mutual distance is
     reported as a diagnostic of how free the randomized ensemble really is.
+    One outer chain of the request feeds both the orbital estimate and the
+    moment barycenters.
     """
-    if rng is None:
-        raise ValueError("an explicit numpy Generator is required")
     if K > 6:
         raise ValueError("transport checks are limited to degree K <= 6")
-    request = OrbitalRequest(model, blockmap, s_out=s_out, s_in=s_in,
-                             chain_burnin=chain_burnin, chain_thin=chain_thin)
+    model, blockmap = request.model, request.blockmap
     samples = _outer_chain(request, rng)
     orb = _orbital_from_samples(samples, request, rng)
     bary = _mean_moments([empirical_moments(t, K) for t in samples])

@@ -130,8 +130,7 @@ def integrated_autocorrelation_time(xs) -> float:
 
 
 def _gue_increment(N: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    return (a + a.conj().T) / 2.0
+    return hermitize(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
 
 
 class _Energy:
@@ -601,13 +600,14 @@ def gibbs_entropy(model: GibbsModel, log_i: ScalarEstimate,
     if model.potential.is_zero() or model.beta == 0.0:
         return ScalarEstimate(log_i.value, log_i.stderr, log_i.count, log_i.bias_bound)
     energy = _Energy(model.n, model.N, model.potential)
-    e = mean_with_batch_stderr(energy.from_samples(samples))
-    return ScalarEstimate(
-        log_i.value + model.beta * e.value,
-        math.hypot(log_i.stderr, model.beta * e.stderr),
-        e.count,
-        log_i.bias_bound,
-    )
+    return _entropy(log_i, model.beta, mean_with_batch_stderr(energy.from_samples(samples)))
+
+
+def _entropy(log_i: ScalarEstimate, beta: float, energy: ScalarEstimate) -> ScalarEstimate:
+    """Ent = log I + beta E[N Tr V], the two errors combined in quadrature."""
+    return ScalarEstimate(log_i.value + beta * energy.value,
+                          math.hypot(log_i.stderr, beta * energy.stderr),
+                          energy.count, log_i.bias_bound)
 
 
 @dataclass(frozen=True)

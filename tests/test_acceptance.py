@@ -233,10 +233,10 @@ def test_criterion_08_orbital_vanishing_and_negativity():
 def test_criterion_09_chain_rule_identity():
     t0 = time.time()
     model = GibbsModel(2, 8, 2.0, COUPLED, 1.0)
-    rep = chain_rule_check(model, BlockMap.full(2), s_out=128, s_in=96,
-                           rng=np.random.default_rng(901),
-                           ti=TIOptions(nodes=21, node_steps=800),
-                           chain_burnin=1200, chain_thin=20)
+    rep = chain_rule_check(OrbitalRequest(model, BlockMap.full(2), s_out=128, s_in=96,
+                                          chain_burnin=1200, chain_thin=20),
+                           np.random.default_rng(901),
+                           ti=TIOptions(nodes=21, node_steps=800))
     _record(9, "relative entropy splits through the orbital term", rep.holds,
             f"residual {rep.residual:+.4f} (3 paired se {3 * rep.residual_stderr:.4f}, "
             f"combined se {rep.combined_stderr:.4f})", t0)
@@ -249,9 +249,9 @@ def test_criterion_10_orbital_talagrand_on_coupling_grid():
     for c in (0.25, 0.5, 1.0):
         pot = NcPoly(2, {(1, 1): c, (2, 2): c, (1, 2): -c, (2, 1): -c})
         model = GibbsModel(2, 8, 2.0, pot, 1.0)
-        rep = talagrand_report(model, BlockMap.full(2), K=4, s_out=128, s_in=96,
-                               chain_burnin=1200, chain_thin=20,
-                               rng=np.random.default_rng(int(1000 + 100 * c)))
+        rep = talagrand_report(OrbitalRequest(model, BlockMap.full(2), s_out=128, s_in=96,
+                                              chain_burnin=1200, chain_thin=20),
+                               np.random.default_rng(int(1000 + 100 * c)), K=4)
         case = rep.holds_free and rep.holds_conj
         ok = ok and case
         details.append(f"c={c} lhs {max(rep.lhs_free, rep.lhs_conj):.3f} "

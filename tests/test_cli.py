@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -19,7 +20,7 @@ def write_yaml(path, doc):
     return str(path)
 
 
-VOLUME_DOC = {"kind": "volume", "seed": 7, "N": 3, "R": 1.5, "mc_samples": 4000}
+VOLUME_DOC = {"kind": "volume", "seed": 7, "N": 3, "R": 1.5}
 
 
 def test_load_config_validation(tmp_path):
@@ -189,3 +190,117 @@ def test_float_cells_round_trip():
     assert cli._format_cell(0.1) == "0.1"
     assert float(cli._format_cell(2.0 / 3.0)) == 2.0 / 3.0
     assert cli._format_cell(3) == "3"
+
+
+TINY_FIT = {"iterations": 4, "steps_per_iter": 24, "discard_per_iter": 8,
+            "min_iterations": 2, "final_steps": 120, "final_burnin": 40,
+            "ti": {"nodes": 4, "node_burnin": 20, "node_steps": 40}}
+TINY_NESTED = {"s_out": 16, "s_in": 16, "chain_burnin": 40, "chain_thin": 2}
+PAIR = {"n": 2, "N": 3, "R": 2.0}
+SEMI = {"name": "semicircle", "variance": 1.0, "radius": 3.0, "K": 2}
+TINY_CHAIN = {"steps": 300, "burnin": 30, "thin": 3}
+ORBITAL_KEYS = {"kind", "value", "stderr", "bias_bound", "raw", "kl", "half_shift",
+                "self_consistent", "s_out", "s_in"}
+
+# kind config, the expected record keys, and {table: header}
+END_TO_END = {
+    "orbital": (
+        dict(TINY_NESTED, kind="orbital", model=dict(PAIR, potential={"name": "coupled"})),
+        ORBITAL_KEYS, {"orbital": "value\tstderr\tbias_bound"}),
+    "orbital-sweep": (
+        dict(TINY_NESTED, kind="orbital", model=PAIR, couplings=[0.5, 1.0]),
+        ORBITAL_KEYS | {"coupling"}, {"orbital": "coupling\tvalue\tstderr\tbias_bound"}),
+    "chain-rule": (
+        dict(TINY_NESTED, kind="chain-rule", ti=TINY_FIT["ti"],
+             model=dict(PAIR, potential={"name": "coupled"})),
+        {"kind", "total", "orbital", "conjugated", "residual", "residual_stderr",
+         "combined_stderr", "holds"},
+        {"chain_rule": "total\torbital\tconjugated\tresidual\tcombined_stderr"}),
+    "talagrand": (
+        dict(TINY_NESTED, kind="talagrand", model=PAIR, K=2, couplings=[0.5]),
+        {"kind", "coupling", "orbital_value", "orbital_stderr", "lhs_free", "lhs_conj",
+         "rhs", "rhs_upper", "freeness_gap", "p_tilde", "holds_free", "holds_conj"},
+        {"talagrand": "coupling\tlhs_free\tlhs_conj\trhs\trhs_upper\torbital_value\t"
+                      "freeness_gap"}),
+    "rho": (
+        {"kind": "rho", "N": 3, "K": 2, "target": SEMI, "fit": TINY_FIT},
+        {"kind", "N", "K", "coeffs", "rho", "dual_value", "log_i", "energy", "residuals",
+         "residual_stderr", "tolerances", "converged", "iterations", "chi_value",
+         "chi_stderr"},
+        {"coeffs": "label\tdegree\tcoeff\tresidual\tstderr\ttolerance",
+         "trajectory": "iteration\tresidual_max_scaled"}),
+    "chi-tilde": (
+        {"kind": "chi-tilde", "sizes": [2, 3], "K": 2, "target": SEMI, "fit": TINY_FIT,
+         "reference_density": "semicircle"},
+        {"kind", "N", "K", "coeffs", "rho", "dual_value", "log_i", "energy", "residuals",
+         "residual_stderr", "tolerances", "converged", "iterations", "value", "stderr",
+         "reference"},
+        {"chi_tilde": "N\tvalue\tstderr"}),
+    "arcsine-demo": (
+        {"kind": "arcsine-demo", "N": 4, "R": 2.0, "bins": 8, "chain": TINY_CHAIN},
+        {"kind", "N", "R", "m2_over_R2", "m4_over_R4", "expected_m2_over_R2",
+         "expected_m4_over_R4", "diagnostics"},
+        {"spectrum": "bin_lo\tbin_hi\tcount\tarcsine_density"}),
+    "compression-check": (
+        {"kind": "compression-check", "N": 3, "window": {"T": 2.0, "R": 1.6, "S": 1.0},
+         "potential": {"name": "quadratic", "c": 0.5}, "chain": TINY_CHAIN},
+        {"kind", "N", "alpha", "bound", "mean_log_jacobian", "stderr",
+         "max_abs_log_jacobian", "bound_satisfied"},
+        {"log_jacobian": "sample\tlog_jacobian"}),
+}
+
+
+def test_unknown_top_level_keys_exit_2(tmp_path, capsys):
+    # a mistyped key used to be ignored, so the run silently took the default
+    doc = dict(VOLUME_DOC, mc_samples=4000)
+    with pytest.raises(ConfigError, match=r"unknown volume key\(s\) \['mc_samples'\]"):
+        load_config(write_yaml(tmp_path / "v.yaml", doc))
+    typo = {"kind": "orbital", "seed": 1, "model": {"n": 2, "N": 3, "R": 2.0},
+            "s_outt": 64}
+    assert main(["--config", write_yaml(tmp_path / "o.yaml", typo),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "s_outt" in capsys.readouterr().err
+
+
+def test_chain_rule_budget_below_minimum_exits_2(tmp_path):
+    doc = {"kind": "chain-rule", "seed": 1, "model": {"n": 2, "N": 3, "R": 2.0},
+           "s_out": 8, "s_in": 16, "chain_burnin": 20, "chain_thin": 2}
+    assert main(["--config", write_yaml(tmp_path / "c.yaml", doc),
+                 "--out", str(tmp_path / "c")]) == 2
+
+
+def test_unknown_reference_density_exits_2(tmp_path):
+    doc = {"kind": "chi-tilde", "seed": 1, "sizes": [2], "K": 2,
+           "target": {"name": "semicircle", "radius": 3.0, "K": 2},
+           "fit": TINY_FIT, "reference_density": "gaussian"}
+    assert main(["--config", write_yaml(tmp_path / "c.yaml", doc),
+                 "--out", str(tmp_path / "c")]) == 2
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.filterwarnings("ignore:fit at N")
+@pytest.mark.parametrize("case", sorted(END_TO_END))
+def test_main_end_to_end_tiny_budgets(tmp_path, case):
+    doc, keys, tables = END_TO_END[case]
+    out = tmp_path / "out"
+    assert main(["--config", write_yaml(tmp_path / "c.yaml", dict(doc, seed=5)),
+                 "--out", str(out)]) == 0
+    recs = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert len(recs) == len(doc.get("couplings") or doc.get("sizes") or [None])
+    for rec in recs:
+        assert set(rec) == keys
+    for name, header in tables.items():
+        assert (out / f"{name}.tsv").read_text().splitlines()[0] == header
+    rec = recs[0]
+    if case == "rho":
+        N = doc["N"]
+        assert rec["chi_value"] == pytest.approx(rec["rho"]["value"] / N ** 2 + 0.5 * math.log(N))
+        assert rec["chi_stderr"] == pytest.approx(rec["rho"]["stderr"] / N ** 2)
+    if case == "chain-rule":
+        assert rec["residual"] == pytest.approx(
+            rec["total"]["value"] - rec["orbital"]["value"] - rec["conjugated"]["value"])
+    if case == "orbital-sweep":
+        assert [r["coupling"] for r in recs] == [0.5, 1.0]
+    if case == "compression-check":
+        assert rec["bound_satisfied"]
+        assert len((out / "log_jacobian.tsv").read_text().splitlines()) == 1 + 100

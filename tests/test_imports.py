@@ -1,6 +1,8 @@
-"""Import hygiene: every name a module imports is used or re-exported."""
+"""Import hygiene: every name a module imports is used or re-exported, and
+every name a module exports exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -28,3 +30,10 @@ def _unused_imports(path: pathlib.Path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_all_exports_resolve(path):
+    module = importlib.import_module(
+        "matent" if path.stem == "__init__" else f"matent.{path.stem}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -9,11 +9,10 @@ from matent.maxent import (FitOptions, InfeasibleTargetError, build_dual_basis,
                            chi_tilde_curve, dual_objective, eta_bound_check,
                            fit_projection, free_pressure, log_energy_quadrature,
                            one_variable_chi_reference, reference_constant, rho,
-                           scalar_maxent_oracle, scalar_quadrature_log_i,
-                           target_vector, _BasisMeasurer)
+                           scalar_maxent_oracle, target_vector, _BasisMeasurer)
 from matent.moments import MomentSpec, semicircle_moments
 from matent.ncpoly import NcPoly, trace_moment
-from matent.sampler import TIOptions, log_ball_volume
+from matent.sampler import GibbsModel, TIOptions, estimate_log_I, log_ball_volume
 from matent.streams import substream
 
 FAST = FitOptions(iterations=60, steps_per_iter=200, discard_per_iter=40,
@@ -57,13 +56,12 @@ def test_target_vector_semicircle():
 
 def test_scalar_quadrature_log_i_matches_oracle():
     R = 2.0
-    est = scalar_quadrature_log_i(R)
     rng = substream(0, "quad")
     for _ in range(4):
         basis = build_dual_basis(1, 3)
         coeffs = rng.uniform(-0.6, 0.6, size=len(basis.elements))
         pot = NcPoly(1, {(1,): coeffs[0], (1, 1): coeffs[1], (1, 1, 1): coeffs[2]})
-        got = est(pot)
+        got = estimate_log_I(GibbsModel(1, 1, R, pot))
         want = oracles.log_i_quad([0.0, coeffs[0], coeffs[1], coeffs[2]], R)
         assert got.value == pytest.approx(want, abs=1e-5)
 
@@ -72,9 +70,9 @@ def test_dual_objective_linear_closed_form():
     R = 2.0
     basis = build_dual_basis(1, 1)
     tau = MomentSpec(1, 1, R, {(1,): 0.4})
-    log_i = scalar_quadrature_log_i(R)
     for c in (-1.2, -0.3, 0.0, 0.7, 2.1):
-        got = dual_objective(basis, np.array([c]), tau, 0.0, 1, log_i)
+        got = dual_objective(basis, np.array([c]), tau, 0.0, 1,
+                             lambda pot: estimate_log_I(GibbsModel(1, 1, R, pot)))
         want = oracles.log_i_linear_exact(c, R) + c * 0.4
         assert got.value == pytest.approx(want, abs=1e-6)
 
@@ -136,6 +134,17 @@ def test_fit_projection_infeasible_target_raises():
                       final_burnin=300, ti=TIOptions(nodes=11, node_steps=300))
     with pytest.raises(InfeasibleTargetError):
         fit_projection(tau, 2, 1, opts=opts, rng=substream(3, "inf"), R=1.0)
+
+
+def test_unconverged_fit_warns():
+    # three SA iterations of ten steps cannot match the moments, and the
+    # result says so both in ``converged`` and with a warning
+    tau = semicircle_moments(1.0, 2, radius=3.0)
+    starved = FitOptions(iterations=3, steps_per_iter=10, discard_per_iter=4,
+                         min_iterations=2, final_steps=100, final_burnin=10)
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        fit = fit_projection(tau, 2, 2, opts=starved, rng=substream(12, "starved"))
+    assert not fit.converged
 
 
 def test_fit_projection_soft_threshold_epsilon():

@@ -110,9 +110,9 @@ def test_global_conjugation_is_also_null_direction():
 
 def test_chain_rule_identity_coupled():
     model = GibbsModel(2, 4, 2.0, coupled_potential(0.8))
-    rep = chain_rule_check(model, BlockMap.full(2), s_out=64, s_in=48,
-                           rng=substream(5, "chain"),
-                           chain_burnin=400, chain_thin=8,
+    rep = chain_rule_check(OrbitalRequest(model, BlockMap.full(2), s_out=64, s_in=48,
+                                          chain_burnin=400, chain_thin=8),
+                           substream(5, "chain"),
                            ti=TIOptions(nodes=17, node_steps=700))
     assert rep.holds
     assert abs(rep.residual) <= 3 * rep.combined_stderr
@@ -124,9 +124,9 @@ def test_chain_rule_identity_coupled():
 
 def test_entropy_split_consistency():
     model = GibbsModel(2, 4, 2.0, coupled_potential(0.8))
-    rep = entropy_split_check(model, BlockMap.full(2), s_out=64, s_in=48,
-                              rng=substream(6, "split"),
-                              chain_burnin=400, chain_thin=8,
+    rep = entropy_split_check(OrbitalRequest(model, BlockMap.full(2), s_out=64, s_in=48,
+                                             chain_burnin=400, chain_thin=8),
+                              substream(6, "split"),
                               ti=TIOptions(nodes=17, node_steps=700))
     assert rep.holds
     gap = rep.entropy.value - rep.orbital.value - rep.conjugated_entropy.value
@@ -162,16 +162,16 @@ def test_dw_lower_bound_scales_with_radius():
 
 def test_talagrand_report_coupled_holds():
     model = GibbsModel(2, 6, 2.0, coupled_potential(0.5))
-    rep = talagrand_report(model, BlockMap.full(2), K=4, s_out=64, s_in=48,
-                           rng=substream(7, "tala"),
-                           chain_burnin=500, chain_thin=8)
+    rep = talagrand_report(OrbitalRequest(model, BlockMap.full(2), s_out=64, s_in=48,
+                                          chain_burnin=500, chain_thin=8),
+                           substream(7, "tala"), K=4)
     assert rep.holds_free and rep.holds_conj
     assert rep.rhs_upper >= rep.rhs
     assert rep.p_tilde == 1
     assert rep.freeness_gap < 0.5
     assert rep.lhs_free >= 0.0 and rep.lhs_conj >= 0.0
     with pytest.raises(ValueError):
-        talagrand_report(model, BlockMap.full(2), K=8, rng=substream(8, "k"))
+        talagrand_report(OrbitalRequest(model, BlockMap.full(2)), substream(8, "k"), K=8)
 
 
 def test_orbital_monotone_when_dropping_decoupled_blocks():
