@@ -102,6 +102,13 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _known(params: Dict, keys: Sequence[str], section: str) -> Dict:
+    """``params``, once every key in it is one of ``keys``."""
+    unknown = sorted(set(params) - set(keys))
+    _require(not unknown, f"unknown {section} key(s) {unknown}")
+    return params
+
+
 def load_config(path: str, seed_override: Optional[int] = None,
                 out_override: Optional[str] = None,
                 threads_override: Optional[int] = None) -> ExperimentConfig:
@@ -136,8 +143,7 @@ def load_config(path: str, seed_override: Optional[int] = None,
         else:
             threads = 1
     _require(isinstance(threads, int) and threads >= 1, "threads must be a positive integer")
-    unknown = sorted(set(raw) - set(_KEYS[kind]))
-    _require(not unknown, f"unknown {kind} key(s) {unknown}")
+    _known(raw, _KEYS[kind], kind)
     return ExperimentConfig(kind=str(kind), seed=int(seed), params=raw,
                             out=out, threads=int(threads))
 
@@ -147,17 +153,20 @@ def load_config(path: str, seed_override: Optional[int] = None,
 
 def build_potential(params: Optional[Dict], n: int) -> NcPoly:
     """Potential from a config section: a named family or explicit terms."""
-    if params is None or params == {} or params.get("name") == "zero":
+    if params is None or params == {}:
         return NcPoly.zero(n)
     if "terms" in params:
         terms = {}
-        for t in params["terms"]:
+        for t in _known(params, ("terms",), "potential")["terms"]:
             _require(isinstance(t, dict) and "word" in t, "each term needs a word")
+            _known(t, ("word", "re", "im"), "potential term")
             terms[tuple(t["word"])] = complex(t.get("re", 0.0), t.get("im", 0.0))
         p = NcPoly(n, terms)
         _require(p.is_self_adjoint(), "explicit potential must be self-adjoint")
         return p
-    name = params.get("name")
+    name = _known(params, ("name", "c"), "potential").get("name")
+    if name == "zero":
+        return NcPoly.zero(n)
     c = float(params.get("c", 1.0))
     if name == "quadratic":
         p = NcPoly.zero(n)
@@ -182,26 +191,25 @@ def build_target(params: Dict) -> MomentSpec:
     """Moment target from a config section."""
     _require(isinstance(params, dict), "target must be a mapping")
     if "file" in params:
-        with open(params["file"]) as fh:
+        with open(_known(params, ("file",), "file target")["file"]) as fh:
             return MomentSpec.from_json(fh.read())
     if "entries" in params:
+        _known(params, ("n", "K", "R", "entries"), "entries target")
         return MomentSpec.from_json(json.dumps(params))
     name = params.get("name")
+    _require(name in _TARGET_KEYS, f"unknown target {name!r}")
+    _known(params, _TARGET_KEYS[name], f"{name} target")
     K = int(params.get("K", 4))
-    if name == "semicircle":
-        return semicircle_moments(float(params.get("variance", 1.0)), K,
-                                  radius=params.get("radius"))
     if name == "arcsine":
         return arcsine_moments(float(params.get("R", 2.0)), K)
-    if name == "free-semicircle-pair":
-        half = semicircle_moments(float(params.get("variance", 1.0)), K,
-                                  radius=params.get("radius"))
-        return free_product_moments([half, half], K)
-    raise ConfigError(f"unknown target {name!r}")
+    half = semicircle_moments(float(params.get("variance", 1.0)), K,
+                              radius=params.get("radius"))
+    return half if name == "semicircle" else free_product_moments([half, half], K)
 
 
 def build_model(params: Dict) -> GibbsModel:
     _require(isinstance(params, dict), "model must be a mapping")
+    _known(params, ("n", "N", "R", "potential", "beta"), "model")
     for key in ("n", "N", "R"):
         _require(key in params, f"model needs {key}")
     n = int(params["n"])
@@ -501,6 +509,7 @@ def _run_duality_check(cfg: ExperimentConfig):
     results = []
     rows = []
     for i, ent in enumerate(entries):
+        _known(ent, ("target", "N", "K", "eps", "label"), "duality-check target")
         tau = build_target(ent.get("target", {}))
         N = int(ent.get("N", 1))
         K = int(ent.get("K", tau.K))
@@ -509,10 +518,11 @@ def _run_duality_check(cfg: ExperimentConfig):
         gap = fit.rho.value - fit.dual_value.value
         sigma = fit.energy.stderr
         name = ent.get("label", f"target-{i}")
+        # an exact (n = 1) fit has sigma 0 and its residual cost as bias bound
         results.append({"kind": "duality-check", "label": name, "N": N, "K": K,
                         "entropy": _est(fit.rho), "dual": _est(fit.dual_value),
                         "gap": gap, "gap_sigma": sigma,
-                        "within_3sigma": bool(abs(gap) <= 3 * sigma)})
+                        "within_3sigma": bool(abs(gap) <= 3 * sigma + fit.energy.bias_bound)})
         rows.append((name, N, K, fit.rho.value, fit.dual_value.value, gap, sigma))
     return results, {"duality": (("label", "N", "K", "entropy", "dual", "gap",
                                   "gap_sigma"), rows)}
@@ -540,7 +550,7 @@ def _run_arcsine_demo(cfg: ExperimentConfig):
 
 
 def _run_compression_check(cfg: ExperimentConfig):
-    win = cfg.param("window", {})
+    win = _known(cfg.param("window", {}), ("T", "R", "S"), "window")
     for key in ("T", "R", "S"):
         _require(key in win, f"window needs {key}")
     fn = build_compression(float(win["T"]), float(win["R"]), float(win["S"]))
@@ -594,6 +604,12 @@ _RUNNERS = {
 
 EXPERIMENT_KINDS = tuple(sorted(_RUNNERS))
 
+# the keys of each named target family
+_TARGET_KEYS = {
+    "semicircle": ("name", "K", "variance", "radius"),
+    "arcsine": ("name", "K", "R"),
+    "free-semicircle-pair": ("name", "K", "variance", "radius"),
+}
 _NESTED = ("model", "groups", "s_out", "s_in", "chain_burnin", "chain_thin")
 # the top-level keys each kind reads, besides kind, seed, out and threads
 _KEYS = {

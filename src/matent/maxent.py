@@ -6,18 +6,21 @@ self-adjoint polynomial constraints up to degree K, the objective
     F(lam) = log I(P_lam) + N^2 (sum_j lam_j tau_j + eps ||lam||_1),
     P_lam = sum_j lam_j b_j,
 
-is convex in lam, and its smooth part has gradient N^2 (tau_j - E_lam[b_j]),
-so the optimizer is found by stochastic approximation driven by chain
-estimates of the model moments, with soft-thresholding for the L1 term,
-decreasing step sizes, iterate averaging, and warm-started chains. The
-attained value of F is the (relaxed) maximum entropy; the entropy of the
-fitted model itself is log I + E[N Tr V]. Coefficients are stored in
-N-normalized units: the potential enters the density as exp(-N Tr V).
+is convex in lam, with gradient N^2 (tau_j - E_lam[tr b_j]) and Hessian
+N^2 Cov_lam(Tr b_i, Tr b_j) in its smooth part. For one matrix both are
+exact, from the orthogonal-polynomial kernel of the eigenvalue ensemble, and
+the optimizer is found by damped Newton to rounding level. For n >= 2 it is
+found by stochastic approximation driven by chain estimates of the model
+moments, with soft-thresholding for the L1 term, decreasing step sizes,
+iterate averaging, and warm-started chains. The attained value of F is the
+(relaxed) maximum entropy; the entropy of the fitted model itself is
+log I + E[N Tr V]. Coefficients are stored in N-normalized units: the
+potential enters the density as exp(-N Tr V).
 
-A classical one-variable maxent solver on a grid (Newton on the same dual)
-serves as the independent scalar oracle, and a logarithmic-energy quadrature
-calibrated against the exact uniform-ensemble entropy provides a
-one-variable reference curve.
+A classical one-variable maxent problem on its own grid, solved by the same
+Newton loop, serves as the independent scalar oracle, and a
+logarithmic-energy quadrature calibrated against the exact uniform-ensemble
+entropy provides a one-variable reference curve.
 """
 
 from __future__ import annotations
@@ -30,12 +33,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .estimates import ScalarEstimate, mean_with_batch_stderr
-from .matrices import MatrixTuple
+from .estimates import EstimatorError, ScalarEstimate, mean_with_batch_stderr
 from .moments import MomentSpec, moment_pairing
 from .ncpoly import NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word, trace_moment
-from .sampler import (ChainEngine, GibbsModel, TIOptions, _entropy, estimate_log_I,
-                      log_ball_volume)
+from .sampler import (ChainEngine, GibbsModel, TIOptions, _entropy, _heine_nodes,
+                      _legendre_nodes, _log_heine_norms, estimate_log_I, log_ball_volume)
 
 __all__ = [
     "InfeasibleTargetError",
@@ -140,30 +142,18 @@ def potential_from_coeffs(basis: DualBasis, coeffs: Sequence[float]) -> NcPoly:
 
 
 class _BasisMeasurer:
-    """Per-state basis moments (1/N) Tr b_j, cheap paths where possible."""
+    """Per-state basis moments (1/N) Tr b_j of a matrix-mode chain state."""
 
-    def __init__(self, basis: DualBasis, N: int):
-        self.basis = basis
-        self.N = N
-        self.scalar = basis.n == 1
-        if self.scalar:
-            self.degrees = basis.degrees
-        else:
-            words = sorted({el.word for el in basis.elements}, key=lambda w: (len(w), w))
-            self.words = words
-            windex = {w: i for i, w in enumerate(words)}
-            self.selector = [(windex[el.word], el.kind) for el in basis.elements]
+    def __init__(self, basis: DualBasis):
+        words = sorted({el.word for el in basis.elements}, key=lambda w: (len(w), w))
+        self.words = words
+        windex = {w: i for i, w in enumerate(words)}
+        self.selector = [(windex[el.word], el.kind) for el in basis.elements]
 
-    def from_state(self, blocks, eigs) -> np.ndarray:
-        if self.scalar:
-            return (eigs[0][:, None] ** self.degrees).mean(axis=0)
+    def from_state(self, blocks) -> np.ndarray:
         tms = [trace_moment(blocks, w) for w in self.words]
         return np.array([tms[i].real if kind == "re" else tms[i].imag
                          for i, kind in self.selector])
-
-    def from_tuple(self, t: MatrixTuple) -> np.ndarray:
-        eigs = [np.linalg.eigvalsh(b) for b in t.blocks] if self.scalar else None
-        return self.from_state(t.blocks, eigs)
 
 
 def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,
@@ -195,8 +185,8 @@ class FitOptions:
     residuals stuck above 3 tolerances raises :class:`InfeasibleTargetError`.
     The averaged model is then run for ``final_burnin`` steps and measured on
     every 2nd of ``final_steps`` steps. ``ti`` budgets the log-normalizer of
-    the fitted model for n >= 2 only; for one matrix that normalizer is exact
-    and ``ti`` is unused.
+    the fitted model. Only n >= 2 fits read these; a one-matrix fit is exact
+    (damped Newton on the dual, see :func:`fit_projection`) and ignores them.
     """
 
     iterations: int = 140
@@ -246,6 +236,93 @@ def _soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
+def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float, what: str):
+    """Minimize f(x) + sum_i l1_i |x_i| for a smooth convex f by damped Newton.
+
+    ``parts(x)`` gives f (inf where it cannot be evaluated), its gradient g
+    and Hessian H. With an L1 term the step is the Newton step of the
+    pseudo-gradient on the free coordinates, kept in the current orthant
+    (Andrew & Gao 2007). Steps backtrack on the exact objective until the
+    decrement g^T H^-1 g / 2, which estimates the distance to the minimum in
+    the units of f, is below 1e-12; one more full step then takes it to
+    rounding level. A coefficient beyond 1e5, or a stop with a pseudo-gradient
+    beyond ``gtol``, means the minimum is not attained and raises
+    :class:`InfeasibleTargetError` (message ending in ``what``). Returns x,
+    f and g at x, the decrement at x, and max |g| after each step.
+    """
+    x = np.array(x0, dtype=float)
+    f, g, H = parts(x)
+    history: List[float] = []
+    last = math.inf
+    while True:
+        pg = np.where(x > 0, g + l1, np.where(x < 0, g - l1, _soft_threshold(g, l1)))
+        free = (x != 0) | (pg != 0)
+        d = np.zeros_like(x)
+        try:
+            d[free] = -np.linalg.solve(H[np.ix_(free, free)], pg[free])
+        except np.linalg.LinAlgError:
+            raise InfeasibleTargetError(f"singular moment covariance; {what}")
+        dec = -0.5 * float(pg @ d)
+        if not dec > 0 or last < 1e-12 or len(history) == 200:
+            break
+        orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
+        s = 1.0
+        for _ in range(60):
+            xn = x + s * d
+            xn[(l1 > 0) & (xn * orthant < 0)] = 0.0
+            fn, gn, Hn = parts(xn)
+            # below 1e-12 nats the Armijo test drowns in rounding
+            if math.isfinite(fn) and (dec < 1e-12 or fn + l1 @ np.abs(xn)
+                                      <= f + l1 @ np.abs(x) - 2e-4 * s * dec):
+                break
+            s /= 2.0
+        else:
+            break
+        x, f, g, H, last = xn, fn, gn, Hn, dec
+        history.append(float(np.max(np.abs(g))))
+        if np.max(np.abs(x)) > 1e5:
+            break
+    if not (np.max(np.abs(x)) <= 1e5 and np.max(np.abs(pg)) <= gtol):
+        # diverging coefficients, or a weight collapsing onto too few nodes
+        raise InfeasibleTargetError(
+            f"the solve stopped with scaled coefficients up to {np.max(np.abs(x)):.3g} "
+            f"and gradient {np.max(np.abs(pg)):.3g}; {what}",
+            diagnostics={"coeffs_scaled": x.tolist(), "iteration": len(history)})
+    return x, f, g, dec, history
+
+
+def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
+               l1: np.ndarray, gtol: float, what: str):
+    """One-matrix dual, up to a constant, in scaled coordinates mu = lam R^degree.
+
+    The eigenvalues form an orthogonal-polynomial ensemble, so on the
+    Gauss-Legendre nodes of :func:`matent.sampler._heine_log_I` the dual is
+    sum_k log h_k + N^2 (mu . tau + l1 . |mu|). Its derivatives come from the
+    orthonormal rows q_k = sqrt(w) p_k of Q, through the kernel diagonal
+    K(x, x) = sum_k q_k(x)^2 and A_j = Q diag(f_j) Q^T (never the M x M kernel):
+
+        E Tr f_j = sum_x f_j K(x, x),
+        Cov(Tr f_i, Tr f_j) = sum_x f_i f_j K(x, x) - <A_i, A_j>_F.
+
+    Returns what :func:`_damped_newton` does, and the node count.
+    """
+    x, logg = _legendre_nodes(_heine_nodes(N), R)
+    feats = (x / R)[:, None] ** basis.degrees
+    n2 = N * N
+
+    def parts(mu):
+        try:
+            total, qs = _log_heine_norms(x, logg - N * (feats @ mu), N)
+        except EstimatorError:
+            return math.inf, None, None
+        kdiag = (qs * qs).sum(axis=0)
+        a = np.stack([(qs * f) @ qs.T for f in feats.T])
+        cov = feats.T @ (feats * kdiag[:, None]) - np.einsum("ikl,jkl->ij", a, a)
+        return total + n2 * float(mu @ tt), n2 * tt - N * (kdiag @ feats), n2 * cov
+
+    return _damped_newton(parts, np.zeros(len(basis)), n2 * l1, n2 * gtol, what), x.size
+
+
 def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
                    opts: Optional[FitOptions] = None,
                    rng: np.random.Generator = None,
@@ -253,12 +330,19 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     """Fit the maximum-entropy model matching tau's moments up to degree K.
 
     Coordinates are preconditioned by R^degree so that step sizes and
-    tolerances are scale-free; the per-element tolerance is
-    max(eps, moment_tol * R^degree) in absolute units. The fit is
-    ``converged`` when every final residual is within its tolerance plus 3
-    stderr; otherwise a ``RuntimeWarning`` is issued. Divergence of the
-    coefficients with stalled residuals raises
-    :class:`InfeasibleTargetError` (the supremum is -infinity there).
+    tolerances are scale-free. One matrix (n == 1) is solved exactly by
+    damped Newton on the dual (:func:`_exact_fit`): the per-element
+    tolerance is eps + 1e-9 R^degree, ``energy`` and ``rho`` have stderr 0,
+    ``energy.bias_bound`` is the residual cost N^2 |lam . r - eps |lam|_1|
+    (rho minus the dual) plus rounding, ``iterations`` counts Newton steps,
+    ``rng`` is not consumed, and the fit is ``converged`` when the Newton
+    decrement is at most 1e-10 nats. For n >= 2 the stochastic approximation
+    of :class:`FitOptions` runs on matrix-mode chains, with tolerance
+    max(eps, moment_tol * R^degree); it is ``converged`` when every final
+    residual is within its tolerance plus 3 stderr. An unconverged fit
+    issues a ``RuntimeWarning``. A target the fit cannot reach (coefficients
+    diverging, residuals stuck) raises :class:`InfeasibleTargetError`: the
+    supremum is -infinity there.
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
@@ -273,87 +357,106 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     targets = target_vector(tau, basis)
     tt = targets / scales
     eps_scaled = eps / scales
-    tol_scaled = np.maximum(eps_scaled, opts.moment_tol)
+    what = f"target not approximable at N={N}, K={K}, eps={eps}"
 
-    mu = np.zeros(len(basis))
-    engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n), 1.0), rng)
-    engine.tune(400)
-    measurer = _BasisMeasurer(basis, N)
+    if n == 1:
+        # exact: a residual may pass eps by rounding only
+        tol_scaled = eps_scaled + 1e-9
+        (mu, _, grad, dec, history), nodes = _exact_fit(
+            basis, N, R, tt, eps_scaled, 1e-9, what)
+        iterations = len(history)
+        resid = -grad / (N * N)
+        lam = mu / scales
+        moment_means = targets + resid * scales
+        # the residual cost, and the rounding of sums of terms up to N^2 |mu|_1
+        slack = N * N * (abs(float(mu @ resid) - eps * float(np.abs(lam).sum()))
+                         + 1e-14 * (1.0 + float(np.abs(mu).sum())))
+        energy_est = ScalarEstimate(N * N * float(lam @ moment_means), 0.0, nodes, slack)
+        residual_stderr = np.zeros(len(basis))
+        trajectory = {"residual_max_scaled": [h / (N * N) for h in history], "decrement": dec}
+        converged = 0.0 <= dec <= 1e-10
+    else:
+        tol_scaled = np.maximum(eps_scaled, opts.moment_tol)
+        mu = np.zeros(len(basis))
+        engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n), 1.0), rng)
+        engine.tune(400)
+        measurer = _BasisMeasurer(basis)
 
-    mubar = np.zeros_like(mu)
-    nbar = 0
-    ema = None
-    ema_w = 0.7
-    resid_history: List[float] = []
-    converged_sa = False
-    iterations_run = opts.iterations
-    for t in range(opts.iterations):
-        engine.set_potential(potential_from_coeffs(basis, mu / scales))
-        engine.tune(opts.discard_per_iter, interval=opts.discard_per_iter)
-        acc: List[np.ndarray] = []
-        engine.run(opts.steps_per_iter,
-                   observe=lambda e: acc.append(measurer.from_state(e.blocks, e.eigs)),
-                   every=4)
-        mhat = np.mean(acc, axis=0) / scales
-        resid = mhat - tt
-        ema = resid if ema is None else ema_w * ema + (1 - ema_w) * resid
-        resid_history.append(float(np.max(np.abs(ema))))
-        step = opts.step_size / (1.0 + t / 25.0) ** 0.6
-        mu = _soft_threshold(mu - step * (tt - mhat), step * eps_scaled)
-        if t >= 0.5 * opts.iterations:
-            mubar += mu
-            nbar += 1
-        if np.max(np.abs(mu)) > 60.0 and np.max(np.abs(ema) / tol_scaled) > 3.0:
-            raise InfeasibleTargetError(
-                f"coefficients diverged (|mu| > 60.0) with residuals "
-                f"stuck at {np.max(np.abs(ema)):.3g} (scaled); "
-                f"target not approximable at N={N}, K={K}, eps={eps}",
-                diagnostics={"mu": mu.tolist(), "residual_scaled": ema.tolist(),
-                             "iteration": t, "labels": list(basis.labels)})
-        if t + 1 >= opts.min_iterations and np.all(np.abs(ema) <= tol_scaled):
-            converged_sa = True
-            if nbar > 0:
-                iterations_run = t + 1
-                break
+        mubar = np.zeros_like(mu)
+        nbar = 0
+        ema = None
+        ema_w = 0.7
+        resid_history: List[float] = []
+        converged_sa = False
+        iterations = opts.iterations
+        for t in range(opts.iterations):
+            engine.set_potential(potential_from_coeffs(basis, mu / scales))
+            engine.tune(opts.discard_per_iter, interval=opts.discard_per_iter)
+            acc: List[np.ndarray] = []
+            engine.run(opts.steps_per_iter,
+                       observe=lambda e: acc.append(measurer.from_state(e.blocks)),
+                       every=4)
+            mhat = np.mean(acc, axis=0) / scales
+            resid = mhat - tt
+            ema = resid if ema is None else ema_w * ema + (1 - ema_w) * resid
+            resid_history.append(float(np.max(np.abs(ema))))
+            step = opts.step_size / (1.0 + t / 25.0) ** 0.6
+            mu = _soft_threshold(mu - step * (tt - mhat), step * eps_scaled)
+            if t >= 0.5 * opts.iterations:
+                mubar += mu
+                nbar += 1
+            if np.max(np.abs(mu)) > 60.0 and np.max(np.abs(ema) / tol_scaled) > 3.0:
+                raise InfeasibleTargetError(
+                    f"coefficients diverged (|mu| > 60.0) with residuals "
+                    f"stuck at {np.max(np.abs(ema)):.3g} (scaled); {what}",
+                    diagnostics={"mu": mu.tolist(), "residual_scaled": ema.tolist(),
+                                 "iteration": t, "labels": list(basis.labels)})
+            if t + 1 >= opts.min_iterations and np.all(np.abs(ema) <= tol_scaled):
+                converged_sa = True
+                if nbar > 0:
+                    iterations = t + 1
+                    break
 
-    mu_final = mubar / nbar if nbar > 0 else mu
-    lam = mu_final / scales
-    final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, lam), 1.0)
-    engine.set_potential(final_model.potential)
-    engine.tune(int(opts.final_burnin * 0.6))
-    engine.run(opts.final_burnin - int(opts.final_burnin * 0.6))
-    engine.reset_counters()
-    obs: List[np.ndarray] = []
-    energies: List[float] = []
+        mu_final = mubar / nbar if nbar > 0 else mu
+        lam = mu_final / scales
+        engine.set_potential(potential_from_coeffs(basis, lam))
+        engine.tune(int(opts.final_burnin * 0.6))
+        engine.run(opts.final_burnin - int(opts.final_burnin * 0.6))
+        engine.reset_counters()
+        obs: List[np.ndarray] = []
+        energies: List[float] = []
 
-    def _collect(e: ChainEngine) -> None:
-        obs.append(measurer.from_state(e.blocks, e.eigs))
-        energies.append(e.energy)
+        def _collect(e: ChainEngine) -> None:
+            obs.append(measurer.from_state(e.blocks))
+            energies.append(e.energy)
 
-    engine.run(opts.final_steps, observe=_collect, every=2)
-    omat = np.asarray(obs)
-    moment_means = omat.mean(axis=0) * 1.0
+        engine.run(opts.final_steps, observe=_collect, every=2)
+        omat = np.asarray(obs)
+        moment_means = omat.mean(axis=0) * 1.0
+        residual_stderr = np.array([
+            mean_with_batch_stderr(omat[:, j]).stderr for j in range(omat.shape[1])
+        ])
+        energy_est = mean_with_batch_stderr(np.asarray(energies))
+        trajectory = {
+            "residual_max_scaled": resid_history,
+            "sa_converged": converged_sa,
+            "final_acceptance": engine.acceptance,
+            "step_scale": engine.step_scale,
+        }
     residuals = moment_means - targets
-    residual_stderr = np.array([
-        mean_with_batch_stderr(omat[:, j]).stderr for j in range(omat.shape[1])
-    ])
-    energy_est = mean_with_batch_stderr(np.asarray(energies))
+    tol_abs = tol_scaled * scales
+    if n > 1:
+        converged = bool(np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
+    final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, lam), 1.0)
     log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)
     rho_est = _entropy(log_i, final_model.beta, energy_est)
     dual = dual_objective(basis, lam, tau, eps, N, lambda _: log_i)
-    tol_abs = tol_scaled * scales
-    converged = bool(np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
     if not converged:
         warnings.warn(f"fit at N={N}, K={K} did not converge: a final moment residual "
-                      f"exceeds its tolerance plus 3 stderr", RuntimeWarning, stacklevel=2)
-    trajectory = {
-        "residual_max_scaled": resid_history,
-        "sa_converged": converged_sa,
-        "final_acceptance": engine.acceptance,
-        "step_scale": engine.step_scale,
-    }
+                      f"exceeds its tolerance plus 3 stderr, or the Newton decrement "
+                      f"exceeds 1e-10 nats", RuntimeWarning, stacklevel=2)
     return FitResult(basis, lam, rho_est, dual, log_i, energy_est, residuals,
-                     residual_stderr, tol_abs, converged, iterations_run,
+                     residual_stderr, tol_abs, converged, iterations,
                      trajectory, final_model)
 
 
@@ -472,10 +575,11 @@ class ScalarMaxentResult:
 def scalar_maxent_oracle(constraints: dict, R: float) -> ScalarMaxentResult:
     """Newton solution of one-variable maxent on a 2001-point midpoint grid.
 
-    ``constraints`` maps powers (>= 1) to target raw moments. Fully
-    independent of the chain machinery: dense grid, exact gradients and
-    Hessians of the dual, damped Newton with backtracking, at most 200 steps
-    to a gradient below 1e-11. Targets outside the moment body raise
+    ``constraints`` maps powers (>= 1) to target raw moments. Independent of
+    the matrix machinery: its own dense grid and exact gradients and
+    Hessians of the dual, solved by the damped-Newton loop the one-matrix
+    fit uses (the N = 1 case of the same problem, with the grid density in
+    place of the kernel diagonal). Targets outside the moment body raise
     :class:`InfeasibleTargetError`.
     """
     grid_size = 2001
@@ -487,61 +591,25 @@ def scalar_maxent_oracle(constraints: dict, R: float) -> ScalarMaxentResult:
     xs = -R + (np.arange(grid_size) + 0.5) * dx
     feats = np.stack([(xs / R) ** p for p in powers], axis=1)
     a_scaled = a / np.array([R ** p for p in powers], dtype=float)
-
-    theta = np.zeros(len(powers))
     logdx = math.log(dx)
 
-    def dual_parts(th):
+    def parts(th):
         logits = feats @ th
         z = logsumexp(logits)
         p = np.exp(logits - z)
-        return z + logdx - float(np.dot(th, a_scaled)), p
-
-    phi, p = dual_parts(theta)
-    converged = False
-    it = 0
-    for it in range(1, 201):
         mean = p @ feats
-        grad = mean - a_scaled
-        if np.max(np.abs(grad)) < 1e-11:
-            converged = True
-            break
         cov = feats.T @ (feats * p[:, None]) - np.outer(mean, mean)
-        try:
-            delta = np.linalg.solve(cov + 1e-13 * np.eye(len(powers)), grad)
-        except np.linalg.LinAlgError:
-            raise InfeasibleTargetError("singular moment covariance on the grid")
-        # minimize phi: full Newton step with backtracking; once the gradient
-        # is tiny the Armijo decrease drowns in rounding, so step undamped
-        if np.max(np.abs(grad)) < 1e-7:
-            theta = theta - delta
-            phi, p = dual_parts(theta)
-            continue
-        s = 1.0
-        for _ in range(60):
-            phi_new, p_new = dual_parts(theta - s * delta)
-            if phi_new <= phi - 1e-4 * s * float(np.dot(grad, delta)):
-                theta = theta - s * delta
-                phi, p = phi_new, p_new
-                break
-            s /= 2.0
-        else:
-            break
-        if np.max(np.abs(theta)) > 1e5:
-            raise InfeasibleTargetError(
-                f"dual coefficients diverged; moments {constraints} lie outside "
-                f"the moment body on [-{R}, {R}]",
-                diagnostics={"theta_scaled": theta.tolist(), "iteration": it})
-    if not converged and np.max(np.abs(p @ feats - a_scaled)) > 1e-6:
-        raise InfeasibleTargetError(
-            f"scalar maxent did not converge (residual "
-            f"{np.max(np.abs(p @ feats - a_scaled)):.3g})",
-            diagnostics={"theta_scaled": theta.tolist(), "iteration": it})
+        return z + logdx - float(np.dot(th, a_scaled)), mean - a_scaled, cov
+
+    theta, phi, _, dec, history = _damped_newton(
+        parts, np.zeros(len(powers)), np.zeros(len(powers)), 1e-6,
+        f"moments {constraints} lie outside the moment body on [-{R}, {R}]")
+    logits = feats @ theta
+    p = np.exp(logits - logsumexp(logits))
     entropy = float(-(p * (np.log(np.maximum(p, 1e-300)) - logdx)).sum())
-    dual = phi
     theta_abs = theta / np.array([R ** p_ for p_ in powers], dtype=float)
-    return ScalarMaxentResult(entropy, dual, abs(entropy - dual), powers, theta_abs,
-                              xs, p / dx, converged, it)
+    return ScalarMaxentResult(entropy, phi, abs(entropy - phi), powers, theta_abs,
+                              xs, p / dx, 0.0 <= dec <= 1e-10, len(history))
 
 
 def log_energy_quadrature(density: Callable[[np.ndarray], np.ndarray], R: float) -> float:

@@ -396,7 +396,7 @@ def log_ball_volume(N: int, R: float) -> float:
     )
 
 
-def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int) -> float:
+def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int) -> Tuple[float, np.ndarray]:
     """Sum of log h_k, k < N, for the discrete measure sum_j exp(logw_j) delta_{x_j}.
 
     h_k is the squared norm of the k-th monic orthogonal polynomial. The
@@ -404,24 +404,42 @@ def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int) -> float:
     so nothing overflows; h_k = h_0 prod_{j<=k} b_j^2 with b_j the
     off-diagonal Jacobi coefficients. log w is shifted by its maximum
     first, which scales every h_k by the same factor, added back here.
+    The vectors are returned too, as the rows of an (N, M) array: they give
+    the eigenvalue kernel K(x, y) = sum_k q_k(x) q_k(y) of the N-point
+    ensemble on the nodes.
     """
     shift = float(logw.max())
     q = np.exp(0.5 * (logw - shift))
     h0 = float(q @ q)
-    q = q / math.sqrt(h0)
-    q_prev = np.zeros_like(q)
+    qs = np.empty((N, x.size))
+    qs[0] = q / math.sqrt(h0)
     b = 0.0
     total = N * (shift + math.log(h0))
     for k in range(1, N):
+        q = qs[k - 1]
         a = float((x * q) @ q)
-        r = (x - a) * q - b * q_prev
+        r = (x - a) * q - (b * qs[k - 2] if k > 1 else 0.0)
         b = float(np.linalg.norm(r))
         if not b > 0.0:
             raise EstimatorError(
                 f"quadrature weight has fewer than N = {N} resolved nodes")
         total += 2.0 * (N - k) * math.log(b)
-        q_prev, q = q, r / b
-    return total
+        qs[k] = r / b
+    return total, qs
+
+
+def _legendre_nodes(M: int, R: float) -> Tuple[np.ndarray, np.ndarray]:
+    """M Gauss-Legendre nodes on [-R, R] and the logs of their weights."""
+    t, g = roots_legendre(M)
+    return R * t, np.log(R * g)
+
+
+def _heine_nodes(N: int) -> int:
+    """Starting node count of the one-matrix quadrature at size N."""
+    # at N = 64, R = 4 and V = x^2/2, 200 nodes miss by about 100 nats, 300 agree
+    # with 4000 to 1e-12 relative; a narrow weight needs more (N = 16, R = 4,
+    # V = 100 x^2 is 386 nats off at 300 nodes and resolved from 4800)
+    return max(300, 8 * N)
 
 
 def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
@@ -444,16 +462,11 @@ def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
     coeffs = model.potential.scalar_coeffs()
 
     def value(M: int) -> float:
-        t, g = roots_legendre(M)
-        x = R * t
-        logg = np.log(R * g)
+        x, logg = _legendre_nodes(M, R)
         logw = logg - model.beta * N * polyval(x, coeffs)
-        return _log_heine_norms(x, logw, N) - _log_heine_norms(x, logg, N)
+        return _log_heine_norms(x, logw, N)[0] - _log_heine_norms(x, logg, N)[0]
 
-    # at N = 64, R = 4 and V = x^2/2, 200 nodes miss by about 100 nats, 300 agree
-    # with 4000 to 1e-12 relative; a narrow weight needs more (N = 16, R = 4,
-    # V = 100 x^2 is 386 nats off at 300 nodes and resolved from 4800)
-    M = max(300, 8 * N)
+    M = _heine_nodes(N)
     coarse, fine = value(M), value(2 * M)
     while abs(coarse - fine) > 1e-8 and 2 * M <= 9600:
         M *= 2
@@ -604,10 +617,11 @@ def gibbs_entropy(model: GibbsModel, log_i: ScalarEstimate,
 
 
 def _entropy(log_i: ScalarEstimate, beta: float, energy: ScalarEstimate) -> ScalarEstimate:
-    """Ent = log I + beta E[N Tr V], the two errors combined in quadrature."""
+    """Ent = log I + beta E[N Tr V], the two errors combined in quadrature
+    and the two bias bounds added."""
     return ScalarEstimate(log_i.value + beta * energy.value,
                           math.hypot(log_i.stderr, beta * energy.stderr),
-                          energy.count, log_i.bias_bound)
+                          energy.count, log_i.bias_bound + beta * energy.bias_bound)
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,35 @@ def test_unknown_top_level_keys_exit_2(tmp_path, capsys):
     assert "s_outt" in capsys.readouterr().err
 
 
+NESTED_TYPOS = {
+    "model": {"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0, "betta": 0.5}},
+    "semicircle target": {"kind": "rho", "N": 2, "K": 2,
+                          "target": {"name": "semicircle", "K": 2, "varience": 4.0}},
+    "arcsine target": {"kind": "rho", "N": 2, "K": 2,
+                       "target": {"name": "arcsine", "K": 2, "radius": 3.0}},
+    "file target": {"kind": "rho", "N": 2, "K": 2, "target": {"file": "t.json", "K": 2}},
+    "entries target": {"kind": "rho", "N": 2, "K": 1,
+                       "target": {"n": 1, "K": 1, "R": 2.0, "entries": [], "name": "x"}},
+    "window": {"kind": "compression-check", "N": 3,
+               "window": {"T": 2.0, "R": 1.6, "S": 1.0, "U": 0.5}},
+    "potential": {"kind": "pressure", "potential": {"name": "quadratic", "coef": 2.0}},
+    "potential term": {"kind": "pressure", "n": 2, "potential": {"terms": [
+        {"word": [1, 2], "re": 1.0}, {"word": [2, 1], "real": 1.0}]}},
+    "duality-check target": {"kind": "duality-check", "targets": [
+        {"target": {"name": "semicircle", "K": 2}, "N": 1, "epsilon": 0.1}]},
+}
+
+
+@pytest.mark.parametrize("section", sorted(NESTED_TYPOS))
+def test_unknown_nested_keys_exit_2(tmp_path, capsys, section):
+    # a mistyped nested key used to be ignored, so the run took the default
+    doc = dict(NESTED_TYPOS[section], seed=1)
+    assert main(["--config", write_yaml(tmp_path / "c.yaml", doc),
+                 "--out", str(tmp_path / "c")]) == 2
+    assert f"unknown {section} key(s)" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_chain_rule_budget_below_minimum_exits_2(tmp_path):
     doc = {"kind": "chain-rule", "seed": 1, "model": {"n": 2, "N": 3, "R": 2.0},
            "s_out": 8, "s_in": 16, "chain_burnin": 20, "chain_thin": 2}

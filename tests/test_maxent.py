@@ -1,18 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from matent.matrices import MatrixTuple
+from matent import sampler
 from matent.maxent import (FitOptions, InfeasibleTargetError, build_dual_basis,
                            chi_tilde_curve, dual_objective, eta_bound_check,
                            fit_projection, free_pressure, log_energy_quadrature,
                            one_variable_chi_reference, reference_constant, rho,
-                           scalar_maxent_oracle, target_vector, _BasisMeasurer)
-from matent.moments import MomentSpec, semicircle_moments
-from matent.ncpoly import NcPoly, trace_moment
-from matent.sampler import GibbsModel, TIOptions, estimate_log_I, log_ball_volume
+                           scalar_maxent_oracle, target_vector)
+from matent.moments import MomentSpec, free_product_moments, semicircle_moments
+from matent.ncpoly import NcPoly
+from matent.sampler import GibbsModel, TIOptions, _heine_log_I, estimate_log_I
 from matent.streams import substream
 
 FAST = FitOptions(iterations=60, steps_per_iter=200, discard_per_iter=40,
@@ -34,17 +35,6 @@ def test_dual_basis_structure():
     b2 = build_dual_basis(2, 6)
     assert any(e.kind == "im" for e in b2.elements)
     assert all(e.degree == 6 for e in b2.elements if e.kind == "im")
-
-
-def test_basis_measurer_spectral_path_matches_word_traces():
-    # one-matrix basis moments come from eigenvalue power means; the word
-    # evaluator on the matrix itself is the reference
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    t = MatrixTuple(1, 6, 10.0, ((g + g.conj().T) / 2,))
-    basis = build_dual_basis(1, 5)
-    want = [trace_moment(t.blocks, el.word).real for el in basis.elements]
-    np.testing.assert_allclose(_BasisMeasurer(basis, 6).from_tuple(t), want, rtol=1e-10)
 
 
 def test_target_vector_semicircle():
@@ -107,15 +97,60 @@ def test_scalar_oracle_infeasible_raises():
 
 
 def test_fit_projection_scalar_agrees_with_newton_oracle():
-    # the matrix-chain fitter at N=1 must reproduce the deterministic
-    # grid-Newton solution of the same moment problem
+    # the exact fit at N = 1 and the grid-Newton oracle solve one moment problem
+    # on independent quadratures (Gauss-Legendre nodes and a midpoint grid)
     R = 2.0
-    tau = MomentSpec(1, 2, R, {(1,): 0.3, (1, 1): 1.1})
-    fit = fit_projection(tau, 1, 2, opts=FAST, rng=substream(1, "n1"))
-    want = scalar_maxent_oracle({1: 0.3, 2: 1.1}, R=R).entropy
-    tol = 3 * fit.rho.stderr + fit.rho.bias_bound + 0.05
-    assert abs(fit.rho.value - want) <= tol
+    for cons in ({1: 0.3, 2: 1.1}, {1: -0.5, 2: 0.8}):
+        tau = MomentSpec(1, 2, R, {(1,) * p: v for p, v in cons.items()})
+        fit = fit_projection(tau, 1, 2, rng=substream(1, "n1"))
+        assert fit.converged
+        assert fit.rho.value == pytest.approx(scalar_maxent_oracle(cons, R).entropy, abs=1e-6)
+
+
+SEMICIRCLE_R4 = semicircle_moments(1.0, 4, radius=4.0)
+
+
+@pytest.mark.parametrize("N, chi", [(16, 1.094024), (8, 1.115658)])
+def test_exact_fit_chi_tilde_values(N, chi):
+    # finite-N maxent values of the semicircle target (K = 4, R = 4): the
+    # benchmark's readme-rho and chi-recipe-8 ops
+    fit = fit_projection(SEMICIRCLE_R4, N, 4, rng=substream(13, "chi", N))
     assert fit.converged
+    assert fit.chi.value == pytest.approx(chi, abs=1e-5)
+    assert fit.rho.stderr == 0.0 and fit.energy.stderr == 0.0
+    # rho and the dual differ by the residual cost, which is rounding here
+    assert abs(fit.rho.value - fit.dual_value.value) <= fit.energy.bias_bound + 1e-12
+    assert fit.energy.bias_bound <= 1e-8
+    # log I is Heine's at the fitted potential
+    assert fit.log_i.value == _heine_log_I(fit.model).value
+
+
+def test_exact_fit_recovers_quadratic_at_n32():
+    fit = fit_projection(SEMICIRCLE_R4, 32, 4, rng=substream(13, "n32"))
+    coeffs = dict(zip(fit.basis.labels, fit.coeffs))
+    assert coeffs["re:1.1"] == pytest.approx(0.49903, abs=1e-5)
+    assert coeffs["re:1.1.1.1"] == pytest.approx(0.00024, abs=1e-5)
+    assert abs(coeffs["re:1"]) < 1e-9 and abs(coeffs["re:1.1.1"]) < 1e-9
+    assert 0 < fit.iterations == len(fit.trajectory["residual_max_scaled"]) <= 20
+
+
+def test_exact_fit_free_pair_marginal():
+    # one semicircle marginal of the free-pair-4 target (N = 4, K = 2, R = 2);
+    # the pair's maxent value is twice this
+    fit = fit_projection(semicircle_moments(1.0, 2, radius=2.0), 4, 2,
+                         rng=substream(13, "marginal"))
+    assert fit.rho.value == pytest.approx(7.390099, abs=1e-6)
+
+
+def test_exact_fit_runs_no_chain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-matrix fit must not run a chain")
+
+    monkeypatch.setattr(sampler.ChainEngine, "__init__", refuse)
+    rng = substream(13, "no-chain")
+    fit = fit_projection(semicircle_moments(1.0, 2, radius=2.0), 4, 2, rng=rng)
+    # and it draws no random numbers
+    assert fit.converged and rng.random() == substream(13, "no-chain").random()
 
 
 def test_fit_projection_duality_gap_identity():
@@ -137,14 +172,27 @@ def test_fit_projection_infeasible_target_raises():
 
 
 def test_unconverged_fit_warns():
-    # three SA iterations of ten steps cannot match the moments, and the
-    # result says so both in ``converged`` and with a warning
-    tau = semicircle_moments(1.0, 2, radius=3.0)
+    # three SA iterations of ten steps cannot match the moments of an n = 2
+    # target, and the result says so both in ``converged`` and with a warning
+    half = semicircle_moments(1.0, 2, radius=3.0)
+    starved = FitOptions(iterations=3, steps_per_iter=10, discard_per_iter=4,
+                         min_iterations=2, final_steps=100, final_burnin=10,
+                         ti=TIOptions(nodes=3, node_burnin=10, node_steps=20))
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        fit = fit_projection(free_product_moments([half, half], 2), 2, 2, opts=starved,
+                             rng=substream(12, "starved"))
+    assert not fit.converged
+
+
+def test_exact_fit_issues_no_warning():
+    # the same starved budget does not touch a one-matrix fit, which is exact
     starved = FitOptions(iterations=3, steps_per_iter=10, discard_per_iter=4,
                          min_iterations=2, final_steps=100, final_burnin=10)
-    with pytest.warns(RuntimeWarning, match="did not converge"):
-        fit = fit_projection(tau, 2, 2, opts=starved, rng=substream(12, "starved"))
-    assert not fit.converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_projection(semicircle_moments(1.0, 2, radius=3.0), 2, 2, opts=starved,
+                             rng=substream(12, "starved"))
+    assert fit.converged and fit.iterations > 0
 
 
 def test_fit_projection_soft_threshold_epsilon():
