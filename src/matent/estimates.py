@@ -11,6 +11,7 @@ __all__ = [
     "ScalarEstimate",
     "EstimatorError",
     "combine_linear",
+    "logsumexp",
     "mean_with_batch_stderr",
 ]
 
@@ -99,3 +100,12 @@ def mean_with_batch_stderr(xs) -> ScalarEstimate:
     bm = x[:usable].reshape(nbatch, -1).mean(axis=1)
     se = float(bm.std(ddof=1) / math.sqrt(nbatch))
     return ScalarEstimate(mean, se, int(x.size))
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """log sum_i exp(a_i), with the maxima summed apart as scipy.special.logsumexp does."""
+    mx = a.max()
+    top = a == mx
+    w = np.exp(a - mx)
+    w[top] = 0.0
+    return float(np.log1p(w.sum() / top.sum()) + np.log(top.sum()) + mx)

@@ -7,13 +7,15 @@ self-adjoint polynomial constraints up to degree K, the objective
     P_lam = sum_j lam_j b_j,
 
 is convex in lam, with gradient N^2 (tau_j - E_lam[tr b_j]) and Hessian
-N^2 Cov_lam(Tr b_i, Tr b_j) in its smooth part. For one matrix both are
-exact, from the orthogonal-polynomial kernel of the eigenvalue ensemble, and
-the optimizer is found by damped Newton to rounding level. For n >= 2 it is
-found by stochastic approximation driven by chain estimates of the model
-moments, with soft-thresholding for the L1 term, decreasing step sizes,
-iterate averaging, and warm-started chains. The attained value of F is the
-(relaxed) maximum entropy; the entropy of the fitted model itself is
+N^2 Cov_lam(Tr b_i, Tr b_j) in its smooth part. Both routes minimize it by
+damped Newton, with orthant-wise steps for the L1 term. For one matrix the
+derivatives are exact, from the orthogonal-polynomial kernel of the
+eigenvalue ensemble, and the optimizer is found to rounding level. For
+n >= 2 they are estimated from one warm-started matrix-mode chain per
+iterate, steps are line-searched on the dual reweighted from the same
+samples, and the chain doubles in length until the Newton decrement (the
+dual's distance to its minimum, in nats) is within noise. The attained value
+of F is the (relaxed) maximum entropy; the entropy of the fitted model is
 log I + E[N Tr V]. Coefficients are stored in N-normalized units: the
 potential enters the density as exp(-N Tr V).
 
@@ -31,13 +33,13 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .estimates import EstimatorError, ScalarEstimate, mean_with_batch_stderr
+from .estimates import EstimatorError, ScalarEstimate, logsumexp, mean_with_batch_stderr
 from .moments import MomentSpec, moment_pairing
 from .ncpoly import NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word, trace_moment
 from .sampler import (ChainEngine, GibbsModel, TIOptions, _entropy, _heine_nodes,
-                      _legendre_nodes, _log_heine_norms, estimate_log_I, log_ball_volume)
+                      _legendre_nodes, _log_heine_norms, estimate_log_I,
+                      integrated_autocorrelation_time, log_ball_volume)
 
 __all__ = [
     "InfeasibleTargetError",
@@ -174,19 +176,20 @@ def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Budgets for the stochastic-approximation fit; the keys of a ``fit:`` section.
+    """Budgets for the n >= 2 Monte Carlo Newton fit; the keys of a ``fit:`` section.
 
-    Iteration t (counted from 0) runs ``discard_per_iter`` tuning steps and
-    then ``steps_per_iter`` steps, measuring every 4th state, and moves the
-    scaled coefficients by ``step_size / (1 + t/25)^0.6`` times the moment
-    residual. The iterates of the second half of ``iterations`` are averaged.
-    The fit stops once ``min_iterations`` have run and every smoothed residual
-    is within ``moment_tol`` (scaled); a scaled coefficient beyond 60 with
-    residuals stuck above 3 tolerances raises :class:`InfeasibleTargetError`.
-    The averaged model is then run for ``final_burnin`` steps and measured on
-    every 2nd of ``final_steps`` steps. ``ti`` budgets the log-normalizer of
-    the fitted model. Only n >= 2 fits read these; a one-matrix fit is exact
-    (damped Newton on the dual, see :func:`fit_projection`) and ignores them.
+    At most ``iterations`` Newton iterates run; each re-tunes the chain for
+    ``discard_per_iter`` steps and then runs n steps, n doubling from about
+    ``steps_per_iter`` up to ``final_steps`` as the decrement reaches its noise
+    floor (see :func:`_chain_newton`). The fitted model is then run for
+    ``final_burnin`` steps and measured on every 2nd of ``final_steps`` steps;
+    the fit is converged when the Newton stop was reached and every final
+    residual is within max(eps, ``moment_tol`` R^degree) plus 3 stderr. ``ti``
+    budgets the log-normalizer of the fitted model. ``step_size`` and
+    ``min_iterations`` belonged to the stochastic approximation this route
+    replaced and are accepted but unused. Only n >= 2 fits read these; a
+    one-matrix fit is exact (damped Newton on the dual, see
+    :func:`fit_projection`) and ignores them.
     """
 
     iterations: int = 140
@@ -236,49 +239,69 @@ def _soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
+def _newton_direction(x: np.ndarray, g: np.ndarray, H: np.ndarray, l1: np.ndarray):
+    """Newton direction and decrement for f(x) + sum_i l1_i |x_i| at x.
+
+    With an L1 term the step is the Newton step of the pseudo-gradient pg on
+    the free coordinates (Andrew & Gao 2007). Returns pg, the free mask, the
+    direction d and the decrement -pg . d / 2, which estimates the distance to
+    the minimum in the units of f. A singular H raises ``LinAlgError``.
+    """
+    pg = np.where(x > 0, g + l1, np.where(x < 0, g - l1, _soft_threshold(g, l1)))
+    free = (x != 0) | (pg != 0)
+    d = np.zeros_like(x)
+    d[free] = -np.linalg.solve(H[np.ix_(free, free)], pg[free])
+    return pg, free, d, -0.5 * float(pg @ d)
+
+
+def _backtrack(objective: Callable, x: np.ndarray, f: float, pg: np.ndarray,
+               d: np.ndarray, dec: float, l1: np.ndarray):
+    """Halve s from 1 until x + s d, kept in the orthant of the step, passes an
+    Armijo test on ``objective`` (whose value is the first item it returns,
+    inf where it cannot be evaluated). Returns the new point and what
+    ``objective`` gave there, or None after 60 halvings."""
+    orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
+    s = 1.0
+    for _ in range(60):
+        xn = x + s * d
+        xn[(l1 > 0) & (xn * orthant < 0)] = 0.0
+        out = objective(xn)
+        # below 1e-12 nats the Armijo test drowns in rounding
+        if math.isfinite(out[0]) and (dec < 1e-12 or out[0] + l1 @ np.abs(xn)
+                                      <= f + l1 @ np.abs(x) - 2e-4 * s * dec):
+            return xn, out
+        s /= 2.0
+    return None
+
+
 def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float, what: str):
     """Minimize f(x) + sum_i l1_i |x_i| for a smooth convex f by damped Newton.
 
     ``parts(x)`` gives f (inf where it cannot be evaluated), its gradient g
-    and Hessian H. With an L1 term the step is the Newton step of the
-    pseudo-gradient on the free coordinates, kept in the current orthant
-    (Andrew & Gao 2007). Steps backtrack on the exact objective until the
-    decrement g^T H^-1 g / 2, which estimates the distance to the minimum in
-    the units of f, is below 1e-12; one more full step then takes it to
-    rounding level. A coefficient beyond 1e5, or a stop with a pseudo-gradient
-    beyond ``gtol``, means the minimum is not attained and raises
-    :class:`InfeasibleTargetError` (message ending in ``what``). Returns x,
-    f and g at x, the decrement at x, and max |g| after each step.
+    and Hessian H. Steps (:func:`_newton_direction`) backtrack on the exact
+    objective (:func:`_backtrack`) until the decrement is below 1e-12; one
+    more full step then takes it to rounding level. A coefficient beyond 1e5,
+    or a stop with a pseudo-gradient beyond ``gtol``, means the minimum is not
+    attained and raises :class:`InfeasibleTargetError` (message ending in
+    ``what``). Returns x, f and g at x, the decrement at x, and max |g| after
+    each step.
     """
     x = np.array(x0, dtype=float)
     f, g, H = parts(x)
     history: List[float] = []
     last = math.inf
     while True:
-        pg = np.where(x > 0, g + l1, np.where(x < 0, g - l1, _soft_threshold(g, l1)))
-        free = (x != 0) | (pg != 0)
-        d = np.zeros_like(x)
         try:
-            d[free] = -np.linalg.solve(H[np.ix_(free, free)], pg[free])
+            pg, _, d, dec = _newton_direction(x, g, H, l1)
         except np.linalg.LinAlgError:
             raise InfeasibleTargetError(f"singular moment covariance; {what}")
-        dec = -0.5 * float(pg @ d)
         if not dec > 0 or last < 1e-12 or len(history) == 200:
             break
-        orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
-        s = 1.0
-        for _ in range(60):
-            xn = x + s * d
-            xn[(l1 > 0) & (xn * orthant < 0)] = 0.0
-            fn, gn, Hn = parts(xn)
-            # below 1e-12 nats the Armijo test drowns in rounding
-            if math.isfinite(fn) and (dec < 1e-12 or fn + l1 @ np.abs(xn)
-                                      <= f + l1 @ np.abs(x) - 2e-4 * s * dec):
-                break
-            s /= 2.0
-        else:
+        step = _backtrack(parts, x, f, pg, d, dec, l1)
+        if step is None:
             break
-        x, f, g, H, last = xn, fn, gn, Hn, dec
+        x, (f, g, H) = step
+        last = dec
         history.append(float(np.max(np.abs(g))))
         if np.max(np.abs(x)) > 1e5:
             break
@@ -323,6 +346,136 @@ def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
     return _damped_newton(parts, np.zeros(len(basis)), n2 * l1, n2 * gtol, what), x.size
 
 
+# a decrement within this many noise floors is indistinguishable from zero
+NOISE_MULT = 3.0
+# the last step rests on this many final_steps-long runs, so that its noise
+# adds about a fifth of the final chain's variance to the checked residuals
+FINAL_POOL = 5
+
+
+def _reweighted_dual(runs: List[Tuple[np.ndarray, np.ndarray]], n2: int,
+                     tt: np.ndarray) -> Callable:
+    """The dual and its derivatives at x, estimated from chain runs by
+    importance reweighting (Geyer & Thompson 1992).
+
+    Run r holds the scaled moments F_r of S_r states sampled at mu_r; weights
+    exp(-N^2 (x - mu_r) . f) turn them into estimates of E_x f, Cov_x f and
+    D(x) - D(mu_r) = log mean exp(-N^2 (x - mu_r) . f) + N^2 (x - mu_r) . tt.
+    The runs are pooled in proportion to S_r. ``parts(x)`` returns the value
+    (up to a constant), the gradient N^2 (tt - E_x f) and the Hessian
+    N^4 Cov_x f; the value is inf where some run's weights have an ESS below
+    half its states.
+    """
+    total = sum(len(F) for _, F in runs)
+
+    def parts(x):
+        value, mean, hess = 0.0, 0.0, 0.0
+        for mu_r, F in runs:
+            a = -n2 * (F @ (x - mu_r))
+            w = np.exp(a - a.max())
+            if w.sum() ** 2 < 0.5 * len(F) * (w @ w):
+                return math.inf, None, None
+            share = len(F) / total
+            p = w / w.sum()
+            m = p @ F
+            value += share * (logsumexp(a) - math.log(len(F)) + n2 * float((x - mu_r) @ tt))
+            mean = mean + share * m
+            hess = hess + share * ((F * p[:, None]).T @ F - np.outer(m, m))
+        return value, n2 * (tt - mean), n2 * n2 * hess
+
+    return parts
+
+
+def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasis,
+                  scales: np.ndarray, tt: np.ndarray, l1: np.ndarray,
+                  tol_scaled: np.ndarray, opts: FitOptions, what: str):
+    """Monte Carlo Newton on the n >= 2 dual in scaled coordinates mu = lam R^degree.
+
+    The dual's derivatives are model moments: with f the scaled basis moments
+    (1/N) Tr b_j / R^degree of a state, g = N^2 (tt - E f) and H = N^4 Cov f.
+    Each iterate re-tunes the warm ``engine`` at mu for ``discard_per_iter``
+    steps, runs n steps and measures every 4th state; :func:`_reweighted_dual`
+    of the S states gives g, H, the Newton direction of
+    :func:`_newton_direction` and the dual along it, on which the step is
+    backtracked (:func:`_backtrack`). The decrement (nats of dual above the
+    minimum) has the noise floor sum_k IAT_k / (2 S) over the whitened
+    moments, its expectation when mu is already optimal. With fewer than 10
+    states per coefficient no step is taken.
+
+    n starts at ``final_steps`` / 2^k, the first such length at or above
+    ``steps_per_iter``, and doubles up to ``final_steps`` after an iterate whose
+    decrement is within ``NOISE_MULT`` noise floors, or has not halved since
+    the last step at this length (short chains under-estimate the floor). The
+    stop is a noise-dominated run of ``final_steps``. Its mu is kept and runs
+    on until, with the earlier runs of that length whose weights keep half
+    their ESS at mu, ``FINAL_POOL`` runs are pooled; one step on their
+    reweighted dual gives the result. A scaled coefficient beyond 60 with a
+    residual above 3 tolerances raises :class:`InfeasibleTargetError`.
+    Returns mu, the last resolved decrement (inf if none), whether the stop
+    and its pooled step were reached, the number of iterates and their
+    trajectory.
+    """
+    N = engine.model.N
+    n2 = N * N
+    mu = np.zeros(len(basis))
+    steps = opts.final_steps >> max(0, int(math.log2(opts.final_steps / opts.steps_per_iter)))
+    pool: List[Tuple[np.ndarray, np.ndarray]] = []  # the runs of final_steps
+    last = math.inf  # decrement before the last step at this length
+    trajectory = {"residual_max_scaled": [], "chain_steps": [], "decrement": [],
+                  "noise_floor": []}
+    stop = done = False
+    for t in range(opts.iterations):
+        engine.set_potential(potential_from_coeffs(basis, mu / scales))
+        engine.tune(opts.discard_per_iter, interval=opts.discard_per_iter)
+        acc: List[np.ndarray] = []
+        engine.run(steps, observe=lambda e: acc.append(measurer.from_state(e.blocks)),
+                   every=4)
+        F = np.asarray(acc).reshape(-1, len(mu)) / scales
+        resid = F.mean(axis=0) - tt
+        if np.max(np.abs(mu)) > 60.0 and np.max(np.abs(resid) / tol_scaled) > 3.0:
+            raise InfeasibleTargetError(
+                f"coefficients diverged (|mu| > 60.0) with residuals "
+                f"stuck at {np.max(np.abs(resid)):.3g} (scaled); {what}",
+                diagnostics={"mu": mu.tolist(), "residual_scaled": resid.tolist(),
+                             "iteration": t, "labels": list(basis.labels)})
+        if steps == opts.final_steps:
+            pool = [r for r in pool
+                    if math.isfinite(_reweighted_dual([r], n2, tt)(mu)[0])] + [(mu, F)]
+        runs = pool if stop else [(mu, F)]
+        dec = floor = math.nan
+        if len(F) >= 10 * len(mu):  # fewer states give too rough a covariance to step on
+            parts = _reweighted_dual(runs, n2, tt)
+            f0, g, H = parts(mu)
+            try:
+                pg, free, d, dec = _newton_direction(mu, g, H, l1)
+                chol = np.linalg.cholesky(np.cov(F[:, free], rowvar=False, bias=True))
+                white = np.linalg.solve(chol, (F[:, free] - F[:, free].mean(axis=0)).T)
+                floor = 0.5 * sum(map(integrated_autocorrelation_time, white)) / len(F)
+            except np.linalg.LinAlgError:
+                dec = math.nan
+        for key, v in zip(trajectory, (float(np.max(np.abs(resid))), steps, dec, floor)):
+            trajectory[key].append(v)
+        done = stop and len(pool) >= FINAL_POOL  # this iterate's step is on the pool
+        stop = stop or (steps == opts.final_steps and dec <= NOISE_MULT * floor)
+        if stop and not done:
+            continue
+        if math.isfinite(dec):
+            step = _backtrack(parts, mu, f0, pg, d, dec, l1)
+            if step is not None:
+                mu = step[0]
+        if done:
+            break
+        if dec > max(NOISE_MULT * floor, 0.5 * last):
+            last = dec
+        else:
+            # noise-dominated, stalled or unresolved: a longer chain is needed
+            steps = min(2 * steps, opts.final_steps)
+            last = math.inf
+    resolved = [v for v in trajectory["decrement"] if math.isfinite(v)]
+    return (mu, resolved[-1] if resolved else math.inf, done,
+            len(trajectory["decrement"]), trajectory)
+
+
 def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
                    opts: Optional[FitOptions] = None,
                    rng: np.random.Generator = None,
@@ -336,13 +489,20 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     ``energy.bias_bound`` is the residual cost N^2 |lam . r - eps |lam|_1|
     (rho minus the dual) plus rounding, ``iterations`` counts Newton steps,
     ``rng`` is not consumed, and the fit is ``converged`` when the Newton
-    decrement is at most 1e-10 nats. For n >= 2 the stochastic approximation
-    of :class:`FitOptions` runs on matrix-mode chains, with tolerance
-    max(eps, moment_tol * R^degree); it is ``converged`` when every final
-    residual is within its tolerance plus 3 stderr. An unconverged fit
-    issues a ``RuntimeWarning``. A target the fit cannot reach (coefficients
-    diverging, residuals stuck) raises :class:`InfeasibleTargetError`: the
-    supremum is -infinity there.
+    decrement is at most 1e-10 nats. For n >= 2 the Monte Carlo Newton of
+    :func:`_chain_newton` runs on one warm-started matrix-mode chain with the
+    budgets of :class:`FitOptions`, and a further run of the same chain at the
+    fitted model, independent of the samples that chose it, gives ``energy``
+    and the residuals. The tolerance is max(eps, moment_tol * R^degree); the
+    fit is ``converged`` when the Newton stop was reached and every final
+    residual is within its tolerance plus 3 stderr. ``iterations`` counts
+    Newton iterates, and ``trajectory`` holds per iterate the largest scaled
+    residual, the chain steps, the decrement and its noise floor, plus the
+    final run's acceptance, IAT and ESS. On both routes ``dual_value.bias_bound``
+    adds the final decrement, by which the dual may exceed the maximum
+    entropy. An unconverged fit issues a ``RuntimeWarning``. A target the fit
+    cannot reach (coefficients diverging, residuals stuck) raises
+    :class:`InfeasibleTargetError`: the supremum is -infinity there.
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
@@ -377,48 +537,12 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
         converged = 0.0 <= dec <= 1e-10
     else:
         tol_scaled = np.maximum(eps_scaled, opts.moment_tol)
-        mu = np.zeros(len(basis))
         engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n), 1.0), rng)
         engine.tune(400)
         measurer = _BasisMeasurer(basis)
-
-        mubar = np.zeros_like(mu)
-        nbar = 0
-        ema = None
-        ema_w = 0.7
-        resid_history: List[float] = []
-        converged_sa = False
-        iterations = opts.iterations
-        for t in range(opts.iterations):
-            engine.set_potential(potential_from_coeffs(basis, mu / scales))
-            engine.tune(opts.discard_per_iter, interval=opts.discard_per_iter)
-            acc: List[np.ndarray] = []
-            engine.run(opts.steps_per_iter,
-                       observe=lambda e: acc.append(measurer.from_state(e.blocks)),
-                       every=4)
-            mhat = np.mean(acc, axis=0) / scales
-            resid = mhat - tt
-            ema = resid if ema is None else ema_w * ema + (1 - ema_w) * resid
-            resid_history.append(float(np.max(np.abs(ema))))
-            step = opts.step_size / (1.0 + t / 25.0) ** 0.6
-            mu = _soft_threshold(mu - step * (tt - mhat), step * eps_scaled)
-            if t >= 0.5 * opts.iterations:
-                mubar += mu
-                nbar += 1
-            if np.max(np.abs(mu)) > 60.0 and np.max(np.abs(ema) / tol_scaled) > 3.0:
-                raise InfeasibleTargetError(
-                    f"coefficients diverged (|mu| > 60.0) with residuals "
-                    f"stuck at {np.max(np.abs(ema)):.3g} (scaled); {what}",
-                    diagnostics={"mu": mu.tolist(), "residual_scaled": ema.tolist(),
-                                 "iteration": t, "labels": list(basis.labels)})
-            if t + 1 >= opts.min_iterations and np.all(np.abs(ema) <= tol_scaled):
-                converged_sa = True
-                if nbar > 0:
-                    iterations = t + 1
-                    break
-
-        mu_final = mubar / nbar if nbar > 0 else mu
-        lam = mu_final / scales
+        mu, dec, stopped, iterations, trajectory = _chain_newton(
+            engine, measurer, basis, scales, tt, N * N * eps_scaled, tol_scaled, opts, what)
+        lam = mu / scales
         engine.set_potential(potential_from_coeffs(basis, lam))
         engine.tune(int(opts.final_burnin * 0.6))
         engine.run(opts.final_burnin - int(opts.final_burnin * 0.6))
@@ -437,24 +561,25 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
             mean_with_batch_stderr(omat[:, j]).stderr for j in range(omat.shape[1])
         ])
         energy_est = mean_with_batch_stderr(np.asarray(energies))
-        trajectory = {
-            "residual_max_scaled": resid_history,
-            "sa_converged": converged_sa,
-            "final_acceptance": engine.acceptance,
-            "step_scale": engine.step_scale,
-        }
+        iat = integrated_autocorrelation_time(energies)
+        trajectory.update(final_acceptance=engine.acceptance, final_iat=iat,
+                          final_ess=len(energies) / iat)
     residuals = moment_means - targets
     tol_abs = tol_scaled * scales
     if n > 1:
-        converged = bool(np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
+        converged = stopped and bool(
+            np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
     final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, lam), 1.0)
     log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)
     rho_est = _entropy(log_i, final_model.beta, energy_est)
     dual = dual_objective(basis, lam, tau, eps, N, lambda _: log_i)
+    # the dual at lam overshoots its minimum, the maximum entropy, by the decrement
+    dual = ScalarEstimate(dual.value, dual.stderr, dual.count,
+                          dual.bias_bound + max(dec, 0.0))
     if not converged:
         warnings.warn(f"fit at N={N}, K={K} did not converge: a final moment residual "
-                      f"exceeds its tolerance plus 3 stderr, or the Newton decrement "
-                      f"exceeds 1e-10 nats", RuntimeWarning, stacklevel=2)
+                      f"exceeds its tolerance plus 3 stderr, or the Newton stop was "
+                      f"not reached", RuntimeWarning, stacklevel=2)
     return FitResult(basis, lam, rho_est, dual, log_i, energy_est, residuals,
                      residual_stderr, tol_abs, converged, iterations,
                      trajectory, final_model)

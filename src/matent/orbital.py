@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .estimates import EstimatorError, ScalarEstimate, mean_with_batch_stderr
+from .estimates import EstimatorError, ScalarEstimate, logsumexp, mean_with_batch_stderr
 from .matrices import (BlockMap, MatrixTuple, _conjugate_blocks, conjugate_tuple,
                        haar_unitary_batch)
 from .moments import MomentSpec, empirical_moments, free_product_moments, moment_distance

@@ -30,6 +30,7 @@ orbital estimators and :func:`gibbs_entropy` pass stacks).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import gammaln, roots_legendre
 
 from .estimates import EstimatorError, ScalarEstimate, mean_with_batch_stderr
 from .matrices import MatrixTuple, haar_unitary, hermitize
@@ -388,11 +388,10 @@ def log_ball_volume(N: int, R: float) -> float:
     """
     if N < 1 or not (R > 0):
         raise ValueError("need N >= 1 and R > 0")
-    j = np.arange(N)
     return float(
         N * N * math.log(2.0 * R)
         + N * (N - 1) / 2.0 * math.log(math.pi)
-        + np.sum(2.0 * gammaln(j + 1) - gammaln(N + j + 1))
+        + np.sum([2.0 * math.lgamma(j + 1) - math.lgamma(N + j + 1) for j in range(N)])
     )
 
 
@@ -428,9 +427,37 @@ def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int) -> Tuple[float, np
     return total, qs
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(M: int) -> Tuple[np.ndarray, np.ndarray]:
+    """M Gauss-Legendre nodes on [-1, 1], ascending, and their weights (read-only).
+
+    Newton's method on P_M from the guesses cos(pi (k - 1/4) / (M + 1/2)),
+    with P_M and P_M' from the three-term recurrence; O(M^2) per pass, so the
+    result is cached per M.
+    """
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, M + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, M * (x * p1 - p0) / (x * x - 1.0)
+
+    x = np.cos(np.pi * (np.arange(M, 0, -1) - 0.25) / (M + 0.5))
+    for _ in range(100):
+        p, dp = legendre(x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    _, dp = legendre(x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _legendre_nodes(M: int, R: float) -> Tuple[np.ndarray, np.ndarray]:
     """M Gauss-Legendre nodes on [-R, R] and the logs of their weights."""
-    t, g = roots_legendre(M)
+    t, g = _gauss_legendre(M)
     return R * t, np.log(R * g)
 
 

@@ -13,7 +13,7 @@ import math
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 # hand-derived constants (independent of the package)
 #
@@ -110,6 +110,45 @@ def log_i_ratio_two_eigen_quad(coeffs: Sequence[float], R: float,
     w = np.exp(logw - shift)
     vdm = (xs[:, None] - xs[None, :]) ** 2
     return 2.0 * shift + math.log(float(w @ vdm @ w)) - math.log(float(vdm.sum()))
+
+
+def separable_pair_rho(moments: Sequence[float], N: int, R: float) -> float:
+    """Finite-N maximum entropy of a free pair whose marginals have raw
+    moments ``moments`` = (m_1, ..., m_K), K <= 3: twice the one-matrix value.
+
+    The joint entropy is at most the sum of the marginal entropies, and the
+    product of the two one-matrix maxent models attains it while matching
+    every constraint: unitary invariance gives E tr(X^a Y^b) = m_a m_b, the
+    free value for words of degree <= 3. The one-matrix value minimizes the
+    dual log I(V) + N^2 sum_k lam_k m_k over V = sum_k lam_k x^k, where
+    I(V) / Vol = det H(w) / det H(1) with the Hankel moment matrices
+    H_ij = int t^(i+j) w(R t) dt (i, j < N) of w = exp(-N V), Vol the closed
+    form of the ball volume, numpy's Gauss-Legendre rule and scipy's BFGS:
+    no orthogonal-polynomial recurrence and no chain.
+    """
+    K = len(moments)
+    if not 1 <= K <= 3:
+        raise ValueError("the product model matches free moments only up to degree 3")
+    t, g = np.polynomial.legendre.leggauss(400)
+    powers = t[None, :] ** np.arange(2 * N - 1)[:, None]
+    hankel = np.arange(N)[:, None] + np.arange(N)[None, :]
+    log_vol = (N * N * math.log(2.0 * R) + N * (N - 1) / 2.0 * math.log(math.pi)
+               + sum(2.0 * math.lgamma(j + 1) - math.lgamma(N + j + 1) for j in range(N)))
+
+    def log_det_hankel(logw):
+        shift = float(logw.max())
+        mom = powers @ (g * np.exp(logw - shift))
+        return N * shift + np.linalg.slogdet(mom[hankel])[1]
+
+    base = log_det_hankel(np.zeros_like(t))
+    feats = t[:, None] ** np.arange(1, K + 1)[None, :]  # x^k / R^k
+    scaled = np.array(moments, dtype=float) / R ** np.arange(1, K + 1)
+
+    def dual(mu):  # mu_k = lam_k R^k
+        return log_det_hankel(-N * (feats @ mu)) - base + N * N * float(mu @ scaled)
+
+    res = minimize(dual, np.zeros(K), method="BFGS", options={"gtol": 1e-9})
+    return 2.0 * (log_vol + float(res.fun))
 
 
 def langevin_mean(theta: float, R: float) -> float:

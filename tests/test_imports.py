@@ -1,9 +1,13 @@
-"""Import hygiene: every name a module imports is used or re-exported, and
-every name a module exports exists."""
+"""Import hygiene: every name a module imports is used or re-exported,
+every name a module exports exists, and the command line loads no
+test-only dependency."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +41,14 @@ def test_all_exports_resolve(path):
     module = importlib.import_module(
         "matent" if path.stem == "__init__" else f"matent.{path.stem}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; the runtime needs numpy and pyyaml
+    code = ("import sys, matent.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

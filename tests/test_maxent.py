@@ -142,6 +142,37 @@ def test_exact_fit_free_pair_marginal():
     assert fit.rho.value == pytest.approx(7.390099, abs=1e-6)
 
 
+def test_separable_oracle_matches_exact_fit():
+    # two independent one-matrix routes: Hankel determinants with BFGS, and
+    # the orthogonal-polynomial Newton fit; free-pair-4's value is 14.780197
+    fit = fit_projection(semicircle_moments(1.0, 2, radius=2.0), 4, 2,
+                         rng=substream(13, "marginal"))
+    want = oracles.separable_pair_rho([0.0, 1.0], 4, 2.0)
+    assert want == pytest.approx(14.780197, abs=1e-6)
+    assert 2 * fit.rho.value == pytest.approx(want, abs=1e-8)
+
+
+def test_chain_newton_fit_covers_separable_oracle():
+    # the n = 2 Monte Carlo Newton route on free-pair-4's target lands within
+    # its error bars of the exact separable maximum entropy
+    half = semicircle_moments(1.0, 2, radius=2.0)
+    tau = free_product_moments([half, half], 2)
+    want = oracles.separable_pair_rho([0.0, 1.0], 4, 2.0)
+    opts = FitOptions(iterations=60, steps_per_iter=600, discard_per_iter=120,
+                      final_steps=10000, final_burnin=2000,
+                      ti=TIOptions(nodes=21, node_burnin=200, node_steps=1000))
+    for seed in range(3):
+        fit = fit_projection(tau, 4, 2, opts=opts, rng=substream(seed, "pair-oracle"))
+        assert fit.iterations <= 40
+        assert abs(fit.rho.value - want) <= 3 * fit.rho.stderr + fit.rho.bias_bound
+        # the dual exceeds the maximum by at most its decrement, up to noise
+        assert abs(fit.dual_value.value - want) <= (3 * fit.dual_value.stderr
+                                                    + fit.dual_value.bias_bound)
+        traj = fit.trajectory
+        assert len(traj["chain_steps"]) == len(traj["decrement"]) == fit.iterations
+        assert traj["final_ess"] > 0 and 0 < traj["final_acceptance"] < 1
+
+
 def test_exact_fit_runs_no_chain(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a one-matrix fit must not run a chain")

@@ -206,6 +206,22 @@ def test_ti_error_bars_cover_exact_log_i():
     assert misses == []
 
 
+def test_ti_error_bars_cover_exact_separable_pair():
+    # V = c (X^2 + Y^2) factorizes, so log I = 2 log I_1 exactly by Heine;
+    # an n = 2 check of the annealed route's error bars
+    c = 0.4746
+    exact = _heine_log_I(GibbsModel(1, 4, 2.0, c * NcPoly.from_word(1, (1, 1)), 1.0))
+    model = GibbsModel(2, 4, 2.0, NcPoly(2, {(1, 1): c, (2, 2): c}), 1.0)
+    opts = TIOptions(nodes=21, node_burnin=200, node_steps=1000)
+    misses = []
+    for seed in range(8):
+        ti = _ti_log_I(model, opts, substream(seed, "ti-pair"))
+        diff = ti.value - 2 * exact.value
+        if abs(diff) > 3 * ti.stderr + ti.bias_bound + 2 * exact.bias_bound:
+            misses.append((seed, diff, ti.stderr, ti.bias_bound))
+    assert misses == []
+
+
 def test_ti_needs_two_beta_nodes():
     pot = NcPoly.from_word(2, (1, 2)) + NcPoly.from_word(2, (2, 1))
     with pytest.raises(ValueError, match="at least 2 beta nodes"):
