@@ -213,9 +213,17 @@ def build_model(params: Dict) -> GibbsModel:
     for key in ("n", "N", "R"):
         _require(key in params, f"model needs {key}")
     n = int(params["n"])
-    return GibbsModel(n, int(params["N"]), float(params["R"]),
-                      build_potential(params.get("potential"), n),
-                      float(params.get("beta", 1.0)))
+    return _checked(GibbsModel, n, int(params["N"]), float(params["R"]),
+                    build_potential(params.get("potential"), n),
+                    float(params.get("beta", 1.0)))
+
+
+def _checked(cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its argument checks reported as config errors."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def build_blockmap(params: Optional[Sequence[int]], n: int) -> BlockMap:
@@ -250,7 +258,10 @@ def _chain(cfg: ExperimentConfig, model: GibbsModel, stream: str, **kwargs):
     p = {"steps": 20000, "burnin": 2000, "thin": 10}
     for k, v in (cfg.param("chain") or {}).items():
         _require(k in p, f"unknown chain option {k!r}")
-        p[k] = int(v)
+        _require(isinstance(v, int), f"chain option {k} must be an integer, got {v!r}")
+        p[k] = v
+    _require(p["steps"] >= p["thin"] >= 1 and p["burnin"] >= 0,
+             "chain needs steps >= thin >= 1 and burnin >= 0")
     return mcmc_chain(model, p["steps"], p["burnin"], p["thin"],
                       rng=substream(cfg.seed, stream), **kwargs)
 
@@ -274,11 +285,8 @@ def _orbital_requests(cfg: ExperimentConfig, couplings: Optional[Sequence],
             c = float(c)
             params = dict(params, potential={"name": "coupled", "c": c})
         model = build_model(params)
-        try:
-            req = OrbitalRequest(model, build_blockmap(cfg.param("groups"), model.n), **budget)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        out.append((c, req))
+        out.append((c, _checked(OrbitalRequest, model,
+                                build_blockmap(cfg.param("groups"), model.n), **budget)))
     return out
 
 
@@ -531,7 +539,7 @@ def _run_duality_check(cfg: ExperimentConfig):
 def _run_arcsine_demo(cfg: ExperimentConfig):
     N = int(cfg.param("N", 64))
     R = float(cfg.param("R", 2.0))
-    samples, diag = _chain(cfg, GibbsModel(1, N, R, NcPoly.zero(1), 0.0), "arcsine")
+    samples, diag = _chain(cfg, _checked(GibbsModel, 1, N, R, NcPoly.zero(1), 0.0), "arcsine")
     eigs = _spectrum(samples)
     m2 = float(np.mean(eigs ** 2))
     m4 = float(np.mean(eigs ** 4))
@@ -556,7 +564,7 @@ def _run_compression_check(cfg: ExperimentConfig):
     fn = build_compression(float(win["T"]), float(win["R"]), float(win["S"]))
     N = int(cfg.param("N", 4))
     n_pot = build_potential(cfg.param("potential"), 1)
-    model = GibbsModel(1, N, float(win["T"]), n_pot, 1.0 if not n_pot.is_zero() else 0.0)
+    model = _checked(GibbsModel, 1, N, float(win["T"]), n_pot, 1.0 if not n_pot.is_zero() else 0.0)
     samples, _ = _chain(cfg, model, "compression")
     logj = np.array([log_jacobian_functional_calculus(t.blocks[0], fn) for t in samples])
     bound = N * N * abs(math.log(fn.alpha))
@@ -573,13 +581,14 @@ def _run_compression_check(cfg: ExperimentConfig):
 
 def _run_hit_rate(cfg: ExperimentConfig):
     tau = build_target(cfg.param("target", {}))
-    est = microstate_hit_rate(
-        tau, float(cfg.param("eps", 0.2)), int(cfg.param("K", tau.K)),
-        int(cfg.param("N", 4)), int(cfg.param("steps", 200000)),
-        substream(cfg.seed, "hit-rate"),
-        burnin=int(cfg.param("burnin", 2000)), thin=int(cfg.param("thin", 4)))
+    eps, K, N = float(cfg.param("eps", 0.2)), int(cfg.param("K", tau.K)), int(cfg.param("N", 4))
+    trials = int(cfg.param("trials", 50000))
+    _require(eps > 0 and 1 <= K <= tau.K and N >= 1 and trials >= 1,
+             f"hit-rate needs eps > 0, 1 <= K <= {tau.K} (the target's K), N >= 1 "
+             f"and trials >= 1")
+    est = microstate_hit_rate(tau, eps, K, N, trials, substream(cfg.seed, "hit-rate"))
     rec = {"kind": "hit-rate", "hits": est.hits, "trials": est.trials,
-           "iat": est.iat, "base_log_volume": est.base_log_volume,
+           "base_log_volume": est.base_log_volume,
            "log_volume": _est(est.log_volume) if est.log_volume else None}
     rows = ([(est.hits, est.trials, est.log_volume.value, est.log_volume.stderr)]
             if est.log_volume else [])
@@ -626,7 +635,7 @@ _KEYS = {
     "duality-check": ("targets", "fit"),
     "arcsine-demo": ("N", "R", "chain", "bins"),
     "compression-check": ("window", "N", "potential", "chain"),
-    "hit-rate": ("target", "eps", "K", "N", "steps", "burnin", "thin"),
+    "hit-rate": ("target", "eps", "K", "N", "trials"),
 }
 
 

@@ -335,7 +335,7 @@ def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
 
     def parts(mu):
         try:
-            total, qs = _log_heine_norms(x, logg - N * (feats @ mu), N)
+            total, qs, _ = _log_heine_norms(x, logg - N * (feats @ mu), N)
         except EstimatorError:
             return math.inf, None, None
         kdiag = (qs * qs).sum(axis=0)

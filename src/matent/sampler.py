@@ -2,16 +2,13 @@
 
 The reference measure is Lebesgue on the product of operator-norm balls
 { ||M_i|| <= R }; a model reweights it by exp(-beta N Tr V(M)) for a
-self-adjoint potential V. Sampling is random-walk Metropolis, tuned to a
-30-45% acceptance band during burn-in and frozen afterwards. For n >= 2 the
+self-adjoint potential V. For n >= 2 sampling is random-walk Metropolis,
+tuned to a 30-45% acceptance band during burn-in and frozen afterwards: the
 proposal adds a Gaussian Hermitian increment to every block and rejects
-outside the ball. For n == 1 the law is unitarily invariant, so the chain
-runs on the eigenvalue gas (Vandermonde-squared times the Gibbs weight) with
-single-site moves; matrices are materialized with fresh Haar eigenvectors,
-which is exact because eigenvectors are Haar independent of the spectrum.
-Full-matrix proposals are kept for n >= 2 only: near the hard walls the
-uniform spectrum packs against +-R and a global increment of size s moves
-the edge by s sqrt(N), which stalls at large N, while site moves do not.
+outside the ball. For n == 1 the draws are exact and i.i.d.: the law is
+unitarily invariant, its eigenvalues form a projection determinantal point
+process, and each spectrum is drawn point by point by rejection
+(:class:`_ExactSpectra`) and conjugated by a fresh Haar unitary.
 
 The normalizer I(beta) = integral of exp(-beta N Tr V) over the ball product
 is exact for n == 1: the eigenvalues form an orthogonal-polynomial ensemble,
@@ -21,11 +18,10 @@ a discretized Stieltjes procedure on Gauss-Legendre nodes. For n >= 2 it is
 estimated by thermodynamic integration along beta, anchored at the exact
 log-volume of the ball (Mehta/Selberg closed form).
 
-Energies N Tr V(M) come from one function, ``_Energy.from_state``: from the
-spectrum by ``polyval`` for a one-matrix state, otherwise through the word
-evaluator of :mod:`matent.ncpoly` (:meth:`NcPoly.evaluate`) on blocks of
-shape (..., N, N), so one call prices a single state or a whole stack (the
-orbital estimators and :func:`gibbs_entropy` pass stacks).
+Energies N Tr V(M) come from one function, ``_Energy.from_state``, through
+the word evaluator of :mod:`matent.ncpoly` (:meth:`NcPoly.evaluate`) on
+blocks of shape (..., N, N), so one call prices a single state or a whole
+stack (the orbital estimators and :func:`gibbs_entropy` pass stacks).
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .estimates import EstimatorError, ScalarEstimate, mean_with_batch_stderr
-from .matrices import MatrixTuple, haar_unitary, hermitize
+from .matrices import MatrixTuple, haar_unitary_batch, hermitize
 from .moments import MomentSpec, empirical_moments, moment_distance
 from .ncpoly import NcPoly
 
@@ -134,27 +130,16 @@ def _gue_increment(N: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class _Energy:
-    """Evaluates E(M) = N Tr V(M) on one state or on a stack of states.
-
-    With eigenvalues of a one-matrix state it is N sum_i V(l_i) by
-    ``polyval``; otherwise N Tr of :meth:`NcPoly.evaluate` on blocks of shape
-    (..., N, N), which gives energies of shape (...).
-    """
+    """Evaluates E(M) = N Tr V(M) on one state or on a stack of states:
+    N Tr of :meth:`NcPoly.evaluate` on blocks of shape (..., N, N), which
+    gives energies of shape (...)."""
 
     def __init__(self, n: int, N: int, potential: NcPoly):
         self.n = n
         self.N = N
-        self.set_potential(potential)
-
-    def set_potential(self, potential: NcPoly) -> None:
         self.potential = potential
-        self.is_zero = potential.is_zero()
-        self.coeffs = potential.scalar_coeffs() if self.n == 1 else None
 
-    def from_state(self, blocks: Optional[Sequence[np.ndarray]],
-                   eigs: Optional[Sequence[np.ndarray]] = None):
-        if eigs is not None and self.coeffs is not None:
-            return self.N * polyval(eigs[0], self.coeffs).sum(axis=-1)
+    def from_state(self, blocks: Sequence[np.ndarray]):
         return self.N * np.trace(self.potential.evaluate(blocks), axis1=-2, axis2=-1).real
 
     def from_samples(self, samples: Sequence[MatrixTuple]) -> np.ndarray:
@@ -165,55 +150,31 @@ class _Energy:
 class ChainEngine:
     """Random-walk Metropolis state for one Gibbs model.
 
-    Keeps the current state, its eigenvalues, and the current energy so
-    observables derived from them cost nothing extra. The model's beta or
+    Keeps the current blocks and their energy. The model's beta or
     potential can be swapped without discarding the state (used by annealed
-    thermodynamic integration and by iterative moment fitting).
-
-    For n == 1 the state is the eigenvalue vector and ``step`` performs one
-    Metropolis sweep over sites of the log-gas; ``blocks`` then materializes
-    a diagonal matrix on access and ``current_tuple`` draws fresh Haar
-    eigenvectors, so retained samples follow the matrix law exactly.
+    thermodynamic integration and by iterative moment fitting). Every step
+    proposes a joint Gaussian Hermitian increment of all blocks, for any n;
+    :func:`mcmc_chain` draws n == 1 samples exactly instead.
     """
 
     def __init__(self, model: GibbsModel, rng: np.random.Generator):
         self.model = model
         self.rng = rng
         N = model.N
-        self.spectral = model.n == 1
-        if self.spectral:
-            # distinct points: coincident eigenvalues have zero gas density
-            self.lam = np.linspace(-model.R / 2.0, model.R / 2.0, N)
-            self.eigs = [self.lam]
-            self.step_scale = model.R / N  # typical gas spacing
-        else:
-            self.blocks = [np.zeros((N, N), dtype=complex) for _ in range(model.n)]
-            self.eigs = [np.linalg.eigvalsh(b) for b in self.blocks]
-            self.step_scale = model.R / (2.0 * math.sqrt(N))
+        self.blocks = [np.zeros((N, N), dtype=complex) for _ in range(model.n)]
+        self.step_scale = model.R / (2.0 * math.sqrt(N))
         self._energy_fn = _Energy(model.n, model.N, model.potential)
-        self.energy = self._energy_fn.from_state(None if self.spectral else self.blocks,
-                                                 self.eigs)
+        self.energy = self._energy_fn.from_state(self.blocks)
         self.accepted = 0
         self.proposed = 0
-
-    @property
-    def blocks(self) -> List[np.ndarray]:
-        if self.spectral:
-            return [np.diag(self.lam).astype(complex)]
-        return self._blocks
-
-    @blocks.setter
-    def blocks(self, value: List[np.ndarray]) -> None:
-        self._blocks = value
 
     def set_beta(self, beta: float) -> None:
         self.model = self.model.with_beta(beta)
 
     def set_potential(self, potential: NcPoly) -> None:
         self.model = self.model.with_potential(potential)
-        self._energy_fn.set_potential(potential)
-        self.energy = self._energy_fn.from_state(None if self.spectral else self.blocks,
-                                                 self.eigs)
+        self._energy_fn.potential = potential
+        self.energy = self._energy_fn.from_state(self.blocks)
 
     def reset_counters(self) -> None:
         self.accepted = 0
@@ -224,70 +185,23 @@ class ChainEngine:
         return self.accepted / self.proposed if self.proposed else 0.0
 
     def step(self) -> float:
-        """Advance the chain once; returns the acceptance fraction of the move.
-
-        Matrix mode proposes a joint increment (0.0 or 1.0); spectral mode
-        sweeps all N sites and returns the fraction of accepted sites.
-        """
-        if self.spectral:
-            return self._sweep()
+        """Advance the chain once; returns 1.0 if the move was accepted, else 0.0."""
         model = self.model
         self.proposed += 1
         new_blocks = [b + self.step_scale * _gue_increment(model.N, self.rng)
-                      for b in self._blocks]
-        new_eigs = []
+                      for b in self.blocks]
         for b in new_blocks:
             lam = np.linalg.eigvalsh(b)
             if abs(lam[0]) > model.R or abs(lam[-1]) > model.R:
                 return 0.0
-            new_eigs.append(lam)
-        new_energy = self._energy_fn.from_state(new_blocks, new_eigs)
+        new_energy = self._energy_fn.from_state(new_blocks)
         log_ratio = -model.beta * (new_energy - self.energy)
         if log_ratio < 0 and math.log(self.rng.random()) >= log_ratio:
             return 0.0
         self.blocks = new_blocks
-        self.eigs = new_eigs
         self.energy = new_energy
         self.accepted += 1
         return 1.0
-
-    def _sweep(self) -> float:
-        """One single-site Metropolis sweep of the n == 1 eigenvalue gas.
-
-        The gas density is prod_{i<j} (l_i - l_j)^2 exp(-beta N sum_i V(l_i))
-        on [-R, R]^N. Site moves keep acceptance controlled by local gaps
-        rather than by the spectral edge, which is what lets the uniform
-        (beta = 0 or V = 0) ensemble mix at large N.
-        """
-        model = self.model
-        lam = self.lam
-        N = lam.size
-        bumps = self.step_scale * self.rng.standard_normal(N)
-        logu = np.log(self.rng.random(N))
-        # the potential's share of every site's log ratio; site i still holds
-        # its start-of-sweep value when it is visited
-        coeffs = self._energy_fn.coeffs
-        dv = model.beta * N * (polyval(lam + bumps, coeffs) - polyval(lam, coeffs))
-        accepted = 0
-        self.proposed += N
-        with np.errstate(divide="ignore"):
-            for i in range(N):
-                x_old = lam[i]
-                x_new = x_old + bumps[i]
-                if abs(x_new) > model.R:
-                    continue
-                diff_old = np.abs(x_old - lam)
-                diff_new = np.abs(x_new - lam)
-                diff_old[i] = 1.0
-                diff_new[i] = 1.0
-                log_ratio = 2.0 * float(np.log(diff_new).sum() - np.log(diff_old).sum()) - dv[i]
-                if log_ratio >= 0 or logu[i] < log_ratio:
-                    lam[i] = x_new
-                    accepted += 1
-        self.accepted += accepted
-        if accepted:
-            self.energy = self._energy_fn.from_state(None, self.eigs)
-        return accepted / N
 
     def run(self, steps: int, observe: Optional[Callable[["ChainEngine"], None]] = None,
             every: int = 1) -> None:
@@ -312,70 +226,55 @@ class ChainEngine:
             self.step_scale *= min(max(factor, 0.6), 1.6)
             done += chunk
 
-    def current_tuple(self) -> MatrixTuple:
-        if self.spectral:
-            u = haar_unitary(self.model.N, self.rng)
-            b = hermitize((u * self.lam) @ u.conj().T)
-            return MatrixTuple(1, self.model.N, self.model.R, (b,))
-        return MatrixTuple(self.model.n, self.model.N, self.model.R,
-                           tuple(hermitize(b) for b in self._blocks))
-
-    def tracked_value(self) -> float:
-        """Scalar time series used for diagnostics: the energy when the
-        potential is nonzero, else the second moment of the first block."""
-        if not self._energy_fn.is_zero:
-            return self.energy
-        return float(np.mean(self.eigs[0] ** 2))
-
 
 def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
                rng: np.random.Generator = None,
                record_path: Optional[str] = None) -> Tuple[List[MatrixTuple], ChainDiagnostics]:
-    """Run a Metropolis chain and retain every ``thin``-th post-burn-in state.
+    """Samples of a Gibbs model: every ``thin``-th state of a Metropolis
+    chain, or for n == 1 ``steps // thin`` exact i.i.d. draws.
 
-    The step size adapts during the first 80% of burn-in and is frozen for
-    the rest of the run, so retained samples come from a fixed kernel.
-    Diagnostics (acceptance, autocorrelation time, effective sample size) are
-    computed on the retained series of the tracked scalar.
+    For n >= 2 the step size adapts during the first 80% of ``burnin`` steps
+    and is then frozen, so retained samples come from a fixed kernel. For
+    n == 1 (:class:`_ExactSpectra`) ``burnin`` is unused, ``step_scale`` is 0
+    and ``acceptance`` is that of the rejection proposals. The IAT (about 1
+    for exact draws) and ESS are measured on the retained tracked series.
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
     if steps < 1 or burnin < 0 or thin < 1:
         raise ValueError("need steps >= 1, burnin >= 0, thin >= 1")
-    engine = ChainEngine(model, rng)
-    engine.tune(int(burnin * 0.8))
-    engine.run(burnin - int(burnin * 0.8))
-    engine.reset_counters()
-
-    samples: List[MatrixTuple] = []
-    series: List[float] = []
-    sink = open(record_path, "a") if record_path else None
-    try:
+    if model.n == 1:
+        lam, acceptance = _ExactSpectra(model).draw(steps // thin, rng)
+        us = haar_unitary_batch(lam.shape[0], model.N, rng)
+        samples = [MatrixTuple(1, model.N, model.R, (hermitize((u * x) @ u.conj().T),))
+                   for u, x in zip(us, lam)]
+        step_scale = 0.0
+    else:
+        engine = ChainEngine(model, rng)
+        engine.tune(int(burnin * 0.8))
+        engine.run(burnin - int(burnin * 0.8))
+        engine.reset_counters()
+        samples = []
         for i in range(steps):
             engine.step()
             if (i + 1) % thin == 0:
-                t = engine.current_tuple()
-                samples.append(t)
-                series.append(engine.tracked_value())
-                if sink is not None:
-                    rec = {"step": i + 1, "tracked": series[-1], "state": json.loads(t.to_json())}
-                    sink.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if sink is not None:
-            sink.close()
+                samples.append(MatrixTuple(model.n, model.N, model.R,
+                                           tuple(hermitize(b) for b in engine.blocks)))
+        acceptance, step_scale = engine.acceptance, engine.step_scale
+    # the tracked scalar: the energy, or (1/N) Tr X_1^2 for the zero potential
+    tracked = "m2" if model.potential.is_zero() else "energy"
+    series = ([np.vdot(t.blocks[0], t.blocks[0]).real / model.N for t in samples]
+              if tracked == "m2" or not samples
+              else _Energy(model.n, model.N, model.potential).from_samples(samples))
+    if record_path:
+        with open(record_path, "a") as sink:
+            for k, (t, v) in enumerate(zip(samples, series)):
+                rec = {"step": (k + 1) * thin, "tracked": v, "state": json.loads(t.to_json())}
+                sink.write(json.dumps(rec, sort_keys=True) + "\n")
     iat = integrated_autocorrelation_time(series)
-    diag = ChainDiagnostics(
-        acceptance=engine.acceptance,
-        step_scale=engine.step_scale,
-        iat=iat,
-        ess=len(series) / iat,
-        steps=steps,
-        burnin=burnin,
-        thin=thin,
-        retained=len(samples),
-        tracked="energy" if not model.potential.is_zero() else "m2",
-    )
-    return samples, diag
+    return samples, ChainDiagnostics(
+        acceptance=acceptance, step_scale=step_scale, iat=iat, ess=len(series) / iat,
+        steps=steps, burnin=burnin, thin=thin, retained=len(samples), tracked=tracked)
 
 
 def log_ball_volume(N: int, R: float) -> float:
@@ -395,7 +294,8 @@ def log_ball_volume(N: int, R: float) -> float:
     )
 
 
-def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int) -> Tuple[float, np.ndarray]:
+def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int
+                     ) -> Tuple[float, np.ndarray, Tuple[float, np.ndarray, np.ndarray]]:
     """Sum of log h_k, k < N, for the discrete measure sum_j exp(logw_j) delta_{x_j}.
 
     h_k is the squared norm of the k-th monic orthogonal polynomial. The
@@ -405,26 +305,29 @@ def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int) -> Tuple[float, np
     first, which scales every h_k by the same factor, added back here.
     The vectors are returned too, as the rows of an (N, M) array: they give
     the eigenvalue kernel K(x, y) = sum_k q_k(x) q_k(y) of the N-point
-    ensemble on the nodes.
+    ensemble on the nodes. So are the recurrence itself, (log h_0, a, b):
+    x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1} with a[k] = a_k and
+    b[k] = b_{k+1} for k < N - 1, which evaluates the p_k anywhere.
     """
     shift = float(logw.max())
     q = np.exp(0.5 * (logw - shift))
     h0 = float(q @ q)
     qs = np.empty((N, x.size))
     qs[0] = q / math.sqrt(h0)
-    b = 0.0
+    a = np.empty(N - 1)
+    b = np.empty(N - 1)
     total = N * (shift + math.log(h0))
     for k in range(1, N):
         q = qs[k - 1]
-        a = float((x * q) @ q)
-        r = (x - a) * q - (b * qs[k - 2] if k > 1 else 0.0)
-        b = float(np.linalg.norm(r))
-        if not b > 0.0:
+        a[k - 1] = (x * q) @ q
+        r = (x - a[k - 1]) * q - (b[k - 2] * qs[k - 2] if k > 1 else 0.0)
+        b[k - 1] = np.linalg.norm(r)
+        if not b[k - 1] > 0.0:
             raise EstimatorError(
                 f"quadrature weight has fewer than N = {N} resolved nodes")
-        total += 2.0 * (N - k) * math.log(b)
-        qs[k] = r / b
-    return total, qs
+        total += 2.0 * (N - k) * math.log(b[k - 1])
+        qs[k] = r / b[k - 1]
+    return total, qs, (shift + math.log(h0), a, b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -501,6 +404,104 @@ def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
     return ScalarEstimate(log_ball_volume(N, R) + coarse, 0.0, M, abs(coarse - fine))
 
 
+# the envelope of the exact sampler: uniform cells per eigenvalue, kernel
+# values sampled per cell, and the margin over the largest of them
+ENV_CELLS = 16
+ENV_SAMPLES = 8
+ENV_MARGIN = 1.1
+
+
+class _ExactSpectra:
+    """Exact i.i.d. spectra of a one-matrix model (Hough, Krishnapur, Peres
+    & Virag 2006).
+
+    The eigenvalues form a projection determinantal point process with
+    kernel K(s, t) = phi(s) . phi(t), phi_k = sqrt(w) p_k, for the weight
+    w = exp(-beta N V) on [-R, R]; the p_k come from the Jacobi recurrence
+    that :func:`_log_heine_norms` returns on as many Gauss-Legendre nodes as
+    :func:`_heine_log_I` needs to converge (at least the exact fit's).
+    Points are drawn one at a time: given an orthonormal basis E of the phi
+    of the i points drawn so far, the next has density
+    |(I - E E^T) phi(t)|^2 / (N - i). It is drawn by rejection from a
+    piecewise-constant envelope env >= K(t, t) on ENV_CELLS N uniform cells,
+    ENV_MARGIN times the largest of ENV_SAMPLES + 1 kernel values per cell. A
+    proposal with K(t, t) > env raises :class:`EstimatorError` rather than
+    biasing the draw.
+    """
+
+    def __init__(self, model: GibbsModel):
+        N, R = model.N, model.R
+        self.N, self.R = N, R
+        self.scale = model.beta * N
+        self.coeffs = model.potential.scalar_coeffs()
+        # as many nodes as log I needs to converge
+        log_i = _heine_log_I(model)
+        if not log_i.bias_bound <= 1e-8:
+            raise EstimatorError(f"{log_i.count} quadrature nodes do not resolve the weight")
+        x, logg = _legendre_nodes(log_i.count, R)
+        _, _, (self.log_h0, self.a, self.b) = _log_heine_norms(
+            x, logg - self.scale * polyval(x, self.coeffs), N)
+        cells = ENV_CELLS * N
+        k = np.sum(self.phi(np.linspace(-R, R, cells * ENV_SAMPLES + 1)) ** 2, axis=-1)
+        peak = np.maximum(k[:-1].reshape(cells, ENV_SAMPLES).max(axis=1), k[ENV_SAMPLES::ENV_SAMPLES])
+        self.env = ENV_MARGIN * peak
+        self.width = 2.0 * R / cells
+        self.cdf = np.cumsum(self.env)
+        self.mass = float(self.cdf[-1]) * self.width
+        self.cdf /= self.cdf[-1]
+
+    def phi(self, t: np.ndarray) -> np.ndarray:
+        """phi_k(t), k < N, along a new last axis."""
+        # the extra last row stays 0 and stands in for phi_{-1}
+        out = np.zeros((self.N + 1,) + t.shape)
+        out[0] = np.exp(-0.5 * (self.scale * polyval(t, self.coeffs) + self.log_h0))
+        for k in range(1, self.N):
+            out[k] = ((t - self.a[k - 1]) * out[k - 1] - self.b[k - 2] * out[k - 2]) / self.b[k - 1]
+        return np.moveaxis(out[:-1], 0, -1)
+
+    def draw(self, count: int, rng: np.random.Generator) -> Tuple[np.ndarray, float]:
+        """``count`` spectra as the rows of a (count, N) array, and the
+        fraction of proposals accepted."""
+        N = self.N
+        lam = np.empty((count, N))
+        proposed = 0
+        batch = max(1, 2 ** 19 // (N * N))
+        for lo in range(0, count, batch):
+            size = min(batch, count - lo)
+            basis = np.zeros((size, N, N))
+            for i in range(N):
+                per = math.ceil(1.5 * self.mass / (N - i))
+                todo = np.arange(size)
+                while todo.size:
+                    # cdf[-1] is exactly 1, so every cell drawn has env > 0
+                    cell = np.searchsorted(self.cdf, rng.random((todo.size, per)), "right")
+                    t = -self.R + (cell + rng.random(cell.shape)) * self.width
+                    ph = self.phi(t)
+                    k = np.sum(ph ** 2, axis=-1)
+                    env = self.env[cell]
+                    if np.any(k > env):
+                        raise EstimatorError(
+                            f"the sampling envelope misses the kernel at "
+                            f"t = {t[k > env][0]:.6g} (N = {N}, R = {self.R})")
+                    e = basis[todo, :i]
+                    c = ph @ np.swapaxes(e, 1, 2)
+                    ok = rng.random(cell.shape) * env < k - np.sum(c ** 2, axis=-1)
+                    hit = ok.any(axis=1)
+                    first = ok.argmax(axis=1)
+                    proposed += int(np.where(hit, first + 1, per).sum())
+                    rows = np.flatnonzero(hit)
+                    j = first[rows]
+                    lam[lo + todo[rows], i] = t[rows, j]
+                    if i < N - 1:
+                        # Gram-Schmidt twice keeps the basis orthonormal
+                        e = e[rows]
+                        v = ph[rows, j] - np.einsum("ri,rin->rn", c[rows, j], e)
+                        v -= np.einsum("ri,rin->rn", np.einsum("rin,rn->ri", e, v), e)
+                        basis[todo[rows], i] = v / np.linalg.norm(v, axis=1, keepdims=True)
+                    todo = todo[~hit]
+        return lam, count * N / proposed if proposed else 1.0
+
+
 @dataclass(frozen=True)
 class TIOptions:
     """Budget for thermodynamic integration over beta; the keys of a ``ti:`` section.
@@ -517,7 +518,7 @@ class TIOptions:
     node_steps: int = 2000
 
 
-def _ti_sweep(model: GibbsModel, grid: np.ndarray, node_burnin: int,
+def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
               node_steps: int, rng: np.random.Generator,
               forward: bool) -> Tuple[float, float, float]:
     """One annealed pass over the beta grid: (integral, stderr, disc bound).
@@ -619,9 +620,9 @@ def _ti_log_I(model: GibbsModel, opts: Optional[TIOptions],
     grid = model.beta * np.linspace(0.0, 1.0, opts.nodes) ** 2.5
 
     per_node = max(2, opts.node_steps // 2)
-    sweeps = [_ti_sweep(model, grid, opts.node_burnin, per_node, rng, forward)
+    passes = [_ti_pass(model, grid, opts.node_burnin, per_node, rng, forward)
               for forward in (True, False)]
-    integrals, ses, discs = np.array(sweeps).T
+    integrals, ses, discs = np.array(passes).T
     integral = float(integrals.mean())
     se = math.sqrt(float(np.mean(ses ** 2)) / 2)
     spread = float(integrals.std(ddof=1) / math.sqrt(2))
@@ -663,43 +664,31 @@ class MicrostateEstimate:
     log_volume: Optional[ScalarEstimate]
     hits: int
     trials: int
-    iat: float
     base_log_volume: float
 
 
 def microstate_hit_rate(tau: MomentSpec, eps: float, K: int, N: int,
-                        steps: int, rng: np.random.Generator,
-                        burnin: int = 2000, thin: int = 4) -> MicrostateEstimate:
+                        trials: int, rng: np.random.Generator) -> MicrostateEstimate:
     """Estimate the log-volume of matrix tuples with moments eps-close to tau.
 
-    Runs the uniform-ensemble chain at size N and counts states whose
-    empirical moments are within eps of tau in the max-over-monomials
-    distance (degree <= K). The binomial stderr is widened by the
-    autocorrelation time of the hit indicator series.
+    Draws ``trials`` tuples of the uniform ensemble at size N, whose blocks
+    are independent exact draws (see :func:`mcmc_chain`), and counts those
+    whose empirical moments are within eps of tau in the max-over-monomials
+    distance (degree <= K). The hits are binomial, and so is the stderr.
     """
-    if not (eps > 0) or K < 1 or K > tau.K:
-        raise ValueError("need eps > 0 and 1 <= K <= tau.K")
-    model = GibbsModel(tau.n, N, tau.R, NcPoly.zero(tau.n), 0.0)
-    engine = ChainEngine(model, rng)
-    engine.tune(int(burnin * 0.8))
-    engine.run(burnin - int(burnin * 0.8))
+    if not (eps > 0) or K < 1 or K > tau.K or trials < 1:
+        raise ValueError("need eps > 0, 1 <= K <= tau.K and trials >= 1")
+    model = GibbsModel(1, N, tau.R, NcPoly.zero(1), 0.0)
     hits = 0
-    flags = np.empty(max(steps // thin, 1))
-    trials = 0
-    for i in range(steps):
-        engine.step()
-        if (i + 1) % thin == 0:
-            m = empirical_moments(engine.blocks, K, tau.R)
-            hit = moment_distance(m, tau, K) < eps
-            flags[trials] = hit
-            trials += 1
-            hits += bool(hit)
-    flags = flags[:trials]
-    iat = integrated_autocorrelation_time(flags) if hits not in (0, trials) else 1.0
+    for lo in range(0, trials, 4096):
+        size = min(4096, trials - lo)
+        draws, _ = mcmc_chain(model, tau.n * size, 0, 1, rng)
+        hits += sum(moment_distance(empirical_moments(
+            [t.blocks[0] for t in draws[i::size]], K, tau.R), tau, K) < eps
+            for i in range(size))
     base = tau.n * log_ball_volume(N, tau.R)
     if hits == 0:
-        return MicrostateEstimate(None, 0, trials, iat, base)
+        return MicrostateEstimate(None, 0, trials, base)
     p = hits / trials
-    se_p = math.sqrt(p * (1 - p) / (trials / iat)) if hits < trials else 0.0
-    est = ScalarEstimate(base + math.log(p), se_p / p, trials)
-    return MicrostateEstimate(est, hits, trials, iat, base)
+    est = ScalarEstimate(base + math.log(p), math.sqrt((1 - p) / (p * trials)), trials)
+    return MicrostateEstimate(est, hits, trials, base)

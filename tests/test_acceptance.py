@@ -169,9 +169,8 @@ def test_criterion_06_hit_rate_below_rho():
     ok = True
     details = []
     for N in (2, 4):
-        hit = microstate_hit_rate(tau, eps=0.2, K=2, N=N, steps=40000,
-                                  rng=np.random.default_rng(600 + N),
-                                  burnin=2000, thin=4)
+        hit = microstate_hit_rate(tau, eps=0.2, K=2, N=N, trials=10000,
+                                  rng=np.random.default_rng(600 + N))
         fit = rho(tau, N, 2, eps=0.2, opts=RECIPE, rng=np.random.default_rng(650 + N))
         n2 = N * N
         lhs, lse = hit.log_volume.value / n2, hit.log_volume.stderr / n2
@@ -278,8 +277,8 @@ def test_criterion_11_compression_entropy_shift():
     pushed = -float(np.trapezoid(q * np.log(np.maximum(q, 1e-300)), ygrid))
     quad_ok = abs(pushed - lhs) <= 1e-3
 
-    # N = 4: matrix-side divided-difference Jacobian on chain samples vs the
-    # spectral formula on an independent eigenvalue-gas chain
+    # N = 4: matrix-side divided-difference Jacobian on exact draws vs the
+    # spectral formula on an independent eigenvalue-gas chain (tests/oracles.py)
     N = 4
     pot = NcPoly(1, {(1,): 0.5, (1, 1): -0.6, (1, 1, 1, 1): 0.2})
     samples, diag = mcmc_chain(GibbsModel(1, N, 2.0, pot, 1.0), steps=12000,

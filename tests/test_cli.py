@@ -158,10 +158,26 @@ def test_main_is_deterministic_per_seed(tmp_path):
     assert outs[0] != outs[2]
 
 
-def test_main_exit_codes(tmp_path, monkeypatch):
+# configs whose values are out of range; each used to end in a traceback
+OUT_OF_RANGE = [
+    {"kind": "arcsine-demo", "N": 0},
+    {"kind": "compression-check", "N": 0, "window": {"T": 2.0, "R": 1.6, "S": 1.0}},
+    {"kind": "sample", "model": {"n": 1, "N": 0, "R": 2.0}},
+    {"kind": "hit-rate", "target": {"name": "arcsine", "K": 2}, "K": 4},
+    {"kind": "arcsine-demo", "N": 4, "chain": {"steps": "abc"}},
+    {"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0}, "chain": {"steps": 5, "thin": 10}},
+]
+
+
+def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["--config", str(tmp_path / "missing.yaml")]) == 2
     bad = write_yaml(tmp_path / "bad.yaml", {"kind": "nope", "seed": 1})
     assert main(["--config", bad]) == 2
+    for i, doc in enumerate(OUT_OF_RANGE):
+        capsys.readouterr()
+        path = write_yaml(tmp_path / f"r{i}.yaml", dict(doc, seed=1))
+        assert main(["--config", path, "--out", str(tmp_path / f"r{i}")]) == 2, doc
+        assert "config error" in capsys.readouterr().err
 
     cfg = write_yaml(tmp_path / "v.yaml", dict(VOLUME_DOC))
 
@@ -241,6 +257,11 @@ END_TO_END = {
         {"kind", "N", "R", "m2_over_R2", "m4_over_R4", "expected_m2_over_R2",
          "expected_m4_over_R4", "diagnostics"},
         {"spectrum": "bin_lo\tbin_hi\tcount\tarcsine_density"}),
+    "hit-rate": (
+        {"kind": "hit-rate", "target": {"name": "arcsine", "K": 2}, "N": 2, "K": 2,
+         "eps": 0.2, "trials": 10000},
+        {"kind", "hits", "trials", "base_log_volume", "log_volume"},
+        {"hit_rate": "hits\ttrials\tlog_volume\tstderr"}),
     "compression-check": (
         {"kind": "compression-check", "N": 3, "window": {"T": 2.0, "R": 1.6, "S": 1.0},
          "potential": {"name": "quadratic", "c": 0.5}, "chain": TINY_CHAIN},

@@ -10,9 +10,11 @@ from matent.estimates import EstimatorError
 from matent.matrices import MatrixTuple
 from matent.moments import arcsine_moments, empirical_moments
 from matent.ncpoly import NcPoly
-from matent.sampler import (ChainEngine, GibbsModel, TIOptions, _heine_log_I, _ti_log_I,
-                            estimate_log_I, gibbs_entropy, integrated_autocorrelation_time,
-                            log_ball_volume, mcmc_chain, microstate_hit_rate)
+from matent import sampler
+from matent.sampler import (GibbsModel, TIOptions, _Energy, _ExactSpectra, _heine_log_I,
+                            _legendre_nodes, _log_heine_norms, _ti_log_I, estimate_log_I,
+                            gibbs_entropy, integrated_autocorrelation_time, log_ball_volume,
+                            mcmc_chain, microstate_hit_rate)
 from matent.streams import substream
 
 
@@ -87,7 +89,8 @@ def test_chain_detailed_balance_scalar_ks():
 
 
 def test_chain_acceptance_in_band_and_diagnostics():
-    model = GibbsModel(1, 8, 2.0, NcPoly.zero(1), 0.0)
+    # the tuned acceptance band belongs to the matrix-mode chain (n >= 2)
+    model = GibbsModel(2, 4, 2.0, NcPoly.zero(2), 0.0)
     samples, diag = mcmc_chain(model, 6000, 1500, 5, rng=substream(9, "diag"))
     assert 0.2 <= diag.acceptance <= 0.55
     assert diag.retained == len(samples)
@@ -102,20 +105,6 @@ def test_chain_record_path(tmp_path):
                             record_path=path)
     lines = [json.loads(line) for line in open(path)]
     assert len(lines) == len(samples)
-
-
-def test_energy_eigenvalue_path_matches_matrix_path():
-    # n=1 potentials evaluate through eigenvalues; cross-check against the
-    # generic trace route on the same state
-    pot = NcPoly(1, {(1,): -0.3, (1, 1): 0.7, (1, 1, 1, 1): 0.1})
-    model = GibbsModel(1, 6, 2.0, pot, 1.0)
-    engine = ChainEngine(model, substream(11, "energy"))
-    engine.run(200)
-    m = engine.blocks[0]
-    # E = N * (unnormalized trace of V) = N^2 * normalized trace
-    want = 6.0 * float(np.trace(-0.3 * m + 0.7 * (m @ m)
-                                + 0.1 * np.linalg.matrix_power(m, 4)).real)
-    assert engine.energy == pytest.approx(want, rel=1e-10)
 
 
 def test_estimate_log_i_exact_cases():
@@ -229,10 +218,10 @@ def test_ti_needs_two_beta_nodes():
                   substream(0, "ti-nodes"))
 
 
-def test_gas_sweep_energy_matches_exact_derivative():
+def test_exact_draws_energy_matches_exact_derivative():
     # d/dt log I(tV) = -E[N Tr V] at t = 1; the potential is scaled instead
-    # of beta, which may not exceed 1. The n = 1 sweep's potential term is
-    # then checked against Heine's exact route.
+    # of beta, which may not exceed 1. The mean energy of exact n = 1 draws
+    # is then checked against Heine's exact route.
     N = 8
     pot = _scalar_poly([0.0, 0.2, 0.5, 0.0, 0.25])
 
@@ -244,15 +233,11 @@ def test_gas_sweep_energy_matches_exact_derivative():
     d_wide, _ = slope(2e-3)
     # central differences err by O(h^2): the h and 2h values differ by 3x that
     want, diff_err = -d, abs(d - d_wide) / 3 + quad_err
-    engine = ChainEngine(GibbsModel(1, N, 2.0, pot, 1.0), substream(21, "sweep-dv"))
-    engine.tune(1000)
-    engine.run(500)
-    series = np.empty(15000)
-    for i in range(series.size):
-        engine.step()
-        series[i] = engine.energy
-    se = math.sqrt(series.var(ddof=1) * integrated_autocorrelation_time(series) / series.size)
-    print(f"chain {series.mean():.4f} +- {se:.4f}, exact {want:.4f} (+- {diff_err:.1e})")
+    model = GibbsModel(1, N, 2.0, pot, 1.0)
+    samples, _ = mcmc_chain(model, 4000, 0, 1, rng=substream(21, "sweep-dv"))
+    series = _Energy(1, N, pot).from_samples(samples)
+    se = math.sqrt(series.var(ddof=1) / series.size)
+    print(f"draws {series.mean():.4f} +- {se:.4f}, exact {want:.4f} (+- {diff_err:.1e})")
     assert abs(series.mean() - want) <= 3 * se + diff_err
 
 
@@ -284,8 +269,7 @@ def test_gibbs_entropy_scalar_matches_quadrature():
 
 def test_hit_rate_counts_and_volume():
     tau = arcsine_moments(2.0, 2)
-    est = microstate_hit_rate(tau, 0.25, 2, 2, 30000, substream(15, "hit"),
-                              burnin=1500, thin=4)
+    est = microstate_hit_rate(tau, 0.25, 2, 2, 7500, substream(15, "hit"))
     assert est.trials > 0
     assert est.hits > 0
     assert est.base_log_volume == pytest.approx(log_ball_volume(2, 2.0))
@@ -295,8 +279,7 @@ def test_hit_rate_counts_and_volume():
 def test_hit_rate_zero_hits_returns_none():
     # an impossible target: second moment at the norm bound cap
     tau = arcsine_moments(2.0, 2)
-    est = microstate_hit_rate(tau, 1e-9, 2, 2, 2000, substream(16, "miss"),
-                              burnin=200, thin=4)
+    est = microstate_hit_rate(tau, 1e-9, 2, 2, 500, substream(16, "miss"))
     assert est.hits == 0
     assert est.log_volume is None
 
@@ -333,3 +316,60 @@ def test_estimate_log_i_monotone_in_beta():
     slack = 3 * math.hypot(lo.stderr, hi.stderr) + lo.bias_bound + hi.bias_bound
     assert hi.value <= lo.value + slack
     assert hi.value < lo.value  # strict at this coupling strength
+
+
+def _kernel_on_nodes(model):
+    """Eigenvalue kernel rows Q (q_k on the nodes) of an n = 1 model, and the nodes."""
+    x, logg = _legendre_nodes(_heine_log_I(model).count, model.R)
+    logw = logg - model.beta * model.N * np.polynomial.polynomial.polyval(
+        x, model.potential.scalar_coeffs())
+    return x, _log_heine_norms(x, logw, model.N)[1]
+
+
+EXACT_CASES = [GibbsModel(1, 16, 2.0, NcPoly.zero(1), 0.0),
+               GibbsModel(1, 8, 2.0, _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.4]), 1.0)]
+
+
+@pytest.mark.parametrize("model", EXACT_CASES, ids=["uniform-16", "quartic-8"])
+def test_exact_draws_match_kernel_moments(model):
+    # one-point: E tr X^p = (1/N) sum_x x^p K(x, x); two-point: Var Tr f(X) =
+    # sum_x f^2 K(x, x) - ||Q diag(f) Q^T||_F^2, which a wrong pair law misses
+    x, qs = _kernel_on_nodes(model)
+    kdiag = (qs * qs).sum(axis=0)
+    lam, acceptance = _ExactSpectra(model).draw(3000, substream(30, "kernel", model.N))
+    assert 0.0 < acceptance < 1.0
+    zs = []
+    for p in (1, 2, 4):
+        vals = np.mean(lam ** p, axis=1)
+        want = float(x ** p @ kdiag) / model.N
+        zs.append((vals.mean() - want) / (vals.std(ddof=1) / math.sqrt(vals.size)))
+    for p in (1, 2):
+        traces = np.sum(lam ** p, axis=1)
+        f = x ** p
+        a = (qs * f) @ qs.T
+        want = float(f * f @ kdiag) - float(np.sum(a * a))
+        dev2 = (traces - traces.mean()) ** 2
+        zs.append((dev2.mean() - want) / (dev2.std(ddof=1) / math.sqrt(dev2.size)))
+    print("z", np.round(zs, 2))
+    assert np.max(np.abs(zs)) <= 4.0
+
+
+@pytest.mark.parametrize("model", EXACT_CASES + [
+    GibbsModel(1, 64, 2.0, NcPoly.zero(1), 0.0),
+    GibbsModel(1, 16, 4.0, _scalar_poly([0.0, 0.0, 10.0]), 1.0)],
+    ids=["uniform-16", "quartic-8", "uniform-64", "narrow-16"])
+def test_exact_envelope_dominates_kernel_on_finer_grid(model):
+    spectra = _ExactSpectra(model)
+    t = np.linspace(-model.R, model.R, 16 * sampler.ENV_SAMPLES * spectra.env.size + 1)
+    cell = np.minimum(((t + model.R) / spectra.width).astype(int), spectra.env.size - 1)
+    k = np.sum(spectra.phi(t) ** 2, axis=-1)
+    assert np.all(k <= spectra.env[cell])
+    # the phi_k are orthonormal, so the kernel diagonal integrates to N
+    assert np.trapezoid(k, t) == pytest.approx(model.N, rel=1e-4)
+
+
+def test_exact_draws_raise_below_a_shrunken_envelope(monkeypatch):
+    monkeypatch.setattr(sampler, "ENV_MARGIN", 0.5)
+    spectra = _ExactSpectra(GibbsModel(1, 8, 2.0, NcPoly.zero(1), 0.0))
+    with pytest.raises(EstimatorError, match="envelope"):
+        spectra.draw(50, substream(31, "shrunk"))
