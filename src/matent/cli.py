@@ -167,7 +167,7 @@ def build_potential(params: Optional[Dict], n: int) -> NcPoly:
     name = _known(params, ("name", "c"), "potential").get("name")
     if name == "zero":
         return NcPoly.zero(n)
-    c = float(params.get("c", 1.0))
+    c = _checked(float, params.get("c", 1.0))
     if name == "quadratic":
         p = NcPoly.zero(n)
         for i in range(1, n + 1):
@@ -199,10 +199,10 @@ def build_target(params: Dict) -> MomentSpec:
     name = params.get("name")
     _require(name in _TARGET_KEYS, f"unknown target {name!r}")
     _known(params, _TARGET_KEYS[name], f"{name} target")
-    K = int(params.get("K", 4))
+    K = _checked(int, params.get("K", 4))
     if name == "arcsine":
-        return arcsine_moments(float(params.get("R", 2.0)), K)
-    half = semicircle_moments(float(params.get("variance", 1.0)), K,
+        return arcsine_moments(_checked(float, params.get("R", 2.0)), K)
+    half = semicircle_moments(_checked(float, params.get("variance", 1.0)), K,
                               radius=params.get("radius"))
     return half if name == "semicircle" else free_product_moments([half, half], K)
 
@@ -212,17 +212,19 @@ def build_model(params: Dict) -> GibbsModel:
     _known(params, ("n", "N", "R", "potential", "beta"), "model")
     for key in ("n", "N", "R"):
         _require(key in params, f"model needs {key}")
-    n = int(params["n"])
-    return _checked(GibbsModel, n, int(params["N"]), float(params["R"]),
+    n = _checked(int, params["n"])
+    return _checked(GibbsModel, n, _checked(int, params["N"]), _checked(float, params["R"]),
                     build_potential(params.get("potential"), n),
-                    float(params.get("beta", 1.0)))
+                    _checked(float, params.get("beta", 1.0)))
 
 
 def _checked(cls, *args, **kwargs):
-    """``cls(*args, **kwargs)``, its argument checks reported as config errors."""
+    """``cls(*args, **kwargs)``, its argument checks reported as config errors;
+    ``cls`` is a constructor or a conversion of a config value, such as ``int``
+    (which raises TypeError on a null or a list)."""
     try:
         return cls(*args, **kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
 
@@ -240,7 +242,8 @@ def _options(cls, params: Optional[Dict], section: str):
     for k, v in (params or {}).items():
         _require(k in cls.__dataclass_fields__, f"unknown {section} option {k!r}")
         default = getattr(defaults, k)
-        fields[k] = _options(type(default), v, k) if is_dataclass(default) else type(default)(v)
+        fields[k] = (_options(type(default), v, k) if is_dataclass(default)
+                     else _checked(type(default), v))
     return replace(defaults, **fields)
 
 
@@ -276,7 +279,7 @@ def _orbital_requests(cfg: ExperimentConfig, couplings: Optional[Sequence],
     """(c, request) per coupling c, whose potential is c (X1 - X2)^2, or (None,
     request) for the model as given; budget keys default to ``defaults``, else
     to :class:`OrbitalRequest`'s."""
-    budget = {k: int(cfg.param(k, defaults.get(k, getattr(OrbitalRequest, k))))
+    budget = {k: _checked(int, cfg.param(k, defaults.get(k, getattr(OrbitalRequest, k))))
               for k in ("s_out", "s_in", "chain_burnin", "chain_thin")}
     out = []
     for c in [None] if couplings is None else couplings:
@@ -314,7 +317,7 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> List:
 def _run_volume(cfg: ExperimentConfig):
     sizes = cfg.param("sizes") or [cfg.param("N")]
     _require(all(isinstance(s, int) for s in sizes), "volume needs N or sizes (ints)")
-    R = float(cfg.param("R", 1.0))
+    R = _checked(float, cfg.param("R", 1.0))
     results = []
     rows = []
     for N in sizes:
@@ -326,7 +329,7 @@ def _run_volume(cfg: ExperimentConfig):
 
 def _run_sample(cfg: ExperimentConfig):
     model = build_model(cfg.param("model", {}))
-    K = int(cfg.param("K", 4))
+    K = _checked(int, cfg.param("K", 4))
     samples, diag = _chain(cfg, model, "sample", record_path=cfg.param("record_file"))
     specs = [empirical_moments(t, K) for t in samples]
     words = [w for w in specs[0].class_reps if w]
@@ -336,7 +339,7 @@ def _run_sample(cfg: ExperimentConfig):
         mrows.append((".".join(map(str, w)), float(vals.real.mean()),
                       float(vals.imag.mean()),
                       float(vals.real.std(ddof=1) / math.sqrt(len(vals)))))
-    hist = _histogram(_spectrum(samples), int(cfg.param("bins", 40)), -model.R, model.R)
+    hist = _histogram(_spectrum(samples), _checked(int, cfg.param("bins", 40)), -model.R, model.R)
     result = {"kind": "sample", "diagnostics": asdict(diag),
               "moments": [{"word": r[0], "re": r[1], "im": r[2], "stderr": r[3]}
                           for r in mrows]}
@@ -348,9 +351,9 @@ def _run_sample(cfg: ExperimentConfig):
 
 def _fit_common(cfg: ExperimentConfig) -> Tuple[FitResult, int, int]:
     tau = build_target(cfg.param("target", {}))
-    N = int(cfg.param("N", 8))
-    K = int(cfg.param("K", tau.K))
-    fit = fit_projection(tau, N, K, eps=float(cfg.param("eps", 0.0)),
+    N = _checked(int, cfg.param("N", 8))
+    K = _checked(int, cfg.param("K", tau.K))
+    fit = fit_projection(tau, N, K, eps=_checked(float, cfg.param("eps", 0.0)),
                          opts=_fit_options(cfg.param("fit")),
                          rng=substream(cfg.seed, "fit", N))
     return fit, N, K
@@ -411,8 +414,8 @@ def _run_chi_tilde(cfg: ExperimentConfig):
     tau = build_target(cfg.param("target", {}))
     sizes = cfg.param("sizes")
     _require(isinstance(sizes, list) and sizes, "chi-tilde needs a sizes list")
-    K = int(cfg.param("K", tau.K))
-    eps = float(cfg.param("eps", 0.0))
+    K = _checked(int, cfg.param("K", tau.K))
+    eps = _checked(float, cfg.param("eps", 0.0))
     opts = _fit_options(cfg.param("fit"))
     ref = cfg.param("reference_density")
     _require(ref in (None, "semicircle"), f"unknown reference_density {ref!r}")
@@ -420,7 +423,7 @@ def _run_chi_tilde(cfg: ExperimentConfig):
     recs = _parallel_map(_chi_point, work, cfg.threads)
     rows = [(r["N"], r["value"], r["stderr"]) for r in recs]
     if ref is not None:
-        dens = _semicircle_density(float(cfg.param("reference_variance", 1.0)))
+        dens = _semicircle_density(_checked(float, cfg.param("reference_variance", 1.0)))
         for r in recs:
             r["reference"] = one_variable_chi_reference(dens, tau.R, r["N"]).chi
     return recs, {"chi_tilde": (("N", "value", "stderr"), rows)}
@@ -436,10 +439,10 @@ def _semicircle_density(var: float):
 
 
 def _run_pressure(cfg: ExperimentConfig):
-    n = int(cfg.param("n", 1))
+    n = _checked(int, cfg.param("n", 1))
     P = build_potential(cfg.param("potential"), n)
-    R = float(cfg.param("R", 2.0))
-    sizes = cfg.param("sizes") or [int(cfg.param("N", 8))]
+    R = _checked(float, cfg.param("R", 2.0))
+    sizes = cfg.param("sizes") or [_checked(int, cfg.param("N", 8))]
     ti = _options(TIOptions, cfg.param("ti"), "ti")
     results = []
     rows = []
@@ -499,7 +502,7 @@ def _talagrand_point(args):
 
 
 def _run_talagrand(cfg: ExperimentConfig):
-    K = int(cfg.param("K", 4))
+    K = _checked(int, cfg.param("K", 4))
     requests = _orbital_requests(cfg, cfg.param("couplings") or [1.0],
                                  s_out=192, s_in=96, chain_thin=20)
     recs = _parallel_map(_talagrand_point, [(cfg.seed, c, req, K) for c, req in requests],
@@ -519,9 +522,9 @@ def _run_duality_check(cfg: ExperimentConfig):
     for i, ent in enumerate(entries):
         _known(ent, ("target", "N", "K", "eps", "label"), "duality-check target")
         tau = build_target(ent.get("target", {}))
-        N = int(ent.get("N", 1))
-        K = int(ent.get("K", tau.K))
-        fit = fit_projection(tau, N, K, eps=float(ent.get("eps", 0.0)),
+        N = _checked(int, ent.get("N", 1))
+        K = _checked(int, ent.get("K", tau.K))
+        fit = fit_projection(tau, N, K, eps=_checked(float, ent.get("eps", 0.0)),
                              opts=opts, rng=substream(cfg.seed, "duality", i))
         gap = fit.rho.value - fit.dual_value.value
         sigma = fit.energy.stderr
@@ -537,13 +540,13 @@ def _run_duality_check(cfg: ExperimentConfig):
 
 
 def _run_arcsine_demo(cfg: ExperimentConfig):
-    N = int(cfg.param("N", 64))
-    R = float(cfg.param("R", 2.0))
+    N = _checked(int, cfg.param("N", 64))
+    R = _checked(float, cfg.param("R", 2.0))
     samples, diag = _chain(cfg, _checked(GibbsModel, 1, N, R, NcPoly.zero(1), 0.0), "arcsine")
     eigs = _spectrum(samples)
     m2 = float(np.mean(eigs ** 2))
     m4 = float(np.mean(eigs ** 4))
-    bins = int(cfg.param("bins", 48))
+    bins = _checked(int, cfg.param("bins", 48))
     hist = _histogram(eigs, bins, -R, R)
     rows = []
     for lo, hi, count in hist:
@@ -561,10 +564,11 @@ def _run_compression_check(cfg: ExperimentConfig):
     win = _known(cfg.param("window", {}), ("T", "R", "S"), "window")
     for key in ("T", "R", "S"):
         _require(key in win, f"window needs {key}")
-    fn = build_compression(float(win["T"]), float(win["R"]), float(win["S"]))
-    N = int(cfg.param("N", 4))
+    T, R, S = (_checked(float, win[key]) for key in ("T", "R", "S"))
+    fn = build_compression(T, R, S)
+    N = _checked(int, cfg.param("N", 4))
     n_pot = build_potential(cfg.param("potential"), 1)
-    model = _checked(GibbsModel, 1, N, float(win["T"]), n_pot, 1.0 if not n_pot.is_zero() else 0.0)
+    model = _checked(GibbsModel, 1, N, T, n_pot, 1.0 if not n_pot.is_zero() else 0.0)
     samples, _ = _chain(cfg, model, "compression")
     logj = np.array([log_jacobian_functional_calculus(t.blocks[0], fn) for t in samples])
     bound = N * N * abs(math.log(fn.alpha))
@@ -581,8 +585,9 @@ def _run_compression_check(cfg: ExperimentConfig):
 
 def _run_hit_rate(cfg: ExperimentConfig):
     tau = build_target(cfg.param("target", {}))
-    eps, K, N = float(cfg.param("eps", 0.2)), int(cfg.param("K", tau.K)), int(cfg.param("N", 4))
-    trials = int(cfg.param("trials", 50000))
+    eps = _checked(float, cfg.param("eps", 0.2))
+    K, N = _checked(int, cfg.param("K", tau.K)), _checked(int, cfg.param("N", 4))
+    trials = _checked(int, cfg.param("trials", 50000))
     _require(eps > 0 and 1 <= K <= tau.K and N >= 1 and trials >= 1,
              f"hit-rate needs eps > 0, 1 <= K <= {tau.K} (the target's K), N >= 1 "
              f"and trials >= 1")

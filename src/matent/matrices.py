@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +39,9 @@ DEGENERATE_GAP = 1e-10
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian matrix (average with own adjoint)."""
-    return (m + m.conj().T) / 2.0
+    """Nearest Hermitian matrix (average with own adjoint), of each matrix
+    in a stack of shape (..., N, N)."""
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -168,17 +169,6 @@ def haar_unitary_batch(count: int, N: int, rng: np.random.Generator) -> np.ndarr
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _conjugate_blocks(blocks: Sequence[np.ndarray], unitaries: np.ndarray,
-                      blockmap: BlockMap) -> List[np.ndarray]:
-    """U_{g(i)} M_i U_{g(i)}^* for every block M_i; ``unitaries`` has shape
-    (..., ell, N, N), and a stack of them gives a stack of copies per block."""
-    out = []
-    for b, g in zip(blocks, blockmap.groups):
-        u = unitaries[..., g, :, :]
-        out.append(u @ b @ np.conj(np.swapaxes(u, -1, -2)))
-    return out
-
-
 def conjugate_tuple(t: MatrixTuple, unitaries: Sequence[np.ndarray],
                     blockmap: BlockMap) -> MatrixTuple:
     """Conjugate each block by the unitary of its group.
@@ -191,8 +181,9 @@ def conjugate_tuple(t: MatrixTuple, unitaries: Sequence[np.ndarray],
         raise ValueError("block map size does not match tuple")
     if len(unitaries) != blockmap.ell:
         raise ValueError(f"need {blockmap.ell} unitaries, got {len(unitaries)}")
+    us = np.asarray(unitaries)
     return MatrixTuple(t.n, t.N, t.R, tuple(
-        hermitize(b) for b in _conjugate_blocks(t.blocks, np.asarray(unitaries), blockmap)))
+        hermitize(us[g] @ b @ us[g].conj().T) for b, g in zip(t.blocks, blockmap.groups)))
 
 
 def operator_norm(m: np.ndarray) -> float:

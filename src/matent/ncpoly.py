@@ -6,7 +6,8 @@ trace functionals are constant on cyclic rotations. The canonical
 representative of a word is therefore the lexicographic minimum over all
 rotations of the word and of its reversal; storing one value per canonical
 class is enough to recover every word's trace value (up to conjugation for
-the reversed orientation).
+the reversed orientation). Rotations, classes and the sorted class lists are
+cached and returned as tuples, so no caller can change a cached value.
 
 Every word product in the package is multiplied out by one private helper,
 :func:`_word_product`, behind two public faces: :func:`trace_moment` (the
@@ -18,6 +19,7 @@ of a polynomial). Both take blocks with leading batch axes, shape
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -42,12 +44,14 @@ def star_word(word: Word) -> Word:
     return tuple(reversed(word))
 
 
-def word_rotations(word: Word):
+@functools.lru_cache(maxsize=None)
+def word_rotations(word: Word) -> Tuple[Word, ...]:
     """All cyclic rotations of a word (the word itself included)."""
     w = tuple(word)
-    return [w[i:] + w[:i] for i in range(max(len(w), 1))]
+    return tuple(w[i:] + w[:i] for i in range(max(len(w), 1)))
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_class(word: Word) -> Word:
     """Lexicographically minimal rotation of the word or its reversal."""
     w = tuple(word)
@@ -83,13 +87,14 @@ def all_words(n: int, max_degree: int, min_degree: int = 0):
     return out
 
 
-def canonical_classes(n: int, max_degree: int, min_degree: int = 0):
+@functools.lru_cache(maxsize=None)
+def canonical_classes(n: int, max_degree: int, min_degree: int = 0) -> Tuple[Word, ...]:
     """Canonical class representatives with degree in the given range, sorted
     by (degree, word)."""
     seen = set()
     for w in all_words(n, max_degree, min_degree):
         seen.add(canonical_class(w))
-    return sorted(seen, key=lambda w: (len(w), w))
+    return tuple(sorted(seen, key=lambda w: (len(w), w)))
 
 
 def _validate_word(word: Iterable[int], n: int) -> Word:

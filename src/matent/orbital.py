@@ -1,7 +1,7 @@
 """Relative entropy of a Gibbs ensemble under block-wise Haar conjugation.
 
 For a model mu with density f proportional to exp(-beta N Tr V) and a block
-map pi assigning tuple positions to conjugation groups, the conjugation
+map pi assigning tuple positions to ell conjugation groups, the conjugation
 randomization U^pi mu has density h(M) = E_U[f(conj(M, U, pi))] (one
 independent Haar unitary per group). The relative entropy
 
@@ -12,13 +12,21 @@ N^-2 normalization is the finite-size stand-in for the orbital part of the
 entropy curve. The inner expectation is estimated by a nested Monte Carlo
 log-mean-exp with max shift; its downward (Jensen) bias is tracked by a
 leave-one-out jackknife and checked by comparing against the half-inner-
-sample value. Every log weight -beta N Tr V, of the outer samples and of
-their conjugated copies alike, comes from the sampler's energy function
-(``sampler._Energy``, built on the word evaluator of :mod:`matent.ncpoly`)
-called once per stack: the S outer samples as (S, N, N) blocks, and the
-``s_in`` copies of one sample as (s_in, N, N) blocks. One outer chain feeds
-each report; :func:`talagrand_report` hands its samples to both the orbital
-estimate and the moment barycenters.
+sample value.
+
+Only the rotations of groups 1..ell-1 relative to group 0 matter: every
+trace is invariant under one global conjugation, and U_0^* U_g are i.i.d.
+Haar when the U_g are. So every conjugated copy, of the inner layer, of the
+chain-rule check and of the Talagrand proxy alike, comes from
+:func:`_relative_copies`, which leaves group 0 as it is and draws ell - 1
+unitaries per copy (none for global conjugation, ell = 1). Every log weight
+-beta N Tr V, of the outer samples and of their conjugated copies alike,
+comes from the sampler's energy function (``sampler._Energy``, built on the
+word evaluator of :mod:`matent.ncpoly`) called once per stack: the S outer
+samples as (S, N, N) blocks, and the ``s_in`` copies of one sample as
+(s_in, N, N) blocks. One outer chain feeds each report;
+:func:`talagrand_report` hands its samples to both the orbital estimate and
+the moment barycenters.
 
 The chain-rule identity Ent(mu|nu) = Ent(mu|U^pi mu) + Ent(U^pi mu|nu) for a
 conjugation-invariant reference nu (here: uniform on the ball product), the
@@ -35,8 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .estimates import EstimatorError, ScalarEstimate, logsumexp, mean_with_batch_stderr
-from .matrices import (BlockMap, MatrixTuple, _conjugate_blocks, conjugate_tuple,
-                       haar_unitary_batch)
+from .matrices import BlockMap, MatrixTuple, haar_unitary_batch, hermitize
 from .moments import MomentSpec, empirical_moments, free_product_moments, moment_distance
 from .ncpoly import canonical_classes
 from .sampler import (GibbsModel, TIOptions, _Energy, estimate_log_I, log_ball_volume,
@@ -109,8 +116,40 @@ class OrbitalEstimate:
     self_consistent: bool
 
 
+def _relative_copies(blocks: Sequence[np.ndarray], blockmap: BlockMap, count: int,
+                     rng: np.random.Generator) -> List[np.ndarray]:
+    """``count`` copies of the blocks with groups 1..ell-1 conjugated by i.i.d.
+    Haar unitaries and group 0 left as it is: one (count, N, N) stack per block.
+
+    Every trace is invariant under one global conjugation, and if U_0, ...,
+    U_{ell-1} are i.i.d. Haar then so are U_0^* U_g; so for any function of
+    traces the copies have the law of conjugating all ell groups
+    independently, from count (ell - 1) unitaries drawn in one batch instead
+    of count ell. With ell = 1 nothing is drawn and every copy is the tuple
+    itself.
+    """
+    ell, N = blockmap.ell, blocks[0].shape[-1]
+    us = haar_unitary_batch(count * (ell - 1), N, rng).reshape(count, ell - 1, N, N)
+    out = []
+    for b, g in zip(blocks, blockmap.groups):
+        if g == 0:
+            out.append(np.broadcast_to(b, (count, N, N)))
+        else:
+            u = us[:, g - 1]
+            out.append(u @ b @ np.conj(np.swapaxes(u, -1, -2)))
+    return out
+
+
+def _relative_copy(t: MatrixTuple, blockmap: BlockMap, rng: np.random.Generator
+                   ) -> MatrixTuple:
+    """One copy of a tuple under :func:`_relative_copies`, hermitized."""
+    return MatrixTuple(t.n, t.N, t.R, tuple(
+        hermitize(c[0]) for c in _relative_copies(t.blocks, blockmap, 1, rng)))
+
+
 class _InnerSampler:
-    """Draws conjugated copies of a tuple and their log weights."""
+    """Draws conjugated copies of a tuple and their log weights; the ``s_in``
+    copies come from :func:`_relative_copies`, ell - 1 Haar unitaries each."""
 
     def __init__(self, model: GibbsModel, blockmap: BlockMap, s_in: int,
                  rng: np.random.Generator):
@@ -121,9 +160,7 @@ class _InnerSampler:
         self.energy = _Energy(model.n, model.N, model.potential)
 
     def conjugated(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        us = haar_unitary_batch(self.s_in * self.blockmap.ell, self.model.N, self.rng)
-        us = us.reshape(self.s_in, self.blockmap.ell, self.model.N, self.model.N)
-        return _conjugate_blocks(blocks, us, self.blockmap)
+        return _relative_copies(blocks, self.blockmap, self.s_in, self.rng)
 
     def log_weights(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         e = -self.model.beta * self.energy.from_state(self.conjugated(blocks))
@@ -275,7 +312,7 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     inner_conj = np.empty(len(samples))
     for i, t in enumerate(samples):
         inner_mu[i] = _log_mean_exp(inner.log_weights(t.blocks))
-        rotated = conjugate_tuple(t, haar_unitary_batch(blockmap.ell, t.N, rng), blockmap)
+        rotated = _relative_copy(t, blockmap, rng)
         inner_conj[i] = _log_mean_exp(inner.log_weights(rotated.blocks))
 
     w_est = mean_with_batch_stderr(w)
@@ -436,9 +473,7 @@ def talagrand_report(request: OrbitalRequest, rng: np.random.Generator,
     orb = _orbital_from_samples(samples, request, rng)
     bary = _mean_moments([empirical_moments(t, K) for t in samples])
     proxy_conj = _mean_moments([
-        empirical_moments(conjugate_tuple(t, haar_unitary_batch(blockmap.ell, t.N, rng),
-                                          blockmap), K)
-        for t in samples])
+        empirical_moments(_relative_copy(t, blockmap, rng), K) for t in samples])
     groups = [[i + 1 for i in range(model.n) if blockmap.groups[i] == g]
               for g in range(blockmap.ell)]
     proxy_free = free_product_moments([_group_marginal(bary, g) for g in groups], K)

@@ -125,10 +125,6 @@ def integrated_autocorrelation_time(xs) -> float:
     return float(max(1.0, taus[w]))
 
 
-def _gue_increment(N: int, rng: np.random.Generator) -> np.ndarray:
-    return hermitize(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
-
-
 class _Energy:
     """Evaluates E(M) = N Tr V(M) on one state or on a stack of states:
     N Tr of :meth:`NcPoly.evaluate` on blocks of shape (..., N, N), which
@@ -150,18 +146,19 @@ class _Energy:
 class ChainEngine:
     """Random-walk Metropolis state for one Gibbs model.
 
-    Keeps the current blocks and their energy. The model's beta or
-    potential can be swapped without discarding the state (used by annealed
-    thermodynamic integration and by iterative moment fitting). Every step
-    proposes a joint Gaussian Hermitian increment of all blocks, for any n;
-    :func:`mcmc_chain` draws n == 1 samples exactly instead.
+    Keeps the current blocks, as one (n, N, N) array, and their energy. The
+    model's beta or potential can be swapped without discarding the state
+    (used by annealed thermodynamic integration and by iterative moment
+    fitting). Every step proposes a joint Gaussian Hermitian increment of all
+    blocks, for any n; :func:`mcmc_chain` draws n == 1 samples exactly
+    instead.
     """
 
     def __init__(self, model: GibbsModel, rng: np.random.Generator):
         self.model = model
         self.rng = rng
         N = model.N
-        self.blocks = [np.zeros((N, N), dtype=complex) for _ in range(model.n)]
+        self.blocks = np.zeros((model.n, N, N), dtype=complex)
         self.step_scale = model.R / (2.0 * math.sqrt(N))
         self._energy_fn = _Energy(model.n, model.N, model.potential)
         self.energy = self._energy_fn.from_state(self.blocks)
@@ -185,15 +182,19 @@ class ChainEngine:
         return self.accepted / self.proposed if self.proposed else 0.0
 
     def step(self) -> float:
-        """Advance the chain once; returns 1.0 if the move was accepted, else 0.0."""
+        """Advance the chain once; returns 1.0 if the move was accepted, else 0.0.
+
+        The proposal is one standard normal draw of shape (n, 2, N, N), the
+        real and imaginary parts of every block's increment in turn,
+        hermitized as a stack; one batched ``eigvalsh`` tests the norm ball
+        of all blocks.
+        """
         model = self.model
         self.proposed += 1
-        new_blocks = [b + self.step_scale * _gue_increment(model.N, self.rng)
-                      for b in self.blocks]
-        for b in new_blocks:
-            lam = np.linalg.eigvalsh(b)
-            if abs(lam[0]) > model.R or abs(lam[-1]) > model.R:
-                return 0.0
+        z = self.rng.standard_normal((model.n, 2, model.N, model.N))
+        new_blocks = self.blocks + self.step_scale * hermitize(z[:, 0] + 1j * z[:, 1])
+        if np.abs(np.linalg.eigvalsh(new_blocks)).max() > model.R:
+            return 0.0
         new_energy = self._energy_fn.from_state(new_blocks)
         log_ratio = -model.beta * (new_energy - self.energy)
         if log_ratio < 0 and math.log(self.rng.random()) >= log_ratio:
@@ -259,7 +260,7 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
             engine.step()
             if (i + 1) % thin == 0:
                 samples.append(MatrixTuple(model.n, model.N, model.R,
-                                           tuple(hermitize(b) for b in engine.blocks)))
+                                           tuple(hermitize(engine.blocks))))
         acceptance, step_scale = engine.acceptance, engine.step_scale
     # the tracked scalar: the energy, or (1/N) Tr X_1^2 for the zero potential
     tracked = "m2" if model.potential.is_zero() else "energy"

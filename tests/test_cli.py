@@ -166,6 +166,9 @@ OUT_OF_RANGE = [
     {"kind": "hit-rate", "target": {"name": "arcsine", "K": 2}, "K": 4},
     {"kind": "arcsine-demo", "N": 4, "chain": {"steps": "abc"}},
     {"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0}, "chain": {"steps": 5, "thin": 10}},
+    {"kind": "arcsine-demo", "N": "abc"},
+    {"kind": "arcsine-demo", "N": [8]},
+    {"kind": "rho", "target": {"name": "arcsine", "K": 2}, "fit": {"iterations": "abc"}},
 ]
 
 

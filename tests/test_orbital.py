@@ -1,14 +1,16 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import oracles
 from matent.matrices import BlockMap, MatrixTuple
 from matent.moments import MomentSpec
 from matent.ncpoly import NcPoly
-from matent.orbital import (OrbitalRequest, _InnerSampler, chain_rule_check,
-                            dW_moment_lower_bound, dW_upper_bound, entropy_split_check,
-                            orbital_entropy, talagrand_report)
+from matent.orbital import (OrbitalRequest, _InnerSampler, _jackknife_bias, _log_mean_exp,
+                            chain_rule_check, dW_moment_lower_bound, dW_upper_bound,
+                            entropy_split_check, orbital_entropy, talagrand_report)
 from matent.sampler import GibbsModel, TIOptions, _Energy, mcmc_chain
 from matent.streams import substream
 
@@ -100,12 +102,92 @@ def test_orbital_reproducible_per_seed():
 
 def test_global_conjugation_is_also_null_direction():
     # a single shared unitary preserves every trace moment, hence the
-    # relative entropy vanishes even for a coupled potential
+    # relative entropy vanishes even for a coupled potential; conjugating
+    # relative to group 0 draws no unitary at all, so it vanishes exactly
     model = GibbsModel(2, 4, 2.0, coupled_potential())
-    req = OrbitalRequest(model, BlockMap.global_map(2), s_out=48, s_in=32,
+    blockmap = BlockMap.global_map(2)
+    req = OrbitalRequest(model, blockmap, s_out=48, s_in=32,
                          chain_burnin=300, chain_thin=8)
     est = orbital_entropy(req, substream(4, "glob"))
-    assert abs(est.value) <= 3 * est.stderr + est.bias_bound + 1e-9
+    assert abs(est.value) <= 1e-12
+    samples, _ = mcmc_chain(model, 8, 50, 8, rng=substream(4, "glob-outer"))
+    rng = substream(4, "glob-inner")
+    state = repr(rng.bit_generator.state)
+    e = _InnerSampler(model, blockmap, 32, rng).log_weights(samples[0].blocks)
+    assert repr(rng.bit_generator.state) == state
+    assert np.allclose(e, -_Energy(2, 4, model.potential).from_state(samples[0].blocks),
+                       rtol=1e-13, atol=0.0)
+
+
+def _hciz_decimal(a, b, t, digits=60):
+    # the HCIZ formula in 60-digit decimal arithmetic: exp, a pivoted
+    # elimination for the determinant, and the Vandermonde products
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a, b = sorted(Decimal(float(x)) for x in a), sorted(Decimal(float(x)) for x in b)
+        t, N = Decimal(t), len(a)
+        m = [[(t * x * y).exp() for y in b] for x in a]
+        det = Decimal(1)
+        for k in range(N):
+            p = max(range(k, N), key=lambda r: abs(m[r][k]))
+            if p != k:
+                m[k], m[p], det = m[p], m[k], -det
+            det *= m[k][k]
+            for r in range(k + 1, N):
+                f = m[r][k] / m[k][k]
+                m[r] = [m[r][j] - f * m[k][j] for j in range(N)]
+        den = t ** (N * (N - 1) // 2)
+        for i in range(N):
+            for j in range(i + 1, N):
+                den *= (a[j] - a[i]) * (b[j] - b[i])
+        return float((det * math.prod(math.factorial(p) for p in range(N)) / den).ln())
+
+
+def test_hciz_oracle_closed_form_precision_and_range():
+    # N = 2: (e^{t(a1 b1 + a2 b2)} - e^{t(a1 b2 + a2 b1)}) / (t (a1 - a2)(b1 - b2)),
+    # on a spectrum given out of order
+    a, b, t = np.array([1.1, -0.7]), np.array([-1.3, 0.4]), 3.0
+    two = math.log((math.exp(t * (a[0] * b[0] + a[1] * b[1]))
+                    - math.exp(t * (a[0] * b[1] + a[1] * b[0])))
+                   / (t * (a[0] - a[1]) * (b[0] - b[1])))
+    assert oracles.hciz_log(a, b, t) == pytest.approx(two, abs=1e-13)
+    model = GibbsModel(2, 4, 2.0, coupled_potential())
+    samples, _ = mcmc_chain(model, 5 * 20, 400, 20, rng=substream(12, "hciz-precision"))
+    for s in samples:
+        x, y = (np.linalg.eigvalsh(m) for m in s.blocks)
+        assert oracles.hciz_log(x, y, 8.0) == pytest.approx(_hciz_decimal(x, y, 8.0),
+                                                             abs=1e-11)
+    for bad in ((np.ones(2), b, t), (a, b, 17.0), (a, b, 0.0),
+                (np.arange(9.0), np.arange(9.0), 1.0), (a, np.arange(3.0), 1.0)):
+        with pytest.raises(ValueError):
+            oracles.hciz_log(*bad)
+
+
+def test_inner_layer_matches_exact_hciz_term():
+    # V = c (X - Y)^2, one group per block: conj(M) leaves X and Tr Y^2 and
+    # conjugates Y by one Haar W, so the inner term is exact,
+    #   log E_W f(X, W Y W^*)
+    #     = -beta N c (Tr X^2 + Tr Y^2) + log HCIZ(2 beta c N, spec X, spec Y).
+    # The weights are heavy-tailed and the log-mean-exp is biased low by more
+    # than its delta-method stderr once t R^2 is large (at R = 2, t = 8 and
+    # s_in = 2000 the replicate z-scores average -5.7), so the match is judged
+    # against the spread of 20 independent replicates, at t R^2 = 2 (R = 1,
+    # c = 1/4), allowing the estimator's own jackknife bias.
+    N, c, beta, reps = 4, 0.25, 1.0, 20
+    model = GibbsModel(2, N, 1.0, coupled_potential(c), beta)
+    samples, _ = mcmc_chain(model, 4 * 40, 600, 40, rng=substream(13, "hciz-outer"))
+    for k, s in enumerate(samples):
+        x, y = s.blocks
+        exact = (-beta * N * c * (np.vdot(x, x).real + np.vdot(y, y).real)
+                 + oracles.hciz_log(np.linalg.eigvalsh(x), np.linalg.eigvalsh(y),
+                                    2.0 * beta * c * N))
+        values, biases = np.empty(reps), np.empty(reps)
+        for r in range(reps):
+            inner = _InnerSampler(model, BlockMap.full(2), 2000, substream(13, "hciz", k, r))
+            e = inner.log_weights(s.blocks)
+            values[r], biases[r] = _log_mean_exp(e), _jackknife_bias(e)
+        se = values.std(ddof=1) / math.sqrt(reps)
+        assert abs(values.mean() - exact) <= 3.0 * se + abs(biases.mean()), (k, exact)
 
 
 def test_chain_rule_identity_coupled():

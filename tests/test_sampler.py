@@ -98,6 +98,62 @@ def test_chain_acceptance_in_band_and_diagnostics():
     assert diag.iat >= 1.0
 
 
+class _PerBlockEngine(sampler.ChainEngine):
+    """The chain with the per-block step it had before the proposal was drawn
+    in one call: blocks in a list, 2n (N, N) draws, one eigvalsh per block."""
+
+    def __init__(self, model, rng):
+        super().__init__(model, rng)
+        self.blocks = [b.copy() for b in self.blocks]
+
+    def step(self):
+        model = self.model
+        self.proposed += 1
+        new_blocks = []
+        for b in self.blocks:
+            m = (self.rng.standard_normal((model.N, model.N))
+                 + 1j * self.rng.standard_normal((model.N, model.N)))
+            new_blocks.append(b + self.step_scale * ((m + m.conj().T) / 2.0))
+        for b in new_blocks:
+            lam = np.linalg.eigvalsh(b)
+            if abs(lam[0]) > model.R or abs(lam[-1]) > model.R:
+                return 0.0
+        new_energy = self._energy_fn.from_state(new_blocks)
+        log_ratio = -model.beta * (new_energy - self.energy)
+        if log_ratio < 0 and math.log(self.rng.random()) >= log_ratio:
+            return 0.0
+        self.blocks = new_blocks
+        self.energy = new_energy
+        self.accepted += 1
+        return 1.0
+
+
+@pytest.mark.parametrize("n,N", [(2, 4), (3, 5)])
+def test_chain_step_matches_per_block_reference(n, N):
+    # 3,000 steps with a potential swap and a beta swap on the way; the
+    # batched proposal must reproduce the per-block chain bit for bit
+    quad = sum((NcPoly.from_word(n, (i, i)) for i in range(1, n + 1)), NcPoly.zero(n))
+    coupled = quad + 0.6 * (NcPoly.from_word(n, (1, 2)) + NcPoly.from_word(n, (2, 1))) \
+        + 0.3 * NcPoly.from_word(n, (1, 1, 1, 1))
+    runs = []
+    for cls in (sampler.ChainEngine, _PerBlockEngine):
+        engine = cls(GibbsModel(n, N, 1.2, quad, 1.0), substream(17, "step", n))
+        energies = []
+        engine.tune(600)
+        engine.run(900, observe=lambda e: energies.append(e.energy))
+        engine.set_potential(coupled)
+        engine.run(800, observe=lambda e: energies.append(e.energy))
+        engine.set_beta(0.4)
+        engine.run(700, observe=lambda e: energies.append(e.energy))
+        runs.append((np.array(energies), np.array(engine.blocks), engine.accepted,
+                     engine.proposed, engine.step_scale))
+    (e_new, b_new, *rest_new), (e_ref, b_ref, *rest_ref) = runs
+    assert np.array_equal(e_new, e_ref)
+    assert np.array_equal(b_new, b_ref)
+    assert rest_new == rest_ref
+    assert 0 < rest_ref[0] < rest_ref[1]
+
+
 def test_chain_record_path(tmp_path):
     path = str(tmp_path / "chain.jsonl")
     model = GibbsModel(1, 3, 1.0, NcPoly.zero(1), 0.0)
