@@ -23,11 +23,10 @@ from .sampler import (ChainDiagnostics, GibbsModel, MicrostateEstimate, TIOption
                       microstate_hit_rate)
 from .maxent import (ChiReference, ChiTildePoint, DualBasis, EtaBoundReport,
                      FitOptions, FitResult, InfeasibleTargetError, RhoResult,
-                     ScalarMaxentResult, build_dual_basis, chi_tilde_curve,
-                     dual_objective, eta_bound_check, fit_projection,
-                     free_pressure, log_energy_quadrature,
-                     one_variable_chi_reference, reference_constant, rho,
-                     scalar_maxent_oracle)
+                     build_dual_basis, chi_tilde_curve, dual_objective,
+                     eta_bound_check, fit_projection, free_pressure,
+                     log_energy_quadrature, one_variable_chi_reference,
+                     reference_constant, rho)
 from .orbital import (ChainRuleReport, OrbitalEstimate, OrbitalRequest,
                       SplitReport, TalagrandReport, chain_rule_check,
                       dW_moment_lower_bound, dW_upper_bound,
@@ -48,10 +47,10 @@ __all__ = [
     "microstate_hit_rate",
     "ChiReference", "ChiTildePoint", "DualBasis", "EtaBoundReport",
     "FitOptions", "FitResult", "InfeasibleTargetError", "RhoResult",
-    "ScalarMaxentResult", "build_dual_basis", "chi_tilde_curve",
+    "build_dual_basis", "chi_tilde_curve",
     "dual_objective", "eta_bound_check", "fit_projection", "free_pressure",
     "log_energy_quadrature", "one_variable_chi_reference", "reference_constant",
-    "rho", "scalar_maxent_oracle",
+    "rho",
     "ChainRuleReport", "OrbitalEstimate", "OrbitalRequest", "SplitReport",
     "TalagrandReport", "chain_rule_check", "dW_moment_lower_bound",
     "dW_upper_bound", "entropy_split_check", "orbital_entropy",

@@ -16,13 +16,14 @@ iterate, steps are line-searched on the dual reweighted from the same
 samples, and the chain doubles in length until the Newton decrement (the
 dual's distance to its minimum, in nats) is within noise. The attained value
 of F is the (relaxed) maximum entropy; the entropy of the fitted model is
-log I + E[N Tr V]. Coefficients are stored in N-normalized units: the
+log I + E[N Tr V], with log I from :func:`matent.sampler.estimate_log_I`:
+exact for one matrix and, within the determinant's range, for the models of
+K = 2 two-matrix fits (whose only mixed word is XY), and by thermodynamic
+integration otherwise. Coefficients are stored in N-normalized units: the
 potential enters the density as exp(-N Tr V).
 
-A classical one-variable maxent problem on its own grid, solved by the same
-Newton loop, serves as the independent scalar oracle, and a
-logarithmic-energy quadrature calibrated against the exact uniform-ensemble
-entropy provides a one-variable reference curve.
+A logarithmic-energy quadrature calibrated against the exact
+uniform-ensemble entropy provides a one-variable reference curve.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ __all__ = [
     "free_pressure",
     "EtaBoundReport",
     "eta_bound_check",
-    "ScalarMaxentResult",
-    "scalar_maxent_oracle",
     "log_energy_quadrature",
     "reference_constant",
     "ChiReference",
@@ -185,7 +184,10 @@ class FitOptions:
     ``final_burnin`` steps and measured on every 2nd of ``final_steps`` steps;
     the fit is converged when the Newton stop was reached and every final
     residual is within max(eps, ``moment_tol`` R^degree) plus 3 stderr. ``ti``
-    budgets the log-normalizer of the fitted model. ``step_size`` and
+    budgets the log-normalizer of the fitted model where it has no exact
+    route: a K = 2 two-matrix fit gets it from Mehta's determinant and reads
+    ``ti`` only where that falls back (see
+    :func:`matent.sampler.estimate_log_I`). ``step_size`` and
     ``min_iterations`` belonged to the stochastic approximation this route
     replaced and are accepted but unused. Only n >= 2 fits read these; a
     one-matrix fit is exact (damped Newton on the dual, see
@@ -674,67 +676,6 @@ def eta_bound_check(tau: MomentSpec, P: NcPoly, N: int, K: int,
     rhs = tau_p + pressure.value
     return EtaBoundReport(chi, tau_p, pressure, lhs, rhs, sigma,
                           bool(lhs <= rhs + 3.0 * sigma))
-
-
-@dataclass(frozen=True)
-class ScalarMaxentResult:
-    """Grid solution of the classical one-variable maxent problem.
-
-    Density p(x) proportional to exp(sum_k theta_k x^k) on [-R, R];
-    ``entropy`` is the differential entropy of the grid solution and
-    ``dual_value`` the dual objective, equal at the optimum (their absolute
-    difference is ``duality_gap``).
-    """
-
-    entropy: float
-    dual_value: float
-    duality_gap: float
-    powers: Tuple[int, ...]
-    theta: np.ndarray
-    xs: np.ndarray
-    density: np.ndarray
-    converged: bool
-    iterations: int
-
-
-def scalar_maxent_oracle(constraints: dict, R: float) -> ScalarMaxentResult:
-    """Newton solution of one-variable maxent on a 2001-point midpoint grid.
-
-    ``constraints`` maps powers (>= 1) to target raw moments. Independent of
-    the matrix machinery: its own dense grid and exact gradients and
-    Hessians of the dual, solved by the damped-Newton loop the one-matrix
-    fit uses (the N = 1 case of the same problem, with the grid density in
-    place of the kernel diagonal). Targets outside the moment body raise
-    :class:`InfeasibleTargetError`.
-    """
-    grid_size = 2001
-    powers = tuple(sorted(int(p) for p in constraints))
-    if not powers or powers[0] < 1:
-        raise ValueError("constraint powers must be >= 1")
-    a = np.array([float(constraints[p]) for p in powers])
-    dx = 2.0 * R / grid_size
-    xs = -R + (np.arange(grid_size) + 0.5) * dx
-    feats = np.stack([(xs / R) ** p for p in powers], axis=1)
-    a_scaled = a / np.array([R ** p for p in powers], dtype=float)
-    logdx = math.log(dx)
-
-    def parts(th):
-        logits = feats @ th
-        z = logsumexp(logits)
-        p = np.exp(logits - z)
-        mean = p @ feats
-        cov = feats.T @ (feats * p[:, None]) - np.outer(mean, mean)
-        return z + logdx - float(np.dot(th, a_scaled)), mean - a_scaled, cov
-
-    theta, phi, _, dec, history = _damped_newton(
-        parts, np.zeros(len(powers)), np.zeros(len(powers)), 1e-6,
-        f"moments {constraints} lie outside the moment body on [-{R}, {R}]")
-    logits = feats @ theta
-    p = np.exp(logits - logsumexp(logits))
-    entropy = float(-(p * (np.log(np.maximum(p, 1e-300)) - logdx)).sum())
-    theta_abs = theta / np.array([R ** p_ for p_ in powers], dtype=float)
-    return ScalarMaxentResult(entropy, phi, abs(entropy - phi), powers, theta_abs,
-                              xs, p / dx, 0.0 <= dec <= 1e-10, len(history))
 
 
 def log_energy_quadrature(density: Callable[[np.ndarray], np.ndarray], R: float) -> float:

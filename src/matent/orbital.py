@@ -297,8 +297,12 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     nu is the uniform ensemble (conjugation-invariant, as required for the
     identity). The request gives the model, the block map and the nested
     budget, as for :func:`orbital_entropy`. All three terms are estimated
-    from one outer chain plus one log-normalizer (budget ``ti`` for n >= 2);
-    the residual is additionally evaluated in its paired per-sample form, in
+    from one outer chain plus one log-normalizer from
+    :func:`matent.sampler.estimate_log_I`. For a bilinear two-matrix model
+    such as c(X - Y)^2 log I is exact, so ``total`` and ``conjugated`` carry
+    only their sample stderr and the quadrature error in ``bias_bound``;
+    ``ti`` budgets only the thermodynamic integration of the other models.
+    The residual is additionally evaluated in its paired per-sample form, in
     which the shared log I and log-volume contributions cancel identically.
     """
     model, blockmap = request.model, request.blockmap

@@ -10,6 +10,7 @@ evidence rather than tautology.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -149,6 +150,85 @@ def separable_pair_rho(moments: Sequence[float], N: int, R: float) -> float:
 
     res = minimize(dual, np.zeros(K), method="BFGS", options={"gtol": 1e-9})
     return 2.0 * (log_vol + float(res.fun))
+
+
+def gaussian_pair_log_I(a: float, c: float, N: int) -> float:
+    """log of the integral of exp(-N Tr(a X^2 + a Y^2 - c (XY + YX))) over all
+    pairs of N x N Hermitian matrices, |c| < a.
+
+    In the Lebesgue coordinates (diagonal entries, real and imaginary parts
+    above it) the exponent splits into 2 x 2 Gaussian forms with matrix
+    [[a, -c], [-c, a]]: scaled by N for the N diagonal pairs and by 2N for
+    the N(N - 1) off-diagonal ones.
+    """
+    if not abs(c) < a:
+        raise ValueError("need |c| < a")
+    root = math.sqrt(a * a - c * c)
+    return (N * math.log(math.pi / (N * root))
+            + N * (N - 1) * math.log(math.pi / (2.0 * N * root)))
+
+
+@dataclass(frozen=True)
+class ScalarMaxent:
+    """Grid solution of the classical one-variable maxent problem.
+
+    Density p(x) proportional to exp(sum_k theta_k x^k) on [-R, R];
+    ``entropy`` is the differential entropy of the grid solution and
+    ``dual_value`` the dual objective, equal at the optimum (their absolute
+    difference is ``duality_gap``).
+    """
+
+    entropy: float
+    dual_value: float
+    duality_gap: float
+    powers: Tuple[int, ...]
+    theta: np.ndarray
+    xs: np.ndarray
+    density: np.ndarray
+    converged: bool
+
+
+def scalar_maxent_oracle(constraints: Dict[int, float], R: float) -> ScalarMaxent:
+    """One-variable maxent on a 2001-point midpoint grid, by scipy's BFGS.
+
+    ``constraints`` maps powers (>= 1) to target raw moments. The dual
+    log sum_x exp(theta . f(x)) dx - theta . a is minimized in the scaled
+    coordinates f_k = (x / R)^k with its exact gradient; no Hessian, no
+    orthogonal polynomials and none of the package's solver. A target outside
+    the moment body leaves a gradient that cannot vanish, and raises
+    ``ValueError``.
+    """
+    grid_size = 2001
+    powers = tuple(sorted(int(p) for p in constraints))
+    if not powers or powers[0] < 1:
+        raise ValueError("constraint powers must be >= 1")
+    scales = np.array([R ** p for p in powers], dtype=float)
+    target = np.array([float(constraints[p]) for p in powers]) / scales
+    dx = 2.0 * R / grid_size
+    xs = -R + (np.arange(grid_size) + 0.5) * dx
+    feats = (xs / R)[:, None] ** np.array(powers)[None, :]
+
+    def density(theta):
+        logits = feats @ theta
+        shift = float(logits.max())
+        w = np.exp(logits - shift)
+        return w / w.sum(), shift + math.log(float(w.sum()) * dx)
+
+    def dual(theta):
+        p, log_z = density(theta)
+        return log_z - float(theta @ target), p @ feats - target
+
+    # an infeasible target sends theta off to infinity
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize(dual, np.zeros(len(powers)), jac=True, method="BFGS",
+                       options={"gtol": 1e-11, "maxiter": 2000})
+    grad = np.max(np.abs(dual(res.x)[1]))
+    if not grad <= 1e-6:
+        raise ValueError(f"moments {constraints} lie outside the moment body on [-{R}, {R}]")
+    p, _ = density(res.x)
+    entropy = float(-(p * (np.log(np.maximum(p, 1e-300)) - math.log(dx))).sum())
+    return ScalarMaxent(entropy, float(res.fun), abs(entropy - float(res.fun)), powers,
+                        res.x / scales, xs, p / dx, bool(grad <= 1e-9))
 
 
 def langevin_mean(theta: float, R: float) -> float:

@@ -22,8 +22,7 @@ import oracles
 from matent.matrices import (BlockMap, build_compression,
                              log_jacobian_functional_calculus)
 from matent.maxent import (FitOptions, chi_tilde_curve, fit_projection,
-                           one_variable_chi_reference, rho,
-                           scalar_maxent_oracle)
+                           one_variable_chi_reference, rho)
 from matent.moments import (MomentSpec, arcsine_moments, free_product_moments,
                             semicircle_moments)
 from matent.ncpoly import NcPoly
@@ -319,7 +318,7 @@ def test_criterion_12_classical_duality_and_data_processing():
     worst = 0.0
     ok = True
     for cons, R in problems:
-        sol = scalar_maxent_oracle(cons, R)
+        sol = oracles.scalar_maxent_oracle(cons, R)
         worst = max(worst, sol.duality_gap)
         ok = ok and sol.converged and sol.duality_gap <= 1e-6
     # data processing: dropping one of two scalar coordinates cannot increase

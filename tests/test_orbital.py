@@ -8,10 +8,12 @@ import oracles
 from matent.matrices import BlockMap, MatrixTuple
 from matent.moments import MomentSpec
 from matent.ncpoly import NcPoly
+from matent.estimates import mean_with_batch_stderr
 from matent.orbital import (OrbitalRequest, _InnerSampler, _jackknife_bias, _log_mean_exp,
-                            chain_rule_check, dW_moment_lower_bound, dW_upper_bound,
+                            _outer_chain, chain_rule_check, dW_moment_lower_bound, dW_upper_bound,
                             entropy_split_check, orbital_entropy, talagrand_report)
-from matent.sampler import GibbsModel, TIOptions, _Energy, mcmc_chain
+from matent.sampler import (GibbsModel, TIOptions, _Energy, estimate_log_I,
+                            log_ball_volume, mcmc_chain)
 from matent.streams import substream
 
 
@@ -202,6 +204,25 @@ def test_chain_rule_identity_coupled():
     # paired stderr must not exceed the independent combination
     assert rep.residual_stderr <= rep.combined_stderr + 1e-12
     assert abs(rep.residual) <= 4 * rep.residual_stderr + 0.05
+
+
+def test_chain_rule_terms_exact_for_bilinear_model():
+    # log I of c (X - Y)^2 comes from Mehta's determinant: the total and
+    # conjugated terms carry no TI error, only the outer chain's
+    model = GibbsModel(2, 4, 2.0, coupled_potential(0.8))
+    request = OrbitalRequest(model, BlockMap.full(2), s_out=32, s_in=16,
+                             chain_burnin=200, chain_thin=4)
+    log_i = estimate_log_I(model)
+    assert log_i.stderr == 0.0
+    rep = chain_rule_check(request, substream(7, "chain-exact"))
+    assert rep.total.bias_bound == log_i.bias_bound <= 1e-8
+    assert rep.conjugated.bias_bound == log_i.bias_bound
+    # the chain check draws its outer samples first, so the same stream repeats them
+    samples = _outer_chain(request, substream(7, "chain-exact"))
+    energy = mean_with_batch_stderr(-_Energy(2, 4, model.potential).from_samples(samples))
+    assert rep.total.stderr == energy.stderr
+    assert rep.total.value == pytest.approx(
+        log_i.value - energy.value - 2 * log_ball_volume(4, 2.0), abs=1e-12)
 
 
 def test_entropy_split_consistency():

@@ -267,6 +267,102 @@ def test_ti_error_bars_cover_exact_separable_pair():
     assert misses == []
 
 
+def _quadratic_pair(a, c):
+    # a (X^2 + Y^2) - c (XY + YX); a = c gives c (X - Y)^2
+    return NcPoly(2, {(1, 1): a, (2, 2): a, (1, 2): -c, (2, 1): -c})
+
+
+def test_ti_error_bars_cover_exact_coupled_pair():
+    # c (X - Y)^2 does not factorize; Mehta's determinant gives its log I
+    opts = TIOptions(nodes=21, node_burnin=200, node_steps=1000)
+    misses = []
+    for c in (0.25, 1.0):
+        model = GibbsModel(2, 4, 2.0, _quadratic_pair(c, c), 1.0)
+        exact = sampler._mehta_log_I(model)
+        for seed in range(4):
+            ti = _ti_log_I(model, opts, substream(seed, "ti-coupled", str(c)))
+            diff = ti.value - exact.value
+            print(f"c {c} seed {seed}: TI - exact {diff:+.4f}, stderr {ti.stderr:.4f}, "
+                  f"bias_bound {ti.bias_bound:.4f}")
+            if abs(diff) > 3 * ti.stderr + ti.bias_bound + exact.bias_bound:
+                misses.append((c, seed, diff, ti.stderr, ti.bias_bound))
+    assert misses == []
+
+
+def test_mehta_log_i_matches_gaussian_pair():
+    # at R = 6 the ball cuts off nothing the Gaussian weight can see; every
+    # case here lies inside the determinant's range
+    for N in (2, 4, 8, 16):
+        for c in (1e-4, -1e-4, 0.01, 0.1, 0.5):
+            est = estimate_log_I(GibbsModel(2, N, 6.0, _quadratic_pair(1.0, c), 1.0))
+            want = oracles.gaussian_pair_log_I(1.0, c, N)
+            assert est.stderr == 0.0
+            assert abs(est.value - want) <= 1e-9 + est.bias_bound, (N, c, est.value - want)
+
+
+def test_mehta_log_i_at_zero_coupling_is_heine():
+    # V1(X) + V2(Y) factorizes: log I is the sum of the two one-matrix values
+    v1 = _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.1])
+    v2 = _scalar_poly([0.0, 0.0, 0.8])
+
+    def pair(p, q):
+        return NcPoly(2, {**p.terms, **{(2,) * len(w): c for w, c in q.terms.items()}})
+
+    for N in (3, 8):
+        h1, h2 = (_heine_log_I(GibbsModel(1, N, 2.0, v, 1.0)) for v in (v1, v2))
+        same = estimate_log_I(GibbsModel(2, N, 2.0, pair(v1, v1), 1.0))
+        assert same.stderr == 0.0
+        assert abs(same.value - 2 * h1.value) <= 2 * h1.bias_bound + 1e-12
+        both = estimate_log_I(GibbsModel(2, N, 2.0, pair(v1, v2), 1.0))
+        assert abs(both.value - h1.value - h2.value) <= h1.bias_bound + h2.bias_bound + 1e-12
+
+
+def test_mehta_log_i_one_by_one_matches_quadrature():
+    # at N = 1 log I is a plain double integral over the square: unequal
+    # sides with odd powers, a constant term and beta < 1
+    pot = NcPoly(2, {(): 0.1, (1,): 0.3, (1, 1): 0.5, (1, 1, 1): -0.2, (2,): -0.4,
+                     (2, 2): 0.8, (1, 2): 0.35, (2, 1): 0.35})
+    t, g = np.polynomial.legendre.leggauss(200)
+    x, y = np.meshgrid(1.5 * t, 1.5 * t, indexing="ij")
+    v = 0.1 + 0.3 * x + 0.5 * x ** 2 - 0.2 * x ** 3 - 0.4 * y + 0.8 * y ** 2 + 0.7 * x * y
+    for beta in (0.5, 1.0):
+        est = sampler._mehta_log_I(GibbsModel(2, 1, 1.5, pot, beta))
+        want = math.log(2.25 * g @ np.exp(-beta * v) @ g)
+        assert abs(est.value - want) <= 1e-12 + est.bias_bound
+
+
+def test_mehta_log_i_draws_no_random_numbers():
+    rng, twin = substream(3, "mehta-rng"), substream(3, "mehta-rng")
+    model = GibbsModel(2, 4, 2.0, _quadratic_pair(1.0, 1.0), 1.0)
+    est = estimate_log_I(model, opts=TIOptions(), rng=rng)
+    assert np.array_equal(rng.random(8), twin.random(8))
+    assert est.stderr == 0.0 and est.bias_bound <= 1e-8
+    # ROADMAP's reference value for c (X - Y)^2 at N = 4, R = 2, c = 1
+    assert est.value == pytest.approx(3.41284, abs=1e-5)
+
+
+def test_models_without_exact_route_go_to_ti(monkeypatch):
+    calls = []
+
+    def fake_ti(model, opts, rng):
+        calls.append(model)
+        return "ti"
+
+    monkeypatch.setattr(sampler, "_ti_log_I", fake_ti)
+    quartic = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 1, 2, 2): 0.3, (2, 2, 1, 1): 0.3})
+    triple = NcPoly(3, {(1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0, (1, 2): -0.5, (2, 1): -0.5})
+    # c (X - Y)^2 lies outside the determinant's range at N = 32, c = 0.25;
+    # at N = 16 its 300- and 600-node values agree to 8.5e-9, but rounding
+    # near 1e-7 shows in the X <-> Y swap
+    models = [GibbsModel(2, 4, 2.0, quartic, 1.0), GibbsModel(3, 4, 2.0, triple, 1.0),
+              GibbsModel(2, 32, 2.0, _quadratic_pair(0.25, 0.25), 1.0),
+              GibbsModel(2, 16, 2.0, _quadratic_pair(0.25, 0.25), 1.0)]
+    for model in models:
+        assert sampler._mehta_log_I(model) is None
+        assert estimate_log_I(model, rng=substream(0, "fallback")) == "ti"
+    assert calls == models
+
+
 def test_ti_needs_two_beta_nodes():
     pot = NcPoly.from_word(2, (1, 2)) + NcPoly.from_word(2, (2, 1))
     with pytest.raises(ValueError, match="at least 2 beta nodes"):
