@@ -11,9 +11,9 @@ N^2 Cov_lam(Tr b_i, Tr b_j) in its smooth part. Both routes minimize it by
 damped Newton, with orthant-wise steps for the L1 term. For one matrix the
 derivatives are exact, from the orthogonal-polynomial kernel of the
 eigenvalue ensemble, and the optimizer is found to rounding level. For
-n >= 2 they are estimated from one warm-started matrix-mode chain per
-iterate, steps are line-searched on the dual reweighted from the same
-samples, and the chain doubles in length until the Newton decrement (the
+n >= 2 they are estimated from one warm-started run of lockstep
+matrix-mode walkers per iterate, steps are line-searched on the dual
+reweighted from the same samples, and the chain doubles in length until the Newton decrement (the
 dual's distance to its minimum, in nats) is within noise. The attained value
 of F is the (relaxed) maximum entropy; the entropy of the fitted model is
 log I + E[N Tr V], with log I from :func:`matent.sampler.estimate_log_I`:
@@ -35,12 +35,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimates import EstimatorError, ScalarEstimate, logsumexp, mean_with_batch_stderr
+from .estimates import EstimatorError, ScalarEstimate, logsumexp
 from .moments import MomentSpec, moment_pairing
 from .ncpoly import NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word, trace_moment
 from .sampler import (ChainEngine, GibbsModel, TIOptions, _entropy, _heine_nodes,
                       _legendre_nodes, _log_heine_norms, estimate_log_I,
-                      integrated_autocorrelation_time, log_ball_volume)
+                      log_ball_volume, pooled_mean)
 
 __all__ = [
     "InfeasibleTargetError",
@@ -143,7 +143,8 @@ def potential_from_coeffs(basis: DualBasis, coeffs: Sequence[float]) -> NcPoly:
 
 
 class _BasisMeasurer:
-    """Per-state basis moments (1/N) Tr b_j of a matrix-mode chain state."""
+    """Basis moments (1/N) Tr b_j of matrix-mode chain states: the rows of a
+    (K, len(basis)) array for the K walkers of blocks of shape (n, K, N, N)."""
 
     def __init__(self, basis: DualBasis):
         words = sorted({el.word for el in basis.elements}, key=lambda w: (len(w), w))
@@ -153,8 +154,8 @@ class _BasisMeasurer:
 
     def from_state(self, blocks) -> np.ndarray:
         tms = [trace_moment(blocks, w) for w in self.words]
-        return np.array([tms[i].real if kind == "re" else tms[i].imag
-                         for i, kind in self.selector])
+        return np.stack([tms[i].real if kind == "re" else tms[i].imag
+                         for i, kind in self.selector], axis=-1)
 
 
 def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,
@@ -177,13 +178,20 @@ def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,
 class FitOptions:
     """Budgets for the n >= 2 Monte Carlo Newton fit; the keys of a ``fit:`` section.
 
-    At most ``iterations`` Newton iterates run; each re-tunes the chain for
-    ``discard_per_iter`` steps and then runs n steps, n doubling from about
-    ``steps_per_iter`` up to ``final_steps`` as the decrement reaches its noise
-    floor (see :func:`_chain_newton`). The fitted model is then run for
-    ``final_burnin`` steps and measured on every 2nd of ``final_steps`` steps;
-    the fit is converged when the Newton stop was reached and every final
-    residual is within max(eps, ``moment_tol`` R^degree) plus 3 stderr. ``ti``
+    The fit's chain is ``WALKERS`` lockstep walkers (see
+    :class:`matent.sampler.ChainEngine`). ``steps_per_iter`` and
+    ``final_steps`` count walker-steps in total, split evenly over the
+    walkers, so the states measured are as many as one chain of that length
+    gives; ``discard_per_iter`` and ``final_burnin`` count steps of every
+    walker. At most ``iterations`` Newton iterates run; each re-tunes the
+    walkers for ``discard_per_iter`` steps and then runs n walker-steps in
+    all, n doubling from about ``steps_per_iter`` up to ``final_steps`` as
+    the decrement reaches its noise floor (see :func:`_chain_newton`). The
+    fitted model is then run for ``final_burnin`` steps and measured on every
+    2nd of ``final_steps`` walker-steps, with pooled-IAT stderrs (see
+    :func:`matent.sampler.pooled_mean`); the fit is converged when the Newton
+    stop was reached and every final residual is within max(eps,
+    ``moment_tol`` R^degree) plus 3 stderr. ``ti``
     budgets the log-normalizer of the fitted model where it has no exact
     route: a K = 2 two-matrix fit gets it from Mehta's determinant and reads
     ``ti`` only where that falls back (see
@@ -350,6 +358,9 @@ def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
 
 # a decrement within this many noise floors is indistinguishable from zero
 NOISE_MULT = 3.0
+# lockstep walkers of every n >= 2 fit chain (see ChainEngine): at N = 4 a
+# step of 8 walkers costs about a quarter of 8 single steps
+WALKERS = 8
 # the last step rests on this many final_steps-long runs, so that its noise
 # adds about a fifth of the final chain's variance to the checked residuals
 FINAL_POOL = 5
@@ -395,14 +406,17 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
 
     The dual's derivatives are model moments: with f the scaled basis moments
     (1/N) Tr b_j / R^degree of a state, g = N^2 (tt - E f) and H = N^4 Cov f.
-    Each iterate re-tunes the warm ``engine`` at mu for ``discard_per_iter``
-    steps, runs n steps and measures every 4th state; :func:`_reweighted_dual`
-    of the S states gives g, H, the Newton direction of
-    :func:`_newton_direction` and the dual along it, on which the step is
-    backtracked (:func:`_backtrack`). The decrement (nats of dual above the
-    minimum) has the noise floor sum_k IAT_k / (2 S) over the whitened
-    moments, its expectation when mu is already optimal. With fewer than 10
-    states per coefficient no step is taken.
+    Each iterate re-tunes the warm ``engine``'s K walkers at mu for
+    ``discard_per_iter`` steps each, runs n walker-steps in all (n / K per
+    walker) and measures every 4th state of every walker;
+    :func:`_reweighted_dual` of the S states gives g, H, the Newton
+    direction of :func:`_newton_direction` and the dual along it, on which
+    the step is backtracked (:func:`_backtrack`). The decrement (nats of dual
+    above the minimum) has the noise floor sum_k IAT_k / (2 S) over the
+    whitened moments, its expectation when mu is already optimal; each IAT_k
+    comes from the autocorrelations of the K walker series of that moment,
+    averaged (:func:`matent.sampler.pooled_mean`). With fewer than 10 states
+    per coefficient no step is taken.
 
     n starts at ``final_steps`` / 2^k, the first such length at or above
     ``steps_per_iter``, and doubles up to ``final_steps`` after an iterate whose
@@ -415,23 +429,26 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
     residual above 3 tolerances raises :class:`InfeasibleTargetError`.
     Returns mu, the last resolved decrement (inf if none), whether the stop
     and its pooled step were reached, the number of iterates and their
-    trajectory.
+    trajectory: per iterate the largest scaled residual, n, the decrement,
+    its noise floor and the pooled ESS S / max_k IAT_k of the slowest
+    whitened moment, and the number of walkers under ``walkers``.
     """
     N = engine.model.N
     n2 = N * N
+    K = engine.walkers
     mu = np.zeros(len(basis))
     steps = opts.final_steps >> max(0, int(math.log2(opts.final_steps / opts.steps_per_iter)))
     pool: List[Tuple[np.ndarray, np.ndarray]] = []  # the runs of final_steps
     last = math.inf  # decrement before the last step at this length
     trajectory = {"residual_max_scaled": [], "chain_steps": [], "decrement": [],
-                  "noise_floor": []}
+                  "noise_floor": [], "ess": []}
     stop = done = False
     for t in range(opts.iterations):
         engine.set_potential(potential_from_coeffs(basis, mu / scales))
         engine.tune(opts.discard_per_iter, interval=opts.discard_per_iter)
         acc: List[np.ndarray] = []
-        engine.run(steps, observe=lambda e: acc.append(measurer.from_state(e.blocks)),
-                   every=4)
+        engine.run(_walker_steps(steps, K, 4),
+                   observe=lambda e: acc.append(measurer.from_state(e.blocks)), every=4)
         F = np.asarray(acc).reshape(-1, len(mu)) / scales
         resid = F.mean(axis=0) - tt
         if np.max(np.abs(mu)) > 60.0 and np.max(np.abs(resid) / tol_scaled) > 3.0:
@@ -444,7 +461,7 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
             pool = [r for r in pool
                     if math.isfinite(_reweighted_dual([r], n2, tt)(mu)[0])] + [(mu, F)]
         runs = pool if stop else [(mu, F)]
-        dec = floor = math.nan
+        dec = floor = ess = math.nan
         if len(F) >= 10 * len(mu):  # fewer states give too rough a covariance to step on
             parts = _reweighted_dual(runs, n2, tt)
             f0, g, H = parts(mu)
@@ -452,10 +469,13 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
                 pg, free, d, dec = _newton_direction(mu, g, H, l1)
                 chol = np.linalg.cholesky(np.cov(F[:, free], rowvar=False, bias=True))
                 white = np.linalg.solve(chol, (F[:, free] - F[:, free].mean(axis=0)).T)
-                floor = 0.5 * sum(map(integrated_autocorrelation_time, white)) / len(F)
+                # one IAT per whitened moment, from its K walker series
+                iats = [pooled_mean(w.reshape(-1, K).T)[1] for w in white]
+                floor = 0.5 * sum(iats) / len(F)
+                ess = len(F) / max(iats)
             except np.linalg.LinAlgError:
                 dec = math.nan
-        for key, v in zip(trajectory, (float(np.max(np.abs(resid))), steps, dec, floor)):
+        for key, v in zip(trajectory, (float(np.max(np.abs(resid))), steps, dec, floor, ess)):
             trajectory[key].append(v)
         done = stop and len(pool) >= FINAL_POOL  # this iterate's step is on the pool
         stop = stop or (steps == opts.final_steps and dec <= NOISE_MULT * floor)
@@ -473,9 +493,46 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
             # noise-dominated, stalled or unresolved: a longer chain is needed
             steps = min(2 * steps, opts.final_steps)
             last = math.inf
+    trajectory["walkers"] = K
     resolved = [v for v in trajectory["decrement"] if math.isfinite(v)]
     return (mu, resolved[-1] if resolved else math.inf, done,
             len(trajectory["decrement"]), trajectory)
+
+
+def _walker_steps(steps: int, walkers: int, every: int) -> int:
+    """Steps per walker that measure at least ``steps / every`` states in all,
+    every ``every``-th state of each walker and at least one per walker."""
+    return every * max(1, -(-steps // (every * walkers)))
+
+
+def _final_run(engine: ChainEngine, measurer: _BasisMeasurer, steps: int, burnin: int):
+    """The measurement run of a fitted model on the engine's walkers.
+
+    ``burnin`` steps per walker (the first 60% tuning) precede about ``steps``
+    walker-steps in all, of which every 2nd state is measured. Returns the
+    basis moment means and their stderrs, the energy as a
+    :class:`ScalarEstimate`, all from :func:`matent.sampler.pooled_mean`
+    over the walkers, and the run's pooled acceptance, energy IAT and ESS
+    (summed over walkers) under ``final_acceptance``, ``final_iat`` and
+    ``final_ess``.
+    """
+    engine.tune(int(burnin * 0.6))
+    engine.run(burnin - int(burnin * 0.6))
+    engine.reset_counters()
+    obs: List[np.ndarray] = []
+    energies: List[np.ndarray] = []
+
+    def collect(e: ChainEngine) -> None:
+        obs.append(measurer.from_state(e.blocks))
+        energies.append(e.energy)
+
+    engine.run(_walker_steps(steps, engine.walkers, 2), observe=collect, every=2)
+    omat = np.asarray(obs)  # (T, K, len(basis))
+    moments = [pooled_mean(omat[:, :, j].T)[0] for j in range(omat.shape[2])]
+    energy, iat = pooled_mean(np.asarray(energies).T)
+    return (np.array([m.value for m in moments]), np.array([m.stderr for m in moments]),
+            energy, {"final_acceptance": engine.acceptance, "final_iat": iat,
+                     "final_ess": energy.count / iat})
 
 
 def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
@@ -492,15 +549,21 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     (rho minus the dual) plus rounding, ``iterations`` counts Newton steps,
     ``rng`` is not consumed, and the fit is ``converged`` when the Newton
     decrement is at most 1e-10 nats. For n >= 2 the Monte Carlo Newton of
-    :func:`_chain_newton` runs on one warm-started matrix-mode chain with the
-    budgets of :class:`FitOptions`, and a further run of the same chain at the
-    fitted model, independent of the samples that chose it, gives ``energy``
-    and the residuals. The tolerance is max(eps, moment_tol * R^degree); the
-    fit is ``converged`` when the Newton stop was reached and every final
-    residual is within its tolerance plus 3 stderr. ``iterations`` counts
-    Newton iterates, and ``trajectory`` holds per iterate the largest scaled
-    residual, the chain steps, the decrement and its noise floor, plus the
-    final run's acceptance, IAT and ESS. On both routes ``dual_value.bias_bound``
+    :func:`_chain_newton` runs on one warm-started matrix-mode engine of
+    ``WALKERS`` lockstep walkers with the budgets of :class:`FitOptions`
+    (``steps_per_iter`` and ``final_steps`` in walker-steps in total,
+    ``discard_per_iter`` and ``final_burnin`` per walker), and a further run
+    of the same walkers at the fitted model, independent of the samples that
+    chose it, gives ``energy`` and the residuals (:func:`_final_run`); their
+    stderrs are pooled-IAT stderrs over the walkers
+    (:func:`matent.sampler.pooled_mean`). The tolerance is max(eps,
+    moment_tol * R^degree); the fit is ``converged`` when the Newton stop was
+    reached and every final residual is within its tolerance plus 3 stderr.
+    ``iterations`` counts Newton iterates, and ``trajectory`` holds per
+    iterate the largest scaled residual, the chain's walker-steps, the
+    decrement, its noise floor and the pooled ESS, the number of walkers,
+    and the final run's pooled acceptance, energy IAT and ESS (summed over
+    walkers). On both routes ``dual_value.bias_bound``
     adds the final decrement, by which the dual may exceed the maximum
     entropy. An unconverged fit issues a ``RuntimeWarning``. A target the fit
     cannot reach (coefficients diverging, residuals stuck) raises
@@ -539,33 +602,16 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
         converged = 0.0 <= dec <= 1e-10
     else:
         tol_scaled = np.maximum(eps_scaled, opts.moment_tol)
-        engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n), 1.0), rng)
+        engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n), 1.0), rng, WALKERS)
         engine.tune(400)
         measurer = _BasisMeasurer(basis)
         mu, dec, stopped, iterations, trajectory = _chain_newton(
             engine, measurer, basis, scales, tt, N * N * eps_scaled, tol_scaled, opts, what)
         lam = mu / scales
         engine.set_potential(potential_from_coeffs(basis, lam))
-        engine.tune(int(opts.final_burnin * 0.6))
-        engine.run(opts.final_burnin - int(opts.final_burnin * 0.6))
-        engine.reset_counters()
-        obs: List[np.ndarray] = []
-        energies: List[float] = []
-
-        def _collect(e: ChainEngine) -> None:
-            obs.append(measurer.from_state(e.blocks))
-            energies.append(e.energy)
-
-        engine.run(opts.final_steps, observe=_collect, every=2)
-        omat = np.asarray(obs)
-        moment_means = omat.mean(axis=0) * 1.0
-        residual_stderr = np.array([
-            mean_with_batch_stderr(omat[:, j]).stderr for j in range(omat.shape[1])
-        ])
-        energy_est = mean_with_batch_stderr(np.asarray(energies))
-        iat = integrated_autocorrelation_time(energies)
-        trajectory.update(final_acceptance=engine.acceptance, final_iat=iat,
-                          final_ess=len(energies) / iat)
+        moment_means, residual_stderr, energy_est, final = _final_run(
+            engine, measurer, opts.final_steps, opts.final_burnin)
+        trajectory.update(final)
     residuals = moment_means - targets
     tol_abs = tol_scaled * scales
     if n > 1:

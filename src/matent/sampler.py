@@ -5,10 +5,12 @@ The reference measure is Lebesgue on the product of operator-norm balls
 self-adjoint potential V. For n >= 2 sampling is random-walk Metropolis,
 tuned to a 30-45% acceptance band during burn-in and frozen afterwards: the
 proposal adds a Gaussian Hermitian increment to every block and rejects
-outside the ball. For n == 1 the draws are exact and i.i.d.: the law is
-unitarily invariant, its eigenvalues form a projection determinantal point
-process, and each spectrum is drawn point by point by rejection
-(:class:`_ExactSpectra`) and conjugated by a fresh Haar unitary.
+outside the ball. One engine steps one chain or several walkers in
+lockstep, with one batched proposal for all of them (:class:`ChainEngine`).
+For n == 1 the draws are exact and i.i.d.: the law is unitarily invariant,
+its eigenvalues form a projection determinantal point process, and each
+spectrum is drawn point by point by rejection (:class:`_ExactSpectra`) and
+conjugated by a fresh Haar unitary.
 
 The normalizer I(beta) = integral of exp(-beta N Tr V) over the ball product
 is exact for n == 1: the eigenvalues form an orthogonal-polynomial ensemble,
@@ -55,6 +57,7 @@ __all__ = [
     "gibbs_entropy",
     "microstate_hit_rate",
     "integrated_autocorrelation_time",
+    "pooled_mean",
 ]
 
 ACCEPT_BAND = (0.30, 0.45)
@@ -128,6 +131,41 @@ def integrated_autocorrelation_time(xs) -> float:
     return float(max(1.0, taus[w]))
 
 
+def pooled_mean(series) -> Tuple[ScalarEstimate, float]:
+    """Grand mean of lockstep walker series, the rows of a (K, T) array, with
+    its pooled-IAT stderr; and that IAT.
+
+    The autocovariance at lag t is the average over the walkers and their
+    T - t pairs of products about the grand mean, so its lag-0 value, the
+    pooled variance, counts the
+    spread between walker means too (Gelman & Rubin 1992): walkers that
+    disagree keep every lag correlated and the IAT large. The IAT tau is
+    Geyer's (1992) initial monotone sequence estimate, 2 sum_m G_m - 1 over
+    the pair sums G_m = rho_2m + rho_2m+1 of the autocorrelations, cut at the
+    first G_m <= 0 and made non-increasing; on walkers of a few hundred
+    states it spreads far less than the automatic window of
+    :func:`integrated_autocorrelation_time`. The stderr is
+    sqrt(var tau / (K T)), and K T / tau the ESS summed over walkers. Series
+    of fewer than 8 steps, or constant ones, get tau = 1.
+    """
+    x = np.asarray(series, dtype=float)
+    K, T = x.shape
+    mean = float(x.mean())
+    d = x - mean
+    size = 1 << (2 * T - 1).bit_length()
+    f = np.fft.rfft(d, size, axis=1)
+    lagged = np.fft.irfft(f * np.conj(f), size, axis=1)[:, :T].sum(axis=0)
+    cov = lagged / (K * (T - np.arange(T)))
+    var = float(cov[0])
+    tau = 1.0
+    if T >= 8 and var > 0.0:
+        pairs = cov[:T - T % 2].reshape(-1, 2).sum(axis=1) / var
+        cut = np.flatnonzero(pairs <= 0.0)
+        pairs = np.minimum.accumulate(pairs[:cut[0] if cut.size else pairs.size])
+        tau = max(1.0, 2.0 * float(pairs.sum()) - 1.0)
+    return ScalarEstimate(mean, math.sqrt(var * tau / (K * T)), K * T), tau
+
+
 class _Energy:
     """Evaluates E(M) = N Tr V(M) on one state or on a stack of states:
     N Tr of :meth:`NcPoly.evaluate` on blocks of shape (..., N, N), which
@@ -147,26 +185,36 @@ class _Energy:
 
 
 class ChainEngine:
-    """Random-walk Metropolis state for one Gibbs model.
+    """Random-walk Metropolis state for one Gibbs model, on ``walkers``
+    independent chains that step in lockstep.
 
-    Keeps the current blocks, as one (n, N, N) array, and their energy. The
+    Keeps the current blocks, as one (n, K, N, N) array for K walkers (block
+    i of walker k is ``blocks[i, k]``), and their energies, shape (K,). The
     model's beta or potential can be swapped without discarding the state
     (used by annealed thermodynamic integration and by iterative moment
     fitting). Every step proposes a joint Gaussian Hermitian increment of all
-    blocks, for any n; :func:`mcmc_chain` draws n == 1 samples exactly
-    instead.
+    blocks of every walker, for any n; :func:`mcmc_chain` draws n == 1
+    samples exactly instead. All walkers share one step scale, tuned on their
+    pooled acceptance, and ``accepted`` and ``proposed`` count walker-steps,
+    so ``run(s)`` costs s batched steps and yields K s walker-steps. One
+    walker draws the same random numbers and takes the same decisions as a
+    per-block single chain, bit for bit (the tests hold it to one).
     """
 
-    def __init__(self, model: GibbsModel, rng: np.random.Generator):
+    def __init__(self, model: GibbsModel, rng: np.random.Generator, walkers: int = 1):
         self.model = model
         self.rng = rng
         N = model.N
-        self.blocks = np.zeros((model.n, N, N), dtype=complex)
+        self.blocks = np.zeros((model.n, walkers, N, N), dtype=complex)
         self.step_scale = model.R / (2.0 * math.sqrt(N))
         self._energy_fn = _Energy(model.n, model.N, model.potential)
         self.energy = self._energy_fn.from_state(self.blocks)
         self.accepted = 0
         self.proposed = 0
+
+    @property
+    def walkers(self) -> int:
+        return self.blocks.shape[1]
 
     def set_beta(self, beta: float) -> None:
         self.model = self.model.with_beta(beta)
@@ -185,27 +233,34 @@ class ChainEngine:
         return self.accepted / self.proposed if self.proposed else 0.0
 
     def step(self) -> float:
-        """Advance the chain once; returns 1.0 if the move was accepted, else 0.0.
+        """Advance every walker once; returns the fraction of moves accepted.
 
-        The proposal is one standard normal draw of shape (n, 2, N, N), the
-        real and imaginary parts of every block's increment in turn,
+        The proposal is one standard normal draw of shape (n, K, 2, N, N),
+        the real and imaginary parts of every block's increment in turn,
         hermitized as a stack; one batched ``eigvalsh`` tests the norm ball
-        of all blocks.
+        of all blocks, one energy call prices all K proposals, and a uniform
+        is drawn only for the walkers inside the ball whose energy rises.
         """
         model = self.model
-        self.proposed += 1
-        z = self.rng.standard_normal((model.n, 2, model.N, model.N))
-        new_blocks = self.blocks + self.step_scale * hermitize(z[:, 0] + 1j * z[:, 1])
-        if np.abs(np.linalg.eigvalsh(new_blocks)).max() > model.R:
+        n, K, N = self.blocks.shape[:3]
+        self.proposed += K
+        z = self.rng.standard_normal((n, K, 2, N, N))
+        new_blocks = self.blocks + self.step_scale * hermitize(z[:, :, 0] + 1j * z[:, :, 1])
+        accept = np.abs(np.linalg.eigvalsh(new_blocks)).max(axis=(0, 2)) <= model.R
+        if not np.count_nonzero(accept):
             return 0.0
         new_energy = self._energy_fn.from_state(new_blocks)
         log_ratio = -model.beta * (new_energy - self.energy)
-        if log_ratio < 0 and math.log(self.rng.random()) >= log_ratio:
-            return 0.0
-        self.blocks = new_blocks
-        self.energy = new_energy
-        self.accepted += 1
-        return 1.0
+        need = np.flatnonzero(accept & (log_ratio < 0))
+        if need.size:
+            accept[need] = np.log(self.rng.random(need.size)) < log_ratio[need]
+        count = np.count_nonzero(accept)
+        if count:
+            # new arrays, never writes into the old: an observer may hold them
+            self.blocks = np.where(accept[:, None, None], new_blocks, self.blocks)
+            self.energy = np.where(accept, new_energy, self.energy)
+        self.accepted += count
+        return count / K
 
     def run(self, steps: int, observe: Optional[Callable[["ChainEngine"], None]] = None,
             every: int = 1) -> None:
@@ -218,8 +273,8 @@ class ChainEngine:
         """Adapt the step size toward the acceptance band ``ACCEPT_BAND``.
 
         Multiplicative updates proportional to the log of the window
-        acceptance over the band midpoint; the factor is clamped so a noisy
-        window cannot destabilize the scale.
+        acceptance (pooled over walkers) over the band midpoint; the factor is
+        clamped so a noisy window cannot destabilize the scale.
         """
         target = (ACCEPT_BAND[0] + ACCEPT_BAND[1]) / 2.0
         done = 0
@@ -263,7 +318,7 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
             engine.step()
             if (i + 1) % thin == 0:
                 samples.append(MatrixTuple(model.n, model.N, model.R,
-                                           tuple(hermitize(engine.blocks))))
+                                           tuple(hermitize(engine.blocks[:, 0]))))
         acceptance, step_scale = engine.acceptance, engine.step_scale
     # the tracked scalar: the energy, or (1/N) Tr X_1^2 for the zero potential
     tracked = "m2" if model.potential.is_zero() else "energy"
@@ -493,9 +548,11 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
     (C' = A^-T diag(m! s^(N-m)) B^-1 Rem^T, the same determinant) and the
     error is the node gap plus both swap spreads. M starts at max(300, 8N)
     and doubles while the error exceeds 1e-8 nats, up to 2M =
-    ``MEHTA_MAX_NODES``. Returns ``ScalarEstimate(value, 0, M, error)``, or
-    None when the potential is not bilinear, a value is not finite (N t R^2
-    too large) or the error stays above 1e-8.
+    ``MEHTA_MAX_NODES``; a swap spread above 1e-8 ends the search at once,
+    since more nodes do not shrink rounding. Returns
+    ``ScalarEstimate(value, 0, M, error)``, or None when the potential is
+    not bilinear, a value is not finite (N t R^2 too large) or the error
+    stays above 1e-8.
 
     Against the all-space Gaussian a(X^2 + Y^2) - c(XY + YX) with a = 1 and
     R = 6 it is within 2e-10 nats for N <= 32 and |c| <= 0.25, and None at
@@ -552,9 +609,12 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
     M = _heine_nodes(N)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            coarse, fine = value(M), value(2 * M)
-            # a nan error ends the loop too
-            while error(coarse, fine) > 1e-8 and 4 * M <= MEHTA_MAX_NODES:
+            # a swap spread is rounding, which more nodes cannot shrink: one
+            # beyond 1e-8 ends the search (and so does a nan)
+            coarse = value(M)
+            fine = value(2 * M) if coarse[1] <= 1e-8 else coarse
+            while (error(coarse, fine) > 1e-8 and fine[1] <= 1e-8
+                   and 4 * M <= MEHTA_MAX_NODES):
                 M *= 2
                 coarse, fine = fine, value(2 * M)
     except (EstimatorError, np.linalg.LinAlgError):
@@ -704,7 +764,7 @@ def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
         series = np.empty(node_steps)
         for i in range(node_steps):
             engine.step()
-            series[i] = engine.energy
+            series[i] = engine.energy[0]
         if engine.acceptance < MIN_ACCEPTANCE:
             raise EstimatorError(
                 f"chain acceptance collapsed to {engine.acceptance:.4f} at beta={b:.3f}")

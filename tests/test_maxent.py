@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from matent import sampler
+from matent import maxent, sampler
 from matent.maxent import (FitOptions, InfeasibleTargetError, build_dual_basis,
                            chi_tilde_curve, dual_objective, eta_bound_check,
                            fit_projection, free_pressure, log_energy_quadrature,
-                           one_variable_chi_reference, reference_constant, rho,
-                           target_vector)
+                           one_variable_chi_reference, potential_from_coeffs,
+                           reference_constant, rho, target_vector)
 from matent.moments import MomentSpec, free_product_moments, semicircle_moments
 from matent.ncpoly import NcPoly
 from matent.sampler import GibbsModel, TIOptions, _heine_log_I, estimate_log_I
@@ -172,6 +172,36 @@ def test_chain_newton_fit_covers_separable_oracle():
         traj = fit.trajectory
         assert len(traj["chain_steps"]) == len(traj["decrement"]) == fit.iterations
         assert traj["final_ess"] > 0 and 0 < traj["final_acceptance"] < 1
+
+
+def test_final_run_stderr_calibrated_at_exact_optimum():
+    # free-pair-4's exact lambda*: each side is the n = 1 exact fit of the
+    # semicircle marginal, with no coupling. There the energy has mean
+    # N^2 lambda* . tau and every residual mean 0, so each z = (estimate -
+    # exact) / stderr of a final run at the default budget, from a cold start,
+    # should have unit spread
+    half = semicircle_moments(1.0, 2, radius=2.0)
+    tau = free_product_moments([half, half], 2)
+    one = fit_projection(half, 4, 2, rng=substream(13, "marginal"))
+    assert 2 * one.rho.value == pytest.approx(14.780197, abs=1e-6)
+    basis = build_dual_basis(2, 2)
+    assert basis.labels == ("re:1", "re:2", "re:1.1", "re:1.2", "re:2.2")
+    lam = np.array([one.coeffs[0], one.coeffs[0], one.coeffs[1], 0.0, one.coeffs[1]])
+    targets = target_vector(tau, basis)
+    exact = 16 * float(lam @ targets)
+    model = GibbsModel(2, 4, 2.0, potential_from_coeffs(basis, lam), 1.0)
+    zs = []
+    defaults = FitOptions()
+    for seed in range(30):
+        engine = sampler.ChainEngine(model, substream(seed, "calibration"), maxent.WALKERS)
+        means, stderrs, energy, _ = maxent._final_run(
+            engine, maxent._BasisMeasurer(basis), defaults.final_steps, defaults.final_burnin)
+        zs.append([(energy.value - exact) / energy.stderr, *((means - targets) / stderrs)])
+    zs = np.array(zs)
+    spread = zs.std(axis=0, ddof=1)
+    print("z spread (energy, residuals):", np.round(spread, 3))
+    assert np.all((0.7 <= spread) & (spread <= 1.3)), spread
+    assert np.sum(np.abs(zs) > 3.5) <= 1
 
 
 def test_exact_fit_runs_no_chain(monkeypatch):

@@ -100,11 +100,13 @@ def test_chain_acceptance_in_band_and_diagnostics():
 
 class _PerBlockEngine(sampler.ChainEngine):
     """The chain with the per-block step it had before the proposal was drawn
-    in one call: blocks in a list, 2n (N, N) draws, one eigvalsh per block."""
+    in one call: blocks in a list, 2n (N, N) draws, one eigvalsh per block,
+    and one walker, whose energy is a scalar."""
 
     def __init__(self, model, rng):
         super().__init__(model, rng)
-        self.blocks = [b.copy() for b in self.blocks]
+        self.blocks = [b[0].copy() for b in self.blocks]
+        self.energy = self.energy[0]
 
     def step(self):
         model = self.model
@@ -131,7 +133,8 @@ class _PerBlockEngine(sampler.ChainEngine):
 @pytest.mark.parametrize("n,N", [(2, 4), (3, 5)])
 def test_chain_step_matches_per_block_reference(n, N):
     # 3,000 steps with a potential swap and a beta swap on the way; the
-    # batched proposal must reproduce the per-block chain bit for bit
+    # batched proposal on one walker must reproduce the per-block chain bit
+    # for bit (the engine's state has a walker axis of length 1, ravelled here)
     quad = sum((NcPoly.from_word(n, (i, i)) for i in range(1, n + 1)), NcPoly.zero(n))
     coupled = quad + 0.6 * (NcPoly.from_word(n, (1, 2)) + NcPoly.from_word(n, (2, 1))) \
         + 0.3 * NcPoly.from_word(n, (1, 1, 1, 1))
@@ -140,18 +143,69 @@ def test_chain_step_matches_per_block_reference(n, N):
         engine = cls(GibbsModel(n, N, 1.2, quad, 1.0), substream(17, "step", n))
         energies = []
         engine.tune(600)
-        engine.run(900, observe=lambda e: energies.append(e.energy))
+        engine.run(900, observe=lambda e: energies.append(np.ravel(e.energy)))
         engine.set_potential(coupled)
-        engine.run(800, observe=lambda e: energies.append(e.energy))
+        engine.run(800, observe=lambda e: energies.append(np.ravel(e.energy)))
         engine.set_beta(0.4)
-        engine.run(700, observe=lambda e: energies.append(e.energy))
-        runs.append((np.array(energies), np.array(engine.blocks), engine.accepted,
-                     engine.proposed, engine.step_scale))
+        engine.run(700, observe=lambda e: energies.append(np.ravel(e.energy)))
+        runs.append((np.array(energies), np.array(engine.blocks).reshape(n, N, N),
+                     engine.accepted, engine.proposed, engine.step_scale))
     (e_new, b_new, *rest_new), (e_ref, b_ref, *rest_ref) = runs
     assert np.array_equal(e_new, e_ref)
     assert np.array_equal(b_new, b_ref)
     assert rest_new == rest_ref
     assert 0 < rest_ref[0] < rest_ref[1]
+
+
+def test_walkers_diverge_and_count_walker_steps():
+    # eight lockstep walkers from one start: their own proposals part them at
+    # once, and the counters count walker-steps, not batched steps
+    model = GibbsModel(2, 4, 2.0, _quadratic_pair(1.0, 0.3), 1.0)
+    engine = sampler.ChainEngine(model, substream(4, "walkers"), 8)
+    assert engine.walkers == 8 and engine.blocks.shape == (2, 8, 4, 4)
+    engine.tune(200)
+    engine.reset_counters()
+    fractions = [engine.step() for _ in range(300)]
+    assert engine.proposed == 8 * 300
+    assert engine.accepted == round(8 * sum(fractions))
+    assert 0.2 <= engine.acceptance <= 0.55
+    flat = engine.blocks.transpose(1, 0, 2, 3).reshape(8, -1)
+    assert np.all(np.linalg.norm(flat[:, None] - flat[None], axis=-1) + np.eye(8) > 0)
+    assert np.array_equal(engine.energy, _Energy(2, 4, model.potential).from_state(engine.blocks))
+
+
+def test_pooled_walker_moment_matches_gaussian_pair_derivative():
+    # a (X^2 + Y^2) - c (XY + YX) on a ball it never reaches (R = 6): the
+    # pooled mean of N Tr(X^2 + Y^2) over 8 walkers is -d/da log I, taken
+    # here from the closed form by a central difference
+    a, c, N, h = 1.0, 0.5, 4, 1e-5
+    want = (oracles.gaussian_pair_log_I(a - h, c, N)
+            - oracles.gaussian_pair_log_I(a + h, c, N)) / (2 * h)
+    engine = sampler.ChainEngine(GibbsModel(2, N, 6.0, _quadratic_pair(a, c), 1.0),
+                                 substream(5, "walker-pair"), 8)
+    engine.tune(800)
+    trace = _Energy(2, N, _quadratic_pair(1.0, 0.0))
+    series = []
+    engine.run(3000, observe=lambda e: series.append(trace.from_state(e.blocks)), every=2)
+    est, iat = sampler.pooled_mean(np.array(series).T)
+    assert est.count == 8 * 1500 and iat >= 1.0
+    assert abs(est.value - want) <= 3 * est.stderr, (est.value, want, est.stderr)
+
+
+@pytest.mark.parametrize("walkers,steps", [(1, 40000), (8, 5000)])
+def test_pooled_mean_ar1_matches_theory(walkers, steps):
+    # AR(1) with phi = 0.9 has tau = (1 + phi) / (1 - phi) = 19; pooled over
+    # walkers or not, the estimate lands near it, and the stderr is
+    # sqrt(var tau / (K T)) with the variance about the grand mean
+    rng = substream(6, "pooled-ar1", str(walkers))
+    x = np.zeros((walkers, steps))
+    x[:, 0] = rng.standard_normal(walkers) / math.sqrt(1 - 0.81)
+    for t in range(1, steps):
+        x[:, t] = 0.9 * x[:, t - 1] + rng.standard_normal(walkers)
+    est, iat = sampler.pooled_mean(x)
+    assert est.value == pytest.approx(x.mean()) and est.count == x.size
+    assert iat == pytest.approx(19.0, rel=0.15)
+    assert est.stderr == pytest.approx(math.sqrt(x.var() * iat / x.size))
 
 
 def test_chain_record_path(tmp_path):
@@ -525,3 +579,20 @@ def test_exact_draws_raise_below_a_shrunken_envelope(monkeypatch):
     spectra = _ExactSpectra(GibbsModel(1, 8, 2.0, NcPoly.zero(1), 0.0))
     with pytest.raises(EstimatorError, match="envelope"):
         spectra.draw(50, substream(31, "shrunk"))
+
+
+@pytest.mark.parametrize("N,c", [(12, 0.5), (16, 0.25)])
+def test_mehta_log_i_gives_up_on_swap_spread_at_once(monkeypatch, N, c):
+    # c (X - Y)^2 at R = 2 rounds beyond 1e-8 in the X <-> Y swap here; more
+    # nodes cannot shrink rounding, so the route stops after at most two
+    # node counts instead of doubling to MEHTA_MAX_NODES
+    counts = []
+    real = sampler._legendre_nodes
+
+    def spy(M, R):
+        counts.append(M)
+        return real(M, R)
+
+    monkeypatch.setattr(sampler, "_legendre_nodes", spy)
+    assert sampler._mehta_log_I(GibbsModel(2, N, 2.0, _quadratic_pair(c, c), 1.0)) is None
+    assert 1 <= len(set(counts)) <= 2
