@@ -8,7 +8,7 @@ inequalities that relate them.
 
 __version__ = "0.1.0"
 
-from .estimates import EstimatorError, ScalarEstimate, combine_linear, mean_with_batch_stderr
+from .estimates import EstimatorError, ScalarEstimate, combine_linear, pooled_mean
 from .streams import substream
 from .ncpoly import NcPoly, canonical_class, canonical_classes, trace_moment
 from .moments import (MomentSpec, arcsine_moments, empirical_moments,
@@ -34,7 +34,7 @@ from .orbital import (ChainRuleReport, OrbitalEstimate, OrbitalRequest,
 
 __all__ = [
     "__version__",
-    "EstimatorError", "ScalarEstimate", "combine_linear", "mean_with_batch_stderr",
+    "EstimatorError", "ScalarEstimate", "combine_linear", "pooled_mean",
     "substream",
     "NcPoly", "canonical_class", "canonical_classes", "trace_moment",
     "MomentSpec", "arcsine_moments", "empirical_moments", "free_product_moments",

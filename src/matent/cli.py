@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .estimates import EstimatorError, ScalarEstimate
+from .estimates import EstimatorError, ScalarEstimate, pooled_mean
 from .matrices import (BlockMap, MatrixTuple, build_compression,
                        log_jacobian_functional_calculus)
 from .maxent import (FitOptions, FitResult, InfeasibleTargetError, fit_projection,
@@ -263,8 +263,9 @@ def _chain(cfg: ExperimentConfig, model: GibbsModel, stream: str, **kwargs):
         _require(k in p, f"unknown chain option {k!r}")
         _require(isinstance(v, int), f"chain option {k} must be an integer, got {v!r}")
         p[k] = v
-    _require(p["steps"] >= p["thin"] >= 1 and p["burnin"] >= 0,
-             "chain needs steps >= thin >= 1 and burnin >= 0")
+    _require(p["steps"] >= 2 * p["thin"] >= 2 and p["burnin"] >= 0,
+             "chain needs steps >= 2 thin, thin >= 1 and burnin >= 0 (two samples "
+             "for an error bar)")
     return mcmc_chain(model, p["steps"], p["burnin"], p["thin"],
                       rng=substream(cfg.seed, stream), **kwargs)
 
@@ -336,9 +337,8 @@ def _run_sample(cfg: ExperimentConfig):
     mrows = []
     for w in words:
         vals = np.array([s.values[w] for s in specs])
-        mrows.append((".".join(map(str, w)), float(vals.real.mean()),
-                      float(vals.imag.mean()),
-                      float(vals.real.std(ddof=1) / math.sqrt(len(vals)))))
+        real = pooled_mean(vals.real)[0]
+        mrows.append((".".join(map(str, w)), real.value, float(vals.imag.mean()), real.stderr))
     hist = _histogram(_spectrum(samples), _checked(int, cfg.param("bins", 40)), -model.R, model.R)
     result = {"kind": "sample", "diagnostics": asdict(diag),
               "moments": [{"word": r[0], "re": r[1], "im": r[2], "stderr": r[3]}
@@ -460,7 +460,7 @@ def _orbital_point(args):
     rec = {"kind": "orbital", "value": est.value, "stderr": est.stderr,
            "bias_bound": est.bias_bound, "raw": est.raw, "kl": est.kl,
            "half_shift": est.half_shift, "self_consistent": est.self_consistent,
-           "s_out": est.s_out, "s_in": est.s_in}
+           "s_out": est.s_out, "s_in": est.s_in, "ess": est.ess}
     if c is not None:
         rec["coupling"] = c
     return rec
@@ -495,6 +495,7 @@ def _talagrand_point(args):
     rep = talagrand_report(req, substream(seed, "talagrand", str(c)), K=K)
     return {"kind": "talagrand", "coupling": c,
             "orbital_value": rep.orbital.value, "orbital_stderr": rep.orbital.stderr,
+            "orbital_ess": rep.orbital.ess,
             "lhs_free": rep.lhs_free, "lhs_conj": rep.lhs_conj,
             "rhs": rep.rhs, "rhs_upper": rep.rhs_upper,
             "freeness_gap": rep.freeness_gap, "p_tilde": rep.p_tilde,
@@ -573,10 +574,10 @@ def _run_compression_check(cfg: ExperimentConfig):
     logj = np.array([log_jacobian_functional_calculus(t.blocks[0], fn) for t in samples])
     bound = N * N * abs(math.log(fn.alpha))
     worst = float(np.max(np.abs(logj)))
+    mean = pooled_mean(logj)[0]
     rec = {"kind": "compression-check", "N": N,
            "alpha": fn.alpha, "bound": bound,
-           "mean_log_jacobian": float(logj.mean()),
-           "stderr": float(logj.std(ddof=1) / math.sqrt(logj.size)),
+           "mean_log_jacobian": mean.value, "stderr": mean.stderr,
            "max_abs_log_jacobian": worst,
            "bound_satisfied": bool(worst <= bound + 1e-9)}
     rows = [(i, float(v)) for i, v in enumerate(logj)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -12,7 +13,7 @@ __all__ = [
     "EstimatorError",
     "combine_linear",
     "logsumexp",
-    "mean_with_batch_stderr",
+    "pooled_mean",
 ]
 
 
@@ -81,25 +82,43 @@ def combine_linear(terms, constant: float = 0.0) -> ScalarEstimate:
     return ScalarEstimate(value, math.sqrt(var), count, bias)
 
 
-def mean_with_batch_stderr(xs) -> ScalarEstimate:
-    """Mean of a (possibly autocorrelated) series with batch-means stderr.
+def pooled_mean(series) -> Tuple[ScalarEstimate, float]:
+    """Mean of a Monte Carlo series with its IAT-inflated stderr; and that IAT.
 
-    The series is split into 20 contiguous batches; the spread of the batch
-    means absorbs autocorrelation without an explicit correlation-time fit.
-    Falls back to the naive stderr when the series has fewer than 80 points.
+    A 1-d array is one chain; the rows of a (K, T) array are K lockstep
+    walkers, pooled. The autocovariance at lag t is the average over the
+    walkers and their T - t pairs of products about the grand mean, so its
+    lag-0 value, the pooled variance, counts the spread between walker means
+    too (Gelman & Rubin 1992): walkers that disagree keep every lag
+    correlated and the IAT large. The IAT tau is Geyer's (1992) initial
+    monotone sequence estimate, 2 sum_m G_m - 1 over the pair sums
+    G_m = rho_2m + rho_2m+1 of the autocorrelations, cut at the first
+    G_m <= 0 and made non-increasing. The stderr is sqrt(var tau / (K T)),
+    and K T / tau the ESS summed over walkers. Series of fewer than 8 steps,
+    or constant ones, get tau = 1. Fewer than 2 points in all, or an array
+    that is neither 1-d nor 2-d, raise ``ValueError``.
     """
-    nbatch = 20
-    x = np.asarray(xs, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need a 1-d series of at least 2 points")
+    x = np.asarray(series, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim != 2 or x.size < 2:
+        raise ValueError(f"need a 1-d or (K, T) series of at least 2 points, "
+                         f"got shape {np.shape(series)}")
+    K, T = x.shape
     mean = float(x.mean())
-    if x.size < 4 * nbatch:
-        se = float(x.std(ddof=1) / math.sqrt(x.size))
-        return ScalarEstimate(mean, se, int(x.size))
-    usable = (x.size // nbatch) * nbatch
-    bm = x[:usable].reshape(nbatch, -1).mean(axis=1)
-    se = float(bm.std(ddof=1) / math.sqrt(nbatch))
-    return ScalarEstimate(mean, se, int(x.size))
+    d = x - mean
+    size = 1 << (2 * T - 1).bit_length()
+    f = np.fft.rfft(d, size, axis=1)
+    lagged = np.fft.irfft(f * np.conj(f), size, axis=1)[:, :T].sum(axis=0)
+    cov = lagged / (K * (T - np.arange(T)))
+    var = float(cov[0])
+    tau = 1.0
+    if T >= 8 and var > 0.0:
+        pairs = cov[:T - T % 2].reshape(-1, 2).sum(axis=1) / var
+        cut = np.flatnonzero(pairs <= 0.0)
+        pairs = np.minimum.accumulate(pairs[:cut[0] if cut.size else pairs.size])
+        tau = max(1.0, 2.0 * float(pairs.sum()) - 1.0)
+    return ScalarEstimate(mean, math.sqrt(var * tau / (K * T)), K * T), tau
 
 
 def logsumexp(a: np.ndarray) -> float:

@@ -35,12 +35,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimates import EstimatorError, ScalarEstimate, logsumexp
+from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
 from .moments import MomentSpec, moment_pairing
 from .ncpoly import NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word, trace_moment
 from .sampler import (ChainEngine, GibbsModel, TIOptions, _entropy, _heine_nodes,
                       _legendre_nodes, _log_heine_norms, estimate_log_I,
-                      log_ball_volume, pooled_mean)
+                      log_ball_volume)
 
 __all__ = [
     "InfeasibleTargetError",
@@ -189,7 +189,7 @@ class FitOptions:
     the decrement reaches its noise floor (see :func:`_chain_newton`). The
     fitted model is then run for ``final_burnin`` steps and measured on every
     2nd of ``final_steps`` walker-steps, with pooled-IAT stderrs (see
-    :func:`matent.sampler.pooled_mean`); the fit is converged when the Newton
+    :func:`matent.estimates.pooled_mean`); the fit is converged when the Newton
     stop was reached and every final residual is within max(eps,
     ``moment_tol`` R^degree) plus 3 stderr. ``ti``
     budgets the log-normalizer of the fitted model where it has no exact
@@ -415,7 +415,7 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
     above the minimum) has the noise floor sum_k IAT_k / (2 S) over the
     whitened moments, its expectation when mu is already optimal; each IAT_k
     comes from the autocorrelations of the K walker series of that moment,
-    averaged (:func:`matent.sampler.pooled_mean`). With fewer than 10 states
+    averaged (:func:`matent.estimates.pooled_mean`). With fewer than 10 states
     per coefficient no step is taken.
 
     n starts at ``final_steps`` / 2^k, the first such length at or above
@@ -511,7 +511,7 @@ def _final_run(engine: ChainEngine, measurer: _BasisMeasurer, steps: int, burnin
     ``burnin`` steps per walker (the first 60% tuning) precede about ``steps``
     walker-steps in all, of which every 2nd state is measured. Returns the
     basis moment means and their stderrs, the energy as a
-    :class:`ScalarEstimate`, all from :func:`matent.sampler.pooled_mean`
+    :class:`ScalarEstimate`, all from :func:`matent.estimates.pooled_mean`
     over the walkers, and the run's pooled acceptance, energy IAT and ESS
     (summed over walkers) under ``final_acceptance``, ``final_iat`` and
     ``final_ess``.
@@ -556,7 +556,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     of the same walkers at the fitted model, independent of the samples that
     chose it, gives ``energy`` and the residuals (:func:`_final_run`); their
     stderrs are pooled-IAT stderrs over the walkers
-    (:func:`matent.sampler.pooled_mean`). The tolerance is max(eps,
+    (:func:`matent.estimates.pooled_mean`). The tolerance is max(eps,
     moment_tol * R^degree); the fit is ``converged`` when the Newton stop was
     reached and every final residual is within its tolerance plus 3 stderr.
     ``iterations`` counts Newton iterates, and ``trajectory`` holds per
@@ -738,13 +738,16 @@ def log_energy_quadrature(density: Callable[[np.ndarray], np.ndarray], R: float)
     if not 0.99 < mass < 1.01:
         raise ValueError(f"density mass on [-R, R] is {mass:.4f}, expected 1")
     f = f / mass
-    # f W f in row blocks, so no dense npoints x npoints temporary is built
+    # f W f in row blocks, each built in place in one buffer, so no dense
+    # npoints x npoints array and no per-block temporaries are made
     fw = np.zeros(npoints)
+    w = np.empty((250, npoints))
     for start in range(0, npoints, 250):
-        rows = np.arange(start, min(start + 250, npoints))
-        diff = np.abs(xs[rows, None] - xs[None, :])
-        diff[rows - start, rows] = 1.0
-        w = np.log(diff)
+        rows = np.arange(start, start + 250)
+        np.subtract(xs[rows, None], xs[None, :], out=w)
+        np.abs(w, out=w)
+        w[rows - start, rows] = 1.0
+        np.log(w, out=w)
         w[rows - start, rows] = math.log(dx) - 1.5
         fw += f[rows] @ w
     return float(fw @ f)

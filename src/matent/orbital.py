@@ -12,7 +12,9 @@ N^-2 normalization is the finite-size stand-in for the orbital part of the
 entropy curve. The inner expectation is estimated by a nested Monte Carlo
 log-mean-exp with max shift; its downward (Jensen) bias is tracked by a
 leave-one-out jackknife and checked by comparing against the half-inner-
-sample value.
+sample value. Every mean over the outer samples, of the estimate and of the
+checks alike, carries the IAT-inflated stderr of
+:func:`matent.estimates.pooled_mean` on its per-sample series.
 
 Only the rotations of groups 1..ell-1 relative to group 0 matter: every
 trace is invariant under one global conjugation, and U_0^* U_g are i.i.d.
@@ -42,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimates import EstimatorError, ScalarEstimate, logsumexp, mean_with_batch_stderr
+from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
 from .matrices import BlockMap, MatrixTuple, haar_unitary_batch, hermitize
 from .moments import MomentSpec, empirical_moments, free_product_moments, moment_distance
 from .ncpoly import canonical_classes
@@ -100,7 +102,13 @@ class OrbitalEstimate:
     ``bias_bound`` bounds the inner-average (Jensen) bias at the same
     normalization as ``value``; ``half_shift`` is the move observed when
     halving the inner sample, and ``self_consistent`` records whether that
-    move is within the half-sample bias bound plus paired noise.
+    move is within the half-sample bias bound plus paired noise. ``stderr``
+    and ``ess`` = ``s_out`` / tau come from one
+    :func:`matent.estimates.pooled_mean` of the per-sample terms, whose IAT is
+    tau. On one short outer chain this ESS overstates: at ``readme-orbital``
+    scale (N = 8, thin 25) the thinned IAT of the per-sample term read 29-58
+    over 4,096-sample chains, and a median of 9-11 in their 128-sample
+    windows.
     """
 
     value: float
@@ -114,6 +122,7 @@ class OrbitalEstimate:
     half_value: float
     half_shift: float
     self_consistent: bool
+    ess: float
 
 
 def _relative_copies(blocks: Sequence[np.ndarray], blockmap: BlockMap, count: int,
@@ -219,7 +228,8 @@ def orbital_entropy(request: OrbitalRequest, rng: np.random.Generator) -> Orbita
 
     Outer samples come from a thinned Metropolis chain; for each, the inner
     log-mean-exp over ``s_in`` conjugated copies is max-shifted for
-    stability. Reported stderr is batch-means over the outer series; the
+    stability. Reported stderr is the IAT-inflated stderr of
+    :func:`matent.estimates.pooled_mean` over the outer series; the
     jackknife bias bound and the half-inner-sample shift make the nested
     bias visible rather than silently absorbed.
     """
@@ -241,17 +251,16 @@ def _orbital_from_samples(samples: Sequence[MatrixTuple], request: OrbitalReques
     w, full, half, bias_full, bias_half = _collect_terms(samples, inner)
 
     g = full - w
-    est = mean_with_batch_stderr(g)
+    est, tau = pooled_mean(g)
     gh = half - w
-    est_h = mean_with_batch_stderr(gh)
-    d = g - gh
-    shift = abs(float(d.mean()))
-    d_se = float(d.std(ddof=1) / math.sqrt(d.size))
-    bb = mean_with_batch_stderr(bias_full)
-    bb_h = mean_with_batch_stderr(bias_half)
+    est_h = pooled_mean(gh)[0]
+    d = pooled_mean(g - gh)[0]
+    shift = abs(d.value)
+    bb = pooled_mean(bias_full)[0]
+    bb_h = pooled_mean(bias_half)[0]
     bound = abs(bb.value) + 2.0 * bb.stderr
     bound_h = abs(bb_h.value) + 2.0 * bb_h.stderr
-    consistent = shift <= bound_h + 3.0 * d_se + 1e-12
+    consistent = shift <= bound_h + 3.0 * d.stderr + 1e-12
     return OrbitalEstimate(
         value=est.value / nsq,
         stderr=est.stderr / nsq,
@@ -261,6 +270,7 @@ def _orbital_from_samples(samples: Sequence[MatrixTuple], request: OrbitalReques
         kl=-est.value,
         s_out=len(samples),
         s_in=request.s_in,
+        ess=len(samples) / tau,
         half_value=est_h.value / nsq,
         half_shift=shift / nsq,
         self_consistent=bool(consistent),
@@ -273,10 +283,12 @@ class ChainRuleReport:
 
     ``total`` = Ent(mu|nu), ``orbital`` = Ent(mu|U^pi mu), ``conjugated`` =
     Ent(U^pi mu|nu); the identity says residual = total - orbital -
-    conjugated vanishes. ``residual_stderr`` is the paired per-sample
-    stderr (shared pieces cancel exactly) and ``holds`` means |residual| <=
-    3 residual_stderr; ``combined_stderr`` treats the three terms as
-    independent, which counts the shared log I twice.
+    conjugated vanishes. ``residual_stderr`` is the stderr of the paired
+    per-sample residual (shared pieces cancel exactly), and every stderr is
+    that of :func:`matent.estimates.pooled_mean` on its per-sample series;
+    ``holds`` means |residual| <= 3 residual_stderr; ``combined_stderr``
+    treats the three terms as independent, which counts the shared log I
+    twice.
     """
 
     total: ScalarEstimate
@@ -319,18 +331,17 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
         rotated = _relative_copy(t, blockmap, rng)
         inner_conj[i] = _log_mean_exp(inner.log_weights(rotated.blocks))
 
-    w_est = mean_with_batch_stderr(w)
+    w_est = pooled_mean(w)[0]
     total = ScalarEstimate(log_i.value - w_est.value - base,
                            math.hypot(log_i.stderr, w_est.stderr),
                            w_est.count, log_i.bias_bound)
-    orb = mean_with_batch_stderr(inner_mu - w)
-    conj_mean = mean_with_batch_stderr(inner_conj)
+    orb = pooled_mean(inner_mu - w)[0]
+    conj_mean = pooled_mean(inner_conj)[0]
     conjugated = ScalarEstimate(log_i.value - conj_mean.value - base,
                                 math.hypot(log_i.stderr, conj_mean.stderr),
                                 conj_mean.count, log_i.bias_bound)
     residual = total.value - orb.value - conjugated.value
-    paired = inner_conj - inner_mu
-    residual_se = float(paired.std(ddof=1) / math.sqrt(paired.size))
+    residual_se = pooled_mean(inner_conj - inner_mu)[0].stderr
     combined = math.sqrt(total.stderr ** 2 + orb.stderr ** 2 + conjugated.stderr ** 2)
     return ChainRuleReport(total, orb, conjugated, residual, residual_se,
                            combined, bool(abs(residual) <= 3.0 * residual_se),
@@ -387,7 +398,7 @@ def dW_upper_bound(pairs: Sequence[Tuple[MatrixTuple, MatrixTuple]]) -> ScalarEs
             for i in range(a.n))
         for a, b in pairs
     ])
-    est = mean_with_batch_stderr(sq) if sq.size > 1 else ScalarEstimate(float(sq[0]), 0.0, 1)
+    est = pooled_mean(sq)[0] if sq.size > 1 else ScalarEstimate(float(sq[0]), 0.0, 1)
     value = math.sqrt(max(est.value, 0.0))
     se = est.stderr / (2.0 * value) if value > 0 else est.stderr
     return ScalarEstimate(value, se, est.count)

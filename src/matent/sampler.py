@@ -40,7 +40,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .estimates import EstimatorError, ScalarEstimate, mean_with_batch_stderr
+from .estimates import EstimatorError, ScalarEstimate, pooled_mean
 from .matrices import MatrixTuple, haar_unitary_batch, hermitize
 from .moments import MomentSpec, empirical_moments, moment_distance
 from .ncpoly import NcPoly
@@ -56,8 +56,6 @@ __all__ = [
     "estimate_log_I",
     "gibbs_entropy",
     "microstate_hit_rate",
-    "integrated_autocorrelation_time",
-    "pooled_mean",
 ]
 
 ACCEPT_BAND = (0.30, 0.45)
@@ -93,7 +91,12 @@ class GibbsModel:
 
 @dataclass(frozen=True)
 class ChainDiagnostics:
-    """Post-burn-in health summary of one Metropolis run."""
+    """Post-burn-in health summary of one Metropolis run.
+
+    ``iat`` and ``ess`` = ``retained`` / ``iat`` are those of the retained
+    ``tracked`` series, from :func:`matent.estimates.pooled_mean`; a run that
+    keeps fewer than 2 samples reports ``iat`` = 1.
+    """
 
     acceptance: float
     step_scale: float
@@ -104,66 +107,6 @@ class ChainDiagnostics:
     thin: int
     retained: int
     tracked: str
-
-
-def integrated_autocorrelation_time(xs) -> float:
-    """Integrated autocorrelation time with the standard automatic window.
-
-    Uses the FFT autocorrelation and the smallest window W with W >= 5
-    tau(W). Returns 1.0 for series too short or constant to resolve.
-    """
-    x = np.asarray(xs, dtype=float)
-    n = x.size
-    if n < 8:
-        return 1.0
-    x = x - x.mean()
-    if np.max(np.abs(x)) == 0.0:
-        return 1.0
-    size = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, size)
-    acf = np.fft.irfft(f * np.conj(f))[:n].real
-    if acf[0] <= 0:
-        return 1.0
-    acf /= acf[0]
-    taus = 2.0 * np.cumsum(acf) - 1.0
-    window = np.arange(n) >= 5.0 * taus
-    w = int(np.argmax(window)) if window.any() else n - 1
-    return float(max(1.0, taus[w]))
-
-
-def pooled_mean(series) -> Tuple[ScalarEstimate, float]:
-    """Grand mean of lockstep walker series, the rows of a (K, T) array, with
-    its pooled-IAT stderr; and that IAT.
-
-    The autocovariance at lag t is the average over the walkers and their
-    T - t pairs of products about the grand mean, so its lag-0 value, the
-    pooled variance, counts the
-    spread between walker means too (Gelman & Rubin 1992): walkers that
-    disagree keep every lag correlated and the IAT large. The IAT tau is
-    Geyer's (1992) initial monotone sequence estimate, 2 sum_m G_m - 1 over
-    the pair sums G_m = rho_2m + rho_2m+1 of the autocorrelations, cut at the
-    first G_m <= 0 and made non-increasing; on walkers of a few hundred
-    states it spreads far less than the automatic window of
-    :func:`integrated_autocorrelation_time`. The stderr is
-    sqrt(var tau / (K T)), and K T / tau the ESS summed over walkers. Series
-    of fewer than 8 steps, or constant ones, get tau = 1.
-    """
-    x = np.asarray(series, dtype=float)
-    K, T = x.shape
-    mean = float(x.mean())
-    d = x - mean
-    size = 1 << (2 * T - 1).bit_length()
-    f = np.fft.rfft(d, size, axis=1)
-    lagged = np.fft.irfft(f * np.conj(f), size, axis=1)[:, :T].sum(axis=0)
-    cov = lagged / (K * (T - np.arange(T)))
-    var = float(cov[0])
-    tau = 1.0
-    if T >= 8 and var > 0.0:
-        pairs = cov[:T - T % 2].reshape(-1, 2).sum(axis=1) / var
-        cut = np.flatnonzero(pairs <= 0.0)
-        pairs = np.minimum.accumulate(pairs[:cut[0] if cut.size else pairs.size])
-        tau = max(1.0, 2.0 * float(pairs.sum()) - 1.0)
-    return ScalarEstimate(mean, math.sqrt(var * tau / (K * T)), K * T), tau
 
 
 class _Energy:
@@ -296,7 +239,8 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
     and is then frozen, so retained samples come from a fixed kernel. For
     n == 1 (:class:`_ExactSpectra`) ``burnin`` is unused, ``step_scale`` is 0
     and ``acceptance`` is that of the rejection proposals. The IAT (about 1
-    for exact draws) and ESS are measured on the retained tracked series.
+    for exact draws) and ESS are measured on the retained tracked series by
+    :func:`matent.estimates.pooled_mean`.
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
@@ -330,7 +274,7 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
             for k, (t, v) in enumerate(zip(samples, series)):
                 rec = {"step": (k + 1) * thin, "tracked": v, "state": json.loads(t.to_json())}
                 sink.write(json.dumps(rec, sort_keys=True) + "\n")
-    iat = integrated_autocorrelation_time(series)
+    iat = pooled_mean(series)[1] if len(series) >= 2 else 1.0
     return samples, ChainDiagnostics(
         acceptance=acceptance, step_scale=step_scale, iat=iat, ess=len(series) / iat,
         steps=steps, burnin=burnin, thin=thin, retained=len(samples), tracked=tracked)
@@ -746,7 +690,10 @@ def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
 
     The chain lags its annealing schedule, biasing node means toward the
     previous temperature; running passes in both directions flips the sign
-    of that lag so the pair average cancels it to first order.
+    of that lag so the pair average cancels it to first order. Each node's
+    mean energy and its stderr come from :func:`matent.estimates.pooled_mean`
+    of the node's series, whose autocorrelation time is comparable to the
+    node budget.
     """
     start = 0.0 if forward else float(grid[-1])
     engine = ChainEngine(model.with_beta(start), rng)
@@ -768,11 +715,8 @@ def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
         if engine.acceptance < MIN_ACCEPTANCE:
             raise EstimatorError(
                 f"chain acceptance collapsed to {engine.acceptance:.4f} at beta={b:.3f}")
-        # batch means under-report here: the energy autocorrelation time is
-        # comparable to the node budget, so inflate by the measured IAT
-        iat = integrated_autocorrelation_time(series)
-        means[k] = float(series.mean())
-        errs[k] = float(math.sqrt(series.var(ddof=1) * iat / series.size))
+        node = pooled_mean(series)[0]
+        means[k], errs[k] = node.value, node.stderr
 
     w = np.zeros(grid.size)
     w[0] = (grid[1] - grid[0]) / 2.0
@@ -860,13 +804,14 @@ def gibbs_entropy(model: GibbsModel, log_i: ScalarEstimate,
     """Differential entropy -int f log f of the model from its samples.
 
     Ent = log I + beta * E[N Tr V]; the mean energy comes from the given
-    equilibrium samples with a batch-means stderr, combined with the log I
+    equilibrium samples with the IAT-inflated stderr of
+    :func:`matent.estimates.pooled_mean`, combined with the log I
     error in quadrature. Exact for the uniform ensemble.
     """
     if model.potential.is_zero() or model.beta == 0.0:
         return ScalarEstimate(log_i.value, log_i.stderr, log_i.count, log_i.bias_bound)
     energy = _Energy(model.n, model.N, model.potential)
-    return _entropy(log_i, model.beta, mean_with_batch_stderr(energy.from_samples(samples)))
+    return _entropy(log_i, model.beta, pooled_mean(energy.from_samples(samples))[0])
 
 
 def _entropy(log_i: ScalarEstimate, beta: float, energy: ScalarEstimate) -> ScalarEstimate:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
+from matent.estimates import pooled_mean
 from matent.matrices import (BlockMap, build_compression,
                              log_jacobian_functional_calculus)
 from matent.maxent import (FitOptions, chi_tilde_curve, fit_projection,
@@ -28,8 +29,8 @@ from matent.moments import (MomentSpec, arcsine_moments, free_product_moments,
 from matent.ncpoly import NcPoly
 from matent.orbital import (OrbitalRequest, chain_rule_check, orbital_entropy,
                             talagrand_report)
-from matent.sampler import (GibbsModel, TIOptions, integrated_autocorrelation_time,
-                            log_ball_volume, mcmc_chain, microstate_hit_rate)
+from matent.sampler import (GibbsModel, TIOptions, log_ball_volume, mcmc_chain,
+                            microstate_hit_rate)
 
 # one production-strength recipe shared by most fits in this suite
 RECIPE = FitOptions(iterations=220, steps_per_iter=400, discard_per_iter=80,
@@ -297,7 +298,7 @@ def test_criterion_11_compression_entropy_shift():
         return tot
 
     ljs2 = np.array([spectral_lj(l) for l in lams])
-    se2 = ljs2.std(ddof=1) / math.sqrt(len(ljs2) / integrated_autocorrelation_time(ljs2))
+    se2 = ljs2.std(ddof=1) / math.sqrt(len(ljs2) / pooled_mean(ljs2)[1])
     diff = float(ljs.mean() - ljs2.mean())
     mc_ok = abs(diff) <= 3 * math.hypot(se1, se2)
     bound = N * N * abs(math.log(g.alpha))

@@ -166,6 +166,8 @@ OUT_OF_RANGE = [
     {"kind": "hit-rate", "target": {"name": "arcsine", "K": 2}, "K": 4},
     {"kind": "arcsine-demo", "N": 4, "chain": {"steps": "abc"}},
     {"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0}, "chain": {"steps": 5, "thin": 10}},
+    # one sample has no error bar
+    {"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0}, "chain": {"steps": 10, "thin": 10}},
     {"kind": "arcsine-demo", "N": "abc"},
     {"kind": "arcsine-demo", "N": [8]},
     {"kind": "rho", "target": {"name": "arcsine", "K": 2}, "fit": {"iterations": "abc"}},
@@ -219,7 +221,7 @@ PAIR = {"n": 2, "N": 3, "R": 2.0}
 SEMI = {"name": "semicircle", "variance": 1.0, "radius": 3.0, "K": 2}
 TINY_CHAIN = {"steps": 300, "burnin": 30, "thin": 3}
 ORBITAL_KEYS = {"kind", "value", "stderr", "bias_bound", "raw", "kl", "half_shift",
-                "self_consistent", "s_out", "s_in"}
+                "self_consistent", "s_out", "s_in", "ess"}
 
 # kind config, the expected record keys, and {table: header}
 END_TO_END = {
@@ -237,8 +239,9 @@ END_TO_END = {
         {"chain_rule": "total\torbital\tconjugated\tresidual\tcombined_stderr"}),
     "talagrand": (
         dict(TINY_NESTED, kind="talagrand", model=PAIR, K=2, couplings=[0.5]),
-        {"kind", "coupling", "orbital_value", "orbital_stderr", "lhs_free", "lhs_conj",
-         "rhs", "rhs_upper", "freeness_gap", "p_tilde", "holds_free", "holds_conj"},
+        {"kind", "coupling", "orbital_value", "orbital_stderr", "orbital_ess", "lhs_free",
+         "lhs_conj", "rhs", "rhs_upper", "freeness_gap", "p_tilde", "holds_free",
+         "holds_conj"},
         {"talagrand": "coupling\tlhs_free\tlhs_conj\trhs\trhs_upper\torbital_value\t"
                       "freeness_gap"}),
     "rho": (

@@ -8,7 +8,7 @@ import oracles
 from matent.matrices import BlockMap, MatrixTuple
 from matent.moments import MomentSpec
 from matent.ncpoly import NcPoly
-from matent.estimates import mean_with_batch_stderr
+from matent.estimates import pooled_mean
 from matent.orbital import (OrbitalRequest, _InnerSampler, _jackknife_bias, _log_mean_exp,
                             _outer_chain, chain_rule_check, dW_moment_lower_bound, dW_upper_bound,
                             entropy_split_check, orbital_entropy, talagrand_report)
@@ -219,7 +219,7 @@ def test_chain_rule_terms_exact_for_bilinear_model():
     assert rep.conjugated.bias_bound == log_i.bias_bound
     # the chain check draws its outer samples first, so the same stream repeats them
     samples = _outer_chain(request, substream(7, "chain-exact"))
-    energy = mean_with_batch_stderr(-_Energy(2, 4, model.potential).from_samples(samples))
+    energy = pooled_mean(-_Energy(2, 4, model.potential).from_samples(samples))[0]
     assert rep.total.stderr == energy.stderr
     assert rep.total.value == pytest.approx(
         log_i.value - energy.value - 2 * log_ball_volume(4, 2.0), abs=1e-12)
@@ -326,7 +326,7 @@ def test_stderr_scales_with_outer_samples():
         ses = []
         for s_out in (112, 224):
             req = OrbitalRequest(model, BlockMap.full(2), s_out=s_out, s_in=24,
-                                 chain_burnin=200, chain_thin=4)
+                                 chain_burnin=200, chain_thin=40)
             ses.append(orbital_entropy(req, substream(100 + seed, "scale", s_out)).stderr)
         ratios.append(ses[1] / ses[0])
     mean = float(np.mean(ratios))

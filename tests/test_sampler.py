@@ -6,15 +6,15 @@ import pytest
 from scipy import stats
 
 import oracles
-from matent.estimates import EstimatorError
+from matent.estimates import EstimatorError, pooled_mean
 from matent.matrices import MatrixTuple
 from matent.moments import arcsine_moments, empirical_moments
 from matent.ncpoly import NcPoly
 from matent import sampler
 from matent.sampler import (GibbsModel, TIOptions, _Energy, _ExactSpectra, _heine_log_I,
                             _legendre_nodes, _log_heine_norms, _ti_log_I, estimate_log_I,
-                            gibbs_entropy, integrated_autocorrelation_time, log_ball_volume,
-                            mcmc_chain, microstate_hit_rate)
+                            gibbs_entropy, log_ball_volume, mcmc_chain,
+                            microstate_hit_rate)
 from matent.streams import substream
 
 
@@ -46,25 +46,6 @@ def test_log_ball_volume_matches_hit_or_miss():
     # cheap version of the volume acceptance check
     lv, se = oracles.ball_volume_mc(2, 1.0, 150000, substream(7, "bv-unit"))
     assert abs(lv - log_ball_volume(2, 1.0)) <= 3 * se
-
-
-def test_iat_iid_is_one():
-    rng = np.random.default_rng(0)
-    xs = rng.normal(size=20000)
-    assert integrated_autocorrelation_time(xs) == pytest.approx(1.0, abs=0.15)
-
-
-def test_iat_ar1_matches_theory():
-    rng = np.random.default_rng(1)
-    rho = 0.9
-    n = 200000
-    xs = np.empty(n)
-    xs[0] = rng.normal()
-    for i in range(1, n):
-        xs[i] = rho * xs[i - 1] + math.sqrt(1 - rho ** 2) * rng.normal()
-    want = (1 + rho) / (1 - rho)
-    got = integrated_autocorrelation_time(xs)
-    assert got == pytest.approx(want, rel=0.2)
 
 
 def test_chain_detailed_balance_scalar_ks():
@@ -187,7 +168,7 @@ def test_pooled_walker_moment_matches_gaussian_pair_derivative():
     trace = _Energy(2, N, _quadratic_pair(1.0, 0.0))
     series = []
     engine.run(3000, observe=lambda e: series.append(trace.from_state(e.blocks)), every=2)
-    est, iat = sampler.pooled_mean(np.array(series).T)
+    est, iat = pooled_mean(np.array(series).T)
     assert est.count == 8 * 1500 and iat >= 1.0
     assert abs(est.value - want) <= 3 * est.stderr, (est.value, want, est.stderr)
 
@@ -202,7 +183,7 @@ def test_pooled_mean_ar1_matches_theory(walkers, steps):
     x[:, 0] = rng.standard_normal(walkers) / math.sqrt(1 - 0.81)
     for t in range(1, steps):
         x[:, t] = 0.9 * x[:, t - 1] + rng.standard_normal(walkers)
-    est, iat = sampler.pooled_mean(x)
+    est, iat = pooled_mean(x)
     assert est.value == pytest.approx(x.mean()) and est.count == x.size
     assert iat == pytest.approx(19.0, rel=0.15)
     assert est.stderr == pytest.approx(math.sqrt(x.var() * iat / x.size))
