@@ -48,6 +48,16 @@ def test_combine_linear_quadrature():
     assert c.bias_bound == pytest.approx(2 * 0.1 + 0.05)
 
 
+def test_batch_stderr_iid_scale():
+    rng = np.random.default_rng(0)
+    xs = rng.normal(0.0, 2.0, size=4000)
+    est, _ = pooled_mean(xs)
+    naive = 2.0 / math.sqrt(4000)
+    assert est.value == pytest.approx(xs.mean())
+    assert est.stderr == pytest.approx(naive, rel=0.5)
+    assert est.count == 4000
+
+
 def test_pooled_mean_iid_scale():
     # an i.i.d. series: stderr about sigma / sqrt(n) and tau about 1
     rng = np.random.default_rng(0)

@@ -48,6 +48,25 @@ def test_log_ball_volume_matches_hit_or_miss():
     assert abs(lv - log_ball_volume(2, 1.0)) <= 3 * se
 
 
+def test_iat_iid_is_one():
+    rng = np.random.default_rng(0)
+    xs = rng.normal(size=20000)
+    assert pooled_mean(xs)[1] == pytest.approx(1.0, abs=0.15)
+
+
+def test_iat_ar1_matches_theory():
+    rng = np.random.default_rng(1)
+    rho = 0.9
+    n = 200000
+    xs = np.empty(n)
+    xs[0] = rng.normal()
+    for i in range(1, n):
+        xs[i] = rho * xs[i - 1] + math.sqrt(1 - rho ** 2) * rng.normal()
+    want = (1 + rho) / (1 - rho)
+    _, got = pooled_mean(xs)
+    assert got == pytest.approx(want, rel=0.2)
+
+
 def test_chain_detailed_balance_scalar_ks():
     # at N=1 the model is a scalar density exp(-V)/Z on [-R, R]; compare the
     # chain's empirical law against quadrature with a KS test
