@@ -9,12 +9,26 @@ independent Haar unitary per group). The relative entropy
 
 is nonpositive, vanishes when the potential decouples across groups, and its
 N^-2 normalization is the finite-size stand-in for the orbital part of the
-entropy curve. The inner expectation is estimated by a nested Monte Carlo
-log-mean-exp with max shift; its downward (Jensen) bias is tracked by a
-leave-one-out jackknife and checked by comparing against the half-inner-
-sample value. Every mean over the outer samples, of the estimate and of the
-checks alike, carries the IAT-inflated stderr of
-:func:`matent.estimates.pooled_mean` on its per-sample series.
+entropy curve. Every mean over the outer samples carries the IAT-inflated
+stderr of :func:`matent.estimates.pooled_mean` on its per-sample series.
+
+The inner expectation takes one of three routes, chosen from the words of
+the potential that cross groups (:func:`_bilinear_coupling`); words inside a
+group cancel in f(conj) / f.
+
+- No word crosses groups (a decoupled potential, a global map, V = 0): Ent
+  is exactly 0, and no outer chain runs.
+- The only crossing words are X_i X_j and X_j X_i of one pair, as in every
+  c (X - Y)^2: the inner expectation is the Harish-Chandra-Itzykson-Zuber
+  integral, evaluated exactly for each outer sample from the two spectra
+  (:func:`_hciz_terms`), with no Haar draw and no Jensen bias. The
+  determinant is taken in double precision in a Gaussian-kernel form,
+  checked by a second pivot order, and in stdlib ``decimal`` where the two
+  orders disagree.
+- Any other potential (quartic couplings, two cross pairs over three
+  groups): a nested Monte Carlo log-mean-exp over ``s_in`` conjugated
+  copies, with max shift; its downward (Jensen) bias is tracked by a
+  leave-one-out jackknife and checked against the half-inner-sample value.
 
 Only the rotations of groups 1..ell-1 relative to group 0 matter: every
 trace is invariant under one global conjugation, and U_0^* U_g are i.i.d.
@@ -28,7 +42,9 @@ word evaluator of :mod:`matent.ncpoly`) called once per stack: the S outer
 samples as (S, N, N) blocks, and the ``s_in`` copies of one sample as
 (s_in, N, N) blocks. One outer chain feeds each report;
 :func:`talagrand_report` hands its samples to both the orbital estimate and
-the moment barycenters.
+the moment barycenters, which are means of :func:`matent.ncpoly.trace_moment`
+over stacks of samples and of their copies. :func:`chain_rule_check` keeps
+the nested inner layer on every route.
 
 The chain-rule identity Ent(mu|nu) = Ent(mu|U^pi mu) + Ent(U^pi mu|nu) for a
 conjugation-invariant reference nu (here: uniform on the ball product), the
@@ -40,16 +56,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
 from .matrices import BlockMap, MatrixTuple, haar_unitary_batch, hermitize
-from .moments import MomentSpec, empirical_moments, free_product_moments, moment_distance
-from .ncpoly import canonical_classes
-from .sampler import (GibbsModel, TIOptions, _Energy, estimate_log_I, log_ball_volume,
-                      mcmc_chain)
+from .moments import MomentSpec, free_product_moments, moment_distance
+from .ncpoly import canonical_classes, trace_moment
+from .sampler import (MIN_ACCEPTANCE, ChainDiagnostics, GibbsModel, TIOptions, _Energy,
+                      estimate_log_I, log_ball_volume, mcmc_chain)
 
 __all__ = [
     "OrbitalRequest",
@@ -66,6 +82,13 @@ __all__ = [
 ]
 
 MIN_NESTED = 16
+# nats: the largest pivot-order spread of a double-precision HCIZ determinant
+# that is accepted; above it the sample is evaluated in stdlib decimal
+EXACT_SPREAD = 1e-10
+MAX_DIGITS = 4000
+# tuples per stack of the Talagrand barycenters: one Haar batch for all 128
+# copies at N = 16 raised the orbital workload's peak memory by 1.5 MB
+MOMENT_STACK = 32
 
 
 @dataclass(frozen=True)
@@ -73,9 +96,10 @@ class OrbitalRequest:
     """A conjugation-relative-entropy estimation task.
 
     ``s_out`` outer equilibrium samples, ``s_in`` inner Haar draws per outer
-    sample; both at least 16 so the jackknife and the half-sample
-    self-consistency check are meaningful. It is the budget of all four
-    orbital reports, from :func:`orbital_entropy` to :func:`talagrand_report`.
+    sample on the nested route; both at least 16 so the jackknife and the
+    half-sample self-consistency check are meaningful. It is the budget of
+    all four orbital reports, from :func:`orbital_entropy` to
+    :func:`talagrand_report`.
     """
 
     model: GibbsModel
@@ -94,21 +118,31 @@ class OrbitalRequest:
 
 @dataclass(frozen=True)
 class OrbitalEstimate:
-    """Nested-MC estimate of Ent(mu | U^pi mu).
+    """Estimate of Ent(mu | U^pi mu), on the route of :func:`orbital_entropy`.
 
     ``value`` is the N^-2-normalized relative entropy (the entropy-curve
     scale quantity, nonpositive in expectation); ``raw`` is unnormalized.
     ``kl`` restates the result as the Kullback-Leibler divergence -raw.
-    ``bias_bound`` bounds the inner-average (Jensen) bias at the same
-    normalization as ``value``; ``half_shift`` is the move observed when
-    halving the inner sample, and ``self_consistent`` records whether that
-    move is within the half-sample bias bound plus paired noise. ``stderr``
-    and ``ess`` = ``s_out`` / tau come from one
+    ``stderr`` and ``ess`` = ``s_out`` / tau come from one
     :func:`matent.estimates.pooled_mean` of the per-sample terms, whose IAT is
     tau. On one short outer chain this ESS overstates: at ``readme-orbital``
     scale (N = 8, thin 25) the thinned IAT of the per-sample term read 29-58
     over 4,096-sample chains, and a median of 9-11 in their 128-sample
-    windows.
+    windows. ``self_consistent`` is false whenever the outer chain accepted
+    fewer than ``sampler.MIN_ACCEPTANCE`` of its moves (a stuck chain), on
+    every route that runs one.
+
+    - Nested route: ``bias_bound`` bounds the inner-average (Jensen) bias at
+      the same normalization as ``value``; ``half_value`` is the estimate
+      from the first half of the ``s_in`` copies, ``half_shift`` its move,
+      and ``self_consistent`` also records whether that move is within the
+      half-sample bias bound plus paired noise.
+    - Exact HCIZ route (a bilinear coupling): ``bias_bound`` is the largest
+      pivot-order spread of the per-sample determinants over N^2, at most
+      1e-10 / N^2; ``half_value`` = ``value``, ``half_shift`` = 0, and
+      ``s_in`` is the request's, unused.
+    - Decoupled route: every field is 0 (``s_out`` and ``ess`` too: no outer
+      sample is used) but ``s_in``, and ``self_consistent`` is true.
     """
 
     value: float
@@ -149,11 +183,153 @@ def _relative_copies(blocks: Sequence[np.ndarray], blockmap: BlockMap, count: in
     return out
 
 
-def _relative_copy(t: MatrixTuple, blockmap: BlockMap, rng: np.random.Generator
-                   ) -> MatrixTuple:
-    """One copy of a tuple under :func:`_relative_copies`, hermitized."""
-    return MatrixTuple(t.n, t.N, t.R, tuple(
-        hermitize(c[0]) for c in _relative_copies(t.blocks, blockmap, 1, rng)))
+class _Coupling(NamedTuple):
+    """The part of a potential that a relative conjugation can move, when
+    its only words across groups are X_i X_j and X_j X_i for one pair of
+    positions i < j (0-based) in different groups: there the log weight
+    of a copy moves by t Tr(X_i W X_j W^*) for one Haar W, with
+    t = -beta N k and k the real part of the pair's summed coefficients.
+    t = 0 when no word crosses groups (or the pair's coefficients cancel):
+    no copy differs in weight from its tuple."""
+
+    i: int
+    j: int
+    t: float
+
+
+def _bilinear_coupling(model: GibbsModel, blockmap: BlockMap) -> Optional[_Coupling]:
+    """The :class:`_Coupling` of the model under the block map, or None when
+    some word across groups is not X_i X_j or X_j X_i of one pair.
+
+    A word whose letters all lie in one group keeps its trace under every
+    copy, so it cancels in f(conj) / f; for c (X - Y)^2 on one group per
+    block, k = -2c and t = 2 beta c N.
+    """
+    pair, k = None, 0.0
+    for w, c in model.potential.terms.items():
+        if len({blockmap.groups[g - 1] for g in w}) <= 1:
+            continue
+        ij = (min(w) - 1, max(w) - 1)
+        if len(w) != 2 or pair not in (None, ij):
+            return None
+        pair, k = ij, k + c.real
+    i, j = pair or (0, 0)
+    return _Coupling(i, j, -model.beta * model.N * k)
+
+
+def _hciz_terms(samples: Sequence[MatrixTuple], coupling: _Coupling
+                ) -> Tuple[np.ndarray, float]:
+    """The exact inner term of every outer sample on a bilinear coupling,
+    and the largest pivot-order spread of the determinants it accepted.
+
+    The inner expectation of exp(t Tr(X_i W X_j W^*)) over one Haar W is
+    the Harish-Chandra-Itzykson-Zuber integral, so the term is
+    g = log HCIZ(t; spec X_i, spec X_j) - t Tr(X_i X_j). A negative t is
+    |t| with the spectrum of X_j negated. A block with a single-point
+    spectrum is a multiple of 1 that no conjugation moves, so its g is 0
+    (a stuck chain's zero state); any other repeated eigenvalue raises
+    :class:`EstimatorError`.
+    """
+    x = np.stack([s.blocks[coupling.i] for s in samples])
+    y = np.stack([s.blocks[coupling.j] for s in samples])
+    t, N = coupling.t, x.shape[-1]
+    cross = t * N * trace_moment((x, y), (1, 2)).real
+    a, b = np.linalg.eigvalsh(x), np.linalg.eigvalsh(y)
+    if t < 0.0:
+        t, b = -t, -b[:, ::-1]
+    live = (np.ptp(a, axis=1) > 0.0) & (np.ptp(b, axis=1) > 0.0)
+    a, b = a[live], b[live]
+    if np.any(np.diff(a, axis=1) <= 0.0) or np.any(np.diff(b, axis=1) <= 0.0):
+        raise EstimatorError("repeated eigenvalues: the HCIZ term needs simple spectra")
+    g = np.zeros(len(samples))
+    log_hciz, spread = _log_hciz(a, b, t)
+    g[live] = log_hciz - cross[live]
+    return g, spread
+
+
+def _log_hciz(a: np.ndarray, b: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
+    """log HCIZ(t; a, b) for rows of ascending simple spectra, t > 0, and the
+    largest pivot-order spread of the determinants it accepted.
+
+    HCIZ = prod_{p<N} p! det[exp(t a_i b_j)] / (t^(N(N-1)/2) Delta(a) Delta(b))
+    (Harish-Chandra 1957; Itzykson & Zuber 1980), and
+    exp(t a_i b_j) = exp(t a_i^2 / 2) exp(t b_j^2 / 2) G_ij with the Gaussian
+    kernel G_ij = exp(-t (a_i - b_j)^2 / 2), so
+    log det = t (|a|^2 + |b|^2) / 2 + log det G exactly. G is close to
+    banded where t is large, and its ``slogdet`` holds far more digits than
+    that of exp(t a_i b_j). Each determinant is taken twice, of G and of G
+    transposed and reversed, in two pivot orders; a row whose two values
+    differ by more than ``EXACT_SPREAD`` nats (small t, or N = 32) is
+    recomputed by :func:`_log_gram_det_decimal`.
+    """
+    N = a.shape[1]
+    gram = a[:, :, None] - b[:, None, :]
+    gram *= gram
+    gram *= -0.5 * t
+    np.exp(gram, out=gram)
+    sign, log_g = np.linalg.slogdet(gram)
+    sign_t, log_t = np.linalg.slogdet(np.swapaxes(gram, 1, 2)[:, ::-1, ::-1])
+    spread = np.abs(log_g - log_t)
+    good = (sign > 0.0) & (sign_t > 0.0) & (spread <= EXACT_SPREAD)
+    for s in np.flatnonzero(~good):
+        log_g[s], spread[s] = _log_gram_det_decimal(a[s], b[s], t)
+    i, j = np.triu_indices(N, 1)
+    log_vdm = np.log(a[:, j] - a[:, i]).sum(axis=1) + np.log(b[:, j] - b[:, i]).sum(axis=1)
+    const = sum(math.lgamma(p + 1) for p in range(N)) - N * (N - 1) / 2.0 * math.log(t)
+    return (const + 0.5 * t * (np.sum(a * a, axis=1) + np.sum(b * b, axis=1)) + log_g
+            - log_vdm), float(spread.max(initial=0.0))
+
+
+def _log_gram_det_decimal(a: np.ndarray, b: np.ndarray, t: float) -> Tuple[float, float]:
+    """log det G of :func:`_log_hciz` for one pair of spectra in stdlib
+    ``decimal``, and the spread of its two pivot orders.
+
+    It starts at ceil(t spread(a) spread(b) / (2 ln 10)) + 30 digits and
+    doubles them until the determinants of G and of G transposed and
+    reversed agree to ``EXACT_SPREAD`` nats. At N = 32, t = 16-64 and at
+    N = 16, t = 1.6 on spectra of c (X - Y)^2, R = 2, 40 digits were within
+    1e-13 nats of a 400-digit elimination.
+    """
+    from decimal import Decimal, localcontext  # only here: no import cost on the double path
+
+    N = a.size
+    digits = math.ceil(t * np.ptp(a) * np.ptp(b) / (2.0 * math.log(10.0))) + 30
+    while digits <= MAX_DIGITS:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            half_t = Decimal(t) / 2
+            bs = [Decimal(float(y)) for y in b]
+            m = [[(-half_t * (Decimal(float(x)) - y) ** 2).exp() for y in bs] for x in a]
+            one = _det_by_elimination([row[:] for row in m])
+            two = _det_by_elimination([[m[N - 1 - j][N - 1 - i] for j in range(N)]
+                                       for i in range(N)])
+            if one > 0 and two > 0:
+                value, spread = float(one.ln()), abs(float(one.ln() - two.ln()))
+                if spread <= EXACT_SPREAD:
+                    return value, spread
+        digits *= 2
+    raise EstimatorError(f"HCIZ determinant unresolved at {MAX_DIGITS} digits")
+
+
+def _det_by_elimination(m: List[list]):
+    """Determinant of a square list of ``decimal`` rows by Gaussian elimination
+    with partial pivoting, in the current context; the rows are overwritten."""
+    N = len(m)
+    det = 1
+    for k in range(N):
+        p = max(range(k, N), key=lambda r: abs(m[r][k]))
+        if m[p][k] == 0:
+            return 0
+        if p != k:
+            m[k], m[p], det = m[p], m[k], -det
+        pivot = m[k]
+        det *= pivot[k]
+        for r in range(k + 1, N):
+            row = m[r]
+            f = row[k] / pivot[k]
+            for c in range(k + 1, N):
+                row[c] -= f * pivot[c]
+    return det
 
 
 class _InnerSampler:
@@ -226,41 +402,56 @@ def _collect_terms(samples: Sequence[MatrixTuple], inner: _InnerSampler):
 def orbital_entropy(request: OrbitalRequest, rng: np.random.Generator) -> OrbitalEstimate:
     """Estimate Ent(mu | U^pi mu) for the requested model and block map.
 
-    Outer samples come from a thinned Metropolis chain; for each, the inner
-    log-mean-exp over ``s_in`` conjugated copies is max-shifted for
-    stability. Reported stderr is the IAT-inflated stderr of
-    :func:`matent.estimates.pooled_mean` over the outer series; the
-    jackknife bias bound and the half-inner-sample shift make the nested
-    bias visible rather than silently absorbed.
+    The route follows the potential's words across groups
+    (:func:`_bilinear_coupling`). With none, Ent is exactly 0 and no chain
+    runs. With only X_i X_j and X_j X_i of one pair, every outer sample of
+    a thinned Metropolis chain gets its exact HCIZ inner term
+    (:func:`_hciz_terms`) and no Haar unitary is drawn. Otherwise the inner
+    term is a nested log-mean-exp over ``s_in`` conjugated copies,
+    max-shifted for stability, whose jackknife bias bound and
+    half-inner-sample shift make the nested bias visible rather than
+    silently absorbed. Reported stderr is the IAT-inflated stderr of
+    :func:`matent.estimates.pooled_mean` over the outer series.
     """
-    return _orbital_from_samples(_outer_chain(request, rng), request, rng)
+    coupling = _bilinear_coupling(request.model, request.blockmap)
+    if coupling is not None and coupling.t == 0.0:
+        return _exact_zero(request)
+    samples, chain = _outer_chain(request, rng)
+    return _orbital_from_samples(samples, chain, request, rng)
 
 
-def _outer_chain(request: OrbitalRequest, rng: np.random.Generator) -> List[MatrixTuple]:
-    samples, _ = mcmc_chain(request.model, request.s_out * request.chain_thin,
-                            request.chain_burnin, request.chain_thin, rng=rng)
-    return samples
+def _outer_chain(request: OrbitalRequest, rng: np.random.Generator
+                 ) -> Tuple[List[MatrixTuple], ChainDiagnostics]:
+    return mcmc_chain(request.model, request.s_out * request.chain_thin,
+                      request.chain_burnin, request.chain_thin, rng=rng)
 
 
-def _orbital_from_samples(samples: Sequence[MatrixTuple], request: OrbitalRequest,
-                          rng: np.random.Generator) -> OrbitalEstimate:
-    """The nested estimate of :func:`orbital_entropy` on given outer samples."""
+def _exact_zero(request: OrbitalRequest) -> OrbitalEstimate:
+    """Ent = 0 exactly, from no outer sample: ``s_out`` and ``ess`` read 0."""
+    return OrbitalEstimate(value=0.0, stderr=0.0, bias_bound=0.0, raw=0.0, raw_stderr=0.0,
+                           kl=0.0, s_out=0, s_in=request.s_in, half_value=0.0,
+                           half_shift=0.0, self_consistent=True, ess=0.0)
+
+
+def _orbital_from_samples(samples: Sequence[MatrixTuple], chain: ChainDiagnostics,
+                          request: OrbitalRequest, rng: np.random.Generator
+                          ) -> OrbitalEstimate:
+    """The estimate of :func:`orbital_entropy` on given outer samples, on the
+    route of the request's coupling; ``chain`` is the outer chain's health,
+    and one whose acceptance is below ``sampler.MIN_ACCEPTANCE`` is marked
+    not self-consistent."""
     model = request.model
     nsq = model.N * model.N
-    inner = _InnerSampler(model, request.blockmap, request.s_in, rng)
-    w, full, half, bias_full, bias_half = _collect_terms(samples, inner)
-
-    g = full - w
-    est, tau = pooled_mean(g)
-    gh = half - w
-    est_h = pooled_mean(gh)[0]
-    d = pooled_mean(g - gh)[0]
-    shift = abs(d.value)
-    bb = pooled_mean(bias_full)[0]
-    bb_h = pooled_mean(bias_half)[0]
-    bound = abs(bb.value) + 2.0 * bb.stderr
-    bound_h = abs(bb_h.value) + 2.0 * bb_h.stderr
-    consistent = shift <= bound_h + 3.0 * d.stderr + 1e-12
+    coupling = _bilinear_coupling(model, request.blockmap)
+    if coupling is not None and coupling.t == 0.0:
+        return _exact_zero(request)
+    if coupling is not None:
+        g, bound = _hciz_terms(samples, coupling)
+        est, tau = pooled_mean(g)
+        half, shift, consistent = est.value, 0.0, True
+    else:
+        g, half, shift, bound, consistent = _nested_terms(samples, request, rng)
+        est, tau = pooled_mean(g)
     return OrbitalEstimate(
         value=est.value / nsq,
         stderr=est.stderr / nsq,
@@ -271,10 +462,31 @@ def _orbital_from_samples(samples: Sequence[MatrixTuple], request: OrbitalReques
         s_out=len(samples),
         s_in=request.s_in,
         ess=len(samples) / tau,
-        half_value=est_h.value / nsq,
+        half_value=half / nsq,
         half_shift=shift / nsq,
-        self_consistent=bool(consistent),
+        self_consistent=bool(consistent and chain.acceptance >= MIN_ACCEPTANCE),
     )
+
+
+def _nested_terms(samples: Sequence[MatrixTuple], request: OrbitalRequest,
+                  rng: np.random.Generator):
+    """Per-sample nested terms g = log-mean-exp - log f; the mean of their
+    half-inner-sample counterparts, its shift from the mean of g, the
+    jackknife bias bound of that mean, and whether the shift is within the
+    half-sample bias bound plus paired noise."""
+    inner = _InnerSampler(request.model, request.blockmap, request.s_in, rng)
+    w, full, half, bias_full, bias_half = _collect_terms(samples, inner)
+    g = full - w
+    gh = half - w
+    est_h = pooled_mean(gh)[0]
+    d = pooled_mean(g - gh)[0]
+    shift = abs(d.value)
+    bb = pooled_mean(bias_full)[0]
+    bb_h = pooled_mean(bias_half)[0]
+    bound = abs(bb.value) + 2.0 * bb.stderr
+    bound_h = abs(bb_h.value) + 2.0 * bb_h.stderr
+    consistent = shift <= bound_h + 3.0 * d.stderr + 1e-12
+    return g, est_h.value, shift, bound, consistent
 
 
 @dataclass(frozen=True)
@@ -316,10 +528,13 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     ``ti`` budgets only the thermodynamic integration of the other models.
     The residual is additionally evaluated in its paired per-sample form, in
     which the shared log I and log-volume contributions cancel identically.
+    The orbital term is the nested estimate on every model: with the exact
+    HCIZ term of :func:`orbital_entropy` the paired residual would vanish by
+    construction.
     """
     model, blockmap = request.model, request.blockmap
     base = model.n * log_ball_volume(model.N, model.R)
-    samples = _outer_chain(request, rng)
+    samples, _ = _outer_chain(request, rng)
     log_i = estimate_log_I(model, opts=ti, rng=rng)
     inner = _InnerSampler(model, blockmap, request.s_in, rng)
 
@@ -328,8 +543,8 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     inner_conj = np.empty(len(samples))
     for i, t in enumerate(samples):
         inner_mu[i] = _log_mean_exp(inner.log_weights(t.blocks))
-        rotated = _relative_copy(t, blockmap, rng)
-        inner_conj[i] = _log_mean_exp(inner.log_weights(rotated.blocks))
+        rotated = [hermitize(c[0]) for c in _relative_copies(t.blocks, blockmap, 1, rng)]
+        inner_conj[i] = _log_mean_exp(inner.log_weights(rotated))
 
     w_est = pooled_mean(w)[0]
     total = ScalarEstimate(log_i.value - w_est.value - base,
@@ -451,13 +666,16 @@ class TalagrandReport:
     holds_conj: bool
 
 
-def _mean_moments(specs: Sequence[MomentSpec]) -> MomentSpec:
-    first = specs[0]
-    vals = {}
-    for w in first.class_reps:
-        if w:
-            vals[w] = sum(s.values[w] for s in specs) / len(specs)
-    return MomentSpec(first.n, first.K, first.R, vals)
+def _mean_moments(parts: Iterable[Sequence[np.ndarray]], K: int, R: float) -> MomentSpec:
+    """Barycenter of the trace moments of degree <= K of tuples that come in
+    parts, each one (S_k, N, N) stack per position: the mean of
+    :func:`trace_moment` over every tuple of every part."""
+    sums, count = {}, 0
+    for blocks in parts:
+        count += blocks[0].shape[0]
+        for w in canonical_classes(len(blocks), K, 1):
+            sums[w] = sums.get(w, 0.0) + complex(np.sum(trace_moment(blocks, w)))
+    return MomentSpec(len(blocks), K, R, {w: v / count for w, v in sums.items()})
 
 
 def _group_marginal(spec: MomentSpec, members: Sequence[int]) -> MomentSpec:
@@ -484,11 +702,13 @@ def talagrand_report(request: OrbitalRequest, rng: np.random.Generator,
     if K > 6:
         raise ValueError("transport checks are limited to degree K <= 6")
     model, blockmap = request.model, request.blockmap
-    samples = _outer_chain(request, rng)
-    orb = _orbital_from_samples(samples, request, rng)
-    bary = _mean_moments([empirical_moments(t, K) for t in samples])
-    proxy_conj = _mean_moments([
-        empirical_moments(_relative_copy(t, blockmap, rng), K) for t in samples])
+    samples, chain = _outer_chain(request, rng)
+    orb = _orbital_from_samples(samples, chain, request, rng)
+    parts = [[np.stack([t.blocks[i] for t in samples[k:k + MOMENT_STACK]])
+              for i in range(model.n)] for k in range(0, len(samples), MOMENT_STACK)]
+    bary = _mean_moments(parts, K, model.R)
+    proxy_conj = _mean_moments(
+        (_relative_copies(p, blockmap, p[0].shape[0], rng) for p in parts), K, model.R)
     groups = [[i + 1 for i in range(model.n) if blockmap.groups[i] == g]
               for g in range(blockmap.ell)]
     proxy_free = free_product_moments([_group_marginal(bary, g) for g in groups], K)

@@ -1,18 +1,20 @@
 import math
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import oracles
+from matent import matrices, orbital, sampler
 from matent.matrices import BlockMap, MatrixTuple
-from matent.moments import MomentSpec
+from matent.moments import MomentSpec, empirical_moments
 from matent.ncpoly import NcPoly
-from matent.estimates import pooled_mean
-from matent.orbital import (OrbitalRequest, _InnerSampler, _jackknife_bias, _log_mean_exp,
-                            _outer_chain, chain_rule_check, dW_moment_lower_bound, dW_upper_bound,
-                            entropy_split_check, orbital_entropy, talagrand_report)
-from matent.sampler import (GibbsModel, TIOptions, _Energy, estimate_log_I,
+from matent.estimates import EstimatorError, pooled_mean
+from matent.orbital import (EXACT_SPREAD, MOMENT_STACK, OrbitalRequest, _bilinear_coupling,
+                            _hciz_terms, _InnerSampler, _jackknife_bias, _log_mean_exp,
+                            _mean_moments, _outer_chain, _relative_copies, chain_rule_check,
+                            dW_moment_lower_bound, dW_upper_bound, entropy_split_check,
+                            orbital_entropy, talagrand_report)
+from matent.sampler import (MIN_ACCEPTANCE, GibbsModel, TIOptions, _Energy, estimate_log_I,
                             log_ball_volume, mcmc_chain)
 from matent.streams import substream
 
@@ -121,48 +123,129 @@ def test_global_conjugation_is_also_null_direction():
                        rtol=1e-13, atol=0.0)
 
 
-def _hciz_decimal(a, b, t, digits=60):
-    # the HCIZ formula in 60-digit decimal arithmetic: exp, a pivoted
-    # elimination for the determinant, and the Vandermonde products
-    with localcontext() as ctx:
-        ctx.prec = digits
-        a, b = sorted(Decimal(float(x)) for x in a), sorted(Decimal(float(x)) for x in b)
-        t, N = Decimal(t), len(a)
-        m = [[(t * x * y).exp() for y in b] for x in a]
-        det = Decimal(1)
-        for k in range(N):
-            p = max(range(k, N), key=lambda r: abs(m[r][k]))
-            if p != k:
-                m[k], m[p], det = m[p], m[k], -det
-            det *= m[k][k]
-            for r in range(k + 1, N):
-                f = m[r][k] / m[k][k]
-                m[r] = [m[r][j] - f * m[k][j] for j in range(N)]
-        den = t ** (N * (N - 1) // 2)
-        for i in range(N):
-            for j in range(i + 1, N):
-                den *= (a[j] - a[i]) * (b[j] - b[i])
-        return float((det * math.prod(math.factorial(p) for p in range(N)) / den).ln())
-
-
 def test_hciz_oracle_closed_form_precision_and_range():
     # N = 2: (e^{t(a1 b1 + a2 b2)} - e^{t(a1 b2 + a2 b1)}) / (t (a1 - a2)(b1 - b2)),
-    # on a spectrum given out of order
-    a, b, t = np.array([1.1, -0.7]), np.array([-1.3, 0.4]), 3.0
-    two = math.log((math.exp(t * (a[0] * b[0] + a[1] * b[1]))
-                    - math.exp(t * (a[0] * b[1] + a[1] * b[0])))
-                   / (t * (a[0] - a[1]) * (b[0] - b[1])))
-    assert oracles.hciz_log(a, b, t) == pytest.approx(two, abs=1e-13)
-    model = GibbsModel(2, 4, 2.0, coupled_potential())
-    samples, _ = mcmc_chain(model, 5 * 20, 400, 20, rng=substream(12, "hciz-precision"))
-    for s in samples:
-        x, y = (np.linalg.eigvalsh(m) for m in s.blocks)
-        assert oracles.hciz_log(x, y, 8.0) == pytest.approx(_hciz_decimal(x, y, 8.0),
-                                                             abs=1e-11)
-    for bad in ((np.ones(2), b, t), (a, b, 17.0), (a, b, 0.0),
-                (np.arange(9.0), np.arange(9.0), 1.0), (a, np.arange(3.0), 1.0)):
+    # on a spectrum given out of order, for either sign of t
+    a, b = np.array([1.1, -0.7]), np.array([-1.3, 0.4])
+    for t in (3.0, -3.0):
+        two = math.log((math.exp(t * (a[0] * b[0] + a[1] * b[1]))
+                        - math.exp(t * (a[0] * b[1] + a[1] * b[0])))
+                       / (t * (a[0] - a[1]) * (b[0] - b[1])))
+        assert oracles.hciz_log(a, b, t) == pytest.approx(two, abs=1e-13)
+    # the default digits are converged: 250 digits change nothing, at both
+    # ends of the range
+    for N, t in ((4, 8.0), (16, 32.0)):
+        model = GibbsModel(2, N, 2.0, coupled_potential())
+        samples, _ = mcmc_chain(model, 3 * 20, 400, 20, rng=substream(12, "hciz-precision", N))
+        for s in samples:
+            x, y = (np.linalg.eigvalsh(m) for m in s.blocks)
+            assert oracles.hciz_log(x, y, t) == pytest.approx(
+                oracles.hciz_log(x, y, t, digits=250), abs=1e-13)
+    for bad in ((np.ones(2), b, 3.0), (a, b, 33.0), (a, b, 0.0),
+                (np.arange(17.0), np.arange(17.0), 1.0), (a, np.arange(3.0), 1.0)):
         with pytest.raises(ValueError):
             oracles.hciz_log(*bad)
+
+
+def test_exact_route_detector():
+    # the only words across groups are X_i X_j and X_j X_i of one pair
+    assert _bilinear_coupling(GibbsModel(2, 4, 2.0, coupled_potential(0.5), 0.8),
+                              BlockMap.full(2)) == (0, 1, pytest.approx(2 * 0.8 * 0.5 * 4))
+    four = NcPoly(4, {(1, 1): 1.0, (3, 3): 1.0, (1, 3): -1.0, (3, 1): -1.0,
+                      (2, 2): 0.5, (4, 4): 0.5, (1, 2): 0.3, (2, 1): 0.3})
+    assert _bilinear_coupling(GibbsModel(4, 4, 2.0, four), BlockMap((0, 0, 1, 1))) == (
+        0, 2, pytest.approx(8.0))
+    assert _bilinear_coupling(GibbsModel(2, 4, 2.0, coupled_potential(-0.5)),
+                              BlockMap.full(2)).t == pytest.approx(-4.0)
+    # two cross pairs over three groups, and a quartic coupling, stay nested
+    chain3 = NcPoly(3, {(1, 2): -1.0, (2, 1): -1.0, (2, 3): -1.0, (3, 2): -1.0})
+    assert _bilinear_coupling(GibbsModel(3, 4, 2.0, chain3), BlockMap.full(3)) is None
+    quartic = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 1, 2, 2): 0.5, (2, 2, 1, 1): 0.5})
+    assert _bilinear_coupling(GibbsModel(2, 4, 2.0, quartic), BlockMap.full(2)) is None
+    # no word across groups: t = 0, and the estimate is 0 +- 0 without a chain
+    for model, blockmap in ((GibbsModel(3, 4, 2.0, chain3), BlockMap.global_map(3)),
+                            (GibbsModel(2, 4, 2.0, decoupled_potential()), BlockMap.full(2)),
+                            (GibbsModel(4, 4, 2.0, four), BlockMap((0, 0, 0, 0)))):
+        assert _bilinear_coupling(model, blockmap).t == 0.0
+        rng = substream(14, "zero-route")
+        state = repr(rng.bit_generator.state)
+        est = orbital_entropy(OrbitalRequest(model, blockmap, s_out=16, s_in=16), rng)
+        assert repr(rng.bit_generator.state) == state
+        assert (est.value, est.stderr, est.bias_bound, est.s_out) == (0.0, 0.0, 0.0, 0)
+        assert est.self_consistent
+
+
+def _exact_terms_against_oracle(N, c, seed):
+    model = GibbsModel(2, N, 2.0, coupled_potential(c))
+    request = OrbitalRequest(model, BlockMap.full(2), s_out=16, s_in=16,
+                             chain_burnin=400, chain_thin=5)
+    samples, _ = _outer_chain(request, substream(seed, "exact-term", N))
+    coupling = _bilinear_coupling(model, request.blockmap)
+    g, spread = _hciz_terms(samples, coupling)
+    assert spread <= EXACT_SPREAD
+    t = coupling.t
+    for value, s in zip(g, samples):
+        x, y = s.blocks
+        want = (oracles.hciz_log(np.linalg.eigvalsh(x), np.linalg.eigvalsh(y), t)
+                - t * np.vdot(x, y).real)
+        assert value == pytest.approx(want, abs=1e-10), (N, c)
+
+
+def test_exact_inner_term_matches_oracle_on_chain_spectra():
+    # t = 2 c N: 8, 16 and 32 in double precision, and -8 for a repulsive c
+    for N, c in ((4, 1.0), (8, 1.0), (16, 1.0), (8, -0.5)):
+        _exact_terms_against_oracle(N, c, 15)
+
+
+def test_exact_inner_term_decimal_fallback_matches_oracle(monkeypatch):
+    # at small t the two pivot orders of the double determinant disagree
+    # (about 1e-6 nats at N = 16, t = 1.6), so every sample goes to decimal
+    calls = []
+    real = orbital._log_gram_det_decimal
+    monkeypatch.setattr(orbital, "_log_gram_det_decimal",
+                        lambda *args: calls.append(1) or real(*args))
+    _exact_terms_against_oracle(16, 0.05, 16)
+    assert len(calls) > 0
+
+
+def test_exact_route_draws_no_haar_unitary(monkeypatch):
+    drawn = []
+    real = matrices.haar_unitary_batch
+
+    def spy(count, N, rng):
+        drawn.append(count)
+        return real(count, N, rng)
+
+    for module in (matrices, orbital, sampler):
+        monkeypatch.setattr(module, "haar_unitary_batch", spy)
+    # readme-orbital's model: c (X - Y)^2, c = 1, N = 8, R = 2
+    model = GibbsModel(2, 8, 2.0, coupled_potential(1.0))
+    est = orbital_entropy(OrbitalRequest(model, BlockMap.full(2), s_out=16, s_in=16,
+                                         chain_burnin=200, chain_thin=4), substream(17, "spy"))
+    assert drawn == [] and est.value < 0.0
+    # a quartic coupling keeps the nested route: s_in unitaries per outer sample
+    quartic = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 1, 2, 2): 0.5, (2, 2, 1, 1): 0.5})
+    orbital_entropy(OrbitalRequest(GibbsModel(2, 4, 2.0, quartic), BlockMap.full(2), s_out=16,
+                                   s_in=16, chain_burnin=200, chain_thin=4),
+                    substream(17, "spy-nested"))
+    assert drawn == [16] * 16
+
+
+def test_stuck_outer_chain_is_flagged():
+    # at the budgets and stream of the command-line tests' orbital case (seed
+    # 5) the outer chain of c (X - Y)^2 at N = 3 accepts no move: every sample
+    # is the zero start, whose term is exactly 0 on either route; the estimate
+    # reads 0 +- 0 and is flagged, not raised
+    for pot in (coupled_potential(1.0),
+                NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 1, 2, 2): 0.5, (2, 2, 1, 1): 0.5})):
+        request = OrbitalRequest(GibbsModel(2, 3, 2.0, pot), BlockMap.full(2), s_out=16,
+                                 s_in=16, chain_burnin=40, chain_thin=2)
+        samples, chain = _outer_chain(request, substream(5, "orbital"))
+        assert chain.acceptance < MIN_ACCEPTANCE
+        assert all(not np.any(b) for s in samples for b in s.blocks)
+        est = orbital_entropy(request, substream(5, "orbital"))
+        assert (est.value, est.stderr) == (0.0, 0.0)
+        assert not est.self_consistent
 
 
 def test_inner_layer_matches_exact_hciz_term():
@@ -218,7 +301,7 @@ def test_chain_rule_terms_exact_for_bilinear_model():
     assert rep.total.bias_bound == log_i.bias_bound <= 1e-8
     assert rep.conjugated.bias_bound == log_i.bias_bound
     # the chain check draws its outer samples first, so the same stream repeats them
-    samples = _outer_chain(request, substream(7, "chain-exact"))
+    samples, _ = _outer_chain(request, substream(7, "chain-exact"))
     energy = pooled_mean(-_Energy(2, 4, model.potential).from_samples(samples))[0]
     assert rep.total.stderr == energy.stderr
     assert rep.total.value == pytest.approx(
@@ -277,6 +360,42 @@ def test_talagrand_report_coupled_holds():
         talagrand_report(OrbitalRequest(model, BlockMap.full(2)), substream(8, "k"), K=8)
 
 
+def test_exact_term_of_degenerate_spectra():
+    # a multiple of 1 is moved by no conjugation: its term is exactly 0; any
+    # other repeated eigenvalue has no determinant form and raises
+    y = np.array([[0.3, 0.2j, 0.0], [-0.2j, -0.5, 0.1], [0.0, 0.1, 0.9]])
+    coupling = _bilinear_coupling(GibbsModel(2, 3, 2.0, coupled_potential(1.0)),
+                                  BlockMap.full(2))
+    flat = MatrixTuple(2, 3, 2.0, (0.5 * np.eye(3), y))
+    g, spread = _hciz_terms([flat, MatrixTuple.zero(2, 3, 2.0)], coupling)
+    assert g.tolist() == [0.0, 0.0] and spread == 0.0
+    with pytest.raises(EstimatorError):
+        _hciz_terms([MatrixTuple(2, 3, 2.0, (np.diag([1.0, 1.0, 0.0]), y))], coupling)
+
+
+def test_stacked_barycenters_equal_per_tuple_moments():
+    # talagrand_report's barycenter and conjugated proxy are means of
+    # trace_moment over stacks of MOMENT_STACK tuples, each stack's copies
+    # from one _relative_copies batch: they equal per-tuple moments averaged
+    model = GibbsModel(2, 4, 2.0, coupled_potential(0.5))
+    request = OrbitalRequest(model, BlockMap.full(2), s_out=40, s_in=16,
+                             chain_burnin=300, chain_thin=4)
+    rep = talagrand_report(request, substream(19, "bary"), K=4)
+    # the exact route draws nothing, so the copies follow the chain in the stream
+    rng = substream(19, "bary")
+    samples, _ = _outer_chain(request, rng)
+    parts = [[np.stack([t.blocks[i] for t in samples[k:k + MOMENT_STACK]]) for i in range(2)]
+             for k in range(0, 40, MOMENT_STACK)]
+    copies = [_relative_copies(p, request.blockmap, p[0].shape[0], rng) for p in parts]
+    assert [p[0].shape[0] for p in parts] == [32, 8]
+    for stacks, got in ((parts, rep.barycenter), (copies, rep.proxy_conj)):
+        assert got.values == _mean_moments(stacks, 4, model.R).values
+        per_tuple = [empirical_moments([b[k] for b in p], 4, model.R)
+                     for p in stacks for k in range(p[0].shape[0])]
+        for w, v in got.values.items():
+            assert abs(v - sum(m.values[w] for m in per_tuple) / 40) <= 1e-12, w
+
+
 def test_orbital_monotone_when_dropping_decoupled_blocks():
     # blocks X2, X4 decouple from the X1-X3 coupling, so the (X1, X3)
     # marginal is itself a Gibbs pair; dropping one matrix per group must
@@ -322,7 +441,9 @@ def test_orbital_subadditive_across_block_groupings():
 def test_stderr_scales_with_outer_samples():
     model = GibbsModel(2, 3, 2.0, coupled_potential())
     ratios = []
-    for seed in range(5):
+    # ten seeds: at five the mean ratio sits at the band's upper edge (0.849
+    # against 0.8485 with the exact inner term), and ten read 0.748
+    for seed in range(10):
         ses = []
         for s_out in (112, 224):
             req = OrbitalRequest(model, BlockMap.full(2), s_out=s_out, s_in=24,
