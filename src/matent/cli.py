@@ -29,13 +29,11 @@ import yaml
 
 from . import __version__
 from .estimates import EstimatorError, ScalarEstimate, pooled_mean
-from .matrices import (BlockMap, MatrixTuple, build_compression,
-                       log_jacobian_functional_calculus)
+from .matrices import BlockMap, build_compression, log_jacobian_functional_calculus
 from .maxent import (FitOptions, FitResult, InfeasibleTargetError, fit_projection,
                      free_pressure, one_variable_chi_reference)
-from .moments import (MomentSpec, arcsine_moments, empirical_moments,
-                      free_product_moments, semicircle_moments)
-from .ncpoly import NcPoly
+from .moments import MomentSpec, arcsine_moments, free_product_moments, semicircle_moments
+from .ncpoly import NcPoly, canonical_classes, trace_moment
 from .orbital import (OrbitalRequest, chain_rule_check, orbital_entropy,
                       talagrand_report)
 from .sampler import (GibbsModel, TIOptions, log_ball_volume, mcmc_chain,
@@ -270,9 +268,10 @@ def _chain(cfg: ExperimentConfig, model: GibbsModel, stream: str, **kwargs):
                       rng=substream(cfg.seed, stream), **kwargs)
 
 
-def _spectrum(samples: Sequence[MatrixTuple]) -> np.ndarray:
-    """Eigenvalues of the first block of every sample, concatenated."""
-    return np.concatenate([np.linalg.eigvalsh(t.blocks[0]) for t in samples])
+def _spectrum(samples: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the first block of every sample of an (n, S, N, N)
+    array, concatenated."""
+    return np.linalg.eigvalsh(samples[0]).ravel()
 
 
 def _orbital_requests(cfg: ExperimentConfig, couplings: Optional[Sequence],
@@ -332,11 +331,9 @@ def _run_sample(cfg: ExperimentConfig):
     model = build_model(cfg.param("model", {}))
     K = _checked(int, cfg.param("K", 4))
     samples, diag = _chain(cfg, model, "sample", record_path=cfg.param("record_file"))
-    specs = [empirical_moments(t, K) for t in samples]
-    words = [w for w in specs[0].class_reps if w]
     mrows = []
-    for w in words:
-        vals = np.array([s.values[w] for s in specs])
+    for w in canonical_classes(model.n, K, 1):
+        vals = trace_moment(samples, w)
         real = pooled_mean(vals.real)[0]
         mrows.append((".".join(map(str, w)), real.value, float(vals.imag.mean()), real.stderr))
     hist = _histogram(_spectrum(samples), _checked(int, cfg.param("bins", 40)), -model.R, model.R)
@@ -496,6 +493,7 @@ def _talagrand_point(args):
     return {"kind": "talagrand", "coupling": c,
             "orbital_value": rep.orbital.value, "orbital_stderr": rep.orbital.stderr,
             "orbital_ess": rep.orbital.ess,
+            "self_consistent": rep.orbital.self_consistent,
             "lhs_free": rep.lhs_free, "lhs_conj": rep.lhs_conj,
             "rhs": rep.rhs, "rhs_upper": rep.rhs_upper,
             "freeness_gap": rep.freeness_gap, "p_tilde": rep.p_tilde,
@@ -571,7 +569,7 @@ def _run_compression_check(cfg: ExperimentConfig):
     n_pot = build_potential(cfg.param("potential"), 1)
     model = _checked(GibbsModel, 1, N, T, n_pot, 1.0 if not n_pot.is_zero() else 0.0)
     samples, _ = _chain(cfg, model, "compression")
-    logj = np.array([log_jacobian_functional_calculus(t.blocks[0], fn) for t in samples])
+    logj = np.array([log_jacobian_functional_calculus(b, fn) for b in samples[0]])
     bound = N * N * abs(math.log(fn.alpha))
     worst = float(np.max(np.abs(logj)))
     mean = pooled_mean(logj)[0]

@@ -23,10 +23,13 @@ evaluated on the same nodes. Every other n >= 2 model is estimated by
 thermodynamic integration along beta, anchored at the exact log-volume of the
 ball (Mehta/Selberg closed form).
 
-Energies N Tr V(M) come from one function, ``_Energy.from_state``, through
-the word evaluator of :mod:`matent.ncpoly` (:meth:`NcPoly.evaluate`) on
-blocks of shape (..., N, N), so one call prices a single state or a whole
-stack (the orbital estimators and :func:`gibbs_entropy` pass stacks).
+Samples are one complex array of shape (n, S, N, N): block i of sample s
+is ``samples[i, s]``, the layout of :class:`ChainEngine`'s state with the S
+samples in the walker slot. Energies N Tr V(M) come from one method,
+:meth:`GibbsModel.energy`, through the word evaluator of :mod:`matent.ncpoly`
+(:meth:`NcPoly.evaluate`) on blocks of shape (n, ..., N, N), so one call
+prices a single state or a whole stack (the orbital estimators and
+:func:`gibbs_entropy` pass the sample array).
 """
 
 from __future__ import annotations
@@ -35,15 +38,15 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .estimates import EstimatorError, ScalarEstimate, pooled_mean
 from .matrices import MatrixTuple, haar_unitary_batch, hermitize
-from .moments import MomentSpec, empirical_moments, moment_distance
-from .ncpoly import NcPoly
+from .moments import MomentSpec
+from .ncpoly import NcPoly, canonical_classes, trace_moment
 
 __all__ = [
     "GibbsModel",
@@ -88,6 +91,11 @@ class GibbsModel:
     def with_potential(self, potential: NcPoly) -> "GibbsModel":
         return GibbsModel(self.n, self.N, self.R, potential, self.beta)
 
+    def energy(self, blocks) -> np.ndarray:
+        """E(M) = N Tr V(M) of blocks of shape (n, ..., N, N) (an array or a
+        sequence of n arrays): energies of shape (...)."""
+        return self.N * np.trace(self.potential.evaluate(blocks), axis1=-2, axis2=-1).real
+
 
 @dataclass(frozen=True)
 class ChainDiagnostics:
@@ -107,24 +115,6 @@ class ChainDiagnostics:
     thin: int
     retained: int
     tracked: str
-
-
-class _Energy:
-    """Evaluates E(M) = N Tr V(M) on one state or on a stack of states:
-    N Tr of :meth:`NcPoly.evaluate` on blocks of shape (..., N, N), which
-    gives energies of shape (...)."""
-
-    def __init__(self, n: int, N: int, potential: NcPoly):
-        self.n = n
-        self.N = N
-        self.potential = potential
-
-    def from_state(self, blocks: Sequence[np.ndarray]):
-        return self.N * np.trace(self.potential.evaluate(blocks), axis1=-2, axis2=-1).real
-
-    def from_samples(self, samples: Sequence[MatrixTuple]) -> np.ndarray:
-        """Energies of matrix tuples, evaluated as one (S, N, N) stack per position."""
-        return self.from_state([np.stack([t.blocks[i] for t in samples]) for i in range(self.n)])
 
 
 class ChainEngine:
@@ -150,8 +140,7 @@ class ChainEngine:
         N = model.N
         self.blocks = np.zeros((model.n, walkers, N, N), dtype=complex)
         self.step_scale = model.R / (2.0 * math.sqrt(N))
-        self._energy_fn = _Energy(model.n, model.N, model.potential)
-        self.energy = self._energy_fn.from_state(self.blocks)
+        self.energy = model.energy(self.blocks)
         self.accepted = 0
         self.proposed = 0
 
@@ -164,8 +153,7 @@ class ChainEngine:
 
     def set_potential(self, potential: NcPoly) -> None:
         self.model = self.model.with_potential(potential)
-        self._energy_fn.potential = potential
-        self.energy = self._energy_fn.from_state(self.blocks)
+        self.energy = self.model.energy(self.blocks)
 
     def reset_counters(self) -> None:
         self.accepted = 0
@@ -192,7 +180,7 @@ class ChainEngine:
         accept = np.abs(np.linalg.eigvalsh(new_blocks)).max(axis=(0, 2)) <= model.R
         if not np.count_nonzero(accept):
             return 0.0
-        new_energy = self._energy_fn.from_state(new_blocks)
+        new_energy = model.energy(new_blocks)
         log_ratio = -model.beta * (new_energy - self.energy)
         need = np.flatnonzero(accept & (log_ratio < 0))
         if need.size:
@@ -231,16 +219,22 @@ class ChainEngine:
 
 def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
                rng: np.random.Generator = None,
-               record_path: Optional[str] = None) -> Tuple[List[MatrixTuple], ChainDiagnostics]:
+               record_path: Optional[str] = None) -> Tuple[np.ndarray, ChainDiagnostics]:
     """Samples of a Gibbs model: every ``thin``-th state of a Metropolis
-    chain, or for n == 1 ``steps // thin`` exact i.i.d. draws.
+    chain, or for n == 1 ``steps // thin`` exact i.i.d. draws, as one complex
+    array of shape (n, S, N, N) whose ``[:, s]`` is sample s.
 
     For n >= 2 the step size adapts during the first 80% of ``burnin`` steps
     and is then frozen, so retained samples come from a fixed kernel. For
     n == 1 (:class:`_ExactSpectra`) ``burnin`` is unused, ``step_scale`` is 0
     and ``acceptance`` is that of the rejection proposals. The IAT (about 1
     for exact draws) and ESS are measured on the retained tracked series by
-    :func:`matent.estimates.pooled_mean`.
+    :func:`matent.estimates.pooled_mean`. The n == 1 draws are conjugated
+    by S Haar unitaries in one batched product. The Metropolis states are
+    exactly Hermitian (every increment is) and inside the ball (the accept
+    test checks it), so they are kept as they are. ``record_path`` appends
+    one JSON line per sample: its step, tracked value and
+    :class:`~matent.matrices.MatrixTuple` state.
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
@@ -249,35 +243,33 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
     if model.n == 1:
         lam, acceptance = _ExactSpectra(model).draw(steps // thin, rng)
         us = haar_unitary_batch(lam.shape[0], model.N, rng)
-        samples = [MatrixTuple(1, model.N, model.R, (hermitize((u * x) @ u.conj().T),))
-                   for u, x in zip(us, lam)]
+        samples = hermitize((us * lam[:, None, :]) @ np.conj(np.swapaxes(us, -1, -2)))[None]
         step_scale = 0.0
     else:
         engine = ChainEngine(model, rng)
         engine.tune(int(burnin * 0.8))
         engine.run(burnin - int(burnin * 0.8))
         engine.reset_counters()
-        samples = []
+        samples = np.empty((model.n, steps // thin, model.N, model.N), dtype=complex)
         for i in range(steps):
             engine.step()
             if (i + 1) % thin == 0:
-                samples.append(MatrixTuple(model.n, model.N, model.R,
-                                           tuple(hermitize(engine.blocks[:, 0]))))
+                samples[:, (i + 1) // thin - 1] = engine.blocks[:, 0]
         acceptance, step_scale = engine.acceptance, engine.step_scale
     # the tracked scalar: the energy, or (1/N) Tr X_1^2 for the zero potential
     tracked = "m2" if model.potential.is_zero() else "energy"
-    series = ([np.vdot(t.blocks[0], t.blocks[0]).real / model.N for t in samples]
-              if tracked == "m2" or not samples
-              else _Energy(model.n, model.N, model.potential).from_samples(samples))
+    series = ([np.vdot(b, b).real / model.N for b in samples[0]] if tracked == "m2"
+              else model.energy(samples))
     if record_path:
         with open(record_path, "a") as sink:
-            for k, (t, v) in enumerate(zip(samples, series)):
+            for k, v in enumerate(series):
+                t = MatrixTuple(model.n, model.N, model.R, tuple(samples[:, k]))
                 rec = {"step": (k + 1) * thin, "tracked": v, "state": json.loads(t.to_json())}
                 sink.write(json.dumps(rec, sort_keys=True) + "\n")
     iat = pooled_mean(series)[1] if len(series) >= 2 else 1.0
     return samples, ChainDiagnostics(
         acceptance=acceptance, step_scale=step_scale, iat=iat, ess=len(series) / iat,
-        steps=steps, burnin=burnin, thin=thin, retained=len(samples), tracked=tracked)
+        steps=steps, burnin=burnin, thin=thin, retained=samples.shape[1], tracked=tracked)
 
 
 def log_ball_volume(N: int, R: float) -> float:
@@ -800,18 +792,18 @@ def _ti_log_I(model: GibbsModel, opts: Optional[TIOptions],
 
 
 def gibbs_entropy(model: GibbsModel, log_i: ScalarEstimate,
-                  samples: Sequence[MatrixTuple]) -> ScalarEstimate:
+                  samples: np.ndarray) -> ScalarEstimate:
     """Differential entropy -int f log f of the model from its samples.
 
     Ent = log I + beta * E[N Tr V]; the mean energy comes from the given
-    equilibrium samples with the IAT-inflated stderr of
+    equilibrium samples, an (n, S, N, N) array as :func:`mcmc_chain`
+    returns it, with the IAT-inflated stderr of
     :func:`matent.estimates.pooled_mean`, combined with the log I
     error in quadrature. Exact for the uniform ensemble.
     """
     if model.potential.is_zero() or model.beta == 0.0:
         return ScalarEstimate(log_i.value, log_i.stderr, log_i.count, log_i.bias_bound)
-    energy = _Energy(model.n, model.N, model.potential)
-    return _entropy(log_i, model.beta, pooled_mean(energy.from_samples(samples))[0])
+    return _entropy(log_i, model.beta, pooled_mean(model.energy(samples))[0])
 
 
 def _entropy(log_i: ScalarEstimate, beta: float, energy: ScalarEstimate) -> ScalarEstimate:
@@ -844,7 +836,9 @@ def microstate_hit_rate(tau: MomentSpec, eps: float, K: int, N: int,
     Draws ``trials`` tuples of the uniform ensemble at size N, whose blocks
     are independent exact draws (see :func:`mcmc_chain`), and counts those
     whose empirical moments are within eps of tau in the max-over-monomials
-    distance (degree <= K). The hits are binomial, and so is the stderr.
+    distance (degree <= K), taken for a batch of up to 4096 trials at once:
+    the n size draws of a batch are its (n, size, N, N) tuples. The hits are
+    binomial, and so is the stderr.
     """
     if not (eps > 0) or K < 1 or K > tau.K or trials < 1:
         raise ValueError("need eps > 0, 1 <= K <= tau.K and trials >= 1")
@@ -853,9 +847,10 @@ def microstate_hit_rate(tau: MomentSpec, eps: float, K: int, N: int,
     for lo in range(0, trials, 4096):
         size = min(4096, trials - lo)
         draws, _ = mcmc_chain(model, tau.n * size, 0, 1, rng)
-        hits += sum(moment_distance(empirical_moments(
-            [t.blocks[0] for t in draws[i::size]], K, tau.R), tau, K) < eps
-            for i in range(size))
+        tuples = draws[0].reshape(tau.n, size, N, N)
+        gap = np.max([np.abs(trace_moment(tuples, w) - tau.value(w))
+                      for w in canonical_classes(tau.n, K, 1)], axis=0)
+        hits += int(np.count_nonzero(gap < eps))
     base = tau.n * log_ball_volume(N, tau.R)
     if hits == 0:
         return MicrostateEstimate(None, 0, trials, base)

@@ -85,7 +85,7 @@ def test_criterion_02_uniform_chain_arcsine_moments():
     model = GibbsModel(1, 64, R, NcPoly.zero(1), 0.0)
     samples, diag = mcmc_chain(model, steps=4000, burnin=1500, thin=4,
                                rng=np.random.default_rng(5))
-    eig = np.array([np.linalg.eigvalsh(s.blocks[0]) for s in samples])
+    eig = np.linalg.eigvalsh(samples[0])
     m2 = float(np.mean(eig ** 2))
     m4 = float(np.mean(eig ** 4))
     # arcsine moments by quadrature: x = R cos(theta) flattens the density
@@ -283,7 +283,7 @@ def test_criterion_11_compression_entropy_shift():
     pot = NcPoly(1, {(1,): 0.5, (1, 1): -0.6, (1, 1, 1, 1): 0.2})
     samples, diag = mcmc_chain(GibbsModel(1, N, 2.0, pot, 1.0), steps=12000,
                                burnin=2000, thin=6, rng=np.random.default_rng(1101))
-    ljs = np.array([log_jacobian_functional_calculus(s.blocks[0], g) for s in samples])
+    ljs = np.array([log_jacobian_functional_calculus(b, g) for b in samples[0]])
     se1 = ljs.std(ddof=1) / math.sqrt(len(ljs) / max(diag.iat, 1.0))
     lams = oracles.log_gas_chain(N, 2.0, coeffs, sweeps=3000, burnin=500,
                                  rng=np.random.default_rng(1102))

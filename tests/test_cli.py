@@ -6,12 +6,16 @@ import pytest
 import yaml
 
 import matent.cli as cli
-from matent.cli import (ConfigError, ExperimentConfig, build_blockmap,
+from matent.cli import (ConfigError, ExperimentConfig, build_blockmap, build_model,
                         build_potential, build_target, config_hash, load_config,
                         main)
 from matent.estimates import EstimatorError
+from matent.matrices import BlockMap
 from matent.maxent import InfeasibleTargetError
 from matent.ncpoly import NcPoly
+from matent.orbital import OrbitalRequest, _outer_chain
+from matent.sampler import MIN_ACCEPTANCE
+from matent.streams import substream
 
 
 def write_yaml(path, doc):
@@ -239,9 +243,9 @@ END_TO_END = {
         {"chain_rule": "total\torbital\tconjugated\tresidual\tcombined_stderr"}),
     "talagrand": (
         dict(TINY_NESTED, kind="talagrand", model=PAIR, K=2, couplings=[0.5]),
-        {"kind", "coupling", "orbital_value", "orbital_stderr", "orbital_ess", "lhs_free",
-         "lhs_conj", "rhs", "rhs_upper", "freeness_gap", "p_tilde", "holds_free",
-         "holds_conj"},
+        {"kind", "coupling", "orbital_value", "orbital_stderr", "orbital_ess",
+         "self_consistent", "lhs_free", "lhs_conj", "rhs", "rhs_upper", "freeness_gap",
+         "p_tilde", "holds_free", "holds_conj"},
         {"talagrand": "coupling\tlhs_free\tlhs_conj\trhs\trhs_upper\torbital_value\t"
                       "freeness_gap"}),
     "rho": (
@@ -275,6 +279,22 @@ END_TO_END = {
          "max_abs_log_jacobian", "bound_satisfied"},
         {"log_jacobian": "sample\tlog_jacobian"}),
 }
+
+
+def test_talagrand_record_carries_the_orbital_flag(tmp_path):
+    # at TINY_NESTED budgets the outer chain of c (X - Y)^2 at N = 3 accepts
+    # no move on seed 1's talagrand stream, and the record says so; at a
+    # working budget the same seed's record reads true
+    request = OrbitalRequest(build_model(dict(PAIR, potential={"name": "coupled", "c": 1.0})),
+                             BlockMap.full(2), **TINY_NESTED)
+    assert _outer_chain(request, substream(1, "talagrand", "1.0"))[1].acceptance < MIN_ACCEPTANCE
+    working = {"s_out": 32, "s_in": 16, "chain_burnin": 400, "chain_thin": 8}
+    for budget, flag in ((TINY_NESTED, False), (working, True)):
+        doc = dict(budget, kind="talagrand", seed=1, model=PAIR, K=2, couplings=[1.0])
+        out = tmp_path / str(flag)
+        assert main(["--config", write_yaml(tmp_path / "t.yaml", doc), "--out", str(out)]) == 0
+        [rec] = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        assert rec["self_consistent"] is flag
 
 
 def test_unknown_top_level_keys_exit_2(tmp_path, capsys):

@@ -10,11 +10,11 @@ from matent.moments import MomentSpec, empirical_moments
 from matent.ncpoly import NcPoly
 from matent.estimates import EstimatorError, pooled_mean
 from matent.orbital import (EXACT_SPREAD, MOMENT_STACK, OrbitalRequest, _bilinear_coupling,
-                            _hciz_terms, _InnerSampler, _jackknife_bias, _log_mean_exp,
+                            _hciz_terms, _inner_log_weights, _jackknife_bias, _log_mean_exp,
                             _mean_moments, _outer_chain, _relative_copies, chain_rule_check,
                             dW_moment_lower_bound, dW_upper_bound, entropy_split_check,
                             orbital_entropy, talagrand_report)
-from matent.sampler import (MIN_ACCEPTANCE, GibbsModel, TIOptions, _Energy, estimate_log_I,
+from matent.sampler import (MIN_ACCEPTANCE, GibbsModel, TIOptions, estimate_log_I,
                             log_ball_volume, mcmc_chain)
 from matent.streams import substream
 
@@ -44,21 +44,20 @@ def test_stacked_log_weights_equal_per_tuple_energies():
     c, N, beta = 0.7, 5, 0.6
     model = GibbsModel(2, N, 2.0, coupled_potential(c) + 0.3, beta)
     samples, _ = mcmc_chain(model, 60, 50, 6, rng=substream(9, "stack"))
-    energy = _Energy(2, N, model.potential)
-    stacked = energy.from_samples(samples)
-    assert stacked.shape == (len(samples),)
-    for value, t in zip(stacked, samples):
-        d = t.blocks[0] - t.blocks[1]
+    stacked = model.energy(samples)
+    assert stacked.shape == (samples.shape[1],)
+    for value, t in zip(stacked, np.swapaxes(samples, 0, 1)):
+        d = t[0] - t[1]
         assert value == pytest.approx(N * (c * np.trace(d @ d).real + 0.3 * N), rel=1e-12)
-        assert value == pytest.approx(energy.from_state(t.blocks), rel=1e-12)
-    # the inner sampler prices its s_in conjugated copies as one stack
+        assert value == pytest.approx(model.energy(t), rel=1e-12)
+    # the inner layer prices its s_in conjugated copies as one stack
     blockmap = BlockMap.full(2)
-    e = _InnerSampler(model, blockmap, 16, substream(10, "stack")).log_weights(samples[0].blocks)
-    copies = _InnerSampler(model, blockmap, 16, substream(10, "stack")).conjugated(
-        samples[0].blocks)
+    e = _inner_log_weights(samples[:, 0], OrbitalRequest(model, blockmap, s_in=16),
+                           substream(10, "stack"))
+    copies = _relative_copies(samples[:, 0], blockmap, 16, substream(10, "stack"))
     assert e.shape == (16,)
     for k in range(16):
-        assert e[k] == pytest.approx(-beta * energy.from_state([b[k] for b in copies]),
+        assert e[k] == pytest.approx(-beta * model.energy([b[k] for b in copies]),
                                      rel=1e-12)
 
 
@@ -117,10 +116,9 @@ def test_global_conjugation_is_also_null_direction():
     samples, _ = mcmc_chain(model, 8, 50, 8, rng=substream(4, "glob-outer"))
     rng = substream(4, "glob-inner")
     state = repr(rng.bit_generator.state)
-    e = _InnerSampler(model, blockmap, 32, rng).log_weights(samples[0].blocks)
+    e = _inner_log_weights(samples[:, 0], OrbitalRequest(model, blockmap, s_in=32), rng)
     assert repr(rng.bit_generator.state) == state
-    assert np.allclose(e, -_Energy(2, 4, model.potential).from_state(samples[0].blocks),
-                       rtol=1e-13, atol=0.0)
+    assert np.allclose(e, -model.energy(samples[:, 0]), rtol=1e-13, atol=0.0)
 
 
 def test_hciz_oracle_closed_form_precision_and_range():
@@ -137,8 +135,8 @@ def test_hciz_oracle_closed_form_precision_and_range():
     for N, t in ((4, 8.0), (16, 32.0)):
         model = GibbsModel(2, N, 2.0, coupled_potential())
         samples, _ = mcmc_chain(model, 3 * 20, 400, 20, rng=substream(12, "hciz-precision", N))
-        for s in samples:
-            x, y = (np.linalg.eigvalsh(m) for m in s.blocks)
+        for s in np.swapaxes(samples, 0, 1):
+            x, y = (np.linalg.eigvalsh(m) for m in s)
             assert oracles.hciz_log(x, y, t) == pytest.approx(
                 oracles.hciz_log(x, y, t, digits=250), abs=1e-13)
     for bad in ((np.ones(2), b, 3.0), (a, b, 33.0), (a, b, 0.0),
@@ -184,8 +182,7 @@ def _exact_terms_against_oracle(N, c, seed):
     g, spread = _hciz_terms(samples, coupling)
     assert spread <= EXACT_SPREAD
     t = coupling.t
-    for value, s in zip(g, samples):
-        x, y = s.blocks
+    for value, (x, y) in zip(g, np.swapaxes(samples, 0, 1)):
         want = (oracles.hciz_log(np.linalg.eigvalsh(x), np.linalg.eigvalsh(y), t)
                 - t * np.vdot(x, y).real)
         assert value == pytest.approx(want, abs=1e-10), (N, c)
@@ -242,7 +239,7 @@ def test_stuck_outer_chain_is_flagged():
                                  s_in=16, chain_burnin=40, chain_thin=2)
         samples, chain = _outer_chain(request, substream(5, "orbital"))
         assert chain.acceptance < MIN_ACCEPTANCE
-        assert all(not np.any(b) for s in samples for b in s.blocks)
+        assert not np.any(samples)
         est = orbital_entropy(request, substream(5, "orbital"))
         assert (est.value, est.stderr) == (0.0, 0.0)
         assert not est.self_consistent
@@ -261,15 +258,14 @@ def test_inner_layer_matches_exact_hciz_term():
     N, c, beta, reps = 4, 0.25, 1.0, 20
     model = GibbsModel(2, N, 1.0, coupled_potential(c), beta)
     samples, _ = mcmc_chain(model, 4 * 40, 600, 40, rng=substream(13, "hciz-outer"))
-    for k, s in enumerate(samples):
-        x, y = s.blocks
+    for k, (x, y) in enumerate(np.swapaxes(samples, 0, 1)):
         exact = (-beta * N * c * (np.vdot(x, x).real + np.vdot(y, y).real)
                  + oracles.hciz_log(np.linalg.eigvalsh(x), np.linalg.eigvalsh(y),
                                     2.0 * beta * c * N))
         values, biases = np.empty(reps), np.empty(reps)
         for r in range(reps):
-            inner = _InnerSampler(model, BlockMap.full(2), 2000, substream(13, "hciz", k, r))
-            e = inner.log_weights(s.blocks)
+            e = _inner_log_weights((x, y), OrbitalRequest(model, BlockMap.full(2), s_in=2000),
+                                   substream(13, "hciz", k, r))
             values[r], biases[r] = _log_mean_exp(e), _jackknife_bias(e)
         se = values.std(ddof=1) / math.sqrt(reps)
         assert abs(values.mean() - exact) <= 3.0 * se + abs(biases.mean()), (k, exact)
@@ -302,7 +298,7 @@ def test_chain_rule_terms_exact_for_bilinear_model():
     assert rep.conjugated.bias_bound == log_i.bias_bound
     # the chain check draws its outer samples first, so the same stream repeats them
     samples, _ = _outer_chain(request, substream(7, "chain-exact"))
-    energy = pooled_mean(-_Energy(2, 4, model.potential).from_samples(samples))[0]
+    energy = pooled_mean(-model.energy(samples))[0]
     assert rep.total.stderr == energy.stderr
     assert rep.total.value == pytest.approx(
         log_i.value - energy.value - 2 * log_ball_volume(4, 2.0), abs=1e-12)
@@ -366,11 +362,13 @@ def test_exact_term_of_degenerate_spectra():
     y = np.array([[0.3, 0.2j, 0.0], [-0.2j, -0.5, 0.1], [0.0, 0.1, 0.9]])
     coupling = _bilinear_coupling(GibbsModel(2, 3, 2.0, coupled_potential(1.0)),
                                   BlockMap.full(2))
-    flat = MatrixTuple(2, 3, 2.0, (0.5 * np.eye(3), y))
-    g, spread = _hciz_terms([flat, MatrixTuple.zero(2, 3, 2.0)], coupling)
+    # samples[i, s]: block i of sample s; sample 1 is the zero tuple
+    flat = np.zeros((2, 2, 3, 3), dtype=complex)
+    flat[:, 0] = 0.5 * np.eye(3), y
+    g, spread = _hciz_terms(flat, coupling)
     assert g.tolist() == [0.0, 0.0] and spread == 0.0
     with pytest.raises(EstimatorError):
-        _hciz_terms([MatrixTuple(2, 3, 2.0, (np.diag([1.0, 1.0, 0.0]), y))], coupling)
+        _hciz_terms(np.array([[np.diag([1.0, 1.0, 0.0])], [y]], dtype=complex), coupling)
 
 
 def test_stacked_barycenters_equal_per_tuple_moments():
@@ -384,8 +382,7 @@ def test_stacked_barycenters_equal_per_tuple_moments():
     # the exact route draws nothing, so the copies follow the chain in the stream
     rng = substream(19, "bary")
     samples, _ = _outer_chain(request, rng)
-    parts = [[np.stack([t.blocks[i] for t in samples[k:k + MOMENT_STACK]]) for i in range(2)]
-             for k in range(0, 40, MOMENT_STACK)]
+    parts = [samples[:, k:k + MOMENT_STACK] for k in range(0, 40, MOMENT_STACK)]
     copies = [_relative_copies(p, request.blockmap, p[0].shape[0], rng) for p in parts]
     assert [p[0].shape[0] for p in parts] == [32, 8]
     for stacks, got in ((parts, rep.barycenter), (copies, rep.proxy_conj)):

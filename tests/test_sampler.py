@@ -7,11 +7,12 @@ from scipy import stats
 
 import oracles
 from matent.estimates import EstimatorError, pooled_mean
-from matent.matrices import MatrixTuple
-from matent.moments import arcsine_moments, empirical_moments
+from matent.matrices import HERMITIAN_TOL, NORM_SLACK, MatrixTuple
+from matent.moments import (arcsine_moments, empirical_moments, free_product_moments,
+                            moment_distance, semicircle_moments)
 from matent.ncpoly import NcPoly
 from matent import sampler
-from matent.sampler import (GibbsModel, TIOptions, _Energy, _ExactSpectra, _heine_log_I,
+from matent.sampler import (GibbsModel, TIOptions, _ExactSpectra, _heine_log_I,
                             _legendre_nodes, _log_heine_norms, _ti_log_I, estimate_log_I,
                             gibbs_entropy, log_ball_volume, mcmc_chain,
                             microstate_hit_rate)
@@ -74,7 +75,7 @@ def test_chain_detailed_balance_scalar_ks():
     pot = NcPoly(1, {(1,): coeffs[1], (1, 1, 1, 1): coeffs[4]})
     model = GibbsModel(1, 1, 2.0, pot, 1.0)
     samples, diag = mcmc_chain(model, 30000, 3000, 10, rng=substream(8, "ks"))
-    xs = np.array([float(t.blocks[0][0, 0].real) for t in samples])
+    xs = samples[0, :, 0, 0].real
     grid, f, dx = oracles.gibbs_density(coeffs, 2.0)
     cdf_grid = np.cumsum(f) * dx
 
@@ -93,7 +94,7 @@ def test_chain_acceptance_in_band_and_diagnostics():
     model = GibbsModel(2, 4, 2.0, NcPoly.zero(2), 0.0)
     samples, diag = mcmc_chain(model, 6000, 1500, 5, rng=substream(9, "diag"))
     assert 0.2 <= diag.acceptance <= 0.55
-    assert diag.retained == len(samples)
+    assert diag.retained == samples.shape[1]
     assert diag.ess > 10
     assert diag.iat >= 1.0
 
@@ -120,7 +121,7 @@ class _PerBlockEngine(sampler.ChainEngine):
             lam = np.linalg.eigvalsh(b)
             if abs(lam[0]) > model.R or abs(lam[-1]) > model.R:
                 return 0.0
-        new_energy = self._energy_fn.from_state(new_blocks)
+        new_energy = model.energy(new_blocks)
         log_ratio = -model.beta * (new_energy - self.energy)
         if log_ratio < 0 and math.log(self.rng.random()) >= log_ratio:
             return 0.0
@@ -171,7 +172,7 @@ def test_walkers_diverge_and_count_walker_steps():
     assert 0.2 <= engine.acceptance <= 0.55
     flat = engine.blocks.transpose(1, 0, 2, 3).reshape(8, -1)
     assert np.all(np.linalg.norm(flat[:, None] - flat[None], axis=-1) + np.eye(8) > 0)
-    assert np.array_equal(engine.energy, _Energy(2, 4, model.potential).from_state(engine.blocks))
+    assert np.array_equal(engine.energy, model.energy(engine.blocks))
 
 
 def test_pooled_walker_moment_matches_gaussian_pair_derivative():
@@ -184,9 +185,9 @@ def test_pooled_walker_moment_matches_gaussian_pair_derivative():
     engine = sampler.ChainEngine(GibbsModel(2, N, 6.0, _quadratic_pair(a, c), 1.0),
                                  substream(5, "walker-pair"), 8)
     engine.tune(800)
-    trace = _Energy(2, N, _quadratic_pair(1.0, 0.0))
+    trace = engine.model.with_potential(_quadratic_pair(1.0, 0.0))
     series = []
-    engine.run(3000, observe=lambda e: series.append(trace.from_state(e.blocks)), every=2)
+    engine.run(3000, observe=lambda e: series.append(trace.energy(e.blocks)), every=2)
     est, iat = pooled_mean(np.array(series).T)
     assert est.count == 8 * 1500 and iat >= 1.0
     assert abs(est.value - want) <= 3 * est.stderr, (est.value, want, est.stderr)
@@ -208,13 +209,46 @@ def test_pooled_mean_ar1_matches_theory(walkers, steps):
     assert est.stderr == pytest.approx(math.sqrt(x.var() * iat / x.size))
 
 
+@pytest.mark.parametrize("model", [
+    GibbsModel(1, 5, 2.0, NcPoly(1, {(1, 1): 0.5, (1, 1, 1, 1): 0.3}), 1.0),
+    GibbsModel(2, 4, 1.5, NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.5, (2, 1): -0.5}),
+               1.0)], ids=["exact-n1", "metropolis-n2"])
+def test_chain_samples_are_hermitian_tuples_in_the_ball(model):
+    # the checks MatrixTuple made on every retained state, on the array
+    samples, diag = mcmc_chain(model, 600, 200, 6, rng=substream(11, "invariant", model.n))
+    assert samples.shape == (model.n, 100, model.N, model.N)
+    assert diag.retained == samples.shape[1] == 100
+    assert np.max(np.abs(samples - np.conj(np.swapaxes(samples, -1, -2)))) <= HERMITIAN_TOL
+    assert np.max(np.abs(np.linalg.eigvalsh(samples))) <= model.R + NORM_SLACK
+    # and not the zero start: the chain moved
+    assert np.all(np.any(samples != 0.0, axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("N,seed", [(2, 3), (4, 4)])
+def test_hit_rate_counts_match_per_tuple_distances(N, seed):
+    # the stacked max over classes of |trace_moment - tau|, against each of
+    # the same draws as a MatrixTuple with empirical_moments + moment_distance
+    half = semicircle_moments(1.0, 2, radius=2.0)
+    tau, eps, K, trials = free_product_moments([half, half], 2), 0.3, 2, 20000
+    est = microstate_hit_rate(tau, eps, K, N, trials, substream(seed, "hit-ref"))
+    rng = substream(seed, "hit-ref")
+    model = GibbsModel(1, N, tau.R, NcPoly.zero(1), 0.0)
+    hits = 0
+    for lo in range(0, trials, 4096):
+        size = min(4096, trials - lo)
+        draws, _ = mcmc_chain(model, tau.n * size, 0, 1, rng)
+        tuples = [MatrixTuple(tau.n, N, tau.R, tuple(draws[0, i::size])) for i in range(size)]
+        hits += sum(moment_distance(empirical_moments(t, K), tau, K) < eps for t in tuples)
+    assert est.hits == hits > 0
+
+
 def test_chain_record_path(tmp_path):
     path = str(tmp_path / "chain.jsonl")
     model = GibbsModel(1, 3, 1.0, NcPoly.zero(1), 0.0)
     samples, _ = mcmc_chain(model, 500, 100, 50, rng=substream(10, "rec"),
                             record_path=path)
     lines = [json.loads(line) for line in open(path)]
-    assert len(lines) == len(samples)
+    assert len(lines) == samples.shape[1]
 
 
 def test_estimate_log_i_exact_cases():
@@ -441,7 +475,7 @@ def test_exact_draws_energy_matches_exact_derivative():
     want, diff_err = -d, abs(d - d_wide) / 3 + quad_err
     model = GibbsModel(1, N, 2.0, pot, 1.0)
     samples, _ = mcmc_chain(model, 4000, 0, 1, rng=substream(21, "sweep-dv"))
-    series = _Energy(1, N, pot).from_samples(samples)
+    series = model.energy(samples)
     se = math.sqrt(series.var(ddof=1) / series.size)
     print(f"draws {series.mean():.4f} +- {se:.4f}, exact {want:.4f} (+- {diff_err:.1e})")
     assert abs(series.mean() - want) <= 3 * se + diff_err
@@ -493,7 +527,7 @@ def test_hit_rate_zero_hits_returns_none():
 def test_uniform_chain_m2_near_arcsine_at_moderate_size():
     model = GibbsModel(1, 16, 2.0, NcPoly.zero(1), 0.0)
     samples, _ = mcmc_chain(model, 12000, 2000, 10, rng=substream(17, "m2"))
-    m2 = np.mean([empirical_moments(t, 2).value((1, 1)).real for t in samples])
+    m2 = np.mean([empirical_moments([b], 2, model.R).value((1, 1)).real for b in samples[0]])
     # arcsine limit is R^2/2 = 2; finite size pulls it down a little
     assert 1.6 <= m2 <= 2.1
 
@@ -502,7 +536,7 @@ def test_uniform_chain_histogram_is_flat():
     # V = 0 at N = 1: the stationary law is uniform on [-R, R]
     model = GibbsModel(1, 1, 1.0, NcPoly.zero(1), 0.0)
     samples, diag = mcmc_chain(model, 100000, 1000, 1, rng=substream(20, "flat"))
-    xs = np.array([float(t.blocks[0][0, 0].real) for t in samples])
+    xs = samples[0, :, 0, 0].real
     step = max(1, int(math.ceil(diag.iat)))
     sub = xs[::step]
     counts, _ = np.histogram(sub, bins=20, range=(-1.0, 1.0))
