@@ -207,13 +207,12 @@ def build_target(params: Dict) -> MomentSpec:
 
 def build_model(params: Dict) -> GibbsModel:
     _require(isinstance(params, dict), "model must be a mapping")
-    _known(params, ("n", "N", "R", "potential", "beta"), "model")
+    _known(params, ("n", "N", "R", "potential"), "model")
     for key in ("n", "N", "R"):
         _require(key in params, f"model needs {key}")
     n = _checked(int, params["n"])
     return _checked(GibbsModel, n, _checked(int, params["N"]), _checked(float, params["R"]),
-                    build_potential(params.get("potential"), n),
-                    _checked(float, params.get("beta", 1.0)))
+                    build_potential(params.get("potential"), n))
 
 
 def _checked(cls, *args, **kwargs):
@@ -541,7 +540,7 @@ def _run_duality_check(cfg: ExperimentConfig):
 def _run_arcsine_demo(cfg: ExperimentConfig):
     N = _checked(int, cfg.param("N", 64))
     R = _checked(float, cfg.param("R", 2.0))
-    samples, diag = _chain(cfg, _checked(GibbsModel, 1, N, R, NcPoly.zero(1), 0.0), "arcsine")
+    samples, diag = _chain(cfg, _checked(GibbsModel, 1, N, R, NcPoly.zero(1)), "arcsine")
     eigs = _spectrum(samples)
     m2 = float(np.mean(eigs ** 2))
     m4 = float(np.mean(eigs ** 4))
@@ -567,7 +566,7 @@ def _run_compression_check(cfg: ExperimentConfig):
     fn = build_compression(T, R, S)
     N = _checked(int, cfg.param("N", 4))
     n_pot = build_potential(cfg.param("potential"), 1)
-    model = _checked(GibbsModel, 1, N, T, n_pot, 1.0 if not n_pot.is_zero() else 0.0)
+    model = _checked(GibbsModel, 1, N, T, n_pot)
     samples, _ = _chain(cfg, model, "compression")
     logj = np.array([log_jacobian_functional_calculus(b, fn) for b in samples[0]])
     bound = N * N * abs(math.log(fn.alpha))

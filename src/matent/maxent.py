@@ -20,7 +20,8 @@ log I + E[N Tr V], with log I from :func:`matent.sampler.estimate_log_I`:
 exact for one matrix and, within the determinant's range, for the models of
 K = 2 two-matrix fits (whose only mixed word is XY), and by thermodynamic
 integration otherwise. Coefficients are stored in N-normalized units: the
-potential enters the density as exp(-N Tr V).
+potential enters the density as exp(-N Tr V). Every fit runs on the ball of
+its target's radius ``tau.R``.
 
 A logarithmic-energy quadrature calibrated against the exact
 uniform-ensemble entropy provides a one-variable reference curve.
@@ -537,9 +538,9 @@ def _final_run(engine: ChainEngine, measurer: _BasisMeasurer, steps: int, burnin
 
 def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
                    opts: Optional[FitOptions] = None,
-                   rng: np.random.Generator = None,
-                   R: Optional[float] = None) -> FitResult:
-    """Fit the maximum-entropy model matching tau's moments up to degree K.
+                   rng: np.random.Generator = None) -> FitResult:
+    """Fit the maximum-entropy model matching tau's moments up to degree K
+    on the ball of tau's radius R.
 
     Coordinates are preconditioned by R^degree so that step sizes and
     tolerances are scale-free. One matrix (n == 1) is solved exactly by
@@ -575,7 +576,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
         opts = FitOptions()
     if K < 1 or K > tau.K:
         raise ValueError(f"need 1 <= K <= tau.K = {tau.K}")
-    R = float(tau.R if R is None else R)
+    R = float(tau.R)
     n = tau.n
     basis = build_dual_basis(n, K)
     scales = R ** basis.degrees.astype(float)
@@ -602,7 +603,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
         converged = 0.0 <= dec <= 1e-10
     else:
         tol_scaled = np.maximum(eps_scaled, opts.moment_tol)
-        engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n), 1.0), rng, WALKERS)
+        engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n)), rng, WALKERS)
         engine.tune(400)
         measurer = _BasisMeasurer(basis)
         mu, dec, stopped, iterations, trajectory = _chain_newton(
@@ -617,9 +618,9 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     if n > 1:
         converged = stopped and bool(
             np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
-    final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, lam), 1.0)
+    final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, lam))
     log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)
-    rho_est = _entropy(log_i, final_model.beta, energy_est)
+    rho_est = _entropy(log_i, energy_est)
     dual = dual_objective(basis, lam, tau, eps, N, lambda _: log_i)
     # the dual at lam overshoots its minimum, the maximum entropy, by the decrement
     dual = ScalarEstimate(dual.value, dual.stderr, dual.count,
@@ -642,14 +643,13 @@ class RhoResult:
 
 
 def rho(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
-        opts: Optional[FitOptions] = None, rng: np.random.Generator = None,
-        R: Optional[float] = None) -> RhoResult:
+        opts: Optional[FitOptions] = None, rng: np.random.Generator = None) -> RhoResult:
     """Maximum entropy over models matching tau to degree K at size N.
 
     Runs the dual fit and reports the entropy of the fitted model.
     Infeasible targets raise :class:`InfeasibleTargetError`.
     """
-    fit = fit_projection(tau, N, K, eps=eps, opts=opts, rng=rng, R=R)
+    fit = fit_projection(tau, N, K, eps=eps, opts=opts, rng=rng)
     return RhoResult(fit.rho, fit)
 
 
@@ -662,8 +662,8 @@ class ChiTildePoint:
 
 def chi_tilde_curve(tau: MomentSpec, N_list: Sequence[int], K: int,
                     eps: float = 0.0, opts: Optional[FitOptions] = None,
-                    rng_factory: Callable[[int], np.random.Generator] = None,
-                    R: Optional[float] = None) -> List[ChiTildePoint]:
+                    rng_factory: Callable[[int], np.random.Generator] = None
+                    ) -> List[ChiTildePoint]:
     """Normalized entropy curve rho/N^2 + (n/2) log N over matrix sizes.
 
     Values are reported per N exactly as measured (no extrapolation);
@@ -674,7 +674,7 @@ def chi_tilde_curve(tau: MomentSpec, N_list: Sequence[int], K: int,
         raise ValueError("need an rng factory keyed by N")
     out = []
     for N in N_list:
-        fit = fit_projection(tau, int(N), K, eps=eps, opts=opts, rng=rng_factory(int(N)), R=R)
+        fit = fit_projection(tau, int(N), K, eps=eps, opts=opts, rng=rng_factory(int(N)))
         out.append(ChiTildePoint(int(N), fit.chi, fit))
     return out
 
@@ -682,7 +682,7 @@ def chi_tilde_curve(tau: MomentSpec, N_list: Sequence[int], K: int,
 def free_pressure(P: NcPoly, N: int, R: float, rng: np.random.Generator,
                   opts: Optional[TIOptions] = None) -> ScalarEstimate:
     """Normalized log-partition (1/N^2) log I(P) + (n/2) log N."""
-    model = GibbsModel(P.n, N, R, P, 1.0)
+    model = GibbsModel(P.n, N, R, P)
     est = estimate_log_I(model, opts=opts, rng=rng)
     return est.scaled(1.0 / (N * N)).shifted(P.n / 2.0 * math.log(N))
 
@@ -702,21 +702,20 @@ class EtaBoundReport:
 
 def eta_bound_check(tau: MomentSpec, P: NcPoly, N: int, K: int,
                     eps: float = 0.0, opts: Optional[FitOptions] = None,
-                    rng: np.random.Generator = None,
-                    R: Optional[float] = None) -> EtaBoundReport:
+                    rng: np.random.Generator = None) -> EtaBoundReport:
     """Entropy of the fit vs the linear-plus-pressure upper bound.
 
     For any self-adjoint test polynomial P, the normalized maximum entropy of
     tau is at most tau(P) plus the normalized pressure of P; both sides are
-    estimated and compared with 3-sigma slack.
+    estimated and compared with 3-sigma slack, the pressure on the ball of
+    tau's radius.
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
-    R = float(tau.R if R is None else R)
-    fit = fit_projection(tau, N, K, eps=eps, opts=opts, rng=rng, R=R)
+    fit = fit_projection(tau, N, K, eps=eps, opts=opts, rng=rng)
     chi = fit.chi
     tau_p = moment_pairing(tau, P)
-    pressure = free_pressure(P, N, R, rng, opts.ti if opts else None)
+    pressure = free_pressure(P, N, tau.R, rng, opts.ti if opts else None)
     sigma = math.hypot(chi.stderr, pressure.stderr)
     lhs = chi.value
     rhs = tau_p + pressure.value

@@ -1,6 +1,6 @@
 """Relative entropy of a Gibbs ensemble under block-wise Haar conjugation.
 
-For a model mu with density f proportional to exp(-beta N Tr V) and a block
+For a model mu with density f proportional to exp(-N Tr V) and a block
 map pi assigning tuple positions to ell conjugation groups, the conjugation
 randomization U^pi mu has density h(M) = E_U[f(conj(M, U, pi))] (one
 independent Haar unitary per group). The relative entropy
@@ -38,7 +38,7 @@ chain-rule check and of the Talagrand proxy alike, comes from
 unitaries per copy (none for global conjugation, ell = 1). The outer
 samples are the (n, S, N, N) array of :func:`matent.sampler.mcmc_chain`, and
 every function here indexes it: ``samples[i]`` is block i of all S samples,
-``samples[:, s]`` is sample s. Every log weight -beta N Tr V, of the outer
+``samples[:, s]`` is sample s. Every log weight -N Tr V, of the outer
 samples and of their conjugated copies alike, comes from
 :meth:`GibbsModel.energy` (built on the word evaluator of
 :mod:`matent.ncpoly`) called once per stack: the S outer samples at once,
@@ -191,7 +191,7 @@ class _Coupling(NamedTuple):
     its only words across groups are X_i X_j and X_j X_i for one pair of
     positions i < j (0-based) in different groups: there the log weight
     of a copy moves by t Tr(X_i W X_j W^*) for one Haar W, with
-    t = -beta N k and k the real part of the pair's summed coefficients.
+    t = -N k and k the real part of the pair's summed coefficients.
     t = 0 when no word crosses groups (or the pair's coefficients cancel):
     no copy differs in weight from its tuple."""
 
@@ -206,7 +206,7 @@ def _bilinear_coupling(model: GibbsModel, blockmap: BlockMap) -> Optional[_Coupl
 
     A word whose letters all lie in one group keeps its trace under every
     copy, so it cancels in f(conj) / f; for c (X - Y)^2 on one group per
-    block, k = -2c and t = 2 beta c N.
+    block, k = -2c and t = 2 c N.
     """
     pair, k = None, 0.0
     for w, c in model.potential.terms.items():
@@ -217,7 +217,7 @@ def _bilinear_coupling(model: GibbsModel, blockmap: BlockMap) -> Optional[_Coupl
             return None
         pair, k = ij, k + c.real
     i, j = pair or (0, 0)
-    return _Coupling(i, j, -model.beta * model.N * k)
+    return _Coupling(i, j, -model.N * k)
 
 
 def _hciz_terms(samples: np.ndarray, coupling: _Coupling) -> Tuple[np.ndarray, float]:
@@ -336,10 +336,9 @@ def _det_by_elimination(m: List[list]):
 
 def _inner_log_weights(blocks: Sequence[np.ndarray], request: OrbitalRequest,
                        rng: np.random.Generator) -> np.ndarray:
-    """Log weights -beta N Tr V of ``request.s_in`` conjugated copies of one
+    """Log weights -N Tr V of ``request.s_in`` conjugated copies of one
     tuple, from :func:`_relative_copies` (ell - 1 Haar unitaries each)."""
-    model = request.model
-    e = -model.beta * model.energy(_relative_copies(blocks, request.blockmap, request.s_in, rng))
+    e = -request.model.energy(_relative_copies(blocks, request.blockmap, request.s_in, rng))
     if not np.all(np.isfinite(e)):
         raise EstimatorError("conjugated weights overflowed or vanished")
     return e
@@ -375,7 +374,7 @@ def _jackknife_bias(e: np.ndarray) -> float:
 def _collect_terms(samples: np.ndarray, request: OrbitalRequest, rng: np.random.Generator):
     """Per-sample log density w, inner log-mean weights (full and half),
     and jackknife biases for both resolutions."""
-    w = -request.model.beta * request.model.energy(samples)
+    w = -request.model.energy(samples)
     full, half, bias_full, bias_half = np.empty((4, samples.shape[1]))
     for i in range(samples.shape[1]):
         e = _inner_log_weights(samples[:, i], request, rng)
@@ -534,7 +533,7 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     samples, _ = _outer_chain(request, rng)
     log_i = estimate_log_I(model, opts=ti, rng=rng)
 
-    w = -model.beta * model.energy(samples)
+    w = -model.energy(samples)
     inner_mu, inner_conj = np.empty((2, samples.shape[1]))
     for i in range(samples.shape[1]):
         inner_mu[i] = _log_mean_exp(_inner_log_weights(samples[:, i], request, rng))

@@ -1,27 +1,28 @@
 """Gibbs ensembles on products of Hermitian norm balls.
 
 The reference measure is Lebesgue on the product of operator-norm balls
-{ ||M_i|| <= R }; a model reweights it by exp(-beta N Tr V(M)) for a
-self-adjoint potential V. For n >= 2 sampling is random-walk Metropolis,
-tuned to a 30-45% acceptance band during burn-in and frozen afterwards: the
-proposal adds a Gaussian Hermitian increment to every block and rejects
-outside the ball. One engine steps one chain or several walkers in
+{ ||M_i|| <= R }; a model reweights it by exp(-N Tr V(M)) for a
+self-adjoint potential V, whose scale is the model's only temperature. For
+n >= 2 sampling is random-walk Metropolis, tuned to a 30-45% acceptance
+band during burn-in and frozen afterwards: the proposal adds a Gaussian
+Hermitian increment to every block and rejects outside the ball. One engine steps one chain or several walkers in
 lockstep, with one batched proposal for all of them (:class:`ChainEngine`).
 For n == 1 the draws are exact and i.i.d.: the law is unitarily invariant,
 its eigenvalues form a projection determinantal point process, and each
 spectrum is drawn point by point by rejection (:class:`_ExactSpectra`) and
 conjugated by a fresh Haar unitary.
 
-The normalizer I(beta) = integral of exp(-beta N Tr V) over the ball product
-is exact for n == 1: the eigenvalues form an orthogonal-polynomial ensemble,
-and Heine's identity turns log I into a sum of log norms of the monic
-orthogonal polynomials for the weight exp(-beta N V) on [-R, R], computed by
+The normalizer I = integral of exp(-N Tr V) over the ball product is exact
+for n == 1: the eigenvalues form an orthogonal-polynomial ensemble, and
+Heine's identity turns log I into a sum of log norms of the monic
+orthogonal polynomials for the weight exp(-N V) on [-R, R], computed by
 a discretized Stieltjes procedure on Gauss-Legendre nodes. It is exact for
 two matrices whose potential couples them only through Tr XY: the HCIZ
 integral and Andreief's identity turn I into Mehta's bimoment determinant,
 evaluated on the same nodes. Every other n >= 2 model is estimated by
-thermodynamic integration along beta, anchored at the exact log-volume of the
-ball (Mehta/Selberg closed form).
+thermodynamic integration over an inverse temperature beta in [0, 1], which
+only the integrating chain carries (:class:`ChainEngine`), anchored at the
+exact log-volume of the ball (Mehta/Selberg closed form).
 
 Samples are one complex array of shape (n, S, N, N): block i of sample s
 is ``samples[i, s]``, the layout of :class:`ChainEngine`'s state with the S
@@ -67,13 +68,12 @@ MIN_ACCEPTANCE = 0.01
 
 @dataclass(frozen=True)
 class GibbsModel:
-    """Density proportional to exp(-beta N Tr V) on the norm-ball product."""
+    """Density proportional to exp(-N Tr V) on the norm-ball product."""
 
     n: int
     N: int
     R: float
     potential: NcPoly
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.N < 1 or not (self.R > 0):
@@ -82,14 +82,9 @@ class GibbsModel:
             raise ValueError("potential generator count does not match model")
         if not self.potential.is_self_adjoint():
             raise ValueError("potential must be self-adjoint")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-
-    def with_beta(self, beta: float) -> "GibbsModel":
-        return GibbsModel(self.n, self.N, self.R, self.potential, beta)
 
     def with_potential(self, potential: NcPoly) -> "GibbsModel":
-        return GibbsModel(self.n, self.N, self.R, potential, self.beta)
+        return GibbsModel(self.n, self.N, self.R, potential)
 
     def energy(self, blocks) -> np.ndarray:
         """E(M) = N Tr V(M) of blocks of shape (n, ..., N, N) (an array or a
@@ -123,20 +118,23 @@ class ChainEngine:
 
     Keeps the current blocks, as one (n, K, N, N) array for K walkers (block
     i of walker k is ``blocks[i, k]``), and their energies, shape (K,). The
-    model's beta or potential can be swapped without discarding the state
-    (used by annealed thermodynamic integration and by iterative moment
-    fitting). Every step proposes a joint Gaussian Hermitian increment of all
-    blocks of every walker, for any n; :func:`mcmc_chain` draws n == 1
-    samples exactly instead. All walkers share one step scale, tuned on their
+    chain targets exp(-beta E) with E = N Tr V and an inverse temperature
+    ``beta``, 1 unless set; beta and the potential can be swapped without
+    discarding the state (used by annealed thermodynamic integration and by
+    iterative moment fitting). Every step proposes a joint Gaussian Hermitian
+    increment of all blocks of every walker, for any n; :func:`mcmc_chain`
+    draws n == 1 samples exactly instead. All walkers share one step scale, tuned on their
     pooled acceptance, and ``accepted`` and ``proposed`` count walker-steps,
     so ``run(s)`` costs s batched steps and yields K s walker-steps. One
     walker draws the same random numbers and takes the same decisions as a
     per-block single chain, bit for bit (the tests hold it to one).
     """
 
-    def __init__(self, model: GibbsModel, rng: np.random.Generator, walkers: int = 1):
+    def __init__(self, model: GibbsModel, rng: np.random.Generator, walkers: int = 1,
+                 beta: float = 1.0):
         self.model = model
         self.rng = rng
+        self.beta = beta
         N = model.N
         self.blocks = np.zeros((model.n, walkers, N, N), dtype=complex)
         self.step_scale = model.R / (2.0 * math.sqrt(N))
@@ -149,7 +147,7 @@ class ChainEngine:
         return self.blocks.shape[1]
 
     def set_beta(self, beta: float) -> None:
-        self.model = self.model.with_beta(beta)
+        self.beta = beta
 
     def set_potential(self, potential: NcPoly) -> None:
         self.model = self.model.with_potential(potential)
@@ -181,7 +179,7 @@ class ChainEngine:
         if not np.count_nonzero(accept):
             return 0.0
         new_energy = model.energy(new_blocks)
-        log_ratio = -model.beta * (new_energy - self.energy)
+        log_ratio = -self.beta * (new_energy - self.energy)
         need = np.flatnonzero(accept & (log_ratio < 0))
         if need.size:
             accept[need] = np.log(self.rng.random(need.size)) < log_ratio[need]
@@ -371,7 +369,7 @@ def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
     """Exact log I for one matrix by Heine's identity.
 
     The eigenvalue density of an n == 1 model is the squared Vandermonde
-    times prod_i w(l_i), w = exp(-beta N V), on [-R, R]^N, and its integral
+    times prod_i w(l_i), w = exp(-N V), on [-R, R]^N, and its integral
     is N! prod_{k<N} h_k(w). The angular factor and N! cancel against the
     ball volume (the same integral at V = 0), so
 
@@ -388,7 +386,7 @@ def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
 
     def value(M: int) -> float:
         x, logg = _legendre_nodes(M, R)
-        logw = logg - model.beta * N * polyval(x, coeffs)
+        logw = logg - N * polyval(x, coeffs)
         return _log_heine_norms(x, logw, N)[0] - _log_heine_norms(x, logg, N)[0]
 
     M = _heine_nodes(N)
@@ -461,7 +459,7 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
     For Tr V = Tr V1(X) + Tr V2(Y) + k Tr XY the HCIZ integral removes the
     relative rotation and Andreief's identity both spectra: I is a constant
     times t^(-N(N-1)/2) det[int int a^j b^k w1(a) w2(b) e^(tab)]_{j,k<N},
-    with w_i = exp(-beta N V_i) on [-R, R] and t = -beta N k (Bertola,
+    with w_i = exp(-N V_i) on [-R, R] and t = -N k (Bertola,
     Eynard & Harnad 2002 for the biorthogonal view). Split e^(tab) into its
     Taylor part of degree < N and the remainder r_N(tab). In the orthonormal
     bases p_j of w1 and q_k of w2 the Taylor part is A diag(s^m / m!) B^T
@@ -500,8 +498,7 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
     if parts is None:
         return None
     N, R = model.N, model.R
-    scale = model.beta * N
-    s = -scale * parts[2] * R * R
+    s = -N * parts[2] * R * R
 
     def value(M: int) -> Tuple[float, float]:
         x, logg = _legendre_nodes(M, R)
@@ -509,7 +506,7 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
         total = -2.0 * base
         f = []
         for coeffs in parts[:2]:
-            logw = logg - scale * polyval(x, coeffs)
+            logw = logg - N * polyval(x, coeffs)
             log_h, qs, _ = _log_heine_norms(x, logw, N)
             total += log_h
             # rows p_j w on the nodes, up to one factor per side that C ignores
@@ -574,7 +571,7 @@ class _ExactSpectra:
 
     The eigenvalues form a projection determinantal point process with
     kernel K(s, t) = phi(s) . phi(t), phi_k = sqrt(w) p_k, for the weight
-    w = exp(-beta N V) on [-R, R]; the p_k come from the Jacobi recurrence
+    w = exp(-N V) on [-R, R]; the p_k come from the Jacobi recurrence
     that :func:`_log_heine_norms` returns on as many Gauss-Legendre nodes as
     :func:`_heine_log_I` needs to converge (at least the exact fit's).
     Points are drawn one at a time: given an orthonormal basis E of the phi
@@ -589,7 +586,6 @@ class _ExactSpectra:
     def __init__(self, model: GibbsModel):
         N, R = model.N, model.R
         self.N, self.R = N, R
-        self.scale = model.beta * N
         self.coeffs = model.potential.scalar_coeffs()
         # as many nodes as log I needs to converge
         log_i = _heine_log_I(model)
@@ -597,7 +593,7 @@ class _ExactSpectra:
             raise EstimatorError(f"{log_i.count} quadrature nodes do not resolve the weight")
         x, logg = _legendre_nodes(log_i.count, R)
         _, _, (self.log_h0, self.a, self.b) = _log_heine_norms(
-            x, logg - self.scale * polyval(x, self.coeffs), N)
+            x, logg - N * polyval(x, self.coeffs), N)
         cells = ENV_CELLS * N
         k = np.sum(self.phi(np.linspace(-R, R, cells * ENV_SAMPLES + 1)) ** 2, axis=-1)
         peak = np.maximum(k[:-1].reshape(cells, ENV_SAMPLES).max(axis=1), k[ENV_SAMPLES::ENV_SAMPLES])
@@ -611,7 +607,7 @@ class _ExactSpectra:
         """phi_k(t), k < N, along a new last axis."""
         # the extra last row stays 0 and stands in for phi_{-1}
         out = np.zeros((self.N + 1,) + t.shape)
-        out[0] = np.exp(-0.5 * (self.scale * polyval(t, self.coeffs) + self.log_h0))
+        out[0] = np.exp(-0.5 * (self.N * polyval(t, self.coeffs) + self.log_h0))
         for k in range(1, self.N):
             out[k] = ((t - self.a[k - 1]) * out[k - 1] - self.b[k - 2] * out[k - 2]) / self.b[k - 1]
         return np.moveaxis(out[:-1], 0, -1)
@@ -661,10 +657,11 @@ class _ExactSpectra:
 
 @dataclass(frozen=True)
 class TIOptions:
-    """Budget for thermodynamic integration over beta; the keys of a ``ti:`` section.
+    """Budget for thermodynamic integration over the inverse temperature beta
+    of the chain; the keys of a ``ti:`` section.
 
-    ``nodes`` beta values beta_k = beta (k / (nodes - 1))^2.5 are visited by
-    one forward and one backward annealing sweep; each node gets
+    ``nodes`` values beta_k = (k / (nodes - 1))^2.5 are visited by one
+    forward and one backward annealing sweep; each node gets
     ``node_burnin`` tuning steps and ``node_steps / 2`` measured steps per
     sweep. Used only for the n >= 2 models without an exact log normalizer
     (see :func:`estimate_log_I`); the others ignore it.
@@ -688,7 +685,7 @@ def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
     node budget.
     """
     start = 0.0 if forward else float(grid[-1])
-    engine = ChainEngine(model.with_beta(start), rng)
+    engine = ChainEngine(model, rng, beta=start)
     engine.tune(3 * node_burnin)
     means = np.empty(grid.size)
     errs = np.empty(grid.size)
@@ -736,9 +733,9 @@ def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
 
 def estimate_log_I(model: GibbsModel, opts: Optional[TIOptions] = None,
                    rng: np.random.Generator = None) -> ScalarEstimate:
-    """log I(beta) of a Gibbs model, exact wherever an exact route exists.
+    """log I of a Gibbs model, exact wherever an exact route exists.
 
-    Exact (stderr 0) when the potential or beta vanishes: n log Vol. For
+    Exact (stderr 0) when the potential vanishes: n log Vol. For
     n == 1 it is deterministic by Heine's identity (see :func:`_heine_log_I`),
     and for two matrices with potential V1(X) + V2(Y) + k(XY + YX)/2 by
     Mehta's determinant (see :func:`_mehta_log_I`), with the quadrature
@@ -747,7 +744,7 @@ def estimate_log_I(model: GibbsModel, opts: Optional[TIOptions] = None,
     estimated by annealed thermodynamic integration with the budget ``opts``
     (see :func:`_ti_log_I`).
     """
-    if model.potential.is_zero() or model.beta == 0.0:
+    if model.potential.is_zero():
         return ScalarEstimate.exact(model.n * log_ball_volume(model.N, model.R))
     if model.n == 1:
         return _heine_log_I(model)
@@ -757,11 +754,12 @@ def estimate_log_I(model: GibbsModel, opts: Optional[TIOptions] = None,
 
 def _ti_log_I(model: GibbsModel, opts: Optional[TIOptions],
               rng: np.random.Generator) -> ScalarEstimate:
-    """log I(beta) by thermodynamic integration from the exact ball volume.
+    """log I by thermodynamic integration from the exact ball volume.
 
-    d/dbeta log I = -E_beta[N Tr V], so log I(beta) = n log Vol minus the
-    trapezoid of the mean energy along an increasing beta grid from 0,
-    power-law packed near 0 where the integrand has most of its curvature.
+    With I(beta) the integral of exp(-beta N Tr V), d/dbeta log I(beta) =
+    -E_beta[N Tr V], so log I = log I(1) is n log Vol minus the trapezoid of
+    the mean energy along an increasing beta grid from 0 to 1, power-law
+    packed near 0 where the integrand has most of its curvature.
     The budget is split over a forward and a backward annealing sweep, which
     cancels the chain's schedule-lag bias to first order; node means within
     a sweep share one chain, so the between-sweep spread is the trustworthy
@@ -778,7 +776,7 @@ def _ti_log_I(model: GibbsModel, opts: Optional[TIOptions],
         raise ValueError("thermodynamic integration needs at least 2 beta nodes")
     # power-law node packing toward beta = 0, where the mean energy has a
     # 1/beta-like corner before the reference measure takes over
-    grid = model.beta * np.linspace(0.0, 1.0, opts.nodes) ** 2.5
+    grid = np.linspace(0.0, 1.0, opts.nodes) ** 2.5
 
     per_node = max(2, opts.node_steps // 2)
     passes = [_ti_pass(model, grid, opts.node_burnin, per_node, rng, forward)
@@ -795,23 +793,22 @@ def gibbs_entropy(model: GibbsModel, log_i: ScalarEstimate,
                   samples: np.ndarray) -> ScalarEstimate:
     """Differential entropy -int f log f of the model from its samples.
 
-    Ent = log I + beta * E[N Tr V]; the mean energy comes from the given
+    Ent = log I + E[N Tr V]; the mean energy comes from the given
     equilibrium samples, an (n, S, N, N) array as :func:`mcmc_chain`
     returns it, with the IAT-inflated stderr of
     :func:`matent.estimates.pooled_mean`, combined with the log I
     error in quadrature. Exact for the uniform ensemble.
     """
-    if model.potential.is_zero() or model.beta == 0.0:
+    if model.potential.is_zero():
         return ScalarEstimate(log_i.value, log_i.stderr, log_i.count, log_i.bias_bound)
-    return _entropy(log_i, model.beta, pooled_mean(model.energy(samples))[0])
+    return _entropy(log_i, pooled_mean(model.energy(samples))[0])
 
 
-def _entropy(log_i: ScalarEstimate, beta: float, energy: ScalarEstimate) -> ScalarEstimate:
-    """Ent = log I + beta E[N Tr V], the two errors combined in quadrature
-    and the two bias bounds added."""
-    return ScalarEstimate(log_i.value + beta * energy.value,
-                          math.hypot(log_i.stderr, beta * energy.stderr),
-                          energy.count, log_i.bias_bound + beta * energy.bias_bound)
+def _entropy(log_i: ScalarEstimate, energy: ScalarEstimate) -> ScalarEstimate:
+    """Ent = log I + E[N Tr V], the two errors combined in quadrature and
+    the two bias bounds added."""
+    return ScalarEstimate(log_i.value + energy.value, math.hypot(log_i.stderr, energy.stderr),
+                          energy.count, log_i.bias_bound + energy.bias_bound)
 
 
 @dataclass(frozen=True)
@@ -842,7 +839,7 @@ def microstate_hit_rate(tau: MomentSpec, eps: float, K: int, N: int,
     """
     if not (eps > 0) or K < 1 or K > tau.K or trials < 1:
         raise ValueError("need eps > 0, 1 <= K <= tau.K and trials >= 1")
-    model = GibbsModel(1, N, tau.R, NcPoly.zero(1), 0.0)
+    model = GibbsModel(1, N, tau.R, NcPoly.zero(1))
     hits = 0
     for lo in range(0, trials, 4096):
         size = min(4096, trials - lo)

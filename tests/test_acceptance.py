@@ -82,7 +82,7 @@ def test_criterion_01_ball_volume_exact_and_mc():
 def test_criterion_02_uniform_chain_arcsine_moments():
     t0 = time.time()
     R = 2.0
-    model = GibbsModel(1, 64, R, NcPoly.zero(1), 0.0)
+    model = GibbsModel(1, 64, R, NcPoly.zero(1))
     samples, diag = mcmc_chain(model, steps=4000, burnin=1500, thin=4,
                                rng=np.random.default_rng(5))
     eig = np.linalg.eigvalsh(samples[0])
@@ -215,11 +215,11 @@ COUPLED = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -1.0, (2, 1): -1.0})
 
 def test_criterion_08_orbital_vanishing_and_negativity():
     t0 = time.time()
-    decoupled = GibbsModel(2, 8, 2.0, NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0}), 1.0)
+    decoupled = GibbsModel(2, 8, 2.0, NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0}))
     est_d = orbital_entropy(OrbitalRequest(decoupled, BlockMap.full(2), s_out=128,
                                            s_in=96, chain_burnin=1200, chain_thin=20),
                             rng=np.random.default_rng(801))
-    coupled = GibbsModel(2, 8, 2.0, COUPLED, 1.0)
+    coupled = GibbsModel(2, 8, 2.0, COUPLED)
     est_c = orbital_entropy(OrbitalRequest(coupled, BlockMap.full(2), s_out=128,
                                            s_in=96, chain_burnin=1200, chain_thin=20),
                             rng=np.random.default_rng(802))
@@ -233,7 +233,7 @@ def test_criterion_08_orbital_vanishing_and_negativity():
 
 def test_criterion_09_chain_rule_identity():
     t0 = time.time()
-    model = GibbsModel(2, 8, 2.0, COUPLED, 1.0)
+    model = GibbsModel(2, 8, 2.0, COUPLED)
     rep = chain_rule_check(OrbitalRequest(model, BlockMap.full(2), s_out=128, s_in=96,
                                           chain_burnin=1200, chain_thin=20),
                            np.random.default_rng(901),
@@ -249,7 +249,7 @@ def test_criterion_10_orbital_talagrand_on_coupling_grid():
     details = []
     for c in (0.25, 0.5, 1.0):
         pot = NcPoly(2, {(1, 1): c, (2, 2): c, (1, 2): -c, (2, 1): -c})
-        model = GibbsModel(2, 8, 2.0, pot, 1.0)
+        model = GibbsModel(2, 8, 2.0, pot)
         rep = talagrand_report(OrbitalRequest(model, BlockMap.full(2), s_out=128, s_in=96,
                                               chain_burnin=1200, chain_thin=20),
                                np.random.default_rng(int(1000 + 100 * c)), K=4)
@@ -281,7 +281,7 @@ def test_criterion_11_compression_entropy_shift():
     # spectral formula on an independent eigenvalue-gas chain (tests/oracles.py)
     N = 4
     pot = NcPoly(1, {(1,): 0.5, (1, 1): -0.6, (1, 1, 1, 1): 0.2})
-    samples, diag = mcmc_chain(GibbsModel(1, N, 2.0, pot, 1.0), steps=12000,
+    samples, diag = mcmc_chain(GibbsModel(1, N, 2.0, pot), steps=12000,
                                burnin=2000, thin=6, rng=np.random.default_rng(1101))
     ljs = np.array([log_jacobian_functional_calculus(b, g) for b in samples[0]])
     se1 = ljs.std(ddof=1) / math.sqrt(len(ljs) / max(diag.iat, 1.0))

@@ -310,7 +310,8 @@ def test_unknown_top_level_keys_exit_2(tmp_path, capsys):
 
 
 NESTED_TYPOS = {
-    "model": {"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0, "betta": 0.5}},
+    # beta is no model key: the potential's scale is the model's temperature
+    "model": {"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0, "betta": 0.5, "beta": 1.0}},
     "semicircle target": {"kind": "rho", "N": 2, "K": 2,
                           "target": {"name": "semicircle", "K": 2, "varience": 4.0}},
     "arcsine target": {"kind": "rho", "N": 2, "K": 2,

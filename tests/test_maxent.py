@@ -189,7 +189,7 @@ def test_final_run_stderr_calibrated_at_exact_optimum():
     lam = np.array([one.coeffs[0], one.coeffs[0], one.coeffs[1], 0.0, one.coeffs[1]])
     targets = target_vector(tau, basis)
     exact = 16 * float(lam @ targets)
-    model = GibbsModel(2, 4, 2.0, potential_from_coeffs(basis, lam), 1.0)
+    model = GibbsModel(2, 4, 2.0, potential_from_coeffs(basis, lam))
     zs = []
     defaults = FitOptions()
     for seed in range(30):
@@ -230,7 +230,7 @@ def test_fit_projection_infeasible_target_raises():
                       step_size=4.0, min_iterations=20, final_steps=1500,
                       final_burnin=300, ti=TIOptions(nodes=11, node_steps=300))
     with pytest.raises(InfeasibleTargetError):
-        fit_projection(tau, 2, 1, opts=opts, rng=substream(3, "inf"), R=1.0)
+        fit_projection(tau, 2, 1, opts=opts, rng=substream(3, "inf"))
 
 
 def test_unconverged_fit_warns():
@@ -328,7 +328,7 @@ def test_free_pressure_linear_scalar():
 def test_eta_bound_holds_on_easy_case():
     tau = semicircle_moments(1.0, 2, radius=2.0)
     rep = eta_bound_check(tau, 0.3 * NcPoly.generator(1, 1), 4, 2, 0.0,
-                          FAST, substream(7, "eta"), R=2.0)
+                          FAST, substream(7, "eta"))
     assert rep.holds
     assert rep.lhs <= rep.rhs + 3 * rep.sigma + 1e-9
 
@@ -336,7 +336,7 @@ def test_eta_bound_holds_on_easy_case():
 def test_chi_tilde_curve_requires_factory_and_reports_points():
     tau = semicircle_moments(1.0, 2, radius=2.0)
     pts = chi_tilde_curve(tau, [2], 2, 0.0, FAST,
-                          rng_factory=lambda N: substream(8, "curve", N), R=2.0)
+                          rng_factory=lambda N: substream(8, "curve", N))
     assert len(pts) == 1
     p = pts[0]
     assert p.N == 2

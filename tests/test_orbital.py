@@ -41,9 +41,11 @@ def test_request_validation():
 def test_stacked_log_weights_equal_per_tuple_energies():
     # N Tr V on a stack of tuples, against one tuple at a time and against
     # the potential c (X1 - X2)^2 + 0.3 written out by hand
+    # the samples and the copies' log weights are those of beta V
     c, N, beta = 0.7, 5, 0.6
-    model = GibbsModel(2, N, 2.0, coupled_potential(c) + 0.3, beta)
-    samples, _ = mcmc_chain(model, 60, 50, 6, rng=substream(9, "stack"))
+    model = GibbsModel(2, N, 2.0, coupled_potential(c) + 0.3)
+    hot = model.with_potential(beta * model.potential)
+    samples, _ = mcmc_chain(hot, 60, 50, 6, rng=substream(9, "stack"))
     stacked = model.energy(samples)
     assert stacked.shape == (samples.shape[1],)
     for value, t in zip(stacked, np.swapaxes(samples, 0, 1)):
@@ -52,7 +54,7 @@ def test_stacked_log_weights_equal_per_tuple_energies():
         assert value == pytest.approx(model.energy(t), rel=1e-12)
     # the inner layer prices its s_in conjugated copies as one stack
     blockmap = BlockMap.full(2)
-    e = _inner_log_weights(samples[:, 0], OrbitalRequest(model, blockmap, s_in=16),
+    e = _inner_log_weights(samples[:, 0], OrbitalRequest(hot, blockmap, s_in=16),
                            substream(10, "stack"))
     copies = _relative_copies(samples[:, 0], blockmap, 16, substream(10, "stack"))
     assert e.shape == (16,)
@@ -147,7 +149,7 @@ def test_hciz_oracle_closed_form_precision_and_range():
 
 def test_exact_route_detector():
     # the only words across groups are X_i X_j and X_j X_i of one pair
-    assert _bilinear_coupling(GibbsModel(2, 4, 2.0, coupled_potential(0.5), 0.8),
+    assert _bilinear_coupling(GibbsModel(2, 4, 2.0, 0.8 * coupled_potential(0.5)),
                               BlockMap.full(2)) == (0, 1, pytest.approx(2 * 0.8 * 0.5 * 4))
     four = NcPoly(4, {(1, 1): 1.0, (3, 3): 1.0, (1, 3): -1.0, (3, 1): -1.0,
                       (2, 2): 0.5, (4, 4): 0.5, (1, 2): 0.3, (2, 1): 0.3})
@@ -249,19 +251,19 @@ def test_inner_layer_matches_exact_hciz_term():
     # V = c (X - Y)^2, one group per block: conj(M) leaves X and Tr Y^2 and
     # conjugates Y by one Haar W, so the inner term is exact,
     #   log E_W f(X, W Y W^*)
-    #     = -beta N c (Tr X^2 + Tr Y^2) + log HCIZ(2 beta c N, spec X, spec Y).
+    #     = -N c (Tr X^2 + Tr Y^2) + log HCIZ(2 c N, spec X, spec Y).
     # The weights are heavy-tailed and the log-mean-exp is biased low by more
     # than its delta-method stderr once t R^2 is large (at R = 2, t = 8 and
     # s_in = 2000 the replicate z-scores average -5.7), so the match is judged
     # against the spread of 20 independent replicates, at t R^2 = 2 (R = 1,
     # c = 1/4), allowing the estimator's own jackknife bias.
-    N, c, beta, reps = 4, 0.25, 1.0, 20
-    model = GibbsModel(2, N, 1.0, coupled_potential(c), beta)
+    N, c, reps = 4, 0.25, 20
+    model = GibbsModel(2, N, 1.0, coupled_potential(c))
     samples, _ = mcmc_chain(model, 4 * 40, 600, 40, rng=substream(13, "hciz-outer"))
     for k, (x, y) in enumerate(np.swapaxes(samples, 0, 1)):
-        exact = (-beta * N * c * (np.vdot(x, x).real + np.vdot(y, y).real)
+        exact = (-N * c * (np.vdot(x, x).real + np.vdot(y, y).real)
                  + oracles.hciz_log(np.linalg.eigvalsh(x), np.linalg.eigvalsh(y),
-                                    2.0 * beta * c * N))
+                                    2.0 * c * N))
         values, biases = np.empty(reps), np.empty(reps)
         for r in range(reps):
             e = _inner_log_weights((x, y), OrbitalRequest(model, BlockMap.full(2), s_in=2000),

@@ -21,11 +21,7 @@ from matent.streams import substream
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        GibbsModel(1, 4, 2.0, 1j * NcPoly.generator(1, 1), 1.0)
-    with pytest.raises(ValueError):
-        GibbsModel(1, 4, 2.0, NcPoly.zero(1), 1.5)
-    m = GibbsModel(2, 4, 2.0, NcPoly.zero(2), 0.5)
-    assert m.with_beta(0.0).beta == 0.0
+        GibbsModel(1, 4, 2.0, 1j * NcPoly.generator(1, 1))
 
 
 def test_log_ball_volume_exact_small_cases():
@@ -73,7 +69,7 @@ def test_chain_detailed_balance_scalar_ks():
     # chain's empirical law against quadrature with a KS test
     coeffs = [0.0, 0.8, 0.0, 0.0, 0.15]
     pot = NcPoly(1, {(1,): coeffs[1], (1, 1, 1, 1): coeffs[4]})
-    model = GibbsModel(1, 1, 2.0, pot, 1.0)
+    model = GibbsModel(1, 1, 2.0, pot)
     samples, diag = mcmc_chain(model, 30000, 3000, 10, rng=substream(8, "ks"))
     xs = samples[0, :, 0, 0].real
     grid, f, dx = oracles.gibbs_density(coeffs, 2.0)
@@ -91,7 +87,7 @@ def test_chain_detailed_balance_scalar_ks():
 
 def test_chain_acceptance_in_band_and_diagnostics():
     # the tuned acceptance band belongs to the matrix-mode chain (n >= 2)
-    model = GibbsModel(2, 4, 2.0, NcPoly.zero(2), 0.0)
+    model = GibbsModel(2, 4, 2.0, NcPoly.zero(2))
     samples, diag = mcmc_chain(model, 6000, 1500, 5, rng=substream(9, "diag"))
     assert 0.2 <= diag.acceptance <= 0.55
     assert diag.retained == samples.shape[1]
@@ -122,7 +118,7 @@ class _PerBlockEngine(sampler.ChainEngine):
             if abs(lam[0]) > model.R or abs(lam[-1]) > model.R:
                 return 0.0
         new_energy = model.energy(new_blocks)
-        log_ratio = -model.beta * (new_energy - self.energy)
+        log_ratio = -self.beta * (new_energy - self.energy)
         if log_ratio < 0 and math.log(self.rng.random()) >= log_ratio:
             return 0.0
         self.blocks = new_blocks
@@ -141,7 +137,7 @@ def test_chain_step_matches_per_block_reference(n, N):
         + 0.3 * NcPoly.from_word(n, (1, 1, 1, 1))
     runs = []
     for cls in (sampler.ChainEngine, _PerBlockEngine):
-        engine = cls(GibbsModel(n, N, 1.2, quad, 1.0), substream(17, "step", n))
+        engine = cls(GibbsModel(n, N, 1.2, quad), substream(17, "step", n))
         energies = []
         engine.tune(600)
         engine.run(900, observe=lambda e: energies.append(np.ravel(e.energy)))
@@ -161,7 +157,7 @@ def test_chain_step_matches_per_block_reference(n, N):
 def test_walkers_diverge_and_count_walker_steps():
     # eight lockstep walkers from one start: their own proposals part them at
     # once, and the counters count walker-steps, not batched steps
-    model = GibbsModel(2, 4, 2.0, _quadratic_pair(1.0, 0.3), 1.0)
+    model = GibbsModel(2, 4, 2.0, _quadratic_pair(1.0, 0.3))
     engine = sampler.ChainEngine(model, substream(4, "walkers"), 8)
     assert engine.walkers == 8 and engine.blocks.shape == (2, 8, 4, 4)
     engine.tune(200)
@@ -182,7 +178,7 @@ def test_pooled_walker_moment_matches_gaussian_pair_derivative():
     a, c, N, h = 1.0, 0.5, 4, 1e-5
     want = (oracles.gaussian_pair_log_I(a - h, c, N)
             - oracles.gaussian_pair_log_I(a + h, c, N)) / (2 * h)
-    engine = sampler.ChainEngine(GibbsModel(2, N, 6.0, _quadratic_pair(a, c), 1.0),
+    engine = sampler.ChainEngine(GibbsModel(2, N, 6.0, _quadratic_pair(a, c)),
                                  substream(5, "walker-pair"), 8)
     engine.tune(800)
     trace = engine.model.with_potential(_quadratic_pair(1.0, 0.0))
@@ -210,9 +206,8 @@ def test_pooled_mean_ar1_matches_theory(walkers, steps):
 
 
 @pytest.mark.parametrize("model", [
-    GibbsModel(1, 5, 2.0, NcPoly(1, {(1, 1): 0.5, (1, 1, 1, 1): 0.3}), 1.0),
-    GibbsModel(2, 4, 1.5, NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.5, (2, 1): -0.5}),
-               1.0)], ids=["exact-n1", "metropolis-n2"])
+    GibbsModel(1, 5, 2.0, NcPoly(1, {(1, 1): 0.5, (1, 1, 1, 1): 0.3})),
+    GibbsModel(2, 4, 1.5, NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.5, (2, 1): -0.5}))], ids=["exact-n1", "metropolis-n2"])
 def test_chain_samples_are_hermitian_tuples_in_the_ball(model):
     # the checks MatrixTuple made on every retained state, on the array
     samples, diag = mcmc_chain(model, 600, 200, 6, rng=substream(11, "invariant", model.n))
@@ -232,7 +227,7 @@ def test_hit_rate_counts_match_per_tuple_distances(N, seed):
     tau, eps, K, trials = free_product_moments([half, half], 2), 0.3, 2, 20000
     est = microstate_hit_rate(tau, eps, K, N, trials, substream(seed, "hit-ref"))
     rng = substream(seed, "hit-ref")
-    model = GibbsModel(1, N, tau.R, NcPoly.zero(1), 0.0)
+    model = GibbsModel(1, N, tau.R, NcPoly.zero(1))
     hits = 0
     for lo in range(0, trials, 4096):
         size = min(4096, trials - lo)
@@ -244,7 +239,7 @@ def test_hit_rate_counts_match_per_tuple_distances(N, seed):
 
 def test_chain_record_path(tmp_path):
     path = str(tmp_path / "chain.jsonl")
-    model = GibbsModel(1, 3, 1.0, NcPoly.zero(1), 0.0)
+    model = GibbsModel(1, 3, 1.0, NcPoly.zero(1))
     samples, _ = mcmc_chain(model, 500, 100, 50, rng=substream(10, "rec"),
                             record_path=path)
     lines = [json.loads(line) for line in open(path)]
@@ -252,7 +247,7 @@ def test_chain_record_path(tmp_path):
 
 
 def test_estimate_log_i_exact_cases():
-    model = GibbsModel(2, 4, 1.5, NcPoly.zero(2), 0.0)
+    model = GibbsModel(2, 4, 1.5, NcPoly.zero(2))
     est = estimate_log_I(model)
     assert est.stderr == 0.0
     assert est.value == pytest.approx(2 * log_ball_volume(4, 1.5))
@@ -260,7 +255,7 @@ def test_estimate_log_i_exact_cases():
 
 def test_estimate_log_i_linear_matches_closed_form():
     c, R = 0.9, 2.0
-    model = GibbsModel(1, 1, R, c * NcPoly.generator(1, 1), 1.0)
+    model = GibbsModel(1, 1, R, c * NcPoly.generator(1, 1))
     est = estimate_log_I(model, opts=TIOptions(nodes=25, node_steps=1200),
                          rng=substream(12, "ti-lin"))
     want = oracles.log_i_linear_exact(c, R)
@@ -273,31 +268,31 @@ def _scalar_poly(coeffs):
 
 def test_exact_log_i_constant_potential():
     # V = c is not the zero potential, so this goes through the n = 1 route;
-    # the Gibbs factor is the constant exp(-beta N^2 c)
+    # the Gibbs factor of beta V is the constant exp(-beta N^2 c)
     c, beta, R = 0.7, 0.6, 3.0
     for N in range(1, 65):
-        est = estimate_log_I(GibbsModel(1, N, R, _scalar_poly([c]), beta))
+        est = estimate_log_I(GibbsModel(1, N, R, beta * _scalar_poly([c])))
         assert est.stderr == 0.0
         assert est.value == pytest.approx(log_ball_volume(N, R) - beta * N * N * c, abs=1e-10)
 
 
 def test_exact_log_i_linear_n1_matches_closed_form():
     for c, R in ((0.9, 2.0), (-0.4, 1.0), (3.0, 4.0)):
-        est = estimate_log_I(GibbsModel(1, 1, R, c * NcPoly.generator(1, 1), 1.0))
+        est = estimate_log_I(GibbsModel(1, 1, R, c * NcPoly.generator(1, 1)))
         assert est.value == pytest.approx(oracles.log_i_linear_exact(c, R), abs=1e-10)
 
 
 def test_exact_log_i_n2_matches_tensor_quadrature():
     R = 2.0
     for coeffs in ([0.0, 0.3, 0.5], [0.0, -0.2, 0.1, 0.4, 0.3], [0.0, 0.0, 0.0, 0.0, 1.5]):
-        est = estimate_log_I(GibbsModel(1, 2, R, _scalar_poly(coeffs), 1.0))
+        est = estimate_log_I(GibbsModel(1, 2, R, _scalar_poly(coeffs)))
         want = oracles.log_i_ratio_two_eigen_quad(coeffs, R)
         assert est.value - log_ball_volume(2, R) == pytest.approx(want, abs=2e-6)
 
 
 def test_exact_log_i_bias_bound_at_large_n():
     pot = _scalar_poly([0.0, 0.1, 0.45, -0.05, 0.02, 0.0, 0.003])
-    est = estimate_log_I(GibbsModel(1, 64, 4.0, pot, 1.0))
+    est = estimate_log_I(GibbsModel(1, 64, 4.0, pot))
     assert est.stderr == 0.0
     assert est.bias_bound <= 1e-8
     assert est.value < log_ball_volume(64, 4.0)
@@ -308,7 +303,7 @@ def test_exact_log_i_resolves_narrow_gaussian_weight():
     # integral over the N real diagonal and N(N-1)/2 complex entries
     N = 16
     for c in (10.0, 100.0):
-        est = estimate_log_I(GibbsModel(1, N, 4.0, c * NcPoly.from_word(1, (1, 1)), 1.0))
+        est = estimate_log_I(GibbsModel(1, N, 4.0, c * NcPoly.from_word(1, (1, 1))))
         gauss = (N / 2 * math.log(math.pi / (N * c))
                  + N * (N - 1) / 2 * math.log(math.pi / (2 * N * c)))
         assert est.value == pytest.approx(gauss, abs=1e-8)
@@ -319,13 +314,13 @@ def test_exact_log_i_flags_unresolved_weight():
     # a weight narrower than the node spacing leaves the recurrence without
     # N resolved nodes, which raises rather than returning a number
     with pytest.raises(EstimatorError):
-        estimate_log_I(GibbsModel(1, 16, 4.0, 1e5 * NcPoly.from_word(1, (1, 1)), 1.0))
+        estimate_log_I(GibbsModel(1, 16, 4.0, 1e5 * NcPoly.from_word(1, (1, 1))))
 
 
 def test_ti_error_bars_cover_exact_log_i():
     # the annealed route on a one-matrix model, against the exact route
     pot = _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.1])
-    model = GibbsModel(1, 4, 2.0, pot, 1.0)
+    model = GibbsModel(1, 4, 2.0, pot)
     exact = estimate_log_I(model)
     opts = TIOptions(nodes=11, node_burnin=100, node_steps=400)
     misses = []
@@ -343,8 +338,8 @@ def test_ti_error_bars_cover_exact_separable_pair():
     # V = c (X^2 + Y^2) factorizes, so log I = 2 log I_1 exactly by Heine;
     # an n = 2 check of the annealed route's error bars
     c = 0.4746
-    exact = _heine_log_I(GibbsModel(1, 4, 2.0, c * NcPoly.from_word(1, (1, 1)), 1.0))
-    model = GibbsModel(2, 4, 2.0, NcPoly(2, {(1, 1): c, (2, 2): c}), 1.0)
+    exact = _heine_log_I(GibbsModel(1, 4, 2.0, c * NcPoly.from_word(1, (1, 1))))
+    model = GibbsModel(2, 4, 2.0, NcPoly(2, {(1, 1): c, (2, 2): c}))
     opts = TIOptions(nodes=21, node_burnin=200, node_steps=1000)
     misses = []
     for seed in range(8):
@@ -365,7 +360,7 @@ def test_ti_error_bars_cover_exact_coupled_pair():
     opts = TIOptions(nodes=21, node_burnin=200, node_steps=1000)
     misses = []
     for c in (0.25, 1.0):
-        model = GibbsModel(2, 4, 2.0, _quadratic_pair(c, c), 1.0)
+        model = GibbsModel(2, 4, 2.0, _quadratic_pair(c, c))
         exact = sampler._mehta_log_I(model)
         for seed in range(4):
             ti = _ti_log_I(model, opts, substream(seed, "ti-coupled", str(c)))
@@ -382,7 +377,7 @@ def test_mehta_log_i_matches_gaussian_pair():
     # case here lies inside the determinant's range
     for N in (2, 4, 8, 16):
         for c in (1e-4, -1e-4, 0.01, 0.1, 0.5):
-            est = estimate_log_I(GibbsModel(2, N, 6.0, _quadratic_pair(1.0, c), 1.0))
+            est = estimate_log_I(GibbsModel(2, N, 6.0, _quadratic_pair(1.0, c)))
             want = oracles.gaussian_pair_log_I(1.0, c, N)
             assert est.stderr == 0.0
             assert abs(est.value - want) <= 1e-9 + est.bias_bound, (N, c, est.value - want)
@@ -397,31 +392,31 @@ def test_mehta_log_i_at_zero_coupling_is_heine():
         return NcPoly(2, {**p.terms, **{(2,) * len(w): c for w, c in q.terms.items()}})
 
     for N in (3, 8):
-        h1, h2 = (_heine_log_I(GibbsModel(1, N, 2.0, v, 1.0)) for v in (v1, v2))
-        same = estimate_log_I(GibbsModel(2, N, 2.0, pair(v1, v1), 1.0))
+        h1, h2 = (_heine_log_I(GibbsModel(1, N, 2.0, v)) for v in (v1, v2))
+        same = estimate_log_I(GibbsModel(2, N, 2.0, pair(v1, v1)))
         assert same.stderr == 0.0
         assert abs(same.value - 2 * h1.value) <= 2 * h1.bias_bound + 1e-12
-        both = estimate_log_I(GibbsModel(2, N, 2.0, pair(v1, v2), 1.0))
+        both = estimate_log_I(GibbsModel(2, N, 2.0, pair(v1, v2)))
         assert abs(both.value - h1.value - h2.value) <= h1.bias_bound + h2.bias_bound + 1e-12
 
 
 def test_mehta_log_i_one_by_one_matches_quadrature():
     # at N = 1 log I is a plain double integral over the square: unequal
-    # sides with odd powers, a constant term and beta < 1
+    # sides with odd powers, a constant term and the potential scaled by beta < 1
     pot = NcPoly(2, {(): 0.1, (1,): 0.3, (1, 1): 0.5, (1, 1, 1): -0.2, (2,): -0.4,
                      (2, 2): 0.8, (1, 2): 0.35, (2, 1): 0.35})
     t, g = np.polynomial.legendre.leggauss(200)
     x, y = np.meshgrid(1.5 * t, 1.5 * t, indexing="ij")
     v = 0.1 + 0.3 * x + 0.5 * x ** 2 - 0.2 * x ** 3 - 0.4 * y + 0.8 * y ** 2 + 0.7 * x * y
     for beta in (0.5, 1.0):
-        est = sampler._mehta_log_I(GibbsModel(2, 1, 1.5, pot, beta))
+        est = sampler._mehta_log_I(GibbsModel(2, 1, 1.5, beta * pot))
         want = math.log(2.25 * g @ np.exp(-beta * v) @ g)
         assert abs(est.value - want) <= 1e-12 + est.bias_bound
 
 
 def test_mehta_log_i_draws_no_random_numbers():
     rng, twin = substream(3, "mehta-rng"), substream(3, "mehta-rng")
-    model = GibbsModel(2, 4, 2.0, _quadratic_pair(1.0, 1.0), 1.0)
+    model = GibbsModel(2, 4, 2.0, _quadratic_pair(1.0, 1.0))
     est = estimate_log_I(model, opts=TIOptions(), rng=rng)
     assert np.array_equal(rng.random(8), twin.random(8))
     assert est.stderr == 0.0 and est.bias_bound <= 1e-8
@@ -442,9 +437,9 @@ def test_models_without_exact_route_go_to_ti(monkeypatch):
     # c (X - Y)^2 lies outside the determinant's range at N = 32, c = 0.25;
     # at N = 16 its 300- and 600-node values agree to 8.5e-9, but rounding
     # near 1e-7 shows in the X <-> Y swap
-    models = [GibbsModel(2, 4, 2.0, quartic, 1.0), GibbsModel(3, 4, 2.0, triple, 1.0),
-              GibbsModel(2, 32, 2.0, _quadratic_pair(0.25, 0.25), 1.0),
-              GibbsModel(2, 16, 2.0, _quadratic_pair(0.25, 0.25), 1.0)]
+    models = [GibbsModel(2, 4, 2.0, quartic), GibbsModel(3, 4, 2.0, triple),
+              GibbsModel(2, 32, 2.0, _quadratic_pair(0.25, 0.25)),
+              GibbsModel(2, 16, 2.0, _quadratic_pair(0.25, 0.25))]
     for model in models:
         assert sampler._mehta_log_I(model) is None
         assert estimate_log_I(model, rng=substream(0, "fallback")) == "ti"
@@ -454,26 +449,25 @@ def test_models_without_exact_route_go_to_ti(monkeypatch):
 def test_ti_needs_two_beta_nodes():
     pot = NcPoly.from_word(2, (1, 2)) + NcPoly.from_word(2, (2, 1))
     with pytest.raises(ValueError, match="at least 2 beta nodes"):
-        _ti_log_I(GibbsModel(2, 3, 1.0, pot, 1.0), TIOptions(nodes=1),
+        _ti_log_I(GibbsModel(2, 3, 1.0, pot), TIOptions(nodes=1),
                   substream(0, "ti-nodes"))
 
 
 def test_exact_draws_energy_matches_exact_derivative():
-    # d/dt log I(tV) = -E[N Tr V] at t = 1; the potential is scaled instead
-    # of beta, which may not exceed 1. The mean energy of exact n = 1 draws
-    # is then checked against Heine's exact route.
+    # d/dt log I(tV) = -E[N Tr V] at t = 1: the mean energy of exact n = 1
+    # draws is checked against Heine's exact route.
     N = 8
     pot = _scalar_poly([0.0, 0.2, 0.5, 0.0, 0.25])
 
     def slope(h):
-        lo, hi = (_heine_log_I(GibbsModel(1, N, 2.0, t * pot, 1.0)) for t in (1 - h, 1 + h))
+        lo, hi = (_heine_log_I(GibbsModel(1, N, 2.0, t * pot)) for t in (1 - h, 1 + h))
         return (hi.value - lo.value) / (2 * h), (hi.bias_bound + lo.bias_bound) / (2 * h)
 
     d, quad_err = slope(1e-3)
     d_wide, _ = slope(2e-3)
     # central differences err by O(h^2): the h and 2h values differ by 3x that
     want, diff_err = -d, abs(d - d_wide) / 3 + quad_err
-    model = GibbsModel(1, N, 2.0, pot, 1.0)
+    model = GibbsModel(1, N, 2.0, pot)
     samples, _ = mcmc_chain(model, 4000, 0, 1, rng=substream(21, "sweep-dv"))
     series = model.energy(samples)
     se = math.sqrt(series.var(ddof=1) / series.size)
@@ -482,14 +476,14 @@ def test_exact_draws_energy_matches_exact_derivative():
 
 
 def test_estimate_log_i_below_volume_for_positive_potential():
-    model = GibbsModel(1, 4, 2.0, NcPoly.from_word(1, (1, 1)), 1.0)
+    model = GibbsModel(1, 4, 2.0, NcPoly.from_word(1, (1, 1)))
     est = estimate_log_I(model, opts=TIOptions(nodes=15, node_steps=400),
                          rng=substream(13, "ti-mono"))
     assert est.value < log_ball_volume(4, 2.0)
 
 
 def test_gibbs_entropy_uniform_is_volume():
-    model = GibbsModel(1, 5, 2.0, NcPoly.zero(1), 0.0)
+    model = GibbsModel(1, 5, 2.0, NcPoly.zero(1))
     est = gibbs_entropy(model, estimate_log_I(model), [])
     assert est.value == pytest.approx(log_ball_volume(5, 2.0))
     assert est.stderr == 0.0
@@ -498,7 +492,7 @@ def test_gibbs_entropy_uniform_is_volume():
 def test_gibbs_entropy_scalar_matches_quadrature():
     coeffs = [0.0, 0.0, 1.1]
     pot = NcPoly(1, {(1, 1): coeffs[2]})
-    model = GibbsModel(1, 1, 2.0, pot, 1.0)
+    model = GibbsModel(1, 1, 2.0, pot)
     rng = substream(14, "ent")
     samples, _ = mcmc_chain(model, 20000, 2000, 8, rng=rng)
     est = gibbs_entropy(model, estimate_log_I(model, opts=TIOptions(), rng=rng), samples)
@@ -525,7 +519,7 @@ def test_hit_rate_zero_hits_returns_none():
 
 
 def test_uniform_chain_m2_near_arcsine_at_moderate_size():
-    model = GibbsModel(1, 16, 2.0, NcPoly.zero(1), 0.0)
+    model = GibbsModel(1, 16, 2.0, NcPoly.zero(1))
     samples, _ = mcmc_chain(model, 12000, 2000, 10, rng=substream(17, "m2"))
     m2 = np.mean([empirical_moments([b], 2, model.R).value((1, 1)).real for b in samples[0]])
     # arcsine limit is R^2/2 = 2; finite size pulls it down a little
@@ -534,7 +528,7 @@ def test_uniform_chain_m2_near_arcsine_at_moderate_size():
 
 def test_uniform_chain_histogram_is_flat():
     # V = 0 at N = 1: the stationary law is uniform on [-R, R]
-    model = GibbsModel(1, 1, 1.0, NcPoly.zero(1), 0.0)
+    model = GibbsModel(1, 1, 1.0, NcPoly.zero(1))
     samples, diag = mcmc_chain(model, 100000, 1000, 1, rng=substream(20, "flat"))
     xs = samples[0, :, 0, 0].real
     step = max(1, int(math.ceil(diag.iat)))
@@ -545,12 +539,12 @@ def test_uniform_chain_histogram_is_flat():
 
 
 def test_estimate_log_i_monotone_in_beta():
-    # Tr V >= 0 on the ball makes beta -> log I nonincreasing
+    # Tr V >= 0 on the ball makes beta -> log I(beta V) nonincreasing
     pot = NcPoly(1, {(1, 1): 1.0})
-    lo = estimate_log_I(GibbsModel(1, 2, 1.5, pot, 0.4),
+    lo = estimate_log_I(GibbsModel(1, 2, 1.5, 0.4 * pot),
                         opts=TIOptions(nodes=15, node_steps=600),
                         rng=substream(21, "lo"))
-    hi = estimate_log_I(GibbsModel(1, 2, 1.5, pot, 1.0),
+    hi = estimate_log_I(GibbsModel(1, 2, 1.5, pot),
                         opts=TIOptions(nodes=15, node_steps=600),
                         rng=substream(21, "hi"))
     slack = 3 * math.hypot(lo.stderr, hi.stderr) + lo.bias_bound + hi.bias_bound
@@ -561,13 +555,13 @@ def test_estimate_log_i_monotone_in_beta():
 def _kernel_on_nodes(model):
     """Eigenvalue kernel rows Q (q_k on the nodes) of an n = 1 model, and the nodes."""
     x, logg = _legendre_nodes(_heine_log_I(model).count, model.R)
-    logw = logg - model.beta * model.N * np.polynomial.polynomial.polyval(
+    logw = logg - model.N * np.polynomial.polynomial.polyval(
         x, model.potential.scalar_coeffs())
     return x, _log_heine_norms(x, logw, model.N)[1]
 
 
-EXACT_CASES = [GibbsModel(1, 16, 2.0, NcPoly.zero(1), 0.0),
-               GibbsModel(1, 8, 2.0, _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.4]), 1.0)]
+EXACT_CASES = [GibbsModel(1, 16, 2.0, NcPoly.zero(1)),
+               GibbsModel(1, 8, 2.0, _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.4]))]
 
 
 @pytest.mark.parametrize("model", EXACT_CASES, ids=["uniform-16", "quartic-8"])
@@ -595,8 +589,8 @@ def test_exact_draws_match_kernel_moments(model):
 
 
 @pytest.mark.parametrize("model", EXACT_CASES + [
-    GibbsModel(1, 64, 2.0, NcPoly.zero(1), 0.0),
-    GibbsModel(1, 16, 4.0, _scalar_poly([0.0, 0.0, 10.0]), 1.0)],
+    GibbsModel(1, 64, 2.0, NcPoly.zero(1)),
+    GibbsModel(1, 16, 4.0, _scalar_poly([0.0, 0.0, 10.0]))],
     ids=["uniform-16", "quartic-8", "uniform-64", "narrow-16"])
 def test_exact_envelope_dominates_kernel_on_finer_grid(model):
     spectra = _ExactSpectra(model)
@@ -610,7 +604,7 @@ def test_exact_envelope_dominates_kernel_on_finer_grid(model):
 
 def test_exact_draws_raise_below_a_shrunken_envelope(monkeypatch):
     monkeypatch.setattr(sampler, "ENV_MARGIN", 0.5)
-    spectra = _ExactSpectra(GibbsModel(1, 8, 2.0, NcPoly.zero(1), 0.0))
+    spectra = _ExactSpectra(GibbsModel(1, 8, 2.0, NcPoly.zero(1)))
     with pytest.raises(EstimatorError, match="envelope"):
         spectra.draw(50, substream(31, "shrunk"))
 
@@ -628,5 +622,5 @@ def test_mehta_log_i_gives_up_on_swap_spread_at_once(monkeypatch, N, c):
         return real(M, R)
 
     monkeypatch.setattr(sampler, "_legendre_nodes", spy)
-    assert sampler._mehta_log_I(GibbsModel(2, N, 2.0, _quadratic_pair(c, c), 1.0)) is None
+    assert sampler._mehta_log_I(GibbsModel(2, N, 2.0, _quadratic_pair(c, c))) is None
     assert 1 <= len(set(counts)) <= 2
