@@ -32,7 +32,8 @@ from .estimates import EstimatorError, ScalarEstimate, pooled_mean
 from .matrices import BlockMap, build_compression, log_jacobian_functional_calculus
 from .maxent import (FitOptions, FitResult, InfeasibleTargetError, fit_projection,
                      free_pressure, one_variable_chi_reference)
-from .moments import MomentSpec, arcsine_moments, free_product_moments, semicircle_moments
+from .moments import (MomentSpec, arcsine_moments, free_product_moments, semicircle_moments,
+                      validate)
 from .ncpoly import NcPoly, canonical_classes, trace_moment
 from .orbital import (OrbitalRequest, chain_rule_check, orbital_entropy,
                       talagrand_report)
@@ -189,11 +190,15 @@ def build_target(params: Dict) -> MomentSpec:
     """Moment target from a config section."""
     _require(isinstance(params, dict), "target must be a mapping")
     if "file" in params:
-        with open(_known(params, ("file",), "file target")["file"]) as fh:
-            return MomentSpec.from_json(fh.read())
+        path = str(_known(params, ("file",), "file target")["file"])
+        try:
+            with open(path) as fh:
+                return _parse_target(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read target file: {exc}")
     if "entries" in params:
         _known(params, ("n", "K", "R", "entries"), "entries target")
-        return MomentSpec.from_json(json.dumps(params))
+        return _parse_target(json.dumps(params))
     name = params.get("name")
     _require(name in _TARGET_KEYS, f"unknown target {name!r}")
     _known(params, _TARGET_KEYS[name], f"{name} target")
@@ -203,6 +208,33 @@ def build_target(params: Dict) -> MomentSpec:
     half = semicircle_moments(_checked(float, params.get("variance", 1.0)), K,
                               radius=params.get("radius"))
     return half if name == "semicircle" else free_product_moments([half, half], K)
+
+
+def _parse_target(text: str) -> MomentSpec:
+    """A target given as moment data, once it parses and passes
+    :func:`matent.moments.validate`; positive-definiteness is left to the fit,
+    which reports its failure as an infeasible target."""
+    try:
+        tau = MomentSpec.from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed moment target: {type(exc).__name__}: {exc}")
+    problems = validate(tau, check_psd=False)
+    _require(not problems, f"inconsistent moment target: {'; '.join(problems)}")
+    return tau
+
+
+def _degree(value, tau: MomentSpec) -> int:
+    """A degree cutoff K on target tau from a config value: 1 <= K <= tau.K."""
+    K = _checked(int, value)
+    _require(1 <= K <= tau.K, f"K must lie in 1..{tau.K} (the target's K), got {K}")
+    return K
+
+
+def _sizes(values: Sequence) -> List[int]:
+    """Matrix sizes from a config list, each an integer N >= 1."""
+    sizes = [_checked(int, N) for N in values]
+    _require(all(N >= 1 for N in sizes), f"matrix sizes N must be >= 1, got {sizes}")
+    return sizes
 
 
 def build_model(params: Dict) -> GibbsModel:
@@ -293,6 +325,7 @@ def _orbital_requests(cfg: ExperimentConfig, couplings: Optional[Sequence],
 
 
 def _histogram(values: np.ndarray, bins: int, lo: float, hi: float):
+    _require(bins >= 1, f"bins must be >= 1, got {bins}")
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     return [(float(edges[i]), float(edges[i + 1]), int(counts[i]))
             for i in range(bins)]
@@ -315,8 +348,10 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> List:
 
 def _run_volume(cfg: ExperimentConfig):
     sizes = cfg.param("sizes") or [cfg.param("N")]
-    _require(all(isinstance(s, int) for s in sizes), "volume needs N or sizes (ints)")
+    _require(all(isinstance(s, int) and s >= 1 for s in sizes),
+             "volume needs N or sizes (ints >= 1)")
     R = _checked(float, cfg.param("R", 1.0))
+    _require(R > 0, f"R must be positive, got {R}")
     results = []
     rows = []
     for N in sizes:
@@ -347,8 +382,8 @@ def _run_sample(cfg: ExperimentConfig):
 
 def _fit_common(cfg: ExperimentConfig) -> Tuple[FitResult, int, int]:
     tau = build_target(cfg.param("target", {}))
-    N = _checked(int, cfg.param("N", 8))
-    K = _checked(int, cfg.param("K", tau.K))
+    [N] = _sizes([cfg.param("N", 8)])
+    K = _degree(cfg.param("K", tau.K), tau)
     fit = fit_projection(tau, N, K, eps=_checked(float, cfg.param("eps", 0.0)),
                          opts=_fit_options(cfg.param("fit")),
                          rng=substream(cfg.seed, "fit", N))
@@ -410,12 +445,13 @@ def _run_chi_tilde(cfg: ExperimentConfig):
     tau = build_target(cfg.param("target", {}))
     sizes = cfg.param("sizes")
     _require(isinstance(sizes, list) and sizes, "chi-tilde needs a sizes list")
-    K = _checked(int, cfg.param("K", tau.K))
+    sizes = _sizes(sizes)
+    K = _degree(cfg.param("K", tau.K), tau)
     eps = _checked(float, cfg.param("eps", 0.0))
     opts = _fit_options(cfg.param("fit"))
     ref = cfg.param("reference_density")
     _require(ref in (None, "semicircle"), f"unknown reference_density {ref!r}")
-    work = [(cfg.seed, tau, int(N), K, eps, opts) for N in sizes]
+    work = [(cfg.seed, tau, N, K, eps, opts) for N in sizes]
     recs = _parallel_map(_chi_point, work, cfg.threads)
     rows = [(r["N"], r["value"], r["stderr"]) for r in recs]
     if ref is not None:
@@ -438,14 +474,15 @@ def _run_pressure(cfg: ExperimentConfig):
     n = _checked(int, cfg.param("n", 1))
     P = build_potential(cfg.param("potential"), n)
     R = _checked(float, cfg.param("R", 2.0))
-    sizes = cfg.param("sizes") or [_checked(int, cfg.param("N", 8))]
+    _require(R > 0, f"R must be positive, got {R}")
+    sizes = _sizes(cfg.param("sizes") or [cfg.param("N", 8)])
     ti = _options(TIOptions, cfg.param("ti"), "ti")
     results = []
     rows = []
     for N in sizes:
-        est = free_pressure(P, int(N), R, substream(cfg.seed, "pressure", int(N)), ti)
-        results.append({"kind": "pressure", "N": int(N), "R": R, **_est(est)})
-        rows.append((int(N), est.value, est.stderr))
+        est = free_pressure(P, N, R, substream(cfg.seed, "pressure", N), ti)
+        results.append({"kind": "pressure", "N": N, "R": R, **_est(est)})
+        rows.append((N, est.value, est.stderr))
     return results, {"pressure": (("N", "value", "stderr"), rows)}
 
 
@@ -501,6 +538,7 @@ def _talagrand_point(args):
 
 def _run_talagrand(cfg: ExperimentConfig):
     K = _checked(int, cfg.param("K", 4))
+    _require(0 <= K <= 6, f"talagrand checks degrees 0 <= K <= 6, got {K}")
     requests = _orbital_requests(cfg, cfg.param("couplings") or [1.0],
                                  s_out=192, s_in=96, chain_thin=20)
     recs = _parallel_map(_talagrand_point, [(cfg.seed, c, req, K) for c, req in requests],
@@ -520,8 +558,8 @@ def _run_duality_check(cfg: ExperimentConfig):
     for i, ent in enumerate(entries):
         _known(ent, ("target", "N", "K", "eps", "label"), "duality-check target")
         tau = build_target(ent.get("target", {}))
-        N = _checked(int, ent.get("N", 1))
-        K = _checked(int, ent.get("K", tau.K))
+        [N] = _sizes([ent.get("N", 1)])
+        K = _degree(ent.get("K", tau.K), tau)
         fit = fit_projection(tau, N, K, eps=_checked(float, ent.get("eps", 0.0)),
                              opts=opts, rng=substream(cfg.seed, "duality", i))
         gap = fit.rho.value - fit.dual_value.value
@@ -584,11 +622,10 @@ def _run_compression_check(cfg: ExperimentConfig):
 def _run_hit_rate(cfg: ExperimentConfig):
     tau = build_target(cfg.param("target", {}))
     eps = _checked(float, cfg.param("eps", 0.2))
-    K, N = _checked(int, cfg.param("K", tau.K)), _checked(int, cfg.param("N", 4))
+    K, N = _degree(cfg.param("K", tau.K), tau), _checked(int, cfg.param("N", 4))
     trials = _checked(int, cfg.param("trials", 50000))
-    _require(eps > 0 and 1 <= K <= tau.K and N >= 1 and trials >= 1,
-             f"hit-rate needs eps > 0, 1 <= K <= {tau.K} (the target's K), N >= 1 "
-             f"and trials >= 1")
+    _require(eps > 0 and N >= 1 and trials >= 1,
+             "hit-rate needs eps > 0, N >= 1 and trials >= 1")
     est = microstate_hit_rate(tau, eps, K, N, trials, substream(cfg.seed, "hit-rate"))
     rec = {"kind": "hit-rate", "hits": est.hits, "trials": est.trials,
            "base_log_volume": est.base_log_volume,

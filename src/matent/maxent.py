@@ -326,11 +326,12 @@ def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float,
 
 
 def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
-               l1: np.ndarray, gtol: float, what: str):
-    """One-matrix dual, up to a constant, in scaled coordinates mu = lam R^degree.
+               l1: np.ndarray, gtol: float, what: str, nodes: int, mu0: np.ndarray):
+    """One-matrix dual, up to a constant, in scaled coordinates mu = lam R^degree,
+    minimized from ``mu0``.
 
-    The eigenvalues form an orthogonal-polynomial ensemble, so on the
-    Gauss-Legendre nodes of :func:`matent.sampler._heine_log_I` the dual is
+    The eigenvalues form an orthogonal-polynomial ensemble, so on ``nodes``
+    Gauss-Legendre nodes, as in :func:`matent.sampler._heine_log_I`, the dual is
     sum_k log h_k + N^2 (mu . tau + l1 . |mu|). Its derivatives come from the
     orthonormal rows q_k = sqrt(w) p_k of Q, through the kernel diagonal
     K(x, x) = sum_k q_k(x)^2 and A_j = Q diag(f_j) Q^T (never the M x M kernel):
@@ -338,9 +339,9 @@ def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
         E Tr f_j = sum_x f_j K(x, x),
         Cov(Tr f_i, Tr f_j) = sum_x f_i f_j K(x, x) - <A_i, A_j>_F.
 
-    Returns what :func:`_damped_newton` does, and the node count.
+    Returns what :func:`_damped_newton` does.
     """
-    x, logg = _legendre_nodes(_heine_nodes(N), R)
+    x, logg = _legendre_nodes(nodes, R)
     feats = (x / R)[:, None] ** basis.degrees
     n2 = N * N
 
@@ -354,7 +355,7 @@ def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
         cov = feats.T @ (feats * kdiag[:, None]) - np.einsum("ikl,jkl->ij", a, a)
         return total + n2 * float(mu @ tt), n2 * tt - N * (kdiag @ feats), n2 * cov
 
-    return _damped_newton(parts, np.zeros(len(basis)), n2 * l1, n2 * gtol, what), x.size
+    return _damped_newton(parts, mu0, n2 * l1, n2 * gtol, what)
 
 
 # a decrement within this many noise floors is indistinguishable from zero
@@ -544,11 +545,13 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
 
     Coordinates are preconditioned by R^degree so that step sizes and
     tolerances are scale-free. One matrix (n == 1) is solved exactly by
-    damped Newton on the dual (:func:`_exact_fit`): the per-element
-    tolerance is eps + 1e-9 R^degree, ``energy`` and ``rho`` have stderr 0,
-    ``energy.bias_bound`` is the residual cost N^2 |lam . r - eps |lam|_1|
-    (rho minus the dual) plus rounding, ``iterations`` counts Newton steps,
-    ``rng`` is not consumed, and the fit is ``converged`` when the Newton
+    damped Newton on the dual (:func:`_exact_fit`), on as many quadrature
+    nodes as the fitted model's log I needs (a narrow target solved on the
+    first max(300, 8N) is solved again, warm, on log I's count, until the
+    two agree): the per-element tolerance is eps + 1e-9 R^degree, ``energy``
+    and ``rho`` have stderr 0, ``energy.bias_bound`` is the residual cost
+    N^2 |lam . r - eps |lam|_1| (rho minus the dual) plus rounding,
+    ``iterations`` counts Newton steps over all solves, ``rng`` is not consumed, and the fit is ``converged`` when the Newton
     decrement is at most 1e-10 nats. For n >= 2 the Monte Carlo Newton of
     :func:`_chain_newton` runs on one warm-started matrix-mode engine of
     ``WALKERS`` lockstep walkers with the budgets of :class:`FitOptions`
@@ -588,11 +591,21 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     if n == 1:
         # exact: a residual may pass eps by rounding only
         tol_scaled = eps_scaled + 1e-9
-        (mu, _, grad, dec, history), nodes = _exact_fit(
-            basis, N, R, tt, eps_scaled, 1e-9, what)
+        mu, nodes, history = np.zeros(len(basis)), _heine_nodes(N), []
+        while True:
+            mu, _, grad, dec, steps = _exact_fit(
+                basis, N, R, tt, eps_scaled, 1e-9, what, nodes, mu)
+            history += steps
+            lam = mu / scales
+            final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, lam))
+            log_i = estimate_log_I(final_model)
+            # on fewer nodes than log I resolves, the fitted moments belong to
+            # another model than log I does, and rho is quietly off
+            if log_i.count <= nodes:
+                break
+            nodes = log_i.count
         iterations = len(history)
         resid = -grad / (N * N)
-        lam = mu / scales
         moment_means = targets + resid * scales
         # the residual cost, and the rounding of sums of terms up to N^2 |mu|_1
         slack = N * N * (abs(float(mu @ resid) - eps * float(np.abs(lam).sum()))
@@ -613,13 +626,13 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
         moment_means, residual_stderr, energy_est, final = _final_run(
             engine, measurer, opts.final_steps, opts.final_burnin)
         trajectory.update(final)
+        final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, lam))
+        log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)
     residuals = moment_means - targets
     tol_abs = tol_scaled * scales
     if n > 1:
         converged = stopped and bool(
             np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
-    final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, lam))
-    log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)
     rho_est = _entropy(log_i, energy_est)
     dual = dual_objective(basis, lam, tau, eps, N, lambda _: log_i)
     # the dual at lam overshoots its minimum, the maximum entropy, by the decrement

@@ -339,6 +339,53 @@ def test_unknown_nested_keys_exit_2(tmp_path, capsys, section):
     assert not (tmp_path / "c").exists()
 
 
+PAIR_K2 = {"name": "free-semicircle-pair", "K": 2}
+# values out of range, and moment data from outside the program that does
+# not parse or misses a class: each used to end in a traceback (exit 1)
+BAD_VALUES = {
+    "rho K above the target's": ({"kind": "rho", "N": 2, "K": 3, "target": PAIR_K2}, "K must lie"),
+    "rho K 0": ({"kind": "rho", "N": 2, "K": 0, "target": PAIR_K2}, "K must lie"),
+    "chi-tilde K above the target's": (
+        {"kind": "chi-tilde", "sizes": [2], "K": 3, "target": PAIR_K2}, "K must lie"),
+    "duality-check K above the target's": (
+        {"kind": "duality-check", "targets": [{"target": PAIR_K2, "N": 2, "K": 3}]}, "K must lie"),
+    "rho N 0": ({"kind": "rho", "N": 0, "target": PAIR_K2}, "sizes N must be >= 1"),
+    "chi-tilde size not a number": (
+        {"kind": "chi-tilde", "sizes": ["four"], "target": PAIR_K2}, "invalid literal"),
+    "pressure R 0": ({"kind": "pressure", "N": 2, "R": 0.0}, "R must be positive"),
+    "volume R negative": ({"kind": "volume", "N": 2, "R": -1.0}, "R must be positive"),
+    "sample bins 0": ({"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0}, "bins": 0,
+                       "chain": {"steps": 20, "burnin": 0, "thin": 1}}, "bins must be >= 1"),
+    "talagrand K 8": ({"kind": "talagrand", "model": {"n": 2, "N": 3, "R": 2.0}, "K": 8},
+                      "K <= 6"),
+    "rho target misses a class": (
+        {"kind": "rho", "N": 2, "target": {"n": 1, "K": 2, "R": 2.0, "entries": [
+            {"word": [1, 1], "re": 1.0, "im": 0.0}]}}, "missing 1 classes"),
+    "hit-rate target misses a class": (
+        {"kind": "hit-rate", "N": 2, "trials": 10, "target": {"n": 1, "K": 2, "R": 2.0, "entries": [
+            {"word": [1, 1], "re": 1.0, "im": 0.0}]}}, "missing 1 classes"),
+    "missing target file": ({"kind": "rho", "N": 2, "target": {"file": "missing.json"}},
+                            "cannot read target file"),
+    "entry without im": ({"kind": "rho", "N": 2, "target": {"n": 1, "K": 1, "R": 2.0, "entries": [
+        {"word": [1], "re": 0.0}]}}, "KeyError: 'im'"),
+    "file entry without im": ({"kind": "rho", "N": 2, "target": {"file": "no-im.json"}},
+                              "KeyError: 'im'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_config_values_exit_2(tmp_path, monkeypatch, capsys, case):
+    doc, message = BAD_VALUES[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no-im.json").write_text(json.dumps(
+        {"n": 1, "K": 1, "R": 2.0, "entries": [{"word": [1], "re": 0.0}]}))
+    assert main(["--config", write_yaml(tmp_path / "c.yaml", dict(doc, seed=1)),
+                 "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_chain_rule_budget_below_minimum_exits_2(tmp_path):
     doc = {"kind": "chain-rule", "seed": 1, "model": {"n": 2, "N": 3, "R": 2.0},
            "s_out": 8, "s_in": 16, "chain_burnin": 20, "chain_thin": 2}

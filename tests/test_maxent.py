@@ -215,6 +215,20 @@ def test_exact_fit_runs_no_chain(monkeypatch):
     assert fit.converged and rng.random() == substream(13, "no-chain").random()
 
 
+@pytest.mark.parametrize("variance", [0.04, 0.05])
+def test_narrow_one_matrix_fit_is_solved_on_log_i_nodes(monkeypatch, variance):
+    # at N = 16, R = 4 the fitted model's log I converges on 600 nodes; solved
+    # on the first 300 alone, rho read 0.194 (variance 0.04) and 0.0021
+    # (0.05) nats high as converged, with a bias bound of 1e-9
+    tau = semicircle_moments(variance, 4, radius=4.0)
+    fit = fit_projection(tau, 16, 4, rng=substream(14, "narrow"))
+    monkeypatch.setattr(maxent, "_heine_nodes", lambda N: 4800)
+    ref = fit_projection(tau, 16, 4, rng=substream(14, "narrow"))
+    assert fit.converged and ref.converged
+    assert fit.log_i.count == 600 and fit.energy.count == 600
+    assert abs(fit.rho.value - ref.rho.value) <= 1e-6
+
+
 def test_fit_projection_duality_gap_identity():
     # shared log I makes rho - dual exactly N^2 lambda . (mhat - tau)
     tau = semicircle_moments(1.0, 2, radius=2.0)

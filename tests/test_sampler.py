@@ -127,6 +127,20 @@ class _PerBlockEngine(sampler.ChainEngine):
         return 1.0
 
 
+def test_engine_beta_is_a_scale_on_the_potential():
+    # the chain at inverse temperature beta on V is the chain on beta V: with
+    # one stream, the same decisions and blocks, and energies in ratio beta
+    pot = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.5, (2, 1): -0.5,
+                     (1, 1, 2, 2): 0.2, (2, 2, 1, 1): 0.2})
+    hot = sampler.ChainEngine(GibbsModel(2, 4, 1.5, pot), substream(23, "beta"), 4, beta=0.4)
+    scaled = sampler.ChainEngine(GibbsModel(2, 4, 1.5, 0.4 * pot), substream(23, "beta"), 4)
+    for engine in (hot, scaled):
+        engine.tune(2000)
+    assert np.array_equal(hot.blocks, scaled.blocks)
+    assert hot.accepted == scaled.accepted > 0 and hot.step_scale == scaled.step_scale
+    assert scaled.energy == pytest.approx(0.4 * hot.energy, rel=1e-12)
+
+
 @pytest.mark.parametrize("n,N", [(2, 4), (3, 5)])
 def test_chain_step_matches_per_block_reference(n, N):
     # 3,000 steps with a potential swap and a beta swap on the way; the
