@@ -551,8 +551,9 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     two agree): the per-element tolerance is eps + 1e-9 R^degree, ``energy``
     and ``rho`` have stderr 0, ``energy.bias_bound`` is the residual cost
     N^2 |lam . r - eps |lam|_1| (rho minus the dual) plus rounding,
-    ``iterations`` counts Newton steps over all solves, ``rng`` is not consumed, and the fit is ``converged`` when the Newton
-    decrement is at most 1e-10 nats. For n >= 2 the Monte Carlo Newton of
+    ``iterations`` counts Newton steps over all solves, ``rng`` is not
+    consumed, and the fit is ``converged`` when the Newton decrement is at
+    most 1e-10 nats. For n >= 2 the Monte Carlo Newton of
     :func:`_chain_newton` runs on one warm-started matrix-mode engine of
     ``WALKERS`` lockstep walkers with the budgets of :class:`FitOptions`
     (``steps_per_iter`` and ``final_steps`` in walker-steps in total,

@@ -5,8 +5,9 @@ The reference measure is Lebesgue on the product of operator-norm balls
 self-adjoint potential V, whose scale is the model's only temperature. For
 n >= 2 sampling is random-walk Metropolis, tuned to a 30-45% acceptance
 band during burn-in and frozen afterwards: the proposal adds a Gaussian
-Hermitian increment to every block and rejects outside the ball. One engine steps one chain or several walkers in
-lockstep, with one batched proposal for all of them (:class:`ChainEngine`).
+Hermitian increment to every block and rejects outside the ball. One
+engine steps one chain or several walkers in lockstep, with one batched
+proposal for all of them (:class:`ChainEngine`).
 For n == 1 the draws are exact and i.i.d.: the law is unitarily invariant,
 its eigenvalues form a projection determinantal point process, and each
 spectrum is drawn point by point by rejection (:class:`_ExactSpectra`) and

@@ -221,7 +221,8 @@ def test_pooled_mean_ar1_matches_theory(walkers, steps):
 
 @pytest.mark.parametrize("model", [
     GibbsModel(1, 5, 2.0, NcPoly(1, {(1, 1): 0.5, (1, 1, 1, 1): 0.3})),
-    GibbsModel(2, 4, 1.5, NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.5, (2, 1): -0.5}))], ids=["exact-n1", "metropolis-n2"])
+    GibbsModel(2, 4, 1.5, NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.5, (2, 1): -0.5}))],
+    ids=["exact-n1", "metropolis-n2"])
 def test_chain_samples_are_hermitian_tuples_in_the_ball(model):
     # the checks MatrixTuple made on every retained state, on the array
     samples, diag = mcmc_chain(model, 600, 200, 6, rng=substream(11, "invariant", model.n))
