@@ -125,7 +125,8 @@ def load_config(path: str, seed_override: Optional[int] = None,
     seed = raw.pop("seed", None)
     if seed_override is not None:
         seed = seed_override
-    _require(isinstance(seed, int), "an integer seed is required")
+    _require(seed is not None, "an integer seed is required")
+    seed = _integer(seed)
     out = raw.pop("out", None)
     if out_override is not None:
         out = out_override
@@ -141,10 +142,10 @@ def load_config(path: str, seed_override: Optional[int] = None,
                 raise ConfigError(f"{THREADS_ENV} must be an integer, got {env_threads!r}")
         else:
             threads = 1
-    _require(isinstance(threads, int) and threads >= 1, "threads must be a positive integer")
+    threads = _integer(threads)
+    _require(threads >= 1, "threads must be a positive integer")
     _known(raw, _KEYS[kind], kind)
-    return ExperimentConfig(kind=str(kind), seed=int(seed), params=raw,
-                            out=out, threads=int(threads))
+    return ExperimentConfig(kind=str(kind), seed=seed, params=raw, out=out, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +160,10 @@ def build_potential(params: Optional[Dict], n: int) -> NcPoly:
         for t in _known(params, ("terms",), "potential")["terms"]:
             _require(isinstance(t, dict) and "word" in t, "each term needs a word")
             _known(t, ("word", "re", "im"), "potential term")
-            terms[tuple(t["word"])] = complex(t.get("re", 0.0), t.get("im", 0.0))
-        p = NcPoly(n, terms)
+            _require(isinstance(t["word"], list), f"a word is a list, got {t['word']!r}")
+            terms[tuple(_integer(g) for g in t["word"])] = complex(t.get("re", 0.0),
+                                                                 t.get("im", 0.0))
+        p = _checked(NcPoly, n, terms)
         _require(p.is_self_adjoint(), "explicit potential must be self-adjoint")
         return p
     name = _known(params, ("name", "c"), "potential").get("name")
@@ -202,7 +205,7 @@ def build_target(params: Dict) -> MomentSpec:
     name = params.get("name")
     _require(name in _TARGET_KEYS, f"unknown target {name!r}")
     _known(params, _TARGET_KEYS[name], f"{name} target")
-    K = _checked(int, params.get("K", 4))
+    K = _integer(params.get("K", 4))
     if name == "arcsine":
         return arcsine_moments(_checked(float, params.get("R", 2.0)), K)
     half = semicircle_moments(_checked(float, params.get("variance", 1.0)), K,
@@ -225,14 +228,14 @@ def _parse_target(text: str) -> MomentSpec:
 
 def _degree(value, tau: MomentSpec) -> int:
     """A degree cutoff K on target tau from a config value: 1 <= K <= tau.K."""
-    K = _checked(int, value)
+    K = _integer(value)
     _require(1 <= K <= tau.K, f"K must lie in 1..{tau.K} (the target's K), got {K}")
     return K
 
 
 def _sizes(values: Sequence) -> List[int]:
     """Matrix sizes from a config list, each an integer N >= 1."""
-    sizes = [_checked(int, N) for N in values]
+    sizes = [_integer(N) for N in values]
     _require(all(N >= 1 for N in sizes), f"matrix sizes N must be >= 1, got {sizes}")
     return sizes
 
@@ -242,8 +245,8 @@ def build_model(params: Dict) -> GibbsModel:
     _known(params, ("n", "N", "R", "potential"), "model")
     for key in ("n", "N", "R"):
         _require(key in params, f"model needs {key}")
-    n = _checked(int, params["n"])
-    return _checked(GibbsModel, n, _checked(int, params["N"]), _checked(float, params["R"]),
+    n = _integer(params["n"])
+    return _checked(GibbsModel, n, _integer(params["N"]), _checked(float, params["R"]),
                     build_potential(params.get("potential"), n))
 
 
@@ -257,10 +260,22 @@ def _checked(cls, *args, **kwargs):
         raise ConfigError(str(exc))
 
 
+def _integer(value) -> int:
+    """An integer config value: an int, a float without a fractional part or
+    a string that ``int`` parses. A boolean, a fractional float (which ``int``
+    would truncate, running N: 4.7 as N = 4) or any other type is a config
+    error."""
+    _require(isinstance(value, (int, float, str)) and not isinstance(value, bool)
+             and not (isinstance(value, float) and not value.is_integer()),
+             f"expected an integer, got {value!r}")
+    return _checked(int, value)
+
+
 def build_blockmap(params: Optional[Sequence[int]], n: int) -> BlockMap:
     if params is None:
         return BlockMap.full(n)
-    return BlockMap(tuple(int(g) for g in params))
+    _require(isinstance(params, list), f"groups must be a list, got {params!r}")
+    return _checked(BlockMap, tuple(_integer(g) for g in params))
 
 
 def _options(cls, params: Optional[Dict], section: str):
@@ -272,7 +287,7 @@ def _options(cls, params: Optional[Dict], section: str):
         _require(k in cls.__dataclass_fields__, f"unknown {section} option {k!r}")
         default = getattr(defaults, k)
         fields[k] = (_options(type(default), v, k) if is_dataclass(default)
-                     else _checked(type(default), v))
+                     else _integer(v) if type(default) is int else _checked(type(default), v))
     return replace(defaults, **fields)
 
 
@@ -290,8 +305,7 @@ def _chain(cfg: ExperimentConfig, model: GibbsModel, stream: str, **kwargs):
     p = {"steps": 20000, "burnin": 2000, "thin": 10}
     for k, v in (cfg.param("chain") or {}).items():
         _require(k in p, f"unknown chain option {k!r}")
-        _require(isinstance(v, int), f"chain option {k} must be an integer, got {v!r}")
-        p[k] = v
+        p[k] = _integer(v)
     _require(p["steps"] >= 2 * p["thin"] >= 2 and p["burnin"] >= 0,
              "chain needs steps >= 2 thin, thin >= 1 and burnin >= 0 (two samples "
              "for an error bar)")
@@ -310,7 +324,7 @@ def _orbital_requests(cfg: ExperimentConfig, couplings: Optional[Sequence],
     """(c, request) per coupling c, whose potential is c (X1 - X2)^2, or (None,
     request) for the model as given; budget keys default to ``defaults``, else
     to :class:`OrbitalRequest`'s."""
-    budget = {k: _checked(int, cfg.param(k, defaults.get(k, getattr(OrbitalRequest, k))))
+    budget = {k: _integer(cfg.param(k, defaults.get(k, getattr(OrbitalRequest, k))))
               for k in ("s_out", "s_in", "chain_burnin", "chain_thin")}
     out = []
     for c in [None] if couplings is None else couplings:
@@ -348,8 +362,8 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> List:
 
 def _run_volume(cfg: ExperimentConfig):
     sizes = cfg.param("sizes") or [cfg.param("N")]
-    _require(all(isinstance(s, int) and s >= 1 for s in sizes),
-             "volume needs N or sizes (ints >= 1)")
+    _require(isinstance(sizes, list) and None not in sizes, "volume needs N or a sizes list")
+    sizes = _sizes(sizes)
     R = _checked(float, cfg.param("R", 1.0))
     _require(R > 0, f"R must be positive, got {R}")
     results = []
@@ -363,14 +377,14 @@ def _run_volume(cfg: ExperimentConfig):
 
 def _run_sample(cfg: ExperimentConfig):
     model = build_model(cfg.param("model", {}))
-    K = _checked(int, cfg.param("K", 4))
+    K = _integer(cfg.param("K", 4))
     samples, diag = _chain(cfg, model, "sample", record_path=cfg.param("record_file"))
     mrows = []
     for w in canonical_classes(model.n, K, 1):
         vals = trace_moment(samples, w)
         real = pooled_mean(vals.real)[0]
         mrows.append((".".join(map(str, w)), real.value, float(vals.imag.mean()), real.stderr))
-    hist = _histogram(_spectrum(samples), _checked(int, cfg.param("bins", 40)), -model.R, model.R)
+    hist = _histogram(_spectrum(samples), _integer(cfg.param("bins", 40)), -model.R, model.R)
     result = {"kind": "sample", "diagnostics": asdict(diag),
               "moments": [{"word": r[0], "re": r[1], "im": r[2], "stderr": r[3]}
                           for r in mrows]}
@@ -471,7 +485,7 @@ def _semicircle_density(var: float):
 
 
 def _run_pressure(cfg: ExperimentConfig):
-    n = _checked(int, cfg.param("n", 1))
+    n = _integer(cfg.param("n", 1))
     P = build_potential(cfg.param("potential"), n)
     R = _checked(float, cfg.param("R", 2.0))
     _require(R > 0, f"R must be positive, got {R}")
@@ -537,7 +551,7 @@ def _talagrand_point(args):
 
 
 def _run_talagrand(cfg: ExperimentConfig):
-    K = _checked(int, cfg.param("K", 4))
+    K = _integer(cfg.param("K", 4))
     _require(0 <= K <= 6, f"talagrand checks degrees 0 <= K <= 6, got {K}")
     requests = _orbital_requests(cfg, cfg.param("couplings") or [1.0],
                                  s_out=192, s_in=96, chain_thin=20)
@@ -576,13 +590,13 @@ def _run_duality_check(cfg: ExperimentConfig):
 
 
 def _run_arcsine_demo(cfg: ExperimentConfig):
-    N = _checked(int, cfg.param("N", 64))
+    N = _integer(cfg.param("N", 64))
     R = _checked(float, cfg.param("R", 2.0))
     samples, diag = _chain(cfg, _checked(GibbsModel, 1, N, R, NcPoly.zero(1)), "arcsine")
     eigs = _spectrum(samples)
     m2 = float(np.mean(eigs ** 2))
     m4 = float(np.mean(eigs ** 4))
-    bins = _checked(int, cfg.param("bins", 48))
+    bins = _integer(cfg.param("bins", 48))
     hist = _histogram(eigs, bins, -R, R)
     rows = []
     for lo, hi, count in hist:
@@ -602,7 +616,7 @@ def _run_compression_check(cfg: ExperimentConfig):
         _require(key in win, f"window needs {key}")
     T, R, S = (_checked(float, win[key]) for key in ("T", "R", "S"))
     fn = build_compression(T, R, S)
-    N = _checked(int, cfg.param("N", 4))
+    N = _integer(cfg.param("N", 4))
     n_pot = build_potential(cfg.param("potential"), 1)
     model = _checked(GibbsModel, 1, N, T, n_pot)
     samples, _ = _chain(cfg, model, "compression")
@@ -622,8 +636,8 @@ def _run_compression_check(cfg: ExperimentConfig):
 def _run_hit_rate(cfg: ExperimentConfig):
     tau = build_target(cfg.param("target", {}))
     eps = _checked(float, cfg.param("eps", 0.2))
-    K, N = _degree(cfg.param("K", tau.K), tau), _checked(int, cfg.param("N", 4))
-    trials = _checked(int, cfg.param("trials", 50000))
+    K, N = _degree(cfg.param("K", tau.K), tau), _integer(cfg.param("N", 4))
+    trials = _integer(cfg.param("trials", 50000))
     _require(eps > 0 and N >= 1 and trials >= 1,
              "hit-rate needs eps > 0, N >= 1 and trials >= 1")
     est = microstate_hit_rate(tau, eps, K, N, trials, substream(cfg.seed, "hit-rate"))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "HERMITIAN_TOL",
@@ -28,6 +29,7 @@ __all__ = [
     "haar_unitary_batch",
     "conjugate_tuple",
     "operator_norm",
+    "in_norm_ball",
     "apply_scalar_function",
     "log_jacobian_functional_calculus",
     "hermitize",
@@ -191,6 +193,24 @@ def operator_norm(m: np.ndarray) -> float:
     if m.shape == (1, 1):
         return abs(float(m[0, 0].real))
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+
+
+def in_norm_ball(m: np.ndarray, R: float) -> np.ndarray:
+    """Whether each Hermitian matrix of a stack (..., N, N) has operator norm
+    below R, as a boolean array of shape (...).
+
+    ||M|| < R exactly when R^2 I - M^2 is positive definite, which one batched
+    product and one batched Cholesky decide. numpy's Cholesky gufunc fills a
+    failed factor with NaN (and warns), so each matrix gets its own verdict;
+    ``np.linalg.cholesky`` would raise at the first failure of the stack.
+    """
+    gap = m @ m
+    np.negative(gap, out=gap)
+    N = gap.shape[-1]
+    gap.reshape(-1, N * N)[:, ::N + 1] += R * R
+    with np.errstate(invalid="ignore"):
+        factor = _umath_linalg.cholesky_lo(gap)
+    return np.isfinite(factor[..., -1, -1])
 
 
 def apply_scalar_function(m: np.ndarray, f) -> np.ndarray:

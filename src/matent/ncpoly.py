@@ -10,11 +10,13 @@ the reversed orientation). Rotations, classes and the sorted class lists are
 cached and returned as tuples, so no caller can change a cached value.
 
 Every word product in the package is multiplied out by one private helper,
-:func:`_word_product`, behind two public faces: :func:`trace_moment` (the
-normalized trace of one word) and :meth:`NcPoly.evaluate` (the matrix value
-of a polynomial). Both take blocks with leading batch axes, shape
-(..., N, N), and return values batched over the same axes, (...) and
-(..., N, N); a single tuple gives a Python complex and an (N, N) array.
+:func:`_word_product`, behind three faces: :func:`trace_moment` (the
+normalized trace of one word), :meth:`NcPoly.evaluate` (the matrix value
+of a polynomial) and :meth:`matent.sampler.GibbsModel.energy` (N Tr V from
+one trace per word class, never forming V(M)). All take blocks with leading
+batch axes, shape (..., N, N), and return values batched over the same
+axes, (...) and (..., N, N); a single tuple gives a Python complex and an
+(N, N) array.
 """
 
 from __future__ import annotations

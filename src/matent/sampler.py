@@ -5,7 +5,9 @@ The reference measure is Lebesgue on the product of operator-norm balls
 self-adjoint potential V, whose scale is the model's only temperature. For
 n >= 2 sampling is random-walk Metropolis, tuned to a 30-45% acceptance
 band during burn-in and frozen afterwards: the proposal adds a Gaussian
-Hermitian increment to every block and rejects outside the ball. One
+Hermitian increment to every block and rejects outside the ball, which
+one batched Cholesky of R^2 - M^2 decides
+(:func:`~matent.matrices.in_norm_ball`). One
 engine steps one chain or several walkers in lockstep, with one batched
 proposal for all of them (:class:`ChainEngine`).
 For n == 1 the draws are exact and i.i.d.: the law is unitarily invariant,
@@ -28,10 +30,10 @@ exact log-volume of the ball (Mehta/Selberg closed form).
 Samples are one complex array of shape (n, S, N, N): block i of sample s
 is ``samples[i, s]``, the layout of :class:`ChainEngine`'s state with the S
 samples in the walker slot. Energies N Tr V(M) come from one method,
-:meth:`GibbsModel.energy`, through the word evaluator of :mod:`matent.ncpoly`
-(:meth:`NcPoly.evaluate`) on blocks of shape (n, ..., N, N), so one call
-prices a single state or a whole stack (the orbital estimators and
-:func:`gibbs_entropy` pass the sample array).
+:meth:`GibbsModel.energy`, as traces of the potential's word classes taken
+by the word evaluator of :mod:`matent.ncpoly` on blocks of shape
+(n, ..., N, N), so one call prices a single state or a whole stack (the
+orbital estimators and :func:`gibbs_entropy` pass the sample array).
 """
 
 from __future__ import annotations
@@ -39,16 +41,17 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .estimates import EstimatorError, ScalarEstimate, pooled_mean
-from .matrices import MatrixTuple, haar_unitary_batch, hermitize
+from .matrices import MatrixTuple, haar_unitary_batch, hermitize, in_norm_ball
 from .moments import MomentSpec
-from .ncpoly import NcPoly, canonical_classes, trace_moment
+from .ncpoly import (NcPoly, Word, _word_product, canonical_class, canonical_classes,
+                     trace_moment, word_rotations)
 
 __all__ = [
     "GibbsModel",
@@ -75,6 +78,9 @@ class GibbsModel:
     N: int
     R: float
     potential: NcPoly
+    # the potential folded over word classes, see energy()
+    _classes: Tuple[Tuple[Word, complex], ...] = field(init=False, repr=False, compare=False)
+    _unit: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.N < 1 or not (self.R > 0):
@@ -83,14 +89,32 @@ class GibbsModel:
             raise ValueError("potential generator count does not match model")
         if not self.potential.is_self_adjoint():
             raise ValueError("potential must be self-adjoint")
+        fold: dict = {}
+        for word, c in self.potential.terms.items():
+            k = canonical_class(word)
+            fold[k] = fold.get(k, 0.0) + (c if k in word_rotations(word) else c.conjugate())
+        object.__setattr__(self, "_unit", fold.pop((), 0.0).real)
+        object.__setattr__(self, "_classes", tuple(sorted(fold.items())))
 
     def with_potential(self, potential: NcPoly) -> "GibbsModel":
         return GibbsModel(self.n, self.N, self.R, potential)
 
     def energy(self, blocks) -> np.ndarray:
         """E(M) = N Tr V(M) of blocks of shape (n, ..., N, N) (an array or a
-        sequence of n arrays): energies of shape (...)."""
-        return self.N * np.trace(self.potential.evaluate(blocks), axis1=-2, axis2=-1).real
+        sequence of n arrays): energies of shape (...).
+
+        Only traces are taken, one per cyclic/reversal class of the
+        potential's words: Tr w is the same on every rotation of w and
+        conjugates under reversal, so the class coefficient C sums c over
+        the class's words in its own orientation and conj(c) over the
+        reversed ones, and E = N sum Re(C Tr class) (plus N^2 times the unit
+        coefficient). A degree-2 class costs an O(N^2) contraction, where the
+        matrix value V(M) would cost a product per word.
+        """
+        total = np.full(np.shape(blocks[0])[:-2], self._unit * self.N)
+        for word, c in self._classes:
+            total = total + (c * _word_product(blocks, word, trace=True)).real
+        return self.N * total
 
 
 @dataclass(frozen=True)
@@ -128,7 +152,10 @@ class ChainEngine:
     pooled acceptance, and ``accepted`` and ``proposed`` count walker-steps,
     so ``run(s)`` costs s batched steps and yields K s walker-steps. One
     walker draws the same random numbers and takes the same decisions as a
-    per-block single chain, bit for bit (the tests hold it to one).
+    per-block single chain with a per-block ``eigvalsh`` ball test, bit for
+    bit (the tests hold it to one), except that the Cholesky test accepts
+    ||M|| < R where ``eigvalsh`` accepted ||M|| <= R: the two can disagree
+    only within rounding of the sphere, a null set for the chain.
     """
 
     def __init__(self, model: GibbsModel, rng: np.random.Generator, walkers: int = 1,
@@ -167,16 +194,23 @@ class ChainEngine:
 
         The proposal is one standard normal draw of shape (n, K, 2, N, N),
         the real and imaginary parts of every block's increment in turn,
-        hermitized as a stack; one batched ``eigvalsh`` tests the norm ball
-        of all blocks, one energy call prices all K proposals, and a uniform
-        is drawn only for the walkers inside the ball whose energy rises.
+        hermitized as a stack; one batched Cholesky of R^2 - M^2
+        (:func:`~matent.matrices.in_norm_ball`) tests the norm ball of all
+        blocks, one energy call prices all K proposals, and a uniform is
+        drawn only for the walkers inside the ball whose energy rises.
         """
         model = self.model
         n, K, N = self.blocks.shape[:3]
         self.proposed += K
         z = self.rng.standard_normal((n, K, 2, N, N))
-        new_blocks = self.blocks + self.step_scale * hermitize(z[:, :, 0] + 1j * z[:, :, 1])
-        accept = np.abs(np.linalg.eigvalsh(new_blocks)).max(axis=(0, 2)) <= model.R
+        # the step times hermitize(A + iB), built in place from its real and
+        # imaginary parts: the same bits without the complex temporaries
+        new_blocks = np.empty((n, K, N, N), dtype=complex)
+        np.add(z[:, :, 0], np.swapaxes(z[:, :, 0], -1, -2), out=new_blocks.real)
+        np.subtract(z[:, :, 1], np.swapaxes(z[:, :, 1], -1, -2), out=new_blocks.imag)
+        new_blocks *= self.step_scale / 2.0
+        new_blocks += self.blocks
+        accept = in_norm_ball(new_blocks, model.R).all(axis=0)
         if not np.count_nonzero(accept):
             return 0.0
         new_energy = model.energy(new_blocks)

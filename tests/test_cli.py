@@ -370,6 +370,31 @@ BAD_VALUES = {
         {"word": [1], "re": 0.0}]}}, "KeyError: 'im'"),
     "file entry without im": ({"kind": "rho", "N": 2, "target": {"file": "no-im.json"}},
                               "KeyError: 'im'"),
+    # integer values: a fractional float or a boolean is refused, not truncated
+    "arcsine-demo N 4.7": ({"kind": "arcsine-demo", "N": 4.7}, "expected an integer, got 4.7"),
+    "rho N true": ({"kind": "rho", "N": True, "target": PAIR_K2}, "got True"),
+    "rho K 1.5": ({"kind": "rho", "N": 2, "K": 1.5, "target": PAIR_K2}, "got 1.5"),
+    "target K 2.5": ({"kind": "rho", "N": 2, "target": dict(PAIR_K2, K=2.5)}, "got 2.5"),
+    "chi-tilde size 2.5": ({"kind": "chi-tilde", "sizes": [2.5], "target": PAIR_K2}, "got 2.5"),
+    "volume size true": ({"kind": "volume", "sizes": [True]}, "got True"),
+    "model n 2.5": ({"kind": "sample", "model": {"n": 2.5, "N": 2, "R": 2.0}}, "got 2.5"),
+    "sample bins 2.5": ({"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0}, "bins": 2.5,
+                         "chain": {"steps": 20, "burnin": 0, "thin": 1}}, "got 2.5"),
+    "chain steps true": ({"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0},
+                          "chain": {"steps": True}}, "got True"),
+    "hit-rate trials 10.5": ({"kind": "hit-rate", "N": 2, "trials": 10.5, "target": PAIR_K2},
+                             "got 10.5"),
+    "orbital s_out 16.5": ({"kind": "orbital", "model": {"n": 2, "N": 3, "R": 2.0},
+                            "s_out": 16.5}, "got 16.5"),
+    "orbital groups 0.5": ({"kind": "orbital", "model": {"n": 2, "N": 3, "R": 2.0},
+                            "groups": [0, 0.5]}, "got 0.5"),
+    "orbital groups miss a group": ({"kind": "orbital", "model": {"n": 2, "N": 3, "R": 2.0},
+                                     "groups": [0, 2]}, "do not cover"),
+    "fit iterations 2.5": ({"kind": "rho", "N": 2, "target": PAIR_K2,
+                            "fit": {"iterations": 2.5}}, "got 2.5"),
+    "ti nodes true": ({"kind": "pressure", "N": 2, "ti": {"nodes": True}}, "got True"),
+    "potential word 1.5": ({"kind": "pressure", "N": 2, "potential": {"terms": [
+        {"word": [1.5], "re": 1.0}]}}, "got 1.5"),
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from matent.matrices import (BlockMap, CompressionFn, MatrixTuple,
                              apply_scalar_function, build_compression,
                              conjugate_tuple, haar_unitary, haar_unitary_batch,
-                             hermitize, log_jacobian_functional_calculus,
+                             hermitize, in_norm_ball, log_jacobian_functional_calculus,
                              operator_norm)
 from matent.ncpoly import trace_moment
 from matent.streams import substream
@@ -27,6 +27,45 @@ def test_hermitize_projects_and_fixes(N, seed):
     h = hermitize(m)
     assert np.allclose(h, h.conj().T)
     assert np.allclose(hermitize(h), h)
+
+
+def _with_spectra(lam, rng):
+    """Hermitian stack with the given spectra (..., N): U diag(lam) U* for
+    Haar U."""
+    lam = np.asarray(lam, dtype=float)
+    N = lam.shape[-1]
+    us = haar_unitary_batch(lam[..., 0].size, N, rng).reshape(lam.shape + (N,))
+    return hermitize((us * lam[..., None, :]) @ np.swapaxes(us.conj(), -1, -2))
+
+
+@pytest.mark.parametrize("N", [1, 4, 16])
+def test_in_norm_ball_matches_eigvalsh(N):
+    # (n, K, N, N) stacks: verdicts per block equal those of eigvalsh
+    rng = substream(3, "ball", N)
+    R, n, K = 1.5, 2, 3
+
+    def eig_verdict(m):
+        return np.abs(np.linalg.eigvalsh(m)).max(axis=-1) < R
+
+    zero = np.zeros((n, K, N, N), dtype=complex)
+    assert in_norm_ball(zero, R).shape == (n, K) and np.all(in_norm_ball(zero, R))
+    # one block of one walker outside, the others inside
+    lam = rng.uniform(-0.9 * R, 0.9 * R, size=(n, K, N))
+    lam[1, 2, 0] = 1.1 * R
+    m = _with_spectra(lam, rng)
+    want = np.ones((n, K), dtype=bool)
+    want[1, 2] = False
+    assert np.array_equal(in_norm_ball(m, R), want)
+    assert np.array_equal(eig_verdict(m), want)
+    # extreme eigenvalues at +-R(1 +- 1e-9), the others well inside
+    edges = R * np.array([1 - 1e-9, 1 + 1e-9, -(1 - 1e-9), -(1 + 1e-9)])
+    lam = rng.uniform(-0.5 * R, 0.5 * R, size=(4, 1, N))
+    lam[:, 0, 0] = edges
+    m = _with_spectra(lam, rng)
+    assert np.array_equal(in_norm_ball(m, R), [[True], [False], [True], [False]])
+    assert np.array_equal(in_norm_ball(m, R), eig_verdict(m))
+    # an unbatched matrix gives a scalar verdict
+    assert in_norm_ball(m[0, 0], R).shape == () and in_norm_ball(m[0, 0], R)
 
 
 def test_matrix_tuple_validation():

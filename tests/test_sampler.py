@@ -24,6 +24,50 @@ def test_model_validation():
         GibbsModel(1, 4, 2.0, 1j * NcPoly.generator(1, 1))
 
 
+def _chiral(n, word, c):
+    """c w + conj(c) w*, self-adjoint."""
+    return NcPoly(n, {word: c, tuple(reversed(word)): np.conj(c)})
+
+
+TRACE_CLASS_POTENTIALS = {
+    # X1 X2 X3: its reversal is no rotation of it, so Tr is complex
+    "chiral cubic": _chiral(3, (1, 2, 3), 0.3 + 0.7j),
+    # the same class written through rotations of both orientations
+    "chiral cubic, rotated words": _chiral(3, (1, 2, 3), 0.3 + 0.7j)
+    + _chiral(3, (2, 3, 1), -0.2 + 0.1j),
+    "complex quadratic": _chiral(3, (1, 2), 0.5 + 0.2j) + 0.8 * NcPoly.from_word(3, (3, 3)),
+    "odd degrees": NcPoly.generator(3, 1) + 0.4 * NcPoly.from_word(3, (2, 2, 2))
+    + _chiral(3, (1, 2, 2), 0.25 - 0.5j),
+    "quartic and constant": 1.7 + 0.3 * NcPoly.from_word(3, (1, 1, 2, 2))
+    + 0.3 * NcPoly.from_word(3, (2, 2, 1, 1)) + NcPoly.from_word(3, (3, 3, 3, 3)),
+    "zero": NcPoly.zero(3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CLASS_POTENTIALS))
+def test_trace_class_energy_matches_evaluated_trace(case):
+    # E = N sum over word classes of Re(C Tr class) against N Tr V(M) from the
+    # matrix value, on an (n, K, N, N) array and on lists of (N, N) blocks
+    pot, n, N, K = TRACE_CLASS_POTENTIALS[case], 3, 4, 5
+    model = GibbsModel(n, N, 2.0, pot)
+    rng = substream(8, "trace-class")
+    g = rng.standard_normal((n, K, N, N)) + 1j * rng.standard_normal((n, K, N, N))
+    blocks = (g + np.swapaxes(g.conj(), -1, -2)) / 2
+
+    def want(b):
+        return N * np.trace(pot.evaluate(b), axis1=-2, axis2=-1).real
+
+    got = model.energy(blocks)
+    assert got.shape == (K,)
+    if pot.is_zero():
+        assert np.array_equal(got, np.zeros(K))
+    np.testing.assert_allclose(got, want(blocks), rtol=1e-12, atol=0)
+    for k in range(K):
+        single = [blocks[i, k] for i in range(n)]
+        assert np.ndim(model.energy(single)) == 0
+        np.testing.assert_allclose(model.energy(single), want(single), rtol=1e-12, atol=0)
+
+
 def test_log_ball_volume_exact_small_cases():
     # N=1: an interval
     for R in (0.5, 1.0, 3.0):
