@@ -34,7 +34,7 @@ from .maxent import (FitOptions, FitResult, InfeasibleTargetError, fit_projectio
                      free_pressure, one_variable_chi_reference)
 from .moments import (MomentSpec, arcsine_moments, free_product_moments, semicircle_moments,
                       validate)
-from .ncpoly import NcPoly, canonical_classes, trace_moment
+from .ncpoly import NcPoly, canonical_classes, word_traces
 from .orbital import (OrbitalRequest, chain_rule_check, orbital_entropy,
                       talagrand_report)
 from .sampler import (GibbsModel, TIOptions, log_ball_volume, mcmc_chain,
@@ -161,15 +161,15 @@ def build_potential(params: Optional[Dict], n: int) -> NcPoly:
             _require(isinstance(t, dict) and "word" in t, "each term needs a word")
             _known(t, ("word", "re", "im"), "potential term")
             _require(isinstance(t["word"], list), f"a word is a list, got {t['word']!r}")
-            terms[tuple(_integer(g) for g in t["word"])] = complex(t.get("re", 0.0),
-                                                                 t.get("im", 0.0))
+            terms[tuple(_integer(g) for g in t["word"])] = complex(
+                _coefficient(t.get("re", 0.0), "re"), _coefficient(t.get("im", 0.0), "im"))
         p = _checked(NcPoly, n, terms)
         _require(p.is_self_adjoint(), "explicit potential must be self-adjoint")
         return p
     name = _known(params, ("name", "c"), "potential").get("name")
     if name == "zero":
         return NcPoly.zero(n)
-    c = _checked(float, params.get("c", 1.0))
+    c = _coefficient(params.get("c", 1.0), "c")
     if name == "quadratic":
         p = NcPoly.zero(n)
         for i in range(1, n + 1):
@@ -187,6 +187,20 @@ def build_potential(params: Optional[Dict], n: int) -> NcPoly:
         d = NcPoly.generator(2, 1) - NcPoly.generator(2, 2)
         return c * (d * d)
     raise ConfigError(f"unknown potential {name!r}")
+
+
+def _coefficient(value, key: str) -> float:
+    """A potential coefficient from a config value: an int or a float, finite.
+    A boolean, a string or any other type is a config error, and so is a NaN
+    or an infinity."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"potential {key} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    _require(math.isfinite(x), f"potential {key} must be finite, got {value!r}")
+    return x
 
 
 def build_target(params: Dict) -> MomentSpec:
@@ -379,9 +393,9 @@ def _run_sample(cfg: ExperimentConfig):
     model = build_model(cfg.param("model", {}))
     K = _integer(cfg.param("K", 4))
     samples, diag = _chain(cfg, model, "sample", record_path=cfg.param("record_file"))
+    words = canonical_classes(model.n, K, 1)
     mrows = []
-    for w in canonical_classes(model.n, K, 1):
-        vals = trace_moment(samples, w)
+    for w, vals in zip(words, (word_traces(samples, words) / model.N).T):
         real = pooled_mean(vals.real)[0]
         mrows.append((".".join(map(str, w)), real.value, float(vals.imag.mean()), real.stderr))
     hist = _histogram(_spectrum(samples), _integer(cfg.param("bins", 40)), -model.R, model.R)

@@ -10,6 +10,7 @@ bounded by N^2 |log alpha| per block.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -195,19 +196,26 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
+@functools.lru_cache(maxsize=None)
+def _scaled_identity(N: int, scale: float) -> np.ndarray:
+    """scale times the N x N identity, read-only."""
+    out = scale * np.eye(N)
+    out.setflags(write=False)
+    return out
+
+
 def in_norm_ball(m: np.ndarray, R: float) -> np.ndarray:
     """Whether each Hermitian matrix of a stack (..., N, N) has operator norm
     below R, as a boolean array of shape (...).
 
     ||M|| < R exactly when R^2 I - M^2 is positive definite, which one batched
-    product and one batched Cholesky decide. numpy's Cholesky gufunc fills a
-    failed factor with NaN (and warns), so each matrix gets its own verdict;
-    ``np.linalg.cholesky`` would raise at the first failure of the stack.
+    product and one batched Cholesky decide; R^2 I is built once per (N, R).
+    numpy's Cholesky gufunc fills a failed factor with NaN (and warns), so
+    each matrix gets its own verdict; ``np.linalg.cholesky`` would raise at
+    the first failure of the stack.
     """
     gap = m @ m
-    np.negative(gap, out=gap)
-    N = gap.shape[-1]
-    gap.reshape(-1, N * N)[:, ::N + 1] += R * R
+    np.subtract(_scaled_identity(gap.shape[-1], R * R), gap, out=gap)
     with np.errstate(invalid="ignore"):
         factor = _umath_linalg.cholesky_lo(gap)
     return np.isfinite(factor[..., -1, -1])

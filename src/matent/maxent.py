@@ -38,7 +38,8 @@ import numpy as np
 
 from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
 from .moments import MomentSpec, moment_pairing
-from .ncpoly import NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word, trace_moment
+from .ncpoly import (NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word,
+                     word_traces)
 from .sampler import (ChainEngine, GibbsModel, TIOptions, _entropy, _heine_nodes,
                       _legendre_nodes, _log_heine_norms, estimate_log_I,
                       log_ball_volume)
@@ -145,18 +146,22 @@ def potential_from_coeffs(basis: DualBasis, coeffs: Sequence[float]) -> NcPoly:
 
 class _BasisMeasurer:
     """Basis moments (1/N) Tr b_j of matrix-mode chain states: the rows of a
-    (K, len(basis)) array for the K walkers of blocks of shape (n, K, N, N)."""
+    (K, len(basis)) array for the K walkers of blocks of shape (n, K, N, N).
+
+    One :func:`~matent.ncpoly.word_traces` call takes the traces of the
+    basis words; read as real pairs, element j is the real (``re``) or the
+    imaginary (``im``) part of its word's column, one precomputed index."""
 
     def __init__(self, basis: DualBasis):
-        words = sorted({el.word for el in basis.elements}, key=lambda w: (len(w), w))
+        words = tuple(sorted({el.word for el in basis.elements}, key=lambda w: (len(w), w)))
         self.words = words
         windex = {w: i for i, w in enumerate(words)}
-        self.selector = [(windex[el.word], el.kind) for el in basis.elements]
+        self.columns = np.array([2 * windex[el.word] + (el.kind == "im")
+                                 for el in basis.elements])
 
     def from_state(self, blocks) -> np.ndarray:
-        tms = [trace_moment(blocks, w) for w in self.words]
-        return np.stack([tms[i].real if kind == "re" else tms[i].imag
-                         for i, kind in self.selector], axis=-1)
+        traces = word_traces(blocks, self.words).view(float)[..., self.columns]
+        return traces * (1.0 / np.shape(blocks[0])[-1])
 
 
 def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,

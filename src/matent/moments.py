@@ -30,8 +30,8 @@ from .ncpoly import (
     canonical_classes,
     is_reversal_symmetric,
     star_word,
-    trace_moment,
     word_rotations,
+    word_traces,
 )
 
 __all__ = [
@@ -131,8 +131,9 @@ def empirical_moments(tuple_or_blocks, K: int, R: float | None = None) -> Moment
         if R is None:
             raise ValueError("norm radius R required for raw block sequences")
     n = len(blocks)
-    vals = {w: trace_moment(blocks, w) for w in canonical_classes(n, K, 1)}
-    return MomentSpec(n, K, float(R), vals)
+    words = canonical_classes(n, K, 1)
+    traces = word_traces(blocks, words) / np.shape(blocks[0])[-1]
+    return MomentSpec(n, K, float(R), dict(zip(words, traces)))
 
 
 def moment_distance(a: MomentSpec, b: MomentSpec, K: int | None = None) -> float:

@@ -9,20 +9,26 @@ class is enough to recover every word's trace value (up to conjugation for
 the reversed orientation). Rotations, classes and the sorted class lists are
 cached and returned as tuples, so no caller can change a cached value.
 
-Every word product in the package is multiplied out by one private helper,
-:func:`_word_product`, behind three faces: :func:`trace_moment` (the
-normalized trace of one word), :meth:`NcPoly.evaluate` (the matrix value
-of a polynomial) and :meth:`matent.sampler.GibbsModel.energy` (N Tr V from
-one trace per word class, never forming V(M)). All take blocks with leading
-batch axes, shape (..., N, N), and return values batched over the same
-axes, (...) and (..., N, N); a single tuple gives a Python complex and an
-(N, N) array.
+Traces of word lists come from one evaluator, :func:`word_traces`: Tr w of
+every word of a list at once, on blocks of shape (n, ..., N, N), as an
+array of shape (..., len(words)), with a plan that depends only on the
+degree of each word. Every caller that needs the traces of several words
+goes through it: :meth:`matent.sampler.GibbsModel.energy` (N Tr V from one
+trace per word class, never forming V(M)), the fit's basis moments, the
+empirical and mean moments, the sampled moments of the command line and the
+hit rate. One word at a time, the private left-to-right product
+:func:`_word_product` gives :func:`trace_moment` (the normalized trace of
+one word, with the bits of that one product) and :meth:`NcPoly.evaluate`
+(the matrix value of a polynomial). Both take blocks with leading batch
+axes, shape (..., N, N), and return values batched over the same axes,
+(...) and (..., N, N); a single tuple gives a Python complex and an (N, N)
+array.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +42,7 @@ __all__ = [
     "canonical_classes",
     "NcPoly",
     "trace_moment",
+    "word_traces",
 ]
 
 Word = Tuple[int, ...]
@@ -246,11 +253,11 @@ class NcPoly:
 
 
 def _word_product(blocks: Sequence[np.ndarray], word: Word, trace: bool = False) -> np.ndarray:
-    """Product of a nonempty word's factors on blocks of shape (..., N, N).
+    """Product of a nonempty word's factors on blocks of shape (..., N, N),
+    multiplied left to right.
 
-    The one loop that multiplies out a word. With ``trace`` the last factor
-    is contracted as a trace instead of multiplied, giving Tr of the word
-    with shape (...).
+    With ``trace`` the last factor is contracted as a trace instead of
+    multiplied, giving Tr of the word with shape (...).
     """
     prod = blocks[word[0] - 1]
     for g in word[1:-1] if trace else word[1:]:
@@ -262,11 +269,94 @@ def _word_product(blocks: Sequence[np.ndarray], word: Word, trace: bool = False)
     return np.einsum("...ij,...ji->...", prod, blocks[word[-1] - 1])
 
 
+class _TracePlan(NamedTuple):
+    """How :func:`word_traces` computes one (n, words): the parts it builds,
+    and the column of their concatenation that holds each word's trace."""
+
+    # the parts, in this order: a column of N for the unit, the n diagonal
+    # sums Tr X_a, the n x n Gram matrix Tr X_a X_b, then one Gram row
+    # Tr P X_b per row prefix P
+    unit: bool
+    singles: bool
+    pairs: bool
+    # the prefix products of degree >= 2, depth first (each right after its
+    # own prefix), and whether each one is a row prefix
+    products: Tuple[Word, ...]
+    rows: Tuple[bool, ...]
+    columns: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_plan(n: int, words: Tuple[Word, ...]) -> _TracePlan:
+    words = tuple(_validate_word(w, n) for w in words)
+    heads = {w[:-1] for w in words if len(w) > 2}
+    # lexicographic order visits a prefix tree depth first
+    products = sorted({h[:k] for h in heads for k in range(2, len(h) + 1)})
+    unit, singles, pairs = (any(len(w) == d for w in words) for d in (0, 1, 2))
+    diag = int(unit)
+    gram = diag + n * singles
+    heads_in_order = [p for p in products if p in heads]
+    row_start = {p: gram + n * n * pairs + n * i for i, p in enumerate(heads_in_order)}
+
+    def column(w: Word) -> int:
+        if len(w) <= 1:
+            return diag + w[0] - 1 if w else 0
+        start = gram + (w[0] - 1) * n if len(w) == 2 else row_start[w[:-1]]
+        return start + w[-1] - 1
+
+    columns = np.array([column(w) for w in words], dtype=np.intp)
+    columns.setflags(write=False)
+    return _TracePlan(unit, singles, pairs, tuple(products),
+                      tuple(p in heads for p in products), columns)
+
+
+def word_traces(blocks, words: Sequence[Word]) -> np.ndarray:
+    """Tr w, unnormalized, of every word of ``words`` on blocks of shape
+    (n, ..., N, N) (an array, or a sequence of n arrays of shape (..., N, N)):
+    a complex array of shape (..., len(words)).
+
+    The plan depends only on the degree of each word and is cached per
+    (n, words). The unit gives N, all Tr X_a come from one diagonal
+    contraction, and all Tr X_a X_b from one Gram contraction,
+    ``einsum("a...ij,b...ji->...ab")``, exact for any square blocks
+    (Hermitian or not). A longer word is Tr(P X_b) for its prefix product P
+    and last letter b: the products are multiplied left to right, each once
+    however many words share it, depth first so that only one branch of
+    them is held at a time, and each P gives the traces of all its one-letter
+    extensions in one Gram row. Words of degree <= 2 multiply no matrices.
+    One gather picks every word's column.
+    """
+    stack = np.asarray(blocks, dtype=complex)
+    n, N = stack.shape[0], stack.shape[-1]
+    plan = _trace_plan(n, tuple(words))
+    parts = []
+    if plan.unit:
+        parts.append(np.full(stack.shape[1:-2] + (1,), N, dtype=complex))
+    if plan.singles:
+        parts.append(np.einsum("a...ii->...a", stack))
+    if plan.pairs:
+        gram = np.einsum("a...ij,b...ji->...ab", stack, stack)
+        parts.append(gram.reshape(gram.shape[:-2] + (n * n,)))
+    branch = []
+    for p, row in zip(plan.products, plan.rows):
+        while branch and branch[-1][0] != p[:-1]:
+            branch.pop()
+        prod = (branch[-1][1] if branch else stack[p[0] - 1]) @ stack[p[-1] - 1]
+        branch.append((p, prod))
+        if row:
+            parts.append(np.einsum("...ij,b...ji->...b", prod, stack))
+    if not parts:
+        return np.empty(stack.shape[1:-2] + (0,), dtype=complex)
+    source = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    return source.take(plan.columns, axis=-1)
+
+
 def trace_moment(blocks: Sequence[np.ndarray], word: Word):
-    """Normalized trace (1/N) Tr of the word on blocks of shape (..., N, N).
+    """Normalized trace (1/N) Tr of one word on blocks of shape (..., N, N).
 
     A single tuple gives a Python complex, stacked blocks an array of shape
-    (...).
+    (...). The word is multiplied out on its own, so its value keeps the
+    bits of a one-word product; a list of words goes to :func:`word_traces`.
     """
     w = tuple(word)
     shape = np.shape(blocks[0])

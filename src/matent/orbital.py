@@ -45,7 +45,7 @@ samples and of their conjugated copies alike, comes from
 and the ``s_in`` copies of one sample as (s_in, N, N) blocks. One outer
 chain feeds each report; :func:`talagrand_report` hands its samples to both
 the orbital estimate and the moment barycenters, which are means of
-:func:`matent.ncpoly.trace_moment` over stacks of samples and of their
+:func:`matent.ncpoly.word_traces` over stacks of samples and of their
 copies. :func:`chain_rule_check` keeps the nested inner layer on every
 route, so its orbital term carries the nested estimate's downward bias.
 
@@ -66,7 +66,7 @@ import numpy as np
 from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
 from .matrices import BlockMap, MatrixTuple, haar_unitary_batch, hermitize
 from .moments import MomentSpec, free_product_moments, moment_distance
-from .ncpoly import canonical_classes, trace_moment
+from .ncpoly import canonical_classes, trace_moment, word_traces
 from .sampler import (MIN_ACCEPTANCE, ChainDiagnostics, GibbsModel, TIOptions,
                       estimate_log_I, log_ball_volume, mcmc_chain)
 
@@ -662,14 +662,15 @@ class TalagrandReport:
 
 def _mean_moments(parts: Iterable[Sequence[np.ndarray]], K: int, R: float) -> MomentSpec:
     """Barycenter of the trace moments of degree <= K of tuples that come in
-    parts, each one (S_k, N, N) stack per position: the mean of
-    :func:`trace_moment` over every tuple of every part."""
-    sums, count = {}, 0
+    parts, each one (S_k, N, N) stack per position: the mean of the
+    normalized :func:`~matent.ncpoly.word_traces` of every tuple of every
+    part."""
+    sums, count = 0.0, 0
     for blocks in parts:
         count += blocks[0].shape[0]
-        for w in canonical_classes(len(blocks), K, 1):
-            sums[w] = sums.get(w, 0.0) + complex(np.sum(trace_moment(blocks, w)))
-    return MomentSpec(len(blocks), K, R, {w: v / count for w, v in sums.items()})
+        words = canonical_classes(len(blocks), K, 1)
+        sums = sums + (word_traces(blocks, words) / blocks[0].shape[-1]).sum(axis=0)
+    return MomentSpec(len(blocks), K, R, dict(zip(words, sums / count)))
 
 
 def _group_marginal(spec: MomentSpec, members: Sequence[int]) -> MomentSpec:

@@ -30,10 +30,12 @@ exact log-volume of the ball (Mehta/Selberg closed form).
 Samples are one complex array of shape (n, S, N, N): block i of sample s
 is ``samples[i, s]``, the layout of :class:`ChainEngine`'s state with the S
 samples in the walker slot. Energies N Tr V(M) come from one method,
-:meth:`GibbsModel.energy`, as traces of the potential's word classes taken
-by the word evaluator of :mod:`matent.ncpoly` on blocks of shape
-(n, ..., N, N), so one call prices a single state or a whole stack (the
-orbital estimators and :func:`gibbs_entropy` pass the sample array).
+:meth:`GibbsModel.energy`: one :func:`~matent.ncpoly.word_traces` call
+takes the traces of all the potential's word classes on blocks of shape
+(n, ..., N, N), and one product with the class coefficients, folded once
+per model, sums them; so one call prices a single state or a whole stack
+(the orbital estimators and :func:`gibbs_entropy` pass the sample array),
+and a potential of degree <= 2 costs no matrix product.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from numpy.polynomial.polynomial import polyval
 from .estimates import EstimatorError, ScalarEstimate, pooled_mean
 from .matrices import MatrixTuple, haar_unitary_batch, hermitize, in_norm_ball
 from .moments import MomentSpec
-from .ncpoly import (NcPoly, Word, _word_product, canonical_class, canonical_classes,
-                     trace_moment, word_rotations)
+from .ncpoly import NcPoly, Word, canonical_class, canonical_classes, word_rotations, word_traces
 
 __all__ = [
     "GibbsModel",
@@ -79,8 +80,8 @@ class GibbsModel:
     R: float
     potential: NcPoly
     # the potential folded over word classes, see energy()
-    _classes: Tuple[Tuple[Word, complex], ...] = field(init=False, repr=False, compare=False)
-    _unit: float = field(init=False, repr=False, compare=False)
+    _words: Tuple[Word, ...] = field(init=False, repr=False, compare=False)
+    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.N < 1 or not (self.R > 0):
@@ -93,8 +94,10 @@ class GibbsModel:
         for word, c in self.potential.terms.items():
             k = canonical_class(word)
             fold[k] = fold.get(k, 0.0) + (c if k in word_rotations(word) else c.conjugate())
-        object.__setattr__(self, "_unit", fold.pop((), 0.0).real)
-        object.__setattr__(self, "_classes", tuple(sorted(fold.items())))
+        words = tuple(sorted(fold))
+        object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_coeffs",
+                           self.N * np.array([fold[w] for w in words], dtype=complex))
 
     def with_potential(self, potential: NcPoly) -> "GibbsModel":
         return GibbsModel(self.n, self.N, self.R, potential)
@@ -107,14 +110,13 @@ class GibbsModel:
         potential's words: Tr w is the same on every rotation of w and
         conjugates under reversal, so the class coefficient C sums c over
         the class's words in its own orientation and conj(c) over the
-        reversed ones, and E = N sum Re(C Tr class) (plus N^2 times the unit
-        coefficient). A degree-2 class costs an O(N^2) contraction, where the
-        matrix value V(M) would cost a product per word.
+        reversed ones. The coefficients are folded once per model into one
+        vector N C aligned with the class words (the unit among them, with
+        Tr 1 = N), and one :func:`~matent.ncpoly.word_traces` call gives the
+        traces T of all classes: E = Re(T @ N C). Classes of degree <= 2
+        cost one Gram contraction and no matrix product.
         """
-        total = np.full(np.shape(blocks[0])[:-2], self._unit * self.N)
-        for word, c in self._classes:
-            total = total + (c * _word_product(blocks, word, trace=True)).real
-        return self.N * total
+        return (word_traces(blocks, self._words) @ self._coeffs).real
 
 
 @dataclass(frozen=True)
@@ -205,9 +207,10 @@ class ChainEngine:
         z = self.rng.standard_normal((n, K, 2, N, N))
         # the step times hermitize(A + iB), built in place from its real and
         # imaginary parts: the same bits without the complex temporaries
+        a, b = z[:, :, 0], z[:, :, 1]
         new_blocks = np.empty((n, K, N, N), dtype=complex)
-        np.add(z[:, :, 0], np.swapaxes(z[:, :, 0], -1, -2), out=new_blocks.real)
-        np.subtract(z[:, :, 1], np.swapaxes(z[:, :, 1], -1, -2), out=new_blocks.imag)
+        np.add(a, a.swapaxes(-1, -2), out=new_blocks.real)
+        np.subtract(b, b.swapaxes(-1, -2), out=new_blocks.imag)
         new_blocks *= self.step_scale / 2.0
         new_blocks += self.blocks
         accept = in_norm_ball(new_blocks, model.R).all(axis=0)
@@ -215,12 +218,14 @@ class ChainEngine:
             return 0.0
         new_energy = model.energy(new_blocks)
         log_ratio = -self.beta * (new_energy - self.energy)
-        need = np.flatnonzero(accept & (log_ratio < 0))
+        need = (accept & (log_ratio < 0)).nonzero()[0]
         if need.size:
             accept[need] = np.log(self.rng.random(need.size)) < log_ratio[need]
         count = np.count_nonzero(accept)
-        if count:
-            # new arrays, never writes into the old: an observer may hold them
+        # new arrays, never writes into the old: an observer may hold them
+        if count == K:
+            self.blocks, self.energy = new_blocks, new_energy
+        elif count:
             self.blocks = np.where(accept[:, None, None], new_blocks, self.blocks)
             self.energy = np.where(accept, new_energy, self.energy)
         self.accepted += count
@@ -875,13 +880,14 @@ def microstate_hit_rate(tau: MomentSpec, eps: float, K: int, N: int,
     if not (eps > 0) or K < 1 or K > tau.K or trials < 1:
         raise ValueError("need eps > 0, 1 <= K <= tau.K and trials >= 1")
     model = GibbsModel(1, N, tau.R, NcPoly.zero(1))
+    words = canonical_classes(tau.n, K, 1)
+    target = np.array([tau.value(w) for w in words])
     hits = 0
     for lo in range(0, trials, 4096):
         size = min(4096, trials - lo)
         draws, _ = mcmc_chain(model, tau.n * size, 0, 1, rng)
         tuples = draws[0].reshape(tau.n, size, N, N)
-        gap = np.max([np.abs(trace_moment(tuples, w) - tau.value(w))
-                      for w in canonical_classes(tau.n, K, 1)], axis=0)
+        gap = np.abs(word_traces(tuples, words) / N - target).max(axis=-1)
         hits += int(np.count_nonzero(gap < eps))
     base = tau.n * log_ball_volume(N, tau.R)
     if hits == 0:

@@ -395,6 +395,18 @@ BAD_VALUES = {
     "ti nodes true": ({"kind": "pressure", "N": 2, "ti": {"nodes": True}}, "got True"),
     "potential word 1.5": ({"kind": "pressure", "N": 2, "potential": {"terms": [
         {"word": [1.5], "re": 1.0}]}}, "got 1.5"),
+    # potential coefficients: real numbers only, and finite
+    "potential re abc": ({"kind": "pressure", "N": 2, "potential": {"terms": [
+        {"word": [1, 1], "re": "abc"}]}}, "potential re must be a real number, got 'abc'"),
+    "potential im list": ({"kind": "pressure", "N": 2, "potential": {"terms": [
+        {"word": [1, 1], "re": 1.0, "im": [1]}]}}, "potential im must be a real number, got [1]"),
+    "potential re true": ({"kind": "pressure", "N": 2, "potential": {"terms": [
+        {"word": [1, 1], "re": True}]}}, "potential re must be a real number, got True"),
+    "potential c nan": ({"kind": "pressure", "N": 2, "potential": {"name": "quadratic",
+                                                                   "c": math.nan}},
+                        "potential c must be finite, got nan"),
+    "potential re inf": ({"kind": "pressure", "N": 2, "potential": {"terms": [
+        {"word": [1, 1], "re": math.inf}]}}, "potential re must be finite, got inf"),
 }
 
 

@@ -12,7 +12,7 @@ from matent.maxent import (FitOptions, InfeasibleTargetError, build_dual_basis,
                            one_variable_chi_reference, potential_from_coeffs,
                            reference_constant, rho, target_vector)
 from matent.moments import MomentSpec, free_product_moments, semicircle_moments
-from matent.ncpoly import NcPoly
+from matent.ncpoly import NcPoly, trace_moment
 from matent.sampler import GibbsModel, TIOptions, _heine_log_I, estimate_log_I
 from matent.streams import substream
 
@@ -35,6 +35,26 @@ def test_dual_basis_structure():
     b2 = build_dual_basis(2, 6)
     assert any(e.kind == "im" for e in b2.elements)
     assert all(e.degree == 6 for e in b2.elements if e.kind == "im")
+
+
+@pytest.mark.parametrize("n, K", [(2, 2), (2, 4), (3, 2), (3, 4)])
+def test_basis_measurer_matches_element_definition(n, K):
+    # the moment (1/N) Tr b_j of each basis element, re and im alike, from
+    # its own word's trace and from the element's evaluated polynomial
+    basis = build_dual_basis(n, K)
+    walkers, N = 4, 3
+    rng = substream(19, "measurer")
+    g = rng.standard_normal((n, walkers, N, N)) + 1j * rng.standard_normal((n, walkers, N, N))
+    blocks = (g + np.swapaxes(g.conj(), -1, -2)) / 2
+    got = maxent._BasisMeasurer(basis).from_state(blocks)
+    assert got.shape == (walkers, len(basis))
+    assert any(el.kind == "im" for el in basis.elements) == (n == 3 and K >= 3)
+    for j, el in enumerate(basis.elements):
+        tm = trace_moment(blocks, el.word)
+        want = tm.real if el.kind == "re" else tm.imag
+        np.testing.assert_allclose(got[:, j], want, rtol=1e-12, atol=1e-14)
+        value = np.trace(el.poly.evaluate(blocks), axis1=-2, axis2=-1) / N
+        np.testing.assert_allclose(got[:, j], value.real, rtol=1e-12, atol=1e-13)
 
 
 def test_target_vector_semicircle():

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from matent import ncpoly
 from matent.ncpoly import (NcPoly, all_words, canonical_class, canonical_classes,
                            is_reversal_symmetric, star_word, trace_moment,
-                           word_rotations)
+                           word_rotations, word_traces)
 
 words_n2 = st.lists(st.integers(min_value=1, max_value=2), min_size=0, max_size=7).map(tuple)
 words_n3 = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=6).map(tuple)
@@ -149,3 +150,56 @@ def test_trace_moment_cyclic(w, k):
     np.testing.assert_allclose(trace_moment(stacks, rotated),
                                [trace_moment(blocks, w), (-1) ** len(w) * trace_moment(blocks, w)],
                                atol=1e-12)
+
+
+# words of degree 0 to 6 over 3 letters: the unit, repeats of one word, a
+# chiral degree-4 word and its reversal, and words that share prefixes
+TRACE_WORDS = ((), (2,), (1, 2), (1, 2), (2, 1), (3, 3), (1, 2, 3), (1, 1, 2, 3),
+               (3, 2, 1, 1), (1, 2, 3, 1), (1, 2, 3, 1, 1), (1, 2, 3, 1, 1, 3),
+               (1, 2, 3, 1, 1, 3), (3, 2, 1, 1, 2, 3), (2,), (1, 1, 1, 1, 1, 1))
+
+
+def _reference_traces(blocks, words):
+    """Tr w one word at a time: the per-word product's trace path."""
+    N = np.shape(blocks[0])[-1]
+    return np.stack([ncpoly._word_product(blocks, w, trace=True) if w
+                     else np.full(np.shape(blocks[0])[:-2], complex(N)) for w in words], axis=-1)
+
+
+def test_word_traces_matches_per_word_products():
+    # non-Hermitian complex blocks: the Gram contraction assumes no symmetry
+    n, K, N = 3, 5, 4
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(n, K, N, N)) + 1j * rng.normal(size=(n, K, N, N))
+    assert not np.allclose(stack, np.swapaxes(stack.conj(), -1, -2))
+    got = word_traces(stack, TRACE_WORDS)
+    assert got.shape == (K, len(TRACE_WORDS)) and got.dtype == complex
+    np.testing.assert_allclose(got, _reference_traces(stack, TRACE_WORDS), rtol=1e-12, atol=0)
+    # a chiral word and its reversal carry different traces on these blocks
+    chiral, rev = TRACE_WORDS.index((1, 1, 2, 3)), TRACE_WORDS.index((3, 2, 1, 1))
+    assert not is_reversal_symmetric((1, 1, 2, 3))
+    assert not np.allclose(got[:, chiral], got[:, rev])
+    for k in range(K):
+        # one tuple as a list of (N, N) blocks and as one (n, N, N) array
+        for one in ([stack[i, k] for i in range(n)], stack[:, k]):
+            single = word_traces(one, TRACE_WORDS)
+            assert single.shape == (len(TRACE_WORDS),)
+            np.testing.assert_allclose(single, _reference_traces(one, TRACE_WORDS),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(single, got[k], rtol=1e-12, atol=0)
+    # repeated words give the same column
+    assert np.array_equal(got[:, 1], got[:, -2])
+    assert np.array_equal(got[:, 11], got[:, 12])
+
+
+def test_word_traces_batch_axes_and_empty_list():
+    rng = np.random.default_rng(12)
+    blocks = [rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+              for _ in range(2)]
+    words = ((1, 2, 1), (2,), (1, 1))
+    got = word_traces(blocks, words)
+    assert got.shape == (2, 3, 3)
+    np.testing.assert_allclose(got, _reference_traces(blocks, words), rtol=1e-12, atol=0)
+    assert word_traces(blocks, ()).shape == (2, 3, 0)
+    with pytest.raises(ValueError):
+        word_traces(blocks, ((1, 3),))

@@ -68,6 +68,35 @@ def test_trace_class_energy_matches_evaluated_trace(case):
         np.testing.assert_allclose(model.energy(single), want(single), rtol=1e-12, atol=0)
 
 
+def test_energy_of_degree_two_potential_multiplies_no_word(monkeypatch):
+    # word_traces plans by word degree: classes of degree <= 2 come from the
+    # diagonal and Gram contractions, with no word product at all
+    from matent import ncpoly
+    calls = []
+    real = ncpoly._word_product
+
+    def spy(blocks, word, trace=False):
+        calls.append(word)
+        return real(blocks, word, trace)
+
+    monkeypatch.setattr(ncpoly, "_word_product", spy)
+    n, K, N = 3, 6, 4
+    rng = substream(9, "degree-two")
+    g = rng.standard_normal((n, K, N, N)) + 1j * rng.standard_normal((n, K, N, N))
+    blocks = (g + np.swapaxes(g.conj(), -1, -2)) / 2
+    quadratic = (0.5 + NcPoly.generator(n, 1) + _chiral(n, (1, 2), 0.3 - 0.4j)
+                 + NcPoly.from_word(n, (3, 3)))
+    model = GibbsModel(n, N, 2.0, quadratic)
+    assert model.energy(blocks).shape == (K,)
+    assert calls == []
+    assert ncpoly._trace_plan(n, model._words).products == ()
+    # the spy sees the one-word path, and a cubic class plans a product
+    ncpoly.trace_moment(blocks, (1, 2))
+    assert calls == [(1, 2)]
+    cubic = GibbsModel(n, N, 2.0, quadratic + _chiral(n, (1, 2, 3), 0.2j))
+    assert ncpoly._trace_plan(n, cubic._words).products == ((1, 2),)
+
+
 def test_log_ball_volume_exact_small_cases():
     # N=1: an interval
     for R in (0.5, 1.0, 3.0):
