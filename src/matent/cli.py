@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -367,6 +366,8 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> List:
     """
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: a one-thread run need not pay for the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 

@@ -420,9 +420,10 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
     direction of :func:`_newton_direction` and the dual along it, on which
     the step is backtracked (:func:`_backtrack`). The decrement (nats of dual
     above the minimum) has the noise floor sum_k IAT_k / (2 S) over the
-    whitened moments, its expectation when mu is already optimal; each IAT_k
-    comes from the autocorrelations of the K walker series of that moment,
-    averaged (:func:`matent.estimates.pooled_mean`). With fewer than 10 states
+    whitened moments of the S states it pools, its expectation when mu is
+    already optimal; each IAT_k comes from the autocorrelations of the K
+    walker series of that moment in the iterate's own run, averaged
+    (:func:`matent.estimates.pooled_mean`). With fewer than 10 states
     per coefficient no step is taken.
 
     n starts at ``final_steps`` / 2^k, the first such length at or above
@@ -434,8 +435,10 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
     their ESS at mu, ``FINAL_POOL`` runs are pooled; one step on their
     reweighted dual gives the result. A scaled coefficient beyond 60 with a
     residual above 3 tolerances raises :class:`InfeasibleTargetError`.
-    Returns mu, the last resolved decrement (inf if none), whether the stop
-    and its pooled step were reached, the number of iterates and their
+    Returns mu, the dual's excess over its minimum that the last resolved
+    decrement allows (inf if none): that decrement plus ``NOISE_MULT`` of its
+    noise floor, since the step it took rests on noisy moments too; whether
+    the stop and its pooled step were reached, the number of iterates and their
     trajectory: per iterate the largest scaled residual, n, the decrement,
     its noise floor and the pooled ESS S / max_k IAT_k of the slowest
     whitened moment, and the number of walkers under ``walkers``.
@@ -478,7 +481,7 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
                 white = np.linalg.solve(chol, (F[:, free] - F[:, free].mean(axis=0)).T)
                 # one IAT per whitened moment, from its K walker series
                 iats = [pooled_mean(w.reshape(-1, K).T)[1] for w in white]
-                floor = 0.5 * sum(iats) / len(F)
+                floor = 0.5 * sum(iats) / sum(len(Fr) for _, Fr in runs)
                 ess = len(F) / max(iats)
             except np.linalg.LinAlgError:
                 dec = math.nan
@@ -501,7 +504,9 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
             steps = min(2 * steps, opts.final_steps)
             last = math.inf
     trajectory["walkers"] = K
-    resolved = [v for v in trajectory["decrement"] if math.isfinite(v)]
+    resolved = [d + NOISE_MULT * f for d, f in zip(trajectory["decrement"],
+                                                     trajectory["noise_floor"])
+                if math.isfinite(d)]
     return (mu, resolved[-1] if resolved else math.inf, done,
             len(trajectory["decrement"]), trajectory)
 
@@ -575,8 +580,9 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     and the final run's pooled acceptance, energy IAT and ESS (summed over
     walkers). On both routes ``dual_value.bias_bound``
     adds the final decrement, by which the dual may exceed the maximum
-    entropy. An unconverged fit issues a ``RuntimeWarning``. A target the fit
-    cannot reach (coefficients diverging, residuals stuck) raises
+    entropy; for n >= 2 also ``NOISE_MULT`` times the noise floor of the
+    pooled step that set lam. An unconverged fit issues a ``RuntimeWarning``.
+    A target the fit cannot reach (coefficients diverging, residuals stuck) raises
     :class:`InfeasibleTargetError`: the supremum is -infinity there.
     """
     if rng is None:
@@ -641,7 +647,8 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
             np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
     rho_est = _entropy(log_i, energy_est)
     dual = dual_objective(basis, lam, tau, eps, N, lambda _: log_i)
-    # the dual at lam overshoots its minimum, the maximum entropy, by the decrement
+    # the dual at lam overshoots its minimum, the maximum entropy, by the
+    # decrement, and for n >= 2 by the noise of the last step
     dual = ScalarEstimate(dual.value, dual.stderr, dual.count,
                           dual.bias_bound + max(dec, 0.0))
     if not converged:

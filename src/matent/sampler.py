@@ -9,7 +9,9 @@ Hermitian increment to every block and rejects outside the ball, which
 one batched Cholesky of R^2 - M^2 decides
 (:func:`~matent.matrices.in_norm_ball`). One
 engine steps one chain or several walkers in lockstep, with one batched
-proposal for all of them (:class:`ChainEngine`).
+proposal for all of them, and draws the randomness of a block of steps
+ahead, in one generator call for the normals and one for the uniforms
+(:class:`ChainEngine`).
 For n == 1 the draws are exact and i.i.d.: the law is unitarily invariant,
 its eigenvalues form a projection determinantal point process, and each
 spectrum is drawn point by point by rejection (:class:`_ExactSpectra`) and
@@ -69,6 +71,8 @@ __all__ = [
 
 ACCEPT_BAND = (0.30, 0.45)
 MIN_ACCEPTANCE = 0.01
+# bytes of the increments a chain engine draws at once (see ChainEngine)
+DRAW_BUFFER_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -152,12 +156,23 @@ class ChainEngine:
     increment of all blocks of every walker, for any n; :func:`mcmc_chain`
     draws n == 1 samples exactly instead. All walkers share one step scale, tuned on their
     pooled acceptance, and ``accepted`` and ``proposed`` count walker-steps,
-    so ``run(s)`` costs s batched steps and yields K s walker-steps. One
-    walker draws the same random numbers and takes the same decisions as a
-    per-block single chain with a per-block ``eigvalsh`` ball test, bit for
-    bit (the tests hold it to one), except that the Cholesky test accepts
-    ||M|| < R where ``eigvalsh`` accepted ||M|| <= R: the two can disagree
-    only within rounding of the sphere, a null set for the chain.
+    so ``run(s)`` costs s batched steps and yields K s walker-steps.
+
+    The randomness of T = max(1, ``DRAW_BUFFER_BYTES`` // (16 n K N^2))
+    steps is drawn at once, when the last block of draws is used up: one
+    standard normal array Z of shape (T, n, K, N, N) and one uniform array
+    U of shape (T, K), in that order. Step t's increment of a block is
+    s ((Z + Z^T) + i (Z - Z^T)) / 2 for its N x N slice Z, with the step
+    scale s of the step that uses it; the symmetric and antisymmetric parts
+    of one Gaussian matrix are independent, so the diagonal has variance s^2
+    and the real and imaginary parts off it s^2 / 2. Draws are used in order
+    across ``tune``, ``run`` and swaps of beta or the potential, each once;
+    no draw depends on the state, and those left over die with the engine.
+    One walker takes the same decisions as a single chain that reads the
+    same layout block by block, with a per-block ``eigvalsh`` ball test, bit
+    for bit (the tests hold it to one), except that the Cholesky test
+    accepts ||M|| < R where ``eigvalsh`` accepts ||M|| <= R: the two can
+    disagree only within rounding of the sphere, a null set for the chain.
     """
 
     def __init__(self, model: GibbsModel, rng: np.random.Generator, walkers: int = 1,
@@ -171,6 +186,11 @@ class ChainEngine:
         self.energy = model.energy(self.blocks)
         self.accepted = 0
         self.proposed = 0
+        # the unscaled increments and log-uniforms of the current block of
+        # draws, and the index of the next step's
+        self._increments = np.empty((0,))
+        self._log_u = np.empty((0,))
+        self._next = 0
 
     @property
     def walkers(self) -> int:
@@ -191,36 +211,43 @@ class ChainEngine:
     def acceptance(self) -> float:
         return self.accepted / self.proposed if self.proposed else 0.0
 
+    def _refill(self) -> None:
+        """Draw the next block of steps: Z and U, then the increments
+        (Z + Z^T) + i (Z - Z^T) of all its steps in place."""
+        n, K, N = self.blocks.shape[:3]
+        steps = max(1, DRAW_BUFFER_BYTES // (16 * n * K * N * N))
+        z = self.rng.standard_normal((steps, n, K, N, N))
+        with np.errstate(divide="ignore"):
+            self._log_u = np.log(self.rng.random((steps, K)))
+        zt = z.swapaxes(-1, -2)
+        self._increments = np.empty(z.shape, dtype=complex)
+        np.add(z, zt, out=self._increments.real)
+        np.subtract(z, zt, out=self._increments.imag)
+        self._next = 0
+
     def step(self) -> float:
         """Advance every walker once; returns the fraction of moves accepted.
 
-        The proposal is one standard normal draw of shape (n, K, 2, N, N),
-        the real and imaginary parts of every block's increment in turn,
-        hermitized as a stack; one batched Cholesky of R^2 - M^2
+        Takes the next step of the block of draws (see :class:`ChainEngine`),
+        scaled by the current step scale; one batched Cholesky of R^2 - M^2
         (:func:`~matent.matrices.in_norm_ball`) tests the norm ball of all
-        blocks, one energy call prices all K proposals, and a uniform is
-        drawn only for the walkers inside the ball whose energy rises.
+        blocks, one energy call prices all K proposals, and walker k moves
+        when its proposal is inside the ball and log U_k < -beta (E' - E).
         """
+        if self._next == len(self._increments):
+            self._refill()
+        t = self._next
+        self._next += 1
         model = self.model
-        n, K, N = self.blocks.shape[:3]
+        K = self.blocks.shape[1]
         self.proposed += K
-        z = self.rng.standard_normal((n, K, 2, N, N))
-        # the step times hermitize(A + iB), built in place from its real and
-        # imaginary parts: the same bits without the complex temporaries
-        a, b = z[:, :, 0], z[:, :, 1]
-        new_blocks = np.empty((n, K, N, N), dtype=complex)
-        np.add(a, a.swapaxes(-1, -2), out=new_blocks.real)
-        np.subtract(b, b.swapaxes(-1, -2), out=new_blocks.imag)
-        new_blocks *= self.step_scale / 2.0
+        new_blocks = self._increments[t] * (self.step_scale / 2.0)
         new_blocks += self.blocks
         accept = in_norm_ball(new_blocks, model.R).all(axis=0)
         if not np.count_nonzero(accept):
             return 0.0
         new_energy = model.energy(new_blocks)
-        log_ratio = -self.beta * (new_energy - self.energy)
-        need = (accept & (log_ratio < 0)).nonzero()[0]
-        if need.size:
-            accept[need] = np.log(self.rng.random(need.size)) < log_ratio[need]
+        accept &= self._log_u[t] < -self.beta * (new_energy - self.energy)
         count = np.count_nonzero(accept)
         # new arrays, never writes into the old: an observer may hold them
         if count == K:

@@ -282,15 +282,17 @@ END_TO_END = {
 
 
 def test_talagrand_record_carries_the_orbital_flag(tmp_path):
-    # at TINY_NESTED budgets the outer chain of c (X - Y)^2 at N = 3 accepts
-    # no move on seed 1's talagrand stream, and the record says so; at a
-    # working budget the same seed's record reads true
-    request = OrbitalRequest(build_model(dict(PAIR, potential={"name": "coupled", "c": 1.0})),
+    # at TINY_NESTED budgets the outer chain of c (X - Y)^2 at N = 3 with the
+    # steep c = 100 accepts no move on any stream (see the orbital tests'
+    # stuck chain), and the record says so; a working budget tunes the step
+    # down to the coupling, and the same seed's record reads true
+    request = OrbitalRequest(build_model(dict(PAIR, potential={"name": "coupled", "c": 100.0})),
                              BlockMap.full(2), **TINY_NESTED)
-    assert _outer_chain(request, substream(1, "talagrand", "1.0"))[1].acceptance < MIN_ACCEPTANCE
+    chain = _outer_chain(request, substream(1, "talagrand", "100.0"))[1]
+    assert chain.acceptance < MIN_ACCEPTANCE
     working = {"s_out": 32, "s_in": 16, "chain_burnin": 400, "chain_thin": 8}
     for budget, flag in ((TINY_NESTED, False), (working, True)):
-        doc = dict(budget, kind="talagrand", seed=1, model=PAIR, K=2, couplings=[1.0])
+        doc = dict(budget, kind="talagrand", seed=1, model=PAIR, K=2, couplings=[100.0])
         out = tmp_path / str(flag)
         assert main(["--config", write_yaml(tmp_path / "t.yaml", doc), "--out", str(out)]) == 0
         [rec] = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]

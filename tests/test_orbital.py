@@ -231,12 +231,17 @@ def test_exact_route_draws_no_haar_unitary(monkeypatch):
 
 
 def test_stuck_outer_chain_is_flagged():
-    # at the budgets and stream of the command-line tests' orbital case (seed
-    # 5) the outer chain of c (X - Y)^2 at N = 3 accepts no move: every sample
-    # is the zero start, whose term is exactly 0 on either route; the estimate
-    # reads 0 +- 0 and is flagged, not raised
-    for pot in (coupled_potential(1.0),
-                NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 1, 2, 2): 0.5, (2, 2, 1, 1): 0.5})):
+    # at the command-line tests' tiny orbital budgets, a steep potential at
+    # N = 3 keeps the outer chain at its zero start on any stream: every
+    # sample is the start, whose term is exactly 0 on either route; the
+    # estimate reads 0 +- 0 and is flagged, not raised. From 0 the energy of
+    # 100 (X - Y)^2 is 6 c s^2 chi^2_9 for step scale s >= 0.6 R / (2 sqrt N)
+    # = 0.35 over 72 steps, which accept with probability at most
+    # 72 (1 + 12 c s^2)^(-9/2) < 2e-8; the quartic's Tr X^2 Y^2 terms are
+    # >= 0, so its energy is at least that of its 100 (X^2 + Y^2)
+    for pot in (coupled_potential(100.0),
+                100.0 * NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 1, 2, 2): 0.5,
+                                   (2, 2, 1, 1): 0.5})):
         request = OrbitalRequest(GibbsModel(2, 3, 2.0, pot), BlockMap.full(2), s_out=16,
                                  s_in=16, chain_burnin=40, chain_thin=2)
         samples, chain = _outer_chain(request, substream(5, "orbital"))

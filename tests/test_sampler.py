@@ -169,30 +169,36 @@ def test_chain_acceptance_in_band_and_diagnostics():
 
 
 class _PerBlockEngine(sampler.ChainEngine):
-    """The chain with the per-block step it had before the proposal was drawn
-    in one call: blocks in a list, 2n (N, N) draws, one eigvalsh per block,
-    and one walker, whose energy is a scalar."""
+    """The chain written block by block: one walker, whose blocks sit in a
+    list and whose energy is a scalar, one eigvalsh ball test per block, and
+    each block's increment built from its own N x N slice z of the block of
+    draws, which this engine draws itself from the documented layout."""
 
     def __init__(self, model, rng):
         super().__init__(model, rng)
         self.blocks = [b[0].copy() for b in self.blocks]
         self.energy = self.energy[0]
+        self.per_refill = max(1, sampler.DRAW_BUFFER_BYTES // (16 * model.n * model.N ** 2))
+        self.t = self.per_refill
 
     def step(self):
         model = self.model
+        if self.t == self.per_refill:
+            self.z = self.rng.standard_normal((self.per_refill, model.n, 1, model.N, model.N))
+            with np.errstate(divide="ignore"):
+                self.log_u = np.log(self.rng.random((self.per_refill, 1)))
+            self.t = 0
+        z, log_u = self.z[self.t, :, 0], self.log_u[self.t, 0]
+        self.t += 1
         self.proposed += 1
-        new_blocks = []
-        for b in self.blocks:
-            m = (self.rng.standard_normal((model.N, model.N))
-                 + 1j * self.rng.standard_normal((model.N, model.N)))
-            new_blocks.append(b + self.step_scale * ((m + m.conj().T) / 2.0))
+        new_blocks = [b + self.step_scale / 2.0 * ((zi + zi.T) + 1j * (zi - zi.T))
+                      for b, zi in zip(self.blocks, z)]
         for b in new_blocks:
             lam = np.linalg.eigvalsh(b)
             if abs(lam[0]) > model.R or abs(lam[-1]) > model.R:
                 return 0.0
         new_energy = model.energy(new_blocks)
-        log_ratio = -self.beta * (new_energy - self.energy)
-        if log_ratio < 0 and math.log(self.rng.random()) >= log_ratio:
+        if not log_u < -self.beta * (new_energy - self.energy):
             return 0.0
         self.blocks = new_blocks
         self.energy = new_energy
@@ -216,9 +222,10 @@ def test_engine_beta_is_a_scale_on_the_potential():
 
 @pytest.mark.parametrize("n,N", [(2, 4), (3, 5)])
 def test_chain_step_matches_per_block_reference(n, N):
-    # 3,000 steps with a potential swap and a beta swap on the way; the
-    # batched proposal on one walker must reproduce the per-block chain bit
-    # for bit (the engine's state has a walker axis of length 1, ravelled here)
+    # 3,000 steps with a potential swap and a beta swap on the way, across
+    # many blocks of draws; the batched proposal on one walker must reproduce
+    # the per-block chain bit for bit (the engine's state has a walker axis of
+    # length 1, ravelled here)
     quad = sum((NcPoly.from_word(n, (i, i)) for i in range(1, n + 1)), NcPoly.zero(n))
     coupled = quad + 0.6 * (NcPoly.from_word(n, (1, 2)) + NcPoly.from_word(n, (2, 1))) \
         + 0.3 * NcPoly.from_word(n, (1, 1, 1, 1))
@@ -241,6 +248,53 @@ def test_chain_step_matches_per_block_reference(n, N):
     assert 0 < rest_ref[0] < rest_ref[1]
 
 
+def test_split_runs_draw_like_one_run():
+    # run(a); run(b) is run(a + b) across a refill of the draws: no draw is
+    # skipped or used twice, and the generator is left in the same state
+    model = GibbsModel(2, 4, 6.0, _quadratic_pair(1.0, 0.3))
+    per_refill = sampler.DRAW_BUFFER_BYTES // (16 * 2 * 3 * 4 * 4)
+    a, b = per_refill // 2 + 1, per_refill
+    split = sampler.ChainEngine(model, substream(11, "split"), 3)
+    whole = sampler.ChainEngine(model, substream(11, "split"), 3)
+    split.step_scale = whole.step_scale = 0.2
+    split.run(a)
+    split.run(b)
+    whole.run(a + b)
+    assert a < per_refill < a + b < 2 * per_refill
+    assert np.array_equal(split.blocks, whole.blocks)
+    assert np.array_equal(split.energy, whole.energy)
+    assert split.accepted == whole.accepted > 0
+    assert np.array_equal(split.rng.random(4), whole.rng.random(4))
+
+
+def test_increment_law():
+    # the zero potential on a ball no increment leaves: every proposal is
+    # taken, so from the zero state a step's new blocks are its increment,
+    # divided here by the step scale of the step that used it. The law is that
+    # of hermitize(A + iB) times s: exactly Hermitian, diagonal variance 1,
+    # real and imaginary parts off it 1/2, all N^2 coordinates uncorrelated
+    n, K, N, steps = 2, 32, 3, 400
+    engine = sampler.ChainEngine(GibbsModel(n, N, 1e3, NcPoly.zero(n)), substream(12, "law"), K)
+    draws = []
+    for t in range(steps):
+        engine.blocks = np.zeros_like(engine.blocks)
+        engine.step_scale = 1.0 + t % 3
+        assert engine.step() == 1.0
+        h = engine.blocks
+        assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
+        draws.append(h.reshape(-1, N, N) / engine.step_scale)
+    h = np.concatenate(draws)
+    upper = np.triu_indices(N, 1)
+    coords = np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real,
+                             h[:, upper[0], upper[1]].real, h[:, upper[0], upper[1]].imag],
+                            axis=1)
+    want = np.diag([1.0] * N + [0.5] * (N * (N - 1)))
+    # each entry of the sample covariance is within 5 stderrs
+    cov = coords.T @ coords / len(coords)
+    se = np.sqrt((np.diag(want)[:, None] * np.diag(want)[None] + want ** 2) / len(coords))
+    assert np.all(np.abs(cov - want) <= 5 * se), np.round(cov, 3)
+
+
 def test_walkers_diverge_and_count_walker_steps():
     # eight lockstep walkers from one start: their own proposals part them at
     # once, and the counters count walker-steps, not batched steps
@@ -260,20 +314,23 @@ def test_walkers_diverge_and_count_walker_steps():
 
 def test_pooled_walker_moment_matches_gaussian_pair_derivative():
     # a (X^2 + Y^2) - c (XY + YX) on a ball it never reaches (R = 6): the
-    # pooled mean of N Tr(X^2 + Y^2) over 8 walkers is -d/da log I, taken
-    # here from the closed form by a central difference
+    # pooled mean of N Tr(X^2 + Y^2) over 8 walkers, and its mean along the
+    # one-walker chain of mcmc_chain (the orbital outer chain), is -d/da log I,
+    # taken here from the closed form by a central difference
     a, c, N, h = 1.0, 0.5, 4, 1e-5
     want = (oracles.gaussian_pair_log_I(a - h, c, N)
             - oracles.gaussian_pair_log_I(a + h, c, N)) / (2 * h)
-    engine = sampler.ChainEngine(GibbsModel(2, N, 6.0, _quadratic_pair(a, c)),
-                                 substream(5, "walker-pair"), 8)
+    model = GibbsModel(2, N, 6.0, _quadratic_pair(a, c))
+    trace = model.with_potential(_quadratic_pair(1.0, 0.0))
+    engine = sampler.ChainEngine(model, substream(5, "walker-pair"), 8)
     engine.tune(800)
-    trace = engine.model.with_potential(_quadratic_pair(1.0, 0.0))
     series = []
     engine.run(3000, observe=lambda e: series.append(trace.energy(e.blocks)), every=2)
-    est, iat = pooled_mean(np.array(series).T)
-    assert est.count == 8 * 1500 and iat >= 1.0
-    assert abs(est.value - want) <= 3 * est.stderr, (est.value, want, est.stderr)
+    samples, _ = mcmc_chain(model, 24000, 1000, 2, rng=substream(5, "walker-pair", "one"))
+    for walker_series in (np.array(series).T, trace.energy(samples)):
+        est, iat = pooled_mean(walker_series)
+        assert est.count == 8 * 1500 and iat >= 1.0
+        assert abs(est.value - want) <= 3 * est.stderr, (est.value, want, est.stderr)
 
 
 @pytest.mark.parametrize("walkers,steps", [(1, 40000), (8, 5000)])
