@@ -280,9 +280,10 @@ class _TracePlan(NamedTuple):
     singles: bool
     pairs: bool
     # the prefix products of degree >= 2, depth first (each right after its
-    # own prefix), and whether each one is a row prefix
+    # own prefix), and for each the last letters of the words it prefixes
+    # (none when it is no row prefix)
     products: Tuple[Word, ...]
-    rows: Tuple[bool, ...]
+    rows: Tuple[Tuple[int, ...], ...]
     columns: np.ndarray
 
 
@@ -306,11 +307,12 @@ def _trace_plan(n: int, words: Tuple[Word, ...]) -> _TracePlan:
 
     columns = np.array([column(w) for w in words], dtype=np.intp)
     columns.setflags(write=False)
-    return _TracePlan(unit, singles, pairs, tuple(products),
-                      tuple(p in heads for p in products), columns)
+    rows = tuple(tuple(sorted({w[-1] for w in words if len(w) > 2 and w[:-1] == p}))
+                 for p in products)
+    return _TracePlan(unit, singles, pairs, tuple(products), rows, columns)
 
 
-def word_traces(blocks, words: Sequence[Word]) -> np.ndarray:
+def word_traces(blocks, words: Sequence[Word], per_state: bool = False) -> np.ndarray:
     """Tr w, unnormalized, of every word of ``words`` on blocks of shape
     (n, ..., N, N) (an array, or a sequence of n arrays of shape (..., N, N)):
     a complex array of shape (..., len(words)).
@@ -325,6 +327,14 @@ def word_traces(blocks, words: Sequence[Word]) -> np.ndarray:
     them is held at a time, and each P gives the traces of all its one-letter
     extensions in one Gram row. Words of degree <= 2 multiply no matrices.
     One gather picks every word's column.
+
+    One contraction over a whole Gram row sums in an order that depends on
+    the batch shape, so a state in a stack can get other last bits than
+    alone. With ``per_state`` each row is taken one letter at a time, as
+    :func:`trace_moment` takes a word's last letter, and every state of a
+    C-contiguous stack gets the bits of a call on that state alone (the
+    other parts already do); :meth:`matent.sampler.GibbsModel.energy` sets
+    it, so a chain can price several proposals in one call.
     """
     stack = np.asarray(blocks, dtype=complex)
     n, N = stack.shape[0], stack.shape[-1]
@@ -343,7 +353,13 @@ def word_traces(blocks, words: Sequence[Word]) -> np.ndarray:
             branch.pop()
         prod = (branch[-1][1] if branch else stack[p[0] - 1]) @ stack[p[-1] - 1]
         branch.append((p, prod))
-        if row:
+        if row and per_state:
+            # only the letters the words use; the other columns are never read
+            part = np.zeros(prod.shape[:-2] + (n,), dtype=complex)
+            for b in row:
+                np.einsum("...ij,...ji->...", prod, stack[b - 1], out=part[..., b - 1])
+            parts.append(part)
+        elif row:
             parts.append(np.einsum("...ij,b...ji->...b", prod, stack))
     if not parts:
         return np.empty(stack.shape[1:-2] + (0,), dtype=complex)

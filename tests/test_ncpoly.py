@@ -192,6 +192,22 @@ def test_word_traces_matches_per_word_products():
     assert np.array_equal(got[:, 11], got[:, 12])
 
 
+def test_word_traces_per_state_bits_do_not_depend_on_the_stack():
+    # with per_state, a state's traces have the same bits alone and in any
+    # C-contiguous stack (what lets a chain price several proposals in one
+    # call), and the words of degree >= 3 those of their own product
+    n, N = 3, 4
+    rng = np.random.default_rng(13)
+    stack = rng.normal(size=(n, 4, 3, N, N)) + 1j * rng.normal(size=(n, 4, 3, N, N))
+    got = word_traces(stack, TRACE_WORDS, per_state=True)
+    long = [i for i, w in enumerate(TRACE_WORDS) if len(w) >= 3]
+    for j, k in np.ndindex(4, 3):
+        alone = word_traces(stack[:, j, k], TRACE_WORDS, per_state=True)
+        assert np.array_equal(got[j, k], alone)
+        assert np.array_equal(word_traces(stack[:, j], TRACE_WORDS, per_state=True)[k], alone)
+        assert np.array_equal(alone[long], _reference_traces(stack[:, j, k], TRACE_WORDS)[long])
+
+
 def test_word_traces_batch_axes_and_empty_list():
     rng = np.random.default_rng(12)
     blocks = [rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))

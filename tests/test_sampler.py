@@ -172,7 +172,17 @@ class _PerBlockEngine(sampler.ChainEngine):
     """The chain written block by block: one walker, whose blocks sit in a
     list and whose energy is a scalar, one eigvalsh ball test per block, and
     each block's increment built from its own N x N slice z of the block of
-    draws, which this engine draws itself from the documented layout."""
+    draws, which this engine draws itself from the documented layout. Its
+    batch hook takes one step at a time through its own step(), so run() and
+    tune() never reach the engine's batched proposals."""
+
+    walkers = 1
+
+    def _advance(self, limit, after=None):
+        count = int(self.step())
+        if after is not None:
+            after()
+        return 1, count
 
     def __init__(self, model, rng):
         super().__init__(model, rng)
@@ -222,10 +232,11 @@ def test_engine_beta_is_a_scale_on_the_potential():
 
 @pytest.mark.parametrize("n,N", [(2, 4), (3, 5)])
 def test_chain_step_matches_per_block_reference(n, N):
-    # 3,000 steps with a potential swap and a beta swap on the way, across
-    # many blocks of draws; the batched proposal on one walker must reproduce
-    # the per-block chain bit for bit (the engine's state has a walker axis of
-    # length 1, ravelled here)
+    # 4,100 steps with a potential swap and a beta swap on the way, across
+    # many blocks of draws, observed at every step, at none and at every 25th;
+    # the batched proposals on one walker must reproduce the per-block chain
+    # bit for bit (the engine's state has a walker axis of length 1, ravelled
+    # here)
     quad = sum((NcPoly.from_word(n, (i, i)) for i in range(1, n + 1)), NcPoly.zero(n))
     coupled = quad + 0.6 * (NcPoly.from_word(n, (1, 2)) + NcPoly.from_word(n, (2, 1))) \
         + 0.3 * NcPoly.from_word(n, (1, 1, 1, 1))
@@ -239,6 +250,8 @@ def test_chain_step_matches_per_block_reference(n, N):
         engine.run(800, observe=lambda e: energies.append(np.ravel(e.energy)))
         engine.set_beta(0.4)
         engine.run(700, observe=lambda e: energies.append(np.ravel(e.energy)))
+        engine.run(500)
+        engine.run(600, observe=lambda e: energies.append(np.ravel(e.energy)), every=25)
         runs.append((np.array(energies), np.array(engine.blocks).reshape(n, N, N),
                      engine.accepted, engine.proposed, engine.step_scale))
     (e_new, b_new, *rest_new), (e_ref, b_ref, *rest_ref) = runs
@@ -246,6 +259,68 @@ def test_chain_step_matches_per_block_reference(n, N):
     assert np.array_equal(b_new, b_ref)
     assert rest_new == rest_ref
     assert 0 < rest_ref[0] < rest_ref[1]
+
+
+class _SingleStepEngine(sampler.ChainEngine):
+    """The engine advanced one step per batch, as step() advances it."""
+
+    def _advance(self, limit, after=None):
+        return super()._advance(1, after)
+
+
+class _BatchLogEngine(sampler.ChainEngine):
+    """The engine, recording the number of steps each batch takes."""
+
+    def _advance(self, limit, after=None):
+        taken, count = super()._advance(limit, after)
+        self.batches.append(taken)
+        return taken, count
+
+
+@pytest.mark.parametrize("walkers", [1, 3])
+@pytest.mark.parametrize("degree", [2, 4])
+def test_batched_run_equals_single_steps(degree, walkers):
+    # tune, runs observed at every 1st, 7th and 25th step, a potential swap
+    # and a beta swap: batched runs and single steps on one stream give the
+    # same observed states and energies, counters, step scale and next draw;
+    # every state observed is inside the ball, so the ball test was made
+    quad = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0})
+    pair = _quadratic_pair(1.0, 0.6)
+    quartic = pair + 0.3 * NcPoly.from_word(2, (1, 1, 1, 1))
+    first, second = (quad, pair) if degree == 2 else (pair, quartic)
+    model = GibbsModel(2, 4, 1.2, first)
+    runs = []
+    for cls in (_BatchLogEngine, _SingleStepEngine):
+        engine = cls(model, substream(29, "batched", degree, walkers), walkers)
+        engine.batches = []
+        seen = []
+
+        def observe(e):
+            seen.append((e.blocks.copy(), e.energy.copy()))
+
+        engine.tune(400)
+        for every in (1, 7, 25):
+            engine.run(300, observe=observe, every=every)
+        engine.set_potential(second)
+        engine.run(400, observe=observe, every=7)
+        engine.set_beta(0.4)
+        engine.run(400, observe=observe, every=25)
+        runs.append((seen, engine))
+    (seen, batched), (seen_ref, single) = runs
+    assert len(seen) == len(seen_ref) == 300 + 42 + 12 + 57 + 16
+    for (b, e), (b_ref, e_ref) in zip(seen, seen_ref):
+        assert np.array_equal(b, b_ref) and np.array_equal(e, e_ref)
+    assert np.array_equal(batched.blocks, single.blocks)
+    assert np.array_equal(batched.energy, single.energy)
+    assert (batched.accepted, batched.proposed, batched.step_scale) == \
+        (single.accepted, single.proposed, single.step_scale)
+    assert 0 < single.accepted < single.proposed
+    assert np.array_equal(batched.rng.random(4), single.rng.random(4))
+    states = np.array([b for b, _ in seen])
+    assert np.all(np.abs(np.linalg.eigvalsh(states)) < model.R)
+    deepest = max(batched.batches)
+    assert deepest == (sampler.SPECULATIVE_DEPTH if walkers == 1 else 1)
+    assert sum(batched.batches) == batched.proposed // walkers
 
 
 def test_split_runs_draw_like_one_run():
