@@ -333,8 +333,9 @@ def word_traces(blocks, words: Sequence[Word], per_state: bool = False) -> np.nd
     alone. With ``per_state`` each row is taken one letter at a time, as
     :func:`trace_moment` takes a word's last letter, and every state of a
     C-contiguous stack gets the bits of a call on that state alone (the
-    other parts already do); :meth:`matent.sampler.GibbsModel.energy` sets
-    it, so a chain can price several proposals in one call.
+    other parts already do), so a chain can price several proposals in one
+    call (:meth:`matent.sampler.ChainEngine._advance`). It stays an option
+    because moment lists over sample stacks keep the whole-row bits.
     """
     stack = np.asarray(blocks, dtype=complex)
     n, N = stack.shape[0], stack.shape[-1]

@@ -111,7 +111,7 @@ class GibbsModel:
     def with_potential(self, potential: NcPoly) -> "GibbsModel":
         return GibbsModel(self.n, self.N, self.R, potential)
 
-    def energy(self, blocks) -> np.ndarray:
+    def energy(self, blocks, per_state: bool = False) -> np.ndarray:
         """E(M) = N Tr V(M) of blocks of shape (n, ..., N, N) (an array or a
         sequence of n arrays): energies of shape (...).
 
@@ -123,12 +123,12 @@ class GibbsModel:
         vector N C aligned with the class words (the unit among them, with
         Tr 1 = N), and one :func:`~matent.ncpoly.word_traces` call gives the
         traces T of all classes: E = Re(T @ N C). Classes of degree <= 2
-        cost one Gram contraction and no matrix product. The traces are
-        taken ``per_state``, so a state in a C-contiguous stack gets the
-        energy it gets alone, to the bit: :class:`ChainEngine` prices
-        several proposals in one call on that.
+        cost one Gram contraction and no matrix product. With
+        ``per_state`` a state in a C-contiguous stack gets the energy it gets
+        alone, to the bit: :class:`ChainEngine` prices several proposals in
+        one call on that.
         """
-        return (word_traces(blocks, self._words, per_state=True) @ self._coeffs).real
+        return (word_traces(blocks, self._words, per_state) @ self._coeffs).real
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,10 @@ class ChainEngine:
     up to the first accepted one; the draws after it go to the next batch.
     This is exact, not an approximation: both tests of a proposal depend
     only on its draws, the state and the state's energy, all fixed before
-    the batch, and :meth:`GibbsModel.energy` gives a state in a stack the
-    bits it gets alone, so every decision, state and energy is the one
-    single steps give (the tests hold it to that). K > 1 walkers take
+    the batch, and :meth:`GibbsModel.energy` with ``per_state`` gives a
+    state in a stack the bits it gets alone, so every decision, state and
+    energy is the one single steps give (the tests hold it to that). A
+    batch of one step prices as the single step did. K > 1 walkers take
     batches of one step: at acceptance 0.35 some one of 8 walkers moves on
     all but 0.65^8, about 3%, of steps.
     """
@@ -256,10 +257,11 @@ class ChainEngine:
         ``SPECULATIVE_DEPTH`` for one walker (1 for K > 1 walkers). The
         proposal of step t + j is blocks + s/2 increment[t + j], what that
         step proposes when every step before it rejects; one energy call
-        prices all d. The Metropolis test, log U < -beta (E' - E), runs
-        first on all of them; then the batched Cholesky ball test
-        (:func:`~matent.matrices.in_norm_ball`) runs only on the proposals
-        that passed it, one step at a time and in order. Neither order
+        prices all d (``per_state`` when d > 1). The Metropolis test, log U < -beta (E' - E), runs
+        first on all of them; then, one step at a time and in order, the
+        batched Cholesky ball test (:func:`~matent.matrices.in_norm_ball`)
+        runs on the K walkers of each step where some walker passed it, and
+        on no other step. Neither order
         changes a verdict: both depend only on numbers fixed before the
         batch. The first step where some walker passes both ends the batch:
         the steps up to it are taken, the state moves there, and the draws
@@ -276,19 +278,15 @@ class ChainEngine:
         proposals = np.multiply(self._increments[t:t + d].swapaxes(0, 1),
                                 self.step_scale / 2.0, order="C")
         proposals += self.blocks[:, None]
-        energies = self.model.energy(proposals)
+        energies = self.model.energy(proposals, per_state=d > 1)
         accept = self._log_u[t:t + d] < -self.beta * (energies - self.energy)
         taken, count = d, 0
         # a step at a time: the batch ends at the first step with a move
         for j in range(d):
             passed = accept[j]
-            count = int(np.count_nonzero(passed))
-            if count == K:
-                passed &= in_norm_ball(proposals[:, j], self.model.R).all(axis=0)
-            elif count:
-                walkers = passed.nonzero()[0]
-                passed[walkers] = in_norm_ball(proposals[:, j, walkers],
-                                               self.model.R).all(axis=0)
+            if not np.count_nonzero(passed):
+                continue
+            passed &= in_norm_ball(proposals[:, j], self.model.R).all(axis=0)
             count = int(np.count_nonzero(passed))
             if count:
                 taken = j + 1
