@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .estimates import EstimatorError, ScalarEstimate, combine_linear, pooled_mean
 from .streams import substream
-from .ncpoly import NcPoly, canonical_class, canonical_classes, trace_moment, word_traces
+from .ncpoly import NcPoly, canonical_class, canonical_classes, word_traces
 from .moments import (MomentSpec, arcsine_moments, empirical_moments,
                       free_product_moments, moment_distance, moment_pairing,
                       semicircle_moments, validate)
@@ -36,7 +36,7 @@ __all__ = [
     "__version__",
     "EstimatorError", "ScalarEstimate", "combine_linear", "pooled_mean",
     "substream",
-    "NcPoly", "canonical_class", "canonical_classes", "trace_moment", "word_traces",
+    "NcPoly", "canonical_class", "canonical_classes", "word_traces",
     "MomentSpec", "arcsine_moments", "empirical_moments", "free_product_moments",
     "moment_distance", "moment_pairing", "semicircle_moments", "validate",
     "BlockMap", "CompressionFn", "MatrixTuple", "apply_scalar_function",

@@ -220,9 +220,9 @@ def build_target(params: Dict) -> MomentSpec:
     _known(params, _TARGET_KEYS[name], f"{name} target")
     K = _integer(params.get("K", 4))
     if name == "arcsine":
-        return arcsine_moments(_checked(float, params.get("R", 2.0)), K)
-    half = semicircle_moments(_checked(float, params.get("variance", 1.0)), K,
-                              radius=params.get("radius"))
+        return _checked(arcsine_moments, _checked(float, params.get("R", 2.0)), K)
+    half = _checked(semicircle_moments, _checked(float, params.get("variance", 1.0)), K,
+                    radius=params.get("radius"))
     return half if name == "semicircle" else free_product_moments([half, half], K)
 
 
@@ -301,7 +301,7 @@ def _options(cls, params: Optional[Dict], section: str):
         default = getattr(defaults, k)
         fields[k] = (_options(type(default), v, k) if is_dataclass(default)
                      else _integer(v) if type(default) is int else _checked(type(default), v))
-    return replace(defaults, **fields)
+    return _checked(replace, defaults, **fields)
 
 
 def _fit_options(params: Optional[Dict]) -> FitOptions:
@@ -480,11 +480,14 @@ def _run_chi_tilde(cfg: ExperimentConfig):
     opts = _fit_options(cfg.param("fit"))
     ref = cfg.param("reference_density")
     _require(ref in (None, "semicircle"), f"unknown reference_density {ref!r}")
+    if ref is not None:
+        var = _checked(float, cfg.param("reference_variance", 1.0))
+        _require(var > 0, f"reference_variance must be positive, got {var}")
+        dens = _semicircle_density(var)
     work = [(cfg.seed, tau, N, K, eps, opts) for N in sizes]
     recs = _parallel_map(_chi_point, work, cfg.threads)
     rows = [(r["N"], r["value"], r["stderr"]) for r in recs]
     if ref is not None:
-        dens = _semicircle_density(_checked(float, cfg.param("reference_variance", 1.0)))
         for r in recs:
             r["reference"] = one_variable_chi_reference(dens, tau.R, r["N"]).chi
     return recs, {"chi_tilde": (("N", "value", "stderr"), rows)}
@@ -630,7 +633,7 @@ def _run_compression_check(cfg: ExperimentConfig):
     for key in ("T", "R", "S"):
         _require(key in win, f"window needs {key}")
     T, R, S = (_checked(float, win[key]) for key in ("T", "R", "S"))
-    fn = build_compression(T, R, S)
+    fn = _checked(build_compression, T, R, S)
     N = _integer(cfg.param("N", 4))
     n_pot = build_potential(cfg.param("potential"), 1)
     model = _checked(GibbsModel, 1, N, T, n_pot)

@@ -205,7 +205,9 @@ class FitOptions:
     ``min_iterations`` belonged to the stochastic approximation this route
     replaced and are accepted but unused. Only n >= 2 fits read these; a
     one-matrix fit is exact (damped Newton on the dual, see
-    :func:`fit_projection`) and ignores them.
+    :func:`fit_projection`) and ignores them. ``iterations``,
+    ``steps_per_iter`` and ``final_steps`` are at least 1; the burn-ins and
+    ``moment_tol`` are at least 0.
     """
 
     iterations: int = 140
@@ -217,6 +219,12 @@ class FitOptions:
     final_steps: int = 10000
     final_burnin: int = 1500
     ti: TIOptions = field(default_factory=TIOptions)
+
+    def __post_init__(self) -> None:
+        if min(self.iterations, self.steps_per_iter, self.final_steps) < 1:
+            raise ValueError("fit needs iterations, steps_per_iter and final_steps >= 1")
+        if min(self.discard_per_iter, self.final_burnin) < 0 or not self.moment_tol >= 0:
+            raise ValueError("fit needs discard_per_iter, final_burnin and moment_tol >= 0")
 
 
 @dataclass(frozen=True)

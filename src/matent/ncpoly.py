@@ -9,20 +9,18 @@ class is enough to recover every word's trace value (up to conjugation for
 the reversed orientation). Rotations, classes and the sorted class lists are
 cached and returned as tuples, so no caller can change a cached value.
 
-Traces of word lists come from one evaluator, :func:`word_traces`: Tr w of
-every word of a list at once, on blocks of shape (n, ..., N, N), as an
-array of shape (..., len(words)), with a plan that depends only on the
-degree of each word. Every caller that needs the traces of several words
-goes through it: :meth:`matent.sampler.GibbsModel.energy` (N Tr V from one
-trace per word class, never forming V(M)), the fit's basis moments, the
-empirical and mean moments, the sampled moments of the command line and the
-hit rate. One word at a time, the private left-to-right product
-:func:`_word_product` gives :func:`trace_moment` (the normalized trace of
-one word, with the bits of that one product) and :meth:`NcPoly.evaluate`
-(the matrix value of a polynomial). Both take blocks with leading batch
-axes, shape (..., N, N), and return values batched over the same axes,
-(...) and (..., N, N); a single tuple gives a Python complex and an (N, N)
-array.
+Traces come from one evaluator, :func:`word_traces`: Tr w of every word of
+a list at once, on blocks of shape (n, ..., N, N), as an array of shape
+(..., len(words)), with a plan that depends only on the degree of each
+word. Every caller that needs the traces of several words goes through it:
+:meth:`matent.sampler.GibbsModel.energy` (N Tr V from one trace per word
+class, never forming V(M)), the fit's basis moments, the empirical and mean
+moments, the sampled moments of the command line and the hit rate. Each
+trace it takes is a contraction of one state's matrices alone, so a state
+gets the same bits in any C-contiguous stack as on its own.
+:meth:`NcPoly.evaluate` gives the matrix value of a polynomial, one word
+product at a time (:func:`_word_product`), on blocks of shape (..., N, N)
+with leading batch axes, as an array of the same shape.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "all_words",
     "canonical_classes",
     "NcPoly",
-    "trace_moment",
     "word_traces",
 ]
 
@@ -252,21 +249,13 @@ class NcPoly:
         return out
 
 
-def _word_product(blocks: Sequence[np.ndarray], word: Word, trace: bool = False) -> np.ndarray:
+def _word_product(blocks: Sequence[np.ndarray], word: Word) -> np.ndarray:
     """Product of a nonempty word's factors on blocks of shape (..., N, N),
-    multiplied left to right.
-
-    With ``trace`` the last factor is contracted as a trace instead of
-    multiplied, giving Tr of the word with shape (...).
-    """
+    multiplied left to right."""
     prod = blocks[word[0] - 1]
-    for g in word[1:-1] if trace else word[1:]:
+    for g in word[1:]:
         prod = prod @ blocks[g - 1]
-    if not trace:
-        return prod
-    if len(word) == 1:
-        return np.trace(prod, axis1=-2, axis2=-1)
-    return np.einsum("...ij,...ji->...", prod, blocks[word[-1] - 1])
+    return prod
 
 
 class _TracePlan(NamedTuple):
@@ -312,7 +301,7 @@ def _trace_plan(n: int, words: Tuple[Word, ...]) -> _TracePlan:
     return _TracePlan(unit, singles, pairs, tuple(products), rows, columns)
 
 
-def word_traces(blocks, words: Sequence[Word], per_state: bool = False) -> np.ndarray:
+def word_traces(blocks, words: Sequence[Word]) -> np.ndarray:
     """Tr w, unnormalized, of every word of ``words`` on blocks of shape
     (n, ..., N, N) (an array, or a sequence of n arrays of shape (..., N, N)):
     a complex array of shape (..., len(words)).
@@ -324,18 +313,18 @@ def word_traces(blocks, words: Sequence[Word], per_state: bool = False) -> np.nd
     (Hermitian or not). A longer word is Tr(P X_b) for its prefix product P
     and last letter b: the products are multiplied left to right, each once
     however many words share it, depth first so that only one branch of
-    them is held at a time, and each P gives the traces of all its one-letter
-    extensions in one Gram row. Words of degree <= 2 multiply no matrices.
-    One gather picks every word's column.
+    them is held at a time, and each P gives the traces of the one-letter
+    extensions the words use, its Gram row, one letter at a time. Words of
+    degree <= 2 multiply no matrices. One gather picks every word's column.
 
-    One contraction over a whole Gram row sums in an order that depends on
-    the batch shape, so a state in a stack can get other last bits than
-    alone. With ``per_state`` each row is taken one letter at a time, as
-    :func:`trace_moment` takes a word's last letter, and every state of a
-    C-contiguous stack gets the bits of a call on that state alone (the
-    other parts already do), so a chain can price several proposals in one
-    call (:meth:`matent.sampler.ChainEngine._advance`). It stays an option
-    because moment lists over sample stacks keep the whole-row bits.
+    Each trace of a row is one einsum over a single state's two matrices,
+    whose summation order the stack does not change; one contraction of P
+    against all n letters at once sums in an order that depends on the
+    batch shape. So every state of a C-contiguous stack gets the bits of a
+    call on that state alone (the tests hold every part to that), and a
+    chain prices several proposals in one call
+    (:meth:`matent.sampler.ChainEngine._advance`) with the decisions of
+    single steps.
     """
     stack = np.asarray(blocks, dtype=complex)
     n, N = stack.shape[0], stack.shape[-1]
@@ -354,28 +343,13 @@ def word_traces(blocks, words: Sequence[Word], per_state: bool = False) -> np.nd
             branch.pop()
         prod = (branch[-1][1] if branch else stack[p[0] - 1]) @ stack[p[-1] - 1]
         branch.append((p, prod))
-        if row and per_state:
+        if row:
             # only the letters the words use; the other columns are never read
             part = np.zeros(prod.shape[:-2] + (n,), dtype=complex)
             for b in row:
                 np.einsum("...ij,...ji->...", prod, stack[b - 1], out=part[..., b - 1])
             parts.append(part)
-        elif row:
-            parts.append(np.einsum("...ij,b...ji->...b", prod, stack))
     if not parts:
         return np.empty(stack.shape[1:-2] + (0,), dtype=complex)
     source = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     return source.take(plan.columns, axis=-1)
-
-
-def trace_moment(blocks: Sequence[np.ndarray], word: Word):
-    """Normalized trace (1/N) Tr of one word on blocks of shape (..., N, N).
-
-    A single tuple gives a Python complex, stacked blocks an array of shape
-    (...). The word is multiplied out on its own, so its value keeps the
-    bits of a one-word product; a list of words goes to :func:`word_traces`.
-    """
-    w = tuple(word)
-    shape = np.shape(blocks[0])
-    value = _word_product(blocks, w, trace=True) / shape[-1] if w else np.ones(shape[:-2])
-    return complex(value) if np.ndim(value) == 0 else value

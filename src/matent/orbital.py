@@ -66,7 +66,7 @@ import numpy as np
 from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
 from .matrices import BlockMap, MatrixTuple, haar_unitary_batch, hermitize
 from .moments import MomentSpec, free_product_moments, moment_distance
-from .ncpoly import canonical_classes, trace_moment, word_traces
+from .ncpoly import canonical_classes, word_traces
 from .sampler import (MIN_ACCEPTANCE, ChainDiagnostics, GibbsModel, TIOptions,
                       estimate_log_I, log_ball_volume, mcmc_chain)
 
@@ -100,9 +100,10 @@ class OrbitalRequest:
 
     ``s_out`` outer equilibrium samples, ``s_in`` inner Haar draws per outer
     sample on the nested route; both at least 16 so the jackknife and the
-    half-sample self-consistency check are meaningful. It is the budget of
-    all four orbital reports, from :func:`orbital_entropy` to
-    :func:`talagrand_report`.
+    half-sample self-consistency check are meaningful. The outer chain
+    burns in ``chain_burnin`` >= 0 steps and keeps every ``chain_thin``-th
+    state, ``chain_thin`` >= 1. It is the budget of all four orbital
+    reports, from :func:`orbital_entropy` to :func:`talagrand_report`.
     """
 
     model: GibbsModel
@@ -117,6 +118,8 @@ class OrbitalRequest:
             raise ValueError("block map size does not match model")
         if self.s_out < MIN_NESTED or self.s_in < MIN_NESTED:
             raise ValueError(f"need s_out, s_in >= {MIN_NESTED}")
+        if self.chain_burnin < 0 or self.chain_thin < 1:
+            raise ValueError("need chain_burnin >= 0 and chain_thin >= 1")
 
 
 @dataclass(frozen=True)
@@ -227,15 +230,17 @@ def _hciz_terms(samples: np.ndarray, coupling: _Coupling) -> Tuple[np.ndarray, f
 
     The inner expectation of exp(t Tr(X_i W X_j W^*)) over one Haar W is
     the Harish-Chandra-Itzykson-Zuber integral, so the term is
-    g = log HCIZ(t; spec X_i, spec X_j) - t Tr(X_i X_j). A negative t is
-    |t| with the spectrum of X_j negated. A block with a single-point
+    g = log HCIZ(t; spec X_i, spec X_j) - t Tr(X_i X_j). The cross trace is
+    one einsum over the samples, taken as N times the normalized trace
+    (1/N) Tr(X_i X_j), whose rounding the results keep. A negative t is |t|
+    with the spectrum of X_j negated. A block with a single-point
     spectrum is a multiple of 1 that no conjugation moves, so its g is 0
     (a stuck chain's zero state); any other repeated eigenvalue raises
     :class:`EstimatorError`.
     """
     x, y = samples[coupling.i], samples[coupling.j]
     t, N = coupling.t, x.shape[-1]
-    cross = t * N * trace_moment((x, y), (1, 2)).real
+    cross = t * N * (np.einsum("...ij,...ji->...", x, y) / N).real
     a, b = np.linalg.eigvalsh(x), np.linalg.eigvalsh(y)
     if t < 0.0:
         t, b = -t, -b[:, ::-1]

@@ -13,8 +13,9 @@ proposal for all of them, and draws the randomness of a block of steps
 ahead, in one generator call for the normals and one for the uniforms
 (:class:`ChainEngine`). Since no draw depends on the state and a rejected
 step leaves it as it is, one walker prices its next few proposals in one
-call, as a batch that ends at its first accepted proposal; every decision,
-state and energy is the one single steps give.
+call, as a batch that ends at its first accepted proposal; since a state
+in a stack gets the energy bits it gets alone, every decision, state and
+energy is the one single steps give.
 For n == 1 the draws are exact and i.i.d.: the law is unitarily invariant,
 its eigenvalues form a projection determinantal point process, and each
 spectrum is drawn point by point by rejection (:class:`_ExactSpectra`) and
@@ -40,7 +41,8 @@ takes the traces of all the potential's word classes on blocks of shape
 (n, ..., N, N), and one product with the class coefficients, folded once
 per model, sums them; so one call prices a single state or a whole stack
 (the orbital estimators and :func:`gibbs_entropy` pass the sample array),
-and a potential of degree <= 2 costs no matrix product.
+each state of a stack to the bit as alone, and a potential of degree <= 2
+costs no matrix product.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class GibbsModel:
     def with_potential(self, potential: NcPoly) -> "GibbsModel":
         return GibbsModel(self.n, self.N, self.R, potential)
 
-    def energy(self, blocks, per_state: bool = False) -> np.ndarray:
+    def energy(self, blocks) -> np.ndarray:
         """E(M) = N Tr V(M) of blocks of shape (n, ..., N, N) (an array or a
         sequence of n arrays): energies of shape (...).
 
@@ -123,12 +125,11 @@ class GibbsModel:
         vector N C aligned with the class words (the unit among them, with
         Tr 1 = N), and one :func:`~matent.ncpoly.word_traces` call gives the
         traces T of all classes: E = Re(T @ N C). Classes of degree <= 2
-        cost one Gram contraction and no matrix product. With
-        ``per_state`` a state in a C-contiguous stack gets the energy it gets
-        alone, to the bit: :class:`ChainEngine` prices several proposals in
-        one call on that.
+        cost one Gram contraction and no matrix product. A state in a
+        C-contiguous stack gets the energy it gets alone, to the bit:
+        :class:`ChainEngine` prices several proposals in one call on that.
         """
-        return (word_traces(blocks, self._words, per_state) @ self._coeffs).real
+        return (word_traces(blocks, self._words) @ self._coeffs).real
 
 
 @dataclass(frozen=True)
@@ -190,10 +191,9 @@ class ChainEngine:
     up to the first accepted one; the draws after it go to the next batch.
     This is exact, not an approximation: both tests of a proposal depend
     only on its draws, the state and the state's energy, all fixed before
-    the batch, and :meth:`GibbsModel.energy` with ``per_state`` gives a
-    state in a stack the bits it gets alone, so every decision, state and
-    energy is the one single steps give (the tests hold it to that). A
-    batch of one step prices as the single step did. K > 1 walkers take
+    the batch, and :meth:`GibbsModel.energy` gives a state in a stack the
+    bits it gets alone, so every decision, state and energy is the one
+    single steps give (the tests hold it to that). K > 1 walkers take
     batches of one step: at acceptance 0.35 some one of 8 walkers moves on
     all but 0.65^8, about 3%, of steps.
     """
@@ -257,11 +257,11 @@ class ChainEngine:
         ``SPECULATIVE_DEPTH`` for one walker (1 for K > 1 walkers). The
         proposal of step t + j is blocks + s/2 increment[t + j], what that
         step proposes when every step before it rejects; one energy call
-        prices all d (``per_state`` when d > 1). The Metropolis test, log U < -beta (E' - E), runs
-        first on all of them; then, one step at a time and in order, the
-        batched Cholesky ball test (:func:`~matent.matrices.in_norm_ball`)
-        runs on the K walkers of each step where some walker passed it, and
-        on no other step. Neither order
+        prices all d, each with the bits it gets alone. The Metropolis test,
+        log U < -beta (E' - E), runs first on all of them; then, one step at
+        a time and in order, the batched Cholesky ball test
+        (:func:`~matent.matrices.in_norm_ball`) runs on the K walkers of each
+        step where some walker passed it, and on no other step. Neither order
         changes a verdict: both depend only on numbers fixed before the
         batch. The first step where some walker passes both ends the batch:
         the steps up to it are taken, the state moves there, and the draws
@@ -278,7 +278,7 @@ class ChainEngine:
         proposals = np.multiply(self._increments[t:t + d].swapaxes(0, 1),
                                 self.step_scale / 2.0, order="C")
         proposals += self.blocks[:, None]
-        energies = self.model.energy(proposals, per_state=d > 1)
+        energies = self.model.energy(proposals)
         accept = self._log_u[t:t + d] < -self.beta * (energies - self.energy)
         taken, count = d, 0
         # a step at a time: the batch ends at the first step with a move
@@ -797,12 +797,19 @@ class TIOptions:
     forward and one backward annealing sweep; each node gets
     ``node_burnin`` tuning steps and ``node_steps / 2`` measured steps per
     sweep. Used only for the n >= 2 models without an exact log normalizer
-    (see :func:`estimate_log_I`); the others ignore it.
+    (see :func:`estimate_log_I`); the others ignore it. ``nodes`` is at
+    least 2, ``node_steps`` at least 1 and ``node_burnin`` at least 0.
     """
 
     nodes: int = 31
     node_burnin: int = 300
     node_steps: int = 2000
+
+    def __post_init__(self) -> None:
+        if self.nodes < 2:
+            raise ValueError("thermodynamic integration needs at least 2 beta nodes")
+        if self.node_burnin < 0 or self.node_steps < 1:
+            raise ValueError("ti needs node_burnin >= 0 and node_steps >= 1")
 
 
 def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
@@ -903,8 +910,6 @@ def _ti_log_I(model: GibbsModel, opts: Optional[TIOptions],
     base = model.n * log_ball_volume(model.N, model.R)
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
-    if opts.nodes < 2:
-        raise ValueError("thermodynamic integration needs at least 2 beta nodes")
     # power-law node packing toward beta = 0, where the mean energy has a
     # 1/beta-like corner before the reference measure takes over
     grid = np.linspace(0.0, 1.0, opts.nodes) ** 2.5

@@ -319,6 +319,29 @@ def free_word_value(word: Sequence[int], marginals: Dict[int, Sequence[float]]) 
 
 
 # ---------------------------------------------------------------------------
+# word traces one word at a time
+
+def word_trace(blocks: Sequence[np.ndarray], word: Tuple[int, ...]) -> np.ndarray:
+    """Tr of a nonempty word on blocks of shape (..., N, N), shape (...):
+    the word multiplied left to right, its last factor contracted as a trace."""
+    prod = blocks[word[0] - 1]
+    for g in word[1:-1]:
+        prod = prod @ blocks[g - 1]
+    if len(word) == 1:
+        return np.trace(prod, axis1=-2, axis2=-1)
+    return np.einsum("...ij,...ji->...", prod, blocks[word[-1] - 1])
+
+
+def trace_moment(blocks: Sequence[np.ndarray], word: Tuple[int, ...]):
+    """Normalized trace (1/N) Tr of one word on blocks of shape (..., N, N):
+    a Python complex for a single tuple, else an array of shape (...)."""
+    w = tuple(word)
+    shape = np.shape(blocks[0])
+    value = word_trace(blocks, w) / shape[-1] if w else np.ones(shape[:-2])
+    return complex(value) if np.ndim(value) == 0 else value
+
+
+# ---------------------------------------------------------------------------
 # ball volume by hit-or-miss
 
 def ball_volume_mc(N: int, R: float, samples: int, rng: np.random.Generator,

@@ -409,6 +409,29 @@ BAD_VALUES = {
                         "potential c must be finite, got nan"),
     "potential re inf": ({"kind": "pressure", "N": 2, "potential": {"terms": [
         {"word": [1, 1], "re": math.inf}]}}, "potential re must be finite, got inf"),
+    # budgets out of range
+    "pressure ti nodes 1": ({"kind": "pressure", "n": 2, "N": 2, "potential": {"terms": [
+        {"word": [1, 2, 2, 1], "re": 0.1}]}, "ti": {"nodes": 1}}, "at least 2 beta nodes"),
+    "rho fit steps_per_iter 0": ({"kind": "rho", "N": 2, "target": PAIR_K2,
+                                  "fit": {"steps_per_iter": 0}}, "steps_per_iter"),
+    "rho fit iterations 0": ({"kind": "rho", "N": 2, "target": PAIR_K2,
+                              "fit": {"iterations": 0}}, "fit needs iterations"),
+    "chain-rule chain_thin 0": ({"kind": "chain-rule", "model": {"n": 2, "N": 3, "R": 2.0},
+                                 "s_out": 16, "s_in": 16, "chain_thin": 0},
+                                "chain_thin >= 1"),
+    "chain-rule chain_burnin -5": ({"kind": "chain-rule", "model": {"n": 2, "N": 3, "R": 2.0},
+                                    "s_out": 16, "s_in": 16, "chain_burnin": -5},
+                                   "chain_burnin >= 0"),
+    # values from outside the program that its constructors refuse
+    "target variance -1": ({"kind": "rho", "N": 2, "target": {
+        "name": "semicircle", "variance": -1, "K": 2}}, "variance must be positive"),
+    "chi-tilde reference_variance -1": (
+        {"kind": "chi-tilde", "sizes": [2], "target": PAIR_K2,
+         "reference_density": "semicircle", "reference_variance": -1},
+        "reference_variance must be positive"),
+    "compression-check window T < R": (
+        {"kind": "compression-check", "N": 3, "window": {"T": 1.0, "R": 2.0, "S": 0.5}},
+        "need T > R > S > 0"),
 }
 
 

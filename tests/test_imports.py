@@ -1,6 +1,6 @@
 """Import hygiene: every name a module imports is used or re-exported,
-every name a module exports exists, and the command line loads no
-test-only dependency."""
+every name a module exports exists, every private module-level name is
+used, and the command line loads no test-only dependency."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -41,6 +42,43 @@ def test_all_exports_resolve(path):
     module = importlib.import_module(
         "matent" if path.stem == "__init__" else f"matent.{path.stem}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of every private module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [t.id for t in (node.targets if isinstance(node, ast.Assign)
+                                      else [node.target]) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST):
+    """Every name the subtree reads: bare names, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_no_unreferenced_private_names():
+    # a private helper that loses its last caller is dead code; a reference
+    # inside its own definition (recursion) does not count
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    counts = Counter(ref for tree in trees.values() for ref in _references(tree))
+    dead = [f"{file}: {name} (line {node.lineno})"
+            for file, tree in trees.items() for name, node in _private_definitions(tree)
+            if counts[name] == Counter(_references(node))[name]]
+    assert dead == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -11,8 +11,8 @@ from matent.matrices import (BlockMap, CompressionFn, MatrixTuple,
                              conjugate_tuple, haar_unitary, haar_unitary_batch,
                              hermitize, in_norm_ball, log_jacobian_functional_calculus,
                              operator_norm)
-from matent.ncpoly import trace_moment
 from matent.streams import substream
+from oracles import trace_moment
 
 
 def _hermitian(N, rng, scale=1.0):

@@ -12,7 +12,7 @@ from matent.maxent import (FitOptions, InfeasibleTargetError, build_dual_basis,
                            one_variable_chi_reference, potential_from_coeffs,
                            reference_constant, rho, target_vector)
 from matent.moments import MomentSpec, free_product_moments, semicircle_moments
-from matent.ncpoly import NcPoly, trace_moment
+from matent.ncpoly import NcPoly
 from matent.sampler import GibbsModel, TIOptions, _heine_log_I, estimate_log_I
 from matent.streams import substream
 
@@ -50,7 +50,7 @@ def test_basis_measurer_matches_element_definition(n, K):
     assert got.shape == (walkers, len(basis))
     assert any(el.kind == "im" for el in basis.elements) == (n == 3 and K >= 3)
     for j, el in enumerate(basis.elements):
-        tm = trace_moment(blocks, el.word)
+        tm = oracles.trace_moment(blocks, el.word)
         want = tm.real if el.kind == "re" else tm.imag
         np.testing.assert_allclose(got[:, j], want, rtol=1e-12, atol=1e-14)
         value = np.trace(el.poly.evaluate(blocks), axis1=-2, axis2=-1) / N

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from matent import ncpoly
 from matent.ncpoly import (NcPoly, all_words, canonical_class, canonical_classes,
-                           is_reversal_symmetric, star_word, trace_moment,
-                           word_rotations, word_traces)
+                           is_reversal_symmetric, star_word, word_rotations, word_traces)
+from oracles import word_trace
 
 words_n2 = st.lists(st.integers(min_value=1, max_value=2), min_size=0, max_size=7).map(tuple)
 words_n3 = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=6).map(tuple)
@@ -105,22 +105,24 @@ def test_evaluate_matches_trace_moment():
     w = (1, 2, 2, 1)
     p = NcPoly.from_word(2, w)
     ev = p.evaluate(blocks)
-    assert isinstance(trace_moment(blocks, w), complex)
-    assert np.trace(ev) / 4 == pytest.approx(trace_moment(blocks, w))
+    single = word_traces(blocks, (w,))
+    assert single.shape == (1,) and single.dtype == complex
+    assert np.trace(ev) / 4 == pytest.approx(single[0] / 4)
     # stacked tuples, leading axes (2, 3): the same values tuple by tuple
     stacks = [_hermitian_stack(rng, (2, 3, 4, 4)) for _ in range(2)]
     poly = p + 0.5 * NcPoly.from_word(2, (2,)) - 1.5j * NcPoly.one(2)
     values = poly.evaluate(stacks)
     assert values.shape == (2, 3, 4, 4)
-    for word in (w, (2,), ()):
-        assert trace_moment(stacks, word).shape == (2, 3)
+    words = (w, (2,), ())
+    traces = word_traces(stacks, words) / 4
+    assert traces.shape == (2, 3, len(words))
     for a in range(2):
         for b in range(3):
             one = [s[a, b] for s in stacks]
             np.testing.assert_allclose(values[a, b], poly.evaluate(one), atol=1e-12)
-            for word in (w, (2,), ()):
-                assert trace_moment(stacks, word)[a, b] == pytest.approx(
-                    trace_moment(one, word), abs=1e-12)
+            for k, word in enumerate(words):
+                assert traces[a, b, k] == pytest.approx(word_traces(one, (word,))[0] / 4,
+                                                        abs=1e-12)
 
 
 @given(words_n2.filter(lambda w: len(w) >= 1))
@@ -130,8 +132,8 @@ def test_trace_moment_reversal_conjugate(w):
     for _ in range(2):
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         blocks.append((g + g.conj().T) / 2)
-    a = trace_moment(blocks, w)
-    b = trace_moment(blocks, star_word(w))
+    a = word_traces(blocks, (w,))[0] / 3
+    b = word_traces(blocks, (star_word(w),))[0] / 3
     assert a == pytest.approx(np.conjugate(b))
 
 
@@ -144,12 +146,12 @@ def test_trace_moment_cyclic(w, k):
         blocks.append((g + g.conj().T) / 2)
     k = k % len(w)
     rotated = w[k:] + w[:k]
-    assert trace_moment(blocks, rotated) == pytest.approx(trace_moment(blocks, w))
+    value = word_traces(blocks, (w,))[0] / 3
+    assert word_traces(blocks, (rotated,))[0] / 3 == pytest.approx(value)
     # a stack of the tuple and its negation: word degree sets the sign
     stacks = [np.stack([b, -b]) for b in blocks]
-    np.testing.assert_allclose(trace_moment(stacks, rotated),
-                               [trace_moment(blocks, w), (-1) ** len(w) * trace_moment(blocks, w)],
-                               atol=1e-12)
+    np.testing.assert_allclose(word_traces(stacks, (rotated,))[:, 0] / 3,
+                               [value, (-1) ** len(w) * value], atol=1e-12)
 
 
 # words of degree 0 to 6 over 3 letters: the unit, repeats of one word, a
@@ -162,7 +164,7 @@ TRACE_WORDS = ((), (2,), (1, 2), (1, 2), (2, 1), (3, 3), (1, 2, 3), (1, 1, 2, 3)
 def _reference_traces(blocks, words):
     """Tr w one word at a time: the per-word product's trace path."""
     N = np.shape(blocks[0])[-1]
-    return np.stack([ncpoly._word_product(blocks, w, trace=True) if w
+    return np.stack([word_trace(blocks, w) if w
                      else np.full(np.shape(blocks[0])[:-2], complex(N)) for w in words], axis=-1)
 
 
@@ -192,20 +194,27 @@ def test_word_traces_matches_per_word_products():
     assert np.array_equal(got[:, 11], got[:, 12])
 
 
-def test_word_traces_per_state_bits_do_not_depend_on_the_stack():
-    # with per_state, a state's traces have the same bits alone and in any
-    # C-contiguous stack (what lets a chain price several proposals in one
-    # call), and the words of degree >= 3 those of their own product
+def test_word_traces_bits_do_not_depend_on_the_stack():
+    # a state's traces have the same bits alone and in any C-contiguous stack
+    # (what lets a chain price several proposals in one call), and the words
+    # of degree >= 3 those of their own product
     n, N = 3, 4
     rng = np.random.default_rng(13)
     stack = rng.normal(size=(n, 4, 3, N, N)) + 1j * rng.normal(size=(n, 4, 3, N, N))
-    got = word_traces(stack, TRACE_WORDS, per_state=True)
+    got = word_traces(stack, TRACE_WORDS)
     long = [i for i, w in enumerate(TRACE_WORDS) if len(w) >= 3]
     for j, k in np.ndindex(4, 3):
-        alone = word_traces(stack[:, j, k], TRACE_WORDS, per_state=True)
+        alone = word_traces(stack[:, j, k], TRACE_WORDS)
         assert np.array_equal(got[j, k], alone)
-        assert np.array_equal(word_traces(stack[:, j], TRACE_WORDS, per_state=True)[k], alone)
+        assert np.array_equal(word_traces(stack[:, j], TRACE_WORDS)[k], alone)
         assert np.array_equal(alone[long], _reference_traces(stack[:, j, k], TRACE_WORDS)[long])
+    # the shape of the talagrand barycenters: 32 Hermitian two-matrix states
+    # at N = 8 and every class of degree <= 4
+    classes = canonical_classes(2, 4)
+    herm = _hermitian_stack(rng, (2, 32, 8, 8))
+    got = word_traces(herm, classes)
+    for s in range(32):
+        assert np.array_equal(got[s], word_traces(herm[:, s], classes))
 
 
 def test_word_traces_batch_axes_and_empty_list():

@@ -380,7 +380,7 @@ def test_exact_term_of_degenerate_spectra():
 
 def test_stacked_barycenters_equal_per_tuple_moments():
     # talagrand_report's barycenter and conjugated proxy are means of
-    # trace_moment over stacks of MOMENT_STACK tuples, each stack's copies
+    # word_traces over stacks of MOMENT_STACK tuples, each stack's copies
     # from one _relative_copies batch: they equal per-tuple moments averaged
     model = GibbsModel(2, 4, 2.0, coupled_potential(0.5))
     request = OrbitalRequest(model, BlockMap.full(2), s_out=40, s_in=16,

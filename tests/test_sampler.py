@@ -75,9 +75,9 @@ def test_energy_of_degree_two_potential_multiplies_no_word(monkeypatch):
     calls = []
     real = ncpoly._word_product
 
-    def spy(blocks, word, trace=False):
+    def spy(blocks, word):
         calls.append(word)
-        return real(blocks, word, trace)
+        return real(blocks, word)
 
     monkeypatch.setattr(ncpoly, "_word_product", spy)
     n, K, N = 3, 6, 4
@@ -90,8 +90,9 @@ def test_energy_of_degree_two_potential_multiplies_no_word(monkeypatch):
     assert model.energy(blocks).shape == (K,)
     assert calls == []
     assert ncpoly._trace_plan(n, model._words).products == ()
-    # the spy sees the one-word path, and a cubic class plans a product
-    ncpoly.trace_moment(blocks, (1, 2))
+    # the spy sees the word products of a polynomial's matrix value, and a
+    # cubic class plans a product
+    NcPoly.from_word(n, (1, 2)).evaluate(blocks)
     assert calls == [(1, 2)]
     cubic = GibbsModel(n, N, 2.0, quadratic + _chiral(n, (1, 2, 3), 0.2j))
     assert ncpoly._trace_plan(n, cubic._words).products == ((1, 2),)
@@ -441,7 +442,7 @@ def test_chain_samples_are_hermitian_tuples_in_the_ball(model):
 
 @pytest.mark.parametrize("N,seed", [(2, 3), (4, 4)])
 def test_hit_rate_counts_match_per_tuple_distances(N, seed):
-    # the stacked max over classes of |trace_moment - tau|, against each of
+    # the stacked max over classes of |(1/N) Tr w - tau|, against each of
     # the same draws as a MatrixTuple with empirical_moments + moment_distance
     half = semicircle_moments(1.0, 2, radius=2.0)
     tau, eps, K, trials = free_product_moments([half, half], 2), 0.3, 2, 20000
