@@ -740,11 +740,17 @@ def _format_cell(c) -> str:
     return str(c)
 
 
+def _strict_json(obj, **kwargs) -> str:
+    """JSON text of ``obj`` with each non-finite float written as null."""
+    plain = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(plain, sort_keys=True, allow_nan=False, **kwargs)
+
+
 def write_outputs(record: RunRecord, outdir: str, started: float) -> None:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "results.jsonl"), "w") as fh:
         for res in record.results:
-            fh.write(json.dumps(res, sort_keys=True) + "\n")
+            fh.write(_strict_json(res) + "\n")
     emit_plot_data(record, outdir)
     envelope = {
         "config": {"kind": record.config.kind, "seed": record.config.seed,
@@ -755,7 +761,7 @@ def write_outputs(record: RunRecord, outdir: str, started: float) -> None:
         "duration_s": round(time.time() - started, 3),
     }
     with open(os.path.join(outdir, "run.json"), "w") as fh:
-        json.dump(envelope, fh, indent=2, sort_keys=True)
+        fh.write(_strict_json(envelope, indent=2))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -460,17 +460,25 @@ def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int
 def _gauss_legendre(M: int) -> Tuple[np.ndarray, np.ndarray]:
     """M Gauss-Legendre nodes on [-1, 1], ascending, and their weights (read-only).
 
-    Newton's method on P_M from the guesses cos(pi (k - 1/4) / (M + 1/2)),
-    with P_M and P_M' from the three-term recurrence; O(M^2) per pass, so the
-    result is cached per M.
+    Newton's method on P_M runs on the ceil(M/2) nonnegative nodes, from Tricomi's
+    guesses (1 - (M - 1)/(8 M^3)) cos(pi (k - 1/4) / (M + 1/2)); the rule is mirrored,
+    with an exact 0 in the middle for odd M. P_M and P_M' come from the recurrence in
+    place, O(M^2) per pass, cached per M. The weights take P_M' from one more pass at
+    the converged nodes (the last Newton pass's, before its step, moves them 3e-11).
     """
     def legendre(x):
-        p0, p1 = np.ones_like(x), x
+        p0, p1, t = np.ones_like(x), x.copy(), np.empty_like(x)
         for j in range(2, M + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            np.multiply(x, 2 * j - 1, out=t)
+            t *= p1
+            t -= np.multiply(p0, j - 1, out=p0)
+            t /= j
+            p0, p1, t = p1, t, p0
         return p1, M * (x * p1 - p0) / (x * x - 1.0)
 
-    x = np.cos(np.pi * (np.arange(M, 0, -1) - 0.25) / (M + 0.5))
+    x = np.cos(np.pi * (np.arange((M + 1) // 2, 0, -1) - 0.25) / (M + 0.5))
+    x *= 1.0 - (M - 1) / (8.0 * M ** 3)
+    x[:M % 2] = 0.0
     for _ in range(100):
         p, dp = legendre(x)
         dx = p / dp
@@ -479,6 +487,7 @@ def _gauss_legendre(M: int) -> Tuple[np.ndarray, np.ndarray]:
             break
     _, dp = legendre(x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = np.concatenate((-x[M % 2:][::-1], x)), np.concatenate((w[M % 2:][::-1], w))
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

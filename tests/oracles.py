@@ -261,6 +261,31 @@ def arcsine_moment_quad(R: float, k: int, npoints: int = 200001) -> float:
     return float(R ** k / math.pi * np.trapezoid(vals, ts))
 
 
+def log_energy_dense(density, R: float, npoints: int = 4000) -> float:
+    """The midpoint rule of ``maxent.log_energy_quadrature`` as a dense sum.
+
+    f W f over the normalized cell masses f, with W_ij = log|x_i - x_j| from
+    the grid's own differences and log(dx) - 3/2 on the diagonal, the mean of
+    log|s - t| over a square cell; built in row blocks of one buffer, not as
+    a Toeplitz form.
+    """
+    dx = 2.0 * R / npoints
+    xs = -R + (np.arange(npoints) + 0.5) * dx
+    f = np.asarray(density(xs), dtype=float) * dx
+    f = f / f.sum()
+    fw = np.zeros(npoints)
+    w = np.empty((250, npoints))
+    for start in range(0, npoints, 250):
+        rows = np.arange(start, start + 250)
+        np.subtract(xs[rows, None], xs[None, :], out=w)
+        np.abs(w, out=w)
+        w[rows - start, rows] = 1.0
+        np.log(w, out=w)
+        w[rows - start, rows] = math.log(dx) - 1.5
+        fw += f[rows] @ w
+    return float(fw @ f)
+
+
 # ---------------------------------------------------------------------------
 # free products by subset expansion
 #

@@ -465,6 +465,26 @@ def test_unknown_reference_density_exits_2(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:fit at N")
+def test_non_finite_values_are_written_as_null(tmp_path):
+    # fewer than 10 states per coefficient: the one iterate takes no Newton
+    # step, and the dual's bias bound is infinite
+    doc = {"kind": "rho", "seed": 1, "N": 2, "target": {"name": "free-semicircle-pair"},
+           "fit": {"iterations": 1, "steps_per_iter": 10, "final_steps": 40,
+                   "final_burnin": 20, "discard_per_iter": 4}}
+    out = tmp_path / "out"
+    assert main(["--config", write_yaml(tmp_path / "c.yaml", doc), "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    [rec] = [json.loads(line, parse_constant=reject)
+             for line in (out / "results.jsonl").read_text().splitlines()]
+    json.loads((out / "run.json").read_text(), parse_constant=reject)
+    assert rec["dual_value"]["bias_bound"] is None
+    assert rec["converged"] is False
+
+
+@pytest.mark.filterwarnings("ignore:fit at N")
 @pytest.mark.parametrize("case", sorted(END_TO_END))
 def test_main_end_to_end_tiny_budgets(tmp_path, case):
     doc, keys, tables = END_TO_END[case]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -337,6 +338,46 @@ def test_log_energy_quadrature_reference_values():
 
     got_u = log_energy_quadrature(uniform, 1.2)
     assert got_u == pytest.approx(oracles.SIGMA_UNIFORM_M11, abs=2e-3)
+
+
+def _semicircle(variance):
+    edge = 2.0 * math.sqrt(variance)
+    return lambda x: np.sqrt(np.maximum(edge ** 2 - x ** 2, 0.0)) * 2.0 / (math.pi * edge ** 2)
+
+
+@pytest.mark.parametrize("density, R", [
+    (_semicircle(1.0), 2.5),
+    (lambda x: np.where(np.abs(x) <= 1.0, 0.5, 0.0), 1.2),
+    # skewed cubic (x + 1)^2 (2 - x) on (-1, 2)
+    (lambda x: np.where((x > -1.0) & (x < 2.0), (x + 1.0) ** 2 * (2.0 - x) * 4.0 / 27.0, 0.0), 3.0),
+    # arcsine on [-1, 1], with the endpoint cells clipped
+    (lambda x: np.where(np.abs(x) < 1.0, 1.0 / (math.pi * np.sqrt(np.abs(1.0 - x * x))), 0.0), 2.0),
+    (_semicircle(0.04), 2.0),
+], ids=["semicircle", "uniform", "cubic", "arcsine", "narrow-semicircle"])
+def test_log_energy_quadrature_is_the_dense_midpoint_rule(density, R):
+    assert abs(log_energy_quadrature(density, R) - oracles.log_energy_dense(density, R)) <= 1e-14
+
+
+def test_log_energy_quadrature_checks_mass_and_builds_no_square_buffer():
+    with pytest.raises(ValueError, match="density mass"):
+        log_energy_quadrature(lambda x: np.full_like(x, 0.3), 2.0)
+    density = _semicircle(1.0)
+    log_energy_quadrature(density, 4.0)
+    tracemalloc.start()
+    try:
+        log_energy_quadrature(density, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 250 x 4000 row block alone is 8 MB
+    assert peak < 1 << 20
+
+
+def test_log_energy_quadrature_pins_its_semicircle_error():
+    # the midpoint rule sits 1.88e-4 nats above (1/2) log v - 1/4; the
+    # benchmark's chi references are the rule's values, not the closed form
+    got = log_energy_quadrature(_semicircle(1.0), 4.0)
+    assert got - oracles.SIGMA_SEMICIRCLE_VAR1 == pytest.approx(1.878e-4, abs=1e-7)
 
 
 def test_one_variable_chi_reference_combines_sigma_and_constant():
