@@ -7,13 +7,17 @@ self-adjoint polynomial constraints up to degree K, the objective
     P_lam = sum_j lam_j b_j,
 
 is convex in lam, with gradient N^2 (tau_j - E_lam[tr b_j]) and Hessian
-N^2 Cov_lam(Tr b_i, Tr b_j) in its smooth part. Both routes minimize it by
+N^2 Cov_lam(Tr b_i, Tr b_j) in its smooth part. Every route minimizes it by
 damped Newton, with orthant-wise steps for the L1 term. For one matrix the
 derivatives are exact, from the orthogonal-polynomial kernel of the
-eigenvalue ensemble, and the optimizer is found to rounding level. For
-n >= 2 they are estimated from one warm-started run of lockstep
-matrix-mode walkers per iterate, steps are line-searched on the dual
-reweighted from the same samples, and the chain doubles in length until the Newton decrement (the
+eigenvalue ensemble, and the optimizer is found to rounding level. So they
+are for two matrices at K <= 2, whose models couple X and Y only through
+Tr XY: from the derivatives of Mehta's determinant, on the same nodes; one
+chain run at the exact optimizer then checks it and gives the energy. For
+other n >= 2 fits, or where the determinant has no value, they are
+estimated from one warm-started run of lockstep matrix-mode walkers per
+iterate, steps are line-searched on the dual reweighted from the same
+samples, and the chain doubles in length until the Newton decrement (the
 dual's distance to its minimum, in nats) is within noise. The attained value
 of F is the (relaxed) maximum entropy; the entropy of the fitted model is
 log I + E[N Tr V], with log I from :func:`matent.sampler.estimate_log_I`:
@@ -41,8 +45,8 @@ from .moments import MomentSpec, moment_pairing
 from .ncpoly import (NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word,
                      word_traces)
 from .sampler import (ChainEngine, GibbsModel, TIOptions, _entropy, _heine_nodes,
-                      _legendre_nodes, _log_heine_norms, estimate_log_I,
-                      log_ball_volume)
+                      _legendre_nodes, _log_heine_norms, _mehta_log_I, _remainder,
+                      estimate_log_I, log_ball_volume)
 
 __all__ = [
     "InfeasibleTargetError",
@@ -182,30 +186,31 @@ def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Budgets for the n >= 2 Monte Carlo Newton fit; the keys of a ``fit:`` section.
+    """Budgets for the n >= 2 fits; the keys of a ``fit:`` section.
 
     The fit's chain is ``WALKERS`` lockstep walkers (see
     :class:`matent.sampler.ChainEngine`). ``steps_per_iter`` and
     ``final_steps`` count walker-steps in total, split evenly over the
     walkers, so the states measured are as many as one chain of that length
     gives; ``discard_per_iter`` and ``final_burnin`` count steps of every
-    walker. At most ``iterations`` Newton iterates run; each re-tunes the
-    walkers for ``discard_per_iter`` steps and then runs n walker-steps in
-    all, n doubling from about ``steps_per_iter`` up to ``final_steps`` as
-    the decrement reaches its noise floor (see :func:`_chain_newton`). The
-    fitted model is then run for ``final_burnin`` steps and measured on every
-    2nd of ``final_steps`` walker-steps, with pooled-IAT stderrs (see
-    :func:`matent.estimates.pooled_mean`); the fit is converged when the Newton
-    stop was reached and every final residual is within max(eps,
-    ``moment_tol`` R^degree) plus 3 stderr. ``ti``
-    budgets the log-normalizer of the fitted model where it has no exact
-    route: a K = 2 two-matrix fit gets it from Mehta's determinant and reads
-    ``ti`` only where that falls back (see
-    :func:`matent.sampler.estimate_log_I`). ``step_size`` and
-    ``min_iterations`` belonged to the stochastic approximation this route
-    replaced and are accepted but unused. Only n >= 2 fits read these; a
-    one-matrix fit is exact (damped Newton on the dual, see
-    :func:`fit_projection`) and ignores them. ``iterations``,
+    walker. At most ``iterations`` Newton iterates of Monte Carlo Newton run;
+    each re-tunes the walkers for ``discard_per_iter`` steps and then runs n
+    walker-steps in all, n doubling from about ``steps_per_iter`` up to
+    ``final_steps`` as the decrement reaches its noise floor (see
+    :func:`_chain_newton`). The fitted model is then run for ``final_burnin``
+    steps and measured on every 2nd of ``final_steps`` walker-steps, with
+    pooled-IAT stderrs (see :func:`matent.estimates.pooled_mean`); the fit is
+    converged when the Newton stop was reached and every final residual is
+    within max(eps, ``moment_tol`` R^degree) plus 3 stderr. ``ti`` budgets
+    the log-normalizer of the fitted model where it has no exact route (see
+    :func:`matent.sampler.estimate_log_I`). A two-matrix fit at K <= 2 is
+    solved exactly on Mehta's determinant (see :func:`fit_projection`) and
+    reads only ``final_steps``, ``final_burnin`` and ``moment_tol``, for the
+    final run that checks it; the other keys, ``ti`` among them, budget its
+    Monte Carlo fallback where the determinant has no value. ``step_size``
+    and ``min_iterations`` belonged to the stochastic approximation this
+    route replaced and are accepted but unused. A one-matrix fit is exact
+    (damped Newton on the dual) and ignores every key. ``iterations``,
     ``steps_per_iter`` and ``final_steps`` are at least 1; the burn-ins and
     ``moment_tol`` are at least 0.
     """
@@ -298,13 +303,16 @@ def _backtrack(objective: Callable, x: np.ndarray, f: float, pg: np.ndarray,
     return None
 
 
-def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float, what: str):
+def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float, what: str,
+                   value: Optional[Callable] = None):
     """Minimize f(x) + sum_i l1_i |x_i| for a smooth convex f by damped Newton.
 
     ``parts(x)`` gives f (inf where it cannot be evaluated), its gradient g
-    and Hessian H. Steps (:func:`_newton_direction`) backtrack on the exact
-    objective (:func:`_backtrack`) until the decrement is below 1e-12; one
-    more full step then takes it to rounding level. A coefficient beyond 1e5,
+    and Hessian H; ``value(x)``, where given, gives f alone, and the line
+    search then calls ``parts`` only at the point it accepts. Steps
+    (:func:`_newton_direction`) backtrack on the exact objective
+    (:func:`_backtrack`) until the decrement is below 1e-12; one more full
+    step then takes it to rounding level. A coefficient beyond 1e5,
     or a stop with a pseudo-gradient beyond ``gtol``, means the minimum is not
     attained and raises :class:`InfeasibleTargetError` (message ending in
     ``what``). Returns x, f and g at x, the decrement at x, and max |g| after
@@ -321,10 +329,14 @@ def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float,
             raise InfeasibleTargetError(f"singular moment covariance; {what}")
         if not dec > 0 or last < 1e-12 or len(history) == 200:
             break
-        step = _backtrack(parts, x, f, pg, d, dec, l1)
+        step = _backtrack(parts if value is None else lambda y: (value(y),),
+                          x, f, pg, d, dec, l1)
         if step is None:
             break
-        x, (f, g, H) = step
+        out = step[1] if value is None else parts(step[0])
+        if not math.isfinite(out[0]):
+            break
+        x, (f, g, H) = step[0], out
         last = dec
         history.append(float(np.max(np.abs(g))))
         if np.max(np.abs(x)) > 1e5:
@@ -371,6 +383,173 @@ def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
     return _damped_newton(parts, mu0, n2 * l1, n2 * gtol, what)
 
 
+def _pair_sides(basis: DualBasis) -> Optional[List[Tuple[int, int]]]:
+    """(side, degree) of each element of a two-matrix basis whose potentials are
+    all V1(X) + V2(Y) + k Tr XY: (0, d) for X^d, (1, d) for Y^d and (2, 1) for
+    (XY + YX)/2. None if any element is another word (n != 2 or K >= 3)."""
+    if basis.n != 2:
+        return None
+    sides = []
+    for el in basis.elements:
+        if el.word == (1, 2):
+            sides.append((2, 1))
+        elif el.kind == "re" and len(set(el.word)) == 1:
+            sides.append((el.word[0] - 1, len(el.word)))
+        else:
+            return None
+    return sides
+
+
+def _pair_moments(basis: DualBasis, N: int, R: float, nodes: int) -> Callable:
+    """Exact log I, up to a constant, and scaled basis moments of the bilinear
+    two-matrix models of ``basis`` (:func:`_pair_sides`): a function of the
+    scaled coordinates mu = lam R^degree, which returns log I and E f (f_j =
+    (1/N) Tr b_j / R^degree_j), or None where log I cannot be evaluated.
+
+    On ``nodes`` Gauss-Legendre nodes u = x / R, log I is the split form of
+    :func:`matent.sampler._mehta_log_I`, log I1 + log I2 + log det(1 + S Z),
+    with Z = A^-1 Rem B^-T, S = diag(m! s^(N-m)) and s = -N mu_XY. Its
+    derivatives give the moments: with W_de = A^-1 Rem_de B^-T the remainder
+    of side 1's rows times u^d against side 2's times v^e, W'_11 that of rho'
+    (:func:`matent.sampler._remainder`), and A_d side 1's moments against
+    u^(m+d),
+
+        E Tr u^d = sum_x u^d K1(x, x) + tr((1 + S Z)^-1 S (W_d0 - A^-1 A_d Z)),
+        E Tr XY / R^2 = tr((1 + S Z)^-1 (S' Z + S W'_11)),
+
+    K1 the Heine kernel of side 1; side 2 is the same on the model with X and
+    Y swapped. No term has a negative power of s, so s = 0 is regular.
+    """
+    x, logg = _legendre_nodes(nodes, R)
+    u = x / R
+    sides = _pair_sides(basis)
+    D = max(d for side, d in sides if side < 2)
+    upow = u[:, None] ** np.arange(N + D)
+    m = np.arange(N)
+    fact = np.array([math.factorial(k) for k in m], dtype=float)
+
+    def moments(mu):
+        """log I up to a constant and the scaled basis moments E f at mu, or None."""
+        s, logw = 0.0, [logg, logg]
+        for (side, d), c in zip(sides, mu):
+            if side == 2:
+                s = -N * c
+            else:
+                logw[side] = logw[side] - N * c * upow[:, d]
+        total, heine, rows, proj, inv = 0.0, [], [], [], []
+        for lw in logw:
+            try:
+                log_h, qs, _ = _log_heine_norms(x, lw, N)
+            except EstimatorError:
+                return None
+            total += log_h
+            heine.append((qs * qs).sum(axis=0) @ upow)
+            f = qs * np.exp(0.5 * (lw - lw.max()))
+            mom = f @ upow
+            a_inv = np.linalg.inv(np.triu(mom[:, :N]))
+            proj.append(a_inv @ mom)  # A^-1 A_d in columns d..d+N-1
+            inv.append(a_inv)
+            rows.append(np.concatenate([f * upow[:, d] for d in range(D + 1)]))
+        # A^-1 Rem_de B^-T for the blocks (d, 0) and (0, e), and A^-1 Rem'_11 B^-T
+        rem = _remainder(rows[0], rows[1], u, s, N).reshape(D + 1, N, D + 1, N)
+        wd0 = inv[0] @ rem[:, :, 0] @ inv[1].T
+        w0e = inv[0] @ rem[0].transpose(1, 0, 2) @ inv[1].T
+        w1 = inv[0] @ _remainder(rows[0][N:2 * N], rows[1][N:2 * N], u, s, N, 1) @ inv[1].T
+        z = wd0[0]
+        S = fact * s ** (N - m)
+        sign, log_det = np.linalg.slogdet(np.eye(N) + S[:, None] * z)
+        if not (sign > 0 and math.isfinite(log_det)):
+            return None
+        # tr(G X) = sum(G.T * X) for G = (1 + S Z)^-1 S, and for S' in place of S
+        g = np.linalg.inv(np.eye(N) + S[:, None] * z)
+        gs = (g * S).T
+        out = []
+        for side, d in sides:
+            if side == 2:
+                s1 = fact * (N - m) * s ** (N - m - 1)  # S'
+                out.append(np.sum((g * s1).T * z) + np.sum(gs * w1))
+            else:
+                dz = (wd0[d] - proj[0][:, d:d + N] @ z if side == 0
+                      else w0e[d] - z @ proj[1][:, d:d + N].T)
+                out.append(heine[side][d] + np.sum(gs * dz))
+        return total + log_det, np.array(out) / N
+
+    return moments
+
+
+def _pair_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
+              l1: np.ndarray, gtol: float, what: str, nodes: int, mu0: np.ndarray):
+    """Bilinear two-matrix dual, up to a constant, in scaled coordinates
+    mu = lam R^degree, minimized from ``mu0`` on ``nodes`` nodes.
+
+    The value and gradient are exact (:func:`_pair_moments`); the Hessian
+    N^4 Cov f is the central difference of the moments, 2 len(mu) more
+    evaluations at steps of 1e-5, taken only at the points the line search
+    accepts. A Newton iterate with a scaled coefficient beyond ``MU_MAX``
+    raises :class:`InfeasibleTargetError`, and so leaves the target to Monte
+    Carlo Newton, which decides there whether it is out of reach. Returns
+    what :func:`_damped_newton` does.
+    """
+    exact = _pair_moments(basis, N, R, nodes)
+    n2 = N * N
+
+    def moments(mu):
+        # an overflowing kernel or a singular 1 + S Z gives None: "cannot be
+        # evaluated here", which the line search steps back from
+        with np.errstate(over="ignore", invalid="ignore"):
+            return exact(mu)
+
+    def value(mu):
+        at = moments(mu)
+        return math.inf if at is None else at[0] + n2 * float(mu @ tt)
+
+    def parts(mu):
+        if np.max(np.abs(mu)) > MU_MAX:
+            raise InfeasibleTargetError(f"a Newton iterate passed |mu| = {MU_MAX}; {what}")
+        h = 1e-5 * np.eye(len(mu))
+        at, *steps = [moments(p) for p in (mu, *(mu + h), *(mu - h))]
+        if at is None or None in steps:
+            return math.inf, None, None
+        k = len(mu)
+        jac = np.array([p[1] - q[1] for p, q in zip(steps[:k], steps[k:])]) / 2e-5
+        return at[0] + n2 * float(mu @ tt), n2 * (tt - at[1]), -0.5 * n2 * (jac + jac.T)
+
+    return _damped_newton(parts, mu0, n2 * l1, n2 * gtol, what, value)
+
+
+def _exact_solve(basis: DualBasis, N: int, R: float, tt: np.ndarray, l1: np.ndarray,
+                 what: str):
+    """The exact dual solve, :func:`_exact_fit` for one matrix and
+    :func:`_pair_fit` for a bilinear two-matrix basis, on as many nodes as the
+    fitted model's log I needs.
+
+    The first solve runs on max(300, 8N) nodes; while log I of the fitted
+    model (:func:`matent.sampler.estimate_log_I` for one matrix,
+    :func:`matent.sampler._mehta_log_I` for two) needs more, the dual is
+    solved again, warm, on log I's count: on fewer nodes than log I resolves,
+    the fitted moments belong to another model than log I does, and rho is
+    quietly off. Returns mu, the gradient and decrement there, max |g| after
+    each Newton step of every solve, the last node count, and the fitted model
+    and its log I; None where Mehta's log I has no value at the fitted model.
+    """
+    solve = _exact_fit if basis.n == 1 else _pair_fit
+    scales = R ** basis.degrees.astype(float)
+    mu, nodes, history = np.zeros(len(basis)), _heine_nodes(N), []
+    while True:
+        mu, _, grad, dec, steps = solve(basis, N, R, tt, l1, 1e-9, what, nodes, mu)
+        history += steps
+        model = GibbsModel(basis.n, N, R, potential_from_coeffs(basis, mu / scales))
+        log_i = estimate_log_I(model) if basis.n == 1 else _mehta_log_I(model)
+        if log_i is None:
+            return None
+        if log_i.count <= nodes:
+            return mu, grad, dec, history, nodes, model, log_i
+        nodes = log_i.count
+
+
+# a scaled coefficient beyond this, with residuals stuck, marks a target out
+# of reach (see _chain_newton); the exact K = 2 route stops there (_pair_fit)
+MU_MAX = 60.0
 # a decrement within this many noise floors is indistinguishable from zero
 NOISE_MULT = 3.0
 # lockstep walkers of every n >= 2 fit chain (see ChainEngine): at N = 4 a
@@ -441,7 +620,7 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
     stop is a noise-dominated run of ``final_steps``. Its mu is kept and runs
     on until, with the earlier runs of that length whose weights keep half
     their ESS at mu, ``FINAL_POOL`` runs are pooled; one step on their
-    reweighted dual gives the result. A scaled coefficient beyond 60 with a
+    reweighted dual gives the result. A scaled coefficient beyond ``MU_MAX`` with a
     residual above 3 tolerances raises :class:`InfeasibleTargetError`.
     Returns mu, the dual's excess over its minimum that the last resolved
     decrement allows (inf if none): that decrement plus ``NOISE_MULT`` of its
@@ -469,9 +648,9 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
                    observe=lambda e: acc.append(measurer.from_state(e.blocks)), every=4)
         F = np.asarray(acc).reshape(-1, len(mu)) / scales
         resid = F.mean(axis=0) - tt
-        if np.max(np.abs(mu)) > 60.0 and np.max(np.abs(resid) / tol_scaled) > 3.0:
+        if np.max(np.abs(mu)) > MU_MAX and np.max(np.abs(resid) / tol_scaled) > 3.0:
             raise InfeasibleTargetError(
-                f"coefficients diverged (|mu| > 60.0) with residuals "
+                f"coefficients diverged (|mu| > {MU_MAX}) with residuals "
                 f"stuck at {np.max(np.abs(resid)):.3g} (scaled); {what}",
                 diagnostics={"mu": mu.tolist(), "residual_scaled": resid.tolist(),
                              "iteration": t, "labels": list(basis.labels)})
@@ -564,15 +743,27 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     Coordinates are preconditioned by R^degree so that step sizes and
     tolerances are scale-free. One matrix (n == 1) is solved exactly by
     damped Newton on the dual (:func:`_exact_fit`), on as many quadrature
-    nodes as the fitted model's log I needs (a narrow target solved on the
-    first max(300, 8N) is solved again, warm, on log I's count, until the
-    two agree): the per-element tolerance is eps + 1e-9 R^degree, ``energy``
-    and ``rho`` have stderr 0, ``energy.bias_bound`` is the residual cost
-    N^2 |lam . r - eps |lam|_1| (rho minus the dual) plus rounding,
-    ``iterations`` counts Newton steps over all solves, ``rng`` is not
-    consumed, and the fit is ``converged`` when the Newton decrement is at
-    most 1e-10 nats. For n >= 2 the Monte Carlo Newton of
-    :func:`_chain_newton` runs on one warm-started matrix-mode engine of
+    nodes as the fitted model's log I needs (:func:`_exact_solve`): the
+    per-element tolerance is eps + 1e-9 R^degree, ``energy`` and ``rho`` have
+    stderr 0, ``energy.bias_bound`` is the residual cost N^2 |lam . r - eps
+    |lam|_1| (rho minus the dual) plus rounding, ``iterations`` counts Newton
+    steps over all solves, ``rng`` is not consumed, and the fit is
+    ``converged`` when the Newton decrement is at most 1e-10 nats.
+
+    Two matrices at K <= 2 (potentials V1(X) + V2(Y) + k Tr XY) are solved
+    exactly the same way on Mehta's determinant (:func:`_pair_fit`), with
+    ``log_i`` from :func:`matent.sampler._mehta_log_I` at the fitted model.
+    A run of ``WALKERS`` lockstep walkers at that lambda, ``final_burnin``
+    steps each (which tune them) and then ``final_steps`` walker-steps in
+    all, measures ``energy`` and the residuals (:func:`_final_run`), an
+    independent Monte Carlo check of the solve: ``rho`` is the exact log I
+    plus that energy, and the fit is ``converged`` when the decrement is at
+    most 1e-10 nats and every final residual is within max(eps, moment_tol
+    R^degree) plus 3 stderr. Where the determinant has no value at the fitted
+    model, or the solve fails, the fit is Monte Carlo Newton as below.
+
+    Every other n >= 2 fit runs the Monte Carlo Newton of
+    :func:`_chain_newton` on one warm-started matrix-mode engine of
     ``WALKERS`` lockstep walkers with the budgets of :class:`FitOptions`
     (``steps_per_iter`` and ``final_steps`` in walker-steps in total,
     ``discard_per_iter`` and ``final_burnin`` per walker), and a further run
@@ -586,12 +777,13 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     iterate the largest scaled residual, the chain's walker-steps, the
     decrement, its noise floor and the pooled ESS, the number of walkers,
     and the final run's pooled acceptance, energy IAT and ESS (summed over
-    walkers). On both routes ``dual_value.bias_bound``
-    adds the final decrement, by which the dual may exceed the maximum
-    entropy; for n >= 2 also ``NOISE_MULT`` times the noise floor of the
-    pooled step that set lam. An unconverged fit issues a ``RuntimeWarning``.
-    A target the fit cannot reach (coefficients diverging, residuals stuck) raises
-    :class:`InfeasibleTargetError`: the supremum is -infinity there.
+    walkers). On every route ``dual_value.bias_bound`` adds the final
+    decrement, by which the dual may exceed the maximum entropy, to log I's
+    bias bound; for Monte Carlo Newton also ``NOISE_MULT`` times the noise
+    floor of the pooled step that set lam. An unconverged fit issues a
+    ``RuntimeWarning``. A target the fit cannot reach (coefficients
+    diverging, residuals stuck) raises :class:`InfeasibleTargetError`: the
+    supremum is -infinity there.
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
@@ -608,23 +800,22 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     eps_scaled = eps / scales
     what = f"target not approximable at N={N}, K={K}, eps={eps}"
 
+    exact = None
+    if n == 1:
+        exact = _exact_solve(basis, N, R, tt, eps_scaled, what)
+    elif _pair_sides(basis) is not None:
+        try:
+            exact = _exact_solve(basis, N, R, tt, eps_scaled, what)
+        except InfeasibleTargetError:
+            pass  # Monte Carlo Newton decides whether the target is out of reach
+    if exact is not None:
+        mu, grad, dec, history, nodes, final_model, log_i = exact
+        stopped, iterations = 0.0 <= dec <= 1e-10, len(history)
+        trajectory = {"residual_max_scaled": [h / (N * N) for h in history], "decrement": dec}
     if n == 1:
         # exact: a residual may pass eps by rounding only
         tol_scaled = eps_scaled + 1e-9
-        mu, nodes, history = np.zeros(len(basis)), _heine_nodes(N), []
-        while True:
-            mu, _, grad, dec, steps = _exact_fit(
-                basis, N, R, tt, eps_scaled, 1e-9, what, nodes, mu)
-            history += steps
-            lam = mu / scales
-            final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, lam))
-            log_i = estimate_log_I(final_model)
-            # on fewer nodes than log I resolves, the fitted moments belong to
-            # another model than log I does, and rho is quietly off
-            if log_i.count <= nodes:
-                break
-            nodes = log_i.count
-        iterations = len(history)
+        lam = mu / scales
         resid = -grad / (N * N)
         moment_means = targets + resid * scales
         # the residual cost, and the rounding of sums of terms up to N^2 |mu|_1
@@ -632,22 +823,24 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
                          + 1e-14 * (1.0 + float(np.abs(mu).sum())))
         energy_est = ScalarEstimate(N * N * float(lam @ moment_means), 0.0, nodes, slack)
         residual_stderr = np.zeros(len(basis))
-        trajectory = {"residual_max_scaled": [h / (N * N) for h in history], "decrement": dec}
-        converged = 0.0 <= dec <= 1e-10
+        converged = stopped
     else:
         tol_scaled = np.maximum(eps_scaled, opts.moment_tol)
-        engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n)), rng, WALKERS)
-        engine.tune(400)
         measurer = _BasisMeasurer(basis)
-        mu, dec, stopped, iterations, trajectory = _chain_newton(
-            engine, measurer, basis, scales, tt, N * N * eps_scaled, tol_scaled, opts, what)
+        engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n)), rng, WALKERS)
+        # after an exact solve only the final run's burn-in tunes the walkers
+        if exact is None:
+            engine.tune(400)
+            mu, dec, stopped, iterations, trajectory = _chain_newton(
+                engine, measurer, basis, scales, tt, N * N * eps_scaled, tol_scaled, opts, what)
+            final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, mu / scales))
         lam = mu / scales
-        engine.set_potential(potential_from_coeffs(basis, lam))
+        engine.set_potential(final_model.potential)
         moment_means, residual_stderr, energy_est, final = _final_run(
             engine, measurer, opts.final_steps, opts.final_burnin)
         trajectory.update(final)
-        final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, lam))
-        log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)
+        if exact is None:
+            log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)
     residuals = moment_means - targets
     tol_abs = tol_scaled * scales
     if n > 1:

@@ -561,24 +561,26 @@ def _bilinear_parts(potential: NcPoly) -> Optional[Tuple[np.ndarray, np.ndarray,
     return sides[0], sides[1], k
 
 
-def _remainder_ratio(z: np.ndarray, N: int) -> np.ndarray:
-    """r_N(z) / z^N, where r_N(z) = e^z - sum_{m<N} z^m / m!.
+def _remainder_ratio(z: np.ndarray, N: int, order: int = 0) -> np.ndarray:
+    """rho(z) = r_N(z) / z^N, where r_N(z) = e^z - sum_{m<N} z^m / m!, or its
+    derivative rho'(z) for ``order`` 1.
 
-    For |z| < N it is the series sum_{k>=0} z^k / (N + k)!, whose terms
-    shrink by |z| / (N + k) < 1 each, summed until they stop counting (the
+    For |z| < N it is the series sum_{k>=0} z^k / (N + k)! (for rho', the
+    series of its derivative), summed until the terms stop counting (the
     closed form would lose thirteen digits at z = 1, N = 16). Beyond that the
-    closed form: exact to rounding for z >= N, where e^z dominates, and for
-    z <= -N losing about log10(e^|z| N! / |z|^N) digits to cancellation.
+    closed forms, with rho' = rho (1 - N / z) + 1 / (z (N - 1)!): exact to
+    rounding for z >= N, where e^z dominates, and for z <= -N losing about
+    log10(e^|z| N! / |z|^N) digits to cancellation.
     """
     out = np.empty_like(z)
     small = np.abs(z) < N
     zs = z[small]
-    term = np.full(zs.shape, 1.0 / math.factorial(N))
+    term = np.full(zs.shape, 1.0 / math.factorial(N + order))
     total = term.copy()
-    k = 0
+    k = order
     while np.any(np.abs(term) > 1e-17 * np.abs(total)):
         k += 1
-        term = term * zs / (N + k)
+        term = term * zs / (N + k) * (k / (k - order))
         total += term
     out[small] = total
     zb = z[~small]
@@ -588,7 +590,38 @@ def _remainder_ratio(z: np.ndarray, N: int) -> np.ndarray:
         part += power
         power = power * zb / (m + 1)
     out[~small] = (np.exp(zb) - part) / zb ** N
+    if order:
+        out[~small] = out[~small] * (1.0 - N / zb) + 1.0 / (zb * math.factorial(N - 1))
     return out
+
+
+def _remainder(f1: np.ndarray, f2: np.ndarray, u: np.ndarray, s: float, N: int,
+               order: int = 0) -> np.ndarray:
+    """sum_{x,y} f1(x) u^N rho(s u v) v^N f2(y)^T on nodes u = v, for rows f1 and
+    f2 of node values (one function per row), with rho = r_N(z) / z^N of
+    :func:`_remainder_ratio`, or rho' for ``order`` 1.
+
+    For |s| < N it is the node-moment series sum_j c_j a_j b_j^T, with a_j the
+    sums of f1 u^(N+j) and b_j those of f2, and c_j = (j + order)! s^j /
+    (j! (N + j + order)!): every |s u v| < N, so the terms shrink as rho's
+    do, and no kernel matrix is formed. Otherwise the kernel is built and
+    summed in row blocks of about 2^13 entries, so no M x M array exists and
+    every temporary stays near 64 kB.
+    """
+    if abs(s) < N:
+        c = [1.0 / math.factorial(N + order)]
+        while abs(c[-1]) > 1e-18 * c[0]:
+            j = len(c)
+            c.append(c[-1] * s * (j + order) / (j * (N + j + order)))
+        powers = np.vander(u, len(c), increasing=True) * (u ** N)[:, None]
+        return (f1 @ powers * c) @ (f2 @ powers).T
+    f1, f2 = f1 * u ** N, f2 * u ** N
+    rem = np.zeros((len(f1), len(f2)))
+    step = max(1, 2 ** 13 // u.size)
+    for lo in range(0, u.size, step):
+        rows = slice(lo, lo + step)
+        rem += f1[:, rows] @ (_remainder_ratio(s * np.outer(u[rows], u), N, order) @ f2.T)
+    return rem
 
 
 # node count cap of the two-matrix quadrature: values at M and 2M <= this
@@ -617,8 +650,8 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
     so nothing over- or underflows as t -> 0, and at t = 0 it is the Heine
     sum alone. The A and B solves are triangular; forming the Taylor matrix
     and solving against it instead loses digits quietly. Sums run on the
-    Gauss-Legendre nodes of :func:`_heine_log_I`; Rem is built in row
-    blocks of about 2^13 entries, so no M x M array exists. The M- and
+    Gauss-Legendre nodes of :func:`_heine_log_I`; Rem comes from
+    :func:`_remainder`, which forms no M x M array. The M- and
     2M-point values can agree by chance while both carry rounding, so each
     value is also computed for the model with X and Y swapped
     (C' = A^-T diag(m! s^(N-m)) B^-1 Rem^T, the same determinant) and the
@@ -658,14 +691,7 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
         u = x / R
         powers = u[:, None] ** np.arange(N)
         a, b = (np.triu(fi @ powers) for fi in f)
-        f1, f2 = (fi * u ** N for fi in f)
-        rem = np.zeros((N, N))
-        # blocks of about 2^13 entries keep every temporary near 64 kB, so
-        # the route adds nothing measurable to a fit's peak memory
-        step = max(1, 2 ** 13 // M)
-        for lo in range(0, M, step):
-            rows = slice(lo, lo + step)
-            rem += f1[:, rows] @ (_remainder_ratio(s * np.outer(u[rows], u), N) @ f2.T)
+        rem = _remainder(f[0], f[1], u, s, N)
         diag = np.array([math.factorial(m) * s ** (N - m) for m in range(N)])
         log_dets = []
         # C, and C of the model with X and Y swapped: det(1 + C) is the same

@@ -1,6 +1,7 @@
 """Import hygiene: every name a module imports is used or re-exported,
 every name a module exports exists, every private module-level name is
-used, and the command line loads no test-only dependency."""
+used, and the command line loads no test-only dependency and computes
+nothing while it loads."""
 
 import ast
 import importlib
@@ -102,3 +103,16 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_quadrature():
+    # loading the command line is setup time: no Gauss-Legendre rule is built
+    # (the exact routes build theirs on their first solve), so the cached
+    # rule table is still empty after a fresh import
+    code = ("import matent.cli, matent.sampler as s; "
+            "info = s._gauss_legendre.cache_info(); print(info.currsize, info.misses)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["0", "0"]

@@ -174,9 +174,12 @@ def test_separable_oracle_matches_exact_fit():
     assert 2 * fit.rho.value == pytest.approx(want, abs=1e-8)
 
 
-def test_chain_newton_fit_covers_separable_oracle():
+def test_chain_newton_fit_covers_separable_oracle(monkeypatch):
     # the n = 2 Monte Carlo Newton route on free-pair-4's target lands within
-    # its error bars of the exact separable maximum entropy
+    # its error bars of the exact separable maximum entropy; the exact K = 2
+    # route is refused (no Mehta log I at the fitted model), so the fit falls
+    # back to Monte Carlo Newton
+    monkeypatch.setattr(maxent, "_mehta_log_I", lambda model: None)
     half = semicircle_moments(1.0, 2, radius=2.0)
     tau = free_product_moments([half, half], 2)
     want = oracles.separable_pair_rho([0.0, 1.0], 4, 2.0)
@@ -193,6 +196,146 @@ def test_chain_newton_fit_covers_separable_oracle():
         traj = fit.trajectory
         assert len(traj["chain_steps"]) == len(traj["decrement"]) == fit.iterations
         assert traj["final_ess"] > 0 and 0 < traj["final_acceptance"] < 1
+
+
+def _pair_log_i(N, R, basis, mu):
+    scales = R ** basis.degrees.astype(float)
+    return sampler._mehta_log_I(GibbsModel(2, N, R, potential_from_coeffs(basis, mu / scales)))
+
+
+@pytest.mark.parametrize("N, R, lam", [
+    (4, 2.0, [0.1, -0.05, 0.5, 0.0, 0.6]),  # s = 0, free-pair-4's optimum
+    (4, 2.0, [0.1, -0.05, 0.5, 1e-12 / 16, 0.6]),  # |s| = 1e-12
+    (4, 2.0, [0.1, -0.05, 0.5, 0.7 / 4, 0.6]),  # s = -2.8, the node-moment series
+    (4, 2.0, [0.1, -0.05, 0.5, -0.3, 0.6]),  # s = 4.8 > N, the kernel in row blocks
+    (3, 1.5, [0.3, 0.2, -0.4, 0.9, 0.1]),  # s = -6.1 < -N
+])
+def test_pair_moments_are_derivatives_of_mehta_log_i(N, R, lam):
+    # E f_j = -(1/N^2) d log I / d mu_j, against central differences of the
+    # determinant route of log I
+    basis = build_dual_basis(2, 2)
+    mu = np.array(lam) * R ** basis.degrees.astype(float)
+    nodes = _pair_log_i(N, R, basis, mu).count
+    value, moments = maxent._pair_moments(basis, N, R, nodes)(mu)
+    h = 1e-4
+    for j in range(len(mu)):
+        step = h * np.eye(len(mu))[j]
+        diff = (_pair_log_i(N, R, basis, mu + step).value
+                - _pair_log_i(N, R, basis, mu - step).value) / (2 * h)
+        assert moments[j] == pytest.approx(-diff / N ** 2, abs=1e-8)
+    # and the value is log I up to a constant that does not depend on mu
+    other = np.array([0.0, 0.02, 0.3, 0.1, 0.4]) * R ** basis.degrees.astype(float)
+    assert (value - maxent._pair_moments(basis, N, R, nodes)(other)[0]) == pytest.approx(
+        _pair_log_i(N, R, basis, mu).value - _pair_log_i(N, R, basis, other).value, abs=1e-9)
+
+
+def test_pair_moments_match_the_gaussian_pair():
+    # a (X^2 + Y^2) - c (XY + YX) on the ball of radius 6 is the all-space
+    # Gaussian pair to well below 1e-10; its moments are derivatives of its
+    # closed-form log I: E Tr X^2 = -(1/2N) d/da, E Tr XY = (1/2N) d/dc
+    N, R, a, c, h = 4, 6.0, 1.0, 0.25, 1e-5
+    basis = build_dual_basis(2, 2)
+    assert basis.labels == ("re:1", "re:2", "re:1.1", "re:1.2", "re:2.2")
+    mu = np.array([0.0, 0.0, a, -2 * c, a]) * R ** basis.degrees.astype(float)
+    nodes = _pair_log_i(N, R, basis, mu).count
+    _, moments = maxent._pair_moments(basis, N, R, nodes)(mu)
+    d_a = (oracles.gaussian_pair_log_I(a + h, c, N) - oracles.gaussian_pair_log_I(a - h, c, N)) / (2 * h)
+    d_c = (oracles.gaussian_pair_log_I(a, c + h, N) - oracles.gaussian_pair_log_I(a, c - h, N)) / (2 * h)
+    want = np.array([0.0, 0.0, -d_a / (2 * N), d_c / (2 * N), -d_a / (2 * N)]) / (N * R ** basis.degrees)
+    np.testing.assert_allclose(moments, want, rtol=1e-8, atol=1e-12)
+
+
+def test_pair_fit_recovers_a_correlated_lambda():
+    # the exact K = 2 route solves for lambda from the moments of a coupled
+    # model (s = 4.8 > N, so the remainder runs in row blocks)
+    N, R = 4, 2.0
+    basis = build_dual_basis(2, 2)
+    scales = R ** basis.degrees.astype(float)
+    lam = np.array([0.1, -0.05, 0.5, -0.3, 0.6])
+    nodes = _pair_log_i(N, R, basis, lam * scales).count
+    tt = maxent._pair_moments(basis, N, R, nodes)(lam * scales)[1]
+    mu, grad, dec, history, _, _, log_i = maxent._exact_solve(
+        basis, N, R, tt, np.zeros(len(basis)), "test")
+    np.testing.assert_allclose(mu / scales, lam, atol=1e-8)
+    assert 0.0 <= dec <= 1e-10 and len(history) <= 10
+    assert log_i.value == pytest.approx(_pair_log_i(N, R, basis, lam * scales).value, abs=1e-9)
+
+
+def test_free_pair_fit_is_exact_and_runs_only_the_final_chain(monkeypatch):
+    # free-pair-4's target: lambda from the exact K = 2 solve, and the only
+    # chain is the final run, burn-in included (no tuning at V = 0)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact K = 2 route must not run Monte Carlo Newton")
+
+    steps = []
+    advance = sampler.ChainEngine._advance
+
+    def counting(self, limit, after=None):
+        taken = advance(self, limit, after)
+        steps.append(taken[0])
+        return taken
+
+    monkeypatch.setattr(maxent, "_chain_newton", refuse)
+    monkeypatch.setattr(sampler.ChainEngine, "_advance", counting)
+    half = semicircle_moments(1.0, 2, radius=2.0)
+    tau = free_product_moments([half, half], 2)
+    opts = FitOptions(final_steps=2000, final_burnin=300)
+    fit = fit_projection(tau, 4, 2, opts=opts, rng=substream(3, "pair-exact"))
+    assert fit.dual_value.value == pytest.approx(14.780197, abs=1e-6)
+    assert fit.dual_value.value == pytest.approx(oracles.separable_pair_rho([0.0, 1.0], 4, 2.0),
+                                                 abs=1e-8)
+    assert fit.dual_value.bias_bound <= 1e-8 and fit.log_i.bias_bound <= 1e-8
+    assert fit.trajectory["decrement"] <= 1e-10 and fit.iterations <= 10
+    assert sum(steps) == opts.final_burnin + maxent._walker_steps(
+        opts.final_steps, maxent.WALKERS, 2)
+    # rho is the exact log I plus the final run's energy
+    assert fit.rho.value == pytest.approx(fit.log_i.value + fit.energy.value, abs=1e-12)
+    assert fit.rho.stderr == fit.energy.stderr > 0
+
+
+def test_pair_route_falls_back_to_chain_newton(monkeypatch):
+    # where Mehta's log I has no value at the fitted model, the K = 2 fit runs
+    # Monte Carlo Newton as before
+    calls = []
+    chain_newton = maxent._chain_newton
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return chain_newton(*args, **kwargs)
+
+    monkeypatch.setattr(maxent, "_mehta_log_I", lambda model: None)
+    monkeypatch.setattr(maxent, "_chain_newton", spy)
+    half = semicircle_moments(1.0, 2, radius=2.0)
+    opts = FitOptions(iterations=3, steps_per_iter=100, discard_per_iter=10,
+                      final_steps=200, final_burnin=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = fit_projection(free_product_moments([half, half], 2), 2, 2, opts=opts,
+                             rng=substream(5, "fallback"))
+    assert calls == [1]
+    assert len(fit.trajectory["chain_steps"]) == fit.iterations
+
+
+def test_out_of_reach_pair_target_is_left_to_chain_newton(monkeypatch):
+    # E tr XY = 1.2 with E tr X^2 = E tr Y^2 = 1 breaks Cauchy-Schwarz: the
+    # exact K = 2 route stops once a Newton iterate passes MU_MAX, and Monte
+    # Carlo Newton declares the target out of reach
+    calls = []
+    chain_newton = maxent._chain_newton
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return chain_newton(*args, **kwargs)
+
+    monkeypatch.setattr(maxent, "_chain_newton", spy)
+    tau = MomentSpec(2, 2, 2.0, {(1,): 0.0, (2,): 0.0, (1, 1): 1.0, (1, 2): 1.2, (2, 2): 1.0})
+    basis = build_dual_basis(2, 2)
+    tt = target_vector(tau, basis) / 2.0 ** basis.degrees
+    with pytest.raises(InfeasibleTargetError, match=f"passed .mu. = {maxent.MU_MAX}"):
+        maxent._exact_solve(basis, 2, 2.0, tt, np.zeros(len(basis)), "out of reach")
+    with pytest.raises(InfeasibleTargetError, match="coefficients diverged"):
+        fit_projection(tau, 2, 2, opts=FAST, rng=substream(6, "out-of-reach"))
+    assert calls == [1]
 
 
 def test_final_run_stderr_calibrated_at_exact_optimum():
@@ -269,16 +412,18 @@ def test_fit_projection_infeasible_target_raises():
 
 
 def test_unconverged_fit_warns():
-    # three SA iterations of ten steps cannot match the moments of an n = 2
-    # target, and the result says so both in ``converged`` and with a warning
-    half = semicircle_moments(1.0, 2, radius=3.0)
+    # three Monte Carlo Newton iterates of ten steps cannot match the moments
+    # of an n = 2, K = 4 target (which has no exact route), and the result
+    # says so both in ``converged`` and with a warning
+    half = semicircle_moments(1.0, 4, radius=3.0)
     starved = FitOptions(iterations=3, steps_per_iter=10, discard_per_iter=4,
                          min_iterations=2, final_steps=100, final_burnin=10,
                          ti=TIOptions(nodes=3, node_burnin=10, node_steps=20))
     with pytest.warns(RuntimeWarning, match="did not converge"):
-        fit = fit_projection(free_product_moments([half, half], 2), 2, 2, opts=starved,
+        fit = fit_projection(free_product_moments([half, half], 4), 2, 4, opts=starved,
                              rng=substream(12, "starved"))
     assert not fit.converged
+    assert "chain_steps" in fit.trajectory
 
 
 def test_exact_fit_issues_no_warning():

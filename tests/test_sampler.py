@@ -604,6 +604,30 @@ def test_mehta_log_i_matches_gaussian_pair():
             assert abs(est.value - want) <= 1e-9 + est.bias_bound, (N, c, est.value - want)
 
 
+@pytest.mark.parametrize("N", [1, 4, 9])
+def test_remainder_ratio_derivative_is_the_slope(N):
+    # rho' against central differences of rho, on both sides of |z| = N
+    z = np.concatenate([np.linspace(-2.5 * N, 2.5 * N, 41), [1e-12, -1e-9]])
+    z = z[np.abs(np.abs(z) - N) > 1e-3]
+    h = 1e-5 * np.maximum(1.0, np.abs(z))
+    slope = (sampler._remainder_ratio(z + h, N) - sampler._remainder_ratio(z - h, N)) / (2 * h)
+    np.testing.assert_allclose(sampler._remainder_ratio(z, N, 1), slope, rtol=1e-7)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("s", [0.0, 1e-12, -2.5, 3.99, 4.0, -7.0, 9.0])
+def test_remainder_is_the_kernel_sum(order, s):
+    # the node-moment series (|s| < N) and the row blocks (|s| >= N) against
+    # the kernel summed on the whole node grid at once
+    N, rng = 4, np.random.default_rng(7)
+    u = sampler._gauss_legendre(64)[0]
+    f1, f2 = rng.standard_normal((3, 64)), rng.standard_normal((2, 64))
+    dense = (f1 * u ** N) @ sampler._remainder_ratio(s * np.outer(u, u), N, order) @ (f2 * u ** N).T
+    scale = np.abs(f1 * u ** N) @ sampler._remainder_ratio(
+        np.abs(s) * np.ones((64, 64)), N, order) @ np.abs(f2 * u ** N).T
+    assert np.all(np.abs(sampler._remainder(f1, f2, u, s, N, order) - dense) <= 1e-14 * scale)
+
+
 def test_mehta_log_i_at_zero_coupling_is_heine():
     # V1(X) + V2(Y) factorizes: log I is the sum of the two one-matrix values
     v1 = _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.1])
