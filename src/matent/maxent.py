@@ -12,13 +12,14 @@ damped Newton, with orthant-wise steps for the L1 term. For one matrix the
 derivatives are exact, from the orthogonal-polynomial kernel of the
 eigenvalue ensemble, and the optimizer is found to rounding level. So they
 are for two matrices at K <= 2, whose models couple X and Y only through
-Tr XY: from the derivatives of Mehta's determinant, on the same nodes; one
-chain run at the exact optimizer then checks it and gives the energy. For
-other n >= 2 fits, or where the determinant has no value, they are
-estimated from one warm-started run of lockstep matrix-mode walkers per
-iterate, steps are line-searched on the dual reweighted from the same
-samples, and the chain doubles in length until the Newton decrement (the
-dual's distance to its minimum, in nats) is within noise. The attained value
+Tr XY: from the derivatives of Mehta's determinant, by the evaluator of its
+log I (:func:`matent.sampler._split_form`); one chain run at the exact
+optimizer then checks it and gives the energy. For other n >= 2 fits, or
+where the determinant has no value, they are estimated from one
+warm-started run of lockstep matrix-mode walkers per iterate, steps are
+line-searched on the dual reweighted from the same samples, and the chain
+doubles in length until the Newton decrement (the dual's distance to its
+minimum, in nats) is within noise. The attained value
 of F is the (relaxed) maximum entropy; the entropy of the fitted model is
 log I + E[N Tr V], with log I from :func:`matent.sampler.estimate_log_I`:
 exact for one matrix and, within the determinant's range, for the models of
@@ -44,9 +45,9 @@ from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
 from .moments import MomentSpec, moment_pairing
 from .ncpoly import (NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word,
                      word_traces)
-from .sampler import (ChainEngine, GibbsModel, TIOptions, _entropy, _heine_nodes,
-                      _legendre_nodes, _log_heine_norms, _mehta_log_I, _remainder,
-                      estimate_log_I, log_ball_volume)
+from .sampler import (ChainEngine, GibbsModel, TIOptions, _bilinear_parts, _entropy,
+                      _heine_nodes, _legendre_nodes, _log_heine_norms, _mehta_log_I,
+                      _split_form, estimate_log_I, log_ball_volume)
 
 __all__ = [
     "InfeasibleTargetError",
@@ -383,96 +384,52 @@ def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
     return _damped_newton(parts, mu0, n2 * l1, n2 * gtol, what)
 
 
-def _pair_sides(basis: DualBasis) -> Optional[List[Tuple[int, int]]]:
-    """(side, degree) of each element of a two-matrix basis whose potentials are
-    all V1(X) + V2(Y) + k Tr XY: (0, d) for X^d, (1, d) for Y^d and (2, 1) for
-    (XY + YX)/2. None if any element is another word (n != 2 or K >= 3)."""
-    if basis.n != 2:
+def _pair_parts(basis: DualBasis) -> Optional[np.ndarray]:
+    """The linear map from coefficients lam to the parts of sum_j lam_j b_j,
+    or None unless every element is bilinear (n == 2, K <= 2): row j holds
+    :func:`matent.sampler._bilinear_parts` of b_j, its V1 coefficients of
+    degree 1..K, V2's, then k (a basis has no constant term)."""
+    parts = [_bilinear_parts(el.poly) for el in basis.elements]
+    if None in parts:
         return None
-    sides = []
-    for el in basis.elements:
-        if el.word == (1, 2):
-            sides.append((2, 1))
-        elif el.kind == "re" and len(set(el.word)) == 1:
-            sides.append((el.word[0] - 1, len(el.word)))
-        else:
-            return None
-    return sides
+    rows = np.zeros((len(parts), 2 * basis.K + 1))
+    for row, (v1, v2, k) in zip(rows, parts):
+        row[:len(v1) - 1], row[basis.K:basis.K + len(v2) - 1], row[-1] = v1[1:], v2[1:], k
+    return rows
 
 
 def _pair_moments(basis: DualBasis, N: int, R: float, nodes: int) -> Callable:
     """Exact log I, up to a constant, and scaled basis moments of the bilinear
-    two-matrix models of ``basis`` (:func:`_pair_sides`): a function of the
+    two-matrix models of ``basis`` (:func:`_pair_parts`): a function of the
     scaled coordinates mu = lam R^degree, which returns log I and E f (f_j =
     (1/N) Tr b_j / R^degree_j), or None where log I cannot be evaluated.
 
-    On ``nodes`` Gauss-Legendre nodes u = x / R, log I is the split form of
-    :func:`matent.sampler._mehta_log_I`, log I1 + log I2 + log det(1 + S Z),
-    with Z = A^-1 Rem B^-T, S = diag(m! s^(N-m)) and s = -N mu_XY. Its
-    derivatives give the moments: with W_de = A^-1 Rem_de B^-T the remainder
-    of side 1's rows times u^d against side 2's times v^e, W'_11 that of rho'
-    (:func:`matent.sampler._remainder`), and A_d side 1's moments against
-    u^(m+d),
-
-        E Tr u^d = sum_x u^d K1(x, x) + tr((1 + S Z)^-1 S (W_d0 - A^-1 A_d Z)),
-        E Tr XY / R^2 = tr((1 + S Z)^-1 (S' Z + S W'_11)),
-
-    K1 the Heine kernel of side 1; side 2 is the same on the model with X and
-    Y swapped. No term has a negative power of s, so s = 0 is regular.
+    Both are :func:`matent.sampler._split_form`'s on ``nodes`` nodes, the
+    evaluator of :func:`matent.sampler._mehta_log_I`, on the parts lam times
+    the rows, to the bit those that log I reads from the potential (one
+    element per part). So the value is log I - 2 log Vol to rounding
+    (the derivatives' remainder rows ride in the same products), and E f_j
+    is row j against the moments in units of R (each b_j is homogeneous).
     """
-    x, logg = _legendre_nodes(nodes, R)
-    u = x / R
-    sides = _pair_sides(basis)
-    D = max(d for side, d in sides if side < 2)
-    upow = u[:, None] ** np.arange(N + D)
-    m = np.arange(N)
-    fact = np.array([math.factorial(k) for k in m], dtype=float)
+    rows = _pair_parts(basis)
+    D = basis.K
+    evaluate = _split_form(nodes, R, N, D)
+    scales = R ** basis.degrees.astype(float)
 
     def moments(mu):
-        """log I up to a constant and the scaled basis moments E f at mu, or None."""
-        s, logw = 0.0, [logg, logg]
-        for (side, d), c in zip(sides, mu):
-            if side == 2:
-                s = -N * c
-            else:
-                logw[side] = logw[side] - N * c * upow[:, d]
-        total, heine, rows, proj, inv = 0.0, [], [], [], []
-        for lw in logw:
-            try:
-                log_h, qs, _ = _log_heine_norms(x, lw, N)
-            except EstimatorError:
-                return None
-            total += log_h
-            heine.append((qs * qs).sum(axis=0) @ upow)
-            f = qs * np.exp(0.5 * (lw - lw.max()))
-            mom = f @ upow
-            a_inv = np.linalg.inv(np.triu(mom[:, :N]))
-            proj.append(a_inv @ mom)  # A^-1 A_d in columns d..d+N-1
-            inv.append(a_inv)
-            rows.append(np.concatenate([f * upow[:, d] for d in range(D + 1)]))
-        # A^-1 Rem_de B^-T for the blocks (d, 0) and (0, e), and A^-1 Rem'_11 B^-T
-        rem = _remainder(rows[0], rows[1], u, s, N).reshape(D + 1, N, D + 1, N)
-        wd0 = inv[0] @ rem[:, :, 0] @ inv[1].T
-        w0e = inv[0] @ rem[0].transpose(1, 0, 2) @ inv[1].T
-        w1 = inv[0] @ _remainder(rows[0][N:2 * N], rows[1][N:2 * N], u, s, N, 1) @ inv[1].T
-        z = wd0[0]
-        S = fact * s ** (N - m)
-        sign, log_det = np.linalg.slogdet(np.eye(N) + S[:, None] * z)
-        if not (sign > 0 and math.isfinite(log_det)):
+        c = (mu / scales) @ rows
+        sides = np.zeros((2, D + 1))
+        sides[:, 1:] = c[:-1].reshape(2, D)
+        # an overflowing kernel or a singular 1 + C gives None: "cannot be
+        # evaluated here", which the line search steps back from
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, spread, at = evaluate((*sides, c[-1]))
+        except (EstimatorError, np.linalg.LinAlgError):
             return None
-        # tr(G X) = sum(G.T * X) for G = (1 + S Z)^-1 S, and for S' in place of S
-        g = np.linalg.inv(np.eye(N) + S[:, None] * z)
-        gs = (g * S).T
-        out = []
-        for side, d in sides:
-            if side == 2:
-                s1 = fact * (N - m) * s ** (N - m - 1)  # S'
-                out.append(np.sum((g * s1).T * z) + np.sum(gs * w1))
-            else:
-                dz = (wd0[d] - proj[0][:, d:d + N] @ z if side == 0
-                      else w0e[d] - z @ proj[1][:, d:d + N].T)
-                out.append(heine[side][d] + np.sum(gs * dz))
-        return total + log_det, np.array(out) / N
+        # E Tr XY / R^2 from C's order; a determinant of sign <= 0 in either order is nan
+        out = rows @ np.concatenate((at[0, :D], at[1, :D], at[0, D:])) / N
+        return (value, out) if math.isfinite(value + spread) and np.all(np.isfinite(out)) else None
 
     return moments
 
@@ -490,14 +447,8 @@ def _pair_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
     Carlo Newton, which decides there whether it is out of reach. Returns
     what :func:`_damped_newton` does.
     """
-    exact = _pair_moments(basis, N, R, nodes)
+    moments = _pair_moments(basis, N, R, nodes)
     n2 = N * N
-
-    def moments(mu):
-        # an overflowing kernel or a singular 1 + S Z gives None: "cannot be
-        # evaluated here", which the line search steps back from
-        with np.errstate(over="ignore", invalid="ignore"):
-            return exact(mu)
 
     def value(mu):
         at = moments(mu)
@@ -751,8 +702,8 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     ``converged`` when the Newton decrement is at most 1e-10 nats.
 
     Two matrices at K <= 2 (potentials V1(X) + V2(Y) + k Tr XY) are solved
-    exactly the same way on Mehta's determinant (:func:`_pair_fit`), with
-    ``log_i`` from :func:`matent.sampler._mehta_log_I` at the fitted model.
+    exactly the same way (:func:`_pair_fit`), on the function whose value is
+    ``log_i`` at the fitted model (:func:`matent.sampler._mehta_log_I`).
     A run of ``WALKERS`` lockstep walkers at that lambda, ``final_burnin``
     steps each (which tune them) and then ``final_steps`` walker-steps in
     all, measures ``energy`` and the residuals (:func:`_final_run`), an
@@ -803,7 +754,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     exact = None
     if n == 1:
         exact = _exact_solve(basis, N, R, tt, eps_scaled, what)
-    elif _pair_sides(basis) is not None:
+    elif _pair_parts(basis) is not None:
         try:
             exact = _exact_solve(basis, N, R, tt, eps_scaled, what)
         except InfeasibleTargetError:

@@ -28,10 +28,11 @@ orthogonal polynomials for the weight exp(-N V) on [-R, R], computed by
 a discretized Stieltjes procedure on Gauss-Legendre nodes. It is exact for
 two matrices whose potential couples them only through Tr XY: the HCIZ
 integral and Andreief's identity turn I into Mehta's bimoment determinant,
-evaluated on the same nodes. Every other n >= 2 model is estimated by
-thermodynamic integration over an inverse temperature beta in [0, 1], which
-only the integrating chain carries (:class:`ChainEngine`), anchored at the
-exact log-volume of the ball (Mehta/Selberg closed form).
+evaluated on the same nodes by :func:`_split_form`, whose derivatives are
+the moments of the exact K = 2 fit. Every other n >= 2 model is estimated
+by thermodynamic integration over an inverse temperature beta in [0, 1],
+which only the integrating chain carries (:class:`ChainEngine`), anchored
+at the exact log-volume of the ball (Mehta/Selberg closed form).
 
 Samples are one complex array of shape (n, S, N, N): block i of sample s
 is ``samples[i, s]``, the layout of :class:`ChainEngine`'s state with the S
@@ -628,13 +629,15 @@ def _remainder(f1: np.ndarray, f2: np.ndarray, u: np.ndarray, s: float, N: int,
 MEHTA_MAX_NODES = 2400
 
 
-def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
-    """Exact log I of a bilinear two-matrix model (Mehta 1981), or None.
+def _split_form(M: int, R: float, N: int, D: int = 0) -> Callable:
+    """Mehta's determinant in split form on M Gauss-Legendre nodes of [-R, R]:
+    the one evaluator of log I, and of its derivatives, for two matrices
+    coupled only through Tr XY (:func:`_mehta_log_I`, the exact K = 2 fit).
 
     For Tr V = Tr V1(X) + Tr V2(Y) + k Tr XY the HCIZ integral removes the
     relative rotation and Andreief's identity both spectra: I is a constant
     times t^(-N(N-1)/2) det[int int a^j b^k w1(a) w2(b) e^(tab)]_{j,k<N},
-    with w_i = exp(-N V_i) on [-R, R] and t = -N k (Bertola,
+    with w_i = exp(-N V_i) on [-R, R] and t = -N k (Mehta 1981; Bertola,
     Eynard & Harnad 2002 for the biorthogonal view). Split e^(tab) into its
     Taylor part of degree < N and the remainder r_N(tab). In the orthonormal
     bases p_j of w1 and q_k of w2 the Taylor part is A diag(s^m / m!) B^T
@@ -643,66 +646,111 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
     the Heine integrals I1, I2 of the two sides:
 
         log I = log I1 + log I2 + log det(1 + C),
-        C = B^-T diag(m! s^(N-m)) A^-1 Rem,
+        C = B^-T S A^-1 Rem,  S = diag(m! s^(N-m)),
         Rem_jk = sum_{x,y} p_j w1 (x/R)^N [r_N(s u v) / (s u v)^N] (y/R)^N w2 q_k,
 
-    where u = x/R, v = y/R; the factor s^N of r_N is moved into the diagonal,
-    so nothing over- or underflows as t -> 0, and at t = 0 it is the Heine
-    sum alone. The A and B solves are triangular; forming the Taylor matrix
-    and solving against it instead loses digits quietly. Sums run on the
-    Gauss-Legendre nodes of :func:`_heine_log_I`; Rem comes from
-    :func:`_remainder`, which forms no M x M array. The M- and
-    2M-point values can agree by chance while both carry rounding, so each
-    value is also computed for the model with X and Y swapped
-    (C' = A^-T diag(m! s^(N-m)) B^-1 Rem^T, the same determinant) and the
-    error is the node gap plus both swap spreads. M starts at max(300, 8N)
-    and doubles while the error exceeds 1e-8 nats, up to 2M =
-    ``MEHTA_MAX_NODES``; a swap spread above 1e-8 ends the search at once,
-    since more nodes do not shrink rounding. Returns
-    ``ScalarEstimate(value, 0, M, error)``, or None when the potential is
-    not bilinear, a value is not finite (N t R^2 too large) or the error
-    stays above 1e-8.
+    with u = x/R, v = y/R, and s^N moved into S, so nothing over- or
+    underflows as t -> 0. A and B are solved by back substitution (forming
+    the Taylor matrix, or inverting A and B, loses digits); Rem comes from
+    :func:`_remainder`. C' = A^-T S B^-1 Rem^T, of the model with X and Y
+    swapped, solves in the other order on the same remainder, so the swap
+    spread |log det(1 + C) - log det(1 + C')| probes rounding.
 
-    Against the all-space Gaussian a(X^2 + Y^2) - c(XY + YX) with a = 1 and
-    R = 6 it is within 2e-10 nats for N <= 32 and |c| <= 0.25, and None at
-    N = 32, |c| = 0.5. On c(X - Y)^2 with R = 2 it returns a value for N <= 8
-    and c <= 1; at N = 16, c = 0.25 the swap spread is about 1e-7, and it
-    returns None.
+    Returns ``evaluate(parts)``, for the (V1, V2, k) of
+    :func:`_bilinear_parts`: (log I - 2 log Vol, swap spread, moments). For
+    D >= 1 the moments are log I's derivatives, a (2, D + 1) array whose row
+    i, taken in C's order for i = 0 and C''s for 1, holds side i's E Tr u^d,
+    d = 1..D, then E Tr XY / R^2. Each is tr((1 + C)^-1 dC), plus a side's
+    Heine term sum_x u^d K(x, x), with dC = B^-T S A^-1 (Rem_d0 - A_d A^-1
+    Rem) for side 1 (Rem_d0 on the rows times u^d, A_d their moments against
+    u^(m+d)) and B^-T (S' A^-1 Rem + S A^-1 Rem') for XY (Rem' of rho', on
+    the rows times u and v); s = 0 is regular. For D = 0 they are None. A
+    weight with fewer than N resolved nodes raises :class:`EstimatorError`;
+    a determinant of sign <= 0 gives nan.
     """
-    parts = _bilinear_parts(model.potential)
-    if parts is None:
-        return None
-    N, R = model.N, model.R
-    s = -N * parts[2] * R * R
+    x, logg = _legendre_nodes(M, R)
+    base, _, _ = _log_heine_norms(x, logg, N)
+    u = x / R
+    powers = u[:, None] ** np.arange(N + D)
+    taylor = powers[:, :N].copy()  # u^m, m < N: the columns of A and B
+    lift = powers.T[:D + 1, None].copy()  # u^d, d <= D, for the rows times u^d
+    upper = np.triu(np.ones((N, N), dtype=bool))
+    fact = [math.factorial(m) for m in range(N)]
+    # S' = dS/ds = diag(m! (N - m) s^(N-1-m)), as slope * s ** drop
+    slope = np.array([fact[m] * (N - m) for m in range(N)], dtype=float)[:, None]
+    drop = np.arange(N - 1, -1, -1)[:, None]
 
-    def value(M: int) -> Tuple[float, float]:
-        x, logg = _legendre_nodes(M, R)
-        base, _, _ = _log_heine_norms(x, logg, N)
+    def back(q, y):
+        # q^-T y for each q of a stack: q^T reversed is upper triangular, as A and
+        # B are, which solve factors without pivoting: a back substitution
+        return np.linalg.solve(q.transpose(0, 2, 1)[:, ::-1, ::-1], y[:, ::-1])[:, ::-1]
+
+    def evaluate(parts):
+        s = -N * parts[2] * R * R
         total = -2.0 * base
-        f = []
+        f, kernels = [], []
         for coeffs in parts[:2]:
             logw = logg - N * polyval(x, coeffs)
             log_h, qs, _ = _log_heine_norms(x, logw, N)
             total += log_h
             # rows p_j w on the nodes, up to one factor per side that C ignores
             f.append(qs * np.exp(0.5 * (logw - logw.max())))
-        if s == 0.0:
-            return total, 0.0
-        u = x / R
-        powers = u[:, None] ** np.arange(N)
-        a, b = (np.triu(fi @ powers) for fi in f)
-        rem = _remainder(f[0], f[1], u, s, N)
-        diag = np.array([math.factorial(m) * s ** (N - m) for m in range(N)])
-        log_dets = []
-        # C, and C of the model with X and Y swapped: det(1 + C) is the same
-        for (p, q), r in (((a, b), rem), ((b, a), rem.T)):
-            # an upper-triangular matrix factors without pivoting, so solve is
-            # back substitution; q^T is lower, and reversed it is upper
-            y = diag[:, None] * np.linalg.solve(p, r)
-            c = np.linalg.solve(q.T[::-1, ::-1], y[::-1])[::-1]
-            sign, log_det = np.linalg.slogdet(np.eye(N) + c)
-            log_dets.append(log_det if sign > 0 else math.nan)
-        return total + log_dets[0], abs(log_dets[0] - log_dets[1])
+            kernels.append((qs * qs).sum(axis=0) @ powers[:, 1:D + 1])
+        if s == 0.0 and not D:
+            return total, 0.0, None
+        # C's order (A, B), and that of the model with X and Y swapped (B, A)
+        p = np.where(upper, np.stack(f) @ taylor, 0.0)
+        # the remainder of every side-1 row times u^d against every side-2 row
+        # times v^e, d, e <= D, in one pass over the kernel; C' reads it transposed
+        rows = [(lift * fi).reshape(-1, M) for fi in f]
+        rem = _remainder(rows[0], rows[1], u, s, N).reshape(D + 1, N, D + 1, N)
+        rems = (rem, rem.transpose(2, 3, 0, 1))
+        diag = np.array([fact[m] * s ** (N - m) for m in range(N)])[:, None]
+        z = np.linalg.solve(p, np.stack([r[0, :, 0] for r in rems]))
+        one = np.eye(N) + back(p[::-1], diag * z)
+        sign, log_det = np.linalg.slogdet(one)
+        log_det = np.where(sign > 0, log_det, math.nan)
+        value, spread = total + log_det[0], abs(log_det[0] - log_det[1])
+        if not D:
+            return value, spread, None
+        moms = [fi @ powers for fi in f]
+        rem1 = _remainder(rows[0][N:2 * N], rows[1][N:2 * N], u, s, N, 1)
+        rhs = np.stack([np.hstack([r[d, :, 0] - m[:, d:d + N] @ zi for d in range(1, D + 1)]
+                                  + [r1]) for r, m, zi, r1 in zip(rems, moms, z, (rem1, rem1.T))])
+        w = diag * np.linalg.solve(p, rhs)
+        w[:, :, -N:] += slope * s ** drop * z
+        g = np.linalg.solve(one, back(p[::-1], w)).reshape(2, N, D + 1, N)
+        moments = np.einsum("kiji->kj", g)
+        moments[:, :D] += kernels
+        return value, spread, moments
+
+    return evaluate
+
+
+def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
+    """Exact log I of a bilinear two-matrix model (Mehta 1981), or None.
+
+    Values are :func:`_split_form`'s; since the M- and 2M-node values can
+    agree by chance while both carry rounding, the error is their gap plus
+    both swap spreads. M starts at max(300, 8N) and doubles while the error
+    exceeds 1e-8 nats, up to 2M = ``MEHTA_MAX_NODES``; a swap spread above
+    1e-8 ends the search at once, since more nodes do not shrink rounding.
+    Returns ``ScalarEstimate(value, 0, M, error)``, or None when the
+    potential is not bilinear, a value is not finite (N t R^2 too large) or
+    the error stays above 1e-8.
+
+    Against the all-space Gaussian a(X^2 + Y^2) - c(XY + YX), a = 1, R = 6,
+    it is within 2e-10 nats for N <= 32, |c| <= 0.25, and None at N = 32,
+    |c| = 0.5. On c(X - Y)^2 at R = 2 it has a value for N <= 8, c <= 1, and
+    is None at N = 16, c = 0.25 (swap spread about 1e-7).
+    """
+    parts = _bilinear_parts(model.potential)
+    if parts is None:
+        return None
+    N, R = model.N, model.R
+
+    def value(M: int) -> Tuple[float, float]:
+        return _split_form(M, R, N)(parts)[:2]
 
     def error(coarse: Tuple[float, float], fine: Tuple[float, float]) -> float:
         return abs(coarse[0] - fine[0]) + coarse[1] + fine[1]

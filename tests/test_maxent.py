@@ -223,10 +223,12 @@ def test_pair_moments_are_derivatives_of_mehta_log_i(N, R, lam):
         diff = (_pair_log_i(N, R, basis, mu + step).value
                 - _pair_log_i(N, R, basis, mu - step).value) / (2 * h)
         assert moments[j] == pytest.approx(-diff / N ** 2, abs=1e-8)
-    # and the value is log I up to a constant that does not depend on mu
+    # and the value is log I up to a constant that does not depend on mu: one
+    # evaluator on the same nodes, so the two differ by rounding alone (up to
+    # 3.6e-15 on these cases, 7.1e-14 over random models of N <= 5)
     other = np.array([0.0, 0.02, 0.3, 0.1, 0.4]) * R ** basis.degrees.astype(float)
     assert (value - maxent._pair_moments(basis, N, R, nodes)(other)[0]) == pytest.approx(
-        _pair_log_i(N, R, basis, mu).value - _pair_log_i(N, R, basis, other).value, abs=1e-9)
+        _pair_log_i(N, R, basis, mu).value - _pair_log_i(N, R, basis, other).value, abs=1e-13)
 
 
 def test_pair_moments_match_the_gaussian_pair():
@@ -243,6 +245,23 @@ def test_pair_moments_match_the_gaussian_pair():
     d_c = (oracles.gaussian_pair_log_I(a, c + h, N) - oracles.gaussian_pair_log_I(a, c - h, N)) / (2 * h)
     want = np.array([0.0, 0.0, -d_a / (2 * N), d_c / (2 * N), -d_a / (2 * N)]) / (N * R ** basis.degrees)
     np.testing.assert_allclose(moments, want, rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("N, want_x2, want_xy", [(4, 1.78748, 1.56478), (8, 1.82827, 1.60410)])
+def test_pair_moments_match_the_coupled_pair(N, want_x2, want_xy):
+    # c (X - Y)^2 at R = 2, c = 1 does not factorize: E tr X^2 and E tr XY
+    # against the values from the derivatives of Mehta's log I (s = 64 at N = 8,
+    # the remainder in row blocks); the model is symmetric in X and Y, and the
+    # two sides' moments, taken in the two solve orders, agree to rounding
+    R, c = 2.0, 1.0
+    basis = build_dual_basis(2, 2)
+    mu = np.array([0.0, 0.0, c, -2 * c, c]) * R ** basis.degrees.astype(float)
+    nodes = _pair_log_i(N, R, basis, mu).count
+    _, moments = maxent._pair_moments(basis, N, R, nodes)(mu)
+    x2, xy, y2 = moments[2:] * R ** 2
+    assert x2 == pytest.approx(want_x2, abs=1e-5) and y2 == pytest.approx(want_x2, abs=1e-5)
+    assert xy == pytest.approx(want_xy, abs=1e-5)
+    assert abs(x2 - y2) <= 1e-9
 
 
 def test_pair_fit_recovers_a_correlated_lambda():

@@ -628,6 +628,18 @@ def test_remainder_is_the_kernel_sum(order, s):
     assert np.all(np.abs(sampler._remainder(f1, f2, u, s, N, order) - dense) <= 1e-14 * scale)
 
 
+@pytest.mark.parametrize("k", [0.35, 0.0, -0.3])
+def test_split_form_takes_e_tr_xy_alike_in_both_solve_orders(k):
+    # E Tr XY / R^2 comes from C's order and again from the swapped C''s, on
+    # the order-1 remainder transposed; on a model that is not symmetric in X
+    # and Y the two agree to rounding (s = -5.6, 0 and 4.8: the series and
+    # the row blocks)
+    parts = (np.array([0.0, 0.1, 0.5]), np.array([0.0, -0.05, 0.6]), k)
+    _, spread, moments = sampler._split_form(300, 2.0, 4, 2)(parts)
+    assert moments.shape == (2, 3) and spread <= 1e-14
+    assert abs(moments[0, 2] - moments[1, 2]) <= 1e-14
+
+
 def test_mehta_log_i_at_zero_coupling_is_heine():
     # V1(X) + V2(Y) factorizes: log I is the sum of the two one-matrix values
     v1 = _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.1])
@@ -875,6 +887,18 @@ def test_exact_draws_raise_below_a_shrunken_envelope(monkeypatch):
     spectra = _ExactSpectra(GibbsModel(1, 8, 2.0, NcPoly.zero(1)))
     with pytest.raises(EstimatorError, match="envelope"):
         spectra.draw(50, substream(31, "shrunk"))
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_mehta_log_i_has_a_value_on_the_coupled_pair(N, c):
+    # the determinant's range on c (X - Y)^2 at R = 2: both solve orders agree
+    # to within 1e-8 here (bounds from 8.9e-16 to 1.2e-9, the largest at
+    # N = 8, c = 1), so none of these falls back to TI
+    est = sampler._mehta_log_I(GibbsModel(2, N, 2.0, _quadratic_pair(c, c)))
+    assert est is not None and est.stderr == 0.0 and est.bias_bound <= 1e-8
+    if (N, c) == (8, 1.0):
+        assert est.value == pytest.approx(-34.160091, abs=1e-6)
 
 
 @pytest.mark.parametrize("N,c", [(12, 0.5), (16, 0.25)])
