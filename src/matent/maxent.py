@@ -402,7 +402,9 @@ def _pair_moments(basis: DualBasis, N: int, R: float, nodes: int) -> Callable:
     """Exact log I, up to a constant, and scaled basis moments of the bilinear
     two-matrix models of ``basis`` (:func:`_pair_parts`): a function of the
     scaled coordinates mu = lam R^degree, which returns log I and E f (f_j =
-    (1/N) Tr b_j / R^degree_j), or None where log I cannot be evaluated.
+    (1/N) Tr b_j / R^degree_j), or None where log I cannot be evaluated or
+    rounding spoils it (a swap spread beyond 1e-8, as in
+    :func:`matent.sampler._mehta_log_I`), so the line search steps back.
 
     Both are :func:`matent.sampler._split_form`'s on ``nodes`` nodes, the
     evaluator of :func:`matent.sampler._mehta_log_I`, on the parts lam times
@@ -427,9 +429,12 @@ def _pair_moments(basis: DualBasis, N: int, R: float, nodes: int) -> Callable:
                 value, spread, at = evaluate((*sides, c[-1]))
         except (EstimatorError, np.linalg.LinAlgError):
             return None
-        # E Tr XY / R^2 from C's order; a determinant of sign <= 0 in either order is nan
+        # E Tr XY / R^2 from C's order; a determinant of sign <= 0 in either order
+        # is nan, and a swap spread beyond _mehta_log_I's 1e-8 is rounding that
+        # has already spoiled the moments, so neither can be evaluated either
         out = rows @ np.concatenate((at[0, :D], at[1, :D], at[0, D:])) / N
-        return (value, out) if math.isfinite(value + spread) and np.all(np.isfinite(out)) else None
+        return ((value, out) if math.isfinite(value) and spread <= 1e-8
+                and np.all(np.isfinite(out)) else None)
 
     return moments
 

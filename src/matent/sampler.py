@@ -457,37 +457,104 @@ def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int
     return total, qs, (shift + math.log(h0), a, b)
 
 
+# Gauss-Legendre rules: the terms of Stieltjes' series, and the nodes next to
+# x = 1 that take the exact cosine sum instead
+GL_TERMS = 16
+GL_EDGE = 16
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(M: int) -> Tuple[np.ndarray, np.ndarray]:
     """M Gauss-Legendre nodes on [-1, 1], ascending, and their weights (read-only).
 
-    Newton's method on P_M runs on the ceil(M/2) nonnegative nodes, from Tricomi's
-    guesses (1 - (M - 1)/(8 M^3)) cos(pi (k - 1/4) / (M + 1/2)); the rule is mirrored,
-    with an exact 0 in the middle for odd M. P_M and P_M' come from the recurrence in
-    place, O(M^2) per pass, cached per M. The weights take P_M' from one more pass at
-    the converged nodes (the last Newton pass's, before its step, moves them 3e-11).
-    """
-    def legendre(x):
-        p0, p1, t = np.ones_like(x), x.copy(), np.empty_like(x)
-        for j in range(2, M + 1):
-            np.multiply(x, 2 * j - 1, out=t)
-            t *= p1
-            t -= np.multiply(p0, j - 1, out=p0)
-            t /= j
-            p0, p1, t = p1, t, p0
-        return p1, M * (x * p1 - p0) / (x * x - 1.0)
+    Newton's method runs in theta, x = cos theta, on the ceil(M/2) nonnegative
+    nodes, from Tricomi's guesses (1 - (M - 1)/(8 M^3)) cos(pi (k - 1/4) / (M + 1/2)),
+    k the node's place counted from x = 1; the rule is mirrored, with an exact 0
+    in the middle for odd M. P_n(cos theta), n = M, and dP/dtheta take O(1)
+    work per node and no loop over the degree:
+    - Stieltjes' series (Szego, Orthogonal Polynomials, Thm 8.21.5; Hale &
+      Townsend, SIAM J. Sci. Comput. 35 (2013) A652) for k > GL_EDGE,
+      P_n = C_n sum_{m<GL_TERMS} h_m cos((n + m + 1/2) theta - (m + 1/2) pi/2)
+      / (2 sin theta)^(m + 1/2), with C_n = (4/pi) prod_{j<=n} j/(j + 1/2),
+      h_0 = 1 and h_m = h_(m-1) (m - 1/2)^2 / (m (n + m + 1/2)), summed by
+      Horner's rule as C_n Re[e^(i((n + 1/2) theta - pi/4)) (2 sin theta)^(-1/2)
+      sum_m h_m z^m] in z = (1 - i cot theta)/2; from k = GL_EDGE + 1 on, the
+      first term left out is below 1e-19 of the first;
+    - the exact cosine sum P_n = sum_{j<=n} g_j g_(n-j) cos((n - 2j) theta),
+      g_j = prod_{i<=j} (2i - 1)/(2i), one node at a time, for the GL_EDGE
+      nodes next to x = 1, where the series converges slowly. C_n is
+      4 / (pi (2n + 1) g_n), from the running products g_j: through
+      exp(lgamma(...)) it is 6e-13 off at n = 600, and even moments 2e-12.
+    Newton stops when no step exceeds 1e-12 theta (two or three passes). The
+    weight is 2 / (dP/dtheta)^2, with dP/dtheta carried to the stepped node by
+    the Legendre equation, so no 1 - x^2 cancels.
 
-    x = np.cos(np.pi * (np.arange((M + 1) // 2, 0, -1) - 0.25) / (M + 0.5))
-    x *= 1.0 - (M - 1) / (8.0 * M ** 3)
+    Cost: O(M) time and memory, no (nodes x terms) array; 0.7 ms at M = 600
+    and 10 ms at 19,200, warm on a 2-vCPU x86 machine. Accuracy: nodes within
+    4e-16 of Newton on the three-term recurrence (every M <= 700, and up to
+    4,800 sampled), the five smallest weights and a middle one within 3e-15
+    relative of a 60-digit reference at M = 300 and 2,400 (the recurrence's
+    2 / ((1 - x^2) P'(x)^2) is off by 1.4e-12 and 1.0e-10 there).
+    """
+    n, half = M, (M + 1) // 2
+    theta = np.arccos((1.0 - (n - 1) / (8.0 * n ** 3))
+                      * np.cos(np.pi * (np.arange(half, 0, -1) - 0.25) / (n + 0.5)))
+    g = np.arange(-0.5, n)
+    g[1:] /= g[1:] + 0.5
+    g[0] = 1.0
+    np.cumprod(g, out=g)
+    c_n = 4.0 / (np.pi * (2 * n + 1) * g[n])
+    h = [1.0]
+    for m in range(1, GL_TERMS):
+        h.append(h[-1] * (m - 0.5) ** 2 / (m * (n + m + 0.5)))
+    # the cosine sum folded in half: frequencies n - 2j >= 0, j <= n/2
+    coef = g[:n // 2 + 1] * g[:(n - 1) // 2:-1]
+    del g  # the one array of length n + 1
+    coef[:(n + 1) // 2] *= 2.0
+    freq = np.arange(n, -1, -2.0)
+    slope = coef * freq
+
+    def series(t):
+        cot = 1.0 / np.tan(t)
+        z = 0.5 - 0.5j * cot
+        q, dq = np.full(t.shape, h[-1], dtype=complex), np.zeros(t.shape, dtype=complex)
+        for hm in h[-2::-1]:
+            dq *= z
+            dq += q
+            q *= z
+            q += hm
+        # d/dt z^m = m z^m (i - cot t), and (i - cot t) z = i (1 + cot^2 t) / 2
+        dq *= 0.5j * (1.0 + cot * cot)
+        dq += (1j * (n + 0.5) - 0.5 * cot) * q
+        lead = np.exp(1j * ((n + 0.5) * t - 0.25 * np.pi))
+        lead *= c_n / np.sqrt(2.0 * np.sin(t))
+        q *= lead
+        dq *= lead
+        # copies, so the complex sums are freed before the next pass makes its own
+        return q.real.copy(), dq.real.copy()
+
+    def cosine_sum(t):
+        phase = freq * t
+        return np.cos(phase) @ coef, -(np.sin(phase) @ slope)
+
+    def newton(t, evaluate):
+        for _ in range(100):
+            p, dp = evaluate(t)
+            step = p / dp
+            t = t - step
+            if np.all(np.abs(step) <= 1e-12 * t):
+                break
+        # dP/dtheta at the stepped node, by P'' = -cot(theta) P' - n (n + 1) P
+        # to first order in the step (the P term is of second order)
+        return t, dp * (1.0 + step / np.tan(t))
+
+    edge = max(half - GL_EDGE, 0)
+    dp = np.empty(half)
+    theta[:edge], dp[:edge] = newton(theta[:edge], series)
+    for i in range(edge, half):
+        theta[i], dp[i] = newton(theta[i], cosine_sum)
+    x, w = np.cos(theta, out=theta), np.divide(2.0, dp * dp, out=dp)
     x[:M % 2] = 0.0
-    for _ in range(100):
-        p, dp = legendre(x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) <= 1e-15:
-            break
-    _, dp = legendre(x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
     x, w = np.concatenate((-x[M % 2:][::-1], x)), np.concatenate((w[M % 2:][::-1], w))
     x.setflags(write=False)
     w.setflags(write=False)

@@ -1,7 +1,8 @@
 """Import hygiene: every name a module imports is used or re-exported,
 every name a module exports exists, every private module-level name is
 used, and the command line loads no test-only dependency and computes
-nothing while it loads."""
+nothing while it loads; the Gauss-Legendre rules it builds later import
+nothing and take memory linear in their node count."""
 
 import ast
 import importlib
@@ -9,9 +10,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
+
+from matent import sampler
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matent"
 
@@ -116,3 +120,35 @@ def test_cli_import_builds_no_quadrature():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.split() == ["0", "0"]
+
+
+def test_quadrature_imports_nothing():
+    # building a rule is numpy only: after the command line is loaded, the
+    # exact routes' first solve imports no module (scipy is test-only)
+    code = ("import sys, matent.cli, matent.sampler as s; before = set(sys.modules); "
+            "s._gauss_legendre(301); print(sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_quadrature_memory_is_linear_in_nodes():
+    # a rule is built node by node next to x = 1 and term by term elsewhere,
+    # so no (nodes x terms) block exists: the 300- and 600-node rules of a
+    # first solve peak within 64 kB together, 19,200 nodes within 24 floats
+    # per node (the uncached builder, so the cache cannot hide the work)
+    build = sampler._gauss_legendre.__wrapped__
+    tracemalloc.start()
+    try:
+        rules = [build(300), build(600)]
+        first = tracemalloc.get_traced_memory()[1]
+        del rules
+        tracemalloc.reset_peak()
+        build(19200)
+        large = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first <= 64 * 1024
+    assert large <= 24 * 8 * 19200

@@ -264,6 +264,23 @@ def test_pair_moments_match_the_coupled_pair(N, want_x2, want_xy):
     assert abs(x2 - y2) <= 1e-9
 
 
+def test_pair_moments_refuse_a_swap_spread():
+    # V1 = 0.1 x + 0.5 x^2, V2 = -0.05 y + 0.6 y^2, k = -2 at N = 8, R = 2
+    # (s = 64): the two solve orders of the split form differ by about 2e-3
+    # in log det(1 + C), rounding that has spoiled the moments too, so the
+    # line search must step back from it as from a point with no value
+    N, R = 8, 2.0
+    parts = (np.array([0.0, 0.1, 0.5]), np.array([0.0, -0.05, 0.6]), -2.0)
+    value, spread, _ = sampler._split_form(300, R, N, 2)(parts)
+    assert math.isfinite(value) and spread > 1e-4
+    basis = build_dual_basis(2, 2)
+    mu = np.array([0.1, -0.05, 0.5, -2.0, 0.6]) * R ** basis.degrees.astype(float)
+    assert maxent._pair_moments(basis, N, R, 300)(mu) is None
+    # the same sides uncoupled have no spread, and a value
+    mu[3] = 0.0
+    assert maxent._pair_moments(basis, N, R, 300)(mu) is not None
+
+
 def test_pair_fit_recovers_a_correlated_lambda():
     # the exact K = 2 route solves for lambda from the moments of a coupled
     # model (s = 4.8 > N, so the remainder runs in row blocks)
