@@ -409,16 +409,6 @@ def _run_sample(cfg: ExperimentConfig):
     }
 
 
-def _fit_common(cfg: ExperimentConfig) -> Tuple[FitResult, int, int]:
-    tau = build_target(cfg.param("target", {}))
-    [N] = _sizes([cfg.param("N", 8)])
-    K = _degree(cfg.param("K", tau.K), tau)
-    fit = fit_projection(tau, N, K, eps=_checked(float, cfg.param("eps", 0.0)),
-                         opts=_fit_options(cfg.param("fit")),
-                         rng=substream(cfg.seed, "fit", N))
-    return fit, N, K
-
-
 def _fit_record(fit: FitResult, N: int, K: int) -> Dict:
     return {
         "N": N, "K": K,
@@ -448,16 +438,17 @@ def _fit_tables(fit: FitResult) -> Dict:
 
 
 def _run_fit(cfg: ExperimentConfig):
-    fit, N, K = _fit_common(cfg)
+    """The ``fit`` and ``rho`` kinds; a ``rho`` record adds the fit's chi."""
+    tau = build_target(cfg.param("target", {}))
+    [N] = _sizes([cfg.param("N", 8)])
+    K = _degree(cfg.param("K", tau.K), tau)
+    fit = fit_projection(tau, N, K, eps=_checked(float, cfg.param("eps", 0.0)),
+                         opts=_fit_options(cfg.param("fit")),
+                         rng=substream(cfg.seed, "fit", N))
     rec = _fit_record(fit, N, K)
-    rec["kind"] = "fit"
-    return [rec], _fit_tables(fit)
-
-
-def _run_rho(cfg: ExperimentConfig):
-    fit, N, K = _fit_common(cfg)
-    rec = _fit_record(fit, N, K)
-    rec.update({"kind": "rho", "chi_value": fit.chi.value, "chi_stderr": fit.chi.stderr})
+    rec["kind"] = cfg.kind
+    if cfg.kind == "rho":
+        rec.update({"chi_value": fit.chi.value, "chi_stderr": fit.chi.stderr})
     return [rec], _fit_tables(fit)
 
 
@@ -671,7 +662,7 @@ _RUNNERS = {
     "volume": _run_volume,
     "sample": _run_sample,
     "fit": _run_fit,
-    "rho": _run_rho,
+    "rho": _run_fit,
     "chi-tilde": _run_chi_tilde,
     "pressure": _run_pressure,
     "orbital": _run_orbital,

@@ -26,7 +26,6 @@ __all__ = [
     "BlockMap",
     "CompressionFn",
     "build_compression",
-    "haar_unitary",
     "haar_unitary_batch",
     "conjugate_tuple",
     "operator_norm",
@@ -154,6 +153,7 @@ class BlockMap:
         return cls(tuple(range(n)))
 
 
+# unexported, and kept only for bench/layers.py, whose tracer wraps this name
 def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed N x N unitary (a batch of one)."""
     return haar_unitary_batch(1, N, rng)[0]

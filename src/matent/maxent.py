@@ -45,8 +45,8 @@ from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
 from .moments import MomentSpec, moment_pairing
 from .ncpoly import (NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word,
                      word_traces)
-from .sampler import (ChainEngine, GibbsModel, TIOptions, _bilinear_parts, _entropy,
-                      _heine_nodes, _legendre_nodes, _log_heine_norms, _mehta_log_I,
+from .sampler import (EXACT_BOUND, ChainEngine, GibbsModel, TIOptions, _bilinear_parts,
+                      _entropy, _heine_nodes, _legendre_nodes, _log_heine_norms, _mehta_log_I,
                       _split_form, estimate_log_I, log_ball_volume)
 
 __all__ = [
@@ -284,18 +284,18 @@ def _newton_direction(x: np.ndarray, g: np.ndarray, H: np.ndarray, l1: np.ndarra
     return pg, free, d, -0.5 * float(pg @ d)
 
 
-def _backtrack(objective: Callable, x: np.ndarray, f: float, pg: np.ndarray,
+def _backtrack(parts: Callable, x: np.ndarray, f: float, pg: np.ndarray,
                d: np.ndarray, dec: float, l1: np.ndarray):
     """Halve s from 1 until x + s d, kept in the orthant of the step, passes an
-    Armijo test on ``objective`` (whose value is the first item it returns,
-    inf where it cannot be evaluated). Returns the new point and what
-    ``objective`` gave there, or None after 60 halvings."""
+    Armijo test on the value f of ``parts`` (see :func:`_damped_newton`).
+    Returns the new point and what ``parts`` gave there, or None after 60
+    halvings."""
     orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
     s = 1.0
     for _ in range(60):
         xn = x + s * d
         xn[(l1 > 0) & (xn * orthant < 0)] = 0.0
-        out = objective(xn)
+        out = parts(xn)
         # below 1e-12 nats the Armijo test drowns in rounding
         if math.isfinite(out[0]) and (dec < 1e-12 or out[0] + l1 @ np.abs(xn)
                                       <= f + l1 @ np.abs(x) - 2e-4 * s * dec):
@@ -304,13 +304,14 @@ def _backtrack(objective: Callable, x: np.ndarray, f: float, pg: np.ndarray,
     return None
 
 
-def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float, what: str,
-                   value: Optional[Callable] = None):
+def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float, what: str):
     """Minimize f(x) + sum_i l1_i |x_i| for a smooth convex f by damped Newton.
 
-    ``parts(x)`` gives f (inf where it cannot be evaluated), its gradient g
-    and Hessian H; ``value(x)``, where given, gives f alone, and the line
-    search then calls ``parts`` only at the point it accepts. Steps
+    ``parts(x)``, the protocol of every Newton route, gives f (inf where it
+    cannot be evaluated), its gradient g and ``hess``, where ``hess()`` forms
+    the Hessian at x, or gives None where it cannot be formed. It is formed
+    at x0 and at the points the line search accepts only; one that cannot be
+    formed ends the solve at the point before. Steps
     (:func:`_newton_direction`) backtrack on the exact objective
     (:func:`_backtrack`) until the decrement is below 1e-12; one more full
     step then takes it to rounding level. A coefficient beyond 1e5,
@@ -320,7 +321,8 @@ def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float,
     each step.
     """
     x = np.array(x0, dtype=float)
-    f, g, H = parts(x)
+    f, g, hess = parts(x)
+    H = hess()
     history: List[float] = []
     last = math.inf
     while True:
@@ -330,14 +332,11 @@ def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float,
             raise InfeasibleTargetError(f"singular moment covariance; {what}")
         if not dec > 0 or last < 1e-12 or len(history) == 200:
             break
-        step = _backtrack(parts if value is None else lambda y: (value(y),),
-                          x, f, pg, d, dec, l1)
-        if step is None:
+        step = _backtrack(parts, x, f, pg, d, dec, l1)
+        H_step = None if step is None else step[1][2]()
+        if H_step is None:
             break
-        out = step[1] if value is None else parts(step[0])
-        if not math.isfinite(out[0]):
-            break
-        x, (f, g, H) = step[0], out
+        x, (f, g, _), H = step[0], step[1], H_step
         last = dec
         history.append(float(np.max(np.abs(g))))
         if np.max(np.abs(x)) > 1e5:
@@ -351,21 +350,19 @@ def _damped_newton(parts: Callable, x0: np.ndarray, l1: np.ndarray, gtol: float,
     return x, f, g, dec, history
 
 
-def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
-               l1: np.ndarray, gtol: float, what: str, nodes: int, mu0: np.ndarray):
-    """One-matrix dual, up to a constant, in scaled coordinates mu = lam R^degree,
-    minimized from ``mu0``.
+def _one_matrix_dual(basis: DualBasis, N: int, R: float, tt: np.ndarray,
+                     nodes: int) -> Callable:
+    """``parts`` (see :func:`_damped_newton`) of the one-matrix dual's smooth
+    part, up to a constant, in scaled coordinates mu = lam R^degree.
 
     The eigenvalues form an orthogonal-polynomial ensemble, so on ``nodes``
-    Gauss-Legendre nodes, as in :func:`matent.sampler._heine_log_I`, the dual is
-    sum_k log h_k + N^2 (mu . tau + l1 . |mu|). Its derivatives come from the
-    orthonormal rows q_k = sqrt(w) p_k of Q, through the kernel diagonal
+    Gauss-Legendre nodes, as in :func:`matent.sampler._heine_log_I`, it is
+    sum_k log h_k + N^2 mu . tau. Its derivatives come from the orthonormal
+    rows q_k = sqrt(w) p_k of Q, through the kernel diagonal
     K(x, x) = sum_k q_k(x)^2 and A_j = Q diag(f_j) Q^T (never the M x M kernel):
 
         E Tr f_j = sum_x f_j K(x, x),
         Cov(Tr f_i, Tr f_j) = sum_x f_i f_j K(x, x) - <A_i, A_j>_F.
-
-    Returns what :func:`_damped_newton` does.
     """
     x, logg = _legendre_nodes(nodes, R)
     feats = (x / R)[:, None] ** basis.degrees
@@ -377,11 +374,14 @@ def _exact_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
         except EstimatorError:
             return math.inf, None, None
         kdiag = (qs * qs).sum(axis=0)
-        a = np.stack([(qs * f) @ qs.T for f in feats.T])
-        cov = feats.T @ (feats * kdiag[:, None]) - np.einsum("ikl,jkl->ij", a, a)
-        return total + n2 * float(mu @ tt), n2 * tt - N * (kdiag @ feats), n2 * cov
 
-    return _damped_newton(parts, mu0, n2 * l1, n2 * gtol, what)
+        def hess():
+            a = np.stack([(qs * f) @ qs.T for f in feats.T])
+            return n2 * (feats.T @ (feats * kdiag[:, None]) - np.einsum("ikl,jkl->ij", a, a))
+
+        return total + n2 * float(mu @ tt), n2 * tt - N * (kdiag @ feats), hess
+
+    return parts
 
 
 def _pair_parts(basis: DualBasis) -> Optional[np.ndarray]:
@@ -403,8 +403,8 @@ def _pair_moments(basis: DualBasis, N: int, R: float, nodes: int) -> Callable:
     two-matrix models of ``basis`` (:func:`_pair_parts`): a function of the
     scaled coordinates mu = lam R^degree, which returns log I and E f (f_j =
     (1/N) Tr b_j / R^degree_j), or None where log I cannot be evaluated or
-    rounding spoils it (a swap spread beyond 1e-8, as in
-    :func:`matent.sampler._mehta_log_I`), so the line search steps back.
+    rounding spoils it (a swap spread beyond ``EXACT_BOUND``, the trust bound
+    of :func:`matent.sampler._mehta_log_I`), so the line search steps back.
 
     Both are :func:`matent.sampler._split_form`'s on ``nodes`` nodes, the
     evaluator of :func:`matent.sampler._mehta_log_I`, on the parts lam times
@@ -430,54 +430,56 @@ def _pair_moments(basis: DualBasis, N: int, R: float, nodes: int) -> Callable:
         except (EstimatorError, np.linalg.LinAlgError):
             return None
         # E Tr XY / R^2 from C's order; a determinant of sign <= 0 in either order
-        # is nan, and a swap spread beyond _mehta_log_I's 1e-8 is rounding that
-        # has already spoiled the moments, so neither can be evaluated either
+        # is nan, and a swap spread beyond EXACT_BOUND is rounding that has
+        # already spoiled the moments, so neither can be evaluated either
         out = rows @ np.concatenate((at[0, :D], at[1, :D], at[0, D:])) / N
-        return ((value, out) if math.isfinite(value) and spread <= 1e-8
+        return ((value, out) if math.isfinite(value) and spread <= EXACT_BOUND
                 and np.all(np.isfinite(out)) else None)
 
     return moments
 
 
-def _pair_fit(basis: DualBasis, N: int, R: float, tt: np.ndarray,
-              l1: np.ndarray, gtol: float, what: str, nodes: int, mu0: np.ndarray):
-    """Bilinear two-matrix dual, up to a constant, in scaled coordinates
-    mu = lam R^degree, minimized from ``mu0`` on ``nodes`` nodes.
+def _pair_dual(basis: DualBasis, N: int, R: float, tt: np.ndarray,
+               nodes: int) -> Callable:
+    """``parts`` (see :func:`_damped_newton`) of the bilinear two-matrix
+    dual's smooth part, up to a constant, in scaled coordinates
+    mu = lam R^degree, on ``nodes`` nodes.
 
-    The value and gradient are exact (:func:`_pair_moments`); the Hessian
-    N^4 Cov f is the central difference of the moments, 2 len(mu) more
-    evaluations at steps of 1e-5, taken only at the points the line search
-    accepts. A Newton iterate with a scaled coefficient beyond ``MU_MAX``
-    raises :class:`InfeasibleTargetError`, and so leaves the target to Monte
-    Carlo Newton, which decides there whether it is out of reach. Returns
-    what :func:`_damped_newton` does.
+    The value and gradient are exact (:func:`_pair_moments`, one evaluation
+    per point); the Hessian N^4 Cov f is the central difference of the
+    moments, 2 len(mu) more evaluations at steps of 1e-5. Forming it at a
+    scaled coefficient beyond ``MU_MAX`` raises :class:`InfeasibleTargetError`
+    and so leaves the target to Monte Carlo Newton, which decides there
+    whether it is out of reach.
     """
     moments = _pair_moments(basis, N, R, nodes)
     n2 = N * N
 
-    def value(mu):
-        at = moments(mu)
-        return math.inf if at is None else at[0] + n2 * float(mu @ tt)
-
     def parts(mu):
-        if np.max(np.abs(mu)) > MU_MAX:
-            raise InfeasibleTargetError(f"a Newton iterate passed |mu| = {MU_MAX}; {what}")
-        h = 1e-5 * np.eye(len(mu))
-        at, *steps = [moments(p) for p in (mu, *(mu + h), *(mu - h))]
-        if at is None or None in steps:
+        at = moments(mu)
+        if at is None:
             return math.inf, None, None
-        k = len(mu)
-        jac = np.array([p[1] - q[1] for p, q in zip(steps[:k], steps[k:])]) / 2e-5
-        return at[0] + n2 * float(mu @ tt), n2 * (tt - at[1]), -0.5 * n2 * (jac + jac.T)
 
-    return _damped_newton(parts, mu0, n2 * l1, n2 * gtol, what, value)
+        def hess():
+            if np.max(np.abs(mu)) > MU_MAX:
+                raise InfeasibleTargetError(f"a Newton iterate passed |mu| = {MU_MAX}")
+            pairs = [(moments(mu + h), moments(mu - h)) for h in 1e-5 * np.eye(len(mu))]
+            if any(p is None or q is None for p, q in pairs):
+                return None
+            jac = np.array([p[1] - q[1] for p, q in pairs]) / 2e-5
+            return -0.5 * n2 * (jac + jac.T)
+
+        return at[0] + n2 * float(mu @ tt), n2 * (tt - at[1]), hess
+
+    return parts
 
 
 def _exact_solve(basis: DualBasis, N: int, R: float, tt: np.ndarray, l1: np.ndarray,
                  what: str):
-    """The exact dual solve, :func:`_exact_fit` for one matrix and
-    :func:`_pair_fit` for a bilinear two-matrix basis, on as many nodes as the
-    fitted model's log I needs.
+    """The exact dual solve: :func:`_damped_newton` on :func:`_one_matrix_dual`
+    for one matrix and on :func:`_pair_dual` for a bilinear two-matrix basis,
+    with the L1 term N^2 l1 . |mu|, on as many nodes as the fitted model's log
+    I needs.
 
     The first solve runs on max(300, 8N) nodes; while log I of the fitted
     model (:func:`matent.sampler.estimate_log_I` for one matrix,
@@ -488,11 +490,12 @@ def _exact_solve(basis: DualBasis, N: int, R: float, tt: np.ndarray, l1: np.ndar
     each Newton step of every solve, the last node count, and the fitted model
     and its log I; None where Mehta's log I has no value at the fitted model.
     """
-    solve = _exact_fit if basis.n == 1 else _pair_fit
+    dual = _one_matrix_dual if basis.n == 1 else _pair_dual
     scales = R ** basis.degrees.astype(float)
-    mu, nodes, history = np.zeros(len(basis)), _heine_nodes(N), []
+    mu, nodes, history, n2 = np.zeros(len(basis)), _heine_nodes(N), [], N * N
     while True:
-        mu, _, grad, dec, steps = solve(basis, N, R, tt, l1, 1e-9, what, nodes, mu)
+        mu, _, grad, dec, steps = _damped_newton(dual(basis, N, R, tt, nodes), mu, n2 * l1,
+                                                 n2 * 1e-9, what)
         history += steps
         model = GibbsModel(basis.n, N, R, potential_from_coeffs(basis, mu / scales))
         log_i = estimate_log_I(model) if basis.n == 1 else _mehta_log_I(model)
@@ -504,7 +507,7 @@ def _exact_solve(basis: DualBasis, N: int, R: float, tt: np.ndarray, l1: np.ndar
 
 
 # a scaled coefficient beyond this, with residuals stuck, marks a target out
-# of reach (see _chain_newton); the exact K = 2 route stops there (_pair_fit)
+# of reach (see _chain_newton); the exact K = 2 route stops there (_pair_dual)
 MU_MAX = 60.0
 # a decrement within this many noise floors is indistinguishable from zero
 NOISE_MULT = 3.0
@@ -524,15 +527,16 @@ def _reweighted_dual(runs: List[Tuple[np.ndarray, np.ndarray]], n2: int,
     Run r holds the scaled moments F_r of S_r states sampled at mu_r; weights
     exp(-N^2 (x - mu_r) . f) turn them into estimates of E_x f, Cov_x f and
     D(x) - D(mu_r) = log mean exp(-N^2 (x - mu_r) . f) + N^2 (x - mu_r) . tt.
-    The runs are pooled in proportion to S_r. ``parts(x)`` returns the value
-    (up to a constant), the gradient N^2 (tt - E_x f) and the Hessian
-    N^4 Cov_x f; the value is inf where some run's weights have an ESS below
-    half its states.
+    The runs are pooled in proportion to S_r. ``parts(x)`` returns, as
+    :func:`_damped_newton` reads them, the value (up to a constant), the
+    gradient N^2 (tt - E_x f) and the Hessian N^4 Cov_x f, formed on demand;
+    the value is inf where some run's weights have an ESS below half its
+    states.
     """
     total = sum(len(F) for _, F in runs)
 
     def parts(x):
-        value, mean, hess = 0.0, 0.0, 0.0
+        value, mean, weighted = 0.0, 0.0, []
         for mu_r, F in runs:
             a = -n2 * (F @ (x - mu_r))
             w = np.exp(a - a.max())
@@ -543,8 +547,13 @@ def _reweighted_dual(runs: List[Tuple[np.ndarray, np.ndarray]], n2: int,
             m = p @ F
             value += share * (logsumexp(a) - math.log(len(F)) + n2 * float((x - mu_r) @ tt))
             mean = mean + share * m
-            hess = hess + share * ((F * p[:, None]).T @ F - np.outer(m, m))
-        return value, n2 * (tt - mean), n2 * n2 * hess
+            weighted.append((share, p, m, F))
+
+        def hess():
+            return n2 * n2 * sum(share * ((F * p[:, None]).T @ F - np.outer(m, m))
+                                 for share, p, m, F in weighted)
+
+        return value, n2 * (tt - mean), hess
 
     return parts
 
@@ -617,9 +626,9 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
         dec = floor = ess = math.nan
         if len(F) >= 10 * len(mu):  # fewer states give too rough a covariance to step on
             parts = _reweighted_dual(runs, n2, tt)
-            f0, g, H = parts(mu)
+            f0, g, hess = parts(mu)
             try:
-                pg, free, d, dec = _newton_direction(mu, g, H, l1)
+                pg, free, d, dec = _newton_direction(mu, g, hess(), l1)
                 chol = np.linalg.cholesky(np.cov(F[:, free], rowvar=False, bias=True))
                 white = np.linalg.solve(chol, (F[:, free] - F[:, free].mean(axis=0)).T)
                 # one IAT per whitened moment, from its K walker series
@@ -698,7 +707,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
 
     Coordinates are preconditioned by R^degree so that step sizes and
     tolerances are scale-free. One matrix (n == 1) is solved exactly by
-    damped Newton on the dual (:func:`_exact_fit`), on as many quadrature
+    damped Newton on the dual (:func:`_one_matrix_dual`), on as many quadrature
     nodes as the fitted model's log I needs (:func:`_exact_solve`): the
     per-element tolerance is eps + 1e-9 R^degree, ``energy`` and ``rho`` have
     stderr 0, ``energy.bias_bound`` is the residual cost N^2 |lam . r - eps
@@ -707,7 +716,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     ``converged`` when the Newton decrement is at most 1e-10 nats.
 
     Two matrices at K <= 2 (potentials V1(X) + V2(Y) + k Tr XY) are solved
-    exactly the same way (:func:`_pair_fit`), on the function whose value is
+    exactly the same way (:func:`_pair_dual`), on the function whose value is
     ``log_i`` at the fitted model (:func:`matent.sampler._mehta_log_I`).
     A run of ``WALKERS`` lockstep walkers at that lambda, ``final_burnin``
     steps each (which tune them) and then ``final_steps`` walker-steps in

@@ -184,9 +184,9 @@ class ChainEngine:
     accepts ||M|| < R where ``eigvalsh`` accepts ||M|| <= R: the two can
     disagree only within rounding of the sphere, a null set for the chain.
 
-    ``step``, ``run`` and ``tune`` all advance through one batch method,
-    :meth:`_advance`. A rejected step leaves the state unchanged, so the
-    proposals of the next d steps, as long as they all reject, are known
+    ``step`` and ``run`` (which ``tune`` calls) advance through one batch
+    method, :meth:`_advance`. A rejected step leaves the state unchanged, so
+    the proposals of the next d steps, as long as they all reject, are known
     from the current state and the drawn increments. One walker prices
     d = ``SPECULATIVE_DEPTH`` of them in one energy call and takes the steps
     up to the first accepted one; the draws after it go to the next batch.
@@ -331,21 +331,18 @@ class ChainEngine:
     def tune(self, steps: int, interval: int = 50) -> None:
         """Adapt the step size toward the acceptance band ``ACCEPT_BAND``.
 
-        After each window of ``interval`` steps the scale is multiplied by
-        exp(1.5 (acc - target)), with acc the window's acceptance (pooled
+        After each :meth:`run` of ``interval`` steps the scale is multiplied
+        by exp(1.5 (acc - target)), with acc the window's acceptance (pooled
         over walkers) and target the band midpoint; the factor is clamped to
         [0.6, 1.6] so a noisy window cannot destabilize the scale.
         """
         target = (ACCEPT_BAND[0] + ACCEPT_BAND[1]) / 2.0
-        K = self.walkers
         done = 0
         while done < steps:
             chunk = min(interval, steps - done)
-            acc = taken = 0
-            while taken < chunk:
-                k, count = self._advance(chunk - taken)
-                taken += k
-                acc += count / K
+            accepted = self.accepted
+            self.run(chunk)
+            acc = (self.accepted - accepted) / self.walkers
             factor = math.exp(1.5 * (acc / chunk - target))
             self.step_scale *= min(max(factor, 0.6), 1.6)
             done += chunk
@@ -575,6 +572,32 @@ def _heine_nodes(N: int) -> int:
     return max(300, 8 * N)
 
 
+# the trust bound of an exact value, in nats (see _refined)
+EXACT_BOUND = 1e-8
+
+
+def _refined(value: Callable[[int], Tuple[float, float]], N: int, cap: int
+             ) -> Tuple[float, int, float]:
+    """The trust rule of the exact routes: (value, M, error) for a quadrature
+    whose ``value(M)`` gives its value on M nodes and a rounding probe.
+
+    M starts at :func:`_heine_nodes` (N) and doubles while the error, the M-
+    and 2M-node values' gap plus both probes, exceeds ``EXACT_BOUND`` and 2M
+    stays within ``cap``. A probe beyond ``EXACT_BOUND`` (or nan) stops it at
+    once, since more nodes do not shrink rounding; at the first M the error
+    is then twice the probe, and no 2M-node value is taken.
+    """
+    M = _heine_nodes(N)
+    coarse = value(M)
+    fine = value(2 * M) if coarse[1] <= EXACT_BOUND else coarse
+    while True:
+        error = abs(coarse[0] - fine[0]) + coarse[1] + fine[1]
+        if not (error > EXACT_BOUND and fine[1] <= EXACT_BOUND and 4 * M <= cap):
+            return coarse[0], M, error
+        M *= 2
+        coarse, fine = fine, value(2 * M)
+
+
 def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
     """Exact log I for one matrix by Heine's identity.
 
@@ -587,24 +610,19 @@ def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
 
     The norms come from M-point Gauss-Legendre quadrature; M must grow with
     N, and with the narrowness of the weight, for the nodes to resolve its
-    bulk. M starts at max(300, 8N) and doubles while the M- and 2M-point
-    values differ by more than 1e-8 nats, up to M = 9600; their distance is
-    reported as ``bias_bound``.
+    bulk. :func:`_refined` picks M, on up to 19,200 nodes and with no rounding
+    probe; the M- and 2M-node values' gap is reported as ``bias_bound``.
     """
     N, R = model.N, model.R
     coeffs = model.potential.scalar_coeffs()
 
-    def value(M: int) -> float:
+    def value(M: int) -> Tuple[float, float]:
         x, logg = _legendre_nodes(M, R)
         logw = logg - N * polyval(x, coeffs)
-        return _log_heine_norms(x, logw, N)[0] - _log_heine_norms(x, logg, N)[0]
+        return _log_heine_norms(x, logw, N)[0] - _log_heine_norms(x, logg, N)[0], 0.0
 
-    M = _heine_nodes(N)
-    coarse, fine = value(M), value(2 * M)
-    while abs(coarse - fine) > 1e-8 and 2 * M <= 9600:
-        M *= 2
-        coarse, fine = fine, value(2 * M)
-    return ScalarEstimate(log_ball_volume(N, R) + coarse, 0.0, M, abs(coarse - fine))
+    log_i, M, error = _refined(value, N, 19200)
+    return ScalarEstimate(log_ball_volume(N, R) + log_i, 0.0, M, error)
 
 
 def _bilinear_parts(potential: NcPoly) -> Optional[Tuple[np.ndarray, np.ndarray, float]]:
@@ -797,14 +815,11 @@ def _split_form(M: int, R: float, N: int, D: int = 0) -> Callable:
 def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
     """Exact log I of a bilinear two-matrix model (Mehta 1981), or None.
 
-    Values are :func:`_split_form`'s; since the M- and 2M-node values can
-    agree by chance while both carry rounding, the error is their gap plus
-    both swap spreads. M starts at max(300, 8N) and doubles while the error
-    exceeds 1e-8 nats, up to 2M = ``MEHTA_MAX_NODES``; a swap spread above
-    1e-8 ends the search at once, since more nodes do not shrink rounding.
-    Returns ``ScalarEstimate(value, 0, M, error)``, or None when the
-    potential is not bilinear, a value is not finite (N t R^2 too large) or
-    the error stays above 1e-8.
+    Values are :func:`_split_form`'s, on up to ``MEHTA_MAX_NODES`` nodes, and
+    :func:`_refined` probes their rounding with the swap spread. Returns
+    ``ScalarEstimate(value, 0, M, error)``, or None when the potential is not
+    bilinear, a value is not finite (N t R^2 too large) or the error stays
+    above ``EXACT_BOUND``.
 
     Against the all-space Gaussian a(X^2 + Y^2) - c(XY + YX), a = 1, R = 6,
     it is within 2e-10 nats for N <= 32, |c| <= 0.25, and None at N = 32,
@@ -815,30 +830,15 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
     if parts is None:
         return None
     N, R = model.N, model.R
-
-    def value(M: int) -> Tuple[float, float]:
-        return _split_form(M, R, N)(parts)[:2]
-
-    def error(coarse: Tuple[float, float], fine: Tuple[float, float]) -> float:
-        return abs(coarse[0] - fine[0]) + coarse[1] + fine[1]
-
-    M = _heine_nodes(N)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            # a swap spread is rounding, which more nodes cannot shrink: one
-            # beyond 1e-8 ends the search (and so does a nan)
-            coarse = value(M)
-            fine = value(2 * M) if coarse[1] <= 1e-8 else coarse
-            while (error(coarse, fine) > 1e-8 and fine[1] <= 1e-8
-                   and 4 * M <= MEHTA_MAX_NODES):
-                M *= 2
-                coarse, fine = fine, value(2 * M)
+            log_i, M, error = _refined(lambda M: _split_form(M, R, N)(parts)[:2], N,
+                                       MEHTA_MAX_NODES)
     except (EstimatorError, np.linalg.LinAlgError):
         return None
-    bound = error(coarse, fine)
-    if not bound <= 1e-8:
+    if not error <= EXACT_BOUND:
         return None
-    return ScalarEstimate(2.0 * log_ball_volume(N, R) + coarse[0], 0.0, M, bound)
+    return ScalarEstimate(2.0 * log_ball_volume(N, R) + log_i, 0.0, M, error)
 
 
 # the envelope of the exact sampler: uniform cells per eigenvalue, kernel
@@ -872,7 +872,7 @@ class _ExactSpectra:
         self.coeffs = model.potential.scalar_coeffs()
         # as many nodes as log I needs to converge
         log_i = _heine_log_I(model)
-        if not log_i.bias_bound <= 1e-8:
+        if not log_i.bias_bound <= EXACT_BOUND:
             raise EstimatorError(f"{log_i.count} quadrature nodes do not resolve the weight")
         x, logg = _legendre_nodes(log_i.count, R)
         _, _, (self.log_h0, self.a, self.b) = _log_heine_norms(

@@ -607,3 +607,54 @@ def hciz_log(a: Sequence[float], b: Sequence[float], t: float,
             for j in range(i + 1, N):
                 den *= (a[j] - a[i]) * (b[j] - b[i])
         return float((det * math.prod(math.factorial(p) for p in range(N)) / den).ln())
+
+
+# ---------------------------------------------------------------------------
+# Mehta's bimoment determinant, unsplit
+
+def bimoment_log_det_ratio(x: Sequence[float], log_g: Sequence[float],
+                           v1: Sequence[float], v2: Sequence[float], k: float,
+                           N: int, digits: int = 50) -> float:
+    """log det(1 + C) of Mehta's determinant in split form, taken as
+    log det M(t) - log det M_T(t) in stdlib ``decimal`` on the given nodes x
+    with log quadrature weights ``log_g``.
+
+    M(t)_jk = sum_{x,y} x^j y^k g_x g_y w1(x) w2(y) exp(t x y), j, k < N, with
+    w_i = exp(-N V_i) (``v1``, ``v2`` coefficients, constant first) and
+    t = -N k, is the bimoment matrix itself, in the monomial basis; M_T(t) is
+    its Taylor part, exp(t x y) cut to sum_{m<N} (t x y)^m / m!, which is
+    sum_m t^m / m! a_(j+m) b_(k+m) for the moments a_p of g w1 and b_p of
+    g w2. No orthogonal basis, no back substitution and no remainder
+    series: both determinants come from
+    :func:`matent.orbital._det_by_elimination`, at ``digits`` digits, so
+    the monomial basis's conditioning costs nothing at small N.
+    """
+    from matent.orbital import _det_by_elimination
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        xs = [Decimal(float(v)) for v in x]
+
+        def weights(coeffs):
+            return [(Decimal(float(lg)) - N * sum(Decimal(float(c)) * xi ** p
+                                                  for p, c in enumerate(coeffs))).exp()
+                    for xi, lg in zip(xs, log_g)]
+
+        w1, w2 = weights(v1), weights(v2)
+        t = -N * Decimal(float(k))
+        a = [sum(w * xi ** p for xi, w in zip(xs, w1)) for p in range(2 * N - 1)]
+        b = [sum(w * xi ** p for xi, w in zip(xs, w2)) for p in range(2 * N - 1)]
+        taylor = [[sum(t ** m / math.factorial(m) * a[j + m] * b[l + m] for m in range(N))
+                   for l in range(N)] for j in range(N)]
+        right = [[w * xi ** l for l in range(N)] for xi, w in zip(xs, w2)]
+        full = [[Decimal(0)] * N for _ in range(N)]
+        for xi, w in zip(xs, w1):
+            # sum_y exp(t x y) y^l g w2(y), then x^j g w1(x) times it
+            row = [Decimal(0)] * N
+            for yj, r in zip(xs, right):
+                e = (t * xi * yj).exp()
+                row = [acc + e * rl for acc, rl in zip(row, r)]
+            for j in range(N):
+                lead = w * xi ** j
+                full[j] = [acc + lead * rl for acc, rl in zip(full[j], row)]
+        return float(_det_by_elimination(full).ln() - _det_by_elimination(taylor).ln())

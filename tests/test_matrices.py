@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from matent.matrices import (BlockMap, CompressionFn, MatrixTuple,
                              apply_scalar_function, build_compression,
-                             conjugate_tuple, haar_unitary, haar_unitary_batch,
+                             conjugate_tuple, haar_unitary_batch,
                              hermitize, in_norm_ball, log_jacobian_functional_calculus,
                              operator_norm)
 from matent.streams import substream
@@ -111,7 +111,7 @@ def test_blockmap_structure():
 def test_haar_unitary_is_unitary():
     rng = substream(2, "haar")
     for N in (1, 2, 5, 16):
-        u = haar_unitary(N, rng)
+        u = haar_unitary_batch(1, N, rng)[0]
         assert np.allclose(u @ u.conj().T, np.eye(N), atol=1e-12)
 
 
@@ -130,7 +130,7 @@ def test_conjugation_preserves_single_group_moments_exactly():
     blocks = tuple(_hermitian(5, rng, 0.3) for _ in range(3))
     t = MatrixTuple(3, 5, 2.0, blocks)
     bm = BlockMap((0, 0, 1))
-    us = (haar_unitary(5, rng), haar_unitary(5, rng))
+    us = haar_unitary_batch(2, 5, rng)
     c = conjugate_tuple(t, us, bm)
     # words inside one group see a joint unitary conjugation: trace invariant
     for w in [(1, 1), (1, 2, 1, 2), (3, 3, 3)]:
@@ -211,7 +211,7 @@ def test_log_jacobian_bound_on_random_matrices():
 def test_conjugation_preserves_operator_norms_exactly():
     rng = substream(10, "norms")
     t = MatrixTuple(2, 6, 2.0, tuple(_hermitian(6, rng, 0.3) for _ in range(2)))
-    us = (haar_unitary(6, rng), haar_unitary(6, rng))
+    us = haar_unitary_batch(2, 6, rng)
     c = conjugate_tuple(t, us, BlockMap((0, 1)))
     for a, b in zip(t.blocks, c.blocks):
         assert operator_norm(b) == pytest.approx(operator_norm(a), abs=1e-9)
@@ -248,7 +248,7 @@ def test_log_jacobian_invariant_under_conjugation():
     g = build_compression(2.0, 1.5, 1.0)
     for _ in range(10):
         m = _hermitian(5, rng, 0.4)
-        u = haar_unitary(5, rng)
+        u = haar_unitary_batch(1, 5, rng)[0]
         lj = log_jacobian_functional_calculus(m, g)
         lj_c = log_jacobian_functional_calculus(u @ m @ u.conj().T, g)
         assert lj_c == pytest.approx(lj, abs=1e-8)

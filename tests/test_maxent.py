@@ -297,6 +297,28 @@ def test_pair_fit_recovers_a_correlated_lambda():
     assert log_i.value == pytest.approx(_pair_log_i(N, R, basis, lam * scales).value, abs=1e-9)
 
 
+def test_damped_newton_stops_where_a_hessian_cannot_be_formed():
+    # f = sum(exp(x) - 2 x) takes full Newton steps from 0 to 1, then toward
+    # log 2; the stub's Hessian cannot be formed at the second accepted point,
+    # which ends the solve at the first with its value and gradient. Hessians
+    # are asked for at the start and at accepted points only
+    asked = []
+
+    def parts(x):
+        def hess():
+            asked.append(x.copy())
+            return None if len(asked) == 3 else np.diag(np.exp(x))
+
+        return float(np.sum(np.exp(x) - 2.0 * x)), np.exp(x) - 2.0, hess
+
+    x, f, g, dec, history = maxent._damped_newton(
+        parts, np.zeros(2), np.zeros(2), 1.0, "stub")
+    np.testing.assert_array_equal(x, [1.0, 1.0])
+    assert f == 2.0 * (math.e - 2.0) and np.array_equal(g, np.full(2, math.e - 2.0))
+    assert len(history) == 1 and dec == pytest.approx((math.e - 2.0) ** 2 / math.e)
+    np.testing.assert_allclose(asked, [[0.0, 0.0], [1.0, 1.0], [1.0 - (math.e - 2.0) / math.e] * 2])
+
+
 def test_free_pair_fit_is_exact_and_runs_only_the_final_chain(monkeypatch):
     # free-pair-4's target: lambda from the exact K = 2 solve, and the only
     # chain is the final run, burn-in included (no tuning at V = 0)

@@ -641,6 +641,59 @@ def test_split_form_takes_e_tr_xy_alike_in_both_solve_orders(k):
     assert abs(moments[0, 2] - moments[1, 2]) <= 1e-14
 
 
+# V = X + 0.2 X^4 + 0.3 Y^2 - Y - 0.25 (XY + YX): unequal sides, odd powers
+_TILTED_PAIR = NcPoly(2, {(1,): 1.0, (1, 1, 1, 1): 0.2, (2, 2): 0.3, (2,): -1.0,
+                          (1, 2): -0.25, (2, 1): -0.25})
+
+
+@pytest.mark.parametrize("N,R,pot", [(N, 2.0, _quadratic_pair(c, c))
+                                     for c in (0.05, 1.0) for N in (1, 2, 3, 4)]
+                         + [(4, 1.5, _TILTED_PAIR)],
+                         ids=[f"c{c}-N{N}" for c in (0.05, 1.0) for N in (1, 2, 3, 4)]
+                         + ["tilted-N4"])
+def test_split_form_log_det_matches_the_unsplit_determinant(N, R, pot):
+    # log det(1 + C) against log det M(t) - log det M_T(t), the bimoment
+    # matrix and its Taylor part in the monomial basis, in decimal on the same
+    # 48 nodes: c (X - Y)^2 at R = 2 has s = 8 c N, so c = 0.05 takes the
+    # remainder's series (|s| < N) and c = 1 its kernel, as does the tilted
+    # pair (s = 4.5 at N = 4); the split form's log det is its value less the
+    # value at k = 0, which is the Heine part alone
+    parts = sampler._bilinear_parts(pot)
+    evaluate = sampler._split_form(48, R, N)
+    value, spread, _ = evaluate(parts)
+    log_det = value - evaluate((parts[0], parts[1], 0.0))[0]
+    x, log_g = sampler._legendre_nodes(48, R)
+    want = oracles.bimoment_log_det_ratio(x, log_g, *parts, N)
+    assert abs(log_det - want) <= spread + 1e-12
+
+
+def test_refined_doubles_to_the_cap_and_stops_on_a_probe():
+    # the trust rule on stub quadratures: a gap that halves with each doubling
+    # is refined until it is within EXACT_BOUND, or until 2M would pass the
+    # cap; a rounding probe beyond EXACT_BOUND stops at once, with no 2M value
+    calls = []
+
+    def halving(gap):
+        def value(M):
+            calls.append(M)
+            return 1.0 + 2 * gap * 300 / M, 0.0
+        return value
+
+    # the M/2M gap is gap * 300 / M: within 1e-8 from M = 4800
+    value, M, error = sampler._refined(halving(1e-7), 4, 19200)
+    assert (M, calls) == (4800, [300, 600, 1200, 2400, 4800, 9600])
+    assert value == pytest.approx(1.0 + 1.25e-8, abs=1e-15)
+    assert error == pytest.approx(6.25e-9, abs=1e-15)
+    calls.clear()
+    value, M, error = sampler._refined(halving(1e-6), 4, 2400)
+    assert (M, calls) == (1200, [300, 600, 1200, 2400])
+    assert value == pytest.approx(1.0 + 5e-7, abs=1e-15)
+    assert error == pytest.approx(2.5e-7, abs=1e-15)
+    calls.clear()
+    value, M, error = sampler._refined(lambda M: (calls.append(M) or 1.0, 3e-8), 4, 19200)
+    assert (value, M, error, calls) == (1.0, 300, 6e-8, [300])
+
+
 def test_mehta_log_i_at_zero_coupling_is_heine():
     # V1(X) + V2(Y) factorizes: log I is the sum of the two one-matrix values
     v1 = _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.1])
