@@ -8,7 +8,7 @@ inequalities that relate them.
 
 __version__ = "0.1.0"
 
-from .estimates import EstimatorError, ScalarEstimate, combine_linear, pooled_mean
+from .estimates import EstimatorError, ScalarEstimate, pooled_mean
 from .streams import substream
 from .ncpoly import NcPoly, canonical_class, canonical_classes, word_traces
 from .moments import (MomentSpec, arcsine_moments, empirical_moments,
@@ -20,20 +20,18 @@ from .matrices import (BlockMap, CompressionFn, MatrixTuple, apply_scalar_functi
 from .sampler import (ChainDiagnostics, GibbsModel, MicrostateEstimate, TIOptions,
                       estimate_log_I, gibbs_entropy, log_ball_volume, mcmc_chain,
                       microstate_hit_rate)
-from .maxent import (ChiReference, ChiTildePoint, DualBasis, EtaBoundReport,
-                     FitOptions, FitResult, InfeasibleTargetError, RhoResult,
-                     build_dual_basis, chi_tilde_curve, dual_objective,
+from .maxent import (ChiReference, DualBasis, EtaBoundReport, FitOptions, FitResult,
+                     InfeasibleTargetError, build_dual_basis, dual_objective,
                      eta_bound_check, fit_projection, free_pressure,
                      log_energy_quadrature, one_variable_chi_reference,
-                     reference_constant, rho)
+                     reference_constant)
 from .orbital import (ChainRuleReport, OrbitalEstimate, OrbitalRequest,
-                      SplitReport, TalagrandReport, chain_rule_check,
-                      dW_moment_lower_bound, dW_upper_bound,
-                      entropy_split_check, orbital_entropy, talagrand_report)
+                      TalagrandReport, chain_rule_check, dW_moment_lower_bound,
+                      dW_upper_bound, orbital_entropy, talagrand_report)
 
 __all__ = [
     "__version__",
-    "EstimatorError", "ScalarEstimate", "combine_linear", "pooled_mean",
+    "EstimatorError", "ScalarEstimate", "pooled_mean",
     "substream",
     "NcPoly", "canonical_class", "canonical_classes", "word_traces",
     "MomentSpec", "arcsine_moments", "empirical_moments", "free_product_moments",
@@ -44,14 +42,11 @@ __all__ = [
     "ChainDiagnostics", "GibbsModel", "MicrostateEstimate", "TIOptions",
     "estimate_log_I", "gibbs_entropy", "log_ball_volume", "mcmc_chain",
     "microstate_hit_rate",
-    "ChiReference", "ChiTildePoint", "DualBasis", "EtaBoundReport",
-    "FitOptions", "FitResult", "InfeasibleTargetError", "RhoResult",
-    "build_dual_basis", "chi_tilde_curve",
-    "dual_objective", "eta_bound_check", "fit_projection", "free_pressure",
+    "ChiReference", "DualBasis", "EtaBoundReport", "FitOptions", "FitResult",
+    "InfeasibleTargetError", "build_dual_basis", "dual_objective",
+    "eta_bound_check", "fit_projection", "free_pressure",
     "log_energy_quadrature", "one_variable_chi_reference", "reference_constant",
-    "rho",
-    "ChainRuleReport", "OrbitalEstimate", "OrbitalRequest", "SplitReport",
-    "TalagrandReport", "chain_rule_check", "dW_moment_lower_bound",
-    "dW_upper_bound", "entropy_split_check", "orbital_entropy",
-    "talagrand_report",
+    "ChainRuleReport", "OrbitalEstimate", "OrbitalRequest", "TalagrandReport",
+    "chain_rule_check", "dW_moment_lower_bound", "dW_upper_bound",
+    "orbital_entropy", "talagrand_report",
 ]

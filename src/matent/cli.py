@@ -143,7 +143,7 @@ def load_config(path: str, seed_override: Optional[int] = None,
             threads = 1
     threads = _integer(threads)
     _require(threads >= 1, "threads must be a positive integer")
-    _known(raw, _KEYS[kind], kind)
+    _known(raw, _KINDS[kind][1], kind)
     return ExperimentConfig(kind=str(kind), seed=seed, params=raw, out=out, threads=threads)
 
 
@@ -658,24 +658,6 @@ def _run_hit_rate(cfg: ExperimentConfig):
     return [rec], {"hit_rate": (("hits", "trials", "log_volume", "stderr"), rows)}
 
 
-_RUNNERS = {
-    "volume": _run_volume,
-    "sample": _run_sample,
-    "fit": _run_fit,
-    "rho": _run_fit,
-    "chi-tilde": _run_chi_tilde,
-    "pressure": _run_pressure,
-    "orbital": _run_orbital,
-    "chain-rule": _run_chain_rule,
-    "talagrand": _run_talagrand,
-    "duality-check": _run_duality_check,
-    "arcsine-demo": _run_arcsine_demo,
-    "compression-check": _run_compression_check,
-    "hit-rate": _run_hit_rate,
-}
-
-EXPERIMENT_KINDS = tuple(sorted(_RUNNERS))
-
 # the keys of each named target family
 _TARGET_KEYS = {
     "semicircle": ("name", "K", "variance", "radius"),
@@ -683,28 +665,32 @@ _TARGET_KEYS = {
     "free-semicircle-pair": ("name", "K", "variance", "radius"),
 }
 _NESTED = ("model", "groups", "s_out", "s_in", "chain_burnin", "chain_thin")
-# the top-level keys each kind reads, besides kind, seed, out and threads
-_KEYS = {
-    "volume": ("sizes", "N", "R"),
-    "sample": ("model", "chain", "K", "bins", "record_file"),
-    "fit": ("target", "N", "K", "eps", "fit"),
-    "rho": ("target", "N", "K", "eps", "fit"),
-    "chi-tilde": ("target", "sizes", "K", "eps", "fit", "reference_density",
-                  "reference_variance"),
-    "pressure": ("n", "potential", "R", "sizes", "N", "ti"),
-    "orbital": _NESTED + ("couplings",),
-    "chain-rule": _NESTED + ("ti",),
-    "talagrand": _NESTED + ("couplings", "K"),
-    "duality-check": ("targets", "fit"),
-    "arcsine-demo": ("N", "R", "chain", "bins"),
-    "compression-check": ("window", "N", "potential", "chain"),
-    "hit-rate": ("target", "eps", "K", "N", "trials"),
+_FIT = ("target", "N", "K", "eps", "fit")
+# each kind's runner, and the top-level keys it reads besides kind, seed, out
+# and threads
+_KINDS = {
+    "volume": (_run_volume, ("sizes", "N", "R")),
+    "sample": (_run_sample, ("model", "chain", "K", "bins", "record_file")),
+    "fit": (_run_fit, _FIT),
+    "rho": (_run_fit, _FIT),
+    "chi-tilde": (_run_chi_tilde, ("target", "sizes", "K", "eps", "fit",
+                                   "reference_density", "reference_variance")),
+    "pressure": (_run_pressure, ("n", "potential", "R", "sizes", "N", "ti")),
+    "orbital": (_run_orbital, _NESTED + ("couplings",)),
+    "chain-rule": (_run_chain_rule, _NESTED + ("ti",)),
+    "talagrand": (_run_talagrand, _NESTED + ("couplings", "K")),
+    "duality-check": (_run_duality_check, ("targets", "fit")),
+    "arcsine-demo": (_run_arcsine_demo, ("N", "R", "chain", "bins")),
+    "compression-check": (_run_compression_check, ("window", "N", "potential", "chain")),
+    "hit-rate": (_run_hit_rate, ("target", "eps", "K", "N", "trials")),
 }
+
+EXPERIMENT_KINDS = tuple(sorted(_KINDS))
 
 
 def run(config: ExperimentConfig) -> RunRecord:
     """Execute an experiment; result records depend only on (config, seed)."""
-    results, tables = _RUNNERS[config.kind](config)
+    results, tables = _KINDS[config.kind][0](config)
     return RunRecord(config, config_hash(config), __version__, results, tables)
 
 

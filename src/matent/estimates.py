@@ -11,7 +11,6 @@ import numpy as np
 __all__ = [
     "ScalarEstimate",
     "EstimatorError",
-    "combine_linear",
     "logsumexp",
     "pooled_mean",
 ]
@@ -61,25 +60,6 @@ class ScalarEstimate:
     def shifted(self, c: float) -> "ScalarEstimate":
         return ScalarEstimate(self.value + c, self.stderr, self.count,
                               self.bias_bound)
-
-
-def combine_linear(terms, constant: float = 0.0) -> ScalarEstimate:
-    """Linear combination of independent estimates.
-
-    ``terms`` is an iterable of ``(coefficient, ScalarEstimate)``. Standard
-    errors combine in quadrature (independence assumed by the caller); bias
-    bounds add up in absolute value.
-    """
-    value = float(constant)
-    var = 0.0
-    bias = 0.0
-    count = 0
-    for coeff, est in terms:
-        value += coeff * est.value
-        var += (coeff * est.stderr) ** 2
-        bias += abs(coeff) * est.bias_bound
-        count = max(count, est.count)
-    return ScalarEstimate(value, math.sqrt(var), count, bias)
 
 
 def pooled_mean(series) -> Tuple[ScalarEstimate, float]:

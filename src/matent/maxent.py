@@ -60,10 +60,6 @@ __all__ = [
     "FitOptions",
     "FitResult",
     "fit_projection",
-    "RhoResult",
-    "rho",
-    "ChiTildePoint",
-    "chi_tilde_curve",
     "free_pressure",
     "EtaBoundReport",
     "eta_bound_check",
@@ -824,51 +820,6 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     return FitResult(basis, lam, rho_est, dual, log_i, energy_est, residuals,
                      residual_stderr, tol_abs, converged, iterations,
                      trajectory, final_model)
-
-
-@dataclass(frozen=True)
-class RhoResult:
-    """Finite-N maximum entropy under moment constraints, with its fit."""
-
-    estimate: ScalarEstimate
-    fit: FitResult
-
-
-def rho(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
-        opts: Optional[FitOptions] = None, rng: np.random.Generator = None) -> RhoResult:
-    """Maximum entropy over models matching tau to degree K at size N.
-
-    Runs the dual fit and reports the entropy of the fitted model.
-    Infeasible targets raise :class:`InfeasibleTargetError`.
-    """
-    fit = fit_projection(tau, N, K, eps=eps, opts=opts, rng=rng)
-    return RhoResult(fit.rho, fit)
-
-
-@dataclass(frozen=True)
-class ChiTildePoint:
-    N: int
-    value: ScalarEstimate
-    fit: FitResult
-
-
-def chi_tilde_curve(tau: MomentSpec, N_list: Sequence[int], K: int,
-                    eps: float = 0.0, opts: Optional[FitOptions] = None,
-                    rng_factory: Callable[[int], np.random.Generator] = None
-                    ) -> List[ChiTildePoint]:
-    """Normalized entropy curve rho/N^2 + (n/2) log N over matrix sizes.
-
-    Values are reported per N exactly as measured (no extrapolation);
-    ``rng_factory(N)`` supplies an independent stream per size so the points
-    are statistically independent and parallelizable.
-    """
-    if rng_factory is None:
-        raise ValueError("need an rng factory keyed by N")
-    out = []
-    for N in N_list:
-        fit = fit_projection(tau, int(N), K, eps=eps, opts=opts, rng=rng_factory(int(N)))
-        out.append(ChiTildePoint(int(N), fit.chi, fit))
-    return out
 
 
 def free_pressure(P: NcPoly, N: int, R: float, rng: np.random.Generator,

@@ -50,9 +50,9 @@ copies. :func:`chain_rule_check` keeps the nested inner layer on every
 route, so its orbital term carries the nested estimate's downward bias.
 
 The chain-rule identity Ent(mu|nu) = Ent(mu|U^pi mu) + Ent(U^pi mu|nu) for a
-conjugation-invariant reference nu (here: uniform on the ball product), the
-absolute-entropy split, and the transport-cost bounds relating moment
-distance to the orbital term are exposed as report-producing checks.
+conjugation-invariant reference nu (here: uniform on the ball product) and
+the transport-cost bounds relating moment distance to the orbital term are
+exposed as report-producing checks.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
 from .matrices import BlockMap, MatrixTuple, haar_unitary_batch, hermitize
 from .moments import MomentSpec, free_product_moments, moment_distance
 from .ncpoly import canonical_classes, word_traces
-from .sampler import (MIN_ACCEPTANCE, ChainDiagnostics, GibbsModel, TIOptions,
+from .sampler import (MIN_ACCEPTANCE, ChainDiagnostics, GibbsModel, TIOptions, _entropy,
                       estimate_log_I, log_ball_volume, mcmc_chain)
 
 __all__ = [
@@ -76,8 +76,6 @@ __all__ = [
     "orbital_entropy",
     "ChainRuleReport",
     "chain_rule_check",
-    "SplitReport",
-    "entropy_split_check",
     "dW_upper_bound",
     "dW_moment_lower_bound",
     "TalagrandReport",
@@ -102,7 +100,7 @@ class OrbitalRequest:
     sample on the nested route; both at least 16 so the jackknife and the
     half-sample self-consistency check are meaningful. The outer chain
     burns in ``chain_burnin`` >= 0 steps and keeps every ``chain_thin``-th
-    state, ``chain_thin`` >= 1. It is the budget of all four orbital
+    state, ``chain_thin`` >= 1. It is the budget of all three orbital
     reports, from :func:`orbital_entropy` to :func:`talagrand_report`.
     """
 
@@ -485,12 +483,15 @@ class ChainRuleReport:
 
     ``total`` = Ent(mu|nu), ``orbital`` = Ent(mu|U^pi mu), ``conjugated`` =
     Ent(U^pi mu|nu); the identity says residual = total - orbital -
-    conjugated vanishes. ``residual_stderr`` is the stderr of the paired
-    per-sample residual (shared pieces cancel exactly), and every stderr is
-    that of :func:`matent.estimates.pooled_mean` on its per-sample series;
-    ``holds`` means |residual| <= 3 residual_stderr; ``combined_stderr``
-    treats the three terms as independent, which counts the shared log I
-    twice.
+    conjugated vanishes. ``total`` and ``conjugated`` are the absolute
+    entropies Ent(mu) and Ent(U^pi mu) less n log Vol, so with n log Vol
+    added back the same residual checks the split
+    Ent(mu) = Ent(mu|U^pi mu) + Ent(U^pi mu). ``residual_stderr`` is the
+    stderr of the paired per-sample residual (shared pieces cancel
+    exactly), and every stderr is that of
+    :func:`matent.estimates.pooled_mean` on its per-sample series; ``holds``
+    means |residual| <= 3 residual_stderr; ``combined_stderr`` treats the
+    three terms as independent, which counts the shared log I twice.
 
     ``orbital`` is the nested estimate, biased low, and ``holds`` cannot see
     that bias (see :func:`chain_rule_check`): for c (X - Y)^2 at N = 8,
@@ -519,9 +520,14 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     identity). The request gives the model, the block map and the nested
     budget, as for :func:`orbital_entropy`. All three terms are estimated
     from one outer chain plus one log-normalizer from
-    :func:`matent.sampler.estimate_log_I`. For a bilinear two-matrix model
-    such as c(X - Y)^2 log I is exact, so ``total`` and ``conjugated`` carry
-    only their sample stderr and the quadrature error in ``bias_bound``;
+    :func:`matent.sampler.estimate_log_I`. ``total`` and ``conjugated`` are
+    entropies log I + E[N Tr V] less n log Vol, by the formula of the fits
+    and of :func:`matent.sampler.gibbs_entropy`. For ``total`` the energy is
+    N Tr V of the outer samples; for ``conjugated`` it is minus the nested
+    log-mean-exp of -N Tr V at a randomized copy of each sample. For a
+    bilinear two-matrix model such as c(X - Y)^2 log I is exact, so
+    ``total`` and ``conjugated`` carry only their sample stderr and the
+    quadrature error in ``bias_bound``;
     ``ti`` budgets only the thermodynamic integration of the other models.
     The residual is additionally evaluated in its paired per-sample form, in
     which the shared log I and log-volume contributions cancel identically.
@@ -538,63 +544,22 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     samples, _ = _outer_chain(request, rng)
     log_i = estimate_log_I(model, opts=ti, rng=rng)
 
-    w = -model.energy(samples)
+    energy = model.energy(samples)
     inner_mu, inner_conj = np.empty((2, samples.shape[1]))
     for i in range(samples.shape[1]):
         inner_mu[i] = _log_mean_exp(_inner_log_weights(samples[:, i], request, rng))
         rotated = [hermitize(c[0]) for c in _relative_copies(samples[:, i], blockmap, 1, rng)]
         inner_conj[i] = _log_mean_exp(_inner_log_weights(rotated, request, rng))
 
-    w_est = pooled_mean(w)[0]
-    total = ScalarEstimate(log_i.value - w_est.value - base,
-                           math.hypot(log_i.stderr, w_est.stderr),
-                           w_est.count, log_i.bias_bound)
-    orb = pooled_mean(inner_mu - w)[0]
-    conj_mean = pooled_mean(inner_conj)[0]
-    conjugated = ScalarEstimate(log_i.value - conj_mean.value - base,
-                                math.hypot(log_i.stderr, conj_mean.stderr),
-                                conj_mean.count, log_i.bias_bound)
+    total = _entropy(log_i, pooled_mean(energy)[0]).shifted(-base)
+    orb = pooled_mean(inner_mu + energy)[0]
+    conjugated = _entropy(log_i, pooled_mean(-inner_conj)[0]).shifted(-base)
     residual = total.value - orb.value - conjugated.value
     residual_se = pooled_mean(inner_conj - inner_mu)[0].stderr
     combined = math.sqrt(total.stderr ** 2 + orb.stderr ** 2 + conjugated.stderr ** 2)
     return ChainRuleReport(total, orb, conjugated, residual, residual_se,
                            combined, bool(abs(residual) <= 3.0 * residual_se),
                            samples.shape[1], request.s_in)
-
-
-@dataclass(frozen=True)
-class SplitReport:
-    """Absolute-entropy split Ent(mu) = Ent(mu|U^pi mu) + Ent(U^pi mu)."""
-
-    entropy: ScalarEstimate
-    orbital: ScalarEstimate
-    conjugated_entropy: ScalarEstimate
-    residual: float
-    residual_stderr: float
-    combined_stderr: float
-    holds: bool
-
-
-def entropy_split_check(request: OrbitalRequest, rng: np.random.Generator,
-                        ti: Optional[TIOptions] = None) -> SplitReport:
-    """Restate the chain rule with absolute differential entropies.
-
-    Adding n log Vol to both relative terms turns the identity into
-    Ent(mu) = Ent(mu|U^pi mu) + Ent(U^pi mu); the request and ``ti`` are
-    those of :func:`chain_rule_check`.
-    """
-    model = request.model
-    base = model.n * log_ball_volume(model.N, model.R)
-    rep = chain_rule_check(request, rng, ti=ti)
-    return SplitReport(
-        entropy=rep.total.shifted(base),
-        orbital=rep.orbital,
-        conjugated_entropy=rep.conjugated.shifted(base),
-        residual=rep.residual,
-        residual_stderr=rep.residual_stderr,
-        combined_stderr=rep.combined_stderr,
-        holds=rep.holds,
-    )
 
 
 def dW_upper_bound(pairs: Sequence[Tuple[MatrixTuple, MatrixTuple]]) -> ScalarEstimate:

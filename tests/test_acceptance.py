@@ -22,8 +22,7 @@ import oracles
 from matent.estimates import pooled_mean
 from matent.matrices import (BlockMap, build_compression,
                              log_jacobian_functional_calculus)
-from matent.maxent import (FitOptions, chi_tilde_curve, fit_projection,
-                           one_variable_chi_reference, rho)
+from matent.maxent import FitOptions, fit_projection, one_variable_chi_reference
 from matent.moments import (MomentSpec, arcsine_moments, free_product_moments,
                             semicircle_moments)
 from matent.ncpoly import NcPoly
@@ -146,19 +145,18 @@ def test_criterion_04_projection_recovers_quadratic():
 def test_criterion_05_chi_tilde_flat_and_calibrated():
     t0 = time.time()
     tau = semicircle_moments(1.0, K=6, radius=4.0)
-    points = chi_tilde_curve(tau, [16, 32, 64], K=6, opts=RECIPE,
-                             rng_factory=lambda N: np.random.default_rng(1000 + N))
+    sizes = (16, 32, 64)
+    vals = [fit_projection(tau, N, K=6, opts=RECIPE,
+                           rng=np.random.default_rng(1000 + N)).chi.value for N in sizes]
 
     def dens(x):
         return np.sqrt(np.clip(4.0 - x * x, 0.0, None)) / (2.0 * np.pi)
 
-    vals = [p.value.value for p in points]
     flat = max(vals) - min(vals)
-    diffs = [p.value.value - one_variable_chi_reference(dens, 4.0, p.N).chi
-             for p in points]
+    diffs = [v - one_variable_chi_reference(dens, 4.0, N).chi for N, v in zip(sizes, vals)]
     ok = flat <= 0.1 and all(abs(d) <= 0.1 for d in diffs)
     _record(5, "chi-tilde curve flat and matches quadrature reference", ok,
-            "values " + ", ".join(f"N={p.N} {p.value.value:+.4f}" for p in points)
+            "values " + ", ".join(f"N={N} {v:+.4f}" for N, v in zip(sizes, vals))
             + f"; spread {flat:.4f}, ref gaps "
             + ", ".join(f"{d:+.4f}" for d in diffs), t0)
 
@@ -171,10 +169,11 @@ def test_criterion_06_hit_rate_below_rho():
     for N in (2, 4):
         hit = microstate_hit_rate(tau, eps=0.2, K=2, N=N, trials=10000,
                                   rng=np.random.default_rng(600 + N))
-        fit = rho(tau, N, 2, eps=0.2, opts=RECIPE, rng=np.random.default_rng(650 + N))
+        fit = fit_projection(tau, N, 2, eps=0.2, opts=RECIPE,
+                             rng=np.random.default_rng(650 + N))
         n2 = N * N
         lhs, lse = hit.log_volume.value / n2, hit.log_volume.stderr / n2
-        rhs, rse = fit.estimate.value / n2, fit.estimate.stderr / n2
+        rhs, rse = fit.rho.value / n2, fit.rho.stderr / n2
         comb = math.hypot(lse, rse)
         case = lhs <= rhs + 3 * comb
         ok = ok and case
@@ -194,14 +193,14 @@ def test_criterion_07_rho_concave_under_mixtures():
     ok = True
     details = []
     for ma, mb, seed in pairs:
-        ra = rho(_scalar_spec(R, K, ma), N, K, opts=RECIPE,
-                 rng=np.random.default_rng(seed)).estimate
-        rb = rho(_scalar_spec(R, K, mb), N, K, opts=RECIPE,
-                 rng=np.random.default_rng(seed + 10)).estimate
+        ra = fit_projection(_scalar_spec(R, K, ma), N, K, opts=RECIPE,
+                            rng=np.random.default_rng(seed)).rho
+        rb = fit_projection(_scalar_spec(R, K, mb), N, K, opts=RECIPE,
+                            rng=np.random.default_rng(seed + 10)).rho
         for j, t in enumerate((0.25, 0.5, 0.75)):
             mix = {k: (1 - t) * ma[k] + t * mb[k] for k in ma}
-            rm = rho(_scalar_spec(R, K, mix), N, K, opts=RECIPE,
-                     rng=np.random.default_rng(seed + 20 + j)).estimate
+            rm = fit_projection(_scalar_spec(R, K, mix), N, K, opts=RECIPE,
+                                rng=np.random.default_rng(seed + 20 + j)).rho
             sig = math.hypot(rm.stderr, math.hypot((1 - t) * ra.stderr, t * rb.stderr))
             margin = rm.value - ((1 - t) * ra.value + t * rb.value)
             case = margin >= -3 * sig

@@ -196,9 +196,10 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     def raise_estimator(c):
         raise EstimatorError("chain stalled")
 
-    monkeypatch.setitem(cli._RUNNERS, "volume", raise_infeasible)
+    keys = cli._KINDS["volume"][1]
+    monkeypatch.setitem(cli._KINDS, "volume", (raise_infeasible, keys))
     assert main(["--config", cfg, "--out", str(tmp_path / "x1")]) == 3
-    monkeypatch.setitem(cli._RUNNERS, "volume", raise_estimator)
+    monkeypatch.setitem(cli._KINDS, "volume", (raise_estimator, keys))
     assert main(["--config", cfg, "--out", str(tmp_path / "x2")]) == 4
 
 
@@ -482,6 +483,27 @@ def test_non_finite_values_are_written_as_null(tmp_path):
     json.loads((out / "run.json").read_text(), parse_constant=reject)
     assert rec["dual_value"]["bias_bound"] is None
     assert rec["converged"] is False
+
+
+# sweeps whose points run in worker processes when threads > 1
+SWEEPS = {
+    "chi-tilde": {"kind": "chi-tilde", "sizes": [2, 3, 4], "K": 2, "target": SEMI,
+                  "fit": TINY_FIT},
+    "orbital": dict(TINY_NESTED, kind="orbital", model=PAIR, couplings=[0.5, 1.0]),
+    "talagrand": dict(TINY_NESTED, kind="talagrand", model=PAIR, K=2, couplings=[0.5, 1.0]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:fit at N")
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_sweep_records_do_not_depend_on_threads(tmp_path, case):
+    outs = []
+    for threads in (1, 2):
+        doc = dict(SWEEPS[case], seed=5, threads=threads)
+        out = tmp_path / str(threads)
+        assert main(["--config", write_yaml(tmp_path / "c.yaml", doc), "--out", str(out)]) == 0
+        outs.append((out / "results.jsonl").read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.filterwarnings("ignore:fit at N")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matent.estimates import EstimatorError, ScalarEstimate, combine_linear, pooled_mean
+from matent.estimates import EstimatorError, ScalarEstimate, pooled_mean
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 small = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -37,15 +37,6 @@ def test_scaled_and_shifted(v, c, d):
     assert t.stderr == 0.5
     assert t.bias_bound == 0.2
     assert t.count == 10
-
-
-def test_combine_linear_quadrature():
-    a = ScalarEstimate(1.0, 0.3, count=5, bias_bound=0.1)
-    b = ScalarEstimate(2.0, 0.4, count=7, bias_bound=0.05)
-    c = combine_linear([(2.0, a), (-1.0, b)], constant=0.5)
-    assert c.value == pytest.approx(2.0 - 2.0 + 0.5)
-    assert c.stderr == pytest.approx(math.sqrt((2 * 0.3) ** 2 + 0.4 ** 2))
-    assert c.bias_bound == pytest.approx(2 * 0.1 + 0.05)
 
 
 def test_batch_stderr_iid_scale():

@@ -8,10 +8,10 @@ import pytest
 import oracles
 from matent import maxent, sampler
 from matent.maxent import (FitOptions, InfeasibleTargetError, build_dual_basis,
-                           chi_tilde_curve, dual_objective, eta_bound_check,
-                           fit_projection, free_pressure, log_energy_quadrature,
+                           dual_objective, eta_bound_check, fit_projection,
+                           free_pressure, log_energy_quadrature,
                            one_variable_chi_reference, potential_from_coeffs,
-                           reference_constant, rho, target_vector)
+                           reference_constant, target_vector)
 from matent.moments import MomentSpec, free_product_moments, semicircle_moments
 from matent.ncpoly import NcPoly
 from matent.sampler import GibbsModel, TIOptions, _heine_log_I, estimate_log_I
@@ -509,12 +509,6 @@ def test_fit_projection_soft_threshold_epsilon():
     assert abs(gap) <= 3 * sigma + 0.05
 
 
-def test_rho_wrapper_returns_estimate():
-    tau = MomentSpec(1, 1, 2.0, {(1,): 0.2})
-    out = rho(tau, 1, 1, opts=FAST, rng=substream(5, "rho"))
-    assert out.estimate.value == pytest.approx(out.fit.rho.value)
-
-
 def test_reference_constant_asymptote():
     # (1/N^2) log Vol + (1/2) log N - log(R/2) converges to 3/4 + log(pi)/2
     limit = oracles.REFERENCE_CONSTANT_LIMIT
@@ -609,17 +603,6 @@ def test_eta_bound_holds_on_easy_case():
                           FAST, substream(7, "eta"))
     assert rep.holds
     assert rep.lhs <= rep.rhs + 3 * rep.sigma + 1e-9
-
-
-def test_chi_tilde_curve_requires_factory_and_reports_points():
-    tau = semicircle_moments(1.0, 2, radius=2.0)
-    pts = chi_tilde_curve(tau, [2], 2, 0.0, FAST,
-                          rng_factory=lambda N: substream(8, "curve", N))
-    assert len(pts) == 1
-    p = pts[0]
-    assert p.N == 2
-    expected_scale = p.fit.rho.value / 4.0 + 0.5 * math.log(2)
-    assert p.value.value == pytest.approx(expected_scale, abs=1e-12)
 
 
 def test_rho_monotone_in_K():

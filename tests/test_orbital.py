@@ -12,8 +12,8 @@ from matent.estimates import EstimatorError, pooled_mean
 from matent.orbital import (EXACT_SPREAD, MOMENT_STACK, OrbitalRequest, _bilinear_coupling,
                             _hciz_terms, _inner_log_weights, _jackknife_bias, _log_mean_exp,
                             _mean_moments, _outer_chain, _relative_copies, chain_rule_check,
-                            dW_moment_lower_bound, dW_upper_bound, entropy_split_check,
-                            orbital_entropy, talagrand_report)
+                            dW_moment_lower_bound, dW_upper_bound, orbital_entropy,
+                            talagrand_report)
 from matent.sampler import (MIN_ACCEPTANCE, GibbsModel, TIOptions, estimate_log_I,
                             log_ball_volume, mcmc_chain)
 from matent.streams import substream
@@ -309,17 +309,6 @@ def test_chain_rule_terms_exact_for_bilinear_model():
     assert rep.total.stderr == energy.stderr
     assert rep.total.value == pytest.approx(
         log_i.value - energy.value - 2 * log_ball_volume(4, 2.0), abs=1e-12)
-
-
-def test_entropy_split_consistency():
-    model = GibbsModel(2, 4, 2.0, coupled_potential(0.8))
-    rep = entropy_split_check(OrbitalRequest(model, BlockMap.full(2), s_out=64, s_in=48,
-                                             chain_burnin=400, chain_thin=8),
-                              substream(6, "split"),
-                              ti=TIOptions(nodes=17, node_steps=700))
-    assert rep.holds
-    gap = rep.entropy.value - rep.orbital.value - rep.conjugated_entropy.value
-    assert gap == pytest.approx(rep.residual, abs=1e-9)
 
 
 def test_dw_upper_bound_deterministic_pair():
