@@ -493,6 +493,12 @@ def _semicircle_density(var: float):
     return dens
 
 
+def _pressure_point(args):
+    (seed, P, N, R, ti) = args
+    est = free_pressure(P, N, R, substream(seed, "pressure", N), ti)
+    return {"kind": "pressure", "N": N, "R": R, **_est(est)}
+
+
 def _run_pressure(cfg: ExperimentConfig):
     n = _integer(cfg.param("n", 1))
     P = build_potential(cfg.param("potential"), n)
@@ -500,13 +506,9 @@ def _run_pressure(cfg: ExperimentConfig):
     _require(R > 0, f"R must be positive, got {R}")
     sizes = _sizes(cfg.param("sizes") or [cfg.param("N", 8)])
     ti = _options(TIOptions, cfg.param("ti"), "ti")
-    results = []
-    rows = []
-    for N in sizes:
-        est = free_pressure(P, N, R, substream(cfg.seed, "pressure", N), ti)
-        results.append({"kind": "pressure", "N": N, "R": R, **_est(est)})
-        rows.append((N, est.value, est.stderr))
-    return results, {"pressure": (("N", "value", "stderr"), rows)}
+    recs = _parallel_map(_pressure_point, [(cfg.seed, P, N, R, ti) for N in sizes], cfg.threads)
+    rows = [(r["N"], r["value"], r["stderr"]) for r in recs]
+    return recs, {"pressure": (("N", "value", "stderr"), rows)}
 
 
 def _orbital_point(args):
@@ -572,30 +574,34 @@ def _run_talagrand(cfg: ExperimentConfig):
                                  "rhs_upper", "orbital_value", "freeness_gap"), rows)}
 
 
+def _duality_point(args):
+    (seed, i, name, tau, N, K, eps, opts) = args
+    fit = fit_projection(tau, N, K, eps=eps, opts=opts, rng=substream(seed, "duality", i))
+    gap = fit.rho.value - fit.dual_value.value
+    sigma = fit.energy.stderr
+    # an exact (n = 1) fit has sigma 0 and its residual cost as bias bound
+    return {"kind": "duality-check", "label": name, "N": N, "K": K,
+            "entropy": _est(fit.rho), "dual": _est(fit.dual_value),
+            "gap": gap, "gap_sigma": sigma,
+            "within_3sigma": bool(abs(gap) <= 3 * sigma + fit.energy.bias_bound)}
+
+
 def _run_duality_check(cfg: ExperimentConfig):
     entries = cfg.param("targets")
     _require(isinstance(entries, list) and entries, "duality-check needs targets")
     opts = _fit_options(cfg.param("fit"))
-    results = []
-    rows = []
+    work = []
     for i, ent in enumerate(entries):
         _known(ent, ("target", "N", "K", "eps", "label"), "duality-check target")
         tau = build_target(ent.get("target", {}))
         [N] = _sizes([ent.get("N", 1)])
         K = _degree(ent.get("K", tau.K), tau)
-        fit = fit_projection(tau, N, K, eps=_checked(float, ent.get("eps", 0.0)),
-                             opts=opts, rng=substream(cfg.seed, "duality", i))
-        gap = fit.rho.value - fit.dual_value.value
-        sigma = fit.energy.stderr
-        name = ent.get("label", f"target-{i}")
-        # an exact (n = 1) fit has sigma 0 and its residual cost as bias bound
-        results.append({"kind": "duality-check", "label": name, "N": N, "K": K,
-                        "entropy": _est(fit.rho), "dual": _est(fit.dual_value),
-                        "gap": gap, "gap_sigma": sigma,
-                        "within_3sigma": bool(abs(gap) <= 3 * sigma + fit.energy.bias_bound)})
-        rows.append((name, N, K, fit.rho.value, fit.dual_value.value, gap, sigma))
-    return results, {"duality": (("label", "N", "K", "entropy", "dual", "gap",
-                                  "gap_sigma"), rows)}
+        work.append((cfg.seed, i, ent.get("label", f"target-{i}"), tau, N, K,
+                     _checked(float, ent.get("eps", 0.0)), opts))
+    recs = _parallel_map(_duality_point, work, cfg.threads)
+    rows = [(r["label"], r["N"], r["K"], r["entropy"]["value"], r["dual"]["value"], r["gap"],
+             r["gap_sigma"]) for r in recs]
+    return recs, {"duality": (("label", "N", "K", "entropy", "dual", "gap", "gap_sigma"), rows)}
 
 
 def _run_arcsine_demo(cfg: ExperimentConfig):

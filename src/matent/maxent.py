@@ -418,7 +418,7 @@ def _pair_moments(basis: DualBasis, N: int, R: float, nodes: int) -> Callable:
         c = (mu / scales) @ rows
         sides = np.zeros((2, D + 1))
         sides[:, 1:] = c[:-1].reshape(2, D)
-        # an overflowing kernel or a singular 1 + C gives None: "cannot be
+        # an overflowing remainder or a singular 1 + C gives None: "cannot be
         # evaluated here", which the line search steps back from
         try:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -647,66 +647,36 @@ def _bilinear_parts(potential: NcPoly) -> Optional[Tuple[np.ndarray, np.ndarray,
     return sides[0], sides[1], k
 
 
-def _remainder_ratio(z: np.ndarray, N: int, order: int = 0) -> np.ndarray:
-    """rho(z) = r_N(z) / z^N, where r_N(z) = e^z - sum_{m<N} z^m / m!, or its
-    derivative rho'(z) for ``order`` 1.
-
-    For |z| < N it is the series sum_{k>=0} z^k / (N + k)! (for rho', the
-    series of its derivative), summed until the terms stop counting (the
-    closed form would lose thirteen digits at z = 1, N = 16). Beyond that the
-    closed forms, with rho' = rho (1 - N / z) + 1 / (z (N - 1)!): exact to
-    rounding for z >= N, where e^z dominates, and for z <= -N losing about
-    log10(e^|z| N! / |z|^N) digits to cancellation.
-    """
-    out = np.empty_like(z)
-    small = np.abs(z) < N
-    zs = z[small]
-    term = np.full(zs.shape, 1.0 / math.factorial(N + order))
-    total = term.copy()
-    k = order
-    while np.any(np.abs(term) > 1e-17 * np.abs(total)):
-        k += 1
-        term = term * zs / (N + k) * (k / (k - order))
-        total += term
-    out[small] = total
-    zb = z[~small]
-    part = np.zeros_like(zb)
-    power = np.ones_like(zb)
-    for m in range(N):
-        part += power
-        power = power * zb / (m + 1)
-    out[~small] = (np.exp(zb) - part) / zb ** N
-    if order:
-        out[~small] = out[~small] * (1.0 - N / zb) + 1.0 / (zb * math.factorial(N - 1))
-    return out
-
-
 def _remainder(f1: np.ndarray, f2: np.ndarray, u: np.ndarray, s: float, N: int,
                order: int = 0) -> np.ndarray:
     """sum_{x,y} f1(x) u^N rho(s u v) v^N f2(y)^T on nodes u = v, for rows f1 and
-    f2 of node values (one function per row), with rho = r_N(z) / z^N of
-    :func:`_remainder_ratio`, or rho' for ``order`` 1.
+    f2 of node values (one function per row), with rho(z) = r_N(z) / z^N, where
+    r_N(z) = e^z - sum_{m<N} z^m / m!, or its derivative rho' for ``order`` 1.
 
-    For |s| < N it is the node-moment series sum_j c_j a_j b_j^T, with a_j the
-    sums of f1 u^(N+j) and b_j those of f2, and c_j = (j + order)! s^j /
-    (j! (N + j + order)!): every |s u v| < N, so the terms shrink as rho's
-    do, and no kernel matrix is formed. Otherwise the kernel is built and
-    summed in row blocks of about 2^13 entries, so no M x M array exists and
-    every temporary stays near 64 kB.
+    It is the node-moment series sum_j c_j a_j b_j^T, with a_j the sums of
+    f1 u^(N+j) and b_j those of f2, and c_j = (j + order)! s^j / (j! (N + j +
+    order)!), rho's (or rho''s) Taylor coefficients times s^j, summed until
+    c_j falls below 1e-18 c_0; no kernel matrix is formed. For |s| < N every
+    |s u v| < N, the terms shrink as rho's do, and the powers of the nodes
+    are one block. Beyond it the c_j grow to about e^|s| / |s|^N before they
+    shrink, over a few |s| terms (1,755 at s = 691, N = 32), so the powers
+    come in column blocks of about 2^13 entries (near 64 kB each). A
+    coefficient that overflows gives nan (|s| = 1152 at N = 32), and for
+    s <= -N the alternating terms can lose up to log10(e^|s| N! / |s|^N)
+    digits to cancellation.
     """
-    if abs(s) < N:
-        c = [1.0 / math.factorial(N + order)]
-        while abs(c[-1]) > 1e-18 * c[0]:
-            j = len(c)
-            c.append(c[-1] * s * (j + order) / (j * (N + j + order)))
-        powers = np.vander(u, len(c), increasing=True) * (u ** N)[:, None]
-        return (f1 @ powers * c) @ (f2 @ powers).T
-    f1, f2 = f1 * u ** N, f2 * u ** N
-    rem = np.zeros((len(f1), len(f2)))
-    step = max(1, 2 ** 13 // u.size)
-    for lo in range(0, u.size, step):
-        rows = slice(lo, lo + step)
-        rem += f1[:, rows] @ (_remainder_ratio(s * np.outer(u[rows], u), N, order) @ f2.T)
+    c = [1.0 / math.factorial(N + order)]
+    while abs(c[-1]) > 1e-18 * c[0]:
+        j = len(c)
+        c.append(c[-1] * s * (j + order) / (j * (N + j + order)))
+        if not math.isfinite(c[-1]):
+            return np.full((len(f1), len(f2)), math.nan)
+    step = len(c) if abs(s) < N else max(1, 2 ** 13 // u.size)
+    rem = 0.0
+    for lo in range(0, len(c), step):
+        cj = c[lo:lo + step]
+        powers = np.vander(u, len(cj), increasing=True) * (u ** (N + lo))[:, None]
+        rem = rem + (f1 @ powers * cj) @ (f2 @ powers).T
     return rem
 
 
@@ -751,7 +721,8 @@ def _split_form(M: int, R: float, N: int, D: int = 0) -> Callable:
     u^(m+d)) and B^-T (S' A^-1 Rem + S A^-1 Rem') for XY (Rem' of rho', on
     the rows times u and v); s = 0 is regular. For D = 0 they are None. A
     weight with fewer than N resolved nodes raises :class:`EstimatorError`;
-    a determinant of sign <= 0 gives nan.
+    a determinant of sign <= 0, or a remainder whose series overflows, gives
+    nan.
     """
     x, logg = _legendre_nodes(M, R)
     base, _, _ = _log_heine_norms(x, logg, N)
@@ -818,13 +789,15 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
     Values are :func:`_split_form`'s, on up to ``MEHTA_MAX_NODES`` nodes, and
     :func:`_refined` probes their rounding with the swap spread. Returns
     ``ScalarEstimate(value, 0, M, error)``, or None when the potential is not
-    bilinear, a value is not finite (N t R^2 too large) or the error stays
-    above ``EXACT_BOUND``.
+    bilinear, a value is not finite (|s| = N |t| R^2 so large that the
+    remainder's series overflows) or the error stays above ``EXACT_BOUND``.
 
     Against the all-space Gaussian a(X^2 + Y^2) - c(XY + YX), a = 1, R = 6,
-    it is within 2e-10 nats for N <= 32, |c| <= 0.25, and None at N = 32,
-    |c| = 0.5. On c(X - Y)^2 at R = 2 it has a value for N <= 8, c <= 1, and
-    is None at N = 16, c = 0.25 (swap spread about 1e-7).
+    it is within 6e-10 nats for N <= 32, |c| <= 0.3, and None at N = 24 and
+    32, |c| = 0.5 (s = 864 and 1152, where the remainder overflows). On
+    c(X -+ Y)^2 at R = 2 it has a value for N <= 8 at c <= 2, N = 10 at
+    c <= 0.5, N = 12 at c <= 0.25 and N = 16 at c = 0.1, the same for both
+    signs of s, and is None at N = 16, c = 0.25 (swap spread about 1e-7).
     """
     parts = _bilinear_parts(model.potential)
     if parts is None:

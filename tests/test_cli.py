@@ -491,6 +491,12 @@ SWEEPS = {
                   "fit": TINY_FIT},
     "orbital": dict(TINY_NESTED, kind="orbital", model=PAIR, couplings=[0.5, 1.0]),
     "talagrand": dict(TINY_NESTED, kind="talagrand", model=PAIR, K=2, couplings=[0.5, 1.0]),
+    # X^2 + Y^2 + 0.15 (X^2 Y^2 + Y^2 X^2) has no exact route: TI at each size
+    "pressure": {"kind": "pressure", "n": 2, "R": 2.0, "sizes": [2, 3], "ti": TINY_FIT["ti"],
+                 "potential": {"terms": [{"word": w, "re": c} for w, c in (
+                     ([1, 1], 1.0), ([2, 2], 1.0), ([1, 1, 2, 2], 0.15), ([2, 2, 1, 1], 0.15))]}},
+    "duality-check": {"kind": "duality-check", "fit": TINY_FIT, "targets": [
+        {"target": SEMI, "N": 3, "K": 2}, {"target": PAIR_K2, "N": 2, "K": 2}]},
 }
 
 

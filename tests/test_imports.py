@@ -2,7 +2,8 @@
 every name a module exports exists, every private module-level name is
 used, and the command line loads no test-only dependency and computes
 nothing while it loads; the Gauss-Legendre rules it builds later import
-nothing and take memory linear in their node count."""
+nothing and take memory linear in their node count, and Mehta's remainder
+series takes no memory that grows with its length."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ from collections import Counter
 import pytest
 
 from matent import sampler
+from matent.ncpoly import NcPoly
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matent"
 
@@ -152,3 +154,20 @@ def test_quadrature_memory_is_linear_in_nodes():
         tracemalloc.stop()
     assert first <= 64 * 1024
     assert large <= 24 * 8 * 19200
+
+
+def test_mehta_remainder_memory_does_not_grow_with_its_series():
+    # the Gaussian pair X^2 + Y^2 - 0.3 (XY + YX) at N = 32, R = 6 has s of
+    # about 691, so the remainder's series runs to about 1,750 terms; their
+    # powers of the nodes come in column blocks, so no (nodes x terms) array
+    # exists and the whole log I peaks within 4 MB (36 MB in one block)
+    pot = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.3, (2, 1): -0.3})
+    model = sampler.GibbsModel(2, 32, 6.0, pot)
+    tracemalloc.start()
+    try:
+        est = sampler._mehta_log_I(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est is not None
+    assert peak <= 4 * 2 ** 20

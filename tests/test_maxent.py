@@ -206,8 +206,8 @@ def _pair_log_i(N, R, basis, mu):
 @pytest.mark.parametrize("N, R, lam", [
     (4, 2.0, [0.1, -0.05, 0.5, 0.0, 0.6]),  # s = 0, free-pair-4's optimum
     (4, 2.0, [0.1, -0.05, 0.5, 1e-12 / 16, 0.6]),  # |s| = 1e-12
-    (4, 2.0, [0.1, -0.05, 0.5, 0.7 / 4, 0.6]),  # s = -2.8, the node-moment series
-    (4, 2.0, [0.1, -0.05, 0.5, -0.3, 0.6]),  # s = 4.8 > N, the kernel in row blocks
+    (4, 2.0, [0.1, -0.05, 0.5, 0.7 / 4, 0.6]),  # s = -2.8, the series in one block
+    (4, 2.0, [0.1, -0.05, 0.5, -0.3, 0.6]),  # s = 4.8 > N, the series in column blocks
     (3, 1.5, [0.3, 0.2, -0.4, 0.9, 0.1]),  # s = -6.1 < -N
 ])
 def test_pair_moments_are_derivatives_of_mehta_log_i(N, R, lam):
@@ -251,8 +251,9 @@ def test_pair_moments_match_the_gaussian_pair():
 def test_pair_moments_match_the_coupled_pair(N, want_x2, want_xy):
     # c (X - Y)^2 at R = 2, c = 1 does not factorize: E tr X^2 and E tr XY
     # against the values from the derivatives of Mehta's log I (s = 64 at N = 8,
-    # the remainder in row blocks); the model is symmetric in X and Y, and the
-    # two sides' moments, taken in the two solve orders, agree to rounding
+    # the remainder's series in column blocks); the model is symmetric in X
+    # and Y, and the two sides' moments, taken in the two solve orders, agree
+    # to rounding
     R, c = 2.0, 1.0
     basis = build_dual_basis(2, 2)
     mu = np.array([0.0, 0.0, c, -2 * c, c]) * R ** basis.degrees.astype(float)
@@ -283,7 +284,7 @@ def test_pair_moments_refuse_a_swap_spread():
 
 def test_pair_fit_recovers_a_correlated_lambda():
     # the exact K = 2 route solves for lambda from the moments of a coupled
-    # model (s = 4.8 > N, so the remainder runs in row blocks)
+    # model (s = 4.8 > N, so the remainder's series runs in column blocks)
     N, R = 4, 2.0
     basis = build_dual_basis(2, 2)
     scales = R ** basis.degrees.astype(float)

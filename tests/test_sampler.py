@@ -611,20 +611,22 @@ def test_remainder_ratio_derivative_is_the_slope(N):
     z = np.concatenate([np.linspace(-2.5 * N, 2.5 * N, 41), [1e-12, -1e-9]])
     z = z[np.abs(np.abs(z) - N) > 1e-3]
     h = 1e-5 * np.maximum(1.0, np.abs(z))
-    slope = (sampler._remainder_ratio(z + h, N) - sampler._remainder_ratio(z - h, N)) / (2 * h)
-    np.testing.assert_allclose(sampler._remainder_ratio(z, N, 1), slope, rtol=1e-7)
+    slope = (oracles.remainder_ratio(z + h, N) - oracles.remainder_ratio(z - h, N)) / (2 * h)
+    np.testing.assert_allclose(oracles.remainder_ratio(z, N, 1), slope, rtol=1e-7)
 
 
 @pytest.mark.parametrize("order", [0, 1])
-@pytest.mark.parametrize("s", [0.0, 1e-12, -2.5, 3.99, 4.0, -7.0, 9.0])
+@pytest.mark.parametrize("s", [0.0, 1e-12, -2.5, 3.99, 4.0, -7.0, 9.0, 40.0, -40.0])
 def test_remainder_is_the_kernel_sum(order, s):
-    # the node-moment series (|s| < N) and the row blocks (|s| >= N) against
-    # the kernel summed on the whole node grid at once
+    # the node-moment series, in one block of powers (|s| < N) or in column
+    # blocks (|s| >= N), against the closed-form kernel summed entry by entry
+    # on the whole node grid at once; at s = -40 the series' alternating
+    # terms lose digits to cancellation, which the scale at |s| covers
     N, rng = 4, np.random.default_rng(7)
     u = sampler._gauss_legendre(64)[0]
     f1, f2 = rng.standard_normal((3, 64)), rng.standard_normal((2, 64))
-    dense = (f1 * u ** N) @ sampler._remainder_ratio(s * np.outer(u, u), N, order) @ (f2 * u ** N).T
-    scale = np.abs(f1 * u ** N) @ sampler._remainder_ratio(
+    dense = (f1 * u ** N) @ oracles.remainder_ratio(s * np.outer(u, u), N, order) @ (f2 * u ** N).T
+    scale = np.abs(f1 * u ** N) @ oracles.remainder_ratio(
         np.abs(s) * np.ones((64, 64)), N, order) @ np.abs(f2 * u ** N).T
     assert np.all(np.abs(sampler._remainder(f1, f2, u, s, N, order) - dense) <= 1e-14 * scale)
 
@@ -633,8 +635,8 @@ def test_remainder_is_the_kernel_sum(order, s):
 def test_split_form_takes_e_tr_xy_alike_in_both_solve_orders(k):
     # E Tr XY / R^2 comes from C's order and again from the swapped C''s, on
     # the order-1 remainder transposed; on a model that is not symmetric in X
-    # and Y the two agree to rounding (s = -5.6, 0 and 4.8: the series and
-    # the row blocks)
+    # and Y the two agree to rounding (s = -5.6, 0 and 4.8: the series in
+    # column blocks, in one block and again in column blocks)
     parts = (np.array([0.0, 0.1, 0.5]), np.array([0.0, -0.05, 0.6]), k)
     _, spread, moments = sampler._split_form(300, 2.0, 4, 2)(parts)
     assert moments.shape == (2, 3) and spread <= 1e-14
@@ -654,10 +656,10 @@ _TILTED_PAIR = NcPoly(2, {(1,): 1.0, (1, 1, 1, 1): 0.2, (2, 2): 0.3, (2,): -1.0,
 def test_split_form_log_det_matches_the_unsplit_determinant(N, R, pot):
     # log det(1 + C) against log det M(t) - log det M_T(t), the bimoment
     # matrix and its Taylor part in the monomial basis, in decimal on the same
-    # 48 nodes: c (X - Y)^2 at R = 2 has s = 8 c N, so c = 0.05 takes the
-    # remainder's series (|s| < N) and c = 1 its kernel, as does the tilted
-    # pair (s = 4.5 at N = 4); the split form's log det is its value less the
-    # value at k = 0, which is the Heine part alone
+    # 48 nodes: c (X - Y)^2 at R = 2 has s = 8 c N, so c = 0.05 sums the
+    # remainder's series in one block (|s| < N) and c = 1 in column blocks, as
+    # does the tilted pair (s = 4.5 at N = 4); the split form's log det is its
+    # value less the value at k = 0, which is the Heine part alone
     parts = sampler._bilinear_parts(pot)
     evaluate = sampler._split_form(48, R, N)
     value, spread, _ = evaluate(parts)
@@ -747,10 +749,13 @@ def test_models_without_exact_route_go_to_ti(monkeypatch):
     triple = NcPoly(3, {(1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0, (1, 2): -0.5, (2, 1): -0.5})
     # c (X - Y)^2 lies outside the determinant's range at N = 32, c = 0.25;
     # at N = 16 its 300- and 600-node values agree to 8.5e-9, but rounding
-    # near 1e-7 shows in the X <-> Y swap
+    # near 1e-7 shows in the X <-> Y swap; on the Gaussian pair at N = 32,
+    # R = 6, c = 0.5 (s = 1152) the remainder's coefficients overflow, which
+    # must end the series with no value rather than loop
     models = [GibbsModel(2, 4, 2.0, quartic), GibbsModel(3, 4, 2.0, triple),
               GibbsModel(2, 32, 2.0, _quadratic_pair(0.25, 0.25)),
-              GibbsModel(2, 16, 2.0, _quadratic_pair(0.25, 0.25))]
+              GibbsModel(2, 16, 2.0, _quadratic_pair(0.25, 0.25)),
+              GibbsModel(2, 32, 6.0, _quadratic_pair(1.0, 0.5))]
     for model in models:
         assert sampler._mehta_log_I(model) is None
         assert estimate_log_I(model, rng=substream(0, "fallback")) == "ti"
@@ -974,11 +979,15 @@ def test_exact_draws_raise_below_a_shrunken_envelope(monkeypatch):
 def test_mehta_log_i_has_a_value_on_the_coupled_pair(N, c):
     # the determinant's range on c (X - Y)^2 at R = 2: both solve orders agree
     # to within 1e-8 here (bounds from 8.9e-16 to 1.2e-9, the largest at
-    # N = 8, c = 1), so none of these falls back to TI
+    # N = 8, c = 1), so none of these falls back to TI; c (X + Y)^2 is the
+    # same model under Y -> -Y, with s of the other sign
     est = sampler._mehta_log_I(GibbsModel(2, N, 2.0, _quadratic_pair(c, c)))
     assert est is not None and est.stderr == 0.0 and est.bias_bound <= 1e-8
     if (N, c) == (8, 1.0):
         assert est.value == pytest.approx(-34.160091, abs=1e-6)
+    mirror = sampler._mehta_log_I(GibbsModel(2, N, 2.0, _quadratic_pair(c, -c)))
+    assert mirror is not None and mirror.bias_bound <= 1e-8
+    assert abs(mirror.value - est.value) <= est.bias_bound + mirror.bias_bound
 
 
 @pytest.mark.parametrize("N,c", [(12, 0.5), (16, 0.25)])
