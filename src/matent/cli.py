@@ -718,8 +718,10 @@ def emit_plot_data(record: RunRecord, outdir: str) -> List[str]:
 
 
 def _format_cell(c) -> str:
+    """A table cell: the shortest round-tripping digits of a float (numpy
+    floats too, whose repr names their type), ``str`` of anything else."""
     if isinstance(c, float):
-        return repr(c)
+        return repr(float(c))
     return str(c)
 
 

@@ -13,8 +13,9 @@ derivatives are exact, from the orthogonal-polynomial kernel of the
 eigenvalue ensemble, and the optimizer is found to rounding level. So they
 are for two matrices at K <= 2, whose models couple X and Y only through
 Tr XY: from the derivatives of Mehta's determinant, by the evaluator of its
-log I (:func:`matent.sampler._split_form`); one chain run at the exact
-optimizer then checks it and gives the energy. For other n >= 2 fits, or
+log I (:func:`matent.sampler._split_form`); one final run at the exact
+optimizer then checks it and gives the energy, on exact i.i.d. draws where
+the fitted model is Gaussian. For other n >= 2 fits, or
 where the determinant has no value, they are estimated from one
 warm-started run of lockstep matrix-mode walkers per iterate, steps are
 line-searched on the dual reweighted from the same samples, and the chain
@@ -46,8 +47,8 @@ from .moments import MomentSpec, moment_pairing
 from .ncpoly import (NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word,
                      word_traces)
 from .sampler import (EXACT_BOUND, ChainEngine, GibbsModel, TIOptions, _bilinear_parts,
-                      _entropy, _heine_nodes, _legendre_nodes, _log_heine_norms, _mehta_log_I,
-                      _split_form, estimate_log_I, log_ball_volume)
+                      _entropy, _gaussian_draws, _heine_nodes, _legendre_nodes, _log_heine_norms,
+                      _mehta_log_I, _split_form, estimate_log_I, log_ball_volume)
 
 __all__ = [
     "InfeasibleTargetError",
@@ -204,7 +205,10 @@ class FitOptions:
     solved exactly on Mehta's determinant (see :func:`fit_projection`) and
     reads only ``final_steps``, ``final_burnin`` and ``moment_tol``, for the
     final run that checks it; the other keys, ``ti`` among them, budget its
-    Monte Carlo fallback where the determinant has no value. ``step_size``
+    Monte Carlo fallback where the determinant has no value. Where that fit's
+    model is Gaussian (quadratic form positive definite, as at free-pair-4's
+    0.47 (X^2 + Y^2)), its final run is ``final_steps`` / 2 exact i.i.d.
+    draws (:func:`_final_run`), and ``final_burnin`` is unused. ``step_size``
     and ``min_iterations`` belonged to the stochastic approximation this
     route replaced and are accepted but unused. A one-matrix fit is exact
     (damped Newton on the dual) and ignores every key. ``iterations``,
@@ -665,33 +669,58 @@ def _walker_steps(steps: int, walkers: int, every: int) -> int:
     return every * max(1, -(-steps // (every * walkers)))
 
 
-def _final_run(engine: ChainEngine, measurer: _BasisMeasurer, steps: int, burnin: int):
-    """The measurement run of a fitted model on the engine's walkers.
+def _final_run(model: GibbsModel, measurer: _BasisMeasurer, steps: int, burnin: int,
+               rng: np.random.Generator, engine: Optional[ChainEngine] = None):
+    """The measurement run of a fitted model: as many states as ``WALKERS``
+    walkers measure on about ``steps`` walker-steps in all, every 2nd state
+    of each.
 
-    ``burnin`` steps per walker (the first 60% tuning) precede about ``steps``
-    walker-steps in all, of which every 2nd state is measured. Returns the
-    basis moment means and their stderrs, the energy as a
-    :class:`ScalarEstimate`, all from :func:`matent.estimates.pooled_mean`
-    over the walkers, and the run's pooled acceptance, energy IAT and ESS
-    (summed over walkers) under ``final_acceptance``, ``final_iat`` and
-    ``final_ess``.
+    Without an ``engine`` (lambda from an exact solve), a Gaussian model
+    (:func:`matent.sampler._gaussian_draws`) gets that many exact i.i.d.
+    draws, measured batch by batch and never held all at once, and
+    ``burnin`` is unused. Otherwise the walkers of ``engine`` (the warm ones
+    of Monte Carlo Newton), or new ones at the origin, run ``burnin`` steps
+    each, the first 60% tuning, and are then measured: so does a Gaussian
+    model whose first batch accepts below ``MIN_ACCEPTANCE``. Monte Carlo
+    Newton fits keep the chain because their rho carries the fit error
+    N^2 lambda . (m(lambda) - tau), which no stderr reports; at the
+    separable pair, exact draws put rho 4 of their stderrs from the exact
+    maximum. Returns the basis moment means and their stderrs, the energy as
+    a :class:`ScalarEstimate`, all from :func:`matent.estimates.pooled_mean`
+    (over the walkers of a chain), and the acceptance (of the rejection
+    proposals, or pooled over walkers), energy IAT and ESS (summed over
+    walkers) under ``final_acceptance``, ``final_iat`` and ``final_ess``.
     """
-    engine.tune(int(burnin * 0.6))
-    engine.run(burnin - int(burnin * 0.6))
-    engine.reset_counters()
     obs: List[np.ndarray] = []
     energies: List[np.ndarray] = []
 
-    def collect(e: ChainEngine) -> None:
-        obs.append(measurer.from_state(e.blocks))
-        energies.append(e.energy)
+    def collect(blocks, energy) -> None:
+        obs.append(measurer.from_state(blocks))
+        energies.append(energy)
 
-    engine.run(_walker_steps(steps, engine.walkers, 2), observe=collect, every=2)
-    omat = np.asarray(obs)  # (T, K, len(basis))
-    moments = [pooled_mean(omat[:, :, j].T)[0] for j in range(omat.shape[2])]
-    energy, iat = pooled_mean(np.asarray(energies).T)
+    per_walker = _walker_steps(steps, WALKERS, 2)
+    acceptance = None
+    if engine is None:
+        acceptance = _gaussian_draws(model, WALKERS * per_walker // 2, rng,
+                                     lambda blocks: collect(blocks, model.energy(blocks)))
+    if acceptance is not None:
+        # one i.i.d. series: (1, T, len(basis)) and (1, T)
+        omat, series = np.concatenate(obs)[None], np.concatenate(energies)[None]
+    else:
+        if engine is None:
+            engine = ChainEngine(model, rng, WALKERS)
+        engine.set_potential(model.potential)
+        engine.tune(int(burnin * 0.6))
+        engine.run(burnin - int(burnin * 0.6))
+        engine.reset_counters()
+        engine.run(per_walker, observe=lambda e: collect(e.blocks, e.energy), every=2)
+        # the walkers' series: (K, T, len(basis)) and (K, T)
+        omat, series = np.asarray(obs).swapaxes(0, 1), np.asarray(energies).T
+        acceptance = engine.acceptance
+    moments = [pooled_mean(omat[:, :, j])[0] for j in range(omat.shape[2])]
+    energy, iat = pooled_mean(series)
     return (np.array([m.value for m in moments]), np.array([m.stderr for m in moments]),
-            energy, {"final_acceptance": engine.acceptance, "final_iat": iat,
+            energy, {"final_acceptance": acceptance, "final_iat": iat,
                      "final_ess": energy.count / iat})
 
 
@@ -714,14 +743,18 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     Two matrices at K <= 2 (potentials V1(X) + V2(Y) + k Tr XY) are solved
     exactly the same way (:func:`_pair_dual`), on the function whose value is
     ``log_i`` at the fitted model (:func:`matent.sampler._mehta_log_I`).
-    A run of ``WALKERS`` lockstep walkers at that lambda, ``final_burnin``
-    steps each (which tune them) and then ``final_steps`` walker-steps in
-    all, measures ``energy`` and the residuals (:func:`_final_run`), an
-    independent Monte Carlo check of the solve: ``rho`` is the exact log I
-    plus that energy, and the fit is ``converged`` when the decrement is at
-    most 1e-10 nats and every final residual is within max(eps, moment_tol
-    R^degree) plus 3 stderr. Where the determinant has no value at the fitted
-    model, or the solve fails, the fit is Monte Carlo Newton as below.
+    A final run at that lambda measures ``energy`` and the residuals
+    (:func:`_final_run`), an independent Monte Carlo check of the solve. Its
+    states are as many as ``WALKERS`` walkers measure on ``final_steps``
+    walker-steps: exact i.i.d. draws where the fitted model is Gaussian (a
+    positive definite quadratic form, whose Gaussian the ball cuts; no chain
+    engine is built and ``final_burnin`` is unused), and otherwise the
+    walkers, ``final_burnin`` steps each (which tune them) and then
+    ``final_steps`` walker-steps in all. ``rho`` is the exact log I plus that
+    energy, and the fit is ``converged`` when the decrement is at most 1e-10
+    nats and every final residual is within max(eps, moment_tol R^degree)
+    plus 3 stderr. Where the determinant has no value at the fitted model,
+    or the solve fails, the fit is Monte Carlo Newton as below.
 
     Every other n >= 2 fit runs the Monte Carlo Newton of
     :func:`_chain_newton` on one warm-started matrix-mode engine of
@@ -729,7 +762,8 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     (``steps_per_iter`` and ``final_steps`` in walker-steps in total,
     ``discard_per_iter`` and ``final_burnin`` per walker), and a further run
     of the same walkers at the fitted model, independent of the samples that
-    chose it, gives ``energy`` and the residuals (:func:`_final_run`); their
+    chose it, gives ``energy`` and the residuals (:func:`_final_run`, a chain
+    even where that model is Gaussian); their
     stderrs are pooled-IAT stderrs over the walkers
     (:func:`matent.estimates.pooled_mean`). The tolerance is max(eps,
     moment_tol * R^degree); the fit is ``converged`` when the Newton stop was
@@ -737,8 +771,9 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     ``iterations`` counts Newton iterates, and ``trajectory`` holds per
     iterate the largest scaled residual, the chain's walker-steps, the
     decrement, its noise floor and the pooled ESS, the number of walkers,
-    and the final run's pooled acceptance, energy IAT and ESS (summed over
-    walkers). On every route ``dual_value.bias_bound`` adds the final
+    and the final run's acceptance (pooled over walkers, or of the rejection
+    proposals of exact draws), energy IAT and ESS (summed over walkers). On
+    every route ``dual_value.bias_bound`` adds the final
     decrement, by which the dual may exceed the maximum entropy, to log I's
     bias bound; for Monte Carlo Newton also ``NOISE_MULT`` times the noise
     floor of the pooled step that set lam. An unconverged fit issues a
@@ -788,17 +823,16 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     else:
         tol_scaled = np.maximum(eps_scaled, opts.moment_tol)
         measurer = _BasisMeasurer(basis)
-        engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n)), rng, WALKERS)
-        # after an exact solve only the final run's burn-in tunes the walkers
+        engine = None
         if exact is None:
+            engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n)), rng, WALKERS)
             engine.tune(400)
             mu, dec, stopped, iterations, trajectory = _chain_newton(
                 engine, measurer, basis, scales, tt, N * N * eps_scaled, tol_scaled, opts, what)
             final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, mu / scales))
         lam = mu / scales
-        engine.set_potential(final_model.potential)
         moment_means, residual_stderr, energy_est, final = _final_run(
-            engine, measurer, opts.final_steps, opts.final_burnin)
+            final_model, measurer, opts.final_steps, opts.final_burnin, rng, engine)
         trajectory.update(final)
         if exact is None:
             log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)

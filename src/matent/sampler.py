@@ -19,7 +19,11 @@ energy is the one single steps give.
 For n == 1 the draws are exact and i.i.d.: the law is unitarily invariant,
 its eigenvalues form a projection determinantal point process, and each
 spectrum is drawn point by point by rejection (:class:`_ExactSpectra`) and
-conjugated by a fresh Haar unitary.
+conjugated by a fresh Haar unitary. So are they for an n >= 2 potential of
+degree <= 2 whose quadratic form is positive definite: its law is a
+Gaussian cut to the ball, drawn by rejection in batches
+(:func:`_gaussian_draws`), and only a singular or indefinite form, or a
+ball that rejects nearly every Gaussian draw, leaves it to the chain.
 
 The normalizer I = integral of exp(-N Tr V) over the ball product is exact
 for n == 1: the eigenvalues form an orthogonal-polynomial ensemble, and
@@ -164,9 +168,10 @@ class ChainEngine:
     discarding the state (used by annealed thermodynamic integration and by
     iterative moment fitting). Every step proposes a joint Gaussian Hermitian
     increment of all blocks of every walker, for any n; :func:`mcmc_chain`
-    draws n == 1 samples exactly instead. All walkers share one step scale, tuned on their
-    pooled acceptance, and ``accepted`` and ``proposed`` count walker-steps,
-    so ``run(s)`` costs s batched steps and yields K s walker-steps.
+    draws n == 1 and Gaussian samples exactly instead. All walkers share one
+    step scale, tuned on their pooled acceptance, and ``accepted`` and
+    ``proposed`` count walker-steps, so ``run(s)`` costs s batched steps and
+    yields K s walker-steps.
 
     The randomness of T = max(1, ``DRAW_BUFFER_BYTES`` // (16 n K N^2))
     steps is drawn at once, when the last block of draws is used up: one
@@ -351,17 +356,23 @@ class ChainEngine:
 def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
                rng: np.random.Generator = None,
                record_path: Optional[str] = None) -> Tuple[np.ndarray, ChainDiagnostics]:
-    """Samples of a Gibbs model: every ``thin``-th state of a Metropolis
-    chain, or for n == 1 ``steps // thin`` exact i.i.d. draws, as one complex
-    array of shape (n, S, N, N) whose ``[:, s]`` is sample s.
+    """Samples of a Gibbs model: ``steps // thin`` exact i.i.d. draws where
+    an exact sampler exists, else every ``thin``-th state of a Metropolis
+    chain, as one complex array of shape (n, S, N, N) whose ``[:, s]`` is
+    sample s.
 
-    For n >= 2 the step size adapts during the first 80% of ``burnin`` steps
-    and is then frozen, so retained samples come from a fixed kernel. For
-    n == 1 (:class:`_ExactSpectra`) ``burnin`` is unused, ``step_scale`` is 0
-    and ``acceptance`` is that of the rejection proposals. The IAT (about 1
-    for exact draws) and ESS are measured on the retained tracked series by
-    :func:`matent.estimates.pooled_mean`. The n == 1 draws are conjugated
-    by S Haar unitaries in one batched product. The Metropolis states are
+    The draws are exact for n == 1 (:class:`_ExactSpectra`) and for an
+    n >= 2 potential of degree <= 2 whose quadratic form is positive
+    definite (:func:`_gaussian_draws`, a Gaussian cut to the ball by
+    rejection); there ``burnin`` is unused, ``step_scale`` is 0 and
+    ``acceptance`` is that of the rejection proposals. A Gaussian model whose
+    first batch accepts below ``MIN_ACCEPTANCE``, and every other n >= 2
+    model, runs the chain: its step size adapts during the first 80% of
+    ``burnin`` steps and is then frozen, so retained samples come from a
+    fixed kernel. The IAT (about 1 for exact draws) and ESS are measured on
+    the retained tracked series by :func:`matent.estimates.pooled_mean`. The
+    n == 1 draws are conjugated by S Haar unitaries in one batched product.
+    The Metropolis states are
     exactly Hermitian (every increment is) and inside the ball (the accept
     test checks it), so they are kept as they are. ``record_path`` appends
     one JSON line per sample: its step, tracked value and
@@ -371,20 +382,26 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
         raise ValueError("an explicit numpy Generator is required")
     if steps < 1 or burnin < 0 or thin < 1:
         raise ValueError("need steps >= 1, burnin >= 0, thin >= 1")
+    step_scale = 0.0
     if model.n == 1:
         lam, acceptance = _ExactSpectra(model).draw(steps // thin, rng)
         us = haar_unitary_batch(lam.shape[0], model.N, rng)
         samples = hermitize((us * lam[:, None, :]) @ np.conj(np.swapaxes(us, -1, -2)))[None]
-        step_scale = 0.0
     else:
-        engine = ChainEngine(model, rng)
-        engine.tune(int(burnin * 0.8))
-        engine.run(burnin - int(burnin * 0.8))
-        engine.reset_counters()
-        samples = np.empty((model.n, steps // thin, model.N, model.N), dtype=complex)
-        slots = iter(samples.swapaxes(0, 1))
-        engine.run(steps, observe=lambda e: np.copyto(next(slots), e.blocks[:, 0]), every=thin)
-        acceptance, step_scale = engine.acceptance, engine.step_scale
+        draws = []
+        acceptance = _gaussian_draws(model, steps // thin, rng, draws.append)
+        if acceptance is not None:
+            samples = np.concatenate(draws, axis=1)
+        else:
+            engine = ChainEngine(model, rng)
+            engine.tune(int(burnin * 0.8))
+            engine.run(burnin - int(burnin * 0.8))
+            engine.reset_counters()
+            samples = np.empty((model.n, steps // thin, model.N, model.N), dtype=complex)
+            slots = iter(samples.swapaxes(0, 1))
+            engine.run(steps, observe=lambda e: np.copyto(next(slots), e.blocks[:, 0]),
+                       every=thin)
+            acceptance, step_scale = engine.acceptance, engine.step_scale
     # the tracked scalar: the energy, or (1/N) Tr X_1^2 for the zero potential
     tracked = "m2" if model.potential.is_zero() else "energy"
     series = ([np.vdot(b, b).real / model.N for b in samples[0]] if tracked == "m2"
@@ -909,6 +926,91 @@ class _ExactSpectra:
                         basis[todo[rows], i] = v / np.linalg.norm(v, axis=1, keepdims=True)
                     todo = todo[~hit]
         return lam, count * N / proposed if proposed else 1.0
+
+
+def _gaussian_parts(model: GibbsModel) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(mean, factor) of a model whose potential has degree <= 2 and a positive
+    definite quadratic form, or None for any other model.
+
+    Such a potential has Tr V = sum_ab A_ab Tr X_a X_b + sum_a c_a Tr X_a plus a
+    constant, with A the symmetric real part of the Tr X_a X_b coefficients
+    and c the real parts of the Tr X_a ones (each trace is real on Hermitian
+    blocks, so the energy sees only these). Off the ball its law is Gaussian:
+    X_a has mean m_a times the identity, m = -A^-1 c / 2, and covariance
+    A^-1 / (2N) on the diagonal entries and A^-1 / (4N) on each real and
+    imaginary part off it. ``factor`` is F = C^-T / sqrt(8N), for the
+    Cholesky factor C of A, so F F^T = A^-1 / (8N), and m_a 1 + sum_b F_ab
+    H_b has that law for the increments H = (Z + Z^T) + i (Z - Z^T) of
+    :meth:`ChainEngine._refill`. None for a word of degree >= 3, wherever
+    the Cholesky factor of A fails, and where a pivot C_ii^2 is at rounding
+    level, n eps max_i A_ii or below: a singular A can factor by rounding, as
+    that of 0.5 (X - Y)^2 does, with a last pivot of 1.1e-16. Only the
+    Cholesky routine, which the ball test runs anyway, decides: a model left
+    to the chain loads no other LAPACK code, which would raise peak memory.
+    """
+    n = model.n
+    a, c = np.zeros((n, n)), np.zeros(n)
+    for w, coef in model.potential.terms.items():
+        if len(w) > 2:
+            return None
+        if len(w) == 2:
+            a[w[0] - 1, w[1] - 1] += coef.real / 2.0
+            a[w[1] - 1, w[0] - 1] += coef.real / 2.0
+        elif w:
+            c[w[0] - 1] += coef.real
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.diagonal(chol).min() ** 2 > n * np.finfo(float).eps * np.diagonal(a).max():
+        return None
+    inv = np.linalg.inv(chol)
+    return -0.5 * inv.T @ (inv @ c), inv.T / math.sqrt(8.0 * model.N)
+
+
+def _gaussian_draws(model: GibbsModel, count: int, rng: np.random.Generator,
+                    take: Callable[[np.ndarray], None]) -> Optional[float]:
+    """Exact i.i.d. draws of a Gaussian model (:func:`_gaussian_parts`) cut to
+    the ball, by rejection: ``take`` gets ``count`` draws in all, as (n, k, N, N)
+    batches in order. Returns the fraction of proposals accepted; None, and no
+    draw, for a model that is not Gaussian, and None after one batch whose
+    acceptance is below ``MIN_ACCEPTANCE``, where the caller runs a chain.
+
+    Proposals come in batches of max(1, ``DRAW_BUFFER_BYTES`` // (16 n N^2)):
+    a standard normal Z of shape (n, batch, N, N) is mixed over blocks by the
+    factor first (a real product, which commutes with the symmetrization),
+    then built into Hermitian blocks as :meth:`ChainEngine._refill` builds its
+    increments, and shifted by the mean. One
+    :func:`~matent.matrices.in_norm_ball` call decides the batch; the
+    accepted draws of the last batch beyond ``count`` are dropped.
+    """
+    parts = _gaussian_parts(model)
+    if parts is None:
+        return None
+    mean, factor = parts
+    n, N = model.n, model.N
+    size = max(1, DRAW_BUFFER_BYTES // (16 * n * N * N))
+    diag = np.arange(N)
+    proposed = accepted = 0
+    left = count
+    while True:
+        w = np.tensordot(factor, rng.standard_normal((n, size, N, N)), axes=1)
+        wt = w.swapaxes(-1, -2)
+        x = np.empty(w.shape, dtype=complex)
+        np.add(w, wt, out=x.real)
+        np.subtract(w, wt, out=x.imag)
+        x.real[..., diag, diag] += mean[:, None, None]
+        ok = in_norm_ball(x, model.R).all(axis=0)
+        hits = int(np.count_nonzero(ok))
+        if not proposed and hits < MIN_ACCEPTANCE * size:
+            return None
+        proposed += size
+        accepted += hits
+        kept = x[:, ok][:, :left]
+        take(kept)
+        left -= kept.shape[1]
+        if not left:
+            return accepted / proposed
 
 
 @dataclass(frozen=True)

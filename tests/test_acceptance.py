@@ -1,11 +1,12 @@
 """End-to-end acceptance suite.
 
-Twelve numbered criteria exercise the package at working scale: exact
+Thirteen numbered criteria exercise the package at working scale: exact
 volume formulas, chain correctness against quadrature, primal-dual
 consistency of the moment fits, the entropy-curve checks, the orbital
 estimators with their identities and transport bounds, compression-map
-entropy shifts, and the classical N = 1 duality and data-processing
-facts. Each test prints one PASS/FAIL line with the measured numbers and
+entropy shifts, the classical N = 1 duality and data-processing facts,
+and the orbital entropy of a correlated semicircular pair against its
+closed form. Each test prints one PASS/FAIL line with the measured numbers and
 its wall time; the lines are also written to acceptance_report.txt next
 to the package root. Budgets and seeds are pinned so the whole suite is
 deterministic and runs in a few minutes.
@@ -339,3 +340,30 @@ def test_criterion_12_classical_duality_and_data_processing():
     _record(12, "grid duality gap and KL contraction", ok,
             f"max duality gap {worst:.2e} (cap 1e-6), max KL excess "
             f"{contraction:+.2e} (cap 0)", t0)
+
+
+def test_criterion_13_orbital_entropy_of_a_correlated_pair():
+    # V = X^2 + Y^2 - rho (XY + YX) on R = 4, a ball its Gaussian law barely
+    # reaches: the outer samples are exact draws and each gets its exact HCIZ
+    # term. Ent(mu | U^pi mu) = -I(X; Y) + I(spec X; spec Y), and
+    # -I(X; Y) = (N^2 / 2) log(1 - rho^2) for the Gaussian pair, so N^-2 Ent
+    # is at least 1/2 log(1 - rho^2) at every N and tends to it, the orbital
+    # free entropy of a semicircular pair with correlation rho
+    t0 = time.time()
+    ok = True
+    details = []
+    for N in (4, 8, 16):
+        for k, rho in enumerate((0.1, 0.5)):
+            pot = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -rho, (2, 1): -rho})
+            est = orbital_entropy(OrbitalRequest(GibbsModel(2, N, 4.0, pot), BlockMap.full(2),
+                                                 s_out=256, s_in=16),
+                                  rng=np.random.default_rng(1300 + 10 * N + k))
+            limit = 0.5 * math.log(1.0 - rho * rho)
+            case = est.self_consistent and est.value >= limit - 3 * est.stderr
+            if (N, rho) == (16, 0.5):
+                case = case and abs(est.value - limit) <= 0.02
+            ok = ok and case
+            details.append(f"N={N} rho={rho} {est.value:+.4f} (se {est.stderr:.4f}, "
+                           f"limit {limit:+.4f})")
+    _record(13, "orbital entropy of a correlated pair against 1/2 log(1 - rho^2)", ok,
+            "; ".join(details), t0)

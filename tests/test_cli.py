@@ -500,6 +500,31 @@ SWEEPS = {
 }
 
 
+# a small config of each kind that END_TO_END leaves out
+OTHER_KINDS = {
+    "volume": VOLUME_DOC,
+    "sample": {"kind": "sample", "K": 2, "chain": TINY_CHAIN,
+               "model": dict(PAIR, potential={"name": "quadratic", "c": 0.5})},
+    "fit": {"kind": "fit", "N": 2, "K": 2, "target": PAIR_K2, "fit": TINY_FIT},
+    "pressure": SWEEPS["pressure"],
+    "duality-check": SWEEPS["duality-check"],
+}
+
+
+def test_every_kind_has_a_table_case():
+    kinds = {doc["kind"] for doc, _, _ in END_TO_END.values()}
+    assert kinds | {doc["kind"] for doc in OTHER_KINDS.values()} == set(cli.EXPERIMENT_KINDS)
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_KINDS))
+def test_table_cells_parse_as_floats(tmp_path, case):
+    out = tmp_path / "out"
+    assert main(["--config", write_yaml(tmp_path / "c.yaml", dict(OTHER_KINDS[case], seed=5)),
+                 "--out", str(out)]) == 0
+    assert list(out.glob("*.tsv"))
+    _assert_table_cells_parse(out)
+
+
 @pytest.mark.filterwarnings("ignore:fit at N")
 @pytest.mark.parametrize("case", sorted(SWEEPS))
 def test_sweep_records_do_not_depend_on_threads(tmp_path, case):
@@ -512,6 +537,18 @@ def test_sweep_records_do_not_depend_on_threads(tmp_path, case):
     assert outs[0] == outs[1]
 
 
+def _assert_table_cells_parse(out):
+    # every cell of every table but the label and word columns is a number
+    # that float() reads back (numpy 2's repr of a float names its type)
+    for path in out.glob("*.tsv"):
+        header, *rows = [line.split("\t") for line in path.read_text().splitlines()]
+        for row in rows:
+            assert len(row) == len(header)
+            for name, cell in zip(header, row):
+                if name not in ("label", "word"):
+                    float(cell)
+
+
 @pytest.mark.filterwarnings("ignore:fit at N")
 @pytest.mark.parametrize("case", sorted(END_TO_END))
 def test_main_end_to_end_tiny_budgets(tmp_path, case):
@@ -519,6 +556,7 @@ def test_main_end_to_end_tiny_budgets(tmp_path, case):
     out = tmp_path / "out"
     assert main(["--config", write_yaml(tmp_path / "c.yaml", dict(doc, seed=5)),
                  "--out", str(out)]) == 0
+    _assert_table_cells_parse(out)
     recs = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
     assert len(recs) == len(doc.get("couplings") or doc.get("sizes") or [None])
     for rec in recs:

@@ -2,8 +2,9 @@
 every name a module exports exists, every private module-level name is
 used, and the command line loads no test-only dependency and computes
 nothing while it loads; the Gauss-Legendre rules it builds later import
-nothing and take memory linear in their node count, and Mehta's remainder
-series takes no memory that grows with its length."""
+nothing and take memory linear in their node count, Mehta's remainder
+series takes no memory that grows with its length, and an exact final run
+holds none of its draws."""
 
 import ast
 import importlib
@@ -16,8 +17,9 @@ from collections import Counter
 
 import pytest
 
-from matent import sampler
+from matent import maxent, sampler
 from matent.ncpoly import NcPoly
+from matent.streams import substream
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matent"
 
@@ -171,3 +173,26 @@ def test_mehta_remainder_memory_does_not_grow_with_its_series():
         tracemalloc.stop()
     assert est is not None
     assert peak <= 4 * 2 ** 20
+
+
+def test_exact_final_run_memory_does_not_hold_its_draws():
+    # free-pair-4's fitted model at N = 16 draws exactly; a state takes
+    # n N^2 16 = 8 kB, so the 10,000 states of final_steps 20000 would take
+    # 80 MB. They are measured a batch at a time and dropped: the run peaks
+    # within 3 MB, and each further measured state adds at most 256 bytes (its
+    # scalar series and their transforms in pooled_mean), not 8 kB
+    basis = maxent.build_dual_basis(2, 2)
+    lam = [0.0, 0.0, 0.474609, 0.0, 0.474609]
+    model = sampler.GibbsModel(2, 16, 2.0, maxent.potential_from_coeffs(basis, lam))
+    peaks = []
+    for steps in (10000, 20000):
+        tracemalloc.start()
+        try:
+            _, _, energy, final = maxent._final_run(model, maxent._BasisMeasurer(basis), steps,
+                                                    3000, substream(1, "final-memory"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert energy.count == steps // 2 and final["final_acceptance"] < 1.0
+    assert peaks[1] <= 3 * 2 ** 20
+    assert peaks[1] - peaks[0] <= 256 * 5000

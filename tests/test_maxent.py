@@ -298,6 +298,28 @@ def test_pair_fit_recovers_a_correlated_lambda():
     assert log_i.value == pytest.approx(_pair_log_i(N, R, basis, lam * scales).value, abs=1e-9)
 
 
+@pytest.mark.parametrize("lam", [
+    [0.0, 0.0, 0.474609, 0.0, 0.474609],  # free-pair-4's lambda*, to 6 digits
+    [0.1, -0.05, 0.5, -0.3, 0.6],  # a correlated pair, k = -0.3
+], ids=["free-pair-4", "correlated"])
+def test_gaussian_draws_match_mehta_moments_on_an_active_ball(lam):
+    # at N = 4, R = 2 the ball cuts the Gaussian (acceptance below 1), and
+    # the basis moments of exact draws match those of Mehta's determinant
+    N, R = 4, 2.0
+    basis = build_dual_basis(2, 2)
+    scales = R ** basis.degrees.astype(float)
+    mu = np.array(lam) * scales
+    nodes = _pair_log_i(N, R, basis, mu).count
+    want = maxent._pair_moments(basis, N, R, nodes)(mu)[1] * scales
+    model = GibbsModel(2, N, R, potential_from_coeffs(basis, np.array(lam)))
+    samples, diag = sampler.mcmc_chain(model, 6000, 0, 1, rng=substream(15, "mehta-draws"))
+    assert diag.step_scale == 0.0 and 0.5 < diag.acceptance < 1.0
+    f = maxent._BasisMeasurer(basis).from_state(samples)
+    z = (f.mean(axis=0) - want) / (f.std(axis=0, ddof=1) / math.sqrt(len(f)))
+    print("z", np.round(z, 2))
+    assert np.max(np.abs(z)) <= 4.0
+
+
 def test_damped_newton_stops_where_a_hessian_cannot_be_formed():
     # f = sum(exp(x) - 2 x) takes full Newton steps from 0 to 1, then toward
     # log 2; the stub's Hessian cannot be formed at the second accepted point,
@@ -320,22 +342,18 @@ def test_damped_newton_stops_where_a_hessian_cannot_be_formed():
     np.testing.assert_allclose(asked, [[0.0, 0.0], [1.0, 1.0], [1.0 - (math.e - 2.0) / math.e] * 2])
 
 
-def test_free_pair_fit_is_exact_and_runs_only_the_final_chain(monkeypatch):
-    # free-pair-4's target: lambda from the exact K = 2 solve, and the only
-    # chain is the final run, burn-in included (no tuning at V = 0)
+def test_free_pair_fit_is_exact_and_runs_no_chain(monkeypatch):
+    # free-pair-4's target: lambda from the exact K = 2 solve, and the final
+    # run's states are exact Gaussian draws (the fitted model is 0.47 (X^2 +
+    # Y^2)), so no chain engine is built and no Metropolis step runs
     def refuse(*args, **kwargs):
         raise AssertionError("the exact K = 2 route must not run Monte Carlo Newton")
 
-    steps = []
-    advance = sampler.ChainEngine._advance
-
-    def counting(self, limit, after=None):
-        taken = advance(self, limit, after)
-        steps.append(taken[0])
-        return taken
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the exact K = 2 route on a Gaussian model builds no chain")
 
     monkeypatch.setattr(maxent, "_chain_newton", refuse)
-    monkeypatch.setattr(sampler.ChainEngine, "_advance", counting)
+    monkeypatch.setattr(sampler.ChainEngine, "__init__", no_engine)
     half = semicircle_moments(1.0, 2, radius=2.0)
     tau = free_product_moments([half, half], 2)
     opts = FitOptions(final_steps=2000, final_burnin=300)
@@ -345,8 +363,10 @@ def test_free_pair_fit_is_exact_and_runs_only_the_final_chain(monkeypatch):
                                                  abs=1e-8)
     assert fit.dual_value.bias_bound <= 1e-8 and fit.log_i.bias_bound <= 1e-8
     assert fit.trajectory["decrement"] <= 1e-10 and fit.iterations <= 10
-    assert sum(steps) == opts.final_burnin + maxent._walker_steps(
-        opts.final_steps, maxent.WALKERS, 2)
+    # as many states as the walkers measure, from rejection proposals
+    assert fit.energy.count == maxent.WALKERS * maxent._walker_steps(
+        opts.final_steps, maxent.WALKERS, 2) // 2 == 1000
+    assert sampler.MIN_ACCEPTANCE <= fit.trajectory["final_acceptance"] < 1
     # rho is the exact log I plus the final run's energy
     assert fit.rho.value == pytest.approx(fit.log_i.value + fit.energy.value, abs=1e-12)
     assert fit.rho.stderr == fit.energy.stderr > 0
@@ -397,12 +417,12 @@ def test_out_of_reach_pair_target_is_left_to_chain_newton(monkeypatch):
     assert calls == [1]
 
 
-def test_final_run_stderr_calibrated_at_exact_optimum():
+def _final_run_z_scores(chain: bool) -> np.ndarray:
     # free-pair-4's exact lambda*: each side is the n = 1 exact fit of the
     # semicircle marginal, with no coupling. There the energy has mean
-    # N^2 lambda* . tau and every residual mean 0, so each z = (estimate -
-    # exact) / stderr of a final run at the default budget, from a cold start,
-    # should have unit spread
+    # N^2 lambda* . tau and every residual mean 0; rows of z = (estimate -
+    # exact) / stderr of the energy and the residuals of 30 final runs at the
+    # default budget, on exact draws or on walkers from a cold start
     half = semicircle_moments(1.0, 2, radius=2.0)
     tau = free_product_moments([half, half], 2)
     one = fit_projection(half, 4, 2, rng=substream(13, "marginal"))
@@ -416,11 +436,28 @@ def test_final_run_stderr_calibrated_at_exact_optimum():
     zs = []
     defaults = FitOptions()
     for seed in range(30):
-        engine = sampler.ChainEngine(model, substream(seed, "calibration"), maxent.WALKERS)
+        rng = substream(seed, "calibration")
+        engine = sampler.ChainEngine(model, rng, maxent.WALKERS) if chain else None
         means, stderrs, energy, _ = maxent._final_run(
-            engine, maxent._BasisMeasurer(basis), defaults.final_steps, defaults.final_burnin)
+            model, maxent._BasisMeasurer(basis), defaults.final_steps, defaults.final_burnin,
+            rng, engine)
+        assert energy.count == defaults.final_steps // 2
         zs.append([(energy.value - exact) / energy.stderr, *((means - targets) / stderrs)])
-    zs = np.array(zs)
+    return np.array(zs)
+
+
+def test_final_run_stderr_calibrated_at_exact_optimum():
+    # on exact Gaussian draws, the route of the exact K = 2 fit
+    zs = _final_run_z_scores(chain=False)
+    spread = zs.std(axis=0, ddof=1)
+    print("z spread (energy, residuals):", np.round(spread, 3))
+    assert np.all((0.7 <= spread) & (spread <= 1.3)), spread
+    assert np.sum(np.abs(zs) > 3.5) <= 1
+
+
+def test_final_run_chain_stderr_calibrated_at_exact_optimum():
+    # on the walkers, which measure every non-Gaussian fitted model
+    zs = _final_run_z_scores(chain=True)
     spread = zs.std(axis=0, ddof=1)
     print("z spread (energy, residuals):", np.round(spread, 3))
     assert np.all((0.7 <= spread) & (spread <= 1.3)), spread

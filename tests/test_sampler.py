@@ -391,8 +391,8 @@ def test_walkers_diverge_and_count_walker_steps():
 
 def test_pooled_walker_moment_matches_gaussian_pair_derivative():
     # a (X^2 + Y^2) - c (XY + YX) on a ball it never reaches (R = 6): the
-    # pooled mean of N Tr(X^2 + Y^2) over 8 walkers, and its mean along the
-    # one-walker chain of mcmc_chain (the orbital outer chain), is -d/da log I,
+    # pooled mean of N Tr(X^2 + Y^2) over 8 walkers, and its mean over the
+    # exact draws of mcmc_chain (the orbital outer samples), is -d/da log I,
     # taken here from the closed form by a central difference
     a, c, N, h = 1.0, 0.5, 4, 1e-5
     want = (oracles.gaussian_pair_log_I(a - h, c, N)
@@ -428,8 +428,11 @@ def test_pooled_mean_ar1_matches_theory(walkers, steps):
 
 @pytest.mark.parametrize("model", [
     GibbsModel(1, 5, 2.0, NcPoly(1, {(1, 1): 0.5, (1, 1, 1, 1): 0.3})),
+    # the Gaussian pair below plus a quartic word, which leaves it to the chain
+    GibbsModel(2, 4, 1.5, NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.5, (2, 1): -0.5,
+                                     (1, 1, 1, 1): 0.2})),
     GibbsModel(2, 4, 1.5, NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.5, (2, 1): -0.5}))],
-    ids=["exact-n1", "metropolis-n2"])
+    ids=["exact-n1", "metropolis-n2", "exact-n2"])
 def test_chain_samples_are_hermitian_tuples_in_the_ball(model):
     # the checks MatrixTuple made on every retained state, on the array
     samples, diag = mcmc_chain(model, 600, 200, 6, rng=substream(11, "invariant", model.n))
@@ -972,6 +975,100 @@ def test_exact_draws_raise_below_a_shrunken_envelope(monkeypatch):
     spectra = _ExactSpectra(GibbsModel(1, 8, 2.0, NcPoly.zero(1)))
     with pytest.raises(EstimatorError, match="envelope"):
         spectra.draw(50, substream(31, "shrunk"))
+
+
+GAUSSIAN_CASES = {
+    # linear and cross terms, on a ball (R = 8) no draw comes near
+    "pair": NcPoly(2, {(1, 1): 1.0, (2, 2): 0.7, (1, 2): -0.3, (2, 1): -0.3,
+                       (1,): 0.4, (2,): -0.6}),
+    "triple": NcPoly(3, {(1, 1): 1.0, (2, 2): 0.8, (3, 3): 1.2, (1, 2): -0.3, (2, 1): -0.3,
+                         (2, 3): 0.2, (3, 2): 0.2, (1,): 0.3, (3,): -0.2, (): 0.5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAUSSIAN_CASES))
+def test_gaussian_draws_match_closed_form_moments(case):
+    # with the ball inactive the law is the Gaussian: for Tr V = sum_ab A_ab
+    # Tr X_a X_b + c . Tr X, E tr X_a = m_a with m = -A^-1 c / 2, and
+    # E tr X_a X_b = m_a m_b + (A^-1)_ab / 2 (the diagonal entries carry
+    # A^-1 / (2N), the N^2 - N off-diagonal ones A^-1 / (4N) per part)
+    pot = GAUSSIAN_CASES[case]
+    n, N = pot.n, 4
+    a = np.zeros((n, n))
+    c = np.zeros(n)
+    for w, coef in pot.terms.items():
+        if len(w) == 2:
+            a[w[0] - 1, w[1] - 1] += coef.real
+        elif len(w) == 1:
+            c[w[0] - 1] += coef.real
+    inv = np.linalg.inv(a)
+    m = -0.5 * inv @ c
+    samples, diag = mcmc_chain(GibbsModel(n, N, 8.0, pot), 4000, 500, 1,
+                               rng=substream(32, "gaussian", case))
+    assert samples.shape == (n, 4000, N, N)
+    assert diag.acceptance == 1.0 and diag.step_scale == 0.0
+    one = np.einsum("asii->as", samples).real / N
+    two = np.einsum("asij,bsji->abs", samples, samples).real / N
+    zs = []
+    for series, want in [(one, m), (two, np.outer(m, m) + inv / 2)]:
+        series = series.reshape(-1, series.shape[-1])
+        zs += list((series.mean(axis=1) - want.ravel())
+                   / (series.std(axis=1, ddof=1) / math.sqrt(series.shape[1])))
+    print("z", np.round(zs, 2))
+    assert np.max(np.abs(zs)) <= 4.0
+
+
+@pytest.mark.parametrize("pot", [
+    NcPoly(2, {(1, 1): 1.0, (2, 2): -0.5}),
+    _quadratic_pair(1.0, 1.0),
+    _quadratic_pair(0.5, 0.5),
+    NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 1, 1): 0.1})],
+    ids=["indefinite", "singular", "singular-rounded", "cubic"])
+def test_non_gaussian_models_run_the_chain(pot):
+    # an indefinite or singular quadratic form, or a word of degree 3, has
+    # no Gaussian law: no parts, no draw, and mcmc_chain runs its chain. The
+    # singular form of 0.5 (X - Y)^2 factors by rounding, with a last pivot
+    # at rounding level
+    model = GibbsModel(2, 3, 1.5, pot)
+    assert sampler._gaussian_parts(model) is None
+    rng = substream(33, "not-gaussian")
+    assert sampler._gaussian_draws(model, 10, rng, None) is None
+    assert repr(rng.bit_generator.state) == repr(substream(33, "not-gaussian").bit_generator.state)
+    _, diag = mcmc_chain(model, 200, 100, 2, rng=rng)
+    assert diag.step_scale > 0.0 and diag.retained == 100
+
+
+def test_flat_gaussian_falls_back_to_the_chain():
+    # 0.001 (X^2 + Y^2) at N = 8 puts nearly every Gaussian draw outside the
+    # ball R = 2: its first batch accepts below MIN_ACCEPTANCE, and the
+    # chain runs
+    model = GibbsModel(2, 8, 2.0, 0.001 * _quadratic_pair(1.0, 0.0))
+    assert sampler._gaussian_parts(model) is not None
+    taken = []
+    assert sampler._gaussian_draws(model, 10, substream(34, "flat"), taken.append) is None
+    assert taken == []
+    _, diag = mcmc_chain(model, 400, 200, 2, rng=substream(34, "flat"))
+    assert diag.step_scale > 0.0 and diag.acceptance >= sampler.MIN_ACCEPTANCE
+
+
+def test_gaussian_batches_fit_the_draw_buffer(monkeypatch):
+    # proposals come max(1, DRAW_BUFFER_BYTES // (16 n N^2)) at a time, each
+    # batch decided by one ball test; the accepted draws beyond the count
+    # asked for are dropped
+    sizes = []
+    ball = sampler.in_norm_ball
+
+    def spy(m, R):
+        sizes.append(m.shape)
+        return ball(m, R)
+
+    monkeypatch.setattr(sampler, "in_norm_ball", spy)
+    model = GibbsModel(2, 16, 8.0, _quadratic_pair(1.0, 0.2))
+    batches = []
+    acceptance = sampler._gaussian_draws(model, 300, substream(35, "buffer"), batches.append)
+    assert acceptance == 1.0
+    assert sizes == [(2, 32, 16, 16)] * 10
+    assert [b.shape[1] for b in batches] == [32] * 9 + [12]
 
 
 @pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
