@@ -112,7 +112,9 @@ def load_config(path: str, seed_override: Optional[int] = None,
                 threads_override: Optional[int] = None) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's parser where PyYAML has it: the same dicts in a third
+            # of the time
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except yaml.YAMLError as exc:

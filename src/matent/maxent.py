@@ -400,41 +400,46 @@ def _pair_parts(basis: DualBasis) -> Optional[np.ndarray]:
 
 def _pair_moments(basis: DualBasis, N: int, R: float, nodes: int) -> Callable:
     """Exact log I, up to a constant, and scaled basis moments of the bilinear
-    two-matrix models of ``basis`` (:func:`_pair_parts`): a function of the
-    scaled coordinates mu = lam R^degree, which returns log I and E f (f_j =
-    (1/N) Tr b_j / R^degree_j), or None where log I cannot be evaluated or
-    rounding spoils it (a swap spread beyond ``EXACT_BOUND``, the trust bound
-    of :func:`matent.sampler._mehta_log_I`), so the line search steps back.
+    two-matrix models of ``basis`` (:func:`_pair_parts`): a function of a
+    stack of P points in the scaled coordinates mu = lam R^degree, the rows
+    of a (P, len(basis)) array, which returns for each point log I and E f
+    (f_j = (1/N) Tr b_j / R^degree_j), or None where log I cannot be
+    evaluated or rounding spoils it (a swap spread beyond ``EXACT_BOUND``,
+    the trust bound of :func:`matent.sampler._mehta_log_I`), so the line
+    search steps back.
 
     Both are :func:`matent.sampler._split_form`'s on ``nodes`` nodes, the
-    evaluator of :func:`matent.sampler._mehta_log_I`, on the parts lam times
-    the rows, to the bit those that log I reads from the potential (one
-    element per part). So the value is log I - 2 log Vol to rounding
-    (the derivatives' remainder rows ride in the same products), and E f_j
-    is row j against the moments in units of R (each b_j is homogeneous).
+    evaluator of :func:`matent.sampler._mehta_log_I`, in one call for the
+    whole stack, on the parts lam times the rows, to the bit those that log
+    I reads from the potential (one element per part). So the value is log
+    I - 2 log Vol to rounding (the derivatives' remainder rows ride in the
+    same products), and E f_j is row j against the moments in units of R
+    (each b_j is homogeneous).
     """
     rows = _pair_parts(basis)
     D = basis.K
     evaluate = _split_form(nodes, R, N, D)
     scales = R ** basis.degrees.astype(float)
 
-    def moments(mu):
-        c = (mu / scales) @ rows
-        sides = np.zeros((2, D + 1))
-        sides[:, 1:] = c[:-1].reshape(2, D)
-        # an overflowing remainder or a singular 1 + C gives None: "cannot be
-        # evaluated here", which the line search steps back from
+    def moments(mus):
+        c = (mus / scales) @ rows
+        sides = np.zeros((len(c), 2, D + 1))
+        sides[:, :, 1:] = c[:, :-1].reshape(-1, 2, D)
+        # an overflowing remainder or a singular 1 + C gives that point None:
+        # "cannot be evaluated here", which the line search steps back from;
+        # an unresolved weight or a singular A or B gives the stack None
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                value, spread, at = evaluate((*sides, c[-1]))
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                values, spreads, at = evaluate((sides[:, 0], sides[:, 1], c[:, -1]))
         except (EstimatorError, np.linalg.LinAlgError):
-            return None
+            return [None] * len(c)
         # E Tr XY / R^2 from C's order; a determinant of sign <= 0 in either order
         # is nan, and a swap spread beyond EXACT_BOUND is rounding that has
         # already spoiled the moments, so neither can be evaluated either
-        out = rows @ np.concatenate((at[0, :D], at[1, :D], at[0, D:])) / N
-        return ((value, out) if math.isfinite(value) and spread <= EXACT_BOUND
-                and np.all(np.isfinite(out)) else None)
+        outs = np.concatenate((at[:, 0, :D], at[:, 1, :D], at[:, 0, D:]), axis=1) @ rows.T / N
+        return [(value, out) if math.isfinite(value) and spread <= EXACT_BOUND
+                and np.all(np.isfinite(out)) else None
+                for value, spread, out in zip(values, spreads, outs)]
 
     return moments
 
@@ -445,28 +450,30 @@ def _pair_dual(basis: DualBasis, N: int, R: float, tt: np.ndarray,
     dual's smooth part, up to a constant, in scaled coordinates
     mu = lam R^degree, on ``nodes`` nodes.
 
-    The value and gradient are exact (:func:`_pair_moments`, one evaluation
-    per point); the Hessian N^4 Cov f is the central difference of the
-    moments, 2 len(mu) more evaluations at steps of 1e-5. Forming it at a
-    scaled coefficient beyond ``MU_MAX`` raises :class:`InfeasibleTargetError`
-    and so leaves the target to Monte Carlo Newton, which decides there
-    whether it is out of reach.
+    The value and gradient are exact (:func:`_pair_moments` on a stack of
+    one); the Hessian N^4 Cov f is the central difference of the moments at
+    steps of 1e-5, its 2 len(mu) points priced in one stacked call. Forming
+    it at a scaled coefficient beyond ``MU_MAX`` raises
+    :class:`InfeasibleTargetError` and so leaves the target to Monte Carlo
+    Newton, which decides there whether it is out of reach.
     """
     moments = _pair_moments(basis, N, R, nodes)
     n2 = N * N
 
     def parts(mu):
-        at = moments(mu)
+        at = moments(mu[None])[0]
         if at is None:
             return math.inf, None, None
 
         def hess():
             if np.max(np.abs(mu)) > MU_MAX:
                 raise InfeasibleTargetError(f"a Newton iterate passed |mu| = {MU_MAX}")
-            pairs = [(moments(mu + h), moments(mu - h)) for h in 1e-5 * np.eye(len(mu))]
-            if any(p is None or q is None for p, q in pairs):
+            h = 1e-5 * np.eye(len(mu))
+            points = moments(np.concatenate((mu + h, mu - h)))
+            if any(p is None for p in points):
                 return None
-            jac = np.array([p[1] - q[1] for p, q in pairs]) / 2e-5
+            jac = np.array([p[1] - q[1]
+                            for p, q in zip(points[:len(mu)], points[len(mu):])]) / 2e-5
             return -0.5 * n2 * (jac + jac.T)
 
         return at[0] + n2 * float(mu @ tt), n2 * (tt - at[1]), hess
@@ -474,12 +481,35 @@ def _pair_dual(basis: DualBasis, N: int, R: float, tt: np.ndarray,
     return parts
 
 
+def _marginal_start(basis: DualBasis, N: int, R: float, tt: np.ndarray,
+                    l1: np.ndarray) -> np.ndarray:
+    """The K = 2 Newton start of a bilinear two-matrix basis: the product of
+    its two marginal one-matrix exact fits, coupling 0, each side's scaled
+    coefficients from :func:`_exact_solve` on that side's targets with its
+    share of ``l1``. Where the target's mixed moment factors (E tr XY = E tr
+    X E tr Y, as for a free pair), log I splits into the two sides' at
+    coupling 0 and this start is the exact solution. Zeros where a marginal
+    solve fails."""
+    mu = np.zeros(len(basis))
+    one = build_dual_basis(1, basis.K)
+    words = [el.word for el in basis.elements]
+    for side in (1, 2):
+        # the side's powers X^d (or Y^d), in the one-matrix basis's order
+        index = [words.index((side,) * d) for d in range(1, basis.K + 1)]
+        try:
+            mu[index] = _exact_solve(one, N, R, tt[index], l1[index], "marginal")[0]
+        except (InfeasibleTargetError, EstimatorError):
+            return np.zeros(len(basis))
+    return mu
+
+
 def _exact_solve(basis: DualBasis, N: int, R: float, tt: np.ndarray, l1: np.ndarray,
                  what: str):
     """The exact dual solve: :func:`_damped_newton` on :func:`_one_matrix_dual`
-    for one matrix and on :func:`_pair_dual` for a bilinear two-matrix basis,
-    with the L1 term N^2 l1 . |mu|, on as many nodes as the fitted model's log
-    I needs.
+    for one matrix, from zero, and on :func:`_pair_dual` for a bilinear
+    two-matrix basis, from the marginal fits (:func:`_marginal_start`), with
+    the L1 term N^2 l1 . |mu|, on as many nodes as the fitted model's log I
+    needs.
 
     The first solve runs on max(300, 8N) nodes; while log I of the fitted
     model (:func:`matent.sampler.estimate_log_I` for one matrix,
@@ -489,13 +519,21 @@ def _exact_solve(basis: DualBasis, N: int, R: float, tt: np.ndarray, l1: np.ndar
     quietly off. Returns mu, the gradient and decrement there, max |g| after
     each Newton step of every solve, the last node count, and the fitted model
     and its log I; None where Mehta's log I has no value at the fitted model.
+    From the marginal start free-pair-4 takes one Newton step, and the whole
+    solve four split-form calls and two more for log I.
     """
-    dual = _one_matrix_dual if basis.n == 1 else _pair_dual
+    if basis.n == 1:
+        dual, mu = _one_matrix_dual, np.zeros(len(basis))
+    else:
+        dual, mu = _pair_dual, _marginal_start(basis, N, R, tt, l1)
     scales = R ** basis.degrees.astype(float)
-    mu, nodes, history, n2 = np.zeros(len(basis)), _heine_nodes(N), [], N * N
+    nodes, history, n2 = _heine_nodes(N), [], N * N
     while True:
-        mu, _, grad, dec, steps = _damped_newton(dual(basis, N, R, tt, nodes), mu, n2 * l1,
-                                                 n2 * 1e-9, what)
+        # a trial point whose weight is unresolved divides by b_k = 0 before
+        # it raises (matent.sampler._log_heine_norms), and is stepped back from
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu, _, grad, dec, steps = _damped_newton(dual(basis, N, R, tt, nodes), mu,
+                                                     n2 * l1, n2 * 1e-9, what)
         history += steps
         model = GibbsModel(basis.n, N, R, potential_from_coeffs(basis, mu / scales))
         log_i = estimate_log_I(model) if basis.n == 1 else _mehta_log_I(model)
@@ -669,8 +707,8 @@ def _walker_steps(steps: int, walkers: int, every: int) -> int:
     return every * max(1, -(-steps // (every * walkers)))
 
 
-def _final_run(model: GibbsModel, measurer: _BasisMeasurer, steps: int, burnin: int,
-               rng: np.random.Generator, engine: Optional[ChainEngine] = None):
+def _final_run(model: GibbsModel, coeffs: np.ndarray, measurer: _BasisMeasurer, steps: int,
+               burnin: int, rng: np.random.Generator, engine: Optional[ChainEngine] = None):
     """The measurement run of a fitted model: as many states as ``WALKERS``
     walkers measure on about ``steps`` walker-steps in all, every 2nd state
     of each.
@@ -678,10 +716,13 @@ def _final_run(model: GibbsModel, measurer: _BasisMeasurer, steps: int, burnin: 
     Without an ``engine`` (lambda from an exact solve), a Gaussian model
     (:func:`matent.sampler._gaussian_draws`) gets that many exact i.i.d.
     draws, measured batch by batch and never held all at once, and
-    ``burnin`` is unused. Otherwise the walkers of ``engine`` (the warm ones
-    of Monte Carlo Newton), or new ones at the origin, run ``burnin`` steps
-    each, the first 60% tuning, and are then measured: so does a Gaussian
-    model whose first batch accepts below ``MIN_ACCEPTANCE``. Monte Carlo
+    ``burnin`` is unused. Each batch is measured once: its energy is N^2
+    ``coeffs`` . f, from the basis moments f that ``measurer`` takes (the
+    model's potential is sum_j coeffs_j b_j), with no second trace pass.
+    Otherwise the walkers of ``engine`` (the warm ones of Monte Carlo
+    Newton), or new ones at the origin, run ``burnin`` steps each, the first
+    60% tuning, and are then measured, with the engine's energies: so does a
+    Gaussian model whose first batch accepts below ``MIN_ACCEPTANCE``. Monte Carlo
     Newton fits keep the chain because their rho carries the fit error
     N^2 lambda . (m(lambda) - tau), which no stderr reports; at the
     separable pair, exact draws put rho 4 of their stderrs from the exact
@@ -702,10 +743,11 @@ def _final_run(model: GibbsModel, measurer: _BasisMeasurer, steps: int, burnin: 
     acceptance = None
     if engine is None:
         acceptance = _gaussian_draws(model, WALKERS * per_walker // 2, rng,
-                                     lambda blocks: collect(blocks, model.energy(blocks)))
+                                     lambda blocks: obs.append(measurer.from_state(blocks)))
     if acceptance is not None:
-        # one i.i.d. series: (1, T, len(basis)) and (1, T)
-        omat, series = np.concatenate(obs)[None], np.concatenate(energies)[None]
+        # one i.i.d. series: (1, T, len(basis)) and its energies, (1, T)
+        omat = np.concatenate(obs)[None]
+        series = model.N * model.N * (omat @ coeffs)
     else:
         if engine is None:
             engine = ChainEngine(model, rng, WALKERS)
@@ -832,7 +874,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
             final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, mu / scales))
         lam = mu / scales
         moment_means, residual_stderr, energy_est, final = _final_run(
-            final_model, measurer, opts.final_steps, opts.final_burnin, rng, engine)
+            final_model, lam, measurer, opts.final_steps, opts.final_burnin, rng, engine)
         trajectory.update(final)
         if exact is None:
             log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)

@@ -435,40 +435,62 @@ def log_ball_volume(N: int, R: float) -> float:
     )
 
 
-def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int
-                     ) -> Tuple[float, np.ndarray, Tuple[float, np.ndarray, np.ndarray]]:
-    """Sum of log h_k, k < N, for the discrete measure sum_j exp(logw_j) delta_{x_j}.
+def _log_heine_norms(x: np.ndarray, logw: np.ndarray, N: int):
+    """Sum of log h_k, k < N, for the discrete measure sum_j exp(logw_j) delta_{x_j},
+    for each row of a stack ``logw`` of shape (..., M) (one 1-D row, or several).
 
     h_k is the squared norm of the k-th monic orthogonal polynomial. The
     Stieltjes recurrence runs on orthonormalized vectors q_k = sqrt(w) p_k,
     so nothing overflows; h_k = h_0 prod_{j<=k} b_j^2 with b_j the
     off-diagonal Jacobi coefficients. log w is shifted by its maximum
     first, which scales every h_k by the same factor, added back here.
-    The vectors are returned too, as the rows of an (N, M) array: they give
-    the eigenvalue kernel K(x, y) = sum_k q_k(x) q_k(y) of the N-point
+    The vectors are returned too, as the rows of an (..., N, M) array: they
+    give the eigenvalue kernel K(x, y) = sum_k q_k(x) q_k(y) of the N-point
     ensemble on the nodes. So are the recurrence itself, (log h_0, a, b):
-    x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1} with a[k] = a_k and
-    b[k] = b_{k+1} for k < N - 1, which evaluates the p_k anywhere.
+    x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1} with a[..., k] = a_k and
+    b[..., k] = b_{k+1} for k < N - 1, which evaluates the p_k anywhere.
+    The sums and log h_0 have the stack's leading shape (a numpy scalar for
+    one row), and each row gets the bits it gets alone: ``np.vecdot``
+    matches 1-D ``@``, and the logs are libm's, taken one at a time (numpy's
+    own log differs in the last bit on about 1 input in 1,000). A row with
+    fewer than N resolved nodes raises :class:`EstimatorError` after
+    dividing by its b_k = 0; the callers that can meet such a weight ignore
+    that division (``np.errstate``) once per solve or log I, not once per
+    call, which would cost a one-row call about 5%.
     """
-    shift = float(logw.max())
-    q = np.exp(0.5 * (logw - shift))
-    h0 = float(q @ q)
-    qs = np.empty((N, x.size))
-    qs[0] = q / math.sqrt(h0)
-    a = np.empty(N - 1)
-    b = np.empty(N - 1)
-    total = N * (shift + math.log(h0))
+    lead = logw.shape[:-1]
+    # a number per row meets the nodes along a new last axis (one row's is a
+    # scalar, as in the 1-D recurrence)
+    col = (Ellipsis, None) if lead else ()
+    shift = logw.max(axis=-1)
+    q = np.exp(0.5 * (logw - shift[col]))
+    h0 = np.vecdot(q, q)
+    qs = np.empty(lead + (N, x.size))
+    q = np.divide(q, np.sqrt(h0)[col], out=qs[..., 0, :])
+    a = np.empty(lead + (N - 1,))
+    b = np.empty(lead + (N - 1,))
     for k in range(1, N):
-        q = qs[k - 1]
-        a[k - 1] = (x * q) @ q
-        r = (x - a[k - 1]) * q - (b[k - 2] * qs[k - 2] if k > 1 else 0.0)
-        b[k - 1] = np.linalg.norm(r)
-        if not b[k - 1] > 0.0:
-            raise EstimatorError(
-                f"quadrature weight has fewer than N = {N} resolved nodes")
-        total += 2.0 * (N - k) * math.log(b[k - 1])
-        qs[k] = r / b[k - 1]
-    return total, qs, (shift + math.log(h0), a, b)
+        a[..., k - 1] = ak = np.vecdot(x * q, q)
+        r = x - ak[col]
+        r *= q
+        if k > 1:
+            r -= bk * prev
+        b[..., k - 1] = bk = np.sqrt(np.vecdot(r, r))
+        bk = bk[col]
+        prev, q = q, np.divide(r, bk, out=qs[..., k, :])
+    log_h0, totals = [], []
+    for s, h, row in zip(shift.reshape(-1).tolist(), h0.reshape(-1).tolist(),
+                         b.reshape(h0.size, N - 1).tolist()):
+        log_h0.append(s + math.log(h))
+        total = N * log_h0[-1]
+        for k, bk in enumerate(row, 1):
+            if not bk > 0.0:
+                raise EstimatorError(
+                    f"quadrature weight has fewer than N = {N} resolved nodes")
+            total += 2.0 * (N - k) * math.log(bk)
+        totals.append(total)
+    return (np.array(totals).reshape(lead)[()], qs,
+            (np.array(log_h0).reshape(lead)[()], a, b))
 
 
 # Gauss-Legendre rules: the terms of Stieltjes' series, and the nodes next to
@@ -635,10 +657,13 @@ def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
 
     def value(M: int) -> Tuple[float, float]:
         x, logg = _legendre_nodes(M, R)
-        logw = logg - N * polyval(x, coeffs)
-        return _log_heine_norms(x, logw, N)[0] - _log_heine_norms(x, logg, N)[0], 0.0
+        # h_k(V) and h_k(0) in one stack of two rows
+        log_h = _log_heine_norms(x, np.stack((logg - N * polyval(x, coeffs), logg)), N)[0]
+        return float(log_h[0] - log_h[1]), 0.0
 
-    log_i, M, error = _refined(value, N, 19200)
+    # an unresolved weight divides by b_k = 0 before it raises (_log_heine_norms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_i, M, error = _refined(value, N, 19200)
     return ScalarEstimate(log_ball_volume(N, R) + log_i, 0.0, M, error)
 
 
@@ -664,36 +689,47 @@ def _bilinear_parts(potential: NcPoly) -> Optional[Tuple[np.ndarray, np.ndarray,
     return sides[0], sides[1], k
 
 
-def _remainder(f1: np.ndarray, f2: np.ndarray, u: np.ndarray, s: float, N: int,
+def _remainder(f1: np.ndarray, f2: np.ndarray, u: np.ndarray, s: np.ndarray, N: int,
                order: int = 0) -> np.ndarray:
     """sum_{x,y} f1(x) u^N rho(s u v) v^N f2(y)^T on nodes u = v, for rows f1 and
     f2 of node values (one function per row), with rho(z) = r_N(z) / z^N, where
-    r_N(z) = e^z - sum_{m<N} z^m / m!, or its derivative rho' for ``order`` 1.
+    r_N(z) = e^z - sum_{m<N} z^m / m!, or its derivative rho' for ``order`` 1;
+    for a stack of P points: f1 of shape (P, r1, M), f2 (P, r2, M) and s (P,)
+    give (P, r1, r2).
 
     It is the node-moment series sum_j c_j a_j b_j^T, with a_j the sums of
     f1 u^(N+j) and b_j those of f2, and c_j = (j + order)! s^j / (j! (N + j +
     order)!), rho's (or rho''s) Taylor coefficients times s^j, summed until
-    c_j falls below 1e-18 c_0; no kernel matrix is formed. For |s| < N every
-    |s u v| < N, the terms shrink as rho's do, and the powers of the nodes
-    are one block. Beyond it the c_j grow to about e^|s| / |s|^N before they
-    shrink, over a few |s| terms (1,755 at s = 691, N = 32), so the powers
-    come in column blocks of about 2^13 entries (near 64 kB each). A
-    coefficient that overflows gives nan (|s| = 1152 at N = 32), and for
-    s <= -N the alternating terms can lose up to log10(e^|s| N! / |s|^N)
-    digits to cancellation.
+    c_j falls below 1e-18 c_0; no kernel matrix is formed. Each point's
+    series is zero-padded to the longest, so the powers of the nodes serve
+    the whole stack. While every |s| < N every |s u v| < N, the terms shrink
+    as rho's do, and the powers are one block. Beyond it the c_j grow to
+    about e^|s| / |s|^N before they shrink, over a few |s| terms (1,755 at
+    s = 691, N = 32), so the powers come in column blocks of about 2^13
+    entries (near 64 kB each). A coefficient that overflows gives that point
+    nan (|s| = 1152 at N = 32), and for s <= -N the alternating terms can
+    lose up to log10(e^|s| N! / |s|^N) digits to cancellation.
     """
-    c = [1.0 / math.factorial(N + order)]
-    while abs(c[-1]) > 1e-18 * c[0]:
-        j = len(c)
-        c.append(c[-1] * s * (j + order) / (j * (N + j + order)))
-        if not math.isfinite(c[-1]):
-            return np.full((len(f1), len(f2)), math.nan)
-    step = len(c) if abs(s) < N else max(1, 2 ** 13 // u.size)
+    series = []
+    for sp in s.tolist():
+        c = [1.0 / math.factorial(N + order)]
+        while abs(c[-1]) > 1e-18 * c[0]:
+            j = len(c)
+            c.append(c[-1] * sp * (j + order) / (j * (N + j + order)))
+            if not math.isfinite(c[-1]):
+                c = [math.nan]
+                break
+        series.append(c)
+    coef = np.zeros((len(series), max(map(len, series))))
+    for row, c in zip(coef, series):
+        row[:len(c)] = c
+    terms = coef.shape[1]
+    step = terms if np.max(np.abs(s)) < N else max(1, 2 ** 13 // u.size)
     rem = 0.0
-    for lo in range(0, len(c), step):
-        cj = c[lo:lo + step]
-        powers = np.vander(u, len(cj), increasing=True) * (u ** (N + lo))[:, None]
-        rem = rem + (f1 @ powers * cj) @ (f2 @ powers).T
+    for lo in range(0, terms, step):
+        cj = coef[:, None, lo:lo + step]
+        powers = np.vander(u, cj.shape[2], increasing=True) * (u ** (N + lo))[:, None]
+        rem = rem + (f1 @ powers * cj) @ (f2 @ powers).swapaxes(-1, -2)
     return rem
 
 
@@ -728,18 +764,26 @@ def _split_form(M: int, R: float, N: int, D: int = 0) -> Callable:
     swapped, solves in the other order on the same remainder, so the swap
     spread |log det(1 + C) - log det(1 + C')| probes rounding.
 
-    Returns ``evaluate(parts)``, for the (V1, V2, k) of
-    :func:`_bilinear_parts`: (log I - 2 log Vol, swap spread, moments). For
-    D >= 1 the moments are log I's derivatives, a (2, D + 1) array whose row
-    i, taken in C's order for i = 0 and C''s for 1, holds side i's E Tr u^d,
-    d = 1..D, then E Tr XY / R^2. Each is tr((1 + C)^-1 dC), plus a side's
-    Heine term sum_x u^d K(x, x), with dC = B^-T S A^-1 (Rem_d0 - A_d A^-1
-    Rem) for side 1 (Rem_d0 on the rows times u^d, A_d their moments against
-    u^(m+d)) and B^-T (S' A^-1 Rem + S A^-1 Rem') for XY (Rem' of rho', on
-    the rows times u and v); s = 0 is regular. For D = 0 they are None. A
-    weight with fewer than N resolved nodes raises :class:`EstimatorError`;
-    a determinant of sign <= 0, or a remainder whose series overflows, gives
-    nan.
+    Returns ``evaluate(parts)``, which prices a stack of P parameter points
+    in one pass: ``parts`` is (V1, V2, k) as :func:`_bilinear_parts` gives
+    them, with a leading axis of P on each (V1 and V2 of shape (P, degree +
+    1), k of shape (P,)); a single point is a stack of one. It returns (log
+    I - 2 log Vol, swap spread, moments), the first two of shape (P,). For
+    D >= 1 the moments are log I's derivatives, a (P, 2, D + 1) array whose
+    row i, taken in C's order for i = 0 and C''s for 1, holds side i's E Tr
+    u^d, d = 1..D, then E Tr XY / R^2. Each is tr((1 + C)^-1 dC), plus a
+    side's Heine term sum_x u^d K(x, x), with dC = B^-T S A^-1 (Rem_d0 - A_d
+    A^-1 Rem) for side 1 (Rem_d0 on the rows times u^d, A_d their moments
+    against u^(m+d)) and B^-T (S' A^-1 Rem + S A^-1 Rem') for XY (Rem' of
+    rho', on the rows times u and v); s = 0 is regular. For D = 0 they are
+    None. The points share the nodes and their powers; the Heine norms,
+    :func:`_remainder`'s series and every solve and determinant are stacked
+    over them, so each point's numbers are those it gets alone up to the
+    rounding of the stacked products (within 1e-15 on the fit's points). A
+    point whose determinant has sign <= 0, or whose remainder's series
+    overflows, gets nan and leaves the others as they are; a weight with
+    fewer than N resolved nodes at any point raises :class:`EstimatorError`
+    for the stack, and an exactly singular solve ``LinAlgError``.
     """
     x, logg = _legendre_nodes(M, R)
     base, _, _ = _log_heine_norms(x, logg, N)
@@ -748,53 +792,55 @@ def _split_form(M: int, R: float, N: int, D: int = 0) -> Callable:
     taylor = powers[:, :N].copy()  # u^m, m < N: the columns of A and B
     lift = powers.T[:D + 1, None].copy()  # u^d, d <= D, for the rows times u^d
     upper = np.triu(np.ones((N, N), dtype=bool))
-    fact = [math.factorial(m) for m in range(N)]
+    fact = np.array([math.factorial(m) for m in range(N)], dtype=float)
     # S' = dS/ds = diag(m! (N - m) s^(N-1-m)), as slope * s ** drop
-    slope = np.array([fact[m] * (N - m) for m in range(N)], dtype=float)[:, None]
+    slope = np.array([math.factorial(m) * (N - m) for m in range(N)], dtype=float)[:, None]
     drop = np.arange(N - 1, -1, -1)[:, None]
 
     def back(q, y):
         # q^-T y for each q of a stack: q^T reversed is upper triangular, as A and
         # B are, which solve factors without pivoting: a back substitution
-        return np.linalg.solve(q.transpose(0, 2, 1)[:, ::-1, ::-1], y[:, ::-1])[:, ::-1]
+        return np.linalg.solve(np.swapaxes(q, -1, -2)[..., ::-1, ::-1],
+                               y[..., ::-1, :])[..., ::-1, :]
 
     def evaluate(parts):
-        s = -N * parts[2] * R * R
-        total = -2.0 * base
-        f, kernels = [], []
-        for coeffs in parts[:2]:
-            logw = logg - N * polyval(x, coeffs)
-            log_h, qs, _ = _log_heine_norms(x, logw, N)
-            total += log_h
-            # rows p_j w on the nodes, up to one factor per side that C ignores
-            f.append(qs * np.exp(0.5 * (logw - logw.max())))
-            kernels.append((qs * qs).sum(axis=0) @ powers[:, 1:D + 1])
-        if s == 0.0 and not D:
-            return total, 0.0, None
+        sides = np.stack(parts[:2], axis=1)  # (P, 2, degree + 1)
+        s = -N * np.asarray(parts[2]) * R * R
+        P = len(s)
+        logw = logg - N * polyval(x, sides.transpose(2, 0, 1))
+        log_h, qs, _ = _log_heine_norms(x, logw, N)
+        total = -2.0 * base + log_h[:, 0] + log_h[:, 1]
+        # rows p_j w on the nodes, up to one factor per side that C ignores
+        f = qs * np.exp(0.5 * (logw - logw.max(axis=-1, keepdims=True)))[..., None, :]
+        kernels = (qs * qs).sum(axis=-2) @ powers[:, 1:D + 1]
+        if not (D or s.any()):
+            return total, np.zeros(P), None
         # C's order (A, B), and that of the model with X and Y swapped (B, A)
-        p = np.where(upper, np.stack(f) @ taylor, 0.0)
+        p = np.where(upper, f @ taylor, 0.0)
         # the remainder of every side-1 row times u^d against every side-2 row
         # times v^e, d, e <= D, in one pass over the kernel; C' reads it transposed
-        rows = [(lift * fi).reshape(-1, M) for fi in f]
-        rem = _remainder(rows[0], rows[1], u, s, N).reshape(D + 1, N, D + 1, N)
-        rems = (rem, rem.transpose(2, 3, 0, 1))
-        diag = np.array([fact[m] * s ** (N - m) for m in range(N)])[:, None]
-        z = np.linalg.solve(p, np.stack([r[0, :, 0] for r in rems]))
-        one = np.eye(N) + back(p[::-1], diag * z)
+        rows = (lift * f[:, :, None]).reshape(P, 2, -1, M)
+        rem = _remainder(rows[:, 0], rows[:, 1], u, s, N).reshape(P, D + 1, N, D + 1, N)
+        rems = (rem, rem.transpose(0, 3, 4, 1, 2))
+        diag = (fact * s[:, None] ** (N - np.arange(N)))[:, None, :, None]
+        z = np.linalg.solve(p, np.stack([r[:, 0, :, 0] for r in rems], axis=1))
+        one = np.eye(N) + back(p[:, ::-1], diag * z)
         sign, log_det = np.linalg.slogdet(one)
         log_det = np.where(sign > 0, log_det, math.nan)
-        value, spread = total + log_det[0], abs(log_det[0] - log_det[1])
+        value, spread = total + log_det[:, 0], abs(log_det[:, 0] - log_det[:, 1])
         if not D:
             return value, spread, None
-        moms = [fi @ powers for fi in f]
-        rem1 = _remainder(rows[0][N:2 * N], rows[1][N:2 * N], u, s, N, 1)
-        rhs = np.stack([np.hstack([r[d, :, 0] - m[:, d:d + N] @ zi for d in range(1, D + 1)]
-                                  + [r1]) for r, m, zi, r1 in zip(rems, moms, z, (rem1, rem1.T))])
+        moms = (f @ powers).swapaxes(0, 1)
+        rem1 = _remainder(rows[:, 0, N:2 * N], rows[:, 1, N:2 * N], u, s, N, 1)
+        rhs = np.stack([np.concatenate([r[:, d, :, 0] - m[..., d:d + N] @ zi
+                                        for d in range(1, D + 1)] + [r1], axis=-1)
+                        for r, m, zi, r1 in zip(rems, moms, z.swapaxes(0, 1),
+                                                (rem1, rem1.swapaxes(-1, -2)))], axis=1)
         w = diag * np.linalg.solve(p, rhs)
-        w[:, :, -N:] += slope * s ** drop * z
-        g = np.linalg.solve(one, back(p[::-1], w)).reshape(2, N, D + 1, N)
-        moments = np.einsum("kiji->kj", g)
-        moments[:, :D] += kernels
+        w[..., -N:] += (slope * s[:, None, None] ** drop)[:, None] * z
+        g = np.linalg.solve(one, back(p[:, ::-1], w)).reshape(P, 2, N, D + 1, N)
+        moments = np.einsum("pkiji->pkj", g)
+        moments[..., :D] += kernels
         return value, spread, moments
 
     return evaluate
@@ -820,10 +866,15 @@ def _mehta_log_I(model: GibbsModel) -> Optional[ScalarEstimate]:
     if parts is None:
         return None
     N, R = model.N, model.R
+    stack = (parts[0][None], parts[1][None], np.array([parts[2]]))
+
+    def value(M: int) -> Tuple[float, float]:
+        log_i, spread, _ = _split_form(M, R, N)(stack)
+        return log_i[0], spread[0]
+
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_i, M, error = _refined(lambda M: _split_form(M, R, N)(parts)[:2], N,
-                                       MEHTA_MAX_NODES)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            log_i, M, error = _refined(value, N, MEHTA_MAX_NODES)
     except (EstimatorError, np.linalg.LinAlgError):
         return None
     if not error <= EXACT_BOUND:

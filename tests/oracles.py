@@ -610,6 +610,32 @@ def hciz_log(a: Sequence[float], b: Sequence[float], t: float,
 
 
 # ---------------------------------------------------------------------------
+# Heine's norms of one weight, the Stieltjes recurrence one row at a time
+
+def heine_norms_by_loop(x: np.ndarray, logw: np.ndarray, N: int):
+    """(sum_{k<N} log h_k, the orthonormal vectors q_k, (log h_0, a, b)) of the
+    discrete weight exp(logw) on the nodes x, by the 1-D Stieltjes loop on
+    q_k = sqrt(w) p_k: scalar recurrence coefficients, 1-D dot products and
+    libm's log, the arithmetic whose bits the stacked
+    ``matent.sampler._log_heine_norms`` keeps for each of its rows."""
+    shift = float(logw.max())
+    q = np.exp(0.5 * (logw - shift))
+    h0 = float(q @ q)
+    qs = np.empty((N, x.size))
+    qs[0] = q / math.sqrt(h0)
+    a, b = np.empty(N - 1), np.empty(N - 1)
+    total = N * (shift + math.log(h0))
+    for k in range(1, N):
+        q = qs[k - 1]
+        a[k - 1] = (x * q) @ q
+        r = (x - a[k - 1]) * q - (b[k - 2] * qs[k - 2] if k > 1 else 0.0)
+        b[k - 1] = np.linalg.norm(r)
+        total += 2.0 * (N - k) * math.log(b[k - 1])
+        qs[k] = r / b[k - 1]
+    return total, qs, (shift + math.log(h0), a, b)
+
+
+# ---------------------------------------------------------------------------
 # the remainder kernel of Mehta's determinant, entry by entry
 
 def remainder_ratio(z: np.ndarray, N: int, order: int = 0) -> np.ndarray:

@@ -41,6 +41,13 @@ def test_load_config_validation(tmp_path):
         load_config(p)
 
 
+def test_malformed_yaml_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("kind: volume\nseed: [7, 8\nN: 3\n")
+    assert main(["--config", str(bad)]) == 2
+    assert "config is not valid YAML" in capsys.readouterr().err
+
+
 def test_config_hash_ignores_key_order_and_out(tmp_path):
     a = write_yaml(tmp_path / "a.yaml", {"kind": "volume", "seed": 3, "N": 4, "R": 2.0})
     b_path = tmp_path / "b.yaml"

@@ -188,7 +188,8 @@ def test_exact_final_run_memory_does_not_hold_its_draws():
     for steps in (10000, 20000):
         tracemalloc.start()
         try:
-            _, _, energy, final = maxent._final_run(model, maxent._BasisMeasurer(basis), steps,
+            _, _, energy, final = maxent._final_run(model, lam,
+                                                    maxent._BasisMeasurer(basis), steps,
                                                     3000, substream(1, "final-memory"))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:

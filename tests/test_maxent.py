@@ -216,7 +216,7 @@ def test_pair_moments_are_derivatives_of_mehta_log_i(N, R, lam):
     basis = build_dual_basis(2, 2)
     mu = np.array(lam) * R ** basis.degrees.astype(float)
     nodes = _pair_log_i(N, R, basis, mu).count
-    value, moments = maxent._pair_moments(basis, N, R, nodes)(mu)
+    value, moments = maxent._pair_moments(basis, N, R, nodes)(mu[None])[0]
     h = 1e-4
     for j in range(len(mu)):
         step = h * np.eye(len(mu))[j]
@@ -227,7 +227,7 @@ def test_pair_moments_are_derivatives_of_mehta_log_i(N, R, lam):
     # evaluator on the same nodes, so the two differ by rounding alone (up to
     # 3.6e-15 on these cases, 7.1e-14 over random models of N <= 5)
     other = np.array([0.0, 0.02, 0.3, 0.1, 0.4]) * R ** basis.degrees.astype(float)
-    assert (value - maxent._pair_moments(basis, N, R, nodes)(other)[0]) == pytest.approx(
+    assert (value - maxent._pair_moments(basis, N, R, nodes)(other[None])[0][0]) == pytest.approx(
         _pair_log_i(N, R, basis, mu).value - _pair_log_i(N, R, basis, other).value, abs=1e-13)
 
 
@@ -240,7 +240,7 @@ def test_pair_moments_match_the_gaussian_pair():
     assert basis.labels == ("re:1", "re:2", "re:1.1", "re:1.2", "re:2.2")
     mu = np.array([0.0, 0.0, a, -2 * c, a]) * R ** basis.degrees.astype(float)
     nodes = _pair_log_i(N, R, basis, mu).count
-    _, moments = maxent._pair_moments(basis, N, R, nodes)(mu)
+    _, moments = maxent._pair_moments(basis, N, R, nodes)(mu[None])[0]
     d_a = (oracles.gaussian_pair_log_I(a + h, c, N) - oracles.gaussian_pair_log_I(a - h, c, N)) / (2 * h)
     d_c = (oracles.gaussian_pair_log_I(a, c + h, N) - oracles.gaussian_pair_log_I(a, c - h, N)) / (2 * h)
     want = np.array([0.0, 0.0, -d_a / (2 * N), d_c / (2 * N), -d_a / (2 * N)]) / (N * R ** basis.degrees)
@@ -258,7 +258,7 @@ def test_pair_moments_match_the_coupled_pair(N, want_x2, want_xy):
     basis = build_dual_basis(2, 2)
     mu = np.array([0.0, 0.0, c, -2 * c, c]) * R ** basis.degrees.astype(float)
     nodes = _pair_log_i(N, R, basis, mu).count
-    _, moments = maxent._pair_moments(basis, N, R, nodes)(mu)
+    _, moments = maxent._pair_moments(basis, N, R, nodes)(mu[None])[0]
     x2, xy, y2 = moments[2:] * R ** 2
     assert x2 == pytest.approx(want_x2, abs=1e-5) and y2 == pytest.approx(want_x2, abs=1e-5)
     assert xy == pytest.approx(want_xy, abs=1e-5)
@@ -271,15 +271,15 @@ def test_pair_moments_refuse_a_swap_spread():
     # in log det(1 + C), rounding that has spoiled the moments too, so the
     # line search must step back from it as from a point with no value
     N, R = 8, 2.0
-    parts = (np.array([0.0, 0.1, 0.5]), np.array([0.0, -0.05, 0.6]), -2.0)
-    value, spread, _ = sampler._split_form(300, R, N, 2)(parts)
+    parts = (np.array([[0.0, 0.1, 0.5]]), np.array([[0.0, -0.05, 0.6]]), np.array([-2.0]))
+    (value,), (spread,), _ = sampler._split_form(300, R, N, 2)(parts)
     assert math.isfinite(value) and spread > 1e-4
     basis = build_dual_basis(2, 2)
     mu = np.array([0.1, -0.05, 0.5, -2.0, 0.6]) * R ** basis.degrees.astype(float)
-    assert maxent._pair_moments(basis, N, R, 300)(mu) is None
+    assert maxent._pair_moments(basis, N, R, 300)(mu[None]) == [None]
     # the same sides uncoupled have no spread, and a value
     mu[3] = 0.0
-    assert maxent._pair_moments(basis, N, R, 300)(mu) is not None
+    assert maxent._pair_moments(basis, N, R, 300)(mu[None])[0] is not None
 
 
 def test_pair_fit_recovers_a_correlated_lambda():
@@ -290,12 +290,117 @@ def test_pair_fit_recovers_a_correlated_lambda():
     scales = R ** basis.degrees.astype(float)
     lam = np.array([0.1, -0.05, 0.5, -0.3, 0.6])
     nodes = _pair_log_i(N, R, basis, lam * scales).count
-    tt = maxent._pair_moments(basis, N, R, nodes)(lam * scales)[1]
+    tt = maxent._pair_moments(basis, N, R, nodes)((lam * scales)[None])[0][1]
     mu, grad, dec, history, _, _, log_i = maxent._exact_solve(
         basis, N, R, tt, np.zeros(len(basis)), "test")
     np.testing.assert_allclose(mu / scales, lam, atol=1e-8)
     assert 0.0 <= dec <= 1e-10 and len(history) <= 10
     assert log_i.value == pytest.approx(_pair_log_i(N, R, basis, lam * scales).value, abs=1e-9)
+
+
+def _free_pair_target():
+    # free-pair-4's target: two free semicircles of variance 1 on R = 2, K = 2
+    half = semicircle_moments(1.0, 2, radius=2.0)
+    tau = free_product_moments([half, half], 2)
+    basis = build_dual_basis(2, 2)
+    return basis, target_vector(tau, basis) / 2.0 ** basis.degrees
+
+
+@pytest.mark.parametrize("lam", [
+    [0.0, 0.0, 0.474609, 0.0, 0.474609],  # free-pair-4's lambda*: s = +-4e-5
+    [0.1, -0.05, 0.5, -0.3, 0.6],  # s = 4.8 >= N, the series in column blocks
+], ids=["free-pair-4", "column-blocks"])
+def test_stacked_split_form_matches_single_points(lam):
+    # the 2 len(mu) central-difference points of a Hessian in one stacked
+    # call of the split form: each point's value and moments as it gets them
+    # alone, within 1e-13
+    N, R = 4, 2.0
+    basis = build_dual_basis(2, 2)
+    mu = np.array(lam) * R ** basis.degrees.astype(float)
+    points = np.concatenate((mu + 1e-5 * np.eye(len(mu)), mu - 1e-5 * np.eye(len(mu))))
+    moments = maxent._pair_moments(basis, N, R, 300)
+    for point, got in zip(points, moments(points)):
+        (want,) = moments(point[None])
+        assert got[0] == pytest.approx(want[0], abs=1e-13)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-13)
+
+
+def test_stacked_split_form_isolates_a_failing_point():
+    # coupling 50 at N = 4, R = 2 (s = -800): the remainder's series
+    # overflows, and that point has no value in a stack as alone (None), while
+    # the points beside it keep theirs
+    N, R = 4, 2.0
+    basis = build_dual_basis(2, 2)
+    scales = R ** basis.degrees.astype(float)
+    points = np.array([[0.1, -0.05, 0.5, -0.3, 0.6], [0.1, -0.05, 0.5, 50.0, 0.6],
+                       [0.0, 0.02, 0.3, 0.1, 0.4]]) * scales
+    evaluate = sampler._split_form(300, R, N, 2)
+    parts = [sampler._bilinear_parts(potential_from_coeffs(basis, p / scales)) for p in points]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, spreads, at = evaluate(tuple(np.array(c) for c in zip(*parts)))
+    assert np.isnan(values[1]) and np.all(np.isfinite(values[[0, 2]]))
+    moments = maxent._pair_moments(basis, N, R, 300)
+    stacked = moments(points)
+    assert stacked[1] is None and moments(points[1][None]) == [None]
+    for i in (0, 2):
+        (want,) = moments(points[i][None])
+        assert stacked[i][0] == pytest.approx(want[0], abs=1e-13)
+        np.testing.assert_allclose(stacked[i][1], want[1], rtol=0, atol=1e-13)
+
+
+def _counted_split_form(monkeypatch) -> list:
+    """The stack size of every split-form evaluation, from a spy on the evaluator."""
+    sizes = []
+    split_form = sampler._split_form
+
+    def counted(*args):
+        evaluate = split_form(*args)
+
+        def spy(parts):
+            sizes.append(len(parts[2]))
+            return evaluate(parts)
+
+        return spy
+
+    monkeypatch.setattr(sampler, "_split_form", counted)
+    monkeypatch.setattr(maxent, "_split_form", counted)
+    return sizes
+
+
+def test_free_pair_solve_takes_one_step_in_a_few_stacked_calls(monkeypatch):
+    # free-pair-4's target factors, so the product of the marginal fits is its
+    # solution: at most one Newton step (to rounding), one split-form call
+    # for each Hessian's 2 len(mu) points, and at most 8 calls in the whole
+    # solve with log I (57 with a call per point and Newton from zero)
+    sizes = _counted_split_form(monkeypatch)
+    basis, tt = _free_pair_target()
+    mu, _, dec, history, nodes, _, log_i = maxent._exact_solve(
+        basis, 4, 2.0, tt, np.zeros(len(basis)), "free pair")
+    assert len(history) <= 1 and 0.0 <= dec <= 1e-10 and nodes == 300
+    assert len(sizes) <= 8
+    assert [size for size in sizes if size > 1] == [2 * len(basis)] * (len(history) + 1)
+    assert log_i.value + 16 * float(mu @ tt) == pytest.approx(14.780197, abs=1e-6)
+
+
+def test_pair_solve_starts_from_zero_where_a_marginal_solve_fails(monkeypatch):
+    # a marginal one-matrix solve that raises leaves the K = 2 Newton at the
+    # zero start, which takes more steps to the same lambda
+    basis, tt = _free_pair_target()
+    want = maxent._exact_solve(basis, 4, 2.0, tt, np.zeros(len(basis)), "free pair")[0]
+    exact_solve = maxent._exact_solve
+    marginals = []
+
+    def failing(one, *args):
+        if one.n == 1:
+            marginals.append(one.K)
+            raise InfeasibleTargetError("marginal out of reach")
+        return exact_solve(one, *args)
+
+    monkeypatch.setattr(maxent, "_exact_solve", failing)
+    mu, _, dec, history, _, _, _ = maxent._exact_solve(
+        basis, 4, 2.0, tt, np.zeros(len(basis)), "free pair")
+    assert marginals == [2] and len(history) >= 2 and 0.0 <= dec <= 1e-10
+    np.testing.assert_allclose(mu, want, atol=1e-9)
 
 
 @pytest.mark.parametrize("lam", [
@@ -310,7 +415,7 @@ def test_gaussian_draws_match_mehta_moments_on_an_active_ball(lam):
     scales = R ** basis.degrees.astype(float)
     mu = np.array(lam) * scales
     nodes = _pair_log_i(N, R, basis, mu).count
-    want = maxent._pair_moments(basis, N, R, nodes)(mu)[1] * scales
+    want = maxent._pair_moments(basis, N, R, nodes)(mu[None])[0][1] * scales
     model = GibbsModel(2, N, R, potential_from_coeffs(basis, np.array(lam)))
     samples, diag = sampler.mcmc_chain(model, 6000, 0, 1, rng=substream(15, "mehta-draws"))
     assert diag.step_scale == 0.0 and 0.5 < diag.acceptance < 1.0
@@ -417,6 +522,31 @@ def test_out_of_reach_pair_target_is_left_to_chain_newton(monkeypatch):
     assert calls == [1]
 
 
+def test_exact_final_run_energy_is_the_measured_traces(monkeypatch):
+    # on exact draws each batch is measured once, and its energy is N^2
+    # lambda . f from those basis traces: it matches GibbsModel.energy of the
+    # same draws, taken by a spy on the draws, within 1e-12
+    energies = []
+    gaussian_draws = maxent._gaussian_draws
+
+    def spy(model, count, rng, take):
+        def both(blocks):
+            energies.append(model.energy(blocks))
+            take(blocks)
+
+        return gaussian_draws(model, count, rng, both)
+
+    monkeypatch.setattr(maxent, "_gaussian_draws", spy)
+    basis = build_dual_basis(2, 2)
+    lam = np.array([0.1, -0.05, 0.5, -0.3, 0.6])
+    model = GibbsModel(2, 4, 2.0, potential_from_coeffs(basis, lam))
+    _, _, energy, _ = maxent._final_run(model, lam, maxent._BasisMeasurer(basis), 2000, 300,
+                                        substream(2, "final-energy"))
+    want = np.concatenate(energies)
+    assert energy.count == len(want) == 1000
+    assert energy.value == pytest.approx(want.mean(), rel=1e-12)
+
+
 def _final_run_z_scores(chain: bool) -> np.ndarray:
     # free-pair-4's exact lambda*: each side is the n = 1 exact fit of the
     # semicircle marginal, with no coupling. There the energy has mean
@@ -439,8 +569,8 @@ def _final_run_z_scores(chain: bool) -> np.ndarray:
         rng = substream(seed, "calibration")
         engine = sampler.ChainEngine(model, rng, maxent.WALKERS) if chain else None
         means, stderrs, energy, _ = maxent._final_run(
-            model, maxent._BasisMeasurer(basis), defaults.final_steps, defaults.final_burnin,
-            rng, engine)
+            model, lam, maxent._BasisMeasurer(basis), defaults.final_steps,
+            defaults.final_burnin, rng, engine)
         assert energy.count == defaults.final_steps // 2
         zs.append([(energy.value - exact) / energy.stderr, *((means - targets) / stderrs)])
     return np.array(zs)

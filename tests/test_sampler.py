@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -631,7 +632,8 @@ def test_remainder_is_the_kernel_sum(order, s):
     dense = (f1 * u ** N) @ oracles.remainder_ratio(s * np.outer(u, u), N, order) @ (f2 * u ** N).T
     scale = np.abs(f1 * u ** N) @ oracles.remainder_ratio(
         np.abs(s) * np.ones((64, 64)), N, order) @ np.abs(f2 * u ** N).T
-    assert np.all(np.abs(sampler._remainder(f1, f2, u, s, N, order) - dense) <= 1e-14 * scale)
+    rem = sampler._remainder(f1[None], f2[None], u, np.array([s]), N, order)[0]
+    assert np.all(np.abs(rem - dense) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("k", [0.35, 0.0, -0.3])
@@ -640,8 +642,8 @@ def test_split_form_takes_e_tr_xy_alike_in_both_solve_orders(k):
     # the order-1 remainder transposed; on a model that is not symmetric in X
     # and Y the two agree to rounding (s = -5.6, 0 and 4.8: the series in
     # column blocks, in one block and again in column blocks)
-    parts = (np.array([0.0, 0.1, 0.5]), np.array([0.0, -0.05, 0.6]), k)
-    _, spread, moments = sampler._split_form(300, 2.0, 4, 2)(parts)
+    parts = (np.array([[0.0, 0.1, 0.5]]), np.array([[0.0, -0.05, 0.6]]), np.array([k]))
+    _, (spread,), (moments,) = sampler._split_form(300, 2.0, 4, 2)(parts)
     assert moments.shape == (2, 3) and spread <= 1e-14
     assert abs(moments[0, 2] - moments[1, 2]) <= 1e-14
 
@@ -662,11 +664,12 @@ def test_split_form_log_det_matches_the_unsplit_determinant(N, R, pot):
     # 48 nodes: c (X - Y)^2 at R = 2 has s = 8 c N, so c = 0.05 sums the
     # remainder's series in one block (|s| < N) and c = 1 in column blocks, as
     # does the tilted pair (s = 4.5 at N = 4); the split form's log det is its
-    # value less the value at k = 0, which is the Heine part alone
+    # value less the value at k = 0, which is the Heine part alone (the two
+    # points priced in one stack)
     parts = sampler._bilinear_parts(pot)
-    evaluate = sampler._split_form(48, R, N)
-    value, spread, _ = evaluate(parts)
-    log_det = value - evaluate((parts[0], parts[1], 0.0))[0]
+    value, (spread, _), _ = sampler._split_form(48, R, N)(
+        (np.stack([parts[0]] * 2), np.stack([parts[1]] * 2), np.array([parts[2], 0.0])))
+    log_det = value[0] - value[1]
     x, log_g = sampler._legendre_nodes(48, R)
     want = oracles.bimoment_log_det_ratio(x, log_g, *parts, N)
     assert abs(log_det - want) <= spread + 1e-12
@@ -918,6 +921,43 @@ def test_gauss_legendre_weights_match_60_digits(M):
     for i, node, weight in zip(picks, nodes, weights):
         assert abs(float(node) - x[i]) <= 2e-16
         assert abs(float((Decimal(w[i]) - weight) / weight)) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [1, 4, 16])
+def test_log_heine_norms_rows_are_the_one_row_loop(N):
+    # 60 weights as a (3, 20, M) stack: each row gets the bits of the 1-D
+    # Stieltjes loop, its sum, vectors and recurrence, and so does a 1-D
+    # call; the stacked dot products are np.vecdot's and the logs libm's
+    x, logg = _legendre_nodes(300, 2.0)
+    coeffs = np.random.default_rng(4).uniform(-0.5, 0.5, (60, 5))
+    logw = np.stack([logg - N * np.polynomial.polynomial.polyval(x, c) for c in coeffs])
+    total, qs, (log_h0, a, b) = _log_heine_norms(x, logw.reshape(3, 20, -1), N)
+    assert qs.shape == (3, 20, N, 300) and a.shape == b.shape == (3, 20, N - 1)
+    for i, row in enumerate(logw):
+        want = oracles.heine_norms_by_loop(x, row, N)
+        for got in ((total.flat[i], qs.reshape(60, N, -1)[i], log_h0.flat[i],
+                     a.reshape(60, -1)[i], b.reshape(60, -1)[i]),
+                    (lambda t, q, r: (t, q, *r))(*_log_heine_norms(x, row, N))):
+            assert got[0] == want[0] and got[2] == want[2][0]
+            for g, w in zip((got[1], got[3], got[4]), (want[1], *want[2][1:])):
+                assert np.array_equal(g, w)
+
+
+def test_log_heine_norms_raise_for_a_stack_with_an_unresolved_row():
+    # exp(-N 1e5 x^2) on 300 nodes of [-2, 2] leaves 4 nodes above underflow,
+    # fewer than N = 16: the stack raises, as that row alone does, and
+    # Heine's log I of that weight raises with no warning on the way
+    x, logg = _legendre_nodes(300, 2.0)
+    logw = np.stack([logg - 16 * 0.5 * x ** 2, logg - 16 * 1e5 * x ** 2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for w in (logw, logw[1]):
+            with pytest.raises(EstimatorError, match="resolved nodes"):
+                _log_heine_norms(x, w, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _log_heine_norms(x, logw[0], 16)
+        with pytest.raises(EstimatorError, match="resolved nodes"):
+            _heine_log_I(GibbsModel(1, 16, 2.0, NcPoly(1, {(1, 1): 1e5})))
 
 
 def _kernel_on_nodes(model):
