@@ -719,11 +719,14 @@ def _final_run(model: GibbsModel, coeffs: np.ndarray, measurer: _BasisMeasurer, 
     ``burnin`` is unused. Each batch is measured once: its energy is N^2
     ``coeffs`` . f, from the basis moments f that ``measurer`` takes (the
     model's potential is sum_j coeffs_j b_j), with no second trace pass.
-    Otherwise the walkers of ``engine`` (the warm ones of Monte Carlo
-    Newton), or new ones at the origin, run ``burnin`` steps each, the first
-    60% tuning, and are then measured, with the engine's energies: so does a
-    Gaussian model whose first batch accepts below ``MIN_ACCEPTANCE``. Monte Carlo
-    Newton fits keep the chain because their rho carries the fit error
+    The run then costs about what its draws cost: a block that a Frobenius
+    bound puts inside the ball skips the Cholesky test, and an i.i.d. series
+    reaches Geyer's cut within a few lags, which ``pooled_mean`` sums
+    directly, with no FFT. Otherwise the walkers of ``engine`` (the warm
+    ones of Monte Carlo Newton), or new ones at the origin, run ``burnin``
+    steps each, the first 60% tuning, and are then measured, with the
+    engine's energies: so does a Gaussian model whose first batch accepts
+    below ``MIN_ACCEPTANCE``. Monte Carlo Newton fits keep the chain because their rho carries the fit error
     N^2 lambda . (m(lambda) - tau), which no stderr reports; at the
     separable pair, exact draws put rho 4 of their stderrs from the exact
     maximum. Returns the basis moment means and their stderrs, the energy as

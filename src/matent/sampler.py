@@ -248,10 +248,7 @@ class ChainEngine:
         z = self.rng.standard_normal((steps, n, K, N, N))
         with np.errstate(divide="ignore"):
             self._log_u = np.log(self.rng.random((steps, K)))
-        zt = z.swapaxes(-1, -2)
-        self._increments = np.empty(z.shape, dtype=complex)
-        np.add(z, zt, out=self._increments.real)
-        np.subtract(z, zt, out=self._increments.imag)
+        self._increments = _hermitian_blocks(z)
         self._next = 0
 
     def _advance(self, limit: int, after: Optional[Callable[[], None]] = None
@@ -979,6 +976,35 @@ class _ExactSpectra:
         return lam, count * N / proposed if proposed else 1.0
 
 
+def _hermitian_blocks(z: np.ndarray) -> np.ndarray:
+    """(Z + Z^T) + i (Z - Z^T) for each real N x N slice Z of a stack."""
+    zt = z.swapaxes(-1, -2)
+    h = np.empty(z.shape, dtype=complex)
+    np.add(z, zt, out=h.real)
+    np.subtract(z, zt, out=h.imag)
+    return h
+
+
+def _screened_ball_test(m: np.ndarray, R: float) -> np.ndarray:
+    """:func:`~matent.matrices.in_norm_ball` of a stack (..., N, N), with the
+    same verdicts, run only on the matrices a norm bound leaves undecided.
+
+    The Frobenius norm bounds the operator norm, so a matrix whose Frobenius
+    norm, from one einsum over the stack, is below R (1 - 1e-12) is inside;
+    the margin dwarfs the rounding of both the einsum and the Cholesky test,
+    so that test would say inside too. The rest go to ``in_norm_ball``, whose
+    verdict on each matrix does not depend on the others in its stack; a
+    stack the bound decides nothing of goes whole, with no copy.
+    """
+    flat = m.view(float)
+    undecided = np.einsum("...ij,...ij->...", flat, flat) >= (R * (1.0 - 1e-12)) ** 2
+    if undecided.all():
+        return in_norm_ball(m, R)
+    inside = ~undecided
+    inside[undecided] = in_norm_ball(m[undecided], R)
+    return inside
+
+
 def _gaussian_parts(model: GibbsModel) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """(mean, factor) of a model whose potential has degree <= 2 and a positive
     definite quadratic form, or None for any other model.
@@ -1031,9 +1057,12 @@ def _gaussian_draws(model: GibbsModel, count: int, rng: np.random.Generator,
     a standard normal Z of shape (n, batch, N, N) is mixed over blocks by the
     factor first (a real product, which commutes with the symmetrization),
     then built into Hermitian blocks as :meth:`ChainEngine._refill` builds its
-    increments, and shifted by the mean. One
-    :func:`~matent.matrices.in_norm_ball` call decides the batch; the
-    accepted draws of the last batch beyond ``count`` are dropped.
+    increments (:func:`_hermitian_blocks`), and shifted by the mean. One
+    :func:`_screened_ball_test` decides the batch: a block whose Frobenius
+    norm is below R (1 - 1e-12) is inside, and one batched Cholesky test
+    (:func:`~matent.matrices.in_norm_ball`) decides the other blocks, with the
+    verdicts it gives on the whole batch. The accepted draws of the last
+    batch beyond ``count`` are dropped.
     """
     parts = _gaussian_parts(model)
     if parts is None:
@@ -1045,13 +1074,10 @@ def _gaussian_draws(model: GibbsModel, count: int, rng: np.random.Generator,
     proposed = accepted = 0
     left = count
     while True:
-        w = np.tensordot(factor, rng.standard_normal((n, size, N, N)), axes=1)
-        wt = w.swapaxes(-1, -2)
-        x = np.empty(w.shape, dtype=complex)
-        np.add(w, wt, out=x.real)
-        np.subtract(w, wt, out=x.imag)
+        x = _hermitian_blocks(np.tensordot(factor, rng.standard_normal((n, size, N, N)),
+                                           axes=1))
         x.real[..., diag, diag] += mean[:, None, None]
-        ok = in_norm_ball(x, model.R).all(axis=0)
+        ok = _screened_ball_test(x, model.R).all(axis=0)
         hits = int(np.count_nonzero(ok))
         if not proposed and hits < MIN_ACCEPTANCE * size:
             return None

@@ -429,6 +429,34 @@ def trace_moment(blocks: Sequence[np.ndarray], word: Tuple[int, ...]):
 
 
 # ---------------------------------------------------------------------------
+# Geyer's IAT with every lag summed directly
+
+def pooled_mean_dense(series) -> Tuple[float, float, float]:
+    """(mean, stderr, tau) as :func:`matent.estimates.pooled_mean` defines them,
+    with all T lags of the pooled autocovariance from ``np.correlate`` (a
+    direct O(T^2) sum per walker, no FFT and no early stop) and Geyer's pair
+    sums cut and made non-increasing in a plain loop."""
+    x = np.atleast_2d(np.asarray(series, dtype=float))
+    K, T = x.shape
+    mean = float(x.mean())
+    d = x - mean
+    lagged = sum(np.correlate(row, row, "full")[T - 1:] for row in d)
+    cov = lagged / (K * (T - np.arange(T)))
+    var = float(cov[0])
+    tau = 1.0
+    if T >= 8 and var > 0.0:
+        total, smallest = 0.0, math.inf
+        for m in range(T // 2):
+            pair = (cov[2 * m] + cov[2 * m + 1]) / var
+            if pair <= 0.0:
+                break
+            smallest = min(smallest, pair)
+            total += smallest
+        tau = max(1.0, 2.0 * total - 1.0)
+    return mean, math.sqrt(var * tau / (K * T)), tau
+
+
+# ---------------------------------------------------------------------------
 # ball volume by hit-or-miss
 
 def ball_volume_mc(N: int, R: float, samples: int, rng: np.random.Generator,

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
+from matent import estimates
 from matent.estimates import EstimatorError, ScalarEstimate, pooled_mean
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -92,3 +94,79 @@ def test_pooled_mean_one_chain_is_one_walker(n):
     xs = np.random.default_rng(n).normal(3.0, 5.0, size=n)
     assert pooled_mean(xs) == pooled_mean(xs.reshape(1, -1))
     assert pooled_mean(xs)[0].value == float(xs.mean())
+
+
+def _ar1(rho, T, seed):
+    rng = np.random.default_rng(seed)
+    x = np.empty(T)
+    x[0] = rng.normal() / math.sqrt(1 - rho ** 2)
+    for i in range(1, T):
+        x[i] = rho * x[i - 1] + rng.normal()
+    return x
+
+
+def _ar2(phi1, phi2, T, seed):
+    rng = np.random.default_rng(seed)
+    x = np.zeros(T + 200)
+    for i in range(2, T + 200):
+        x[i] = phi1 * x[i - 1] + phi2 * x[i - 2] + rng.normal()
+    return x[200:]
+
+
+def _split_walkers(T):
+    return np.random.default_rng(16).normal(size=(2, T)) + np.array([[0.0], [10.0]])
+
+
+LAG_CASES = {
+    # name: (series, whether its lags come from the FFT)
+    "iid": (np.random.default_rng(10).normal(1.0, 2.0, size=10000), False),
+    "ar1-0.5": (_ar1(0.5, 10000, 11), False),
+    "ar1-0.99": (_ar1(0.99, 10000, 12), True),
+    # AR(2) with rho_1 = -2/3: every odd lag is negative but every pair sum
+    # positive, and tau is about 2.7, so a cut on single lags shows
+    "ar2-alternating": (_ar2(-0.1, 0.85, 10000, 17), False),
+    # 8 walkers whose means differ: the spread keeps every lag correlated
+    "offset-walkers": (np.random.default_rng(13).normal(size=(8, 2000))
+                       + 0.1 * np.arange(8)[:, None], True),
+    "T7": (np.random.default_rng(14).normal(size=7), False),
+    "constant": (np.full(50, 2.5), False),
+    "odd-T": (_ar1(0.5, 1001, 15), False),
+    # two walkers 10 apart reach no cut: 65 steps have 64 lags in whole
+    # pairs, all summed directly; 66 have 66, which the FFT takes all of
+    "split-walkers-T65": (_split_walkers(65), False),
+    "split-walkers-T66": (_split_walkers(66), True),
+}
+
+
+class _FftSpy:
+    """Stands in for ``np.fft``: records each function called, then calls it."""
+
+    def __init__(self, real):
+        self.real, self.calls = real, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append(name)
+            return getattr(self.real, name)(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("case", sorted(LAG_CASES))
+def test_pooled_mean_matches_dense_lag_sums(monkeypatch, case):
+    # the lags summed up to Geyer's cut, or all from one FFT where the first
+    # DIRECT_LAGS reach no cut, give the value, stderr and tau that summing
+    # every lag directly gives; only a series with no early cut calls np.fft
+    series, by_fft = LAG_CASES[case]
+    spy = _FftSpy(np.fft)
+    monkeypatch.setattr(estimates.np, "fft", spy)
+    est, tau = pooled_mean(series)
+    mean, stderr, want_tau = oracles.pooled_mean_dense(series)
+    assert est.value == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+    assert tau == pytest.approx(want_tau, rel=1e-12, abs=0.0)
+    assert est.count == np.size(series)
+    assert spy.calls == (["rfft", "irfft"] if by_fft else [])
+    if case == "ar1-0.99":
+        assert tau > 100.0
+    if case == "constant":
+        assert (tau, est.stderr) == (1.0, 0.0)

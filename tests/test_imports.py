@@ -180,7 +180,7 @@ def test_exact_final_run_memory_does_not_hold_its_draws():
     # n N^2 16 = 8 kB, so the 10,000 states of final_steps 20000 would take
     # 80 MB. They are measured a batch at a time and dropped: the run peaks
     # within 3 MB, and each further measured state adds at most 256 bytes (its
-    # scalar series and their transforms in pooled_mean), not 8 kB
+    # scalar series in pooled_mean), not 8 kB
     basis = maxent.build_dual_basis(2, 2)
     lam = [0.0, 0.0, 0.474609, 0.0, 0.474609]
     model = sampler.GibbsModel(2, 16, 2.0, maxent.potential_from_coeffs(basis, lam))
@@ -197,3 +197,23 @@ def test_exact_final_run_memory_does_not_hold_its_draws():
         assert energy.count == steps // 2 and final["final_acceptance"] < 1.0
     assert peaks[1] <= 3 * 2 ** 20
     assert peaks[1] - peaks[0] <= 256 * 5000
+
+
+def test_exact_final_run_imports_no_fft():
+    # free-pair-4's final run at its fitted lambda: Geyer's cut on i.i.d.
+    # draws comes within a few lags, so pooled_mean sums them directly and
+    # numpy.fft, which adds to peak memory, is never loaded
+    code = ("import sys, numpy as np; from matent import maxent, sampler; "
+            "from matent.streams import substream; "
+            "basis = maxent.build_dual_basis(2, 2); "
+            "lam = np.array([-3.788949766375646e-17, -3.788949766375646e-17, "
+            "0.47460993639500665, -1.6458307778405343e-32, 0.47460993639500665]); "
+            "model = sampler.GibbsModel(2, 4, 2.0, maxent.potential_from_coeffs(basis, lam)); "
+            "out = maxent._final_run(model, lam, maxent._BasisMeasurer(basis), 20000, 3000, "
+            "substream(1, 'final-fft')); "
+            "print(out[2].count, out[3]['final_acceptance'] < 1.0, 'numpy.fft' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["10000", "True", "False"]

@@ -1093,22 +1093,63 @@ def test_flat_gaussian_falls_back_to_the_chain():
 
 def test_gaussian_batches_fit_the_draw_buffer(monkeypatch):
     # proposals come max(1, DRAW_BUFFER_BYTES // (16 n N^2)) at a time, each
-    # batch decided by one ball test; the accepted draws beyond the count
-    # asked for are dropped
+    # batch decided by one screened ball test; the accepted draws beyond the
+    # count asked for are dropped
     sizes = []
-    ball = sampler.in_norm_ball
+    test = sampler._screened_ball_test
 
     def spy(m, R):
         sizes.append(m.shape)
-        return ball(m, R)
+        return test(m, R)
 
-    monkeypatch.setattr(sampler, "in_norm_ball", spy)
+    monkeypatch.setattr(sampler, "_screened_ball_test", spy)
     model = GibbsModel(2, 16, 8.0, _quadratic_pair(1.0, 0.2))
     batches = []
     acceptance = sampler._gaussian_draws(model, 300, substream(35, "buffer"), batches.append)
     assert acceptance == 1.0
     assert sizes == [(2, 32, 16, 16)] * 10
     assert [b.shape[1] for b in batches] == [32] * 9 + [12]
+
+
+@pytest.mark.parametrize("N,R", [(4, 1.15), (16, 1.35)])
+def test_screened_gaussian_draws_are_the_cholesky_ones(monkeypatch, N, R):
+    # on a pair whose draws straddle the sphere (acceptance about 0.5), the
+    # Frobenius bound changes no verdict: the draws accepted are, bit for
+    # bit, those the Cholesky test alone accepts on the same proposals
+    model = GibbsModel(2, N, R, _quadratic_pair(1.0, 0.2))
+    runs = []
+    for screened in (True, False):
+        if not screened:
+            monkeypatch.setattr(sampler, "_screened_ball_test", sampler.in_norm_ball)
+        batches = []
+        acceptance = sampler._gaussian_draws(model, 2000, substream(36, "screen", N),
+                                             batches.append)
+        runs.append((acceptance, np.concatenate(batches, axis=1)))
+    (acc, draws), (want_acc, want) = runs
+    assert 0.35 <= acc <= 0.65 and acc == want_acc
+    assert draws.shape == want.shape and draws.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", [4, 16])
+def test_screened_ball_test_agrees_at_the_bound(N):
+    # Frobenius norms of R (1 +- 1e-13) lie past the bound R (1 - 1e-12), so
+    # the Cholesky test decides them; a rank-one matrix, whose operator norm
+    # is its Frobenius norm, at R (1 - 2e-12) is decided by the bound, and
+    # the Cholesky test puts it inside too
+    R = 1.7
+    rng = substream(37, "bound", N)
+    z = rng.standard_normal((4, N, N)) + 1j * rng.standard_normal((4, N, N))
+    full = z + np.conj(np.swapaxes(z, -1, -2))
+    v = rng.standard_normal((4, N)) + 1j * rng.standard_normal((4, N))
+    rank_one = v[:, :, None] * np.conj(v[:, None, :])
+    blocks = []
+    for scale in (1.0 - 2e-12, 1.0 - 1e-13, 1.0 + 1e-13):
+        for h in (*full, *rank_one):
+            blocks.append(h * (R * scale / np.linalg.norm(h)))
+    stack = np.array(blocks).reshape(3, 8, N, N)
+    got = sampler._screened_ball_test(stack, R)
+    assert np.array_equal(got, sampler.in_norm_ball(stack, R))
+    assert got[0].all() and not got[2, 4:].any()
 
 
 @pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
