@@ -306,10 +306,6 @@ def _options(cls, params: Optional[Dict], section: str):
     return _checked(replace, defaults, **fields)
 
 
-def _fit_options(params: Optional[Dict]) -> FitOptions:
-    return _options(FitOptions, params, "fit")
-
-
 def _est(e: ScalarEstimate) -> Dict:
     return {"value": e.value, "stderr": e.stderr, "count": e.count,
             "bias_bound": e.bias_bound}
@@ -445,7 +441,7 @@ def _run_fit(cfg: ExperimentConfig):
     [N] = _sizes([cfg.param("N", 8)])
     K = _degree(cfg.param("K", tau.K), tau)
     fit = fit_projection(tau, N, K, eps=_checked(float, cfg.param("eps", 0.0)),
-                         opts=_fit_options(cfg.param("fit")),
+                         opts=_options(FitOptions, cfg.param("fit"), "fit"),
                          rng=substream(cfg.seed, "fit", N))
     rec = _fit_record(fit, N, K)
     rec["kind"] = cfg.kind
@@ -470,7 +466,7 @@ def _run_chi_tilde(cfg: ExperimentConfig):
     sizes = _sizes(sizes)
     K = _degree(cfg.param("K", tau.K), tau)
     eps = _checked(float, cfg.param("eps", 0.0))
-    opts = _fit_options(cfg.param("fit"))
+    opts = _options(FitOptions, cfg.param("fit"), "fit")
     ref = cfg.param("reference_density")
     _require(ref in (None, "semicircle"), f"unknown reference_density {ref!r}")
     if ref is not None:
@@ -591,7 +587,7 @@ def _duality_point(args):
 def _run_duality_check(cfg: ExperimentConfig):
     entries = cfg.param("targets")
     _require(isinstance(entries, list) and entries, "duality-check needs targets")
-    opts = _fit_options(cfg.param("fit"))
+    opts = _options(FitOptions, cfg.param("fit"), "fit")
     work = []
     for i, ent in enumerate(entries):
         _known(ent, ("target", "N", "K", "eps", "label"), "duality-check target")

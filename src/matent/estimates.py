@@ -62,10 +62,6 @@ class ScalarEstimate:
                               self.bias_bound)
 
 
-# lags pooled_mean sums one by one before it hands every lag to one FFT
-DIRECT_LAGS = 64
-
-
 def pooled_mean(series) -> Tuple[ScalarEstimate, float]:
     """Mean of a Monte Carlo series with its IAT-inflated stderr; and that IAT.
 
@@ -79,14 +75,16 @@ def pooled_mean(series) -> Tuple[ScalarEstimate, float]:
     G_m = rho_2m + rho_2m+1 of the autocorrelations, cut at the first
     G_m <= 0 and made non-increasing. The stderr is sqrt(var tau / (K T)),
     and K T / tau the ESS summed over walkers. Series of fewer than 8 steps,
-    or constant ones, get tau = 1. Fewer than 2 points in all, or an array
-    that is neither 1-d nor 2-d, raise ``ValueError``.
+    or with no spread (every point equal), get tau = 1, and the latter
+    stderr 0. Fewer than 2 points in all, or an array that is neither 1-d
+    nor 2-d, raise ``ValueError``.
 
-    The lags are summed directly, two per pair, up to the cut, which comes
-    at lag 2-4 on i.i.d. draws. A series whose first ``DIRECT_LAGS`` lags
-    reach no cut, and has more lags in whole pairs, gets all its lags from
-    one zero-padded FFT instead, so a slowly mixing chain costs O(T log T),
-    not O(T^2).
+    The lags are summed directly, two per pair, up to the cut: O(K T L) for
+    L lags. L is 3-11 on matrix-fit's 10,000 exact draws, at most 51 on
+    orbital's 128-sample series, and up to a few hundred on a default TI
+    node's 1,000 steps (59-351 for X^2 + Y^2 + 0.3 (X^2 Y^2 + Y^2 X^2) at
+    N = 8). A series that reaches no cut, which happens only when its IAT
+    approaches its length, sums all T lags: O(K T^2).
     """
     x = np.asarray(series, dtype=float)
     if x.ndim == 1:
@@ -97,25 +95,19 @@ def pooled_mean(series) -> Tuple[ScalarEstimate, float]:
     K, T = x.shape
     mean = float(x.mean())
     d = x - mean
-    var = float(np.einsum("kt,kt->", d, d)) / (K * T)
+    # the mean of equal points may not round back to them, nor d to 0
+    var = float(np.einsum("kt,kt->", d, d)) / (K * T) if np.ptp(x) > 0 else 0.0
     tau = 1.0
     if T >= 8 and var > 0.0:
-        # the lags of whole pairs: all but the last of an odd T
-        lags = T - T % 2
         cov = [var]
-        for t in range(1, min(lags, DIRECT_LAGS)):
+        # the lags of whole pairs: all but the last of an odd T
+        for t in range(1, T - T % 2):
             cov.append(float(np.einsum("kt,kt->", d[:, :T - t], d[:, t:])) / (K * (T - t)))
             if t % 2 and cov[t - 1] + cov[t] <= 0.0:
                 break
-        else:
-            if lags > DIRECT_LAGS:
-                size = 1 << (2 * T - 1).bit_length()
-                f = np.fft.rfft(d, size, axis=1)
-                lagged = np.fft.irfft(f * np.conj(f), size, axis=1)[:, :lags].sum(axis=0)
-                cov = lagged / (K * (T - np.arange(lags)))
+        # only the last pair can be the cut
         pairs = np.reshape(cov, (-1, 2)).sum(axis=1) / var
-        cut = np.flatnonzero(pairs <= 0.0)
-        pairs = np.minimum.accumulate(pairs[:cut[0] if cut.size else pairs.size])
+        pairs = np.minimum.accumulate(pairs[pairs > 0.0])
         tau = max(1.0, 2.0 * float(pairs.sum()) - 1.0)
     return ScalarEstimate(mean, math.sqrt(var * tau / (K * T)), K * T), tau
 

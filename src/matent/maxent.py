@@ -484,21 +484,27 @@ def _pair_dual(basis: DualBasis, N: int, R: float, tt: np.ndarray,
 def _marginal_start(basis: DualBasis, N: int, R: float, tt: np.ndarray,
                     l1: np.ndarray) -> np.ndarray:
     """The K = 2 Newton start of a bilinear two-matrix basis: the product of
-    its two marginal one-matrix exact fits, coupling 0, each side's scaled
-    coefficients from :func:`_exact_solve` on that side's targets with its
-    share of ``l1``. Where the target's mixed moment factors (E tr XY = E tr
-    X E tr Y, as for a free pair), log I splits into the two sides' at
-    coupling 0 and this start is the exact solution. Zeros where a marginal
-    solve fails."""
+    its two marginal one-matrix fits, coupling 0, each side's scaled
+    coefficients from :func:`_damped_newton` on :func:`_one_matrix_dual`,
+    from zero, on that side's targets with its share of ``l1``, on the pair
+    solve's first node count. It is the first solve of :func:`_exact_solve`
+    on that side, with no log I and no re-solve after it. Where the target's
+    mixed moment factors (E tr XY = E tr X E tr Y, as for a free pair), log I
+    splits into the two sides' at coupling 0 and this start is the exact
+    solution. Zeros where a marginal solve fails."""
     mu = np.zeros(len(basis))
     one = build_dual_basis(1, basis.K)
     words = [el.word for el in basis.elements]
+    nodes, n2 = _heine_nodes(N), N * N
     for side in (1, 2):
         # the side's powers X^d (or Y^d), in the one-matrix basis's order
         index = [words.index((side,) * d) for d in range(1, basis.K + 1)]
         try:
-            mu[index] = _exact_solve(one, N, R, tt[index], l1[index], "marginal")[0]
-        except (InfeasibleTargetError, EstimatorError):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mu[index] = _damped_newton(_one_matrix_dual(one, N, R, tt[index], nodes),
+                                           np.zeros(basis.K), n2 * l1[index], n2 * 1e-9,
+                                           "marginal")[0]
+        except InfeasibleTargetError:
             return np.zeros(len(basis))
     return mu
 
@@ -519,8 +525,9 @@ def _exact_solve(basis: DualBasis, N: int, R: float, tt: np.ndarray, l1: np.ndar
     quietly off. Returns mu, the gradient and decrement there, max |g| after
     each Newton step of every solve, the last node count, and the fitted model
     and its log I; None where Mehta's log I has no value at the fitted model.
-    From the marginal start free-pair-4 takes one Newton step, and the whole
-    solve four split-form calls and two more for log I.
+    From the marginal start, whose two one-matrix solves take no log I,
+    free-pair-4 takes one Newton step, and the whole solve four split-form
+    calls and two more for Mehta's log I.
     """
     if basis.n == 1:
         dual, mu = _one_matrix_dual, np.zeros(len(basis))
@@ -716,41 +723,37 @@ def _final_run(model: GibbsModel, coeffs: np.ndarray, measurer: _BasisMeasurer, 
     Without an ``engine`` (lambda from an exact solve), a Gaussian model
     (:func:`matent.sampler._gaussian_draws`) gets that many exact i.i.d.
     draws, measured batch by batch and never held all at once, and
-    ``burnin`` is unused. Each batch is measured once: its energy is N^2
-    ``coeffs`` . f, from the basis moments f that ``measurer`` takes (the
-    model's potential is sum_j coeffs_j b_j), with no second trace pass.
-    The run then costs about what its draws cost: a block that a Frobenius
-    bound puts inside the ball skips the Cholesky test, and an i.i.d. series
-    reaches Geyer's cut within a few lags, which ``pooled_mean`` sums
-    directly, with no FFT. Otherwise the walkers of ``engine`` (the warm
-    ones of Monte Carlo Newton), or new ones at the origin, run ``burnin``
-    steps each, the first 60% tuning, and are then measured, with the
-    engine's energies: so does a Gaussian model whose first batch accepts
-    below ``MIN_ACCEPTANCE``. Monte Carlo Newton fits keep the chain because their rho carries the fit error
-    N^2 lambda . (m(lambda) - tau), which no stderr reports; at the
-    separable pair, exact draws put rho 4 of their stderrs from the exact
-    maximum. Returns the basis moment means and their stderrs, the energy as
-    a :class:`ScalarEstimate`, all from :func:`matent.estimates.pooled_mean`
-    (over the walkers of a chain), and the acceptance (of the rejection
-    proposals, or pooled over walkers), energy IAT and ESS (summed over
-    walkers) under ``final_acceptance``, ``final_iat`` and ``final_ess``.
+    ``burnin`` is unused. The run then costs about what its draws cost: a
+    block that a Frobenius bound puts inside the ball skips the Cholesky
+    test, and an i.i.d. series reaches Geyer's cut within a few lags.
+    Otherwise the walkers of ``engine`` (the warm ones of Monte Carlo
+    Newton), or new ones at the origin, run ``burnin`` steps each, the first
+    60% tuning, and are then measured: so does a Gaussian model whose first
+    batch accepts below ``MIN_ACCEPTANCE``. Either way each state is measured
+    once: its energy is N^2 ``coeffs`` . f, from the basis moments f that
+    ``measurer`` takes (the model's potential is sum_j coeffs_j b_j), with no
+    second trace pass. Monte Carlo Newton fits keep the chain because their
+    rho carries the fit error N^2 lambda . (m(lambda) - tau), which no stderr
+    reports; at the separable pair, exact draws put rho 4 of their stderrs
+    from the exact maximum. Returns the basis moment means and their
+    stderrs, the energy as a :class:`ScalarEstimate`, all from
+    :func:`matent.estimates.pooled_mean` (over the walkers of a chain), and
+    the acceptance (of the rejection proposals, or pooled over walkers),
+    energy IAT and ESS (summed over walkers) under ``final_acceptance``,
+    ``final_iat`` and ``final_ess``.
     """
     obs: List[np.ndarray] = []
-    energies: List[np.ndarray] = []
 
-    def collect(blocks, energy) -> None:
+    def measure(blocks) -> None:
         obs.append(measurer.from_state(blocks))
-        energies.append(energy)
 
     per_walker = _walker_steps(steps, WALKERS, 2)
     acceptance = None
     if engine is None:
-        acceptance = _gaussian_draws(model, WALKERS * per_walker // 2, rng,
-                                     lambda blocks: obs.append(measurer.from_state(blocks)))
+        acceptance = _gaussian_draws(model, WALKERS * per_walker // 2, rng, measure)
     if acceptance is not None:
-        # one i.i.d. series: (1, T, len(basis)) and its energies, (1, T)
+        # one i.i.d. series: (1, T, len(basis))
         omat = np.concatenate(obs)[None]
-        series = model.N * model.N * (omat @ coeffs)
     else:
         if engine is None:
             engine = ChainEngine(model, rng, WALKERS)
@@ -758,12 +761,12 @@ def _final_run(model: GibbsModel, coeffs: np.ndarray, measurer: _BasisMeasurer, 
         engine.tune(int(burnin * 0.6))
         engine.run(burnin - int(burnin * 0.6))
         engine.reset_counters()
-        engine.run(per_walker, observe=lambda e: collect(e.blocks, e.energy), every=2)
-        # the walkers' series: (K, T, len(basis)) and (K, T)
-        omat, series = np.asarray(obs).swapaxes(0, 1), np.asarray(energies).T
+        engine.run(per_walker, observe=lambda e: measure(e.blocks), every=2)
+        # the walkers' series: (K, T, len(basis))
+        omat = np.asarray(obs).swapaxes(0, 1)
         acceptance = engine.acceptance
     moments = [pooled_mean(omat[:, :, j])[0] for j in range(omat.shape[2])]
-    energy, iat = pooled_mean(series)
+    energy, iat = pooled_mean(model.N * model.N * (omat @ coeffs))
     return (np.array([m.value for m in moments]), np.array([m.stderr for m in moments]),
             energy, {"final_acceptance": acceptance, "final_iat": iat,
                      "final_ess": energy.count / iat})
@@ -818,7 +821,9 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     decrement, its noise floor and the pooled ESS, the number of walkers,
     and the final run's acceptance (pooled over walkers, or of the rejection
     proposals of exact draws), energy IAT and ESS (summed over walkers). On
-    every route ``dual_value.bias_bound`` adds the final
+    both final runs a state's energy is N^2 lam . f, from its measured basis
+    moments f. On every route ``dual_value`` is the dual at lam, ``log_i``
+    plus N^2 (lam . tau + eps |lam|_1), and its ``bias_bound`` adds the final
     decrement, by which the dual may exceed the maximum entropy, to log I's
     bias bound; for Monte Carlo Newton also ``NOISE_MULT`` times the noise
     floor of the pooled step that set lam. An unconverged fit issues a
@@ -887,11 +892,11 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
         converged = stopped and bool(
             np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
     rho_est = _entropy(log_i, energy_est)
-    dual = dual_objective(basis, lam, tau, eps, N, lambda _: log_i)
-    # the dual at lam overshoots its minimum, the maximum entropy, by the
-    # decrement, and for n >= 2 by the noise of the last step
-    dual = ScalarEstimate(dual.value, dual.stderr, dual.count,
-                          dual.bias_bound + max(dec, 0.0))
+    # the dual F(lam) at lam overshoots its minimum, the maximum entropy, by
+    # the decrement, and for n >= 2 by the noise of the last step
+    linear = float(np.dot(lam, targets))
+    dual = ScalarEstimate(log_i.value + N * N * (linear + eps * float(np.abs(lam).sum())),
+                          log_i.stderr, log_i.count, log_i.bias_bound + max(dec, 0.0))
     if not converged:
         warnings.warn(f"fit at N={N}, K={K} did not converge: a final moment residual "
                       f"exceeds its tolerance plus 3 stderr, or the Newton stop was "

@@ -435,14 +435,16 @@ def pooled_mean_dense(series) -> Tuple[float, float, float]:
     """(mean, stderr, tau) as :func:`matent.estimates.pooled_mean` defines them,
     with all T lags of the pooled autocovariance from ``np.correlate`` (a
     direct O(T^2) sum per walker, no FFT and no early stop) and Geyer's pair
-    sums cut and made non-increasing in a plain loop."""
+    sums cut and made non-increasing in a plain loop. A series with no
+    spread has var 0, whatever its deviations from a mean that may not round
+    back to its points."""
     x = np.atleast_2d(np.asarray(series, dtype=float))
     K, T = x.shape
     mean = float(x.mean())
     d = x - mean
     lagged = sum(np.correlate(row, row, "full")[T - 1:] for row in d)
     cov = lagged / (K * (T - np.arange(T)))
-    var = float(cov[0])
+    var = float(cov[0]) if np.ptp(x) > 0 else 0.0
     tau = 1.0
     if T >= 8 and var > 0.0:
         total, smallest = 0.0, math.inf

@@ -11,7 +11,7 @@ from matent.cli import (ConfigError, ExperimentConfig, build_blockmap, build_mod
                         main)
 from matent.estimates import EstimatorError
 from matent.matrices import BlockMap
-from matent.maxent import InfeasibleTargetError
+from matent.maxent import FitOptions, InfeasibleTargetError
 from matent.ncpoly import NcPoly
 from matent.orbital import OrbitalRequest, _outer_chain
 from matent.sampler import MIN_ACCEPTANCE
@@ -112,12 +112,13 @@ def test_build_blockmap_default_and_explicit():
 
 def test_fit_options_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown fit option"):
-        cli._fit_options({"momentum": 0.9})
-    opts = cli._fit_options({"iterations": 50, "ti": {"nodes": 11, "node_steps": 600}})
+        cli._options(FitOptions, {"momentum": 0.9}, "fit")
+    opts = cli._options(FitOptions, {"iterations": 50, "ti": {"nodes": 11, "node_steps": 600}},
+                        "fit")
     assert opts.iterations == 50
     assert opts.ti.nodes == 11 and opts.ti.node_steps == 600
     with pytest.raises(ConfigError, match="unknown ti option"):
-        cli._fit_options({"ti": {"cooling": 3}})
+        cli._options(FitOptions, {"ti": {"cooling": 3}}, "fit")
 
 
 @pytest.mark.parametrize("key", ["observe_stride", "final_stride", "decay_power",
@@ -125,13 +126,13 @@ def test_fit_options_rejects_unknown_keys():
                                  "init_coeffs"])
 def test_fit_options_reject_fixed_schedule_keys(key):
     with pytest.raises(ConfigError, match="unknown fit option"):
-        cli._fit_options({key: 1})
+        cli._options(FitOptions, {key: 1}, "fit")
 
 
 @pytest.mark.parametrize("key", ["step_scale", "grid_power", "sweeps"])
 def test_ti_options_reject_fixed_schedule_keys(key):
     with pytest.raises(ConfigError, match="unknown ti option"):
-        cli._fit_options({"ti": {key: 1}})
+        cli._options(FitOptions, {"ti": {key: 1}}, "fit")
 
 
 def test_main_volume_end_to_end(tmp_path):

@@ -118,23 +118,24 @@ def _split_walkers(T):
 
 
 LAG_CASES = {
-    # name: (series, whether its lags come from the FFT)
-    "iid": (np.random.default_rng(10).normal(1.0, 2.0, size=10000), False),
-    "ar1-0.5": (_ar1(0.5, 10000, 11), False),
-    "ar1-0.99": (_ar1(0.99, 10000, 12), True),
+    "iid": np.random.default_rng(10).normal(1.0, 2.0, size=10000),
+    "ar1-0.5": _ar1(0.5, 10000, 11),
+    "ar1-0.99": _ar1(0.99, 10000, 12),
     # AR(2) with rho_1 = -2/3: every odd lag is negative but every pair sum
     # positive, and tau is about 2.7, so a cut on single lags shows
-    "ar2-alternating": (_ar2(-0.1, 0.85, 10000, 17), False),
+    "ar2-alternating": _ar2(-0.1, 0.85, 10000, 17),
     # 8 walkers whose means differ: the spread keeps every lag correlated
     "offset-walkers": (np.random.default_rng(13).normal(size=(8, 2000))
-                       + 0.1 * np.arange(8)[:, None], True),
-    "T7": (np.random.default_rng(14).normal(size=7), False),
-    "constant": (np.full(50, 2.5), False),
-    "odd-T": (_ar1(0.5, 1001, 15), False),
-    # two walkers 10 apart reach no cut: 65 steps have 64 lags in whole
-    # pairs, all summed directly; 66 have 66, which the FFT takes all of
-    "split-walkers-T65": (_split_walkers(65), False),
-    "split-walkers-T66": (_split_walkers(66), True),
+                       + 0.1 * np.arange(8)[:, None]),
+    "T7": np.random.default_rng(14).normal(size=7),
+    "constant": np.full(50, 2.5),
+    # the mean 0.10000000000000002 leaves every deviation at -1.4e-17
+    "constant-0.1": np.full(1000, 0.1),
+    "constant-0.1-walkers": np.full((8, 125), 0.1),
+    "odd-T": _ar1(0.5, 1001, 15),
+    # two walkers 10 apart reach no cut, and every lag in whole pairs is summed
+    "split-walkers-T65": _split_walkers(65),
+    "split-walkers-T66": _split_walkers(66),
 }
 
 
@@ -153,10 +154,9 @@ class _FftSpy:
 
 @pytest.mark.parametrize("case", sorted(LAG_CASES))
 def test_pooled_mean_matches_dense_lag_sums(monkeypatch, case):
-    # the lags summed up to Geyer's cut, or all from one FFT where the first
-    # DIRECT_LAGS reach no cut, give the value, stderr and tau that summing
-    # every lag directly gives; only a series with no early cut calls np.fft
-    series, by_fft = LAG_CASES[case]
+    # the lags summed up to Geyer's cut give the value, stderr and tau that
+    # summing every lag gives, and no series calls np.fft
+    series = LAG_CASES[case]
     spy = _FftSpy(np.fft)
     monkeypatch.setattr(estimates.np, "fft", spy)
     est, tau = pooled_mean(series)
@@ -165,8 +165,8 @@ def test_pooled_mean_matches_dense_lag_sums(monkeypatch, case):
     assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
     assert tau == pytest.approx(want_tau, rel=1e-12, abs=0.0)
     assert est.count == np.size(series)
-    assert spy.calls == (["rfft", "irfft"] if by_fft else [])
+    assert spy.calls == []
     if case == "ar1-0.99":
         assert tau > 100.0
-    if case == "constant":
+    if case.startswith("constant"):
         assert (tau, est.stderr) == (1.0, 0.0)

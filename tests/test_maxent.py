@@ -383,24 +383,69 @@ def test_free_pair_solve_takes_one_step_in_a_few_stacked_calls(monkeypatch):
 
 
 def test_pair_solve_starts_from_zero_where_a_marginal_solve_fails(monkeypatch):
-    # a marginal one-matrix solve that raises leaves the K = 2 Newton at the
-    # zero start, which takes more steps to the same lambda
+    # a marginal one-matrix Newton solve that raises leaves the K = 2 Newton
+    # at the zero start, which takes more steps to the same lambda
     basis, tt = _free_pair_target()
     want = maxent._exact_solve(basis, 4, 2.0, tt, np.zeros(len(basis)), "free pair")[0]
-    exact_solve = maxent._exact_solve
+    damped_newton = maxent._damped_newton
     marginals = []
 
-    def failing(one, *args):
-        if one.n == 1:
-            marginals.append(one.K)
+    def failing(parts, x0, l1, gtol, what):
+        if what == "marginal":
+            marginals.append(len(x0))
             raise InfeasibleTargetError("marginal out of reach")
-        return exact_solve(one, *args)
+        return damped_newton(parts, x0, l1, gtol, what)
 
-    monkeypatch.setattr(maxent, "_exact_solve", failing)
+    monkeypatch.setattr(maxent, "_damped_newton", failing)
     mu, _, dec, history, _, _, _ = maxent._exact_solve(
         basis, 4, 2.0, tt, np.zeros(len(basis)), "free pair")
     assert marginals == [2] and len(history) >= 2 and 0.0 <= dec <= 1e-10
     np.testing.assert_allclose(mu, want, atol=1e-9)
+
+
+def _marginal_fits(basis, N, R, tt) -> np.ndarray:
+    """The two sides' one-matrix exact fits, placed at their powers in ``basis``."""
+    one = build_dual_basis(1, basis.K)
+    mu = np.zeros(len(basis))
+    for side in (1, 2):
+        index = [basis.elements.index(el) for el in basis.elements if set(el.word) == {side}]
+        mu[index] = maxent._exact_solve(one, N, R, tt[index], np.zeros(basis.K), "side")[0]
+    return mu
+
+
+def test_marginal_start_is_the_marginal_exact_fits():
+    # free-pair-4's target: the start is, bit for bit, the two one-matrix
+    # exact fits' mu; sides of variances 1 and 0.4 with E tr XY = 0.3: the
+    # same within 1e-12, with coupling 0
+    N, R = 4, 2.0
+    basis, tt = _free_pair_target()
+    start = maxent._marginal_start(basis, N, R, tt, np.zeros(len(basis)))
+    np.testing.assert_array_equal(start, _marginal_fits(basis, N, R, tt))
+    tau = MomentSpec(2, 2, R, {(1,): 0.0, (2,): 0.0, (1, 1): 1.0, (1, 2): 0.3, (2, 2): 0.4})
+    tt = target_vector(tau, basis) / R ** basis.degrees
+    start = maxent._marginal_start(basis, N, R, tt, np.zeros(len(basis)))
+    np.testing.assert_allclose(start, _marginal_fits(basis, N, R, tt), rtol=0, atol=1e-12)
+    assert start[basis.labels.index("re:1.2")] == 0.0
+    assert start[basis.labels.index("re:1.1")] != start[basis.labels.index("re:2.2")]
+
+
+def test_pair_solve_enters_one_exact_solve(monkeypatch):
+    # the marginal start runs its own one-matrix Newton solves, so the K = 2
+    # solve enters _exact_solve once, and no one-matrix log I is taken
+    basis, tt = _free_pair_target()
+    exact_solve, entered = maxent._exact_solve, []
+
+    def spy(one, *args):
+        entered.append((one.n, one.K))
+        return exact_solve(one, *args)
+
+    def no_log_i(*args, **kwargs):
+        raise AssertionError("the pair solve takes no one-matrix log I")
+
+    monkeypatch.setattr(maxent, "_exact_solve", spy)
+    monkeypatch.setattr(maxent, "estimate_log_I", no_log_i)
+    maxent._exact_solve(basis, 4, 2.0, tt, np.zeros(len(basis)), "free pair")
+    assert entered == [(2, 2)]
 
 
 @pytest.mark.parametrize("lam", [
@@ -545,6 +590,28 @@ def test_exact_final_run_energy_is_the_measured_traces(monkeypatch):
     want = np.concatenate(energies)
     assert energy.count == len(want) == 1000
     assert energy.value == pytest.approx(want.mean(), rel=1e-12)
+    # walkers follow the same rule, those of an engine passed in as well as
+    # those of a model the draws refuse (a negative Y^2 coefficient): the
+    # energies of the measured states, taken by a spy on the measurer
+    monkeypatch.setattr(maxent, "_gaussian_draws", gaussian_draws)
+    engine = sampler.ChainEngine(model, substream(2, "final-engine"), maxent.WALKERS)
+    non_gaussian = lam * np.array([1.0, 1.0, 1.0, 1.0, -1.0])
+    for coeffs, walkers in ((lam, engine), (non_gaussian, None)):
+        model = GibbsModel(2, 4, 2.0, potential_from_coeffs(basis, coeffs))
+        assert (sampler._gaussian_parts(model) is None) == (walkers is None)
+        measurer, energies = maxent._BasisMeasurer(basis), []
+        from_state = measurer.from_state
+
+        def measured(blocks):
+            energies.append(model.energy(blocks))
+            return from_state(blocks)
+
+        measurer.from_state = measured
+        _, _, energy, final = maxent._final_run(model, coeffs, measurer, 2000, 300,
+                                                substream(2, "final-walkers"), walkers)
+        want = np.concatenate(energies)
+        assert energy.count == len(want) == 1000 and final["final_acceptance"] < 1.0
+        assert energy.value == pytest.approx(want.mean(), rel=1e-12)
 
 
 def _final_run_z_scores(chain: bool) -> np.ndarray:
