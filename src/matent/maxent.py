@@ -19,9 +19,9 @@ the fitted model is Gaussian. For other n >= 2 fits, or
 where the determinant has no value, they are estimated from one
 warm-started run of lockstep matrix-mode walkers per iterate, steps are
 line-searched on the dual reweighted from the same samples, and the chain
-doubles in length until the Newton decrement (the dual's distance to its
-minimum, in nats) is within noise. The attained value
-of F is the (relaxed) maximum entropy; the entropy of the fitted model is
+doubles in length every iterate until the Newton decrement (the dual's
+distance to its minimum, in nats) is within noise at full length. The
+attained value of F is the (relaxed) maximum entropy; the entropy of the fitted model is
 log I + E[N Tr V], with log I from :func:`matent.sampler.estimate_log_I`:
 exact for one matrix and, within the determinant's range, for the models of
 K = 2 two-matrix fits (whose only mixed word is XY), and by thermodynamic
@@ -193,11 +193,11 @@ class FitOptions:
     gives; ``discard_per_iter`` and ``final_burnin`` count steps of every
     walker. At most ``iterations`` Newton iterates of Monte Carlo Newton run;
     each re-tunes the walkers for ``discard_per_iter`` steps and then runs n
-    walker-steps in all, n doubling from about ``steps_per_iter`` up to
-    ``final_steps`` as the decrement reaches its noise floor (see
-    :func:`_chain_newton`). The fitted model is then run for ``final_burnin``
-    steps and measured on every 2nd of ``final_steps`` walker-steps, with
-    pooled-IAT stderrs (see :func:`matent.estimates.pooled_mean`); the fit is
+    walker-steps in all, n doubling every iterate from about
+    ``steps_per_iter`` up to ``final_steps`` (see :func:`_chain_newton`). The
+    fitted model is then run for ``final_burnin`` steps and measured on
+    every 2nd of ``final_steps`` walker-steps, with pooled-IAT stderrs (see
+    :func:`matent.estimates.pooled_mean`); the fit is
     converged when the Newton stop was reached and every final residual is
     within max(eps, ``moment_tol`` R^degree) plus 3 stderr. ``ti`` budgets
     the log-normalizer of the fitted model where it has no exact route (see
@@ -624,10 +624,9 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
     per coefficient no step is taken.
 
     n starts at ``final_steps`` / 2^k, the first such length at or above
-    ``steps_per_iter``, and doubles up to ``final_steps`` after an iterate whose
-    decrement is within ``NOISE_MULT`` noise floors, or has not halved since
-    the last step at this length (short chains under-estimate the floor). The
-    stop is a noise-dominated run of ``final_steps``. Its mu is kept and runs
+    ``steps_per_iter``, and doubles after every iterate up to ``final_steps``.
+    The stop is a run of ``final_steps`` whose decrement is within
+    ``NOISE_MULT`` noise floors. Its mu is kept and runs
     on until, with the earlier runs of that length whose weights keep half
     their ESS at mu, ``FINAL_POOL`` runs are pooled; one step on their
     reweighted dual gives the result. A scaled coefficient beyond ``MU_MAX`` with a
@@ -646,7 +645,6 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
     mu = np.zeros(len(basis))
     steps = opts.final_steps >> max(0, int(math.log2(opts.final_steps / opts.steps_per_iter)))
     pool: List[Tuple[np.ndarray, np.ndarray]] = []  # the runs of final_steps
-    last = math.inf  # decrement before the last step at this length
     trajectory = {"residual_max_scaled": [], "chain_steps": [], "decrement": [],
                   "noise_floor": [], "ess": []}
     stop = done = False
@@ -694,12 +692,7 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
                 mu = step[0]
         if done:
             break
-        if dec > max(NOISE_MULT * floor, 0.5 * last):
-            last = dec
-        else:
-            # noise-dominated, stalled or unresolved: a longer chain is needed
-            steps = min(2 * steps, opts.final_steps)
-            last = math.inf
+        steps = min(2 * steps, opts.final_steps)
     trajectory["walkers"] = K
     resolved = [d + NOISE_MULT * f for d, f in zip(trajectory["decrement"],
                                                      trajectory["noise_floor"])
@@ -785,8 +778,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     per-element tolerance is eps + 1e-9 R^degree, ``energy`` and ``rho`` have
     stderr 0, ``energy.bias_bound`` is the residual cost N^2 |lam . r - eps
     |lam|_1| (rho minus the dual) plus rounding, ``iterations`` counts Newton
-    steps over all solves, ``rng`` is not consumed, and the fit is
-    ``converged`` when the Newton decrement is at most 1e-10 nats.
+    steps over all solves, and ``rng`` is not consumed.
 
     Two matrices at K <= 2 (potentials V1(X) + V2(Y) + k Tr XY) are solved
     exactly the same way (:func:`_pair_dual`), on the function whose value is
@@ -799,9 +791,8 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     engine is built and ``final_burnin`` is unused), and otherwise the
     walkers, ``final_burnin`` steps each (which tune them) and then
     ``final_steps`` walker-steps in all. ``rho`` is the exact log I plus that
-    energy, and the fit is ``converged`` when the decrement is at most 1e-10
-    nats and every final residual is within max(eps, moment_tol R^degree)
-    plus 3 stderr. Where the determinant has no value at the fitted model,
+    energy, and the tolerance is max(eps, moment_tol R^degree). Where the
+    determinant has no value at the fitted model,
     or the solve fails, the fit is Monte Carlo Newton as below.
 
     Every other n >= 2 fit runs the Monte Carlo Newton of
@@ -814,15 +805,19 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     even where that model is Gaussian); their
     stderrs are pooled-IAT stderrs over the walkers
     (:func:`matent.estimates.pooled_mean`). The tolerance is max(eps,
-    moment_tol * R^degree); the fit is ``converged`` when the Newton stop was
-    reached and every final residual is within its tolerance plus 3 stderr.
+    moment_tol * R^degree).
     ``iterations`` counts Newton iterates, and ``trajectory`` holds per
     iterate the largest scaled residual, the chain's walker-steps, the
     decrement, its noise floor and the pooled ESS, the number of walkers,
     and the final run's acceptance (pooled over walkers, or of the rejection
     proposals of exact draws), energy IAT and ESS (summed over walkers). On
     both final runs a state's energy is N^2 lam . f, from its measured basis
-    moments f. On every route ``dual_value`` is the dual at lam, ``log_i``
+    moments f. On every route the fit is ``converged`` when its stop was
+    reached (an exact solve's decrement at most 1e-10 nats, or Monte Carlo
+    Newton's stop and pooled step) and every residual is within its
+    tolerance plus 3 stderr; for one matrix, with stderr 0, the solve's
+    gradient test already holds every residual within its tolerance. On
+    every route ``dual_value`` is the dual at lam, ``log_i``
     plus N^2 (lam . tau + eps |lam|_1), and its ``bias_bound`` adds the final
     decrement, by which the dual may exceed the maximum entropy, to log I's
     bias bound; for Monte Carlo Newton also ``NOISE_MULT`` times the noise
@@ -869,7 +864,6 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
                          + 1e-14 * (1.0 + float(np.abs(mu).sum())))
         energy_est = ScalarEstimate(N * N * float(lam @ moment_means), 0.0, nodes, slack)
         residual_stderr = np.zeros(len(basis))
-        converged = stopped
     else:
         tol_scaled = np.maximum(eps_scaled, opts.moment_tol)
         measurer = _BasisMeasurer(basis)
@@ -888,9 +882,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
             log_i = estimate_log_I(final_model, opts=opts.ti, rng=rng)
     residuals = moment_means - targets
     tol_abs = tol_scaled * scales
-    if n > 1:
-        converged = stopped and bool(
-            np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
+    converged = stopped and bool(np.all(np.abs(residuals) <= tol_abs + 3.0 * residual_stderr))
     rho_est = _entropy(log_i, energy_est)
     # the dual F(lam) at lam overshoots its minimum, the maximum entropy, by
     # the decrement, and for n >= 2 by the noise of the last step

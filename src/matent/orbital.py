@@ -17,7 +17,8 @@ the potential that cross groups (:func:`_bilinear_coupling`); words inside a
 group cancel in f(conj) / f.
 
 - No word crosses groups (a decoupled potential, a global map, V = 0): Ent
-  is exactly 0, and no outer chain runs.
+  is exactly 0, from no outer sample; :func:`orbital_entropy` runs no outer
+  chain.
 - The only crossing words are X_i X_j and X_j X_i of one pair, as in every
   c (X - Y)^2: the inner expectation is the Harish-Chandra-Itzykson-Zuber
   integral, evaluated exactly for each outer sample from the two spectra
@@ -374,21 +375,6 @@ def _jackknife_bias(e: np.ndarray) -> float:
     return float((s - 1) * (loo.mean() - theta))
 
 
-def _collect_terms(samples: np.ndarray, request: OrbitalRequest, rng: np.random.Generator):
-    """Per-sample log density w, inner log-mean weights (full and half),
-    and jackknife biases for both resolutions."""
-    w = -request.model.energy(samples)
-    full, half, bias_full, bias_half = np.empty((4, samples.shape[1]))
-    for i in range(samples.shape[1]):
-        e = _inner_log_weights(samples[:, i], request, rng)
-        full[i] = _log_mean_exp(e)
-        bias_full[i] = _jackknife_bias(e)
-        eh = e[: e.size // 2]
-        half[i] = _log_mean_exp(eh)
-        bias_half[i] = _jackknife_bias(eh)
-    return w, full, half, bias_full, bias_half
-
-
 def orbital_entropy(request: OrbitalRequest, rng: np.random.Generator) -> OrbitalEstimate:
     """Estimate Ent(mu | U^pi mu) for the requested model and block map.
 
@@ -407,7 +393,7 @@ def orbital_entropy(request: OrbitalRequest, rng: np.random.Generator) -> Orbita
     if coupling is not None and coupling.t == 0.0:
         return _exact_zero(request)
     samples, chain = _outer_chain(request, rng)
-    return _orbital_from_samples(samples, chain, request, rng)
+    return _orbital_from_samples(samples, chain, coupling, request, rng)
 
 
 def _outer_chain(request: OrbitalRequest, rng: np.random.Generator
@@ -424,17 +410,15 @@ def _exact_zero(request: OrbitalRequest) -> OrbitalEstimate:
 
 
 def _orbital_from_samples(samples: np.ndarray, chain: ChainDiagnostics,
-                          request: OrbitalRequest, rng: np.random.Generator
-                          ) -> OrbitalEstimate:
-    """The estimate of :func:`orbital_entropy` on given outer samples, on the
-    route of the request's coupling; ``chain`` is the outer chain's health,
-    and one whose acceptance is below ``sampler.MIN_ACCEPTANCE`` is marked
-    not self-consistent."""
-    model = request.model
-    nsq = model.N * model.N
-    coupling = _bilinear_coupling(model, request.blockmap)
-    if coupling is not None and coupling.t == 0.0:
-        return _exact_zero(request)
+                          coupling: Optional[_Coupling], request: OrbitalRequest,
+                          rng: np.random.Generator) -> OrbitalEstimate:
+    """The estimate of :func:`orbital_entropy` on given outer samples of a
+    coupled model: the exact HCIZ route for a :class:`_Coupling` with t != 0,
+    the nested one for None. Callers send a decoupled model (t = 0) to
+    :func:`_exact_zero` instead.
+    ``chain`` is the outer chain's health, and one whose acceptance is below
+    ``sampler.MIN_ACCEPTANCE`` is marked not self-consistent."""
+    nsq = request.model.N * request.model.N
     if coupling is not None:
         g, bound = _hciz_terms(samples, coupling)
         est, tau = pooled_mean(g)
@@ -462,8 +446,15 @@ def _nested_terms(samples: np.ndarray, request: OrbitalRequest, rng: np.random.G
     """Per-sample nested terms g = log-mean-exp - log f; the mean of their
     half-inner-sample counterparts, its shift from the mean of g, the
     jackknife bias bound of that mean, and whether the shift is within the
-    half-sample bias bound plus paired noise."""
-    w, full, half, bias_full, bias_half = _collect_terms(samples, request, rng)
+    half-sample bias bound plus paired noise. Each sample's jackknife bias is
+    taken on its full and on its half-inner-sample log-mean-exp."""
+    w = -request.model.energy(samples)
+    full, half, bias_full, bias_half = np.empty((4, samples.shape[1]))
+    for i in range(samples.shape[1]):
+        e = _inner_log_weights(samples[:, i], request, rng)
+        eh = e[: e.size // 2]
+        full[i], half[i] = _log_mean_exp(e), _log_mean_exp(eh)
+        bias_full[i], bias_half[i] = _jackknife_bias(e), _jackknife_bias(eh)
     g = full - w
     gh = half - w
     est_h = pooled_mean(gh)[0]
@@ -490,7 +481,11 @@ class ChainRuleReport:
     stderr of the paired per-sample residual (shared pieces cancel
     exactly), and every stderr is that of
     :func:`matent.estimates.pooled_mean` on its per-sample series; ``holds``
-    means |residual| <= 3 residual_stderr; ``combined_stderr`` treats the
+    means |residual| <= 3 residual_stderr + 1e-13 max(1, |log I|,
+    n |log Vol|), the last term the rounding of a decoupled model, where the
+    identity holds exactly and the paired stderr is itself at rounding level
+    (a residual of 1.8e-15 against a stderr of 5.6e-16 at N = 3, R = 2,
+    X^2 + Y^2); ``combined_stderr`` treats the
     three terms as independent, which counts the shared log I twice.
 
     ``orbital`` is the nested estimate, biased low, and ``holds`` cannot see
@@ -557,8 +552,11 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     residual = total.value - orb.value - conjugated.value
     residual_se = pooled_mean(inner_conj - inner_mu)[0].stderr
     combined = math.sqrt(total.stderr ** 2 + orb.stderr ** 2 + conjugated.stderr ** 2)
-    return ChainRuleReport(total, orb, conjugated, residual, residual_se,
-                           combined, bool(abs(residual) <= 3.0 * residual_se),
+    # a decoupled model's residual is rounding of terms up to |log I| and
+    # n |log Vol|, while its paired stderr can be smaller still
+    rounding = 1e-13 * max(1.0, abs(log_i.value), abs(base))
+    return ChainRuleReport(total, orb, conjugated, residual, residual_se, combined,
+                           bool(abs(residual) <= 3.0 * residual_se + rounding),
                            samples.shape[1], request.s_in)
 
 
@@ -662,13 +660,20 @@ def talagrand_report(request: OrbitalRequest, rng: np.random.Generator,
     randomization provide the comparison state, and their mutual distance is
     reported as a diagnostic of how free the randomized ensemble really is.
     One outer chain of the request feeds both the orbital estimate and the
-    moment barycenters.
+    moment barycenters. The route is decided once, after the chain, as in
+    :func:`orbital_entropy`: on a decoupled model the chain feeds the
+    barycenters only, and the orbital estimate is the exact 0 (``s_out`` and
+    ``ess`` 0, ``self_consistent`` true).
     """
     if K > 6:
         raise ValueError("transport checks are limited to degree K <= 6")
     model, blockmap = request.model, request.blockmap
     samples, chain = _outer_chain(request, rng)
-    orb = _orbital_from_samples(samples, chain, request, rng)
+    coupling = _bilinear_coupling(model, blockmap)
+    if coupling is not None and coupling.t == 0.0:
+        orb = _exact_zero(request)
+    else:
+        orb = _orbital_from_samples(samples, chain, coupling, request, rng)
     parts = [samples[:, k:k + MOMENT_STACK]
              for k in range(0, samples.shape[1], MOMENT_STACK)]
     bary = _mean_moments(parts, K, model.R)

@@ -189,12 +189,13 @@ class ChainEngine:
     accepts ||M|| < R where ``eigvalsh`` accepts ||M|| <= R: the two can
     disagree only within rounding of the sphere, a null set for the chain.
 
-    ``step`` and ``run`` (which ``tune`` calls) advance through one batch
-    method, :meth:`_advance`. A rejected step leaves the state unchanged, so
-    the proposals of the next d steps, as long as they all reject, are known
-    from the current state and the drawn increments. One walker prices
-    d = ``SPECULATIVE_DEPTH`` of them in one energy call and takes the steps
-    up to the first accepted one; the draws after it go to the next batch.
+    :meth:`run` (which ``tune`` calls) and :meth:`step` advance through one
+    batch method, :meth:`_advance`; no package code calls ``step``. A
+    rejected step leaves the state unchanged, so the proposals of the next
+    d steps, as long as they all reject, are known from the current state
+    and the drawn increments. One walker prices d = ``SPECULATIVE_DEPTH`` of
+    them in one energy call and takes the steps up to the first accepted
+    one; the draws after it go to the next batch.
     This is exact, not an approximation: both tests of a proposal depend
     only on its draws, the state and the state's energy, all fixed before
     the batch, and :meth:`GibbsModel.energy` gives a state in a stack the
@@ -251,8 +252,7 @@ class ChainEngine:
         self._increments = _hermitian_blocks(z)
         self._next = 0
 
-    def _advance(self, limit: int, after: Optional[Callable[[], None]] = None
-                 ) -> Tuple[int, int]:
+    def _advance(self, limit: int, after: Callable[[], None]) -> Tuple[int, int]:
         """Resolve the next d steps, 1 <= d <= ``limit``, as one batch;
         returns (steps taken, walker moves accepted).
 
@@ -297,8 +297,7 @@ class ChainEngine:
         self._next = t + taken
         for _ in range(taken - 1):
             self.proposed += K
-            if after is not None:
-                after()
+            after()
         # new arrays, never writes into the old: an observer may hold them
         if count == K:
             self.blocks, self.energy = proposals[:, taken - 1], energies[taken - 1]
@@ -307,13 +306,12 @@ class ChainEngine:
             self.energy = np.where(passed, energies[taken - 1], self.energy)
         self.proposed += K
         self.accepted += count
-        if after is not None:
-            after()
+        after()
         return taken, count
 
     def step(self) -> float:
         """Advance every walker once; returns the fraction of moves accepted."""
-        return self._advance(1)[1] / self.walkers
+        return self._advance(1, lambda: None)[1] / self.walkers
 
     def run(self, steps: int, observe: Optional[Callable[["ChainEngine"], None]] = None,
             every: int = 1) -> None:

@@ -195,6 +195,9 @@ def test_chain_newton_fit_covers_separable_oracle(monkeypatch):
                                                     + fit.dual_value.bias_bound)
         traj = fit.trajectory
         assert len(traj["chain_steps"]) == len(traj["decrement"]) == fit.iterations
+        # 10000 >> 4 is the first length at or above 600; it doubles every
+        # iterate, then stays at final_steps
+        assert traj["chain_steps"] == [min(10000, 625 << t) for t in range(fit.iterations)]
         assert traj["final_ess"] > 0 and 0 < traj["final_acceptance"] < 1
 
 
@@ -542,6 +545,9 @@ def test_pair_route_falls_back_to_chain_newton(monkeypatch):
         fit = fit_projection(free_product_moments([half, half], 2), 2, 2, opts=opts,
                              rng=substream(5, "fallback"))
     assert calls == [1]
+    # Monte Carlo Newton's lengths: final_steps >> 1, the first at or above
+    # steps_per_iter, doubled every iterate, then final_steps
+    assert fit.trajectory["chain_steps"] == [100, 200, 200]
     assert len(fit.trajectory["chain_steps"]) == fit.iterations
 
 

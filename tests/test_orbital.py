@@ -311,6 +311,19 @@ def test_chain_rule_terms_exact_for_bilinear_model():
         log_i.value - energy.value - 2 * log_ball_volume(4, 2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 6])
+def test_chain_rule_holds_on_decoupled_models(N):
+    # on c (X^2 + Y^2) the identity holds exactly: the residual and its paired
+    # stderr are both rounding, which the rounding allowance of holds covers
+    for c in (0.5, 1.0):
+        model = GibbsModel(2, N, 2.0, NcPoly(2, {(1, 1): c, (2, 2): c}))
+        request = OrbitalRequest(model, BlockMap.full(2), s_out=16, s_in=16,
+                                 chain_burnin=40, chain_thin=2)
+        for seed in range(5):
+            rep = chain_rule_check(request, np.random.default_rng(seed))
+            assert abs(rep.residual) <= 1e-13 and rep.holds, (c, seed, rep.residual)
+
+
 def test_dw_upper_bound_deterministic_pair():
     a = MatrixTuple(1, 2, 2.0, (np.diag([1.0, -1.0]).astype(complex),))
     b = MatrixTuple(1, 2, 2.0, (np.zeros((2, 2), dtype=complex),))
@@ -350,6 +363,21 @@ def test_talagrand_report_coupled_holds():
     assert rep.lhs_free >= 0.0 and rep.lhs_conj >= 0.0
     with pytest.raises(ValueError):
         talagrand_report(OrbitalRequest(model, BlockMap.full(2)), substream(8, "k"), K=8)
+
+
+def test_talagrand_report_decoupled_orbital_is_exact_zero():
+    # the one report whose zero route still runs its outer chain: the chain
+    # feeds the barycenters, and the orbital term is the exact 0 that
+    # orbital_entropy gives with no chain at all
+    model = GibbsModel(2, 4, 2.0, decoupled_potential())
+    request = OrbitalRequest(model, BlockMap.full(2), s_out=32, s_in=16,
+                             chain_burnin=200, chain_thin=4)
+    rep = talagrand_report(request, substream(5, "tala-zero"), K=4)
+    orb = rep.orbital
+    assert orb.value == orb.stderr == orb.s_out == orb.ess == 0
+    assert orb.self_consistent
+    assert orb == orbital_entropy(request, substream(5, "tala-zero"))
+    assert rep.barycenter.value((1, 1)).real > 0.0
 
 
 def test_exact_term_of_degenerate_spectra():

@@ -181,10 +181,9 @@ class _PerBlockEngine(sampler.ChainEngine):
 
     walkers = 1
 
-    def _advance(self, limit, after=None):
+    def _advance(self, limit, after):
         count = int(self.step())
-        if after is not None:
-            after()
+        after()
         return 1, count
 
     def __init__(self, model, rng):
@@ -267,14 +266,14 @@ def test_chain_step_matches_per_block_reference(n, N):
 class _SingleStepEngine(sampler.ChainEngine):
     """The engine advanced one step per batch, as step() advances it."""
 
-    def _advance(self, limit, after=None):
+    def _advance(self, limit, after):
         return super()._advance(1, after)
 
 
 class _BatchLogEngine(sampler.ChainEngine):
     """The engine, recording the number of steps each batch takes."""
 
-    def _advance(self, limit, after=None):
+    def _advance(self, limit, after):
         taken, count = super()._advance(limit, after)
         self.batches.append(taken)
         return taken, count
@@ -357,7 +356,8 @@ def test_increment_law():
     for t in range(steps):
         engine.blocks = np.zeros_like(engine.blocks)
         engine.step_scale = 1.0 + t % 3
-        assert engine.step() == 1.0
+        engine.run(1)
+        assert engine.accepted == K * (t + 1)
         h = engine.blocks
         assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
         draws.append(h.reshape(-1, N, N) / engine.step_scale)
