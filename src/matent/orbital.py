@@ -22,10 +22,9 @@ group cancel in f(conj) / f.
 - The only crossing words are X_i X_j and X_j X_i of one pair, as in every
   c (X - Y)^2: the inner expectation is the Harish-Chandra-Itzykson-Zuber
   integral, evaluated exactly for each outer sample from the two spectra
-  (:func:`_hciz_terms`), with no Haar draw and no Jensen bias. The
-  determinant is taken in double precision in a Gaussian-kernel form,
-  checked by a second pivot order, and in stdlib ``decimal`` where the two
-  orders disagree.
+  (:func:`_hciz_terms`), with no Haar draw and no Jensen bias. Each term
+  is taken in double precision, in a Gaussian-kernel form or, where its
+  error bound is too wide, by the character series (:func:`_log_hciz`).
 - Any other potential (quartic couplings, two cross pairs over three
   groups): a nested Monte Carlo log-mean-exp over ``s_in`` conjugated
   copies, with max shift; its downward (Jensen) bias is tracked by a
@@ -84,10 +83,9 @@ __all__ = [
 ]
 
 MIN_NESTED = 16
-# nats: the largest pivot-order spread of a double-precision HCIZ determinant
-# that is accepted; above it the sample is evaluated in stdlib decimal
-EXACT_SPREAD = 1e-10
-MAX_DIGITS = 4000
+# nats: the largest error bound of a log HCIZ row that is accepted, from
+# either form of :func:`_log_hciz` (the series' reached 2.6e-10 at N = 64)
+EXACT_SPREAD = 1e-8
 # tuples per stack of the Talagrand barycenters: one Haar batch for all 128
 # copies at N = 16 raised the orbital workload's peak memory by 1.5 MB
 MOMENT_STACK = 32
@@ -143,9 +141,9 @@ class OrbitalEstimate:
       and ``self_consistent`` also records whether that move is within the
       half-sample bias bound plus paired noise.
     - Exact HCIZ route (a bilinear coupling): ``bias_bound`` is the largest
-      pivot-order spread of the per-sample determinants over N^2, at most
-      1e-10 / N^2; ``half_value`` = ``value``, ``half_shift`` = 0, and
-      ``s_in`` is the request's, unused.
+      error bound of the per-sample log HCIZ (:func:`_log_hciz`) over N^2,
+      at most ``EXACT_SPREAD`` / N^2 = 1e-8 / N^2; ``half_value`` =
+      ``value``, ``half_shift`` = 0, and ``s_in`` is the request's, unused.
     - Decoupled route: every field is 0 (``s_out`` and ``ess`` too: no outer
       sample is used) but ``s_in``, and ``self_consistent`` is true.
     """
@@ -224,8 +222,8 @@ def _bilinear_coupling(model: GibbsModel, blockmap: BlockMap) -> Optional[_Coupl
 
 def _hciz_terms(samples: np.ndarray, coupling: _Coupling) -> Tuple[np.ndarray, float]:
     """The exact inner term of every outer sample of an (n, S, N, N) array on
-    a bilinear coupling, and the largest pivot-order spread of the
-    determinants it accepted.
+    a bilinear coupling, and the largest error bound of its log HCIZ rows
+    (:func:`_log_hciz`).
 
     The inner expectation of exp(t Tr(X_i W X_j W^*)) over one Haar W is
     the Harish-Chandra-Itzykson-Zuber integral, so the term is
@@ -248,94 +246,97 @@ def _hciz_terms(samples: np.ndarray, coupling: _Coupling) -> Tuple[np.ndarray, f
     if np.any(np.diff(a, axis=1) <= 0.0) or np.any(np.diff(b, axis=1) <= 0.0):
         raise EstimatorError("repeated eigenvalues: the HCIZ term needs simple spectra")
     g = np.zeros(x.shape[0])
-    log_hciz, spread = _log_hciz(a, b, t)
+    log_hciz, bound = _log_hciz(a, b, t)
     g[live] = log_hciz - cross[live]
-    return g, spread
+    return g, float(bound.max(initial=0.0))
 
 
-def _log_hciz(a: np.ndarray, b: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
-    """log HCIZ(t; a, b) for rows of ascending simple spectra, t > 0, and the
-    largest pivot-order spread of the determinants it accepted.
+def _log_hciz(a: np.ndarray, b: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """log HCIZ(t; a, b) for rows of ascending simple spectra, t > 0, and each
+    row's error bound.
 
     HCIZ = prod_{p<N} p! det[exp(t a_i b_j)] / (t^(N(N-1)/2) Delta(a) Delta(b))
-    (Harish-Chandra 1957; Itzykson & Zuber 1980), and
-    exp(t a_i b_j) = exp(t a_i^2 / 2) exp(t b_j^2 / 2) G_ij with the Gaussian
-    kernel G_ij = exp(-t (a_i - b_j)^2 / 2), so
-    log det = t (|a|^2 + |b|^2) / 2 + log det G exactly. G is close to
-    banded where t is large, and its ``slogdet`` holds far more digits than
-    that of exp(t a_i b_j). Each determinant is taken twice, of G and of G
-    transposed and reversed, in two pivot orders; a row whose two values
-    differ by more than ``EXACT_SPREAD`` nats (small t, or N = 32) is
-    recomputed by :func:`_log_gram_det_decimal`.
+    (Harish-Chandra 1957; Itzykson & Zuber 1980). Each row is first taken in
+    the Gaussian kernel G_ij = exp(-t (a_i - b_j)^2 / 2), close to banded where
+    t is large: log det = t (|a|^2 + |b|^2) / 2 + log det G. Its bound is 4 eps
+    times sum_ij |(G^-1)_ji G_ij| (1 + t (a_i - b_j)^2 / 2), the first-order
+    move of log det G under the rounding of G's entries and of the elimination,
+    plus the addends' magnitudes: at least 9.9 times the distance to
+    ``tests/oracles.hciz_log`` on the 856 rows of N = 4-32, t = 0.8-64 it kept.
+    Rows with a bound above ``EXACT_SPREAD`` (small t, or N >= 32) go to
+    :func:`_log_hciz_series`; one above it there too raises EstimatorError.
     """
     N = a.shape[1]
-    gram = a[:, :, None] - b[:, None, :]
-    gram *= gram
-    gram *= -0.5 * t
-    np.exp(gram, out=gram)
+    arg = 0.5 * t * (a[:, :, None] - b[:, None, :]) ** 2
+    gram = np.exp(-arg)
     sign, log_g = np.linalg.slogdet(gram)
-    sign_t, log_t = np.linalg.slogdet(np.swapaxes(gram, 1, 2)[:, ::-1, ::-1])
-    spread = np.abs(log_g - log_t)
-    good = (sign > 0.0) & (sign_t > 0.0) & (spread <= EXACT_SPREAD)
-    for s in np.flatnonzero(~good):
-        log_g[s], spread[s] = _log_gram_det_decimal(a[s], b[s], t)
     i, j = np.triu_indices(N, 1)
-    log_vdm = np.log(a[:, j] - a[:, i]).sum(axis=1) + np.log(b[:, j] - b[:, i]).sum(axis=1)
+    log_gaps = np.log(np.stack((a[:, j] - a[:, i], b[:, j] - b[:, i])))
     const = sum(math.lgamma(p + 1) for p in range(N)) - N * (N - 1) / 2.0 * math.log(t)
-    return (const + 0.5 * t * (np.sum(a * a, axis=1) + np.sum(b * b, axis=1)) + log_g
-            - log_vdm), float(spread.max(initial=0.0))
+    square = 0.5 * t * (np.sum(a * a, axis=1) + np.sum(b * b, axis=1))
+    value = const + square + log_g - log_gaps.sum(axis=2).sum(axis=0)
+    arg += 1.0
+    gram[sign <= 0.0] = np.eye(N)  # any invertible matrix: these rows go to the series
+    inv = np.linalg.inv(gram)
+    cond = np.einsum("sji,sij,sij->s", np.abs(inv, out=inv), gram, arg)
+    bound = 4.0 * np.finfo(float).eps * (cond + abs(const) + square + np.abs(log_g)
+                                         + np.abs(log_gaps).sum(axis=(0, 2)))
+    bad = np.flatnonzero((sign <= 0.0) | ~(bound <= EXACT_SPREAD))
+    if bad.size:
+        value[bad], bound[bad] = _log_hciz_series(a[bad], b[bad], t)
+    if not np.all(bound <= EXACT_SPREAD):
+        raise EstimatorError("HCIZ determinant unresolved in double precision")
+    return value, bound
 
 
-def _log_gram_det_decimal(a: np.ndarray, b: np.ndarray, t: float) -> Tuple[float, float]:
-    """log det G of :func:`_log_hciz` for one pair of spectra in stdlib
-    ``decimal``, and the spread of its two pivot orders.
+def _log_hciz_series(a: np.ndarray, b: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """log HCIZ of :func:`_log_hciz` by the character series, with no
+    subtraction, and each row's error bound.
 
-    It starts at ceil(t spread(a) spread(b) / (2 ln 10)) + 30 digits and
-    doubles them until the determinants of G and of G transposed and
-    reversed agree to ``EXACT_SPREAD`` nats. At N = 32, t = 16-64 and at
-    N = 16, t = 1.6 on spectra of c (X - Y)^2, R = 2, 40 digits were within
-    1e-13 nats of a 400-digit elimination.
+    With a = a_0 + ptp(a) u, b = b_0 + ptp(b) v, x = t ptp(a) ptp(b), the
+    determinant is that of the divided differences of exp(x u v) (McCurdy, Ng
+    & Parlett, Math. Comp. 43 (1984) 501), sum_(k<K) x^k / k! h_(k-i)(u_0..u_i)
+    h_(k-j)(v_0..v_j), K = N + x + 12 sqrt(x + N) + 40, h_m complete. The h
+    table inverts prod_i (1 - u_i Z_i), Z_i the shift below the diagonal from
+    row i + 1, so (Jacobi) HCIZ = exp(t (a_0 sum b + b_0 sum a - N a_0 b_0))
+    times the minor from row N on of L_(N-1)..L_0 U_0..U_(N-1), L_a = 1 +
+    v_a sqrt(x / k) Z_a and U_b the transpose of that factor for u_b. Round r
+    turns L_a D U_b, a + b = r, into U' D' L' (as in Koev, SIAM J. Matrix
+    Anal. Appl. 29 (2007) 731): q_(K-1) = 1 / d_(K-1), q_(k-1) = 1 / d_(k-1)
+    + l_k e_k q_k; l_k and e_k times q_k / q_(k-1), d'_k = d_(k-1) q_(k-1) /
+    q_k, d'_0 = 1 / q_0. The minor is the product of the 2N - 1 diagonals
+    left. The bound, 8 eps per pivot of the minor and per unit of the
+    addends, was at least 10 times the distance to ``tests/oracles.hciz_log``
+    on 468 rows (N = 2-64, x = 0.1-650); past x of about 500 N they overflow.
     """
-    from decimal import Decimal, localcontext  # only here: no import cost on the double path
-
-    N = a.size
-    digits = math.ceil(t * np.ptp(a) * np.ptp(b) / (2.0 * math.log(10.0))) + 30
-    while digits <= MAX_DIGITS:
-        with localcontext() as ctx:
-            ctx.prec = digits
-            half_t = Decimal(t) / 2
-            bs = [Decimal(float(y)) for y in b]
-            m = [[(-half_t * (Decimal(float(x)) - y) ** 2).exp() for y in bs] for x in a]
-            one = _det_by_elimination([row[:] for row in m])
-            two = _det_by_elimination([[m[N - 1 - j][N - 1 - i] for j in range(N)]
-                                       for i in range(N)])
-            if one > 0 and two > 0:
-                value, spread = float(one.ln()), abs(float(one.ln() - two.ln()))
-                if spread <= EXACT_SPREAD:
-                    return value, spread
-        digits *= 2
-    raise EstimatorError(f"HCIZ determinant unresolved at {MAX_DIGITS} digits")
-
-
-def _det_by_elimination(m: List[list]):
-    """Determinant of a square list of ``decimal`` rows by Gaussian elimination
-    with partial pivoting, in the current context; the rows are overwritten."""
-    N = len(m)
-    det = 1
-    for k in range(N):
-        p = max(range(k, N), key=lambda r: abs(m[r][k]))
-        if m[p][k] == 0:
-            return 0
-        if p != k:
-            m[k], m[p], det = m[p], m[k], -det
-        pivot = m[k]
-        det *= pivot[k]
-        for r in range(k + 1, N):
-            row = m[r]
-            f = row[k] / pivot[k]
-            for c in range(k + 1, N):
-                row[c] -= f * pivot[c]
-    return det
+    S, N = a.shape
+    pa, pb = np.ptp(a, axis=1), np.ptp(b, axis=1)
+    x = t * pa * pb
+    K = math.ceil(N + x.max() + 12.0 * math.sqrt(x.max() + N) + 40.0)
+    if S > 1 and S * N * K > 2 ** 18:  # about 15 MB of work arrays per call
+        halves = [_log_hciz_series(a[h], b[h], t) for h in (slice(S // 2), slice(S // 2, S))]
+        return tuple(np.concatenate(z) for z in zip(*halves))
+    k = np.arange(K)[:, None, None]
+    below = np.sqrt(x / np.maximum(k, 1)) * (k > np.arange(N)[:, None])  # [k, level, s]
+    low = below * ((b - b[:, :1]) / pb[:, None]).T
+    up = (below * ((a - a[:, :1]) / pa[:, None]).T)[:, ::-1]  # U_b at N - 1 - b
+    diag = np.ones((K, 2 * N - 1, S))  # [k, a - b + N - 1, s]: U_b and L_a last met there
+    for r in range(2, 2 * N - 1):  # u_0 = v_0 = 0: L_0 = U_0 = 1 swap with nothing
+        lo, hi, w = max(1, r - N + 1), min(r - 1, N - 1), r // 2  # l_k e_k = 0 for k <= w
+        l, e = low[w:, lo:hi + 1], up[w:, N - 1 - r + lo:N - r + hi]
+        d = diag[w:, 2 * lo - r + N - 1:2 * hi - r + N:2]
+        step = l[1:] * e[1:]
+        q = 1.0 / d
+        for m in range(K - w - 1, 0, -1):
+            q[m - 1] += step[m - 1] * q[m]
+        ratio = np.divide(q[1:], q[:-1], out=step)
+        l[1:] *= ratio
+        e[1:] *= ratio
+        d[0], d[1:] = 1.0 / q[0], np.divide(d[:-1], ratio, out=q[1:])
+    parts = np.stack((t * a[:, 0] * b.sum(axis=1), t * b[:, 0] * a.sum(axis=1),
+                      -N * t * a[:, 0] * b[:, 0], np.log(diag[N:]).sum(axis=1).sum(axis=0)))
+    return parts.sum(axis=0), 8.0 * np.finfo(float).eps * (
+        (2 * N - 1) * (K - N) + np.abs(parts).sum(axis=0))
 
 
 def _inner_log_weights(blocks: Sequence[np.ndarray], request: OrbitalRequest,
@@ -357,7 +358,7 @@ def _jackknife_bias(e: np.ndarray) -> float:
 
     The leave-one-out sums are formed by the complement trick; when the
     dropped draw carries essentially all of the mass the complement is
-    recomputed by a second shifted log-sum-exp so nothing underflows.
+    taken by a log-sum-exp of the others, so nothing underflows.
     """
     s = e.size
     mx = float(np.max(e))
@@ -365,12 +366,10 @@ def _jackknife_bias(e: np.ndarray) -> float:
     total = a.sum()
     rest = total - a
     tiny = rest <= total * 1e-12
-    if np.any(tiny):
-        order = np.argsort(e)
-        for idx in np.flatnonzero(tiny):
-            others = e[order[:-1]] if order[-1] == idx else np.delete(e, idx)
-            rest[idx] = math.exp(logsumexp(others) - mx)
+    rest[tiny] = 1.0
     loo = np.log(rest / (s - 1)) + mx
+    for idx in np.flatnonzero(tiny):
+        loo[idx] = logsumexp(np.delete(e, idx)) - math.log(s - 1)
     theta = math.log(total / s) + mx
     return float((s - 1) * (loo.mean() - theta))
 

@@ -600,43 +600,65 @@ def hciz_log(a: Sequence[float], b: Sequence[float], t: float,
         prod_{p<N} p! det[exp(t a_i b_j)] / (t^(N(N-1)/2) Delta(a) Delta(b)),
 
     with Delta(x) = prod_{i<j} (x_j - x_i) on ascending spectra. The whole
-    formula runs in stdlib ``decimal``: exp, a pivoted elimination of the
-    plain determinant, the Vandermonde products and the log, by default at
-    ceil(|t| spread(a) spread(b) / (2 ln 10)) + 30 digits. Plain double
-    precision is not enough: ``slogdet`` of exp(t a_i b_j) was 5.5e-5 nats
-    off at N = 8, t = 16 on spectra of c (X - Y)^2 samples in [-2, 2]. At the
-    default digits it agreed to the last bit of a double with 300-digit
-    mpmath on such spectra at N = 4-16, t = 0.08-32. A negative t stands as it
-    is: the determinant and t^(N(N-1)/2) change sign together. Only N <= 16
-    and 0 < |t| <= 32 are accepted, and repeated eigenvalues raise.
+    formula runs in stdlib ``decimal``: exp, :func:`det_by_elimination` of
+    the plain determinant, the Vandermonde products and the log, by default at
+    ceil(|t| spread(a) spread(b) / (2 ln 10) + 2 L) + 30 digits. L is the
+    most digits one pivot cancels on clustered spectra, the largest
+    -log10(|t|^k prod_{j<k} (a_k - a_j)(b_k - b_j) / k!), or 0. Without it
+    the default was about 26 digits short at N = 32, t = 64 on a chain 400
+    steps from 0 (L = 22-25), and about 70 short at N = 32, t = 0.1
+    (L = 61-67). Plain double precision is not enough: ``slogdet`` of
+    exp(t a_i b_j) was 5.5e-5 nats off at N = 8, t = 16 on spectra of
+    c (X - Y)^2 samples in [-2, 2]. At the default digits it agreed to the
+    last bit of a double with 300-digit mpmath on such spectra at N = 4-16,
+    t = 0.08-32, and with itself at 100 more digits at N = 32, t = 64 and at
+    N = 48, t = 48. A negative t stands as it is: the determinant and
+    t^(N(N-1)/2) change sign together. Only N <= 64 and 0 < |t| <= 64 are
+    accepted, and repeated eigenvalues raise.
     """
     a = sorted(float(x) for x in a)
     b = sorted(float(x) for x in b)
     N = len(a)
-    if len(b) != N or not 1 <= N <= 16 or not 0.0 < abs(t) <= 32.0:
-        raise ValueError("hciz_log needs two spectra of one size N <= 16 and 0 < |t| <= 32")
+    if len(b) != N or not 1 <= N <= 64 or not 0.0 < abs(t) <= 64.0:
+        raise ValueError("hciz_log needs two spectra of one size N <= 64 and 0 < |t| <= 64")
     if any(x == y for x, y in zip(a, a[1:])) or any(x == y for x, y in zip(b, b[1:])):
         raise ValueError("hciz_log needs simple spectra")
     if digits is None:
-        digits = math.ceil(abs(t) * (a[-1] - a[0]) * (b[-1] - b[0]) / (2.0 * math.log(10.0))) + 30
+        lost = max([0.0] + [-k * math.log10(abs(t)) + math.lgamma(k + 1) / math.log(10.0)
+                            - sum(math.log10((a[k] - a[j]) * (b[k] - b[j])) for j in range(k))
+                            for k in range(1, N)])
+        digits = math.ceil(abs(t) * (a[-1] - a[0]) * (b[-1] - b[0]) / (2.0 * math.log(10.0))
+                           + 2.0 * lost) + 30
     with localcontext() as ctx:
         ctx.prec = digits
         a, b, t = [Decimal(x) for x in a], [Decimal(x) for x in b], Decimal(t)
-        m = [[(t * x * y).exp() for y in b] for x in a]
-        det = Decimal(1)
-        for k in range(N):
-            p = max(range(k, N), key=lambda r: abs(m[r][k]))
-            if p != k:
-                m[k], m[p], det = m[p], m[k], -det
-            det *= m[k][k]
-            for r in range(k + 1, N):
-                f = m[r][k] / m[k][k]
-                m[r] = [m[r][j] - f * m[k][j] for j in range(N)]
+        det = det_by_elimination([[(t * x * y).exp() for y in b] for x in a])
         den = t ** (N * (N - 1) // 2)
         for i in range(N):
             for j in range(i + 1, N):
                 den *= (a[j] - a[i]) * (b[j] - b[i])
         return float((det * math.prod(math.factorial(p) for p in range(N)) / den).ln())
+
+
+def det_by_elimination(m: list):
+    """Determinant of a square list of ``decimal`` rows by Gaussian elimination
+    with partial pivoting, in the current context; the rows are overwritten."""
+    N = len(m)
+    det = Decimal(1)
+    for k in range(N):
+        p = max(range(k, N), key=lambda r: abs(m[r][k]))
+        if m[p][k] == 0:
+            return Decimal(0)
+        if p != k:
+            m[k], m[p], det = m[p], m[k], -det
+        pivot = m[k]
+        det *= pivot[k]
+        for r in range(k + 1, N):
+            row = m[r]
+            f = row[k] / pivot[k]
+            for c in range(k + 1, N):
+                row[c] -= f * pivot[c]
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +740,10 @@ def bimoment_log_det_ratio(x: Sequence[float], log_g: Sequence[float],
     its Taylor part, exp(t x y) cut to sum_{m<N} (t x y)^m / m!, which is
     sum_m t^m / m! a_(j+m) b_(k+m) for the moments a_p of g w1 and b_p of
     g w2. No orthogonal basis, no back substitution and no remainder
-    series: both determinants come from
-    :func:`matent.orbital._det_by_elimination`, at ``digits`` digits, so
-    the monomial basis's conditioning costs nothing at small N.
+    series: both determinants come from :func:`det_by_elimination`, at
+    ``digits`` digits, so the monomial basis's conditioning costs nothing at
+    small N.
     """
-    from matent.orbital import _det_by_elimination
-
     with localcontext() as ctx:
         ctx.prec = digits
         xs = [Decimal(float(v)) for v in x]
@@ -750,4 +770,4 @@ def bimoment_log_det_ratio(x: Sequence[float], log_g: Sequence[float],
             for j in range(N):
                 lead = w * xi ** j
                 full[j] = [acc + lead * rl for acc, rl in zip(full[j], row)]
-        return float(_det_by_elimination(full).ln() - _det_by_elimination(taylor).ln())
+        return float(det_by_elimination(full).ln() - det_by_elimination(taylor).ln())

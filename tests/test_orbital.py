@@ -132,17 +132,19 @@ def test_hciz_oracle_closed_form_precision_and_range():
                         - math.exp(t * (a[0] * b[1] + a[1] * b[0])))
                        / (t * (a[0] - a[1]) * (b[0] - b[1])))
         assert oracles.hciz_log(a, b, t) == pytest.approx(two, abs=1e-13)
-    # the default digits are converged: 250 digits change nothing, at both
-    # ends of the range
-    for N, t in ((4, 8.0), (16, 32.0)):
+    # the default digits are converged: 250 digits, or the default plus 100
+    # where that is more (about 250 by itself at N = 32, t = 64), change
+    # nothing, at both ends of the range and at N = 32 and 48
+    for N, t in ((4, 8.0), (16, 32.0), (32, 64.0), (48, 48.0)):
         model = GibbsModel(2, N, 2.0, coupled_potential())
         samples, _ = mcmc_chain(model, 3 * 20, 400, 20, rng=substream(12, "hciz-precision", N))
         for s in np.swapaxes(samples, 0, 1):
             x, y = (np.linalg.eigvalsh(m) for m in s)
+            default = math.ceil(t * np.ptp(x) * np.ptp(y) / (2.0 * math.log(10.0))) + 30
             assert oracles.hciz_log(x, y, t) == pytest.approx(
-                oracles.hciz_log(x, y, t, digits=250), abs=1e-13)
-    for bad in ((np.ones(2), b, 3.0), (a, b, 33.0), (a, b, 0.0),
-                (np.arange(17.0), np.arange(17.0), 1.0), (a, np.arange(3.0), 1.0)):
+                oracles.hciz_log(x, y, t, digits=max(250, default + 100)), abs=1e-13)
+    for bad in ((np.ones(2), b, 3.0), (a, b, 65.0), (a, b, 0.0),
+                (np.arange(65.0), np.arange(65.0), 1.0), (a, np.arange(3.0), 1.0)):
         with pytest.raises(ValueError):
             oracles.hciz_log(*bad)
 
@@ -188,6 +190,7 @@ def _exact_terms_against_oracle(N, c, seed):
         want = (oracles.hciz_log(np.linalg.eigvalsh(x), np.linalg.eigvalsh(y), t)
                 - t * np.vdot(x, y).real)
         assert value == pytest.approx(want, abs=1e-10), (N, c)
+    _rows_within_their_bounds(samples, t)
 
 
 def test_exact_inner_term_matches_oracle_on_chain_spectra():
@@ -196,15 +199,88 @@ def test_exact_inner_term_matches_oracle_on_chain_spectra():
         _exact_terms_against_oracle(N, c, 15)
 
 
-def test_exact_inner_term_decimal_fallback_matches_oracle(monkeypatch):
-    # at small t the two pivot orders of the double determinant disagree
-    # (about 1e-6 nats at N = 16, t = 1.6), so every sample goes to decimal
-    calls = []
-    real = orbital._log_gram_det_decimal
-    monkeypatch.setattr(orbital, "_log_gram_det_decimal",
-                        lambda *args: calls.append(1) or real(*args))
+def test_exact_inner_term_series_matches_oracle(monkeypatch):
+    # at small t the Gaussian kernel's error bound is too wide (about 2e-5
+    # nats at N = 16, t = 1.6), so the samples go to the character series
+    rows = []
+    real = orbital._log_hciz_series
+    monkeypatch.setattr(orbital, "_log_hciz_series",
+                        lambda a, b, t: rows.append(len(a)) or real(a, b, t))
     _exact_terms_against_oracle(16, 0.05, 16)
-    assert len(calls) > 0
+    assert sum(rows) > 0
+
+
+def _rows_within_their_bounds(samples, t):
+    # each row's reported bound covers its distance to the decimal oracle; a
+    # negative t is |t| with Y's spectrum negated, as in _hciz_terms
+    a, b = (np.linalg.eigvalsh(m) for m in samples)
+    value, bound = orbital._log_hciz(a, *((-b[:, ::-1], -t) if t < 0 else (b, t)))
+    for v, e, x, y in zip(value, bound, a, b):
+        assert abs(v - oracles.hciz_log(x, y, t)) <= e, (t, v, e)
+
+
+def test_hciz_bound_covers_error_at_small_t():
+    # X^2 + Y^2 - 0.1 (XY + YX) on R = 4, N = 8, t = 1.6: the kernel's error
+    # here is far above the spread of its two pivot orders (7.9e-10 against
+    # 5.0e-11 on one row), so each row needs a bound that covers its error
+    pot = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.1, (2, 1): -0.1})
+    model = GibbsModel(2, 8, 4.0, pot)
+    for seed in range(8):
+        samples, _ = mcmc_chain(model, 64, 0, 1, rng=np.random.default_rng(seed))
+        _rows_within_their_bounds(samples, 1.6)
+
+
+def test_exact_inner_term_at_n32_matches_oracle():
+    # N = 32 is beyond the kernel: the Gaussian pair at rho = 0.1 (t = 6.4)
+    # and 0.5 (t = 32) and c (X - Y)^2 on spectra near its zero start all
+    # take the series. The term g also carries the cross trace t Tr(XY),
+    # whose rounding is not part of the HCIZ bound
+    cases = [(NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -rho, (2, 1): -rho}), 4.0, 0, 1)
+             for rho in (0.1, 0.5)] + [(coupled_potential(1.0), 2.0, 400, 20)]
+    for k, (pot, R, burnin, thin) in enumerate(cases):
+        model = GibbsModel(2, 32, R, pot)
+        samples, _ = mcmc_chain(model, 3 * thin, burnin, thin, rng=substream(18, "n32", k))
+        coupling = _bilinear_coupling(model, BlockMap.full(2))
+        g, bound = _hciz_terms(samples, coupling)
+        t = coupling.t
+        for value, (x, y) in zip(g, np.swapaxes(samples, 0, 1)):
+            cross = t * np.vdot(x, y).real
+            want = oracles.hciz_log(np.linalg.eigvalsh(x), np.linalg.eigvalsh(y), t) - cross
+            assert abs(value - want) <= bound + 1e-14 * abs(cross), (R, t)
+        _rows_within_their_bounds(samples, t)
+
+
+def test_hciz_rows_at_n48_within_their_bounds(monkeypatch):
+    # N = 48: the kernel's bound is above 0.07 on every row of the Gaussian
+    # pair, so all four rows take the series (x about 70 at rho = 0.1 and
+    # 450 at rho = 0.5), in one call per case
+    rows = []
+    real = orbital._log_hciz_series
+    monkeypatch.setattr(orbital, "_log_hciz_series",
+                        lambda a, b, t: rows.append(len(a)) or real(a, b, t))
+    for k, rho in enumerate((0.1, 0.5)):
+        pot = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -rho, (2, 1): -rho})
+        samples, _ = mcmc_chain(GibbsModel(2, 48, 4.0, pot), 2, 0, 1,
+                                rng=substream(19, "n48", k))
+        _rows_within_their_bounds(samples, 2.0 * rho * 48)
+    assert sum(rows) == 4
+
+
+def test_jackknife_bias_when_one_draw_carries_all_mass():
+    # the complement trick leaves nothing for the dominant draw, whose
+    # leave-one-out sum is taken from the others: 40 or 800 nats below it,
+    # or underflowing exp altogether, it must match brute-force deletion
+    def brute(e):
+        def lse(v):
+            return v.max() + math.log(np.sum(np.exp(v - v.max())))
+        loo = [lse(np.delete(e, i)) - math.log(e.size - 1) for i in range(e.size)]
+        return (e.size - 1) * (np.mean(loo) - (lse(e) - math.log(e.size)))
+
+    rng = np.random.default_rng(3)
+    for gap in (40.0, 800.0):
+        e = np.concatenate(([1.5], 1.5 - gap - rng.random(15)))
+        assert math.isfinite(_jackknife_bias(e))
+        assert _jackknife_bias(e) == pytest.approx(brute(e), rel=1e-12, abs=1e-12)
 
 
 def test_exact_route_draws_no_haar_unitary(monkeypatch):
