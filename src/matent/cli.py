@@ -561,7 +561,7 @@ def _talagrand_point(args):
 
 def _run_talagrand(cfg: ExperimentConfig):
     K = _integer(cfg.param("K", 4))
-    _require(0 <= K <= 6, f"talagrand checks degrees 0 <= K <= 6, got {K}")
+    _require(1 <= K <= 6, f"talagrand checks degrees 1 <= K <= 6, got {K}")
     requests = _orbital_requests(cfg, cfg.param("couplings") or [1.0],
                                  s_out=192, s_in=96, chain_thin=20)
     recs = _parallel_map(_talagrand_point, [(cfg.seed, c, req, K) for c, req in requests],

@@ -12,13 +12,13 @@ N^-2 normalization is the finite-size stand-in for the orbital part of the
 entropy curve. Every mean over the outer samples carries the IAT-inflated
 stderr of :func:`matent.estimates.pooled_mean` on its per-sample series.
 
-The inner expectation takes one of three routes, chosen from the words of
-the potential that cross groups (:func:`_bilinear_coupling`); words inside a
+One function, :func:`_inner_terms`, gives the per-sample inner term of all
+three reports, on one of three routes chosen from the words of the
+potential that cross groups (:func:`_bilinear_coupling`); words inside a
 group cancel in f(conj) / f.
 
-- No word crosses groups (a decoupled potential, a global map, V = 0): Ent
-  is exactly 0, from no outer sample; :func:`orbital_entropy` runs no outer
-  chain.
+- No word crosses groups (a decoupled potential, a global map, V = 0): the
+  term is exactly 0, and :func:`orbital_entropy` runs no outer chain.
 - The only crossing words are X_i X_j and X_j X_i of one pair, as in every
   c (X - Y)^2: the inner expectation is the Harish-Chandra-Itzykson-Zuber
   integral, evaluated exactly for each outer sample from the two spectra
@@ -38,27 +38,24 @@ chain-rule check and of the Talagrand proxy alike, comes from
 unitaries per copy (none for global conjugation, ell = 1). The outer
 samples are the (n, S, N, N) array of :func:`matent.sampler.mcmc_chain`, and
 every function here indexes it: ``samples[i]`` is block i of all S samples,
-``samples[:, s]`` is sample s. Every log weight -N Tr V, of the outer
-samples and of their conjugated copies alike, comes from
-:meth:`GibbsModel.energy` (built on the word evaluator of
-:mod:`matent.ncpoly`) called once per stack: the S outer samples at once,
+``samples[:, s]`` is sample s. Every log weight -N Tr V comes from
+:meth:`GibbsModel.energy` (the word evaluator of :mod:`matent.ncpoly`) called
+once per stack: the S outer samples, or their S relative copies, at once,
 and the ``s_in`` copies of one sample as (s_in, N, N) blocks. One outer
 chain feeds each report; :func:`talagrand_report` hands its samples to both
-the orbital estimate and the moment barycenters, which are means of
+the orbital estimate and the moment barycenters, means of
 :func:`matent.ncpoly.word_traces` over stacks of samples and of their
-copies. :func:`chain_rule_check` keeps the nested inner layer on every
-route, so its orbital term carries the nested estimate's downward bias.
-
-The chain-rule identity Ent(mu|nu) = Ent(mu|U^pi mu) + Ent(U^pi mu|nu) for a
-conjugation-invariant reference nu (here: uniform on the ball product) and
-the transport-cost bounds relating moment distance to the orbital term are
-exposed as report-producing checks.
+copies. :func:`chain_rule_check` takes the inner terms at the outer samples
+and at one relative copy of each for the chain rule Ent(mu|nu) =
+Ent(mu|U^pi mu) + Ent(U^pi mu|nu), nu uniform: on the exact routes its
+residual checks invariance, on the nested one it compares two passes of
+one law. :func:`talagrand_report` checks the transport-cost bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -377,22 +374,16 @@ def _jackknife_bias(e: np.ndarray) -> float:
 def orbital_entropy(request: OrbitalRequest, rng: np.random.Generator) -> OrbitalEstimate:
     """Estimate Ent(mu | U^pi mu) for the requested model and block map.
 
-    The route follows the potential's words across groups
-    (:func:`_bilinear_coupling`). With none, Ent is exactly 0 and no chain
-    runs. With only X_i X_j and X_j X_i of one pair, every outer sample of
-    a thinned Metropolis chain gets its exact HCIZ inner term
-    (:func:`_hciz_terms`) and no Haar unitary is drawn. Otherwise the inner
-    term is a nested log-mean-exp over ``s_in`` conjugated copies,
-    max-shifted for stability, whose jackknife bias bound and
-    half-inner-sample shift make the nested bias visible rather than
-    silently absorbed. Reported stderr is the IAT-inflated stderr of
-    :func:`matent.estimates.pooled_mean` over the outer series.
+    With no word across groups (:func:`_bilinear_coupling`) Ent is exactly
+    0 and no chain runs. Otherwise every outer sample of a thinned
+    Metropolis chain gets its term from :func:`_inner_terms`, and the
+    stderr is the IAT-inflated one of :func:`matent.estimates.pooled_mean`
+    over the outer series.
     """
     coupling = _bilinear_coupling(request.model, request.blockmap)
     if coupling is not None and coupling.t == 0.0:
         return _exact_zero(request)
-    samples, chain = _outer_chain(request, rng)
-    return _orbital_from_samples(samples, chain, coupling, request, rng)
+    return _orbital_from_samples(*_outer_chain(request, rng), coupling, request, rng)
 
 
 def _outer_chain(request: OrbitalRequest, rng: np.random.Generator
@@ -411,20 +402,17 @@ def _exact_zero(request: OrbitalRequest) -> OrbitalEstimate:
 def _orbital_from_samples(samples: np.ndarray, chain: ChainDiagnostics,
                           coupling: Optional[_Coupling], request: OrbitalRequest,
                           rng: np.random.Generator) -> OrbitalEstimate:
-    """The estimate of :func:`orbital_entropy` on given outer samples of a
-    coupled model: the exact HCIZ route for a :class:`_Coupling` with t != 0,
-    the nested one for None. Callers send a decoupled model (t = 0) to
-    :func:`_exact_zero` instead.
-    ``chain`` is the outer chain's health, and one whose acceptance is below
-    ``sampler.MIN_ACCEPTANCE`` is marked not self-consistent."""
+    """The estimate of :func:`orbital_entropy` on given outer samples, the
+    one route of both reports that run it: :func:`_exact_zero` when no word
+    crosses groups (t = 0; the samples are not read), and otherwise the mean
+    of :func:`_inner_terms`. ``chain`` is the outer chain's health, and one
+    whose acceptance is below ``sampler.MIN_ACCEPTANCE`` is marked not
+    self-consistent."""
+    if coupling is not None and coupling.t == 0.0:
+        return _exact_zero(request)
+    g, half, shift, bound, consistent = _inner_terms(samples, coupling, request, rng)
+    est, tau = pooled_mean(g)
     nsq = request.model.N * request.model.N
-    if coupling is not None:
-        g, bound = _hciz_terms(samples, coupling)
-        est, tau = pooled_mean(g)
-        half, shift, consistent = est.value, 0.0, True
-    else:
-        g, half, shift, bound, consistent = _nested_terms(samples, request, rng)
-        est, tau = pooled_mean(g)
     return OrbitalEstimate(
         value=est.value / nsq,
         stderr=est.stderr / nsq,
@@ -441,12 +429,31 @@ def _orbital_from_samples(samples: np.ndarray, chain: ChainDiagnostics,
     )
 
 
-def _nested_terms(samples: np.ndarray, request: OrbitalRequest, rng: np.random.Generator):
-    """Per-sample nested terms g = log-mean-exp - log f; the mean of their
-    half-inner-sample counterparts, its shift from the mean of g, the
-    jackknife bias bound of that mean, and whether the shift is within the
-    half-sample bias bound plus paired noise. Each sample's jackknife bias is
-    taken on its full and on its half-inner-sample log-mean-exp."""
+class _Inner(NamedTuple):
+    """Inner terms g of :func:`_inner_terms` and diagnostics of their mean."""
+
+    g: np.ndarray
+    half: float
+    shift: float
+    bound: float
+    consistent: bool
+
+
+def _inner_terms(samples: np.ndarray, coupling: Optional[_Coupling], request: OrbitalRequest,
+                 rng: np.random.Generator) -> _Inner:
+    """The term g = log E_W f(conj(M, W)) - log f(M) of every sample M of an
+    (n, S, N, N) array on the route of ``coupling`` (:func:`_bilinear_coupling`):
+    0 at t = 0; the exact :func:`_hciz_terms`, bound its largest row bound,
+    for a bilinear coupling; and for None the nested log-mean-exp over
+    ``s_in`` copies, bound the jackknife bias bound of the mean of g. There
+    ``half`` is the mean from the first half of the copies, ``shift`` its
+    move, and ``consistent`` whether that move is within the half-sample bias
+    bound plus paired noise; on the exact routes they read mean g, 0, true.
+    """
+    if coupling is not None:
+        g, bound = _hciz_terms(samples, coupling) if coupling.t else (
+            np.zeros(samples.shape[1]), 0.0)
+        return _Inner(g, pooled_mean(g)[0].value, 0.0, bound, True)
     w = -request.model.energy(samples)
     full, half, bias_full, bias_half = np.empty((4, samples.shape[1]))
     for i in range(samples.shape[1]):
@@ -456,15 +463,12 @@ def _nested_terms(samples: np.ndarray, request: OrbitalRequest, rng: np.random.G
         bias_full[i], bias_half[i] = _jackknife_bias(e), _jackknife_bias(eh)
     g = full - w
     gh = half - w
-    est_h = pooled_mean(gh)[0]
     d = pooled_mean(g - gh)[0]
-    shift = abs(d.value)
     bb = pooled_mean(bias_full)[0]
     bb_h = pooled_mean(bias_half)[0]
-    bound = abs(bb.value) + 2.0 * bb.stderr
     bound_h = abs(bb_h.value) + 2.0 * bb_h.stderr
-    consistent = shift <= bound_h + 3.0 * d.stderr + 1e-12
-    return g, est_h.value, shift, bound, consistent
+    return _Inner(g, pooled_mean(gh)[0].value, abs(d.value), abs(bb.value) + 2.0 * bb.stderr,
+                  abs(d.value) <= bound_h + 3.0 * d.stderr + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -481,18 +485,17 @@ class ChainRuleReport:
     exactly), and every stderr is that of
     :func:`matent.estimates.pooled_mean` on its per-sample series; ``holds``
     means |residual| <= 3 residual_stderr + 1e-13 max(1, |log I|,
-    n |log Vol|), the last term the rounding of a decoupled model, where the
-    identity holds exactly and the paired stderr is itself at rounding level
-    (a residual of 1.8e-15 against a stderr of 5.6e-16 at N = 3, R = 2,
-    X^2 + Y^2); ``combined_stderr`` treats the
-    three terms as independent, which counts the shared log I twice.
-
-    ``orbital`` is the nested estimate, biased low, and ``holds`` cannot see
-    that bias (see :func:`chain_rule_check`): for c (X - Y)^2 at N = 8,
-    c = 1, R = 2, s_out 128, s_in 96, thin 20 and
-    ``np.random.default_rng(901)`` it read -134.8 +- 2.7 nats, where the
-    exact HCIZ term on the same outer samples averages -43.5, and ``holds``
-    was true.
+    n |log Vol|), the last term the rounding of the exact routes, where the
+    paired stderr is itself rounding (1.8e-15 against 5.6e-16 at N = 3,
+    R = 2, X^2 + Y^2), and an outer chain that accepted at least
+    ``sampler.MIN_ACCEPTANCE`` of its moves, as ``self_consistent`` asks in
+    the other two reports. ``combined_stderr`` treats the three terms as
+    independent, which counts the shared log I twice. ``orbital`` is
+    :func:`orbital_entropy`'s ``raw`` +- ``raw_stderr`` on the same stream,
+    with its bias bound: -39.1 +- 2.0 nats for
+    c (X - Y)^2 at N = 8, c = 1, R = 2, s_out 128, thin 20 and
+    ``np.random.default_rng(901)``. ``conjugated`` carries the inner terms'
+    bias bound at the relative copies.
     """
 
     total: ScalarEstimate
@@ -512,51 +515,48 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
 
     nu is the uniform ensemble (conjugation-invariant, as required for the
     identity). The request gives the model, the block map and the nested
-    budget, as for :func:`orbital_entropy`. All three terms are estimated
-    from one outer chain plus one log-normalizer from
-    :func:`matent.sampler.estimate_log_I`. ``total`` and ``conjugated`` are
-    entropies log I + E[N Tr V] less n log Vol, by the formula of the fits
-    and of :func:`matent.sampler.gibbs_entropy`. For ``total`` the energy is
-    N Tr V of the outer samples; for ``conjugated`` it is minus the nested
-    log-mean-exp of -N Tr V at a randomized copy of each sample. For a
-    bilinear two-matrix model such as c(X - Y)^2 log I is exact, so
-    ``total`` and ``conjugated`` carry only their sample stderr and the
-    quadrature error in ``bias_bound``;
-    ``ti`` budgets only the thermodynamic integration of the other models.
-    The residual is additionally evaluated in its paired per-sample form, in
-    which the shared log I and log-volume contributions cancel identically.
-    The orbital term is the nested estimate on every model: with the exact
-    HCIZ term of :func:`orbital_entropy` the paired residual would vanish by
-    construction. So the check measures whether the nested inner layer
-    satisfies the identity, not the value of Ent(mu|U^pi mu): the nested
-    term is biased low (see :class:`ChainRuleReport`), ``conjugated``
-    carries the same bias with the opposite sign, and the residual cancels
-    them. Take the orbital value from :func:`orbital_entropy`.
+    budget, as for :func:`orbital_entropy`. All three terms come from one
+    outer chain and, after the inner terms on the stream, one log I from
+    :func:`matent.sampler.estimate_log_I` (``ti`` budgets only its
+    thermodynamic integration; for c (X - Y)^2 it is exact). ``total`` and
+    ``conjugated`` are entropies log I + E[N Tr V] less n log Vol, as in
+    :func:`matent.sampler.gibbs_entropy`: for ``total`` the energy is N Tr V
+    of the outer samples, for ``conjugated`` -log h = N Tr V - g at one
+    relative copy of each sample (one :func:`_relative_copies` batch), with
+    g from :func:`_inner_terms` on the route of ``orbital``.
+
+    The paired per-sample residual is log h(copy) - log h(M); log I and the
+    log volume cancel from it. h is conjugation-invariant, so on the exact
+    routes (t = 0, HCIZ) the residual is rounding: it checks that the
+    route's term and the energy do not move under one relative conjugation,
+    the invariance the identity rests on. On the nested route the ``s_in``
+    copies of a relative copy are conjugated by W_k U with W_k i.i.d. Haar,
+    again i.i.d. Haar: both passes have one law, so the residual measures
+    their noise and cannot see their shared downward (Jensen) bias.
     """
     model, blockmap = request.model, request.blockmap
     base = model.n * log_ball_volume(model.N, model.R)
-    samples, _ = _outer_chain(request, rng)
+    samples, chain = _outer_chain(request, rng)
+    coupling = _bilinear_coupling(model, blockmap)
+    inner = _inner_terms(samples, coupling, request, rng)
+    copies = hermitize(np.stack(_relative_copies(samples, blockmap, samples.shape[1], rng)))
+    inner_conj = _inner_terms(copies, coupling, request, rng)
     log_i = estimate_log_I(model, opts=ti, rng=rng)
 
-    energy = model.energy(samples)
-    inner_mu, inner_conj = np.empty((2, samples.shape[1]))
-    for i in range(samples.shape[1]):
-        inner_mu[i] = _log_mean_exp(_inner_log_weights(samples[:, i], request, rng))
-        rotated = [hermitize(c[0]) for c in _relative_copies(samples[:, i], blockmap, 1, rng)]
-        inner_conj[i] = _log_mean_exp(_inner_log_weights(rotated, request, rng))
-
+    energy, minus_log_h = model.energy(samples), model.energy(copies) - inner_conj.g
     total = _entropy(log_i, pooled_mean(energy)[0]).shifted(-base)
-    orb = pooled_mean(inner_mu + energy)[0]
-    conjugated = _entropy(log_i, pooled_mean(-inner_conj)[0]).shifted(-base)
+    orb = replace(pooled_mean(inner.g)[0], bias_bound=inner.bound)
+    conjugated = _entropy(log_i, replace(pooled_mean(minus_log_h)[0],
+                                         bias_bound=inner_conj.bound)).shifted(-base)
     residual = total.value - orb.value - conjugated.value
-    residual_se = pooled_mean(inner_conj - inner_mu)[0].stderr
+    residual_se = pooled_mean(energy - inner.g - minus_log_h)[0].stderr
     combined = math.sqrt(total.stderr ** 2 + orb.stderr ** 2 + conjugated.stderr ** 2)
-    # a decoupled model's residual is rounding of terms up to |log I| and
+    # an exact route's residual is rounding of terms up to |log I| and
     # n |log Vol|, while its paired stderr can be smaller still
     rounding = 1e-13 * max(1.0, abs(log_i.value), abs(base))
+    holds = abs(residual) <= 3.0 * residual_se + rounding and chain.acceptance >= MIN_ACCEPTANCE
     return ChainRuleReport(total, orb, conjugated, residual, residual_se, combined,
-                           bool(abs(residual) <= 3.0 * residual_se + rounding),
-                           samples.shape[1], request.s_in)
+                           bool(holds), samples.shape[1], request.s_in)
 
 
 def dW_upper_bound(pairs: Sequence[Tuple[MatrixTuple, MatrixTuple]]) -> ScalarEstimate:
@@ -651,28 +651,26 @@ def _group_marginal(spec: MomentSpec, members: Sequence[int]) -> MomentSpec:
 
 def talagrand_report(request: OrbitalRequest, rng: np.random.Generator,
                      K: int = 4) -> TalagrandReport:
-    """Check the transport-entropy bound at degree K (K <= 6).
+    """Check the transport-entropy bound at degree K, 1 <= K <= 6.
 
     The conjugation-relative entropy controls how far the ensemble can sit
     from the free product of its per-group marginals; both the free product
     (exact, from the non-crossing recursion) and the empirical conjugation
     randomization provide the comparison state, and their mutual distance is
     reported as a diagnostic of how free the randomized ensemble really is.
-    One outer chain of the request feeds both the orbital estimate and the
-    moment barycenters. The route is decided once, after the chain, as in
-    :func:`orbital_entropy`: on a decoupled model the chain feeds the
-    barycenters only, and the orbital estimate is the exact 0 (``s_out`` and
-    ``ess`` 0, ``self_consistent`` true).
+    One outer chain of the request feeds both the orbital estimate, by
+    :func:`_orbital_from_samples`, and the moment barycenters: on a
+    decoupled model the chain feeds the barycenters only, and the orbital
+    estimate is the exact 0 (``s_out`` and ``ess`` 0, ``self_consistent``
+    true). At K = 0 no word is compared and both verdicts would hold by
+    construction, so K must lie in 1..6.
     """
-    if K > 6:
-        raise ValueError("transport checks are limited to degree K <= 6")
+    if not 1 <= K <= 6:
+        raise ValueError(f"transport checks need degree 1 <= K <= 6, got {K}")
     model, blockmap = request.model, request.blockmap
     samples, chain = _outer_chain(request, rng)
-    coupling = _bilinear_coupling(model, blockmap)
-    if coupling is not None and coupling.t == 0.0:
-        orb = _exact_zero(request)
-    else:
-        orb = _orbital_from_samples(samples, chain, coupling, request, rng)
+    orb = _orbital_from_samples(samples, chain, _bilinear_coupling(model, blockmap),
+                                request, rng)
     parts = [samples[:, k:k + MOMENT_STACK]
              for k in range(0, samples.shape[1], MOMENT_STACK)]
     bary = _mean_moments(parts, K, model.R)

@@ -234,13 +234,20 @@ def test_criterion_08_orbital_vanishing_and_negativity():
 def test_criterion_09_chain_rule_identity():
     t0 = time.time()
     model = GibbsModel(2, 8, 2.0, COUPLED)
-    rep = chain_rule_check(OrbitalRequest(model, BlockMap.full(2), s_out=128, s_in=96,
-                                          chain_burnin=1200, chain_thin=20),
-                           np.random.default_rng(901),
+    request = OrbitalRequest(model, BlockMap.full(2), s_out=128, s_in=96,
+                             chain_burnin=1200, chain_thin=20)
+    rep = chain_rule_check(request, np.random.default_rng(901),
                            ti=TIOptions(nodes=21, node_steps=800))
-    _record(9, "relative entropy splits through the orbital term", rep.holds,
-            f"residual {rep.residual:+.4f} (3 paired se {3 * rep.residual_stderr:.4f}, "
-            f"combined se {rep.combined_stderr:.4f})", t0)
+    est = orbital_entropy(request, np.random.default_rng(901))
+    # one route: the check's orbital term is orbital_entropy's, and each of
+    # the three terms, a relative entropy, is at most 0 within its errors
+    terms = (rep.total, rep.orbital, rep.conjugated)
+    ok = (rep.holds and (rep.orbital.value, rep.orbital.stderr) == (est.raw, est.raw_stderr)
+          and all(t.value <= 3 * t.stderr + t.bias_bound for t in terms))
+    _record(9, "relative entropy splits through the orbital term", ok,
+            f"residual {rep.residual:+.2e} (3 paired se {3 * rep.residual_stderr:.1e}), "
+            f"total {rep.total.value:+.2f}, orbital {rep.orbital.value:+.2f} "
+            f"+- {rep.orbital.stderr:.2f}, conjugated {rep.conjugated.value:+.2f}", t0)
 
 
 def test_criterion_10_orbital_talagrand_on_coupling_grid():

@@ -79,6 +79,10 @@ def test_build_potential_families():
     assert q.terms[(1, 1)] == 0.5 and q.terms[(2, 2)] == 0.5
     c = build_potential({"name": "coupled", "c": 2.0}, 2)
     assert c.terms[(1, 2)] == -2.0 and c.terms[(1, 1)] == 2.0
+    assert build_potential({"name": "zero"}, 2) == NcPoly.zero(2)
+    assert build_potential({"name": "quartic", "c": 0.5}, 2).terms == {
+        (1, 1, 1, 1): 0.5, (2, 2, 2, 2): 0.5}
+    assert build_potential({"name": "tilt", "c": 2.0}, 2).terms == {(1,): 2.0}
     with pytest.raises(ConfigError, match="n = 2"):
         build_potential({"name": "coupled"}, 3)
     with pytest.raises(ConfigError, match="unknown potential"):
@@ -369,6 +373,9 @@ BAD_VALUES = {
                        "chain": {"steps": 20, "burnin": 0, "thin": 1}}, "bins must be >= 1"),
     "talagrand K 8": ({"kind": "talagrand", "model": {"n": 2, "N": 3, "R": 2.0}, "K": 8},
                       "K <= 6"),
+    # at K = 0 no word is compared, and both verdicts would hold by construction
+    "talagrand K 0": ({"kind": "talagrand", "model": {"n": 2, "N": 3, "R": 2.0}, "K": 0},
+                      "1 <= K <= 6, got 0"),
     "rho target misses a class": (
         {"kind": "rho", "N": 2, "target": {"n": 1, "K": 2, "R": 2.0, "entries": [
             {"word": [1, 1], "re": 1.0, "im": 0.0}]}}, "missing 1 classes"),

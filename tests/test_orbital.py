@@ -304,6 +304,11 @@ def test_exact_route_draws_no_haar_unitary(monkeypatch):
                                    s_in=16, chain_burnin=200, chain_thin=4),
                     substream(17, "spy-nested"))
     assert drawn == [16] * 16
+    # the chain-rule check on the exact route: one relative copy per sample
+    drawn.clear()
+    chain_rule_check(OrbitalRequest(model, BlockMap.full(2), s_out=16, s_in=32,
+                                    chain_burnin=200, chain_thin=4), substream(17, "spy-chain"))
+    assert drawn == [16]
 
 
 def test_stuck_outer_chain_is_flagged():
@@ -378,13 +383,66 @@ def test_chain_rule_terms_exact_for_bilinear_model():
     assert log_i.stderr == 0.0
     rep = chain_rule_check(request, substream(7, "chain-exact"))
     assert rep.total.bias_bound == log_i.bias_bound <= 1e-8
-    assert rep.conjugated.bias_bound == log_i.bias_bound
+    # the conjugated term adds the largest bound of the HCIZ rows at the copies
+    assert 0.0 < rep.conjugated.bias_bound - log_i.bias_bound <= EXACT_SPREAD
     # the chain check draws its outer samples first, so the same stream repeats them
     samples, _ = _outer_chain(request, substream(7, "chain-exact"))
     energy = pooled_mean(-model.energy(samples))[0]
     assert rep.total.stderr == energy.stderr
     assert rep.total.value == pytest.approx(
         log_i.value - energy.value - 2 * log_ball_volume(4, 2.0), abs=1e-12)
+
+
+CRITERION_09 = dict(s_out=128, s_in=96, chain_burnin=1200, chain_thin=20)
+
+
+def test_chain_rule_terms_are_not_positive_at_criterion_09_budget():
+    # each term is a relative entropy, so at most 0 within its errors
+    model = GibbsModel(2, 8, 2.0, coupled_potential(1.0))
+    request = OrbitalRequest(model, BlockMap.full(2), **CRITERION_09)
+    for seed in range(3):
+        rep = chain_rule_check(request, np.random.default_rng(seed))
+        for term in (rep.total, rep.orbital, rep.conjugated):
+            assert term.value <= 3.0 * term.stderr + term.bias_bound, (seed, term)
+
+
+@pytest.mark.parametrize("N, c", [(4, 0.8), (8, 1.0)])
+def test_chain_rule_orbital_is_orbital_entropy(N, c):
+    # one route for both reports, and the check draws nothing before it
+    request = OrbitalRequest(GibbsModel(2, N, 2.0, coupled_potential(c)), BlockMap.full(2),
+                             **CRITERION_09)
+    rep = chain_rule_check(request, substream(N, "chain-same"))
+    est = orbital_entropy(request, substream(N, "chain-same"))
+    assert (rep.orbital.value, rep.orbital.stderr) == (est.raw, est.raw_stderr)
+
+
+def test_chain_rule_identity_on_the_nested_route():
+    # crossing words of degree 4 keep the nested route: the check compares a
+    # nested pass at each sample with one at its relative copy, whose
+    # difference is noise and not rounding
+    pot = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 1, 2, 2): 0.15, (2, 2, 1, 1): 0.15})
+    model = GibbsModel(2, 4, 2.0, pot)
+    request = OrbitalRequest(model, BlockMap.full(2), s_out=32, s_in=32, chain_burnin=400,
+                             chain_thin=8)
+    assert _bilinear_coupling(model, request.blockmap) is None
+    rep = chain_rule_check(request, substream(3, "chain-nested"),
+                           ti=TIOptions(nodes=9, node_steps=300))
+    assert rep.holds
+    assert 0.0 < abs(rep.residual) <= 4.0 * rep.residual_stderr
+    est = orbital_entropy(request, substream(3, "chain-nested"))
+    assert (rep.orbital.value, rep.orbital.stderr) == (est.raw, est.raw_stderr)
+
+
+def test_stuck_outer_chain_fails_the_chain_rule_check():
+    # the command-line tests' tiny budget: the chain of 5 (X - Y)^2 at N = 3
+    # accepts no move, and on the exact route the residual is rounding even
+    # so; the chain's acceptance is the only sign left
+    request = OrbitalRequest(GibbsModel(2, 3, 2.0, coupled_potential(5.0)), BlockMap.full(2),
+                             s_out=16, s_in=16, chain_burnin=40, chain_thin=2)
+    assert _outer_chain(request, np.random.default_rng(0))[1].acceptance < MIN_ACCEPTANCE
+    rep = chain_rule_check(request, np.random.default_rng(0))
+    assert rep.residual == rep.orbital.value == 0.0
+    assert not rep.holds
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 6])
@@ -437,8 +495,9 @@ def test_talagrand_report_coupled_holds():
     assert rep.p_tilde == 1
     assert rep.freeness_gap < 0.5
     assert rep.lhs_free >= 0.0 and rep.lhs_conj >= 0.0
-    with pytest.raises(ValueError):
-        talagrand_report(OrbitalRequest(model, BlockMap.full(2)), substream(8, "k"), K=8)
+    for K in (0, 8):  # at K = 0 no word is compared: both verdicts would hold vacuously
+        with pytest.raises(ValueError, match="1 <= K <= 6"):
+            talagrand_report(OrbitalRequest(model, BlockMap.full(2)), substream(8, "k"), K=K)
 
 
 def test_talagrand_report_decoupled_orbital_is_exact_zero():
