@@ -15,8 +15,8 @@ from .moments import (MomentSpec, arcsine_moments, empirical_moments,
                       free_product_moments, moment_distance, moment_pairing,
                       semicircle_moments, validate)
 from .matrices import (BlockMap, CompressionFn, MatrixTuple, apply_scalar_function,
-                       build_compression, conjugate_tuple, haar_unitary_batch,
-                       log_jacobian_functional_calculus, operator_norm)
+                       conjugate_tuple, haar_unitary_batch, log_jacobian_functional_calculus,
+                       operator_norm)
 from .sampler import (ChainDiagnostics, GibbsModel, MicrostateEstimate, TIOptions,
                       estimate_log_I, gibbs_entropy, log_ball_volume, mcmc_chain,
                       microstate_hit_rate)
@@ -37,8 +37,7 @@ __all__ = [
     "MomentSpec", "arcsine_moments", "empirical_moments", "free_product_moments",
     "moment_distance", "moment_pairing", "semicircle_moments", "validate",
     "BlockMap", "CompressionFn", "MatrixTuple", "apply_scalar_function",
-    "build_compression", "conjugate_tuple", "haar_unitary_batch",
-    "log_jacobian_functional_calculus", "operator_norm",
+    "conjugate_tuple", "haar_unitary_batch", "log_jacobian_functional_calculus", "operator_norm",
     "ChainDiagnostics", "GibbsModel", "MicrostateEstimate", "TIOptions",
     "estimate_log_I", "gibbs_entropy", "log_ball_volume", "mcmc_chain",
     "microstate_hit_rate",

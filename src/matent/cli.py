@@ -28,7 +28,7 @@ import yaml
 
 from . import __version__
 from .estimates import EstimatorError, ScalarEstimate, pooled_mean
-from .matrices import BlockMap, build_compression, log_jacobian_functional_calculus
+from .matrices import BlockMap, CompressionFn, log_jacobian_functional_calculus
 from .maxent import (FitOptions, FitResult, InfeasibleTargetError, fit_projection,
                      free_pressure, one_variable_chi_reference)
 from .moments import (MomentSpec, arcsine_moments, free_product_moments, semicircle_moments,
@@ -628,7 +628,7 @@ def _run_compression_check(cfg: ExperimentConfig):
     for key in ("T", "R", "S"):
         _require(key in win, f"window needs {key}")
     T, R, S = (_checked(float, win[key]) for key in ("T", "R", "S"))
-    fn = _checked(build_compression, T, R, S)
+    fn = _checked(CompressionFn, T, R, S)
     N = _integer(cfg.param("N", 4))
     n_pot = build_potential(cfg.param("potential"), 1)
     model = _checked(GibbsModel, 1, N, T, n_pot)

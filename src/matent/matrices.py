@@ -25,7 +25,6 @@ __all__ = [
     "MatrixTuple",
     "BlockMap",
     "CompressionFn",
-    "build_compression",
     "haar_unitary_batch",
     "conjugate_tuple",
     "operator_norm",
@@ -81,12 +80,6 @@ class MatrixTuple:
     @classmethod
     def zero(cls, n: int, N: int, R: float) -> "MatrixTuple":
         return cls(n, N, R, tuple(np.zeros((N, N), dtype=complex) for _ in range(n)))
-
-    def block(self, i: int) -> np.ndarray:
-        """Block of generator ``i``, 1-based to match word letters."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"generator index {i} outside 1..{self.n}")
-        return self.blocks[i - 1]
 
     def to_json(self) -> str:
         payload = {
@@ -145,10 +138,6 @@ class BlockMap:
         return max(self.groups.count(g) for g in range(self.ell))
 
     @classmethod
-    def global_map(cls, n: int) -> "BlockMap":
-        return cls((0,) * n)
-
-    @classmethod
     def full(cls, n: int) -> "BlockMap":
         return cls(tuple(range(n)))
 
@@ -191,8 +180,6 @@ def conjugate_tuple(t: MatrixTuple, unitaries: Sequence[np.ndarray],
 
 def operator_norm(m: np.ndarray) -> float:
     """Spectral norm of a Hermitian matrix."""
-    if m.shape == (1, 1):
-        return abs(float(m[0, 0].real))
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
@@ -274,11 +261,6 @@ class CompressionFn:
         ramp = (a > self.S) & (a < self.R)
         out[ramp] = al + (1 - al) * (self.R - a[ramp]) / (self.R - self.S)
         return float(out[0]) if scalar else out
-
-
-def build_compression(T: float, R: float, S: float) -> CompressionFn:
-    """Compression map for the window T > R > S > 0."""
-    return CompressionFn(float(T), float(R), float(S))
 
 
 def log_jacobian_functional_calculus(m: np.ndarray, fn: CompressionFn) -> float:

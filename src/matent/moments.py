@@ -84,10 +84,6 @@ class MomentSpec:
             clean[rep] = stored
         object.__setattr__(self, "values", clean)
 
-    @property
-    def class_reps(self):
-        return sorted(self.values, key=lambda w: (len(w), w))
-
     def value(self, word: Word) -> complex:
         """Trace value of an arbitrary word of degree <= K."""
         w = tuple(word)

@@ -318,20 +318,23 @@ def _log_hciz_series(a: np.ndarray, b: np.ndarray, t: float) -> Tuple[np.ndarray
     low = below * ((b - b[:, :1]) / pb[:, None]).T
     up = (below * ((a - a[:, :1]) / pa[:, None]).T)[:, ::-1]  # U_b at N - 1 - b
     diag = np.ones((K, 2 * N - 1, S))  # [k, a - b + N - 1, s]: U_b and L_a last met there
-    for r in range(2, 2 * N - 1):  # u_0 = v_0 = 0: L_0 = U_0 = 1 swap with nothing
-        lo, hi, w = max(1, r - N + 1), min(r - 1, N - 1), r // 2  # l_k e_k = 0 for k <= w
-        l, e = low[w:, lo:hi + 1], up[w:, N - 1 - r + lo:N - r + hi]
-        d = diag[w:, 2 * lo - r + N - 1:2 * hi - r + N:2]
-        step = l[1:] * e[1:]
-        q = 1.0 / d
-        for m in range(K - w - 1, 0, -1):
-            q[m - 1] += step[m - 1] * q[m]
-        ratio = np.divide(q[1:], q[:-1], out=step)
-        l[1:] *= ratio
-        e[1:] *= ratio
-        d[0], d[1:] = 1.0 / q[0], np.divide(d[:-1], ratio, out=q[1:])
+    # a row past the range overflows to nan, whose bound then reports it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for r in range(2, 2 * N - 1):  # u_0 = v_0 = 0: L_0 = U_0 = 1 swap with nothing
+            lo, hi, w = max(1, r - N + 1), min(r - 1, N - 1), r // 2  # l_k e_k = 0 for k <= w
+            l, e = low[w:, lo:hi + 1], up[w:, N - 1 - r + lo:N - r + hi]
+            d = diag[w:, 2 * lo - r + N - 1:2 * hi - r + N:2]
+            step = l[1:] * e[1:]
+            q = 1.0 / d
+            for m in range(K - w - 1, 0, -1):
+                q[m - 1] += step[m - 1] * q[m]
+            ratio = np.divide(q[1:], q[:-1], out=step)
+            l[1:] *= ratio
+            e[1:] *= ratio
+            d[0], d[1:] = 1.0 / q[0], np.divide(d[:-1], ratio, out=q[1:])
+        log_minor = np.log(diag[N:]).sum(axis=1).sum(axis=0)
     parts = np.stack((t * a[:, 0] * b.sum(axis=1), t * b[:, 0] * a.sum(axis=1),
-                      -N * t * a[:, 0] * b[:, 0], np.log(diag[N:]).sum(axis=1).sum(axis=0)))
+                      -N * t * a[:, 0] * b[:, 0], log_minor))
     return parts.sum(axis=0), 8.0 * np.finfo(float).eps * (
         (2 * N - 1) * (K - N) + np.abs(parts).sum(axis=0))
 

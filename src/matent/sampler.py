@@ -115,9 +115,6 @@ class GibbsModel:
         object.__setattr__(self, "_coeffs",
                            self.N * np.array([fold[w] for w in words], dtype=complex))
 
-    def with_potential(self, potential: NcPoly) -> "GibbsModel":
-        return GibbsModel(self.n, self.N, self.R, potential)
-
     def energy(self, blocks) -> np.ndarray:
         """E(M) = N Tr V(M) of blocks of shape (n, ..., N, N) (an array or a
         sequence of n arrays): energies of shape (...).
@@ -230,7 +227,8 @@ class ChainEngine:
         self.beta = beta
 
     def set_potential(self, potential: NcPoly) -> None:
-        self.model = self.model.with_potential(potential)
+        m = self.model
+        self.model = GibbsModel(m.n, m.N, m.R, potential)
         self.energy = self.model.energy(self.blocks)
 
     def reset_counters(self) -> None:

@@ -21,8 +21,7 @@ import pytest
 
 import oracles
 from matent.estimates import pooled_mean
-from matent.matrices import (BlockMap, build_compression,
-                             log_jacobian_functional_calculus)
+from matent.matrices import BlockMap, CompressionFn, log_jacobian_functional_calculus
 from matent.maxent import FitOptions, fit_projection, one_variable_chi_reference
 from matent.moments import (MomentSpec, arcsine_moments, free_product_moments,
                             semicircle_moments)
@@ -270,7 +269,7 @@ def test_criterion_10_orbital_talagrand_on_coupling_grid():
 
 def test_criterion_11_compression_entropy_shift():
     t0 = time.time()
-    g = build_compression(2.0, 1.6, 1.0)
+    g = CompressionFn(2.0, 1.6, 1.0)
     coeffs = [0.0, 0.5, -0.6, 0.0, 0.2]
     # N = 1: entropy of the pushed density, built independently on a uniform
     # output grid via the numerical inverse, vs entropy + E[log g']

@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matent.matrices import (BlockMap, CompressionFn, MatrixTuple,
-                             apply_scalar_function, build_compression,
-                             conjugate_tuple, haar_unitary_batch,
+                             apply_scalar_function, conjugate_tuple, haar_unitary_batch,
                              hermitize, in_norm_ball, log_jacobian_functional_calculus,
                              operator_norm)
 from matent.streams import substream
@@ -72,7 +71,6 @@ def test_matrix_tuple_validation():
     rng = substream(0, "mt")
     h = _hermitian(3, rng, scale=0.1)
     t = MatrixTuple(1, 3, 2.0, (h,))
-    assert t.block(1) is t.blocks[0]
     with pytest.raises(ValueError):
         MatrixTuple(1, 3, 2.0, (h + 1j * np.eye(3),))
     big = np.diag([3.0, 0.0, 0.0]).astype(complex)
@@ -103,7 +101,7 @@ def test_blockmap_structure():
     assert bm.ell == 2
     assert bm.max_group_size == 2
     assert BlockMap.full(3).ell == 3
-    assert BlockMap.global_map(3).ell == 1
+    assert BlockMap((0,) * 3).ell == 1
     with pytest.raises(ValueError):
         BlockMap((0, 2))  # group ids must be contiguous from 0
 
@@ -145,10 +143,13 @@ def test_operator_norm_matches_numpy():
     rng = substream(5, "norm")
     h = _hermitian(6, rng)
     assert operator_norm(h) == pytest.approx(np.linalg.norm(h, ord=2))
+    # N = 1: the norm of a 1 x 1 Hermitian matrix is the modulus of its entry
+    assert operator_norm(np.array([[0.75 + 0j]])) == 0.75
+    assert operator_norm(np.array([[-1.25 + 0j]])) == 1.25
 
 
 def test_compression_shape():
-    fn = build_compression(T=3.0, R=2.0, S=1.0)
+    fn = CompressionFn(T=3.0, R=2.0, S=1.0)
     assert isinstance(fn, CompressionFn)
     assert fn.alpha == pytest.approx((2.0 - 1.0) / (2 * 3.0 - (2.0 + 1.0)))
     # identity inside [-S, S]
@@ -166,7 +167,7 @@ def test_compression_shape():
 
 
 def test_compression_derivative_bounds_and_continuity():
-    fn = build_compression(T=3.0, R=2.0, S=1.0)
+    fn = CompressionFn(T=3.0, R=2.0, S=1.0)
     grid = np.linspace(-3.0, 3.0, 2001)
     d = fn.derivative(grid)
     assert np.all(d >= fn.alpha - 1e-12)
@@ -178,7 +179,7 @@ def test_compression_derivative_bounds_and_continuity():
 
 
 def test_log_jacobian_diagonal_hand_case():
-    fn = build_compression(T=3.0, R=2.0, S=1.0)
+    fn = CompressionFn(T=3.0, R=2.0, S=1.0)
     a, b = 0.5, 2.5
     m = np.diag([a, b]).astype(complex)
     got = log_jacobian_functional_calculus(m, fn)
@@ -189,7 +190,7 @@ def test_log_jacobian_diagonal_hand_case():
 
 
 def test_log_jacobian_degenerate_pair_uses_derivative():
-    fn = build_compression(T=3.0, R=2.0, S=1.0)
+    fn = CompressionFn(T=3.0, R=2.0, S=1.0)
     m = np.diag([2.5, 2.5 + 1e-13]).astype(complex)
     got = log_jacobian_functional_calculus(m, fn)
     d = float(fn.derivative(np.array([2.5]))[0])
@@ -197,7 +198,7 @@ def test_log_jacobian_degenerate_pair_uses_derivative():
 
 
 def test_log_jacobian_bound_on_random_matrices():
-    fn = build_compression(T=3.0, R=2.0, S=1.0)
+    fn = CompressionFn(T=3.0, R=2.0, S=1.0)
     bound = 16 * abs(math.log(fn.alpha))
     rng = substream(6, "jac")
     for _ in range(20):
@@ -245,7 +246,7 @@ def test_apply_scalar_function_monotone_maps_ball_to_ball():
 
 def test_log_jacobian_invariant_under_conjugation():
     rng = substream(13, "ljconj")
-    g = build_compression(2.0, 1.5, 1.0)
+    g = CompressionFn(2.0, 1.5, 1.0)
     for _ in range(10):
         m = _hermitian(5, rng, 0.4)
         u = haar_unitary_batch(1, 5, rng)[0]

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -549,6 +550,28 @@ def test_pair_route_falls_back_to_chain_newton(monkeypatch):
     # steps_per_iter, doubled every iterate, then final_steps
     assert fit.trajectory["chain_steps"] == [100, 200, 200]
     assert len(fit.trajectory["chain_steps"]) == fit.iterations
+
+
+def test_exact_pair_fit_energy_stderr_is_calibrated():
+    # the free semicircle pair at N = 4, K = 2, R = 2 under the acceptance
+    # suite's TIGHT budget, at the config seeds of the matrix-fit workload's
+    # seeds 800-899: on the exact route the dual is exact and rho carries the
+    # final run's energy, so z = (rho - dual) / energy.stderr is one standard
+    # normal per seed. Seed 866 reads z = -3.82: a 3 stderr check has a
+    # two-sided false-alarm rate of about 0.3% on a calibrated error bar
+    tight = FitOptions(iterations=400, steps_per_iter=600, discard_per_iter=120,
+                       step_size=8.0, moment_tol=0.002, final_steps=20000,
+                       final_burnin=3000)
+    half = semicircle_moments(1.0, 2, radius=2.0)
+    tau = free_product_moments([half, half], 2)
+    z = []
+    for seed in range(800, 900):
+        config_seed = zlib.crc32(f"{seed}:free-pair-4".encode())
+        fit = fit_projection(tau, 4, 2, opts=tight, rng=substream(config_seed, "fit", 4))
+        z.append((fit.rho.value - fit.dual_value.value) / fit.energy.stderr)
+    z = np.array(z)
+    assert 0.8 <= z.std(ddof=1) <= 1.2, z.std(ddof=1)
+    assert np.sum(np.abs(z) > 3.0) <= 1, z[np.abs(z) > 3.0]
 
 
 def test_out_of_reach_pair_target_is_left_to_chain_newton(monkeypatch):

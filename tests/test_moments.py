@@ -152,7 +152,7 @@ def test_free_product_matches_subset_expansion_oracle():
             specs.append(MomentSpec(1, K, 1.5, {(1,) * p: moms[p] for p in range(1, K + 1)}))
         prod = free_product_moments(specs, K)
         assert validate(prod) == []
-        for w in prod.class_reps:
+        for w in sorted(prod.values, key=lambda w: (len(w), w)):
             if w:
                 assert prod.values[w] == pytest.approx(
                     oracles.free_word_value(w, margs), abs=1e-10)

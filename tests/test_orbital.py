@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_stacked_log_weights_equal_per_tuple_energies():
     # the samples and the copies' log weights are those of beta V
     c, N, beta = 0.7, 5, 0.6
     model = GibbsModel(2, N, 2.0, coupled_potential(c) + 0.3)
-    hot = model.with_potential(beta * model.potential)
+    hot = GibbsModel(2, N, 2.0, beta * model.potential)
     samples, _ = mcmc_chain(hot, 60, 50, 6, rng=substream(9, "stack"))
     stacked = model.energy(samples)
     assert stacked.shape == (samples.shape[1],)
@@ -110,7 +111,7 @@ def test_global_conjugation_is_also_null_direction():
     # relative entropy vanishes even for a coupled potential; conjugating
     # relative to group 0 draws no unitary at all, so it vanishes exactly
     model = GibbsModel(2, 4, 2.0, coupled_potential())
-    blockmap = BlockMap.global_map(2)
+    blockmap = BlockMap((0,) * 2)
     req = OrbitalRequest(model, blockmap, s_out=48, s_in=32,
                          chain_burnin=300, chain_thin=8)
     est = orbital_entropy(req, substream(4, "glob"))
@@ -165,7 +166,7 @@ def test_exact_route_detector():
     quartic = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 1, 2, 2): 0.5, (2, 2, 1, 1): 0.5})
     assert _bilinear_coupling(GibbsModel(2, 4, 2.0, quartic), BlockMap.full(2)) is None
     # no word across groups: t = 0, and the estimate is 0 +- 0 without a chain
-    for model, blockmap in ((GibbsModel(3, 4, 2.0, chain3), BlockMap.global_map(3)),
+    for model, blockmap in ((GibbsModel(3, 4, 2.0, chain3), BlockMap((0,) * 3)),
                             (GibbsModel(2, 4, 2.0, decoupled_potential()), BlockMap.full(2)),
                             (GibbsModel(4, 4, 2.0, four), BlockMap((0, 0, 0, 0)))):
         assert _bilinear_coupling(model, blockmap).t == 0.0
@@ -264,6 +265,21 @@ def test_hciz_rows_at_n48_within_their_bounds(monkeypatch):
                                 rng=substream(19, "n48", k))
         _rows_within_their_bounds(samples, 2.0 * rho * 48)
     assert sum(rows) == 4
+
+
+def test_hciz_series_past_its_range_flags_rows_without_warnings():
+    # uniform spectra on [0, 1] with x = t: past x of about 500 N the series
+    # overflows, and its bound must say so (non-finite, or above the spread
+    # an exact term may have) without numpy's overflow warnings; the kernel
+    # resolves these rows, so _log_hciz keeps its own
+    for N, x in ((2, 1000.0), (4, 2500.0), (8, 6000.0)):
+        a = np.linspace(0.0, 1.0, N)[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, bound = orbital._log_hciz_series(a, a, x)
+            value, kept = orbital._log_hciz(a, a, x)
+        assert not np.any(bound <= EXACT_SPREAD), (N, x, bound)
+        assert np.all(np.isfinite(value)) and np.all(kept <= EXACT_SPREAD), (N, x)
 
 
 def test_jackknife_bias_when_one_draw_carries_all_mass():

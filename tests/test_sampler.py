@@ -399,7 +399,7 @@ def test_pooled_walker_moment_matches_gaussian_pair_derivative():
     want = (oracles.gaussian_pair_log_I(a - h, c, N)
             - oracles.gaussian_pair_log_I(a + h, c, N)) / (2 * h)
     model = GibbsModel(2, N, 6.0, _quadratic_pair(a, c))
-    trace = model.with_potential(_quadratic_pair(1.0, 0.0))
+    trace = GibbsModel(2, N, 6.0, _quadratic_pair(1.0, 0.0))
     engine = sampler.ChainEngine(model, substream(5, "walker-pair"), 8)
     engine.tune(800)
     series = []
