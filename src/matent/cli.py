@@ -101,7 +101,8 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _known(params: Dict, keys: Sequence[str], section: str) -> Dict:
-    """``params``, once every key in it is one of ``keys``."""
+    """``params``, once it is a mapping and every key in it is one of ``keys``."""
+    _require(isinstance(params, dict), f"{section} must be a mapping, got {params!r}")
     unknown = sorted(set(params) - set(keys))
     _require(not unknown, f"unknown {section} key(s) {unknown}")
     return params
@@ -163,14 +164,14 @@ def build_potential(params: Optional[Dict], n: int) -> NcPoly:
             _known(t, ("word", "re", "im"), "potential term")
             _require(isinstance(t["word"], list), f"a word is a list, got {t['word']!r}")
             terms[tuple(_integer(g) for g in t["word"])] = complex(
-                _coefficient(t.get("re", 0.0), "re"), _coefficient(t.get("im", 0.0), "im"))
+                _real(t.get("re", 0.0), "potential re"), _real(t.get("im", 0.0), "potential im"))
         p = _checked(NcPoly, n, terms)
         _require(p.is_self_adjoint(), "explicit potential must be self-adjoint")
         return p
     name = _known(params, ("name", "c"), "potential").get("name")
     if name == "zero":
         return NcPoly.zero(n)
-    c = _coefficient(params.get("c", 1.0), "c")
+    c = _real(params.get("c", 1.0), "potential c")
     if name == "quadratic":
         p = NcPoly.zero(n)
         for i in range(1, n + 1):
@@ -190,17 +191,17 @@ def build_potential(params: Optional[Dict], n: int) -> NcPoly:
     raise ConfigError(f"unknown potential {name!r}")
 
 
-def _coefficient(value, key: str) -> float:
-    """A potential coefficient from a config value: an int or a float, finite.
-    A boolean, a string or any other type is a config error, and so is a NaN
-    or an infinity."""
+def _real(value, what: str) -> float:
+    """A real config value, such as a potential coefficient: an int or a float,
+    finite. A boolean, a string or any other type is a config error, and so is
+    a NaN or an infinity; ``what`` names the value in the message."""
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"potential {key} must be a real number, got {value!r}")
+             f"{what} must be a real number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:
         x = math.inf
-    _require(math.isfinite(x), f"potential {key} must be finite, got {value!r}")
+    _require(math.isfinite(x), f"{what} must be finite, got {value!r}")
     return x
 
 
@@ -248,15 +249,30 @@ def _degree(value, tau: MomentSpec) -> int:
     return K
 
 
-def _sizes(values: Sequence) -> List[int]:
-    """Matrix sizes from a config list, each an integer N >= 1."""
-    sizes = [_integer(N) for N in values]
-    _require(all(N >= 1 for N in sizes), f"matrix sizes N must be >= 1, got {sizes}")
-    return sizes
+def _size(value) -> int:
+    """A matrix size from a config value: an integer N >= 1."""
+    N = _integer(value)
+    _require(N >= 1, f"matrix sizes N must be >= 1, got {N}")
+    return N
+
+
+def _sweep(cfg: ExperimentConfig, key: str, item: Callable, absent: Optional[List] = None) -> List:
+    """The sweep list ``key`` of a config, each entry read by ``item``: a
+    non-empty list, else a config error that names the key. Where the key is
+    absent the sweep is ``absent``, or a config error if that is None."""
+    if key not in cfg.params:
+        _require(absent is not None, f"{cfg.kind} needs a {key} list")
+        return absent
+    values = cfg.params[key]
+    _require(isinstance(values, list) and values,
+             f"{key} must be a non-empty list, got {values!r}")
+    try:
+        return [item(v) for v in values]
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def build_model(params: Dict) -> GibbsModel:
-    _require(isinstance(params, dict), "model must be a mapping")
     _known(params, ("n", "N", "R", "potential"), "model")
     for key in ("n", "N", "R"):
         _require(key in params, f"model needs {key}")
@@ -330,18 +346,17 @@ def _spectrum(samples: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(samples[0]).ravel()
 
 
-def _orbital_requests(cfg: ExperimentConfig, couplings: Optional[Sequence],
+def _orbital_requests(cfg: ExperimentConfig, absent: List[Optional[float]],
                       **defaults) -> List[Tuple[Optional[float], OrbitalRequest]]:
-    """(c, request) per coupling c, whose potential is c (X1 - X2)^2, or (None,
-    request) for the model as given; budget keys default to ``defaults``, else
-    to :class:`OrbitalRequest`'s."""
+    """(c, request) per c of the ``couplings`` sweep (``absent`` if not given):
+    potential c (X1 - X2)^2, or for None the model as given; budget keys
+    default to ``defaults``, else to :class:`OrbitalRequest`'s."""
     budget = {k: _integer(cfg.param(k, defaults.get(k, getattr(OrbitalRequest, k))))
               for k in ("s_out", "s_in", "chain_burnin", "chain_thin")}
     out = []
-    for c in [None] if couplings is None else couplings:
+    for c in _sweep(cfg, "couplings", lambda c: _real(c, "a coupling"), absent):
         params = cfg.param("model", {})
         if c is not None:
-            c = float(c)
             params = dict(params, potential={"name": "coupled", "c": c})
         model = build_model(params)
         out.append((c, _checked(OrbitalRequest, model,
@@ -374,9 +389,8 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> List:
 # runners (one per experiment kind)
 
 def _run_volume(cfg: ExperimentConfig):
-    sizes = cfg.param("sizes") or [cfg.param("N")]
-    _require(isinstance(sizes, list) and None not in sizes, "volume needs N or a sizes list")
-    sizes = _sizes(sizes)
+    N = cfg.param("N")
+    sizes = _sweep(cfg, "sizes", _size, None if N is None else [_size(N)])
     R = _checked(float, cfg.param("R", 1.0))
     _require(R > 0, f"R must be positive, got {R}")
     results = []
@@ -438,7 +452,7 @@ def _fit_tables(fit: FitResult) -> Dict:
 def _run_fit(cfg: ExperimentConfig):
     """The ``fit`` and ``rho`` kinds; a ``rho`` record adds the fit's chi."""
     tau = build_target(cfg.param("target", {}))
-    [N] = _sizes([cfg.param("N", 8)])
+    N = _size(cfg.param("N", 8))
     K = _degree(cfg.param("K", tau.K), tau)
     fit = fit_projection(tau, N, K, eps=_checked(float, cfg.param("eps", 0.0)),
                          opts=_options(FitOptions, cfg.param("fit"), "fit"),
@@ -461,9 +475,7 @@ def _chi_point(args):
 
 def _run_chi_tilde(cfg: ExperimentConfig):
     tau = build_target(cfg.param("target", {}))
-    sizes = cfg.param("sizes")
-    _require(isinstance(sizes, list) and sizes, "chi-tilde needs a sizes list")
-    sizes = _sizes(sizes)
+    sizes = _sweep(cfg, "sizes", _size)
     K = _degree(cfg.param("K", tau.K), tau)
     eps = _checked(float, cfg.param("eps", 0.0))
     opts = _options(FitOptions, cfg.param("fit"), "fit")
@@ -502,7 +514,7 @@ def _run_pressure(cfg: ExperimentConfig):
     P = build_potential(cfg.param("potential"), n)
     R = _checked(float, cfg.param("R", 2.0))
     _require(R > 0, f"R must be positive, got {R}")
-    sizes = _sizes(cfg.param("sizes") or [cfg.param("N", 8)])
+    sizes = _sweep(cfg, "sizes", _size, [_size(cfg.param("N", 8))])
     ti = _options(TIOptions, cfg.param("ti"), "ti")
     recs = _parallel_map(_pressure_point, [(cfg.seed, P, N, R, ti) for N in sizes], cfg.threads)
     rows = [(r["N"], r["value"], r["stderr"]) for r in recs]
@@ -523,17 +535,16 @@ def _orbital_point(args):
 
 
 def _run_orbital(cfg: ExperimentConfig):
-    couplings = cfg.param("couplings")
-    work = [(cfg.seed, c, req) for c, req in _orbital_requests(cfg, couplings)]
+    work = [(cfg.seed, c, req) for c, req in _orbital_requests(cfg, [None])]
     recs = _parallel_map(_orbital_point, work, cfg.threads)
     header = ("value", "stderr", "bias_bound")
-    if couplings is not None:
+    if "couplings" in cfg.params:
         header = ("coupling",) + header
     return recs, {"orbital": (header, [tuple(r[k] for k in header) for r in recs])}
 
 
 def _run_chain_rule(cfg: ExperimentConfig):
-    [(_, req)] = _orbital_requests(cfg, None)
+    [(_, req)] = _orbital_requests(cfg, [None])
     rep = chain_rule_check(req, substream(cfg.seed, "chain-rule"),
                            ti=_options(TIOptions, cfg.param("ti"), "ti"))
     rec = {"kind": "chain-rule", "total": _est(rep.total),
@@ -562,8 +573,7 @@ def _talagrand_point(args):
 def _run_talagrand(cfg: ExperimentConfig):
     K = _integer(cfg.param("K", 4))
     _require(1 <= K <= 6, f"talagrand checks degrees 1 <= K <= 6, got {K}")
-    requests = _orbital_requests(cfg, cfg.param("couplings") or [1.0],
-                                 s_out=192, s_in=96, chain_thin=20)
+    requests = _orbital_requests(cfg, [1.0], s_out=192, s_in=96, chain_thin=20)
     recs = _parallel_map(_talagrand_point, [(cfg.seed, c, req, K) for c, req in requests],
                          cfg.threads)
     rows = [(r["coupling"], r["lhs_free"], r["lhs_conj"], r["rhs"],
@@ -585,14 +595,13 @@ def _duality_point(args):
 
 
 def _run_duality_check(cfg: ExperimentConfig):
-    entries = cfg.param("targets")
-    _require(isinstance(entries, list) and entries, "duality-check needs targets")
+    keys = ("target", "N", "K", "eps", "label")
+    entries = _sweep(cfg, "targets", lambda ent: _known(ent, keys, "duality-check target"))
     opts = _options(FitOptions, cfg.param("fit"), "fit")
     work = []
     for i, ent in enumerate(entries):
-        _known(ent, ("target", "N", "K", "eps", "label"), "duality-check target")
         tau = build_target(ent.get("target", {}))
-        [N] = _sizes([ent.get("N", 1)])
+        N = _size(ent.get("N", 1))
         K = _degree(ent.get("K", tau.K), tau)
         work.append((cfg.seed, i, ent.get("label", f"target-{i}"), tau, N, K,
                      _checked(float, ent.get("eps", 0.0)), opts))

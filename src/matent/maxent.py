@@ -766,8 +766,8 @@ def _final_run(model: GibbsModel, coeffs: np.ndarray, measurer: _BasisMeasurer, 
 
 
 def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
-                   opts: Optional[FitOptions] = None,
-                   rng: np.random.Generator = None) -> FitResult:
+                   opts: FitOptions = FitOptions(), *,
+                   rng: np.random.Generator) -> FitResult:
     """Fit the maximum-entropy model matching tau's moments up to degree K
     on the ball of tau's radius R.
 
@@ -778,7 +778,8 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     per-element tolerance is eps + 1e-9 R^degree, ``energy`` and ``rho`` have
     stderr 0, ``energy.bias_bound`` is the residual cost N^2 |lam . r - eps
     |lam|_1| (rho minus the dual) plus rounding, ``iterations`` counts Newton
-    steps over all solves, and ``rng`` is not consumed.
+    steps over all solves, and ``rng``, a required keyword on every route,
+    is not consumed.
 
     Two matrices at K <= 2 (potentials V1(X) + V2(Y) + k Tr XY) are solved
     exactly the same way (:func:`_pair_dual`), on the function whose value is
@@ -826,10 +827,6 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     diverging, residuals stuck) raises :class:`InfeasibleTargetError`: the
     supremum is -infinity there.
     """
-    if rng is None:
-        raise ValueError("an explicit numpy Generator is required")
-    if opts is None:
-        opts = FitOptions()
     if K < 1 or K > tau.K:
         raise ValueError(f"need 1 <= K <= tau.K = {tau.K}")
     R = float(tau.R)
@@ -899,7 +896,7 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
 
 
 def free_pressure(P: NcPoly, N: int, R: float, rng: np.random.Generator,
-                  opts: Optional[TIOptions] = None) -> ScalarEstimate:
+                  opts: TIOptions = TIOptions()) -> ScalarEstimate:
     """Normalized log-partition (1/N^2) log I(P) + (n/2) log N."""
     model = GibbsModel(P.n, N, R, P)
     est = estimate_log_I(model, opts=opts, rng=rng)
@@ -920,8 +917,8 @@ class EtaBoundReport:
 
 
 def eta_bound_check(tau: MomentSpec, P: NcPoly, N: int, K: int,
-                    eps: float = 0.0, opts: Optional[FitOptions] = None,
-                    rng: np.random.Generator = None) -> EtaBoundReport:
+                    eps: float = 0.0, opts: FitOptions = FitOptions(), *,
+                    rng: np.random.Generator) -> EtaBoundReport:
     """Entropy of the fit vs the linear-plus-pressure upper bound.
 
     For any self-adjoint test polynomial P, the normalized maximum entropy of
@@ -929,12 +926,10 @@ def eta_bound_check(tau: MomentSpec, P: NcPoly, N: int, K: int,
     estimated and compared with 3-sigma slack, the pressure on the ball of
     tau's radius.
     """
-    if rng is None:
-        raise ValueError("an explicit numpy Generator is required")
     fit = fit_projection(tau, N, K, eps=eps, opts=opts, rng=rng)
     chi = fit.chi
     tau_p = moment_pairing(tau, P)
-    pressure = free_pressure(P, N, tau.R, rng, opts.ti if opts else None)
+    pressure = free_pressure(P, N, tau.R, rng, opts.ti)
     sigma = math.hypot(chi.stderr, pressure.stderr)
     lhs = chi.value
     rhs = tau_p + pressure.value

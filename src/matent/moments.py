@@ -56,8 +56,8 @@ class MomentSpec:
     """Trace moments of degree <= K for n variables of norm <= R.
 
     ``values`` maps canonical class representatives to complex trace values;
-    the unit word is always present with value 1 unless explicitly overridden
-    (validation flags that).
+    the unit word is always present with value 1; an explicit unit beyond
+    1e-9 of 1 is refused, and validation flags one beyond 1e-12.
     """
 
     n: int

@@ -193,10 +193,8 @@ class NcPoly:
                 prod[w] = prod.get(w, 0.0) + c1 * c2
         return NcPoly(self.n, prod)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__mul__(other)
-        return self._coerce(other).__mul__(self)
+    # an NcPoly on the left calls its own __mul__: only scalars and refused types come here
+    __rmul__ = __mul__
 
     def _coerce(self, other) -> "NcPoly":
         if isinstance(other, NcPoly):

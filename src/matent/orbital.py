@@ -513,7 +513,7 @@ class ChainRuleReport:
 
 
 def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
-                     ti: Optional[TIOptions] = None) -> ChainRuleReport:
+                     ti: TIOptions = TIOptions()) -> ChainRuleReport:
     """Verify Ent(mu|nu) = Ent(mu|U^pi mu) + Ent(U^pi mu|nu) within noise.
 
     nu is the uniform ensemble (conjugation-invariant, as required for the

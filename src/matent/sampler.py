@@ -347,7 +347,7 @@ class ChainEngine:
 
 
 def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
-               rng: np.random.Generator = None,
+               rng: np.random.Generator,
                record_path: Optional[str] = None) -> Tuple[np.ndarray, ChainDiagnostics]:
     """Samples of a Gibbs model: ``steps // thin`` exact i.i.d. draws where
     an exact sampler exists, else every ``thin``-th state of a Metropolis
@@ -369,10 +369,8 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
     exactly Hermitian (every increment is) and inside the ball (the accept
     test checks it), so they are kept as they are. ``record_path`` appends
     one JSON line per sample: its step, tracked value and
-    :class:`~matent.matrices.MatrixTuple` state.
+    :class:`~matent.matrices.MatrixTuple` state. Every draw is from ``rng``.
     """
-    if rng is None:
-        raise ValueError("an explicit numpy Generator is required")
     if steps < 1 or burnin < 0 or thin < 1:
         raise ValueError("need steps >= 1, burnin >= 0, thin >= 1")
     step_scale = 0.0
@@ -1096,7 +1094,10 @@ class TIOptions:
     ``node_burnin`` tuning steps and ``node_steps / 2`` measured steps per
     sweep. Used only for the n >= 2 models without an exact log normalizer
     (see :func:`estimate_log_I`); the others ignore it. ``nodes`` is at
-    least 2, ``node_steps`` at least 1 and ``node_burnin`` at least 0.
+    least 3, the fewest with a second divided difference (the trapezoid's
+    error bound), ``node_steps`` at least 4, two measured states per node
+    and sweep, the fewest :func:`matent.estimates.pooled_mean` accepts, and
+    ``node_burnin`` at least 0.
     """
 
     nodes: int = 31
@@ -1104,10 +1105,10 @@ class TIOptions:
     node_steps: int = 2000
 
     def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise ValueError("thermodynamic integration needs at least 2 beta nodes")
-        if self.node_burnin < 0 or self.node_steps < 1:
-            raise ValueError("ti needs node_burnin >= 0 and node_steps >= 1")
+        if self.nodes < 3:
+            raise ValueError("thermodynamic integration needs at least 3 beta nodes")
+        if self.node_burnin < 0 or self.node_steps < 4:
+            raise ValueError("ti needs node_burnin >= 0 and node_steps >= 4")
 
 
 def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
@@ -1149,36 +1150,33 @@ def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
     w[1:-1] = (grid[2:] - grid[:-2]) / 2.0
     integral = float(np.dot(w, means))
     se = math.sqrt(float(np.dot(w ** 2, errs ** 2)))
-    if grid.size >= 3:
-        h = np.diff(grid)
-        # second divided differences approximate f'' at interior nodes;
-        # per-interval trapezoid error is h_i^3 |f''| / 12 with the larger
-        # adjacent curvature estimate
-        d2 = np.abs(2.0 * ((means[2:] - means[1:-1]) / h[1:]
-                           - (means[1:-1] - means[:-2]) / h[:-1]) / (h[1:] + h[:-1]))
-        curv = np.empty(h.size)
-        curv[0] = d2[0]
-        curv[-1] = d2[-1]
-        if h.size > 2:
-            curv[1:-1] = np.maximum(d2[:-1], d2[1:])
-        disc = float(np.sum(h ** 3 * curv) / 12.0)
-    else:
-        disc = 0.0
+    h = np.diff(grid)
+    # second divided differences approximate f'' at interior nodes;
+    # per-interval trapezoid error is h_i^3 |f''| / 12 with the larger
+    # adjacent curvature estimate
+    d2 = np.abs(2.0 * ((means[2:] - means[1:-1]) / h[1:]
+                       - (means[1:-1] - means[:-2]) / h[:-1]) / (h[1:] + h[:-1]))
+    curv = np.empty(h.size)
+    curv[0] = d2[0]
+    curv[-1] = d2[-1]
+    curv[1:-1] = np.maximum(d2[:-1], d2[1:])
+    disc = float(np.sum(h ** 3 * curv) / 12.0)
     return integral, se, disc
 
 
-def estimate_log_I(model: GibbsModel, opts: Optional[TIOptions] = None,
-                   rng: np.random.Generator = None) -> ScalarEstimate:
+def estimate_log_I(model: GibbsModel, opts: TIOptions = TIOptions(),
+                   rng: Optional[np.random.Generator] = None) -> ScalarEstimate:
     """log I of a Gibbs model, exact wherever an exact route exists.
 
     Exact (stderr 0) when the potential vanishes: n log Vol. For
     n == 1 it is deterministic by Heine's identity (see :func:`_heine_log_I`),
     and for two matrices with potential V1(X) + V2(Y) + k(XY + YX)/2 by
     Mehta's determinant (see :func:`_mehta_log_I`), with the quadrature
-    error in ``bias_bound``; ``opts`` and ``rng`` are then unused. Every
-    other model, and a bilinear one outside the determinant's range, is
-    estimated by annealed thermodynamic integration with the budget ``opts``
-    (see :func:`_ti_log_I`).
+    error in ``bias_bound``; ``opts`` and ``rng`` are then unused, so ``rng``
+    may be left out. Every other model, and a bilinear one outside the
+    determinant's range, is estimated by annealed thermodynamic integration
+    with the budget ``opts`` (see :func:`_ti_log_I`), which draws from
+    ``rng`` and refuses to run without it.
     """
     if model.potential.is_zero():
         return ScalarEstimate.exact(model.n * log_ball_volume(model.N, model.R))
@@ -1188,8 +1186,8 @@ def estimate_log_I(model: GibbsModel, opts: Optional[TIOptions] = None,
     return exact if exact is not None else _ti_log_I(model, opts, rng)
 
 
-def _ti_log_I(model: GibbsModel, opts: Optional[TIOptions],
-              rng: np.random.Generator) -> ScalarEstimate:
+def _ti_log_I(model: GibbsModel, opts: TIOptions,
+              rng: Optional[np.random.Generator]) -> ScalarEstimate:
     """log I by thermodynamic integration from the exact ball volume.
 
     With I(beta) the integral of exp(-beta N Tr V), d/dbeta log I(beta) =
@@ -1203,8 +1201,6 @@ def _ti_log_I(model: GibbsModel, opts: Optional[TIOptions],
     per-node IAT-corrected sum. The trapezoid discretization error goes to
     ``bias_bound`` via second divided differences.
     """
-    if opts is None:
-        opts = TIOptions()
     base = model.n * log_ball_volume(model.N, model.R)
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
@@ -1212,7 +1208,7 @@ def _ti_log_I(model: GibbsModel, opts: Optional[TIOptions],
     # 1/beta-like corner before the reference measure takes over
     grid = np.linspace(0.0, 1.0, opts.nodes) ** 2.5
 
-    per_node = max(2, opts.node_steps // 2)
+    per_node = opts.node_steps // 2
     passes = [_ti_pass(model, grid, opts.node_burnin, per_node, rng, forward)
               for forward in (True, False)]
     integrals, ses, discs = np.array(passes).T

@@ -427,7 +427,11 @@ BAD_VALUES = {
         {"word": [1, 1], "re": math.inf}]}}, "potential re must be finite, got inf"),
     # budgets out of range
     "pressure ti nodes 1": ({"kind": "pressure", "n": 2, "N": 2, "potential": {"terms": [
-        {"word": [1, 2, 2, 1], "re": 0.1}]}, "ti": {"nodes": 1}}, "at least 2 beta nodes"),
+        {"word": [1, 2, 2, 1], "re": 0.1}]}, "ti": {"nodes": 1}}, "at least 3 beta nodes"),
+    "pressure ti nodes 2": ({"kind": "pressure", "n": 2, "N": 2, "potential": {"terms": [
+        {"word": [1, 2, 2, 1], "re": 0.1}]}, "ti": {"nodes": 2}}, "at least 3 beta nodes"),
+    "pressure ti node_steps 3": ({"kind": "pressure", "n": 2, "N": 2, "ti": {"node_steps": 3}},
+                                 "node_steps >= 4"),
     "rho fit steps_per_iter 0": ({"kind": "rho", "N": 2, "target": PAIR_K2,
                                   "fit": {"steps_per_iter": 0}}, "steps_per_iter"),
     "rho fit iterations 0": ({"kind": "rho", "N": 2, "target": PAIR_K2,
@@ -438,6 +442,33 @@ BAD_VALUES = {
     "chain-rule chain_burnin -5": ({"kind": "chain-rule", "model": {"n": 2, "N": 3, "R": 2.0},
                                     "s_out": 16, "s_in": 16, "chain_burnin": -5},
                                    "chain_burnin >= 0"),
+    # sweep lists: a non-empty list of well-formed items, else an error naming the key
+    "pressure sizes 5": ({"kind": "pressure", "sizes": 5}, "sizes must be a non-empty list"),
+    "pressure sizes []": ({"kind": "pressure", "sizes": []}, "sizes must be a non-empty list"),
+    "volume sizes []": ({"kind": "volume", "N": 2, "sizes": []},
+                        "sizes must be a non-empty list"),
+    "volume without N or sizes": ({"kind": "volume"}, "volume needs a sizes list"),
+    "chi-tilde sizes []": ({"kind": "chi-tilde", "sizes": [], "target": PAIR_K2},
+                           "sizes must be a non-empty list"),
+    "chi-tilde without sizes": ({"kind": "chi-tilde", "target": PAIR_K2},
+                                "chi-tilde needs a sizes list"),
+    "duality-check targets [5]": ({"kind": "duality-check", "targets": [5]},
+                                  "targets: duality-check target must be a mapping, got 5"),
+    "duality-check without targets": ({"kind": "duality-check"},
+                                      "duality-check needs a targets list"),
+    # moment data that MomentSpec takes and validate refuses, and a unit far
+    # enough from 1 that MomentSpec refuses it as a second value of class ()
+    "entries unit 1 + 1e-10": ({"kind": "rho", "N": 2, "target": {
+        "n": 1, "K": 1, "R": 2.0, "entries": [{"word": [], "re": 1 + 1e-10, "im": 0.0},
+                                              {"word": [1], "re": 0.0, "im": 0.0}]}},
+        "unit moment is"),
+    "entries unit 0.5": ({"kind": "rho", "N": 2, "target": {
+        "n": 1, "K": 1, "R": 2.0, "entries": [{"word": [], "re": 0.5, "im": 0.0},
+                                              {"word": [1], "re": 0.0, "im": 0.0}]}},
+        "inconsistent duplicate values for class ()"),
+    "entries nan": ({"kind": "rho", "N": 2, "target": {
+        "n": 1, "K": 1, "R": 2.0, "entries": [{"word": [1], "re": math.nan, "im": 0.0}]}},
+        "non-finite value for (1,)"),
     # values from outside the program that its constructors refuse
     "target variance -1": ({"kind": "rho", "N": 2, "target": {
         "name": "semicircle", "variance": -1, "K": 2}}, "variance must be positive"),
@@ -449,6 +480,16 @@ BAD_VALUES = {
         {"kind": "compression-check", "N": 3, "window": {"T": 1.0, "R": 2.0, "S": 0.5}},
         "need T > R > S > 0"),
 }
+
+BAD_VALUES.update({
+    f"{kind} couplings {label}": (
+        {"kind": kind, "model": {"n": 2, "N": 3, "R": 2.0}, "couplings": value}, message)
+    for kind in ("orbital", "talagrand")
+    for label, value, message in (
+        ("0.5", 0.5, "couplings must be a non-empty list, got 0.5"),
+        ("[]", [], "couplings must be a non-empty list, got []"),
+        ("[abc]", ["abc"], "couplings: a coupling must be a real number, got 'abc'"),
+        ("[[1]]", [[1]], "couplings: a coupling must be a real number, got [1]"))})
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))

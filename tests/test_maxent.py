@@ -864,7 +864,7 @@ def test_free_pressure_linear_scalar():
 def test_eta_bound_holds_on_easy_case():
     tau = semicircle_moments(1.0, 2, radius=2.0)
     rep = eta_bound_check(tau, 0.3 * NcPoly.generator(1, 1), 4, 2, 0.0,
-                          FAST, substream(7, "eta"))
+                          FAST, rng=substream(7, "eta"))
     assert rep.holds
     assert rep.lhs <= rep.rhs + 3 * rep.sigma + 1e-9
 

@@ -82,6 +82,16 @@ def test_poly_algebra_star_antihomomorphism():
     assert not (1j * x).is_self_adjoint()
 
 
+def test_scalar_times_poly_is_poly_times_scalar():
+    p = NcPoly.from_word(2, (1, 2)) - 0.5j * NcPoly.generator(2, 2) + NcPoly.one(2)
+    for c in (2, 2.5, 1 - 3j):
+        assert c * p == p * c
+    with pytest.raises(TypeError, match="cannot combine NcPoly with str"):
+        "x" * p
+    with pytest.raises(TypeError):
+        [1] * p
+
+
 def test_poly_scalar_coeffs_roundtrip():
     p = NcPoly(1, {(): 0.5, (1,): -1.0, (1, 1, 1): 2.0})
     np.testing.assert_allclose(p.scalar_coeffs(), [0.5, -1.0, 0.0, 2.0])

@@ -770,9 +770,28 @@ def test_models_without_exact_route_go_to_ti(monkeypatch):
 
 def test_ti_needs_two_beta_nodes():
     pot = NcPoly.from_word(2, (1, 2)) + NcPoly.from_word(2, (2, 1))
-    with pytest.raises(ValueError, match="at least 2 beta nodes"):
+    with pytest.raises(ValueError, match="at least 3 beta nodes"):
         _ti_log_I(GibbsModel(2, 3, 1.0, pot), TIOptions(nodes=1),
                   substream(0, "ti-nodes"))
+
+
+@pytest.mark.parametrize("budget", [{"nodes": 2}, {"node_steps": 1}, {"node_steps": 2},
+                                    {"node_steps": 3}], ids=str)
+def test_ti_budget_below_its_bound_is_refused(budget):
+    # 3 nodes give one second divided difference, the trapezoid's error bound;
+    # 4 steps give each node 2 measured states per sweep, pooled_mean's fewest
+    with pytest.raises(ValueError, match="at least 3 beta nodes|node_steps >= 4"):
+        TIOptions(**budget)
+
+
+def test_three_node_ti_grid_reports_a_discretization_bound():
+    # at 2 nodes this model read -22.13 +- 1.91 with bias_bound 0, against
+    # -6.28 +- 0.68 with bias_bound 3.1 at 5 nodes
+    x, y = NcPoly.generator(2, 1), NcPoly.generator(2, 2)
+    pot = x * x + y * y + 0.5 * (x * x * y * y + y * y * x * x)
+    est = _ti_log_I(GibbsModel(2, 3, 2.0, pot),
+                    TIOptions(nodes=3, node_burnin=100, node_steps=2000), substream(1, "x"))
+    assert est.bias_bound > 0
 
 
 def test_exact_draws_energy_matches_exact_derivative():

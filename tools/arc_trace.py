@@ -17,7 +17,9 @@ anywhere:
 
     python3 tools/arc_trace.py
 
-Tracing makes the suite take 1.5 to 2 times as long.
+Tracing makes the suite take 1.5 to 2 times as long. The exit status is 1
+when a test or a benchmark op failed, since the trace then misses the code
+that run stopped short of.
 """
 
 from __future__ import annotations
@@ -125,12 +127,14 @@ def one_sided(path: Path, arcs) -> list:
     return sorted(out)
 
 
-def _bench_pass() -> None:
-    """One pass of every benchmark op at workload seed 1, as the worker runs it."""
+def _bench_pass() -> int:
+    """One pass of every benchmark op at workload seed 1, as the worker runs
+    it; the number of ops that failed."""
     sys.path.insert(0, str(ROOT / "bench"))
     import worker
     import workloads
 
+    failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads.WORKLOADS:
             out = Path(tmp) / name
@@ -138,6 +142,8 @@ def _bench_pass() -> None:
             report = worker.run_pass(cli, name, cfgdir, cfgs, out / "pass")
             for op in report["ops"]:
                 print(f"bench {name}/{op['name']}: exit {op['exit']}, ok {op['ok']}")
+                failed += not op["ok"]
+    return failed
 
 
 def main() -> int:
@@ -147,15 +153,15 @@ def main() -> int:
     with ArcTracer() as tracer:
         code = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider",
                             "--deselect", MEMORY_TEST])
-        _bench_pass()
-    print(f"\npytest exit code {code}")
+        failed_ops = _bench_pass()
+    print(f"\npytest exit code {code}, {failed_ops} benchmark op(s) failed")
     found = 0
     for path in sorted(PKG.glob("*.py")):
         for line, text, side in one_sided(path, tracer.arcs.get(str(path), ())):
             found += 1
             print(f"{path.relative_to(ROOT)}:{line}: {text}  (the {side} side never ran)")
     print(f"{found} one-sided if statements outside error paths")
-    return 0
+    return int(code != 0 or failed_ops > 0)
 
 
 if __name__ == "__main__":
