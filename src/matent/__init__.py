@@ -14,20 +14,18 @@ from .ncpoly import NcPoly, canonical_class, canonical_classes, word_traces
 from .moments import (MomentSpec, arcsine_moments, empirical_moments,
                       free_product_moments, moment_distance, moment_pairing,
                       semicircle_moments, validate)
-from .matrices import (BlockMap, CompressionFn, MatrixTuple, apply_scalar_function,
-                       conjugate_tuple, haar_unitary_batch, log_jacobian_functional_calculus,
-                       operator_norm)
+from .matrices import (BlockMap, CompressionFn, MatrixTuple, haar_unitary_batch,
+                       log_jacobian_functional_calculus, operator_norm)
 from .sampler import (ChainDiagnostics, GibbsModel, MicrostateEstimate, TIOptions,
                       estimate_log_I, gibbs_entropy, log_ball_volume, mcmc_chain,
                       microstate_hit_rate)
 from .maxent import (ChiReference, DualBasis, EtaBoundReport, FitOptions, FitResult,
-                     InfeasibleTargetError, build_dual_basis, dual_objective,
-                     eta_bound_check, fit_projection, free_pressure,
-                     log_energy_quadrature, one_variable_chi_reference,
-                     reference_constant)
+                     InfeasibleTargetError, build_dual_basis, eta_bound_check,
+                     fit_projection, free_pressure, log_energy_quadrature,
+                     one_variable_chi_reference, reference_constant)
 from .orbital import (ChainRuleReport, OrbitalEstimate, OrbitalRequest,
                       TalagrandReport, chain_rule_check, dW_moment_lower_bound,
-                      dW_upper_bound, orbital_entropy, talagrand_report)
+                      orbital_entropy, talagrand_report)
 
 __all__ = [
     "__version__",
@@ -36,16 +34,16 @@ __all__ = [
     "NcPoly", "canonical_class", "canonical_classes", "word_traces",
     "MomentSpec", "arcsine_moments", "empirical_moments", "free_product_moments",
     "moment_distance", "moment_pairing", "semicircle_moments", "validate",
-    "BlockMap", "CompressionFn", "MatrixTuple", "apply_scalar_function",
-    "conjugate_tuple", "haar_unitary_batch", "log_jacobian_functional_calculus", "operator_norm",
+    "BlockMap", "CompressionFn", "MatrixTuple", "haar_unitary_batch",
+    "log_jacobian_functional_calculus", "operator_norm",
     "ChainDiagnostics", "GibbsModel", "MicrostateEstimate", "TIOptions",
     "estimate_log_I", "gibbs_entropy", "log_ball_volume", "mcmc_chain",
     "microstate_hit_rate",
     "ChiReference", "DualBasis", "EtaBoundReport", "FitOptions", "FitResult",
-    "InfeasibleTargetError", "build_dual_basis", "dual_objective",
-    "eta_bound_check", "fit_projection", "free_pressure",
+    "InfeasibleTargetError", "build_dual_basis", "eta_bound_check",
+    "fit_projection", "free_pressure",
     "log_energy_quadrature", "one_variable_chi_reference", "reference_constant",
     "ChainRuleReport", "OrbitalEstimate", "OrbitalRequest", "TalagrandReport",
-    "chain_rule_check", "dW_moment_lower_bound", "dW_upper_bound",
+    "chain_rule_check", "dW_moment_lower_bound",
     "orbital_entropy", "talagrand_report",
 ]

@@ -52,9 +52,6 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-THREADS_ENV = "MATENT_THREADS"
-
-
 class ConfigError(ValueError):
     """The experiment description is malformed."""
 
@@ -109,8 +106,7 @@ def _known(params: Dict, keys: Sequence[str], section: str) -> Dict:
 
 
 def load_config(path: str, seed_override: Optional[int] = None,
-                out_override: Optional[str] = None,
-                threads_override: Optional[int] = None) -> ExperimentConfig:
+                out_override: Optional[str] = None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             # libyaml's parser where PyYAML has it: the same dicts in a third
@@ -133,18 +129,7 @@ def load_config(path: str, seed_override: Optional[int] = None,
     if out_override is not None:
         out = out_override
     threads = raw.pop("threads", None)
-    if threads_override is not None:
-        threads = threads_override
-    elif threads is None:
-        env_threads = os.environ.get(THREADS_ENV)
-        if env_threads:
-            try:
-                threads = int(env_threads)
-            except ValueError:
-                raise ConfigError(f"{THREADS_ENV} must be an integer, got {env_threads!r}")
-        else:
-            threads = 1
-    threads = _integer(threads)
+    threads = 1 if threads is None else _integer(threads)
     _require(threads >= 1, "threads must be a positive integer")
     _known(raw, _KINDS[kind][1], kind)
     return ExperimentConfig(kind=str(kind), seed=seed, params=raw, out=out, threads=threads)
@@ -763,13 +748,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="path to the experiment YAML")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory (default runs/<hash8>)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker processes for sweeps (or set {THREADS_ENV})")
     args = parser.parse_args(argv)
     started = time.time()
     try:
-        config = load_config(args.config, seed_override=args.seed,
-                             out_override=args.out, threads_override=args.threads)
+        config = load_config(args.config, seed_override=args.seed, out_override=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,9 @@
-"""Hermitian matrix tuples, Haar conjugation, and scalar functional calculus.
+"""Hermitian matrix tuples, block maps, Haar unitaries, and the compression map.
+
+A :class:`BlockMap` assigns tuple positions to conjugation groups and
+:func:`haar_unitary_batch` draws the unitaries; the one conjugation of a
+tuple that runs use is :func:`matent.orbital._relative_copies`, which
+rotates groups 1..ell-1 relative to group 0.
 
 The compression map used for range reduction is the odd piecewise function
 whose slope profile is 1 on [-S, S], the constant alpha on [R, T] (and its
@@ -14,7 +19,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -26,10 +31,8 @@ __all__ = [
     "BlockMap",
     "CompressionFn",
     "haar_unitary_batch",
-    "conjugate_tuple",
     "operator_norm",
     "in_norm_ball",
-    "apply_scalar_function",
     "log_jacobian_functional_calculus",
     "hermitize",
 ]
@@ -161,23 +164,6 @@ def haar_unitary_batch(count: int, N: int, rng: np.random.Generator) -> np.ndarr
     return q * (d / np.abs(d))[:, None, :]
 
 
-def conjugate_tuple(t: MatrixTuple, unitaries: Sequence[np.ndarray],
-                    blockmap: BlockMap) -> MatrixTuple:
-    """Conjugate each block by the unitary of its group.
-
-    Position i becomes U_{g(i)} M_i U_{g(i)}^*; spectra (hence single-block
-    moments) are untouched, mixed moments change unless all positions share
-    one group.
-    """
-    if blockmap.n != t.n:
-        raise ValueError("block map size does not match tuple")
-    if len(unitaries) != blockmap.ell:
-        raise ValueError(f"need {blockmap.ell} unitaries, got {len(unitaries)}")
-    us = np.asarray(unitaries)
-    return MatrixTuple(t.n, t.N, t.R, tuple(
-        hermitize(us[g] @ b @ us[g].conj().T) for b, g in zip(t.blocks, blockmap.groups)))
-
-
 def operator_norm(m: np.ndarray) -> float:
     """Spectral norm of a Hermitian matrix."""
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
@@ -206,12 +192,6 @@ def in_norm_ball(m: np.ndarray, R: float) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         factor = _umath_linalg.cholesky_lo(gap)
     return np.isfinite(factor[..., -1, -1])
-
-
-def apply_scalar_function(m: np.ndarray, f) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix spectrally."""
-    lam, vecs = np.linalg.eigh(m)
-    return hermitize((vecs * np.asarray(f(lam))) @ vecs.conj().T)
 
 
 @dataclass(frozen=True)

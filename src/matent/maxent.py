@@ -57,7 +57,6 @@ __all__ = [
     "build_dual_basis",
     "target_vector",
     "potential_from_coeffs",
-    "dual_objective",
     "FitOptions",
     "FitResult",
     "fit_projection",
@@ -164,22 +163,6 @@ class _BasisMeasurer:
     def from_state(self, blocks) -> np.ndarray:
         traces = word_traces(blocks, self.words).view(float)[..., self.columns]
         return traces * (1.0 / np.shape(blocks[0])[-1])
-
-
-def dual_objective(basis: DualBasis, coeffs: Sequence[float], tau: MomentSpec,
-                   eps: float, N: int,
-                   log_i_estimator: Callable[[NcPoly], ScalarEstimate]) -> ScalarEstimate:
-    """F(lam) = log I(P_lam) + N^2 (tau(P_lam) + eps ||lam||_1).
-
-    ``log_i_estimator`` maps a potential to its log I (for instance
-    ``lambda V: estimate_log_I(GibbsModel(n, N, R, V), ...)``); the
-    statistical error is whatever it reports.
-    """
-    lam = np.asarray(coeffs, dtype=float)
-    est = log_i_estimator(potential_from_coeffs(basis, lam))
-    linear = float(np.dot(lam, target_vector(tau, basis)))
-    value = est.value + N * N * (linear + eps * float(np.abs(lam).sum()))
-    return ScalarEstimate(value, est.stderr, est.count, est.bias_bound)
 
 
 @dataclass(frozen=True)

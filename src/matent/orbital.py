@@ -35,7 +35,8 @@ trace is invariant under one global conjugation, and U_0^* U_g are i.i.d.
 Haar when the U_g are. So every conjugated copy, of the inner layer, of the
 chain-rule check and of the Talagrand proxy alike, comes from
 :func:`_relative_copies`, which leaves group 0 as it is and draws ell - 1
-unitaries per copy (none for global conjugation, ell = 1). The outer
+unitaries per copy (none for global conjugation, ell = 1); it is the one
+conjugation of a tuple in the package. The outer
 samples are the (n, S, N, N) array of :func:`matent.sampler.mcmc_chain`, and
 every function here indexes it: ``samples[i]`` is block i of all S samples,
 ``samples[:, s]`` is sample s. Every log weight -N Tr V comes from
@@ -49,7 +50,8 @@ copies. :func:`chain_rule_check` takes the inner terms at the outer samples
 and at one relative copy of each for the chain rule Ent(mu|nu) =
 Ent(mu|U^pi mu) + Ent(U^pi mu|nu), nu uniform: on the exact routes its
 residual checks invariance, on the nested one it compares two passes of
-one law. :func:`talagrand_report` checks the transport-cost bounds.
+one law. :func:`talagrand_report` checks the transport-cost bounds, whose
+transport side is the moment-gap lower bound :func:`dW_moment_lower_bound`.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
-from .matrices import BlockMap, MatrixTuple, haar_unitary_batch, hermitize
+from .matrices import BlockMap, haar_unitary_batch, hermitize
 from .moments import MomentSpec, free_product_moments, moment_distance
 from .ncpoly import canonical_classes, word_traces
 from .sampler import (MIN_ACCEPTANCE, ChainDiagnostics, GibbsModel, TIOptions, _entropy,
@@ -73,7 +75,6 @@ __all__ = [
     "orbital_entropy",
     "ChainRuleReport",
     "chain_rule_check",
-    "dW_upper_bound",
     "dW_moment_lower_bound",
     "TalagrandReport",
     "talagrand_report",
@@ -560,27 +561,6 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     holds = abs(residual) <= 3.0 * residual_se + rounding and chain.acceptance >= MIN_ACCEPTANCE
     return ChainRuleReport(total, orb, conjugated, residual, residual_se, combined,
                            bool(holds), samples.shape[1], request.s_in)
-
-
-def dW_upper_bound(pairs: Sequence[Tuple[MatrixTuple, MatrixTuple]]) -> ScalarEstimate:
-    """Coupling transport cost: sqrt of the mean squared tuple distance.
-
-    The squared distance of a pair sums (1/N)||A_i - B_i||_HS^2 over
-    positions; any explicit coupling upper-bounds the Wasserstein distance of
-    the two ensembles. The stderr comes from the delta method on the mean
-    squared distance.
-    """
-    if not pairs:
-        raise ValueError("need at least one pair")
-    sq = np.array([
-        sum(float(np.linalg.norm(a.blocks[i] - b.blocks[i]) ** 2) / a.N
-            for i in range(a.n))
-        for a, b in pairs
-    ])
-    est = pooled_mean(sq)[0] if sq.size > 1 else ScalarEstimate(float(sq[0]), 0.0, 1)
-    value = math.sqrt(max(est.value, 0.0))
-    se = est.stderr / (2.0 * value) if value > 0 else est.stderr
-    return ScalarEstimate(value, se, est.count)
 
 
 def dW_moment_lower_bound(a: MomentSpec, b: MomentSpec, K: int,

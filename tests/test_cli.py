@@ -60,17 +60,16 @@ def test_config_hash_ignores_key_order_and_out(tmp_path):
 
 
 def test_threads_resolution(tmp_path, monkeypatch):
+    # the config's threads key is the one source, default 1: neither the
+    # environment nor a command-line flag is read
+    monkeypatch.setenv("MATENT_THREADS", "3")
     p = write_yaml(tmp_path / "a.yaml", dict(VOLUME_DOC))
     assert load_config(p).threads == 1
-    monkeypatch.setenv("MATENT_THREADS", "3")
-    assert load_config(p).threads == 3
-    # an explicit config value beats the environment
     q = write_yaml(tmp_path / "b.yaml", dict(VOLUME_DOC, threads=2))
     assert load_config(q).threads == 2
-    assert load_config(q, threads_override=5).threads == 5
-    monkeypatch.setenv("MATENT_THREADS", "junk")
-    with pytest.raises(ConfigError, match="MATENT_THREADS"):
-        load_config(p)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(q), "--threads", "5"])
+    assert exc.value.code == 2
 
 
 def test_build_potential_families():

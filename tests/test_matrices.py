@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matent.matrices import (BlockMap, CompressionFn, MatrixTuple,
-                             apply_scalar_function, conjugate_tuple, haar_unitary_batch,
+from matent.matrices import (BlockMap, CompressionFn, MatrixTuple, haar_unitary_batch,
                              hermitize, in_norm_ball, log_jacobian_functional_calculus,
                              operator_norm)
+from matent.orbital import _relative_copies
 from matent.streams import substream
 from oracles import trace_moment
 
@@ -123,19 +123,21 @@ def test_haar_unitary_batch_matches_unitarity_and_mean():
     assert np.mean(np.abs(us[:, 0, 0]) ** 2) == pytest.approx(1 / 6, abs=0.02)
 
 
+def _relative_copy(t: MatrixTuple, bm: BlockMap, rng) -> tuple:
+    """One copy of the tuple's blocks from the package's one conjugation."""
+    return tuple(stack[0] for stack in _relative_copies(t.blocks, bm, 1, rng))
+
+
 def test_conjugation_preserves_single_group_moments_exactly():
     rng = substream(4, "conj")
     blocks = tuple(_hermitian(5, rng, 0.3) for _ in range(3))
     t = MatrixTuple(3, 5, 2.0, blocks)
-    bm = BlockMap((0, 0, 1))
-    us = haar_unitary_batch(2, 5, rng)
-    c = conjugate_tuple(t, us, bm)
+    c = _relative_copy(t, BlockMap((0, 0, 1)), rng)
     # words inside one group see a joint unitary conjugation: trace invariant
     for w in [(1, 1), (1, 2, 1, 2), (3, 3, 3)]:
-        assert trace_moment(c.blocks, w) == pytest.approx(
-            trace_moment(t.blocks, w), abs=1e-12)
+        assert trace_moment(c, w) == pytest.approx(trace_moment(t.blocks, w), abs=1e-12)
     # mixed words across groups are scrambled (generically different)
-    assert trace_moment(c.blocks, (1, 3, 1, 3)) != pytest.approx(
+    assert trace_moment(c, (1, 3, 1, 3)) != pytest.approx(
         trace_moment(t.blocks, (1, 3, 1, 3)), abs=1e-6)
 
 
@@ -212,9 +214,8 @@ def test_log_jacobian_bound_on_random_matrices():
 def test_conjugation_preserves_operator_norms_exactly():
     rng = substream(10, "norms")
     t = MatrixTuple(2, 6, 2.0, tuple(_hermitian(6, rng, 0.3) for _ in range(2)))
-    us = haar_unitary_batch(2, 6, rng)
-    c = conjugate_tuple(t, us, BlockMap((0, 1)))
-    for a, b in zip(t.blocks, c.blocks):
+    c = _relative_copy(t, BlockMap((0, 1)), rng)
+    for a, b in zip(t.blocks, c):
         assert operator_norm(b) == pytest.approx(operator_norm(a), abs=1e-9)
 
 
@@ -229,19 +230,6 @@ def test_weingarten_rank_one_mean():
     want = np.trace(a).real * np.trace(b).real / N ** 2
     se = vals.std(ddof=1) / math.sqrt(draws)
     assert abs(vals.mean() - want) <= 3 * se
-
-
-def test_apply_scalar_function_monotone_maps_ball_to_ball():
-    rng = substream(12, "fmap")
-    T = 1.5
-    f = lambda x: np.tanh(x) + 0.1 * x
-    cap = max(abs(f(-T)), abs(f(T)))
-    for _ in range(10):
-        m = _hermitian(5, rng, 0.25)
-        m = m * (T / max(operator_norm(m), T))  # clip into the T-ball
-        out = apply_scalar_function(m, f)
-        assert np.allclose(out, out.conj().T, atol=1e-12)
-        assert operator_norm(out) <= cap + 1e-9
 
 
 def test_log_jacobian_invariant_under_conjugation():

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from matent import maxent, sampler
 from matent.maxent import (FitOptions, InfeasibleTargetError, build_dual_basis,
-                           dual_objective, eta_bound_check, fit_projection,
+                           eta_bound_check, fit_projection,
                            free_pressure, log_energy_quadrature,
                            one_variable_chi_reference, potential_from_coeffs,
                            reference_constant, target_vector)
@@ -76,17 +76,6 @@ def test_scalar_quadrature_log_i_matches_oracle():
         got = estimate_log_I(GibbsModel(1, 1, R, pot))
         want = oracles.log_i_quad([0.0, coeffs[0], coeffs[1], coeffs[2]], R)
         assert got.value == pytest.approx(want, abs=1e-5)
-
-
-def test_dual_objective_linear_closed_form():
-    R = 2.0
-    basis = build_dual_basis(1, 1)
-    tau = MomentSpec(1, 1, R, {(1,): 0.4})
-    for c in (-1.2, -0.3, 0.0, 0.7, 2.1):
-        got = dual_objective(basis, np.array([c]), tau, 0.0, 1,
-                             lambda pot: estimate_log_I(GibbsModel(1, 1, R, pot)))
-        want = oracles.log_i_linear_exact(c, R) + c * 0.4
-        assert got.value == pytest.approx(want, abs=1e-6)
 
 
 def test_scalar_oracle_gaussian_case():

@@ -6,14 +6,14 @@ import pytest
 
 import oracles
 from matent import matrices, orbital, sampler
-from matent.matrices import BlockMap, MatrixTuple
+from matent.matrices import BlockMap
 from matent.moments import MomentSpec, empirical_moments
 from matent.ncpoly import NcPoly
 from matent.estimates import EstimatorError, pooled_mean
 from matent.orbital import (EXACT_SPREAD, MOMENT_STACK, OrbitalRequest, _bilinear_coupling,
                             _hciz_terms, _inner_log_weights, _jackknife_bias, _log_mean_exp,
                             _mean_moments, _outer_chain, _relative_copies, chain_rule_check,
-                            dW_moment_lower_bound, dW_upper_bound, orbital_entropy,
+                            dW_moment_lower_bound, orbital_entropy,
                             talagrand_report)
 from matent.sampler import (MIN_ACCEPTANCE, GibbsModel, TIOptions, estimate_log_I,
                             log_ball_volume, mcmc_chain)
@@ -472,16 +472,6 @@ def test_chain_rule_holds_on_decoupled_models(N):
         for seed in range(5):
             rep = chain_rule_check(request, np.random.default_rng(seed))
             assert abs(rep.residual) <= 1e-13 and rep.holds, (c, seed, rep.residual)
-
-
-def test_dw_upper_bound_deterministic_pair():
-    a = MatrixTuple(1, 2, 2.0, (np.diag([1.0, -1.0]).astype(complex),))
-    b = MatrixTuple(1, 2, 2.0, (np.zeros((2, 2), dtype=complex),))
-    est = dW_upper_bound([(a, b)])
-    assert est.value == pytest.approx(1.0)  # ||diag(1,-1)||^2 / N = 1
-    assert est.stderr == 0.0
-    with pytest.raises(ValueError):
-        dW_upper_bound([])
 
 
 def test_dw_moment_lower_bound_hand_case():
