@@ -208,9 +208,10 @@ def build_target(params: Dict) -> MomentSpec:
     _known(params, _TARGET_KEYS[name], f"{name} target")
     K = _integer(params.get("K", 4))
     if name == "arcsine":
-        return _checked(arcsine_moments, _checked(float, params.get("R", 2.0)), K)
-    half = _checked(semicircle_moments, _checked(float, params.get("variance", 1.0)), K,
-                    radius=params.get("radius"))
+        return _checked(arcsine_moments, _real(params.get("R", 2.0), "target R"), K)
+    radius = params.get("radius")
+    half = _checked(semicircle_moments, _real(params.get("variance", 1.0), "target variance"),
+                    K, radius=None if radius is None else _real(radius, "target radius"))
     return half if name == "semicircle" else free_product_moments([half, half], K)
 
 
@@ -234,10 +235,11 @@ def _degree(value, tau: MomentSpec) -> int:
     return K
 
 
-def _size(value) -> int:
-    """A matrix size from a config value: an integer N >= 1."""
+def _size(value, what: str = "matrix sizes N") -> int:
+    """A matrix size N, or another count such as a generator count n, from a
+    config value: an integer >= 1; ``what`` names it in the message."""
     N = _integer(value)
-    _require(N >= 1, f"matrix sizes N must be >= 1, got {N}")
+    _require(N >= 1, f"{what} must be >= 1, got {N}")
     return N
 
 
@@ -261,8 +263,8 @@ def build_model(params: Dict) -> GibbsModel:
     _known(params, ("n", "N", "R", "potential"), "model")
     for key in ("n", "N", "R"):
         _require(key in params, f"model needs {key}")
-    n = _integer(params["n"])
-    return _checked(GibbsModel, n, _integer(params["N"]), _checked(float, params["R"]),
+    n = _size(params["n"], "model n")
+    return _checked(GibbsModel, n, _integer(params["N"]), _real(params["R"], "model R"),
                     build_potential(params.get("potential"), n))
 
 
@@ -303,7 +305,7 @@ def _options(cls, params: Optional[Dict], section: str):
         _require(k in cls.__dataclass_fields__, f"unknown {section} option {k!r}")
         default = getattr(defaults, k)
         fields[k] = (_options(type(default), v, k) if is_dataclass(default)
-                     else _integer(v) if type(default) is int else _checked(type(default), v))
+                     else _integer(v) if type(default) is int else _real(v, f"{section} {k}"))
     return _checked(replace, defaults, **fields)
 
 
@@ -376,7 +378,7 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> List:
 def _run_volume(cfg: ExperimentConfig):
     N = cfg.param("N")
     sizes = _sweep(cfg, "sizes", _size, None if N is None else [_size(N)])
-    R = _checked(float, cfg.param("R", 1.0))
+    R = _real(cfg.param("R", 1.0), "R")
     _require(R > 0, f"R must be positive, got {R}")
     results = []
     rows = []
@@ -439,7 +441,7 @@ def _run_fit(cfg: ExperimentConfig):
     tau = build_target(cfg.param("target", {}))
     N = _size(cfg.param("N", 8))
     K = _degree(cfg.param("K", tau.K), tau)
-    fit = fit_projection(tau, N, K, eps=_checked(float, cfg.param("eps", 0.0)),
+    fit = fit_projection(tau, N, K, eps=_real(cfg.param("eps", 0.0), "eps"),
                          opts=_options(FitOptions, cfg.param("fit"), "fit"),
                          rng=substream(cfg.seed, "fit", N))
     rec = _fit_record(fit, N, K)
@@ -462,12 +464,12 @@ def _run_chi_tilde(cfg: ExperimentConfig):
     tau = build_target(cfg.param("target", {}))
     sizes = _sweep(cfg, "sizes", _size)
     K = _degree(cfg.param("K", tau.K), tau)
-    eps = _checked(float, cfg.param("eps", 0.0))
+    eps = _real(cfg.param("eps", 0.0), "eps")
     opts = _options(FitOptions, cfg.param("fit"), "fit")
     ref = cfg.param("reference_density")
     _require(ref in (None, "semicircle"), f"unknown reference_density {ref!r}")
     if ref is not None:
-        var = _checked(float, cfg.param("reference_variance", 1.0))
+        var = _real(cfg.param("reference_variance", 1.0), "reference_variance")
         _require(var > 0, f"reference_variance must be positive, got {var}")
         dens = _semicircle_density(var)
     work = [(cfg.seed, tau, N, K, eps, opts) for N in sizes]
@@ -495,9 +497,9 @@ def _pressure_point(args):
 
 
 def _run_pressure(cfg: ExperimentConfig):
-    n = _integer(cfg.param("n", 1))
+    n = _size(cfg.param("n", 1), "n")
     P = build_potential(cfg.param("potential"), n)
-    R = _checked(float, cfg.param("R", 2.0))
+    R = _real(cfg.param("R", 2.0), "R")
     _require(R > 0, f"R must be positive, got {R}")
     sizes = _sweep(cfg, "sizes", _size, [_size(cfg.param("N", 8))])
     ti = _options(TIOptions, cfg.param("ti"), "ti")
@@ -589,7 +591,7 @@ def _run_duality_check(cfg: ExperimentConfig):
         N = _size(ent.get("N", 1))
         K = _degree(ent.get("K", tau.K), tau)
         work.append((cfg.seed, i, ent.get("label", f"target-{i}"), tau, N, K,
-                     _checked(float, ent.get("eps", 0.0)), opts))
+                     _real(ent.get("eps", 0.0), "eps"), opts))
     recs = _parallel_map(_duality_point, work, cfg.threads)
     rows = [(r["label"], r["N"], r["K"], r["entropy"]["value"], r["dual"]["value"], r["gap"],
              r["gap_sigma"]) for r in recs]
@@ -598,7 +600,7 @@ def _run_duality_check(cfg: ExperimentConfig):
 
 def _run_arcsine_demo(cfg: ExperimentConfig):
     N = _integer(cfg.param("N", 64))
-    R = _checked(float, cfg.param("R", 2.0))
+    R = _real(cfg.param("R", 2.0), "R")
     samples, diag = _chain(cfg, _checked(GibbsModel, 1, N, R, NcPoly.zero(1)), "arcsine")
     eigs = _spectrum(samples)
     m2 = float(np.mean(eigs ** 2))
@@ -621,7 +623,7 @@ def _run_compression_check(cfg: ExperimentConfig):
     win = _known(cfg.param("window", {}), ("T", "R", "S"), "window")
     for key in ("T", "R", "S"):
         _require(key in win, f"window needs {key}")
-    T, R, S = (_checked(float, win[key]) for key in ("T", "R", "S"))
+    T, R, S = (_real(win[key], f"window {key}") for key in ("T", "R", "S"))
     fn = _checked(CompressionFn, T, R, S)
     N = _integer(cfg.param("N", 4))
     n_pot = build_potential(cfg.param("potential"), 1)
@@ -642,7 +644,7 @@ def _run_compression_check(cfg: ExperimentConfig):
 
 def _run_hit_rate(cfg: ExperimentConfig):
     tau = build_target(cfg.param("target", {}))
-    eps = _checked(float, cfg.param("eps", 0.2))
+    eps = _real(cfg.param("eps", 0.2), "eps")
     K, N = _degree(cfg.param("K", tau.K), tau), _integer(cfg.param("N", 4))
     trials = _integer(cfg.param("trials", 50000))
     _require(eps > 0 and N >= 1 and trials >= 1,

@@ -47,7 +47,7 @@ from .moments import MomentSpec, moment_pairing
 from .ncpoly import (NcPoly, Word, canonical_classes, is_reversal_symmetric, star_word,
                      word_traces)
 from .sampler import (EXACT_BOUND, ChainEngine, GibbsModel, TIOptions, _bilinear_parts,
-                      _entropy, _gaussian_draws, _heine_nodes, _legendre_nodes, _log_heine_norms,
+                      _draw, _entropy, _heine_nodes, _legendre_nodes, _log_heine_norms,
                       _mehta_log_I, _split_form, estimate_log_I, log_ball_volume)
 
 __all__ = [
@@ -178,20 +178,20 @@ class FitOptions:
     each re-tunes the walkers for ``discard_per_iter`` steps and then runs n
     walker-steps in all, n doubling every iterate from about
     ``steps_per_iter`` up to ``final_steps`` (see :func:`_chain_newton`). The
-    fitted model is then run for ``final_burnin`` steps and measured on
-    every 2nd of ``final_steps`` walker-steps, with pooled-IAT stderrs (see
-    :func:`matent.estimates.pooled_mean`); the fit is
-    converged when the Newton stop was reached and every final residual is
-    within max(eps, ``moment_tol`` R^degree) plus 3 stderr. ``ti`` budgets
-    the log-normalizer of the fitted model where it has no exact route (see
-    :func:`matent.sampler.estimate_log_I`). A two-matrix fit at K <= 2 is
-    solved exactly on Mehta's determinant (see :func:`fit_projection`) and
-    reads only ``final_steps``, ``final_burnin`` and ``moment_tol``, for the
-    final run that checks it; the other keys, ``ti`` among them, budget its
-    Monte Carlo fallback where the determinant has no value. Where that fit's
-    model is Gaussian (quadratic form positive definite, as at free-pair-4's
-    0.47 (X^2 + Y^2)), its final run is ``final_steps`` / 2 exact i.i.d.
-    draws (:func:`_final_run`), and ``final_burnin`` is unused. ``step_size``
+    fitted model is then measured on as many states as every 2nd of
+    ``final_steps`` walker-steps gives (:func:`_final_run`), with pooled-IAT
+    stderrs (see :func:`matent.estimates.pooled_mean`); where they come from
+    a chain, it first burns in ``final_burnin`` steps, the first
+    ``TUNE_SHARE`` (80%) of them tuning (see :func:`matent.sampler._draw`).
+    The fit is converged when the Newton stop was reached and every final
+    residual is within max(eps, ``moment_tol`` R^degree) plus 3 stderr.
+    ``ti`` budgets the log-normalizer of the fitted model where it has no
+    exact route (see :func:`matent.sampler.estimate_log_I`). A two-matrix fit
+    at K <= 2 is solved exactly on Mehta's determinant (see
+    :func:`fit_projection`) and reads only ``final_steps``, ``final_burnin``
+    and ``moment_tol``, for the final run that checks it; the other keys,
+    ``ti`` among them, budget its Monte Carlo fallback where the determinant
+    has no value. ``step_size``
     and ``min_iterations`` belonged to the stochastic approximation this
     route replaced and are accepted but unused. A one-matrix fit is exact
     (damped Newton on the dual) and ignores every key. ``iterations``,
@@ -692,55 +692,33 @@ def _walker_steps(steps: int, walkers: int, every: int) -> int:
 
 def _final_run(model: GibbsModel, coeffs: np.ndarray, measurer: _BasisMeasurer, steps: int,
                burnin: int, rng: np.random.Generator, engine: Optional[ChainEngine] = None):
-    """The measurement run of a fitted model: as many states as ``WALKERS``
-    walkers measure on about ``steps`` walker-steps in all, every 2nd state
-    of each.
+    """The measurement run of a fitted model: every 2nd state of ``WALKERS``
+    walkers over about ``steps`` walker-steps in all, or as many exact draws,
+    from :func:`matent.sampler._draw` (on the warm ``engine`` of Monte Carlo
+    Newton if one is given), measured batch by batch, never held all at once.
 
-    Without an ``engine`` (lambda from an exact solve), a Gaussian model
-    (:func:`matent.sampler._gaussian_draws`) gets that many exact i.i.d.
-    draws, measured batch by batch and never held all at once, and
-    ``burnin`` is unused. The run then costs about what its draws cost: a
-    block that a Frobenius bound puts inside the ball skips the Cholesky
-    test, and an i.i.d. series reaches Geyer's cut within a few lags.
-    Otherwise the walkers of ``engine`` (the warm ones of Monte Carlo
-    Newton), or new ones at the origin, run ``burnin`` steps each, the first
-    60% tuning, and are then measured: so does a Gaussian model whose first
-    batch accepts below ``MIN_ACCEPTANCE``. Either way each state is measured
-    once: its energy is N^2 ``coeffs`` . f, from the basis moments f that
-    ``measurer`` takes (the model's potential is sum_j coeffs_j b_j), with no
-    second trace pass. Monte Carlo Newton fits keep the chain because their
+    Each state is measured once: its energy is N^2 ``coeffs`` . f, from the
+    basis moments f that ``measurer`` takes (the model's potential is sum_j
+    coeffs_j b_j), with no second trace pass. A run on exact draws costs
+    about what its draws cost: a block that a Frobenius bound puts inside the
+    ball skips the Cholesky test, and an i.i.d. series reaches Geyer's cut
+    within a few lags. Monte Carlo Newton fits keep the chain because their
     rho carries the fit error N^2 lambda . (m(lambda) - tau), which no stderr
     reports; at the separable pair, exact draws put rho 4 of their stderrs
     from the exact maximum. Returns the basis moment means and their
     stderrs, the energy as a :class:`ScalarEstimate`, all from
-    :func:`matent.estimates.pooled_mean` (over the walkers of a chain), and
-    the acceptance (of the rejection proposals, or pooled over walkers),
-    energy IAT and ESS (summed over walkers) under ``final_acceptance``,
-    ``final_iat`` and ``final_ess``.
+    :func:`matent.estimates.pooled_mean` (one i.i.d. series for exact draws,
+    the walkers' series for a chain), and the acceptance, energy IAT and ESS
+    (summed over walkers) under ``final_acceptance``, ``final_iat`` and
+    ``final_ess``.
     """
     obs: List[np.ndarray] = []
-
-    def measure(blocks) -> None:
-        obs.append(measurer.from_state(blocks))
-
-    per_walker = _walker_steps(steps, WALKERS, 2)
-    acceptance = None
-    if engine is None:
-        acceptance = _gaussian_draws(model, WALKERS * per_walker // 2, rng, measure)
-    if acceptance is not None:
-        # one i.i.d. series: (1, T, len(basis))
-        omat = np.concatenate(obs)[None]
-    else:
-        if engine is None:
-            engine = ChainEngine(model, rng, WALKERS)
-        engine.set_potential(model.potential)
-        engine.tune(int(burnin * 0.6))
-        engine.run(burnin - int(burnin * 0.6))
-        engine.reset_counters()
-        engine.run(per_walker, observe=lambda e: measure(e.blocks), every=2)
-        # the walkers' series: (K, T, len(basis))
-        omat = np.asarray(obs).swapaxes(0, 1)
-        acceptance = engine.acceptance
+    acceptance, step_scale = _draw(model, _walker_steps(steps, WALKERS, 2), burnin, 2, rng,
+                                   lambda blocks: obs.append(measurer.from_state(blocks)),
+                                   WALKERS, engine)
+    # (series, T, len(basis)): the walkers' series of a chain (step scale > 0),
+    # or one i.i.d. series of exact draws
+    omat = np.asarray(obs).swapaxes(0, 1) if step_scale else np.concatenate(obs)[None]
     moments = [pooled_mean(omat[:, :, j])[0] for j in range(omat.shape[2])]
     energy, iat = pooled_mean(model.N * model.N * (omat @ coeffs))
     return (np.array([m.value for m in moments]), np.array([m.stderr for m in moments]),
@@ -768,16 +746,10 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     exactly the same way (:func:`_pair_dual`), on the function whose value is
     ``log_i`` at the fitted model (:func:`matent.sampler._mehta_log_I`).
     A final run at that lambda measures ``energy`` and the residuals
-    (:func:`_final_run`), an independent Monte Carlo check of the solve. Its
-    states are as many as ``WALKERS`` walkers measure on ``final_steps``
-    walker-steps: exact i.i.d. draws where the fitted model is Gaussian (a
-    positive definite quadratic form, whose Gaussian the ball cuts; no chain
-    engine is built and ``final_burnin`` is unused), and otherwise the
-    walkers, ``final_burnin`` steps each (which tune them) and then
-    ``final_steps`` walker-steps in all. ``rho`` is the exact log I plus that
-    energy, and the tolerance is max(eps, moment_tol R^degree). Where the
-    determinant has no value at the fitted model,
-    or the solve fails, the fit is Monte Carlo Newton as below.
+    (:func:`_final_run`), an independent Monte Carlo check of the solve.
+    ``rho`` is the exact log I plus that energy, and the tolerance is
+    max(eps, moment_tol R^degree). Where the determinant has no value at the
+    fitted model, or the solve fails, the fit is Monte Carlo Newton as below.
 
     Every other n >= 2 fit runs the Monte Carlo Newton of
     :func:`_chain_newton` on one warm-started matrix-mode engine of
@@ -785,20 +757,15 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
     (``steps_per_iter`` and ``final_steps`` in walker-steps in total,
     ``discard_per_iter`` and ``final_burnin`` per walker), and a further run
     of the same walkers at the fitted model, independent of the samples that
-    chose it, gives ``energy`` and the residuals (:func:`_final_run`, a chain
-    even where that model is Gaussian); their
-    stderrs are pooled-IAT stderrs over the walkers
-    (:func:`matent.estimates.pooled_mean`). The tolerance is max(eps,
-    moment_tol * R^degree).
+    chose it, gives ``energy`` and the residuals (:func:`_final_run`). The
+    tolerance is max(eps, moment_tol * R^degree).
     ``iterations`` counts Newton iterates, and ``trajectory`` holds per
     iterate the largest scaled residual, the chain's walker-steps, the
     decrement, its noise floor and the pooled ESS, the number of walkers,
-    and the final run's acceptance (pooled over walkers, or of the rejection
-    proposals of exact draws), energy IAT and ESS (summed over walkers). On
-    both final runs a state's energy is N^2 lam . f, from its measured basis
-    moments f. On every route the fit is ``converged`` when its stop was
-    reached (an exact solve's decrement at most 1e-10 nats, or Monte Carlo
-    Newton's stop and pooled step) and every residual is within its
+    and the final run's acceptance, energy IAT and ESS. On every route the
+    fit is ``converged`` when its stop was reached (an exact solve's
+    decrement at most 1e-10 nats, or Monte Carlo Newton's stop and pooled
+    step) and every residual is within its
     tolerance plus 3 stderr; for one matrix, with stderr 0, the solve's
     gradient test already holds every residual within its tolerance. On
     every route ``dual_value`` is the dual at lam, ``log_i``

@@ -66,8 +66,8 @@ from .estimates import EstimatorError, ScalarEstimate, logsumexp, pooled_mean
 from .matrices import BlockMap, haar_unitary_batch, hermitize
 from .moments import MomentSpec, free_product_moments, moment_distance
 from .ncpoly import canonical_classes, word_traces
-from .sampler import (MIN_ACCEPTANCE, ChainDiagnostics, GibbsModel, TIOptions, _entropy,
-                      estimate_log_I, log_ball_volume, mcmc_chain)
+from .sampler import (EXACT_BOUND, MIN_ACCEPTANCE, ChainDiagnostics, GibbsModel, TIOptions,
+                      _entropy, estimate_log_I, log_ball_volume, mcmc_chain)
 
 __all__ = [
     "OrbitalRequest",
@@ -81,9 +81,6 @@ __all__ = [
 ]
 
 MIN_NESTED = 16
-# nats: the largest error bound of a log HCIZ row that is accepted, from
-# either form of :func:`_log_hciz` (the series' reached 2.6e-10 at N = 64)
-EXACT_SPREAD = 1e-8
 # tuples per stack of the Talagrand barycenters: one Haar batch for all 128
 # copies at N = 16 raised the orbital workload's peak memory by 1.5 MB
 MOMENT_STACK = 32
@@ -140,7 +137,7 @@ class OrbitalEstimate:
       half-sample bias bound plus paired noise.
     - Exact HCIZ route (a bilinear coupling): ``bias_bound`` is the largest
       error bound of the per-sample log HCIZ (:func:`_log_hciz`) over N^2,
-      at most ``EXACT_SPREAD`` / N^2 = 1e-8 / N^2; ``half_value`` =
+      at most ``EXACT_BOUND`` / N^2 = 1e-8 / N^2; ``half_value`` =
       ``value``, ``half_shift`` = 0, and ``s_in`` is the request's, unused.
     - Decoupled route: every field is 0 (``s_out`` and ``ess`` too: no outer
       sample is used) but ``s_in``, and ``self_consistent`` is true.
@@ -261,8 +258,9 @@ def _log_hciz(a: np.ndarray, b: np.ndarray, t: float) -> Tuple[np.ndarray, np.nd
     move of log det G under the rounding of G's entries and of the elimination,
     plus the addends' magnitudes: at least 9.9 times the distance to
     ``tests/oracles.hciz_log`` on the 856 rows of N = 4-32, t = 0.8-64 it kept.
-    Rows with a bound above ``EXACT_SPREAD`` (small t, or N >= 32) go to
-    :func:`_log_hciz_series`; one above it there too raises EstimatorError.
+    Rows with a bound above ``EXACT_BOUND`` (small t, or N >= 32) go to
+    :func:`_log_hciz_series` (whose bounds reached 2.6e-10 at N = 64); one
+    above it there too raises EstimatorError.
     """
     N = a.shape[1]
     arg = 0.5 * t * (a[:, :, None] - b[:, None, :]) ** 2
@@ -279,10 +277,10 @@ def _log_hciz(a: np.ndarray, b: np.ndarray, t: float) -> Tuple[np.ndarray, np.nd
     cond = np.einsum("sji,sij,sij->s", np.abs(inv, out=inv), gram, arg)
     bound = 4.0 * np.finfo(float).eps * (cond + abs(const) + square + np.abs(log_g)
                                          + np.abs(log_gaps).sum(axis=(0, 2)))
-    bad = np.flatnonzero((sign <= 0.0) | ~(bound <= EXACT_SPREAD))
+    bad = np.flatnonzero((sign <= 0.0) | ~(bound <= EXACT_BOUND))
     if bad.size:
         value[bad], bound[bad] = _log_hciz_series(a[bad], b[bad], t)
-    if not np.all(bound <= EXACT_SPREAD):
+    if not np.all(bound <= EXACT_BOUND):
         raise EstimatorError("HCIZ determinant unresolved in double precision")
     return value, bound
 

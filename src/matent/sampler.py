@@ -2,11 +2,12 @@
 
 The reference measure is Lebesgue on the product of operator-norm balls
 { ||M_i|| <= R }; a model reweights it by exp(-N Tr V(M)) for a
-self-adjoint potential V, whose scale is the model's only temperature. For
-n >= 2 sampling is random-walk Metropolis, tuned to a 30-45% acceptance
-band during burn-in and frozen afterwards: the proposal adds a Gaussian
-Hermitian increment to every block and rejects outside the ball, which
-one batched Cholesky of R^2 - M^2 decides
+self-adjoint potential V, whose scale is the model's only temperature.
+Which sampler draws a model's states is decided in one place,
+:func:`_draw`: exact i.i.d. draws where an exact sampler exists (n == 1,
+and a Gaussian cut to the ball), random-walk Metropolis otherwise. Its
+proposal adds a Gaussian Hermitian increment to every block and rejects
+outside the ball, which one batched Cholesky of R^2 - M^2 decides
 (:func:`~matent.matrices.in_norm_ball`). One
 engine steps one chain or several walkers in lockstep, with one batched
 proposal for all of them, and draws the randomness of a block of steps
@@ -16,14 +17,6 @@ step leaves it as it is, one walker prices its next few proposals in one
 call, as a batch that ends at its first accepted proposal; since a state
 in a stack gets the energy bits it gets alone, every decision, state and
 energy is the one single steps give.
-For n == 1 the draws are exact and i.i.d.: the law is unitarily invariant,
-its eigenvalues form a projection determinantal point process, and each
-spectrum is drawn point by point by rejection (:class:`_ExactSpectra`) and
-conjugated by a fresh Haar unitary. So are they for an n >= 2 potential of
-degree <= 2 whose quadratic form is positive definite: its law is a
-Gaussian cut to the ball, drawn by rejection in batches
-(:func:`_gaussian_draws`), and only a singular or indefinite form, or a
-ball that rejects nearly every Gaussian draw, leaves it to the chain.
 
 The normalizer I = integral of exp(-N Tr V) over the ball product is exact
 for n == 1: the eigenvalues form an orthogonal-polynomial ensemble, and
@@ -81,6 +74,8 @@ __all__ = [
 
 ACCEPT_BAND = (0.30, 0.45)
 MIN_ACCEPTANCE = 0.01
+# the share of a chain's burn-in that tunes its step size (see _draw)
+TUNE_SHARE = 0.8
 # bytes of the increments a chain engine draws at once (see ChainEngine)
 DRAW_BUFFER_BYTES = 2 ** 18
 # proposals a one-walker chain prices in one batch (see ChainEngine._advance)
@@ -164,8 +159,8 @@ class ChainEngine:
     ``beta``, 1 unless set; beta and the potential can be swapped without
     discarding the state (used by annealed thermodynamic integration and by
     iterative moment fitting). Every step proposes a joint Gaussian Hermitian
-    increment of all blocks of every walker, for any n; :func:`mcmc_chain`
-    draws n == 1 and Gaussian samples exactly instead. All walkers share one
+    increment of all blocks of every walker, for any n; :func:`_draw`
+    draws n == 1 and Gaussian states exactly instead. All walkers share one
     step scale, tuned on their pooled acceptance, and ``accepted`` and
     ``proposed`` count walker-steps, so ``run(s)`` costs s batched steps and
     yields K s walker-steps.
@@ -349,50 +344,26 @@ class ChainEngine:
 def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
                rng: np.random.Generator,
                record_path: Optional[str] = None) -> Tuple[np.ndarray, ChainDiagnostics]:
-    """Samples of a Gibbs model: ``steps // thin`` exact i.i.d. draws where
-    an exact sampler exists, else every ``thin``-th state of a Metropolis
-    chain, as one complex array of shape (n, S, N, N) whose ``[:, s]`` is
-    sample s.
+    """``steps // thin`` samples of a Gibbs model from :func:`_draw`, as one
+    complex array of shape (n, S, N, N) whose ``[:, s]`` is sample s, filled
+    batch by batch as they come.
 
-    The draws are exact for n == 1 (:class:`_ExactSpectra`) and for an
-    n >= 2 potential of degree <= 2 whose quadratic form is positive
-    definite (:func:`_gaussian_draws`, a Gaussian cut to the ball by
-    rejection); there ``burnin`` is unused, ``step_scale`` is 0 and
-    ``acceptance`` is that of the rejection proposals. A Gaussian model whose
-    first batch accepts below ``MIN_ACCEPTANCE``, and every other n >= 2
-    model, runs the chain: its step size adapts during the first 80% of
-    ``burnin`` steps and is then frozen, so retained samples come from a
-    fixed kernel. The IAT (about 1 for exact draws) and ESS are measured on
-    the retained tracked series by :func:`matent.estimates.pooled_mean`. The
-    n == 1 draws are conjugated by S Haar unitaries in one batched product.
-    The Metropolis states are
-    exactly Hermitian (every increment is) and inside the ball (the accept
-    test checks it), so they are kept as they are. ``record_path`` appends
-    one JSON line per sample: its step, tracked value and
+    The IAT (about 1 for exact draws) and ESS are measured on the retained
+    tracked series by :func:`matent.estimates.pooled_mean`. ``record_path``
+    appends one JSON line per sample: its step, tracked value and
     :class:`~matent.matrices.MatrixTuple` state. Every draw is from ``rng``.
     """
     if steps < 1 or burnin < 0 or thin < 1:
         raise ValueError("need steps >= 1, burnin >= 0, thin >= 1")
-    step_scale = 0.0
-    if model.n == 1:
-        lam, acceptance = _ExactSpectra(model).draw(steps // thin, rng)
-        us = haar_unitary_batch(lam.shape[0], model.N, rng)
-        samples = hermitize((us * lam[:, None, :]) @ np.conj(np.swapaxes(us, -1, -2)))[None]
-    else:
-        draws = []
-        acceptance = _gaussian_draws(model, steps // thin, rng, draws.append)
-        if acceptance is not None:
-            samples = np.concatenate(draws, axis=1)
-        else:
-            engine = ChainEngine(model, rng)
-            engine.tune(int(burnin * 0.8))
-            engine.run(burnin - int(burnin * 0.8))
-            engine.reset_counters()
-            samples = np.empty((model.n, steps // thin, model.N, model.N), dtype=complex)
-            slots = iter(samples.swapaxes(0, 1))
-            engine.run(steps, observe=lambda e: np.copyto(next(slots), e.blocks[:, 0]),
-                       every=thin)
-            acceptance, step_scale = engine.acceptance, engine.step_scale
+    samples = np.empty((model.n, steps // thin, model.N, model.N), dtype=complex)
+    filled = 0
+
+    def take(batch: np.ndarray) -> None:
+        nonlocal filled
+        samples[:, filled:filled + batch.shape[1]] = batch
+        filled += batch.shape[1]
+
+    acceptance, step_scale = _draw(model, steps, burnin, thin, rng, take)
     # the tracked scalar: the energy, or (1/N) Tr X_1^2 for the zero potential
     tracked = "m2" if model.potential.is_zero() else "energy"
     series = ([np.vdot(b, b).real / model.N for b in samples[0]] if tracked == "m2"
@@ -407,6 +378,55 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
     return samples, ChainDiagnostics(
         acceptance=acceptance, step_scale=step_scale, iat=iat, ess=len(series) / iat,
         steps=steps, burnin=burnin, thin=thin, retained=samples.shape[1], tracked=tracked)
+
+
+def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.Generator,
+          take: Callable[[np.ndarray], None], walkers: int = 1,
+          engine: Optional[ChainEngine] = None) -> Tuple[float, float]:
+    """The one choice of how a model's states are drawn: ``take`` gets them
+    in (n, k, N, N) batches, in order, and (acceptance, step scale) is
+    returned. The first route that applies is taken:
+
+    - n == 1: ``walkers`` * (``steps`` // ``thin``) exact i.i.d. draws, as
+      many as a chain hands on, in one batch: spectra of
+      :class:`_ExactSpectra` conjugated by as many Haar unitaries in one
+      batched product;
+    - a Gaussian model (:func:`_gaussian_draws`, a positive definite
+      quadratic form cut to the ball by rejection): as many exact i.i.d.
+      draws, in the batches of its proposals;
+    - otherwise a chain: the warm ``engine`` if one is given (set to this
+      model's potential; it skips both exact routes), else a new one of
+      ``walkers`` walkers, which also takes a Gaussian model whose first
+      batch accepts below ``MIN_ACCEPTANCE``. It tunes its step size over
+      the first ``TUNE_SHARE`` of ``burnin`` steps, runs the rest at that
+      scale, resets its counters and runs ``steps`` steps, handing ``take``
+      every ``thin``-th state of all its walkers, (n, K, N, N) at a time.
+
+    On the exact routes ``burnin`` is unused, the acceptance is that of the
+    rejection proposals and the step scale is 0; a chain's acceptance is
+    pooled over its walkers. The chain's states are exactly Hermitian (every
+    increment is) and inside the ball (the accept test checks it), so they
+    are handed on as they are. Every draw is from ``rng``.
+    """
+    count = walkers * (steps // thin)
+    if engine is None and model.n == 1:
+        lam, acceptance = _ExactSpectra(model).draw(count, rng)
+        us = haar_unitary_batch(count, model.N, rng)
+        take(hermitize((us * lam[:, None, :]) @ np.conj(np.swapaxes(us, -1, -2)))[None])
+        return acceptance, 0.0
+    if engine is None:
+        acceptance = _gaussian_draws(model, count, rng, take)
+        if acceptance is not None:
+            return acceptance, 0.0
+        engine = ChainEngine(model, rng, walkers)
+    else:
+        engine.set_potential(model.potential)
+    tuned = int(burnin * TUNE_SHARE)
+    engine.tune(tuned)
+    engine.run(burnin - tuned)
+    engine.reset_counters()
+    engine.run(steps, observe=lambda e: take(e.blocks), every=thin)
+    return engine.acceptance, engine.step_scale
 
 
 def log_ball_volume(N: int, R: float) -> float:
@@ -1261,7 +1281,7 @@ def microstate_hit_rate(tau: MomentSpec, eps: float, K: int, N: int,
     """Estimate the log-volume of matrix tuples with moments eps-close to tau.
 
     Draws ``trials`` tuples of the uniform ensemble at size N, whose blocks
-    are independent exact draws (see :func:`mcmc_chain`), and counts those
+    are independent exact draws (see :func:`_draw`), and counts those
     whose empirical moments are within eps of tau in the max-over-monomials
     distance (degree <= K), taken for a batch of up to 4096 trials at once:
     the n size draws of a batch are its (n, size, N, N) tuples. The hits are

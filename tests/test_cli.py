@@ -186,6 +186,9 @@ OUT_OF_RANGE = [
     {"kind": "arcsine-demo", "N": "abc"},
     {"kind": "arcsine-demo", "N": [8]},
     {"kind": "rho", "target": {"name": "arcsine", "K": 2}, "fit": {"iterations": "abc"}},
+    # no generator: the potential's constructor would refuse it
+    {"kind": "pressure", "n": 0, "N": 2},
+    {"kind": "sample", "model": {"n": 0, "N": 2, "R": 2.0}},
 ]
 
 
@@ -478,6 +481,47 @@ BAD_VALUES = {
     "compression-check window T < R": (
         {"kind": "compression-check", "N": 3, "window": {"T": 1.0, "R": 2.0, "S": 0.5}},
         "need T > R > S > 0"),
+    # real values: no boolean, no infinity, no NaN; each once ran as a number
+    # or ended in a quiet null, a wrong exit code or a quadrature failure
+    "volume R inf": ({"kind": "volume", "N": 2, "R": math.inf}, "R must be finite, got inf"),
+    "volume R true": ({"kind": "volume", "N": 2, "R": True},
+                      "R must be a real number, got True"),
+    "target variance true": ({"kind": "rho", "N": 2, "target": {
+        "name": "semicircle", "variance": True, "K": 2}},
+        "target variance must be a real number, got True"),
+    "target radius nan": ({"kind": "rho", "N": 2, "target": {
+        "name": "semicircle", "radius": math.nan, "K": 2}}, "target radius must be finite"),
+    "target R inf": ({"kind": "rho", "N": 2, "target": {"name": "arcsine", "R": math.inf,
+                                                        "K": 2}}, "target R must be finite"),
+    "rho eps nan": ({"kind": "rho", "N": 2, "eps": math.nan, "target": PAIR_K2},
+                    "eps must be finite, got nan"),
+    "chi-tilde eps true": ({"kind": "chi-tilde", "sizes": [2], "eps": True, "target": PAIR_K2},
+                           "eps must be a real number, got True"),
+    "chi-tilde reference_variance inf": (
+        {"kind": "chi-tilde", "sizes": [2], "target": PAIR_K2,
+         "reference_density": "semicircle", "reference_variance": math.inf},
+        "reference_variance must be finite"),
+    "duality-check eps inf": ({"kind": "duality-check", "targets": [
+        {"target": PAIR_K2, "N": 2, "eps": math.inf}]}, "eps must be finite"),
+    "hit-rate eps nan": ({"kind": "hit-rate", "N": 2, "trials": 10, "eps": math.nan,
+                          "target": PAIR_K2}, "eps must be finite"),
+    "pressure R inf": ({"kind": "pressure", "N": 2, "R": math.inf}, "R must be finite"),
+    "arcsine-demo R true": ({"kind": "arcsine-demo", "N": 2, "R": True},
+                            "R must be a real number, got True"),
+    "sample model R inf": ({"kind": "sample", "model": {"n": 1, "N": 2, "R": math.inf}},
+                           "model R must be finite, got inf"),
+    "compression-check window T inf": (
+        {"kind": "compression-check", "N": 2, "window": {"T": math.inf, "R": 1.6, "S": 1.0}},
+        "window T must be finite, got inf"),
+    "compression-check window S true": (
+        {"kind": "compression-check", "N": 2, "window": {"T": 2.0, "R": 1.6, "S": True}},
+        "window S must be a real number, got True"),
+    "fit moment_tol inf": ({"kind": "rho", "N": 2, "target": PAIR_K2,
+                            "fit": {"moment_tol": math.inf}}, "fit moment_tol must be finite"),
+    # generator counts: a positive integer, read where it enters
+    "pressure n 0": ({"kind": "pressure", "n": 0, "N": 2}, "n must be >= 1, got 0"),
+    "sample model n 0": ({"kind": "sample", "model": {"n": 0, "N": 2, "R": 2.0}},
+                         "model n must be >= 1, got 0"),
 }
 
 BAD_VALUES.update({

@@ -199,6 +199,23 @@ def test_exact_final_run_memory_does_not_hold_its_draws():
     assert peaks[1] - peaks[0] <= 256 * 5000
 
 
+def test_exact_chain_memory_is_its_sample_array():
+    # a Gaussian model's exact draws are copied into the preallocated
+    # (n, S, N, N) array batch by batch, as they come: the run peaks below
+    # 1.5 times that array, where a list of the batches and its concatenated
+    # copy would take twice it
+    model = sampler.GibbsModel(2, 16, 2.0, 0.47 * (NcPoly.from_word(2, (1, 1))
+                                                   + NcPoly.from_word(2, (2, 2))))
+    tracemalloc.start()
+    try:
+        samples, diag = sampler.mcmc_chain(model, 2000, 0, 1, substream(1, "chain-memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (2, 2000, 16, 16) and diag.step_scale == 0.0
+    assert peak < 1.5 * samples.nbytes, peak / samples.nbytes
+
+
 def test_exact_final_run_imports_no_fft():
     # free-pair-4's final run at its fitted lambda: Geyer's cut on i.i.d.
     # draws comes within a few lags, so pooled_mean sums them directly and

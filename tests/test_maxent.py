@@ -590,7 +590,7 @@ def test_exact_final_run_energy_is_the_measured_traces(monkeypatch):
     # lambda . f from those basis traces: it matches GibbsModel.energy of the
     # same draws, taken by a spy on the draws, within 1e-12
     energies = []
-    gaussian_draws = maxent._gaussian_draws
+    gaussian_draws = sampler._gaussian_draws
 
     def spy(model, count, rng, take):
         def both(blocks):
@@ -599,7 +599,7 @@ def test_exact_final_run_energy_is_the_measured_traces(monkeypatch):
 
         return gaussian_draws(model, count, rng, both)
 
-    monkeypatch.setattr(maxent, "_gaussian_draws", spy)
+    monkeypatch.setattr(sampler, "_gaussian_draws", spy)
     basis = build_dual_basis(2, 2)
     lam = np.array([0.1, -0.05, 0.5, -0.3, 0.6])
     model = GibbsModel(2, 4, 2.0, potential_from_coeffs(basis, lam))
@@ -611,7 +611,7 @@ def test_exact_final_run_energy_is_the_measured_traces(monkeypatch):
     # walkers follow the same rule, those of an engine passed in as well as
     # those of a model the draws refuse (a negative Y^2 coefficient): the
     # energies of the measured states, taken by a spy on the measurer
-    monkeypatch.setattr(maxent, "_gaussian_draws", gaussian_draws)
+    monkeypatch.setattr(sampler, "_gaussian_draws", gaussian_draws)
     engine = sampler.ChainEngine(model, substream(2, "final-engine"), maxent.WALKERS)
     non_gaussian = lam * np.array([1.0, 1.0, 1.0, 1.0, -1.0])
     for coeffs, walkers in ((lam, engine), (non_gaussian, None)):

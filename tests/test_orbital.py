@@ -10,13 +10,13 @@ from matent.matrices import BlockMap
 from matent.moments import MomentSpec, empirical_moments
 from matent.ncpoly import NcPoly
 from matent.estimates import EstimatorError, pooled_mean
-from matent.orbital import (EXACT_SPREAD, MOMENT_STACK, OrbitalRequest, _bilinear_coupling,
+from matent.orbital import (MOMENT_STACK, OrbitalRequest, _bilinear_coupling,
                             _hciz_terms, _inner_log_weights, _jackknife_bias, _log_mean_exp,
                             _mean_moments, _outer_chain, _relative_copies, chain_rule_check,
                             dW_moment_lower_bound, orbital_entropy,
                             talagrand_report)
-from matent.sampler import (MIN_ACCEPTANCE, GibbsModel, TIOptions, estimate_log_I,
-                            log_ball_volume, mcmc_chain)
+from matent.sampler import (EXACT_BOUND, MIN_ACCEPTANCE, GibbsModel, TIOptions,
+                            estimate_log_I, log_ball_volume, mcmc_chain)
 from matent.streams import substream
 
 
@@ -185,7 +185,7 @@ def _exact_terms_against_oracle(N, c, seed):
     samples, _ = _outer_chain(request, substream(seed, "exact-term", N))
     coupling = _bilinear_coupling(model, request.blockmap)
     g, spread = _hciz_terms(samples, coupling)
-    assert spread <= EXACT_SPREAD
+    assert spread <= EXACT_BOUND
     t = coupling.t
     for value, (x, y) in zip(g, np.swapaxes(samples, 0, 1)):
         want = (oracles.hciz_log(np.linalg.eigvalsh(x), np.linalg.eigvalsh(y), t)
@@ -278,8 +278,8 @@ def test_hciz_series_past_its_range_flags_rows_without_warnings():
             warnings.simplefilter("error")
             _, bound = orbital._log_hciz_series(a, a, x)
             value, kept = orbital._log_hciz(a, a, x)
-        assert not np.any(bound <= EXACT_SPREAD), (N, x, bound)
-        assert np.all(np.isfinite(value)) and np.all(kept <= EXACT_SPREAD), (N, x)
+        assert not np.any(bound <= EXACT_BOUND), (N, x, bound)
+        assert np.all(np.isfinite(value)) and np.all(kept <= EXACT_BOUND), (N, x)
 
 
 def test_jackknife_bias_when_one_draw_carries_all_mass():
@@ -400,7 +400,7 @@ def test_chain_rule_terms_exact_for_bilinear_model():
     rep = chain_rule_check(request, substream(7, "chain-exact"))
     assert rep.total.bias_bound == log_i.bias_bound <= 1e-8
     # the conjugated term adds the largest bound of the HCIZ rows at the copies
-    assert 0.0 < rep.conjugated.bias_bound - log_i.bias_bound <= EXACT_SPREAD
+    assert 0.0 < rep.conjugated.bias_bound - log_i.bias_bound <= EXACT_BOUND
     # the chain check draws its outer samples first, so the same stream repeats them
     samples, _ = _outer_chain(request, substream(7, "chain-exact"))
     energy = pooled_mean(-model.energy(samples))[0]
