@@ -17,8 +17,7 @@ from .moments import (MomentSpec, arcsine_moments, empirical_moments,
 from .matrices import (BlockMap, CompressionFn, MatrixTuple, haar_unitary_batch,
                        log_jacobian_functional_calculus, operator_norm)
 from .sampler import (ChainDiagnostics, GibbsModel, MicrostateEstimate, TIOptions,
-                      estimate_log_I, gibbs_entropy, log_ball_volume, mcmc_chain,
-                      microstate_hit_rate)
+                      estimate_log_I, log_ball_volume, mcmc_chain, microstate_hit_rate)
 from .maxent import (ChiReference, DualBasis, EtaBoundReport, FitOptions, FitResult,
                      InfeasibleTargetError, build_dual_basis, eta_bound_check,
                      fit_projection, free_pressure, log_energy_quadrature,
@@ -37,8 +36,7 @@ __all__ = [
     "BlockMap", "CompressionFn", "MatrixTuple", "haar_unitary_batch",
     "log_jacobian_functional_calculus", "operator_norm",
     "ChainDiagnostics", "GibbsModel", "MicrostateEstimate", "TIOptions",
-    "estimate_log_I", "gibbs_entropy", "log_ball_volume", "mcmc_chain",
-    "microstate_hit_rate",
+    "estimate_log_I", "log_ball_volume", "mcmc_chain", "microstate_hit_rate",
     "ChiReference", "DualBasis", "EtaBoundReport", "FitOptions", "FitResult",
     "InfeasibleTargetError", "build_dual_basis", "eta_bound_check",
     "fit_projection", "free_pressure",

@@ -391,7 +391,7 @@ def _run_volume(cfg: ExperimentConfig):
 
 def _run_sample(cfg: ExperimentConfig):
     model = build_model(cfg.param("model", {}))
-    K = _integer(cfg.param("K", 4))
+    K = _size(cfg.param("K", 4), "K")
     samples, diag = _chain(cfg, model, "sample", record_path=cfg.param("record_file"))
     words = canonical_classes(model.n, K, 1)
     mrows = []

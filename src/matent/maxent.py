@@ -175,8 +175,9 @@ class FitOptions:
     walkers, so the states measured are as many as one chain of that length
     gives; ``discard_per_iter`` and ``final_burnin`` count steps of every
     walker. At most ``iterations`` Newton iterates of Monte Carlo Newton run;
-    each re-tunes the walkers for ``discard_per_iter`` steps and then runs n
-    walker-steps in all, n doubling every iterate from about
+    each burns the walkers in for ``discard_per_iter`` steps (400 more at the
+    first iterate), the first ``TUNE_SHARE`` (80%) of them tuning, and then
+    runs n walker-steps in all, n doubling every iterate from about
     ``steps_per_iter`` up to ``final_steps`` (see :func:`_chain_newton`). The
     fitted model is then measured on as many states as every 2nd of
     ``final_steps`` walker-steps gives (:func:`_final_run`), with pooled-IAT
@@ -593,9 +594,11 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
 
     The dual's derivatives are model moments: with f the scaled basis moments
     (1/N) Tr b_j / R^degree of a state, g = N^2 (tt - E f) and H = N^4 Cov f.
-    Each iterate re-tunes the warm ``engine``'s K walkers at mu for
-    ``discard_per_iter`` steps each, runs n walker-steps in all (n / K per
-    walker) and measures every 4th state of every walker;
+    Each iterate is one :func:`matent.sampler._draw` on the warm ``engine``'s
+    K walkers at mu: ``discard_per_iter`` burn-in steps of each walker (400
+    more at the first iterate, where the engine starts cold), the first
+    ``TUNE_SHARE`` (80%) of them tuning, then n walker-steps in all (n / K
+    per walker), measuring every 4th state of every walker;
     :func:`_reweighted_dual` of the S states gives g, H, the Newton
     direction of :func:`_newton_direction` and the dual along it, on which
     the step is backtracked (:func:`_backtrack`). The decrement (nats of dual
@@ -622,7 +625,8 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
     its noise floor and the pooled ESS S / max_k IAT_k of the slowest
     whitened moment, and the number of walkers under ``walkers``.
     """
-    N = engine.model.N
+    m = engine.model
+    N = m.N
     n2 = N * N
     K = engine.walkers
     mu = np.zeros(len(basis))
@@ -632,11 +636,11 @@ def _chain_newton(engine: ChainEngine, measurer: _BasisMeasurer, basis: DualBasi
                   "noise_floor": [], "ess": []}
     stop = done = False
     for t in range(opts.iterations):
-        engine.set_potential(potential_from_coeffs(basis, mu / scales))
-        engine.tune(opts.discard_per_iter, interval=opts.discard_per_iter)
+        model = GibbsModel(m.n, N, m.R, potential_from_coeffs(basis, mu / scales))
         acc: List[np.ndarray] = []
-        engine.run(_walker_steps(steps, K, 4),
-                   observe=lambda e: acc.append(measurer.from_state(e.blocks)), every=4)
+        # the first iterate also burns in the engine's cold start
+        _draw(model, _walker_steps(steps, K, 4), opts.discard_per_iter + (0 if t else 400), 4,
+              engine.rng, lambda blocks: acc.append(measurer.from_state(blocks)), K, engine)
         F = np.asarray(acc).reshape(-1, len(mu)) / scales
         resid = F.mean(axis=0) - tt
         if np.max(np.abs(mu)) > MU_MAX and np.max(np.abs(resid) / tol_scaled) > 3.0:
@@ -817,7 +821,6 @@ def fit_projection(tau: MomentSpec, N: int, K: int, eps: float = 0.0,
         engine = None
         if exact is None:
             engine = ChainEngine(GibbsModel(n, N, R, NcPoly.zero(n)), rng, WALKERS)
-            engine.tune(400)
             mu, dec, stopped, iterations, trajectory = _chain_newton(
                 engine, measurer, basis, scales, tt, N * N * eps_scaled, tol_scaled, opts, what)
             final_model = GibbsModel(n, N, R, potential_from_coeffs(basis, mu / scales))

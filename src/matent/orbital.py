@@ -521,8 +521,8 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     outer chain and, after the inner terms on the stream, one log I from
     :func:`matent.sampler.estimate_log_I` (``ti`` budgets only its
     thermodynamic integration; for c (X - Y)^2 it is exact). ``total`` and
-    ``conjugated`` are entropies log I + E[N Tr V] less n log Vol, as in
-    :func:`matent.sampler.gibbs_entropy`: for ``total`` the energy is N Tr V
+    ``conjugated`` are entropies log I + E[N Tr V] less n log Vol, from
+    :func:`matent.sampler._entropy`: for ``total`` the energy is N Tr V
     of the outer samples, for ``conjugated`` -log h = N Tr V - g at one
     relative copy of each sample (one :func:`_relative_copies` batch), with
     g from :func:`_inner_terms` on the route of ``orbital``.

@@ -38,7 +38,7 @@ samples in the walker slot. Energies N Tr V(M) come from one method,
 takes the traces of all the potential's word classes on blocks of shape
 (n, ..., N, N), and one product with the class coefficients, folded once
 per model, sums them; so one call prices a single state or a whole stack
-(the orbital estimators and :func:`gibbs_entropy` pass the sample array),
+(the orbital estimators pass the sample array),
 each state of a stack to the bit as alone, and a potential of degree <= 2
 costs no matrix product.
 """
@@ -68,7 +68,6 @@ __all__ = [
     "mcmc_chain",
     "log_ball_volume",
     "estimate_log_I",
-    "gibbs_entropy",
     "microstate_hit_rate",
 ]
 
@@ -156,9 +155,10 @@ class ChainEngine:
     Keeps the current blocks, as one (n, K, N, N) array for K walkers (block
     i of walker k is ``blocks[i, k]``), and their energies, shape (K,). The
     chain targets exp(-beta E) with E = N Tr V and an inverse temperature
-    ``beta``, 1 unless set; beta and the potential can be swapped without
-    discarding the state (used by annealed thermodynamic integration and by
-    iterative moment fitting). Every step proposes a joint Gaussian Hermitian
+    ``beta``, 1 until :meth:`set_beta` changes it; beta and the model
+    (:meth:`set_model`) can be swapped without discarding the state, as
+    annealed thermodynamic integration does at each node and Monte Carlo
+    Newton at each iterate. Every step proposes a joint Gaussian Hermitian
     increment of all blocks of every walker, for any n; :func:`_draw`
     draws n == 1 and Gaussian states exactly instead. All walkers share one
     step scale, tuned on their pooled acceptance, and ``accepted`` and
@@ -173,7 +173,7 @@ class ChainEngine:
     scale s of the step that uses it; the symmetric and antisymmetric parts
     of one Gaussian matrix are independent, so the diagonal has variance s^2
     and the real and imaginary parts off it s^2 / 2. Draws are used in order
-    across ``tune``, ``run`` and swaps of beta or the potential, each once;
+    across ``tune``, ``run`` and swaps of beta or the model, each once;
     no draw depends on the state, and those left over die with the engine.
     One walker takes the same decisions as a single chain that reads the
     same layout block by block, with a per-block ``eigvalsh`` ball test, bit
@@ -182,7 +182,8 @@ class ChainEngine:
     disagree only within rounding of the sphere, a null set for the chain.
 
     :meth:`run` (which ``tune`` calls) and :meth:`step` advance through one
-    batch method, :meth:`_advance`; no package code calls ``step``. A
+    batch method, :meth:`_advance`. Package code burns in, tunes and runs an
+    engine only through :func:`_draw`, and never calls ``step``. A
     rejected step leaves the state unchanged, so the proposals of the next
     d steps, as long as they all reject, are known from the current state
     and the drawn increments. One walker prices d = ``SPECULATIVE_DEPTH`` of
@@ -197,11 +198,10 @@ class ChainEngine:
     all but 0.65^8, about 3%, of steps.
     """
 
-    def __init__(self, model: GibbsModel, rng: np.random.Generator, walkers: int = 1,
-                 beta: float = 1.0):
+    def __init__(self, model: GibbsModel, rng: np.random.Generator, walkers: int = 1):
         self.model = model
         self.rng = rng
-        self.beta = beta
+        self.beta = 1.0
         N = model.N
         self.blocks = np.zeros((model.n, walkers, N, N), dtype=complex)
         self.step_scale = model.R / (2.0 * math.sqrt(N))
@@ -221,10 +221,9 @@ class ChainEngine:
     def set_beta(self, beta: float) -> None:
         self.beta = beta
 
-    def set_potential(self, potential: NcPoly) -> None:
-        m = self.model
-        self.model = GibbsModel(m.n, m.N, m.R, potential)
-        self.energy = self.model.energy(self.blocks)
+    def set_model(self, model: GibbsModel) -> None:
+        self.model = model
+        self.energy = model.energy(self.blocks)
 
     def reset_counters(self) -> None:
         self.accepted = 0
@@ -321,18 +320,19 @@ class ChainEngine:
         while done < steps:
             self._advance(steps - done, after)
 
-    def tune(self, steps: int, interval: int = 50) -> None:
+    def tune(self, steps: int) -> None:
         """Adapt the step size toward the acceptance band ``ACCEPT_BAND``.
 
-        After each :meth:`run` of ``interval`` steps the scale is multiplied
-        by exp(1.5 (acc - target)), with acc the window's acceptance (pooled
-        over walkers) and target the band midpoint; the factor is clamped to
-        [0.6, 1.6] so a noisy window cannot destabilize the scale.
+        After each :meth:`run` of 50 steps (fewer at the end) the scale is
+        multiplied by exp(1.5 (acc - target)), with acc the window's
+        acceptance (pooled over walkers) and target the band midpoint; the
+        factor is clamped to [0.6, 1.6] so a noisy window cannot destabilize
+        the scale.
         """
         target = (ACCEPT_BAND[0] + ACCEPT_BAND[1]) / 2.0
         done = 0
         while done < steps:
-            chunk = min(interval, steps - done)
+            chunk = min(50, steps - done)
             accepted = self.accepted
             self.run(chunk)
             acc = (self.accepted - accepted) / self.walkers
@@ -395,9 +395,9 @@ def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.
       quadratic form cut to the ball by rejection): as many exact i.i.d.
       draws, in the batches of its proposals;
     - otherwise a chain: the warm ``engine`` if one is given (set to this
-      model's potential; it skips both exact routes), else a new one of
-      ``walkers`` walkers, which also takes a Gaussian model whose first
-      batch accepts below ``MIN_ACCEPTANCE``. It tunes its step size over
+      model, at the engine's beta; it skips both exact routes), else a new
+      one of ``walkers`` walkers, which also takes a Gaussian model whose
+      first batch accepts below ``MIN_ACCEPTANCE``. It tunes its step size over
       the first ``TUNE_SHARE`` of ``burnin`` steps, runs the rest at that
       scale, resets its counters and runs ``steps`` steps, handing ``take``
       every ``thin``-th state of all its walkers, (n, K, N, N) at a time.
@@ -420,7 +420,7 @@ def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.
             return acceptance, 0.0
         engine = ChainEngine(model, rng, walkers)
     else:
-        engine.set_potential(model.potential)
+        engine.set_model(model)
     tuned = int(burnin * TUNE_SHARE)
     engine.tune(tuned)
     engine.run(burnin - tuned)
@@ -1111,9 +1111,11 @@ class TIOptions:
 
     ``nodes`` values beta_k = (k / (nodes - 1))^2.5 are visited by one
     forward and one backward annealing sweep; each node gets
-    ``node_burnin`` tuning steps and ``node_steps / 2`` measured steps per
-    sweep. Used only for the n >= 2 models without an exact log normalizer
-    (see :func:`estimate_log_I`); the others ignore it. ``nodes`` is at
+    ``node_burnin`` burn-in steps, the first ``TUNE_SHARE`` (80%) of them
+    tuning (see :func:`_draw`), and ``node_steps / 2`` measured steps per
+    sweep; the first node of a sweep burns in 4 ``node_burnin`` steps. Used
+    only for the n >= 2 models without an exact log normalizer (see
+    :func:`estimate_log_I`); the others ignore it. ``nodes`` is at
     least 3, the fewest with a second divided difference (the trapezoid's
     error bound), ``node_steps`` at least 4, two measured states per node
     and sweep, the fewest :func:`matent.estimates.pooled_mean` accepts, and
@@ -1136,31 +1138,32 @@ def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
               forward: bool) -> Tuple[float, float, float]:
     """One annealed pass over the beta grid: (integral, stderr, disc bound).
 
-    The chain lags its annealing schedule, biasing node means toward the
-    previous temperature; running passes in both directions flips the sign
-    of that lag so the pair average cancels it to first order. Each node's
-    mean energy and its stderr come from :func:`matent.estimates.pooled_mean`
-    of the node's series, whose autocorrelation time is comparable to the
-    node budget.
+    One chain visits the nodes in turn, each through :func:`_draw` at the
+    node's beta: ``node_burnin`` burn-in steps (4 times as many at the
+    pass's first node, where the chain starts cold), whose tuning adapts
+    the proposal scale to the node, since the scale that suits the
+    reference measure is too wide once the coupling bites; then
+    ``node_steps`` measured steps, each read as the energy the chain has
+    already computed. The chain lags its annealing schedule, biasing node
+    means toward the previous temperature; running passes in both
+    directions flips the sign of that lag so the pair average cancels it to
+    first order. Each node's mean energy and its stderr come from
+    :func:`matent.estimates.pooled_mean` of the node's series, whose
+    autocorrelation time is comparable to the node budget.
     """
-    start = 0.0 if forward else float(grid[-1])
-    engine = ChainEngine(model, rng, beta=start)
-    engine.tune(3 * node_burnin)
+    engine = ChainEngine(model, rng)
     means = np.empty(grid.size)
     errs = np.empty(grid.size)
     order = range(grid.size) if forward else range(grid.size - 1, -1, -1)
-    for k in order:
+    for i, k in enumerate(order):
         b = grid[k]
         engine.set_beta(float(b))
-        # re-tune during each node's burnin: the proposal scale that suits
-        # the reference measure is too wide once the coupling bites
-        engine.tune(node_burnin)
-        engine.reset_counters()
         series = []
-        engine.run(node_steps, observe=lambda e: series.append(e.energy[0]))
-        if engine.acceptance < MIN_ACCEPTANCE:
+        acceptance, _ = _draw(model, node_steps, node_burnin * (4 if i == 0 else 1), 1, rng,
+                              lambda blocks: series.append(engine.energy[0]), engine=engine)
+        if acceptance < MIN_ACCEPTANCE:
             raise EstimatorError(
-                f"chain acceptance collapsed to {engine.acceptance:.4f} at beta={b:.3f}")
+                f"chain acceptance collapsed to {acceptance:.4f} at beta={b:.3f}")
         node = pooled_mean(series)[0]
         means[k], errs[k] = node.value, node.stderr
 
@@ -1237,21 +1240,6 @@ def _ti_log_I(model: GibbsModel, opts: TIOptions,
     spread = float(integrals.std(ddof=1) / math.sqrt(2))
     return ScalarEstimate(base - integral, max(se, spread), 2 * per_node * grid.size,
                           float(discs.mean()))
-
-
-def gibbs_entropy(model: GibbsModel, log_i: ScalarEstimate,
-                  samples: np.ndarray) -> ScalarEstimate:
-    """Differential entropy -int f log f of the model from its samples.
-
-    Ent = log I + E[N Tr V]; the mean energy comes from the given
-    equilibrium samples, an (n, S, N, N) array as :func:`mcmc_chain`
-    returns it, with the IAT-inflated stderr of
-    :func:`matent.estimates.pooled_mean`, combined with the log I
-    error in quadrature. Exact for the uniform ensemble.
-    """
-    if model.potential.is_zero():
-        return ScalarEstimate(log_i.value, log_i.stderr, log_i.count, log_i.bias_bound)
-    return _entropy(log_i, pooled_mean(model.energy(samples))[0])
 
 
 def _entropy(log_i: ScalarEstimate, energy: ScalarEstimate) -> ScalarEstimate:

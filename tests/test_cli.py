@@ -189,6 +189,9 @@ OUT_OF_RANGE = [
     # no generator: the potential's constructor would refuse it
     {"kind": "pressure", "n": 0, "N": 2},
     {"kind": "sample", "model": {"n": 0, "N": 2, "R": 2.0}},
+    # no moment degree: nothing to report
+    {"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0}, "chain": {"steps": 20}, "K": 0},
+    {"kind": "sample", "model": {"n": 1, "N": 2, "R": 2.0}, "chain": {"steps": 20}, "K": -1},
 ]
 
 

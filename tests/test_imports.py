@@ -1,6 +1,6 @@
 """Import hygiene: every name a module imports is used or re-exported,
 every name a module exports exists, every private module-level name is
-used, and the command line loads no test-only dependency and computes
+used, only the one dispatcher drives a chain engine, and the command line loads no test-only dependency and computes
 nothing while it loads; the Gauss-Legendre rules it builds later import
 nothing and take memory linear in their node count, Mehta's remainder
 series takes no memory that grows with its length, and an exact final run
@@ -88,6 +88,23 @@ def test_no_unreferenced_private_names():
             for file, tree in trees.items() for name, node in _private_definitions(tree)
             if counts[name] == Counter(_references(node))[name]]
     assert dead == []
+
+
+def test_only_draw_drives_a_chain_engine():
+    # one place decides how a chain burns in, tunes and runs: outside the
+    # engine's own methods, sampler._draw is the only caller of these
+    driven = {"tune", "run", "reset_counters"}
+    allowed = {("sampler.py", "ChainEngine"), ("sampler.py", "_draw")}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", "?")
+            if (path.name, name) in allowed:
+                continue
+            calls += [f"{path.name}: {name} (line {sub.lineno})"
+                      for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                      and isinstance(sub.func, ast.Attribute) and sub.func.attr in driven]
+    assert calls == []
 
 
 def test_cli_import_loads_no_scipy():

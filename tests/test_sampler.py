@@ -16,8 +16,7 @@ from matent.ncpoly import NcPoly
 from matent import sampler
 from matent.sampler import (GibbsModel, TIOptions, _ExactSpectra, _heine_log_I,
                             _legendre_nodes, _log_heine_norms, _ti_log_I, estimate_log_I,
-                            gibbs_entropy, log_ball_volume, mcmc_chain,
-                            microstate_hit_rate)
+                            log_ball_volume, mcmc_chain, microstate_hit_rate)
 from matent.streams import substream
 
 
@@ -223,7 +222,8 @@ def test_engine_beta_is_a_scale_on_the_potential():
     # one stream, the same decisions and blocks, and energies in ratio beta
     pot = NcPoly(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): -0.5, (2, 1): -0.5,
                      (1, 1, 2, 2): 0.2, (2, 2, 1, 1): 0.2})
-    hot = sampler.ChainEngine(GibbsModel(2, 4, 1.5, pot), substream(23, "beta"), 4, beta=0.4)
+    hot = sampler.ChainEngine(GibbsModel(2, 4, 1.5, pot), substream(23, "beta"), 4)
+    hot.set_beta(0.4)
     scaled = sampler.ChainEngine(GibbsModel(2, 4, 1.5, 0.4 * pot), substream(23, "beta"), 4)
     for engine in (hot, scaled):
         engine.tune(2000)
@@ -248,7 +248,7 @@ def test_chain_step_matches_per_block_reference(n, N):
         energies = []
         engine.tune(600)
         engine.run(900, observe=lambda e: energies.append(np.ravel(e.energy)))
-        engine.set_potential(coupled)
+        engine.set_model(GibbsModel(n, N, 1.2, coupled))
         engine.run(800, observe=lambda e: energies.append(np.ravel(e.energy)))
         engine.set_beta(0.4)
         engine.run(700, observe=lambda e: energies.append(np.ravel(e.energy)))
@@ -303,7 +303,7 @@ def test_batched_run_equals_single_steps(degree, walkers):
         engine.tune(400)
         for every in (1, 7, 25):
             engine.run(300, observe=observe, every=every)
-        engine.set_potential(second)
+        engine.set_model(GibbsModel(2, 4, 1.2, second))
         engine.run(400, observe=observe, every=7)
         engine.set_beta(0.4)
         engine.run(400, observe=observe, every=25)
@@ -824,8 +824,9 @@ def test_estimate_log_i_below_volume_for_positive_potential():
 
 
 def test_gibbs_entropy_uniform_is_volume():
+    # the uniform ensemble's entropy is its log I, exact for the zero potential
     model = GibbsModel(1, 5, 2.0, NcPoly.zero(1))
-    est = gibbs_entropy(model, estimate_log_I(model), [])
+    est = estimate_log_I(model)
     assert est.value == pytest.approx(log_ball_volume(5, 2.0))
     assert est.stderr == 0.0
 
@@ -836,7 +837,8 @@ def test_gibbs_entropy_scalar_matches_quadrature():
     model = GibbsModel(1, 1, 2.0, pot)
     rng = substream(14, "ent")
     samples, _ = mcmc_chain(model, 20000, 2000, 8, rng=rng)
-    est = gibbs_entropy(model, estimate_log_I(model, opts=TIOptions(), rng=rng), samples)
+    est = sampler._entropy(estimate_log_I(model, opts=TIOptions(), rng=rng),
+                           pooled_mean(model.energy(samples))[0])
     grid, f, dx = oracles.gibbs_density(coeffs, 2.0)
     want = oracles.entropy_quad(f, dx)
     assert abs(est.value - want) <= 3 * est.stderr + est.bias_bound + 0.02
