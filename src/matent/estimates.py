@@ -82,8 +82,8 @@ def pooled_mean(series) -> Tuple[ScalarEstimate, float]:
     The lags are summed directly, two per pair, up to the cut: O(K T L) for
     L lags. L is 3-11 on matrix-fit's 10,000 exact draws, at most 51 on
     orbital's 128-sample series, and up to a few hundred on a default TI
-    node's 1,000 steps (59-351 for X^2 + Y^2 + 0.3 (X^2 Y^2 + Y^2 X^2) at
-    N = 8). A series that reaches no cut, which happens only when its IAT
+    node's 2,000 chain steps (120-610 for X^2 + Y^2 + 0.3 (X^2 Y^2 + Y^2
+    X^2) at N = 8). A series that reaches no cut, which happens only when its IAT
     approaches its length, sums all T lags: O(K T^2).
     """
     x = np.asarray(series, dtype=float)

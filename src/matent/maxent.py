@@ -24,8 +24,8 @@ distance to its minimum, in nats) is within noise at full length. The
 attained value of F is the (relaxed) maximum entropy; the entropy of the fitted model is
 log I + E[N Tr V], with log I from :func:`matent.sampler.estimate_log_I`:
 exact for one matrix and, within the determinant's range, for the models of
-K = 2 two-matrix fits (whose only mixed word is XY), and by thermodynamic
-integration otherwise. Coefficients are stored in N-normalized units: the
+K = 2 two-matrix fits (whose only mixed word is XY), and by integration
+from the potential's one-matrix part otherwise. Coefficients are stored in N-normalized units: the
 potential enters the density as exp(-N Tr V). Every fit runs on the ball of
 its target's radius ``tau.R``.
 
@@ -187,7 +187,8 @@ class FitOptions:
     The fit is converged when the Newton stop was reached and every final
     residual is within max(eps, ``moment_tol`` R^degree) plus 3 stderr.
     ``ti`` budgets the log-normalizer of the fitted model where it has no
-    exact route (see :func:`matent.sampler.estimate_log_I`). A two-matrix fit
+    exact route: the path from the one-matrix part of its potential to the
+    whole (see :func:`matent.sampler.estimate_log_I`). A two-matrix fit
     at K <= 2 is solved exactly on Mehta's determinant (see
     :func:`fit_projection`) and reads only ``final_steps``, ``final_burnin``
     and ``moment_tol``, for the final run that checks it; the other keys,

@@ -519,8 +519,8 @@ def chain_rule_check(request: OrbitalRequest, rng: np.random.Generator,
     identity). The request gives the model, the block map and the nested
     budget, as for :func:`orbital_entropy`. All three terms come from one
     outer chain and, after the inner terms on the stream, one log I from
-    :func:`matent.sampler.estimate_log_I` (``ti`` budgets only its
-    thermodynamic integration; for c (X - Y)^2 it is exact). ``total`` and
+    :func:`matent.sampler.estimate_log_I` (``ti`` budgets only its path
+    from the one-matrix part of V; for c (X - Y)^2 it is exact). ``total`` and
     ``conjugated`` are entropies log I + E[N Tr V] less n log Vol, from
     :func:`matent.sampler._entropy`: for ``total`` the energy is N Tr V
     of the outer samples, for ``conjugated`` -log h = N Tr V - g at one

@@ -27,9 +27,8 @@ two matrices whose potential couples them only through Tr XY: the HCIZ
 integral and Andreief's identity turn I into Mehta's bimoment determinant,
 evaluated on the same nodes by :func:`_split_form`, whose derivatives are
 the moments of the exact K = 2 fit. Every other n >= 2 model is estimated
-by thermodynamic integration over an inverse temperature beta in [0, 1],
-which only the integrating chain carries (:class:`ChainEngine`), anchored
-at the exact log-volume of the ball (Mehta/Selberg closed form).
+by integrating along the path from the one-matrix part of its potential,
+exact by Heine's identity, to the whole potential (:func:`_ti_log_I`).
 
 Samples are one complex array of shape (n, S, N, N): block i of sample s
 is ``samples[i, s]``, the layout of :class:`ChainEngine`'s state with the S
@@ -55,7 +54,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .estimates import EstimatorError, ScalarEstimate, pooled_mean
-from .matrices import MatrixTuple, haar_unitary_batch, hermitize, in_norm_ball
+from .matrices import MatrixTuple, _haar_from_ginibre, hermitize, in_norm_ball
 from .moments import MomentSpec
 from .ncpoly import NcPoly, Word, canonical_class, canonical_classes, word_rotations, word_traces
 
@@ -154,16 +153,15 @@ class ChainEngine:
 
     Keeps the current blocks, as one (n, K, N, N) array for K walkers (block
     i of walker k is ``blocks[i, k]``), and their energies, shape (K,). The
-    chain targets exp(-beta E) with E = N Tr V and an inverse temperature
-    ``beta``, 1 until :meth:`set_beta` changes it; beta and the model
-    (:meth:`set_model`) can be swapped without discarding the state, as
-    annealed thermodynamic integration does at each node and Monte Carlo
-    Newton at each iterate. Every step proposes a joint Gaussian Hermitian
-    increment of all blocks of every walker, for any n; :func:`_draw`
-    draws n == 1 and Gaussian states exactly instead. All walkers share one
-    step scale, tuned on their pooled acceptance, and ``accepted`` and
-    ``proposed`` count walker-steps, so ``run(s)`` costs s batched steps and
-    yields K s walker-steps.
+    chain targets exp(-beta E) with E = N Tr V and ``beta`` 1 (no package
+    code calls :meth:`set_beta`); the model (:meth:`set_model`) can be
+    swapped without discarding the state, as the path of :func:`_ti_log_I`
+    does at each node and Monte Carlo Newton at each iterate. Every step
+    proposes a joint Gaussian Hermitian increment of all blocks of every
+    walker, for any n; :func:`_draw` draws n == 1 and Gaussian states
+    exactly instead. All walkers share one step scale, tuned on their pooled
+    acceptance, and ``accepted`` and ``proposed`` count walker-steps, so
+    ``run(s)`` costs s batched steps and yields K s walker-steps.
 
     The randomness of T = max(1, ``DRAW_BUFFER_BYTES`` // (16 n K N^2))
     steps is drawn at once, when the last block of draws is used up: one
@@ -173,7 +171,7 @@ class ChainEngine:
     scale s of the step that uses it; the symmetric and antisymmetric parts
     of one Gaussian matrix are independent, so the diagonal has variance s^2
     and the real and imaginary parts off it s^2 / 2. Draws are used in order
-    across ``tune``, ``run`` and swaps of beta or the model, each once;
+    across ``tune``, ``run`` and swaps of the model, each once;
     no draw depends on the state, and those left over die with the engine.
     One walker takes the same decisions as a single chain that reads the
     same layout block by block, with a per-block ``eigvalsh`` ball test, bit
@@ -356,14 +354,7 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
     if steps < 1 or burnin < 0 or thin < 1:
         raise ValueError("need steps >= 1, burnin >= 0, thin >= 1")
     samples = np.empty((model.n, steps // thin, model.N, model.N), dtype=complex)
-    filled = 0
-
-    def take(batch: np.ndarray) -> None:
-        nonlocal filled
-        samples[:, filled:filled + batch.shape[1]] = batch
-        filled += batch.shape[1]
-
-    acceptance, step_scale = _draw(model, steps, burnin, thin, rng, take)
+    acceptance, step_scale = _draw(model, steps, burnin, thin, rng, _into(samples))
     # the tracked scalar: the energy, or (1/N) Tr X_1^2 for the zero potential
     tracked = "m2" if model.potential.is_zero() else "energy"
     series = ([np.vdot(b, b).real / model.N for b in samples[0]] if tracked == "m2"
@@ -380,6 +371,18 @@ def mcmc_chain(model: GibbsModel, steps: int, burnin: int, thin: int,
         steps=steps, burnin=burnin, thin=thin, retained=samples.shape[1], tracked=tracked)
 
 
+def _into(out: np.ndarray) -> Callable[[np.ndarray], None]:
+    """A ``take`` for :func:`_draw` that fills ``out`` (n, S, N, N) in order."""
+    filled = 0
+
+    def take(batch: np.ndarray) -> None:
+        nonlocal filled
+        out[:, filled:filled + batch.shape[1]] = batch
+        filled += batch.shape[1]
+
+    return take
+
+
 def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.Generator,
           take: Callable[[np.ndarray], None], walkers: int = 1,
           engine: Optional[ChainEngine] = None) -> Tuple[float, float]:
@@ -388,14 +391,15 @@ def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.
     returned. The first route that applies is taken:
 
     - n == 1: ``walkers`` * (``steps`` // ``thin``) exact i.i.d. draws, as
-      many as a chain hands on, in one batch: spectra of
-      :class:`_ExactSpectra` conjugated by as many Haar unitaries in one
-      batched product;
+      many as a chain hands on: spectra of :class:`_ExactSpectra` conjugated
+      by Haar unitaries, whose Ginibre entries are all drawn at once, in
+      :func:`~matent.matrices.haar_unitary_batch`'s order, and whose QR and
+      product go in batches of max(1, ``DRAW_BUFFER_BYTES`` // (16 N^2));
     - a Gaussian model (:func:`_gaussian_draws`, a positive definite
       quadratic form cut to the ball by rejection): as many exact i.i.d.
       draws, in the batches of its proposals;
     - otherwise a chain: the warm ``engine`` if one is given (set to this
-      model, at the engine's beta; it skips both exact routes), else a new
+      model; it skips both exact routes), else a new
       one of ``walkers`` walkers, which also takes a Gaussian model whose
       first batch accepts below ``MIN_ACCEPTANCE``. It tunes its step size over
       the first ``TUNE_SHARE`` of ``burnin`` steps, runs the rest at that
@@ -411,8 +415,12 @@ def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.
     count = walkers * (steps // thin)
     if engine is None and model.n == 1:
         lam, acceptance = _ExactSpectra(model).draw(count, rng)
-        us = haar_unitary_batch(count, model.N, rng)
-        take(hermitize((us * lam[:, None, :]) @ np.conj(np.swapaxes(us, -1, -2)))[None])
+        re, im = (rng.standard_normal((count, model.N, model.N)) for _ in range(2))
+        size = max(1, DRAW_BUFFER_BYTES // (16 * model.N ** 2))
+        for lo in range(0, count, size):
+            us = _haar_from_ginibre((re[lo:lo + size] + 1j * im[lo:lo + size]) / math.sqrt(2.0))
+            take(hermitize((us * lam[lo:lo + size, None, :])
+                           @ np.conj(np.swapaxes(us, -1, -2)))[None])
         return acceptance, 0.0
     if engine is None:
         acceptance = _gaussian_draws(model, count, rng, take)
@@ -1106,20 +1114,16 @@ def _gaussian_draws(model: GibbsModel, count: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class TIOptions:
-    """Budget for thermodynamic integration over the inverse temperature beta
-    of the chain; the keys of a ``ti:`` section.
-
-    ``nodes`` values beta_k = (k / (nodes - 1))^2.5 are visited by one
-    forward and one backward annealing sweep; each node gets
-    ``node_burnin`` burn-in steps, the first ``TUNE_SHARE`` (80%) of them
-    tuning (see :func:`_draw`), and ``node_steps / 2`` measured steps per
-    sweep; the first node of a sweep burns in 4 ``node_burnin`` steps. Used
-    only for the n >= 2 models without an exact log normalizer (see
-    :func:`estimate_log_I`); the others ignore it. ``nodes`` is at
+    """Budget of the path to log I where no exact route exists (see
+    :func:`_ti_log_I`, and :func:`estimate_log_I` for the models that ignore
+    it); the keys of a ``ti:`` section. ``nodes`` is the most nodes of the
+    path, both ends counted (``nodes`` - 1 rungs); each chain node burns in
+    ``node_burnin`` steps, the first ``TUNE_SHARE`` (80%) of them tuning (see
+    :func:`_draw`); each node draws ``node_steps`` states. ``nodes`` is at
     least 3, the fewest with a second divided difference (the trapezoid's
-    error bound), ``node_steps`` at least 4, two measured states per node
-    and sweep, the fewest :func:`matent.estimates.pooled_mean` accepts, and
-    ``node_burnin`` at least 0.
+    error bound), ``node_steps`` at least 4, so that an ESS of half a node's
+    states is 2, the fewest :func:`matent.estimates.pooled_mean` accepts,
+    and ``node_burnin`` at least 0.
     """
 
     nodes: int = 31
@@ -1128,63 +1132,9 @@ class TIOptions:
 
     def __post_init__(self) -> None:
         if self.nodes < 3:
-            raise ValueError("thermodynamic integration needs at least 3 beta nodes")
+            raise ValueError("ti needs at least 3 path nodes")
         if self.node_burnin < 0 or self.node_steps < 4:
             raise ValueError("ti needs node_burnin >= 0 and node_steps >= 4")
-
-
-def _ti_pass(model: GibbsModel, grid: np.ndarray, node_burnin: int,
-              node_steps: int, rng: np.random.Generator,
-              forward: bool) -> Tuple[float, float, float]:
-    """One annealed pass over the beta grid: (integral, stderr, disc bound).
-
-    One chain visits the nodes in turn, each through :func:`_draw` at the
-    node's beta: ``node_burnin`` burn-in steps (4 times as many at the
-    pass's first node, where the chain starts cold), whose tuning adapts
-    the proposal scale to the node, since the scale that suits the
-    reference measure is too wide once the coupling bites; then
-    ``node_steps`` measured steps, each read as the energy the chain has
-    already computed. The chain lags its annealing schedule, biasing node
-    means toward the previous temperature; running passes in both
-    directions flips the sign of that lag so the pair average cancels it to
-    first order. Each node's mean energy and its stderr come from
-    :func:`matent.estimates.pooled_mean` of the node's series, whose
-    autocorrelation time is comparable to the node budget.
-    """
-    engine = ChainEngine(model, rng)
-    means = np.empty(grid.size)
-    errs = np.empty(grid.size)
-    order = range(grid.size) if forward else range(grid.size - 1, -1, -1)
-    for i, k in enumerate(order):
-        b = grid[k]
-        engine.set_beta(float(b))
-        series = []
-        acceptance, _ = _draw(model, node_steps, node_burnin * (4 if i == 0 else 1), 1, rng,
-                              lambda blocks: series.append(engine.energy[0]), engine=engine)
-        if acceptance < MIN_ACCEPTANCE:
-            raise EstimatorError(
-                f"chain acceptance collapsed to {acceptance:.4f} at beta={b:.3f}")
-        node = pooled_mean(series)[0]
-        means[k], errs[k] = node.value, node.stderr
-
-    w = np.zeros(grid.size)
-    w[0] = (grid[1] - grid[0]) / 2.0
-    w[-1] = (grid[-1] - grid[-2]) / 2.0
-    w[1:-1] = (grid[2:] - grid[:-2]) / 2.0
-    integral = float(np.dot(w, means))
-    se = math.sqrt(float(np.dot(w ** 2, errs ** 2)))
-    h = np.diff(grid)
-    # second divided differences approximate f'' at interior nodes;
-    # per-interval trapezoid error is h_i^3 |f''| / 12 with the larger
-    # adjacent curvature estimate
-    d2 = np.abs(2.0 * ((means[2:] - means[1:-1]) / h[1:]
-                       - (means[1:-1] - means[:-2]) / h[:-1]) / (h[1:] + h[:-1]))
-    curv = np.empty(h.size)
-    curv[0] = d2[0]
-    curv[-1] = d2[-1]
-    curv[1:-1] = np.maximum(d2[:-1], d2[1:])
-    disc = float(np.sum(h ** 3 * curv) / 12.0)
-    return integral, se, disc
 
 
 def estimate_log_I(model: GibbsModel, opts: TIOptions = TIOptions(),
@@ -1197,9 +1147,9 @@ def estimate_log_I(model: GibbsModel, opts: TIOptions = TIOptions(),
     Mehta's determinant (see :func:`_mehta_log_I`), with the quadrature
     error in ``bias_bound``; ``opts`` and ``rng`` are then unused, so ``rng``
     may be left out. Every other model, and a bilinear one outside the
-    determinant's range, is estimated by annealed thermodynamic integration
-    with the budget ``opts`` (see :func:`_ti_log_I`), which draws from
-    ``rng`` and refuses to run without it.
+    determinant's range, is integrated along a path from the one-matrix
+    part of its potential with the budget ``opts`` (see :func:`_ti_log_I`),
+    which draws from ``rng`` and refuses to run without it.
     """
     if model.potential.is_zero():
         return ScalarEstimate.exact(model.n * log_ball_volume(model.N, model.R))
@@ -1209,37 +1159,83 @@ def estimate_log_I(model: GibbsModel, opts: TIOptions = TIOptions(),
     return exact if exact is not None else _ti_log_I(model, opts, rng)
 
 
-def _ti_log_I(model: GibbsModel, opts: TIOptions,
-              rng: Optional[np.random.Generator]) -> ScalarEstimate:
-    """log I by thermodynamic integration from the exact ball volume.
+def _next_node(d: np.ndarray, s: float) -> float:
+    """The largest s' in (s, min(1, s + 1/2)] whose importance weights
+    exp(-(s' - s) d) on the states at s keep an ESS, (sum w)^2 / sum w^2, of
+    half their number: the end, or by bisection to 2^-50 (the ESS falls as
+    s' grows: the cumulant generating function of -d is convex)."""
+    x = d - d.min()
 
-    With I(beta) the integral of exp(-beta N Tr V), d/dbeta log I(beta) =
-    -E_beta[N Tr V], so log I = log I(1) is n log Vol minus the trapezoid of
-    the mean energy along an increasing beta grid from 0 to 1, power-law
-    packed near 0 where the integrand has most of its curvature.
-    The budget is split over a forward and a backward annealing sweep, which
-    cancels the chain's schedule-lag bias to first order; node means within
-    a sweep share one chain, so the between-sweep spread is the trustworthy
-    error signal and the reported stderr is the larger of the spread and the
-    per-node IAT-corrected sum. The trapezoid discretization error goes to
-    ``bias_bound`` via second divided differences.
+    def keeps_half(t: float) -> bool:
+        w = np.exp((s - t) * x)
+        return w.sum() ** 2 >= 0.5 * x.size * np.vdot(w, w)
+
+    lo, hi = s, min(1.0, s + 0.5)
+    if keeps_half(hi):
+        return hi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if keeps_half(mid) else (lo, mid)
+    return lo
+
+
+def _ti_log_I(model: GibbsModel, opts: TIOptions, rng: Optional[np.random.Generator],
+              split: bool = True) -> ScalarEstimate:
+    """log I by reference-state integration (Frenkel & Ladd, J. Chem. Phys.
+    81 (1984) 3188) from V0, the one-matrix words of every block of V.
+
+    log I(V0) is the sum of the blocks' exact values (the constant goes with
+    block 1's), and V0's states are exact n = 1 draws, block by block
+    (:func:`_draw`). On the path V0 + s (V - V0), d/ds log I = -E_s[D] with
+    D = N Tr(V - V0): log I(V) is log I(V0) less the trapezoid of D's means
+    on nodes 0 = s_0 < ... < s_m = 1, each of ``node_steps`` states: exact
+    at s_0, then from one chain, started at the last exact draw, warm from
+    node to node and burnt in ``node_burnin`` steps at each (:func:`_draw`).
+    :func:`_next_node` places s_{k+1} on node k's states; node ``nodes`` - 1,
+    the last allowed, is s = 1. The nodes' stderrs (from
+    :func:`matent.estimates.pooled_mean`) add in quadrature, weighted as the
+    means; ``bias_bound`` adds the exact values' error and the trapezoid's,
+    h^3 |f''| / 12 per interval with the larger adjacent second divided
+    difference. ``split`` False starts at V0 = 0, the empty ball.
     """
-    base = model.n * log_ball_volume(model.N, model.R)
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
-    # power-law node packing toward beta = 0, where the mean energy has a
-    # 1/beta-like corner before the reference measure takes over
-    grid = np.linspace(0.0, 1.0, opts.nodes) ** 2.5
-
-    per_node = opts.node_steps // 2
-    passes = [_ti_pass(model, grid, opts.node_burnin, per_node, rng, forward)
-              for forward in (True, False)]
-    integrals, ses, discs = np.array(passes).T
-    integral = float(integrals.mean())
-    se = math.sqrt(float(np.mean(ses ** 2)) / 2)
-    spread = float(integrals.std(ddof=1) / math.sqrt(2))
-    return ScalarEstimate(base - integral, max(se, spread), 2 * per_node * grid.size,
-                          float(discs.mean()))
+    n, N, R = model.n, model.N, model.R
+    sides, mixed = [{} for _ in range(n)], {}
+    for w, c in model.potential.terms.items():
+        if split and len(set(w)) <= 1:
+            sides[w[0] - 1 if w else 0][(1,) * len(w)] = c
+        else:
+            mixed[w] = c
+    singles = [GibbsModel(1, N, R, NcPoly(1, side)) for side in sides]
+    exact = [estimate_log_I(single) for single in singles]
+    rest = NcPoly(n, mixed)
+    ref, rest_energy = model.potential - rest, GibbsModel(n, N, R, rest).energy
+    states = np.empty((n, opts.node_steps, N, N), dtype=complex)
+    for i, single in enumerate(singles):
+        _draw(single, opts.node_steps, 0, 1, rng, _into(states[i:i + 1]))
+    engine = ChainEngine(model, rng)
+    engine.blocks = states[:, -1:].copy()
+    grid, nodes = [0.0], []
+    while True:
+        d = rest_energy(states)
+        nodes.append(pooled_mean(d)[0])
+        if grid[-1] == 1.0:
+            break
+        s = 1.0 if len(grid) == opts.nodes - 1 else _next_node(d, grid[-1])
+        grid.append(s)
+        acceptance, _ = _draw(GibbsModel(n, N, R, ref + s * rest), opts.node_steps,
+                              opts.node_burnin, 1, rng, _into(states), engine=engine)
+        if acceptance < MIN_ACCEPTANCE:
+            raise EstimatorError(f"chain acceptance collapsed to {acceptance:.4f} at s={s:.3f}")
+    means, errs = np.array([(e.value, e.stderr) for e in nodes]).T
+    h = np.diff(grid)
+    w = (np.append(h, 0.0) + np.append(0.0, h)) / 2.0
+    d2 = np.abs(2.0 * np.diff(np.diff(means) / h) / (h[1:] + h[:-1]))
+    curv = np.maximum(np.append(d2[:1], d2), np.append(d2, d2[-1:]))
+    return ScalarEstimate(sum(e.value for e in exact) - float(w @ means),
+                          math.sqrt(float(w ** 2 @ errs ** 2)), len(grid) * opts.node_steps,
+                          sum(e.bias_bound for e in exact) + float(h ** 3 @ curv) / 12.0)
 
 
 def _entropy(log_i: ScalarEstimate, energy: ScalarEstimate) -> ScalarEstimate:

@@ -432,9 +432,9 @@ BAD_VALUES = {
         {"word": [1, 1], "re": math.inf}]}}, "potential re must be finite, got inf"),
     # budgets out of range
     "pressure ti nodes 1": ({"kind": "pressure", "n": 2, "N": 2, "potential": {"terms": [
-        {"word": [1, 2, 2, 1], "re": 0.1}]}, "ti": {"nodes": 1}}, "at least 3 beta nodes"),
+        {"word": [1, 2, 2, 1], "re": 0.1}]}, "ti": {"nodes": 1}}, "at least 3 path nodes"),
     "pressure ti nodes 2": ({"kind": "pressure", "n": 2, "N": 2, "potential": {"terms": [
-        {"word": [1, 2, 2, 1], "re": 0.1}]}, "ti": {"nodes": 2}}, "at least 3 beta nodes"),
+        {"word": [1, 2, 2, 1], "re": 0.1}]}, "ti": {"nodes": 2}}, "at least 3 path nodes"),
     "pressure ti node_steps 3": ({"kind": "pressure", "n": 2, "N": 2, "ti": {"node_steps": 3}},
                                  "node_steps >= 4"),
     "rho fit steps_per_iter 0": ({"kind": "rho", "N": 2, "target": PAIR_K2,

@@ -15,9 +15,11 @@ import sys
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from matent import maxent, sampler
+from matent.matrices import haar_unitary_batch, hermitize
 from matent.ncpoly import NcPoly
 from matent.streams import substream
 
@@ -104,6 +106,16 @@ def test_only_draw_drives_a_chain_engine():
             calls += [f"{path.name}: {name} (line {sub.lineno})"
                       for sub in ast.walk(node) if isinstance(sub, ast.Call)
                       and isinstance(sub.func, ast.Attribute) and sub.func.attr in driven]
+    assert calls == []
+
+
+def test_no_function_anneals_in_beta():
+    # log I steps along the potential from its exactly solvable part, so no
+    # chain in the package runs at an inverse temperature other than 1
+    calls = [f"{path.name}: {getattr(node, 'name', '?')} (line {sub.lineno})"
+             for path in sorted(SRC.glob("*.py")) for node in ast.parse(path.read_text()).body
+             for sub in ast.walk(node) if isinstance(sub, ast.Call)
+             and isinstance(sub.func, ast.Attribute) and sub.func.attr == "set_beta"]
     assert calls == []
 
 
@@ -220,17 +232,28 @@ def test_exact_chain_memory_is_its_sample_array():
     # a Gaussian model's exact draws are copied into the preallocated
     # (n, S, N, N) array batch by batch, as they come: the run peaks below
     # 1.5 times that array, where a list of the batches and its concatenated
-    # copy would take twice it
+    # copy would take twice it. A one-matrix model's draws hold the Ginibre
+    # entries of all their Haar unitaries too, one more sample array, and make
+    # the rest in batches: below 3.5 times it (5.1 in one batch), with the
+    # samples one batch gives, to the bit
     model = sampler.GibbsModel(2, 16, 2.0, 0.47 * (NcPoly.from_word(2, (1, 1))
                                                    + NcPoly.from_word(2, (2, 2))))
-    tracemalloc.start()
-    try:
-        samples, diag = sampler.mcmc_chain(model, 2000, 0, 1, substream(1, "chain-memory"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert samples.shape == (2, 2000, 16, 16) and diag.step_scale == 0.0
-    assert peak < 1.5 * samples.nbytes, peak / samples.nbytes
+    one = sampler.GibbsModel(1, 16, 2.0, NcPoly.from_word(1, (1, 1)))
+    for model, count, bound in ((model, 2000, 1.5), (one, 4000, 3.5)):
+        tracemalloc.start()
+        try:
+            samples, diag = sampler.mcmc_chain(model, count, 0, 1, substream(1, "chain-memory"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.shape == (model.n, count, 16, 16) and diag.step_scale == 0.0
+        assert peak < bound * samples.nbytes, peak / samples.nbytes
+    # the last run above is the one-matrix model's
+    rng = substream(1, "chain-memory")
+    lam, _ = sampler._ExactSpectra(one).draw(4000, rng)
+    us = haar_unitary_batch(4000, 16, rng)
+    whole = hermitize((us * lam[:, None, :]) @ np.conj(np.swapaxes(us, -1, -2)))
+    assert np.array_equal(samples[0], whole)
 
 
 def test_exact_final_run_imports_no_fft():

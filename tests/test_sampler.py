@@ -544,14 +544,15 @@ def test_exact_log_i_flags_unresolved_weight():
 
 
 def test_ti_error_bars_cover_exact_log_i():
-    # the annealed route on a one-matrix model, against the exact route
+    # the path from the empty ball (V0 = 0) on a one-matrix model, against
+    # the exact route; from its own V0 the path would be exact
     pot = _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.1])
     model = GibbsModel(1, 4, 2.0, pot)
     exact = estimate_log_I(model)
     opts = TIOptions(nodes=11, node_burnin=100, node_steps=400)
     misses = []
     for seed in range(8):
-        ti = _ti_log_I(model, opts, substream(seed, "ti-calib"))
+        ti = _ti_log_I(model, opts, substream(seed, "ti-calib"), split=False)
         diff = ti.value - exact.value
         print(f"seed {seed}: TI - exact {diff:+.4f}, z {diff / ti.stderr:+.2f}, "
               f"bias_bound {ti.bias_bound:.4f}")
@@ -562,14 +563,14 @@ def test_ti_error_bars_cover_exact_log_i():
 
 def test_ti_error_bars_cover_exact_separable_pair():
     # V = c (X^2 + Y^2) factorizes, so log I = 2 log I_1 exactly by Heine;
-    # an n = 2 check of the annealed route's error bars
+    # an n = 2 check of the error bars of the path from the empty ball
     c = 0.4746
     exact = _heine_log_I(GibbsModel(1, 4, 2.0, c * NcPoly.from_word(1, (1, 1))))
     model = GibbsModel(2, 4, 2.0, NcPoly(2, {(1, 1): c, (2, 2): c}))
     opts = TIOptions(nodes=21, node_burnin=200, node_steps=1000)
     misses = []
     for seed in range(8):
-        ti = _ti_log_I(model, opts, substream(seed, "ti-pair"))
+        ti = _ti_log_I(model, opts, substream(seed, "ti-pair"), split=False)
         diff = ti.value - 2 * exact.value
         if abs(diff) > 3 * ti.stderr + ti.bias_bound + 2 * exact.bias_bound:
             misses.append((seed, diff, ti.stderr, ti.bias_bound))
@@ -595,6 +596,21 @@ def test_ti_error_bars_cover_exact_coupled_pair():
                   f"bias_bound {ti.bias_bound:.4f}")
             if abs(diff) > 3 * ti.stderr + ti.bias_bound + exact.bias_bound:
                 misses.append((c, seed, diff, ti.stderr, ti.bias_bound))
+    assert misses == []
+
+
+def test_ti_error_bars_cover_gaussian_pair():
+    # a (X^2 + Y^2) - c (XY + YX) at R = 6, where the ball cuts off nothing
+    # the weight sees: the path from a (X^2 + Y^2) against the Gaussian integral
+    opts = TIOptions(nodes=21, node_burnin=200, node_steps=1000)
+    misses = []
+    for c in (0.3, 0.5):
+        want = oracles.gaussian_pair_log_I(1.0, c, 4)
+        for seed in range(4):
+            ti = _ti_log_I(GibbsModel(2, 4, 6.0, _quadratic_pair(1.0, c)), opts,
+                           substream(seed, "ti-gauss", str(c)))
+            if abs(ti.value - want) > 3 * ti.stderr + ti.bias_bound:
+                misses.append((c, seed, ti.value - want, ti.stderr, ti.bias_bound))
     assert misses == []
 
 
@@ -770,7 +786,7 @@ def test_models_without_exact_route_go_to_ti(monkeypatch):
 
 def test_ti_needs_two_beta_nodes():
     pot = NcPoly.from_word(2, (1, 2)) + NcPoly.from_word(2, (2, 1))
-    with pytest.raises(ValueError, match="at least 3 beta nodes"):
+    with pytest.raises(ValueError, match="at least 3 path nodes"):
         _ti_log_I(GibbsModel(2, 3, 1.0, pot), TIOptions(nodes=1),
                   substream(0, "ti-nodes"))
 
@@ -779,14 +795,13 @@ def test_ti_needs_two_beta_nodes():
                                     {"node_steps": 3}], ids=str)
 def test_ti_budget_below_its_bound_is_refused(budget):
     # 3 nodes give one second divided difference, the trapezoid's error bound;
-    # 4 steps give each node 2 measured states per sweep, pooled_mean's fewest
-    with pytest.raises(ValueError, match="at least 3 beta nodes|node_steps >= 4"):
+    # 4 steps keep 2 states at an ESS of half a node's, pooled_mean's fewest
+    with pytest.raises(ValueError, match="at least 3 path nodes|node_steps >= 4"):
         TIOptions(**budget)
 
 
 def test_three_node_ti_grid_reports_a_discretization_bound():
-    # at 2 nodes this model read -22.13 +- 1.91 with bias_bound 0, against
-    # -6.28 +- 0.68 with bias_bound 3.1 at 5 nodes
+    # the fewest nodes a path may take still give a second divided difference
     x, y = NcPoly.generator(2, 1), NcPoly.generator(2, 2)
     pot = x * x + y * y + 0.5 * (x * x * y * y + y * y * x * x)
     est = _ti_log_I(GibbsModel(2, 3, 2.0, pot),
