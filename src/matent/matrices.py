@@ -152,17 +152,12 @@ def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_unitary_batch(count: int, N: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` independent Haar unitaries, batched QR of ``count``
-    complex Ginibre matrices (see :func:`_haar_from_ginibre`)."""
-    return _haar_from_ginibre((rng.standard_normal((count, N, N))
-                               + 1j * rng.standard_normal((count, N, N))) / math.sqrt(2.0))
-
-
-def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """The Haar unitaries of a stack of complex Ginibre matrices: QR with the
-    R-diagonal phases divided out, which makes the factorization unique and
-    the Q factors exactly Haar. Each matrix gets the bits it gets alone."""
-    q, r = np.linalg.qr(z)
+    """Stack of ``count`` independent Haar unitaries: the QR of ``count``
+    complex Ginibre matrices with the R-diagonal phases divided out, which
+    makes the factorization unique and the Q factors exactly Haar. Each
+    matrix gets the bits it gets alone."""
+    q, r = np.linalg.qr((rng.standard_normal((count, N, N))
+                         + 1j * rng.standard_normal((count, N, N))) / math.sqrt(2.0))
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
 

@@ -4,8 +4,8 @@ The reference measure is Lebesgue on the product of operator-norm balls
 { ||M_i|| <= R }; a model reweights it by exp(-N Tr V(M)) for a
 self-adjoint potential V, whose scale is the model's only temperature.
 Which sampler draws a model's states is decided in one place,
-:func:`_draw`: exact i.i.d. draws where an exact sampler exists (n == 1,
-and a Gaussian cut to the ball), random-walk Metropolis otherwise. Its
+:func:`_draw`: exact i.i.d. draws where an exact sampler exists (a Gaussian
+cut to the ball, a separable potential), random-walk Metropolis otherwise. Its
 proposal adds a Gaussian Hermitian increment to every block and rejects
 outside the ball, which one batched Cholesky of R^2 - M^2 decides
 (:func:`~matent.matrices.in_norm_ball`). One
@@ -19,7 +19,8 @@ in a stack gets the energy bits it gets alone, every decision, state and
 energy is the one single steps give.
 
 The normalizer I = integral of exp(-N Tr V) over the ball product is exact
-for n == 1: the eigenvalues form an orthogonal-polynomial ensemble, and
+for a separable potential sum_a V_a(X_a), a product of one-matrix I's: the
+eigenvalues of one matrix form an orthogonal-polynomial ensemble, and
 Heine's identity turns log I into a sum of log norms of the monic
 orthogonal polynomials for the weight exp(-N V) on [-R, R], computed by
 a discretized Stieltjes procedure on Gauss-Legendre nodes. It is exact for
@@ -27,8 +28,8 @@ two matrices whose potential couples them only through Tr XY: the HCIZ
 integral and Andreief's identity turn I into Mehta's bimoment determinant,
 evaluated on the same nodes by :func:`_split_form`, whose derivatives are
 the moments of the exact K = 2 fit. Every other n >= 2 model is estimated
-by integrating along the path from the one-matrix part of its potential,
-exact by Heine's identity, to the whole potential (:func:`_ti_log_I`).
+by integrating along the path from the one-letter words of its potential,
+a separable model, to the whole potential (:func:`_ti_log_I`).
 
 Samples are one complex array of shape (n, S, N, N): block i of sample s
 is ``samples[i, s]``, the layout of :class:`ChainEngine`'s state with the S
@@ -54,7 +55,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .estimates import EstimatorError, ScalarEstimate, pooled_mean
-from .matrices import MatrixTuple, _haar_from_ginibre, hermitize, in_norm_ball
+from .matrices import MatrixTuple, haar_unitary_batch, hermitize, in_norm_ball
 from .moments import MomentSpec
 from .ncpoly import NcPoly, Word, canonical_class, canonical_classes, word_rotations, word_traces
 
@@ -158,7 +159,7 @@ class ChainEngine:
     swapped without discarding the state, as the path of :func:`_ti_log_I`
     does at each node and Monte Carlo Newton at each iterate. Every step
     proposes a joint Gaussian Hermitian increment of all blocks of every
-    walker, for any n; :func:`_draw` draws n == 1 and Gaussian states
+    walker, for any n; :func:`_draw` draws Gaussian and separable states
     exactly instead. All walkers share one step scale, tuned on their pooled
     acceptance, and ``accepted`` and ``proposed`` count walker-steps, so
     ``run(s)`` costs s batched steps and yields K s walker-steps.
@@ -383,6 +384,18 @@ def _into(out: np.ndarray) -> Callable[[np.ndarray], None]:
     return take
 
 
+def _blocks(model: GibbsModel) -> Optional[Tuple[GibbsModel, ...]]:
+    """The one-matrix models of the blocks of a separable model, one with no
+    word of two distinct letters (the constant goes to block 1), or None for
+    any other model; an n == 1 model is its one block."""
+    sides = [{} for _ in range(model.n)]
+    for w, c in model.potential.terms.items():
+        if len(set(w)) > 1:
+            return None
+        sides[w[0] - 1 if w else 0][(1,) * len(w)] = c
+    return tuple(GibbsModel(1, model.N, model.R, NcPoly(1, side)) for side in sides)
+
+
 def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.Generator,
           take: Callable[[np.ndarray], None], walkers: int = 1,
           engine: Optional[ChainEngine] = None) -> Tuple[float, float]:
@@ -390,21 +403,20 @@ def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.
     in (n, k, N, N) batches, in order, and (acceptance, step scale) is
     returned. The first route that applies is taken:
 
-    - n == 1: ``walkers`` * (``steps`` // ``thin``) exact i.i.d. draws, as
-      many as a chain hands on: spectra of :class:`_ExactSpectra` conjugated
-      by Haar unitaries, whose Ginibre entries are all drawn at once, in
-      :func:`~matent.matrices.haar_unitary_batch`'s order, and whose QR and
-      product go in batches of max(1, ``DRAW_BUFFER_BYTES`` // (16 N^2));
     - a Gaussian model (:func:`_gaussian_draws`, a positive definite
-      quadratic form cut to the ball by rejection): as many exact i.i.d.
-      draws, in the batches of its proposals;
+      quadratic form cut to the ball by rejection) whose first batch accepts
+      ``MIN_ACCEPTANCE`` or more: ``walkers`` * (``steps`` // ``thin``)
+      exact i.i.d. draws, as many as a chain hands on;
+    - a separable model (:func:`_blocks`) that route refuses: as many exact
+      draws, the blocks' spectra (:class:`_ExactSpectra`) in block order,
+      then per batch of max(1, ``DRAW_BUFFER_BYTES`` // (16 n N^2)) one
+      :func:`~matent.matrices.haar_unitary_batch` per block to conjugate
+      them; the acceptance is the blocks' mean;
     - otherwise a chain: the warm ``engine`` if one is given (set to this
-      model; it skips both exact routes), else a new
-      one of ``walkers`` walkers, which also takes a Gaussian model whose
-      first batch accepts below ``MIN_ACCEPTANCE``. It tunes its step size over
-      the first ``TUNE_SHARE`` of ``burnin`` steps, runs the rest at that
-      scale, resets its counters and runs ``steps`` steps, handing ``take``
-      every ``thin``-th state of all its walkers, (n, K, N, N) at a time.
+      model; it skips both exact routes), else a new one of ``walkers``
+      walkers. It tunes its step size over the first ``TUNE_SHARE`` of
+      ``burnin`` steps, runs the rest at that scale, resets its counters and
+      runs ``steps`` steps, handing ``take`` each ``thin``-th (n, K, N, N) state.
 
     On the exact routes ``burnin`` is unused, the acceptance is that of the
     rejection proposals and the step scale is 0; a chain's acceptance is
@@ -413,17 +425,17 @@ def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.
     are handed on as they are. Every draw is from ``rng``.
     """
     count = walkers * (steps // thin)
-    if engine is None and model.n == 1:
-        lam, acceptance = _ExactSpectra(model).draw(count, rng)
-        re, im = (rng.standard_normal((count, model.N, model.N)) for _ in range(2))
-        size = max(1, DRAW_BUFFER_BYTES // (16 * model.N ** 2))
-        for lo in range(0, count, size):
-            us = _haar_from_ginibre((re[lo:lo + size] + 1j * im[lo:lo + size]) / math.sqrt(2.0))
-            take(hermitize((us * lam[lo:lo + size, None, :])
-                           @ np.conj(np.swapaxes(us, -1, -2)))[None])
-        return acceptance, 0.0
     if engine is None:
         acceptance = _gaussian_draws(model, count, rng, take)
+        blocks = _blocks(model) if acceptance is None else None
+        if blocks is not None:
+            spectra = [_ExactSpectra(block).draw(count, rng) for block in blocks]
+            size = max(1, DRAW_BUFFER_BYTES // (16 * model.n * model.N ** 2))
+            for lo in range(0, count, size):
+                lam = np.stack([each[lo:lo + size] for each, _ in spectra])[..., None, :]
+                us = np.stack([haar_unitary_batch(lam.shape[1], model.N, rng) for _ in spectra])
+                take(hermitize((us * lam) @ np.conj(np.swapaxes(us, -1, -2))))
+            acceptance = sum(a for _, a in spectra) / len(spectra)
         if acceptance is not None:
             return acceptance, 0.0
         engine = ChainEngine(model, rng, walkers)
@@ -832,8 +844,6 @@ def _split_form(M: int, R: float, N: int, D: int = 0) -> Callable:
         # rows p_j w on the nodes, up to one factor per side that C ignores
         f = qs * np.exp(0.5 * (logw - logw.max(axis=-1, keepdims=True)))[..., None, :]
         kernels = (qs * qs).sum(axis=-2) @ powers[:, 1:D + 1]
-        if not (D or s.any()):
-            return total, np.zeros(P), None
         # C's order (A, B), and that of the model with X and Y swapped (B, A)
         p = np.where(upper, f @ taylor, 0.0)
         # the remainder of every side-1 row times u^d against every side-2 row
@@ -1141,20 +1151,23 @@ def estimate_log_I(model: GibbsModel, opts: TIOptions = TIOptions(),
                    rng: Optional[np.random.Generator] = None) -> ScalarEstimate:
     """log I of a Gibbs model, exact wherever an exact route exists.
 
-    Exact (stderr 0) when the potential vanishes: n log Vol. For
-    n == 1 it is deterministic by Heine's identity (see :func:`_heine_log_I`),
-    and for two matrices with potential V1(X) + V2(Y) + k(XY + YX)/2 by
-    Mehta's determinant (see :func:`_mehta_log_I`), with the quadrature
-    error in ``bias_bound``; ``opts`` and ``rng`` are then unused, so ``rng``
-    may be left out. Every other model, and a bilinear one outside the
-    determinant's range, is integrated along a path from the one-matrix
-    part of its potential with the budget ``opts`` (see :func:`_ti_log_I`),
-    which draws from ``rng`` and refuses to run without it.
+    Exact (stderr 0) when the potential vanishes: n log Vol. A separable
+    model's (:func:`_blocks`) is the sum of its blocks' by Heine's identity
+    (:func:`_heine_log_I`; ``count`` is the most nodes a block took), and
+    for two matrices with potential V1(X) + V2(Y) + k(XY + YX)/2 it is
+    Mehta's determinant (:func:`_mehta_log_I`), with the quadrature errors
+    in ``bias_bound``; ``opts`` and ``rng`` are then unused, so ``rng`` may
+    be left out. Every other model, and a bilinear one outside the
+    determinant's range, is integrated along a path from its separable part
+    with the budget ``opts`` (:func:`_ti_log_I`), which needs ``rng``.
     """
     if model.potential.is_zero():
         return ScalarEstimate.exact(model.n * log_ball_volume(model.N, model.R))
-    if model.n == 1:
-        return _heine_log_I(model)
+    blocks = _blocks(model)
+    if blocks is not None:
+        parts = [_heine_log_I(block) for block in blocks]
+        return ScalarEstimate(sum(p.value for p in parts), 0.0, max(p.count for p in parts),
+                              sum(p.bias_bound for p in parts))
     exact = _mehta_log_I(model)
     return exact if exact is not None else _ti_log_I(model, opts, rng)
 
@@ -1182,11 +1195,11 @@ def _next_node(d: np.ndarray, s: float) -> float:
 def _ti_log_I(model: GibbsModel, opts: TIOptions, rng: Optional[np.random.Generator],
               split: bool = True) -> ScalarEstimate:
     """log I by reference-state integration (Frenkel & Ladd, J. Chem. Phys.
-    81 (1984) 3188) from V0, the one-matrix words of every block of V.
+    81 (1984) 3188) from V0, the separable part of V: its one-letter words.
 
-    log I(V0) is the sum of the blocks' exact values (the constant goes with
-    block 1's), and V0's states are exact n = 1 draws, block by block
-    (:func:`_draw`). On the path V0 + s (V - V0), d/ds log I = -E_s[D] with
+    log I(V0) is exact and V0's states are exact draws, from one
+    :func:`estimate_log_I` and one :func:`_draw` call on the n-block V0
+    model. On the path V0 + s (V - V0), d/ds log I = -E_s[D] with
     D = N Tr(V - V0): log I(V) is log I(V0) less the trapezoid of D's means
     on nodes 0 = s_0 < ... < s_m = 1, each of ``node_steps`` states: exact
     at s_0, then from one chain, started at the last exact draw, warm from
@@ -1194,26 +1207,18 @@ def _ti_log_I(model: GibbsModel, opts: TIOptions, rng: Optional[np.random.Genera
     :func:`_next_node` places s_{k+1} on node k's states; node ``nodes`` - 1,
     the last allowed, is s = 1. The nodes' stderrs (from
     :func:`matent.estimates.pooled_mean`) add in quadrature, weighted as the
-    means; ``bias_bound`` adds the exact values' error and the trapezoid's,
+    means; ``bias_bound`` adds the exact value's error and the trapezoid's,
     h^3 |f''| / 12 per interval with the larger adjacent second divided
     difference. ``split`` False starts at V0 = 0, the empty ball.
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
     n, N, R = model.n, model.N, model.R
-    sides, mixed = [{} for _ in range(n)], {}
-    for w, c in model.potential.terms.items():
-        if split and len(set(w)) <= 1:
-            sides[w[0] - 1 if w else 0][(1,) * len(w)] = c
-        else:
-            mixed[w] = c
-    singles = [GibbsModel(1, N, R, NcPoly(1, side)) for side in sides]
-    exact = [estimate_log_I(single) for single in singles]
-    rest = NcPoly(n, mixed)
-    ref, rest_energy = model.potential - rest, GibbsModel(n, N, R, rest).energy
+    ref = NcPoly(n, {w: c for w, c in model.potential.terms.items() if split and len(set(w)) < 2})
+    rest, base = model.potential - ref, GibbsModel(n, N, R, ref)
+    exact, rest_energy = estimate_log_I(base), GibbsModel(n, N, R, rest).energy
     states = np.empty((n, opts.node_steps, N, N), dtype=complex)
-    for i, single in enumerate(singles):
-        _draw(single, opts.node_steps, 0, 1, rng, _into(states[i:i + 1]))
+    _draw(base, opts.node_steps, 0, 1, rng, _into(states))
     engine = ChainEngine(model, rng)
     engine.blocks = states[:, -1:].copy()
     grid, nodes = [0.0], []
@@ -1233,9 +1238,9 @@ def _ti_log_I(model: GibbsModel, opts: TIOptions, rng: Optional[np.random.Genera
     w = (np.append(h, 0.0) + np.append(0.0, h)) / 2.0
     d2 = np.abs(2.0 * np.diff(np.diff(means) / h) / (h[1:] + h[:-1]))
     curv = np.maximum(np.append(d2[:1], d2), np.append(d2, d2[-1:]))
-    return ScalarEstimate(sum(e.value for e in exact) - float(w @ means),
+    return ScalarEstimate(exact.value - float(w @ means),
                           math.sqrt(float(w ** 2 @ errs ** 2)), len(grid) * opts.node_steps,
-                          sum(e.bias_bound for e in exact) + float(h ** 3 @ curv) / 12.0)
+                          exact.bias_bound + float(h ** 3 @ curv) / 12.0)
 
 
 def _entropy(log_i: ScalarEstimate, energy: ScalarEstimate) -> ScalarEstimate:

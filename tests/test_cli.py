@@ -173,6 +173,17 @@ def test_main_is_deterministic_per_seed(tmp_path):
     assert outs[0] != outs[2]
 
 
+def test_separable_sample_draws_exactly(tmp_path):
+    # the quartic family X^4 + Y^4 is separable: its blocks are independent
+    # one-matrix ensembles, drawn exactly with no chain
+    doc = {"kind": "sample", "seed": 3, "K": 2, "chain": TINY_CHAIN,
+           "model": dict(PAIR, potential={"name": "quartic"})}
+    out = tmp_path / "out"
+    assert main(["--config", write_yaml(tmp_path / "q.yaml", doc), "--out", str(out)]) == 0
+    [rec] = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert rec["diagnostics"]["step_scale"] == 0.0 and rec["diagnostics"]["retained"] == 100
+
+
 # configs whose values are out of range; each used to end in a traceback
 OUT_OF_RANGE = [
     {"kind": "arcsine-demo", "N": 0},

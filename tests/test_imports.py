@@ -229,17 +229,20 @@ def test_exact_final_run_memory_does_not_hold_its_draws():
 
 
 def test_exact_chain_memory_is_its_sample_array():
-    # a Gaussian model's exact draws are copied into the preallocated
-    # (n, S, N, N) array batch by batch, as they come: the run peaks below
-    # 1.5 times that array, where a list of the batches and its concatenated
-    # copy would take twice it. A one-matrix model's draws hold the Ginibre
-    # entries of all their Haar unitaries too, one more sample array, and make
-    # the rest in batches: below 3.5 times it (5.1 in one batch), with the
-    # samples one batch gives, to the bit
-    model = sampler.GibbsModel(2, 16, 2.0, 0.47 * (NcPoly.from_word(2, (1, 1))
-                                                   + NcPoly.from_word(2, (2, 2))))
-    one = sampler.GibbsModel(1, 16, 2.0, NcPoly.from_word(1, (1, 1)))
-    for model, count, bound in ((model, 2000, 1.5), (one, 4000, 3.5)):
+    # a Gaussian model's exact draws, X^2 among them, are copied into the
+    # preallocated (n, S, N, N) array batch by batch, as they come: the run
+    # peaks below 1.5 times that array, where a list of the batches and its
+    # concatenated copy would take twice it. A separable model that is not
+    # Gaussian holds only its spectra beyond its batches, but its quartic
+    # energies take the powers of the whole array: below 3.5 times it, with
+    # the samples that its spectra and per-batch Haar unitaries give, to the bit
+    gaussian = sampler.GibbsModel(2, 16, 2.0, 0.47 * (NcPoly.from_word(2, (1, 1))
+                                                      + NcPoly.from_word(2, (2, 2))))
+    square = sampler.GibbsModel(1, 16, 2.0, NcPoly.from_word(1, (1, 1)))
+    one = sampler.GibbsModel(1, 16, 2.0, NcPoly(1, {(1, 1): 1.0, (1, 1, 1, 1): 0.1}))
+    pair = sampler.GibbsModel(2, 16, 2.0, NcPoly(2, {(1, 1, 1, 1): 1.0, (2, 2, 2, 2): 1.0}))
+    for model, count, bound in ((gaussian, 2000, 1.5), (square, 4000, 1.5), (one, 4000, 3.5),
+                                (pair, 2000, 3.5)):
         tracemalloc.start()
         try:
             samples, diag = sampler.mcmc_chain(model, count, 0, 1, substream(1, "chain-memory"))
@@ -248,12 +251,18 @@ def test_exact_chain_memory_is_its_sample_array():
             tracemalloc.stop()
         assert samples.shape == (model.n, count, 16, 16) and diag.step_scale == 0.0
         assert peak < bound * samples.nbytes, peak / samples.nbytes
-    # the last run above is the one-matrix model's
-    rng = substream(1, "chain-memory")
-    lam, _ = sampler._ExactSpectra(one).draw(4000, rng)
-    us = haar_unitary_batch(4000, 16, rng)
-    whole = hermitize((us * lam[:, None, :]) @ np.conj(np.swapaxes(us, -1, -2)))
-    assert np.array_equal(samples[0], whole)
+        if bound < 3.5:
+            continue
+        rng = substream(1, "chain-memory")
+        spectra = [sampler._ExactSpectra(b).draw(count, rng)[0] for b in sampler._blocks(model)]
+        size = sampler.DRAW_BUFFER_BYTES // (16 * model.n * 16 * 16)
+        whole = np.empty_like(samples)
+        for lo in range(0, count, size):
+            for i, lam in enumerate(spectra):
+                us = haar_unitary_batch(len(lam[lo:lo + size]), 16, rng)
+                whole[i, lo:lo + size] = hermitize((us * lam[lo:lo + size, None, :])
+                                                   @ np.conj(np.swapaxes(us, -1, -2)))
+        assert np.array_equal(samples, whole)
 
 
 def test_exact_final_run_imports_no_fft():

@@ -300,17 +300,17 @@ def test_jackknife_bias_when_one_draw_carries_all_mass():
 
 
 def test_exact_route_draws_no_haar_unitary(monkeypatch):
-    # every Haar unitary, of a batch or of an exact n = 1 draw, is the QR of
-    # a Ginibre matrix in matrices._haar_from_ginibre
+    # every Haar unitary, of an orbital batch or of an exact separable draw,
+    # comes from matrices.haar_unitary_batch
     drawn = []
-    real = matrices._haar_from_ginibre
+    real = matrices.haar_unitary_batch
 
-    def spy(z):
-        drawn.append(len(z))
-        return real(z)
+    def spy(count, N, rng):
+        drawn.append(count)
+        return real(count, N, rng)
 
-    for module in (matrices, sampler):
-        monkeypatch.setattr(module, "_haar_from_ginibre", spy)
+    for module in (matrices, orbital, sampler):
+        monkeypatch.setattr(module, "haar_unitary_batch", spy)
     # readme-orbital's model: c (X - Y)^2, c = 1, N = 8, R = 2
     model = GibbsModel(2, 8, 2.0, coupled_potential(1.0))
     est = orbital_entropy(OrbitalRequest(model, BlockMap.full(2), s_out=16, s_in=16,

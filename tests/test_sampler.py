@@ -493,7 +493,7 @@ def _scalar_poly(coeffs):
 
 
 def test_exact_log_i_constant_potential():
-    # V = c is not the zero potential, so this goes through the n = 1 route;
+    # V = c is not the zero potential, so this goes through the separable route;
     # the Gibbs factor of beta V is the constant exp(-beta N^2 c)
     c, beta, R = 0.7, 0.6, 3.0
     for N in range(1, 65):
@@ -728,11 +728,28 @@ def test_mehta_log_i_at_zero_coupling_is_heine():
 
     for N in (3, 8):
         h1, h2 = (_heine_log_I(GibbsModel(1, N, 2.0, v)) for v in (v1, v2))
-        same = estimate_log_I(GibbsModel(2, N, 2.0, pair(v1, v1)))
+        # the split form at s = 0 itself: estimate_log_I takes the Heine sum
+        same = sampler._mehta_log_I(GibbsModel(2, N, 2.0, pair(v1, v1)))
         assert same.stderr == 0.0
         assert abs(same.value - 2 * h1.value) <= 2 * h1.bias_bound + 1e-12
-        both = estimate_log_I(GibbsModel(2, N, 2.0, pair(v1, v2)))
+        both = sampler._mehta_log_I(GibbsModel(2, N, 2.0, pair(v1, v2)))
         assert abs(both.value - h1.value - h2.value) <= h1.bias_bound + h2.bias_bound + 1e-12
+
+
+def test_separable_log_i_is_the_sum_of_one_matrix_values():
+    # V1(X) + V2(Y) + V3(Z) with a constant: I is the product of the blocks'
+    # integrals, each exact by Heine's identity, and no path is run
+    sides = ([0.3, 0.0, 1.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.2, 0.7])
+    pot = NcPoly(3, {(i + 1,) * k: c for i, side in enumerate(sides)
+                     for k, c in enumerate(side) if c})
+    rng = substream(4, "separable-log-i")
+    est = estimate_log_I(GibbsModel(3, 4, 2.0, pot), TIOptions(), rng)
+    parts = [_heine_log_I(GibbsModel(1, 4, 2.0, _scalar_poly(side))) for side in sides]
+    assert est.value == pytest.approx(sum(p.value for p in parts), abs=1e-12)
+    assert est.stderr == 0.0 and est.count == max(p.count for p in parts)
+    assert est.bias_bound == pytest.approx(sum(p.bias_bound for p in parts), abs=1e-15)
+    assert repr(rng.bit_generator.state) == repr(
+        substream(4, "separable-log-i").bit_generator.state)
 
 
 def test_mehta_log_i_one_by_one_matches_quadrature():
@@ -809,26 +826,49 @@ def test_three_node_ti_grid_reports_a_discretization_bound():
     assert est.bias_bound > 0
 
 
+def test_ti_draws_its_reference_states_in_one_call(monkeypatch):
+    # node 0 of the path is one exact draw of the n-block V0 model, the
+    # one-letter words of V; every later node is the warm chain's
+    calls = []
+    draw = sampler._draw
+
+    def spy(model, steps, burnin, thin, rng, take, walkers=1, engine=None):
+        calls.append((model.n, model.potential.terms, steps, engine is None))
+        return draw(model, steps, burnin, thin, rng, take, walkers, engine)
+
+    monkeypatch.setattr(sampler, "_draw", spy)
+    x, y = NcPoly.generator(2, 1), NcPoly.generator(2, 2)
+    pot = x * x + 0.5 * y * y * y * y + 0.5 * (x * x * y * y + y * y * x * x)
+    _ti_log_I(GibbsModel(2, 3, 2.0, pot), TIOptions(nodes=3, node_burnin=20, node_steps=40),
+              substream(2, "ti-spy"))
+    assert calls[0] == (2, {(1, 1): 1.0, (2, 2, 2, 2): 0.5}, 40, True)
+    assert len(calls) > 1 and not any(fresh for *_, fresh in calls[1:])
+
+
 def test_exact_draws_energy_matches_exact_derivative():
-    # d/dt log I(tV) = -E[N Tr V] at t = 1: the mean energy of exact n = 1
-    # draws is checked against Heine's exact route.
+    # d/dt log I(tV) = -E[N Tr V] at t = 1: the mean energy of exact draws,
+    # of one matrix and of a separable pair, is checked against the exact
+    # route of estimate_log_I.
     N = 8
-    pot = _scalar_poly([0.0, 0.2, 0.5, 0.0, 0.25])
+    quartic = _scalar_poly([0.0, 0.2, 0.5, 0.0, 0.25])
+    pair = NcPoly(2, {**quartic.terms, (2, 2): 0.3, (2, 2, 2, 2): 0.4, (2, 2, 2): -0.1})
+    for pot in (quartic, pair):
+        def slope(h):
+            lo, hi = (estimate_log_I(GibbsModel(pot.n, N, 2.0, t * pot)) for t in (1 - h, 1 + h))
+            return (hi.value - lo.value) / (2 * h), (hi.bias_bound + lo.bias_bound) / (2 * h)
 
-    def slope(h):
-        lo, hi = (_heine_log_I(GibbsModel(1, N, 2.0, t * pot)) for t in (1 - h, 1 + h))
-        return (hi.value - lo.value) / (2 * h), (hi.bias_bound + lo.bias_bound) / (2 * h)
-
-    d, quad_err = slope(1e-3)
-    d_wide, _ = slope(2e-3)
-    # central differences err by O(h^2): the h and 2h values differ by 3x that
-    want, diff_err = -d, abs(d - d_wide) / 3 + quad_err
-    model = GibbsModel(1, N, 2.0, pot)
-    samples, _ = mcmc_chain(model, 4000, 0, 1, rng=substream(21, "sweep-dv"))
-    series = model.energy(samples)
-    se = math.sqrt(series.var(ddof=1) / series.size)
-    print(f"draws {series.mean():.4f} +- {se:.4f}, exact {want:.4f} (+- {diff_err:.1e})")
-    assert abs(series.mean() - want) <= 3 * se + diff_err
+        d, quad_err = slope(1e-3)
+        d_wide, _ = slope(2e-3)
+        # central differences err by O(h^2): the h and 2h values differ by 3x that
+        want, diff_err = -d, abs(d - d_wide) / 3 + quad_err
+        model = GibbsModel(pot.n, N, 2.0, pot)
+        samples, diag = mcmc_chain(model, 4000, 0, 1, rng=substream(21, "sweep-dv"))
+        series = model.energy(samples)
+        se = math.sqrt(series.var(ddof=1) / series.size)
+        print(f"n {pot.n}: draws {series.mean():.4f} +- {se:.4f}, "
+              f"exact {want:.4f} (+- {diff_err:.1e})")
+        assert diag.step_scale == 0.0
+        assert abs(series.mean() - want) <= 3 * se + diff_err
 
 
 def test_estimate_log_i_below_volume_for_positive_potential():
@@ -1104,7 +1144,14 @@ def test_non_gaussian_models_run_the_chain(pot):
     # an indefinite or singular quadratic form, or a word of degree 3, has
     # no Gaussian law: no parts, no draw, and mcmc_chain runs its chain. The
     # singular form of 0.5 (X - Y)^2 factors by rounding, with a last pivot
-    # at rounding level
+    # at rounding level. The indefinite and cubic models are separable and
+    # draw exactly; coupled by 0.2 (XY + YX), still with no Gaussian law,
+    # they run the chain
+    if sampler._blocks(GibbsModel(2, 3, 1.5, pot)) is not None:
+        _, diag = mcmc_chain(GibbsModel(2, 3, 1.5, pot), 200, 100, 2,
+                             rng=substream(33, "separable"))
+        assert diag.step_scale == 0.0 and diag.retained == 100
+        pot = pot + NcPoly(2, {(1, 2): 0.2, (2, 1): 0.2})
     model = GibbsModel(2, 3, 1.5, pot)
     assert sampler._gaussian_parts(model) is None
     rng = substream(33, "not-gaussian")
@@ -1115,16 +1162,36 @@ def test_non_gaussian_models_run_the_chain(pot):
 
 
 def test_flat_gaussian_falls_back_to_the_chain():
-    # 0.001 (X^2 + Y^2) at N = 8 puts nearly every Gaussian draw outside the
-    # ball R = 2: its first batch accepts below MIN_ACCEPTANCE, and the
-    # chain runs
-    model = GibbsModel(2, 8, 2.0, 0.001 * _quadratic_pair(1.0, 0.0))
+    # 0.001 (X^2 + Y^2 - 0.5 (XY + YX)) at N = 8 puts nearly every Gaussian
+    # draw outside the ball R = 2: its first batch accepts below
+    # MIN_ACCEPTANCE, and the chain runs. The uncoupled 0.001 (X^2 + Y^2) is
+    # refused alike, and falls back to the exact draws of a separable model
+    model = GibbsModel(2, 8, 2.0, 0.001 * _quadratic_pair(1.0, 0.5))
     assert sampler._gaussian_parts(model) is not None
     taken = []
     assert sampler._gaussian_draws(model, 10, substream(34, "flat"), taken.append) is None
     assert taken == []
     _, diag = mcmc_chain(model, 400, 200, 2, rng=substream(34, "flat"))
     assert diag.step_scale > 0.0 and diag.acceptance >= sampler.MIN_ACCEPTANCE
+    flat = GibbsModel(2, 8, 2.0, 0.001 * _quadratic_pair(1.0, 0.0))
+    assert sampler._gaussian_draws(flat, 10, substream(34, "flat"), taken.append) is None
+    assert taken == []
+    _, diag = mcmc_chain(flat, 400, 200, 2, rng=substream(34, "flat"))
+    assert diag.step_scale == 0.0 and diag.retained == 200
+
+
+def test_narrow_one_matrix_gaussian_draws():
+    # 1e5 X^2 at N = 16, R = 4 is too narrow for the spectra's quadrature,
+    # which has fewer than N resolved nodes; the Gaussian route, tried first,
+    # draws it
+    model = GibbsModel(1, 16, 4.0, 1e5 * NcPoly.from_word(1, (1, 1)))
+    with pytest.raises(EstimatorError):
+        _ExactSpectra(model)
+    samples, diag = mcmc_chain(model, 200, 0, 1, rng=substream(35, "narrow"))
+    assert diag.step_scale == 0.0 and diag.acceptance == 1.0
+    # E (1/N) Tr X^2 = 1 / (2 * 1e5) off the ball, which sits at 4
+    m2 = np.einsum("sij,sji->s", samples[0], samples[0]).real.mean() / 16
+    assert m2 == pytest.approx(5e-6, rel=0.05)
 
 
 def test_gaussian_batches_fit_the_draw_buffer(monkeypatch):
