@@ -26,7 +26,7 @@ with leading batch axes, as an array of the same shape.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -221,20 +221,21 @@ class NcPoly:
             bits.append(f"({c:.6g})*{mono}")
         return "NcPoly(" + " + ".join(bits) + ")"
 
-    def scalar_coeffs(self) -> np.ndarray:
-        """Coefficients by power for single-generator polynomials.
-
-        Returns the real vector ``c`` with ``p = sum_k c[k] x^k``; only valid
-        when ``n == 1`` and the polynomial is self-adjoint (real coefficients).
-        """
-        if self.n != 1:
-            raise ValueError("scalar_coeffs needs a single-generator polynomial")
-        coeffs = np.zeros(self.degree + 1)
+    def letter_parts(self) -> Tuple[np.ndarray, Dict[Word, complex]]:
+        """``(sides, cross)``: ``sides[a, k]`` is the coefficient of x_{a+1}^k
+        in a real (n, degree + 1) array, the constant at ``[0, 0]``; ``cross``
+        maps each word of two or more distinct letters to its coefficient, in
+        the polynomial's order. A power's coefficient with an imaginary part
+        above 1e-12 raises ValueError; a smaller one is dropped."""
+        sides, cross = np.zeros((self.n, self.degree + 1)), {}
         for w, c in self.terms.items():
-            if abs(c.imag) > 1e-12:
-                raise ValueError("complex coefficient in a scalar polynomial")
-            coeffs[len(w)] = c.real
-        return coeffs
+            if len(set(w)) > 1:
+                cross[w] = c
+            elif abs(c.imag) > 1e-12:
+                raise ValueError(f"complex coefficient {c} on the power {w}")
+            else:
+                sides[w[0] - 1 if w else 0, len(w)] = c.real
+        return sides, cross
 
     def evaluate(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         """Value of the polynomial on blocks of shape (..., N, N), same shape out."""

@@ -199,12 +199,12 @@ def _bilinear_coupling(model: GibbsModel, blockmap: BlockMap) -> Optional[_Coupl
     """The :class:`_Coupling` of the model under the block map, or None when
     some word across groups is not X_i X_j or X_j X_i of one pair.
 
-    A word whose letters all lie in one group keeps its trace under every
+    A word inside one group, as every power is, keeps its trace under every
     copy, so it cancels in f(conj) / f; for c (X - Y)^2 on one group per
     block, k = -2c and t = 2 c N.
     """
     pair, k = None, 0.0
-    for w, c in model.potential.terms.items():
+    for w, c in model.potential.letter_parts()[1].items():
         if len({blockmap.groups[g - 1] for g in w}) <= 1:
             continue
         ij = (min(w) - 1, max(w) - 1)

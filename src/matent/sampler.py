@@ -28,8 +28,9 @@ two matrices whose potential couples them only through Tr XY: the HCIZ
 integral and Andreief's identity turn I into Mehta's bimoment determinant,
 evaluated on the same nodes by :func:`_split_form`, whose derivatives are
 the moments of the exact K = 2 fit. Every other n >= 2 model is estimated
-by integrating along the path from the one-letter words of its potential,
-a separable model, to the whole potential (:func:`_ti_log_I`).
+by integrating from its powers, a separable model, to the whole potential
+(:func:`_ti_log_I`). Each route reads one split of V's words into powers
+of one letter and mixed words, :meth:`~matent.ncpoly.NcPoly.letter_parts`.
 
 Samples are one complex array of shape (n, S, N, N): block i of sample s
 is ``samples[i, s]``, the layout of :class:`ChainEngine`'s state with the S
@@ -386,14 +387,15 @@ def _into(out: np.ndarray) -> Callable[[np.ndarray], None]:
 
 def _blocks(model: GibbsModel) -> Optional[Tuple[GibbsModel, ...]]:
     """The one-matrix models of the blocks of a separable model, one with no
-    word of two distinct letters (the constant goes to block 1), or None for
-    any other model; an n == 1 model is its one block."""
-    sides = [{} for _ in range(model.n)]
-    for w, c in model.potential.terms.items():
-        if len(set(w)) > 1:
-            return None
-        sides[w[0] - 1 if w else 0][(1,) * len(w)] = c
-    return tuple(GibbsModel(1, model.N, model.R, NcPoly(1, side)) for side in sides)
+    mixed word, or None for any other model: block a's potential is row a
+    of :meth:`~matent.ncpoly.NcPoly.letter_parts`' sides (the constant is
+    block 1's), so an n == 1 model is its one block."""
+    sides, cross = model.potential.letter_parts()
+    if cross:
+        return None
+    return tuple(GibbsModel(1, model.N, model.R,
+                            NcPoly(1, {(1,) * k: c for k, c in enumerate(row)}))
+                 for row in sides)
 
 
 def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.Generator,
@@ -684,7 +686,7 @@ def _heine_log_I(model: GibbsModel) -> ScalarEstimate:
     probe; the M- and 2M-node values' gap is reported as ``bias_bound``.
     """
     N, R = model.N, model.R
-    coeffs = model.potential.scalar_coeffs()
+    coeffs = model.potential.letter_parts()[0][0]
 
     def value(M: int) -> Tuple[float, float]:
         x, logg = _legendre_nodes(M, R)
@@ -702,22 +704,17 @@ def _bilinear_parts(potential: NcPoly) -> Optional[Tuple[np.ndarray, np.ndarray,
     """(V1 coefficients, V2 coefficients, k) of a two-matrix potential whose
     trace is Tr V1(X) + Tr V2(Y) + k Tr XY, or None for any other potential.
 
-    Such a potential has only single-letter words (the constant goes to V1)
-    and the pair XY, YX; k is the real part of their summed coefficients,
+    Such a potential has no mixed word but XY and YX: V1 and V2 are the rows
+    of its :meth:`~matent.ncpoly.NcPoly.letter_parts` sides (the constant
+    goes to V1), and k is the real part of the pair's summed coefficients,
     which is what the energy of a state sees.
     """
     if potential.n != 2:
         return None
-    sides = np.zeros((2, potential.degree + 1))
-    k = 0.0
-    for w, c in potential.terms.items():
-        if w in ((1, 2), (2, 1)):
-            k += c.real
-        elif len(set(w)) <= 1:
-            sides[w[0] - 1 if w else 0, len(w)] += c.real
-        else:
-            return None
-    return sides[0], sides[1], k
+    sides, cross = potential.letter_parts()
+    if not set(cross) <= {(1, 2), (2, 1)}:
+        return None
+    return sides[0], sides[1], sum((c.real for c in cross.values()), 0.0)
 
 
 def _remainder(f1: np.ndarray, f2: np.ndarray, u: np.ndarray, s: np.ndarray, N: int,
@@ -939,7 +936,7 @@ class _ExactSpectra:
     def __init__(self, model: GibbsModel):
         N, R = model.N, model.R
         self.N, self.R = N, R
-        self.coeffs = model.potential.scalar_coeffs()
+        self.coeffs = model.potential.letter_parts()[0][0]
         # as many nodes as log I needs to converge
         log_i = _heine_log_I(model)
         if not log_i.bias_bound <= EXACT_BOUND:
@@ -1038,35 +1035,34 @@ def _screened_ball_test(m: np.ndarray, R: float) -> np.ndarray:
 
 
 def _gaussian_parts(model: GibbsModel) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """(mean, factor) of a model whose potential has degree <= 2 and a positive
+    """(mean, factor) of a model whose potential has degree 2 and a positive
     definite quadratic form, or None for any other model.
 
     Such a potential has Tr V = sum_ab A_ab Tr X_a X_b + sum_a c_a Tr X_a plus a
     constant, with A the symmetric real part of the Tr X_a X_b coefficients
     and c the real parts of the Tr X_a ones (each trace is real on Hermitian
-    blocks, so the energy sees only these). Off the ball its law is Gaussian:
-    X_a has mean m_a times the identity, m = -A^-1 c / 2, and covariance
+    blocks, so the energy sees only these; c and diag A are columns 1 and 2
+    of the :meth:`~matent.ncpoly.NcPoly.letter_parts` sides). Off the ball
+    its law is Gaussian: X_a has mean m_a 1, m = -A^-1 c / 2, and covariance
     A^-1 / (2N) on the diagonal entries and A^-1 / (4N) on each real and
     imaginary part off it. ``factor`` is F = C^-T / sqrt(8N), for the
     Cholesky factor C of A, so F F^T = A^-1 / (8N), and m_a 1 + sum_b F_ab
     H_b has that law for the increments H = (Z + Z^T) + i (Z - Z^T) of
-    :meth:`ChainEngine._refill`. None for a word of degree >= 3, wherever
-    the Cholesky factor of A fails, and where a pivot C_ii^2 is at rounding
+    :meth:`ChainEngine._refill`. None for any other degree, wherever the
+    Cholesky factor of A fails, and where a pivot C_ii^2 is at rounding
     level, n eps max_i A_ii or below: a singular A can factor by rounding, as
     that of 0.5 (X - Y)^2 does, with a last pivot of 1.1e-16. Only the
     Cholesky routine, which the ball test runs anyway, decides: a model left
     to the chain loads no other LAPACK code, which would raise peak memory.
     """
     n = model.n
-    a, c = np.zeros((n, n)), np.zeros(n)
-    for w, coef in model.potential.terms.items():
-        if len(w) > 2:
-            return None
-        if len(w) == 2:
-            a[w[0] - 1, w[1] - 1] += coef.real / 2.0
-            a[w[1] - 1, w[0] - 1] += coef.real / 2.0
-        elif w:
-            c[w[0] - 1] += coef.real
+    if model.potential.degree != 2:
+        return None
+    sides, cross = model.potential.letter_parts()
+    a, c = np.diag(sides[:, 2]), sides[:, 1]
+    for (i, j), coef in cross.items():
+        a[i - 1, j - 1] += coef.real / 2.0
+        a[j - 1, i - 1] += coef.real / 2.0
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -1214,7 +1210,8 @@ def _ti_log_I(model: GibbsModel, opts: TIOptions, rng: Optional[np.random.Genera
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
     n, N, R = model.n, model.N, model.R
-    ref = NcPoly(n, {w: c for w, c in model.potential.terms.items() if split and len(set(w)) < 2})
+    ref = (model.potential - NcPoly(n, model.potential.letter_parts()[1]) if split
+           else NcPoly.zero(n))
     rest, base = model.potential - ref, GibbsModel(n, N, R, ref)
     exact, rest_energy = estimate_log_I(base), GibbsModel(n, N, R, rest).energy
     states = np.empty((n, opts.node_steps, N, N), dtype=complex)

@@ -771,3 +771,81 @@ def bimoment_log_det_ratio(x: Sequence[float], log_g: Sequence[float],
                 lead = w * xi ** j
                 full[j] = [acc + lead * rl for acc, rl in zip(full[j], row)]
         return float(det_by_elimination(full).ln() - det_by_elimination(taylor).ln())
+
+
+# ---------------------------------------------------------------------------
+# how a potential routes: each reader's own loop over the words, as the
+# readers were before they shared NcPoly.letter_parts; ``terms`` is a
+# potential's {word: coefficient} dict in n letters
+
+def separable_sides(terms, n: int):
+    """The blocks' one-letter potentials of a separable potential, as n
+    {(1,) * k: c} dicts (the constant goes to block 1), or None when some
+    word has two distinct letters."""
+    sides = [{} for _ in range(n)]
+    for w, c in terms.items():
+        if len(set(w)) > 1:
+            return None
+        sides[w[0] - 1 if w else 0][(1,) * len(w)] = c
+    return sides
+
+
+def bilinear_parts(terms, n: int):
+    """(V1 coefficients, V2 coefficients, k) of a two-matrix potential whose
+    only mixed words are XY and YX, or None for any other potential."""
+    if n != 2:
+        return None
+    sides = np.zeros((2, max((len(w) for w in terms), default=0) + 1))
+    k = 0.0
+    for w, c in terms.items():
+        if w in ((1, 2), (2, 1)):
+            k += c.real
+        elif len(set(w)) <= 1:
+            sides[w[0] - 1 if w else 0, len(w)] += c.real
+        else:
+            return None
+    return sides[0], sides[1], k
+
+
+def gaussian_parts(terms, n: int, N: int):
+    """(mean, factor) of a degree <= 2 potential with a positive definite
+    quadratic form A (Cholesky pivots above n eps max A_ii), or None."""
+    a, c = np.zeros((n, n)), np.zeros(n)
+    for w, coef in terms.items():
+        if len(w) > 2:
+            return None
+        if len(w) == 2:
+            a[w[0] - 1, w[1] - 1] += coef.real / 2.0
+            a[w[1] - 1, w[0] - 1] += coef.real / 2.0
+        elif w:
+            c[w[0] - 1] += coef.real
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.diagonal(chol).min() ** 2 > n * np.finfo(float).eps * np.diagonal(a).max():
+        return None
+    inv = np.linalg.inv(chol)
+    return -0.5 * inv.T @ (inv @ c), inv.T / math.sqrt(8.0 * N)
+
+
+def bilinear_coupling(terms, groups: Sequence[int], N: int):
+    """(i, j, t) when the only words across the 0-based ``groups`` of the
+    positions are X_i X_j and X_j X_i of one pair (t = -N k, k the real part
+    of their summed coefficients; (0, 0, -0.0) when none crosses), or None."""
+    pair, k = None, 0.0
+    for w, c in terms.items():
+        if len({groups[g - 1] for g in w}) <= 1:
+            continue
+        ij = (min(w) - 1, max(w) - 1)
+        if len(w) != 2 or pair not in (None, ij):
+            return None
+        pair, k = ij, k + c.real
+    i, j = pair or (0, 0)
+    return i, j, -N * k
+
+
+def separable_part(terms):
+    """The words of at most one distinct letter, with their coefficients, in
+    the potential's order."""
+    return {w: c for w, c in terms.items() if len(set(w)) < 2}

@@ -92,9 +92,29 @@ def test_scalar_times_poly_is_poly_times_scalar():
         [1] * p
 
 
-def test_poly_scalar_coeffs_roundtrip():
+def test_poly_letter_parts_roundtrip():
     p = NcPoly(1, {(): 0.5, (1,): -1.0, (1, 1, 1): 2.0})
-    np.testing.assert_allclose(p.scalar_coeffs(), [0.5, -1.0, 0.0, 2.0])
+    sides, cross = p.letter_parts()
+    np.testing.assert_allclose(sides, [[0.5, -1.0, 0.0, 2.0]])
+    assert cross == {}
+
+
+def test_poly_letter_parts_three_letters():
+    # the constant sits at [0, 0], each power in its letter's row; the mixed
+    # words keep the polynomial's order and their complex coefficients
+    p = NcPoly(3, {(2, 3): 1 - 2j, (3, 3): 4.0, (): -1.5, (1, 2, 1): 0.5,
+                   (3, 2): 1 + 2j, (2,): 3.0, (1,): 2 + 1e-13j})
+    sides, cross = p.letter_parts()
+    assert sides.dtype == float
+    # (n, degree + 1): the degree is the mixed word's 3
+    np.testing.assert_array_equal(sides, [[-1.5, 2.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0],
+                                          [0.0, 0.0, 4.0, 0.0]])
+    assert list(cross.items()) == [((2, 3), 1 - 2j), ((1, 2, 1), 0.5), ((3, 2), 1 + 2j)]
+
+
+def test_poly_letter_parts_refuses_a_complex_power():
+    with pytest.raises(ValueError, match="complex coefficient"):
+        NcPoly(2, {(1, 2): 1.0, (2, 2): 1e-9j}).letter_parts()
 
 
 def test_poly_degree_and_zero():

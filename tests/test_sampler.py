@@ -2,18 +2,22 @@ import json
 import math
 import warnings
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
 from matent.estimates import EstimatorError, pooled_mean
-from matent.matrices import HERMITIAN_TOL, NORM_SLACK, MatrixTuple
+from matent.matrices import HERMITIAN_TOL, NORM_SLACK, BlockMap, MatrixTuple
 from matent.moments import (arcsine_moments, empirical_moments, free_product_moments,
                             moment_distance, semicircle_moments)
 from matent.ncpoly import NcPoly
 from matent import sampler
+from matent.orbital import _bilinear_coupling
 from matent.sampler import (GibbsModel, TIOptions, _ExactSpectra, _heine_log_I,
                             _legendre_nodes, _log_heine_norms, _ti_log_I, estimate_log_I,
                             log_ball_volume, mcmc_chain, microstate_hit_rate)
@@ -845,6 +849,73 @@ def test_ti_draws_its_reference_states_in_one_call(monkeypatch):
     assert len(calls) > 1 and not any(fresh for *_, fresh in calls[1:])
 
 
+@st.composite
+def _routed_models(draw):
+    """A self-adjoint potential in 1-3 letters, of degree 2 or 4, with a
+    constant, squares that often make a Gaussian, and (for n >= 2) mixed
+    words of any kind, only of two letters, or none; and a block map of its
+    positions with groups merged at random."""
+    n = draw(st.integers(1, 3))
+    degree = draw(st.sampled_from((2, 4)))
+    real = st.floats(-2.0, 2.0, allow_subnormal=False)
+    coeff = st.builds(complex, real, real)
+    power = st.builds(lambda a, k: (a,) * k, st.integers(1, n), st.integers(0, degree))
+    raw = draw(st.dictionaries(power, coeff, max_size=5))
+    kind = draw(st.sampled_from((0, 2, degree))) if n > 1 else 0
+    if kind:
+        word = st.lists(st.integers(1, n), min_size=2, max_size=kind).map(tuple)
+        apart = st.builds(complex, st.one_of(st.floats(-2.0, -0.25), st.floats(0.25, 2.0)), real)
+        raw.update(draw(st.dictionaries(word.filter(lambda w: len(set(w)) > 1), apart,
+                                        min_size=1, max_size=4)))
+    squares = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    p = NcPoly(n, raw) + NcPoly(n, {(a + 1, a + 1): s for a, s in enumerate(squares)})
+    groups = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    order = list(dict.fromkeys(groups))
+    return (GibbsModel(n, 3, 1.5, 0.5 * (p + p.star())),
+            BlockMap(tuple(order.index(g) for g in groups)))
+
+
+def _bits(x):
+    """The exact bits of a value: an array's bytes, anything else's repr
+    (floats and complex numbers round-trip through it)."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return [_bits(e) for e in x]
+    return repr(x)
+
+
+class _Stop(Exception):
+    pass
+
+
+@settings(max_examples=200)
+@given(_routed_models())
+def test_routes_read_the_words_as_their_own_loops_did(case):
+    # every reader of NcPoly.letter_parts gives, to the bit, what its own
+    # loop over the words gave (oracles), the refusals (None) included
+    model, blockmap = case
+    pot, n = model.potential, model.n
+    blocks, sides = sampler._blocks(model), oracles.separable_sides(pot.terms, n)
+    assert (blocks is None) == (sides is None)
+    if blocks is not None:
+        assert [b.potential for b in blocks] == [NcPoly(1, side) for side in sides]
+        assert ([_bits(sorted(b.potential.terms.items())) for b in blocks]
+                == [_bits(sorted(NcPoly(1, side).terms.items())) for side in sides])
+    assert _bits(sampler._bilinear_parts(pot)) == _bits(oracles.bilinear_parts(pot.terms, n))
+    assert _bits(sampler._gaussian_parts(model)) == _bits(
+        oracles.gaussian_parts(pot.terms, n, model.N))
+    assert _bits(_bilinear_coupling(model, blockmap)) == _bits(
+        oracles.bilinear_coupling(pot.terms, blockmap.groups, model.N))
+    # V0 is the model _ti_log_I asks estimate_log_I about first
+    with mock.patch.object(sampler, "estimate_log_I", side_effect=_Stop) as stub:
+        with pytest.raises(_Stop):
+            _ti_log_I(model, TIOptions(), np.random.default_rng(0))
+    v0 = stub.call_args.args[0].potential
+    assert _bits(list(v0.terms.items())) == _bits(
+        list(NcPoly(n, oracles.separable_part(pot.terms)).terms.items()))
+
+
 def test_exact_draws_energy_matches_exact_derivative():
     # d/dt log I(tV) = -E[N Tr V] at t = 1: the mean energy of exact draws,
     # of one matrix and of a separable pair, is checked against the exact
@@ -1040,7 +1111,7 @@ def _kernel_on_nodes(model):
     """Eigenvalue kernel rows Q (q_k on the nodes) of an n = 1 model, and the nodes."""
     x, logg = _legendre_nodes(_heine_log_I(model).count, model.R)
     logw = logg - model.N * np.polynomial.polynomial.polyval(
-        x, model.potential.scalar_coeffs())
+        x, model.potential.letter_parts()[0][0])
     return x, _log_heine_norms(x, logw, model.N)[1]
 
 
