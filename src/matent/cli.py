@@ -5,7 +5,10 @@ Experiments are described by a YAML file with a ``kind`` field, a mandatory
 named substream of the seed, so rerunning a config reproduces the result
 records bit for bit. Records go to ``results.jsonl`` (one JSON object per
 line, deterministic), an envelope with timing and the config hash goes to
-``run.json``, and ready-to-plot delimited tables go to ``*.tsv``.
+``run.json``, and ready-to-plot delimited tables go to ``*.tsv``. The table
+of ``volume``, ``chi-tilde``, ``pressure``, ``orbital`` and ``talagrand`` is
+its records' columns (:func:`_table`); an estimate inside a record is its
+:class:`~matent.estimates.ScalarEstimate` as ``dataclasses.asdict`` gives it.
 
 Exit codes: 0 success, 2 config error, 3 infeasible target, 4 estimator
 failure.
@@ -27,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .estimates import EstimatorError, ScalarEstimate, pooled_mean
+from .estimates import EstimatorError, pooled_mean
 from .matrices import BlockMap, CompressionFn, log_jacobian_functional_calculus
 from .maxent import (FitOptions, FitResult, InfeasibleTargetError, fit_projection,
                      free_pressure, one_variable_chi_reference)
@@ -309,9 +312,10 @@ def _options(cls, params: Optional[Dict], section: str):
     return _checked(replace, defaults, **fields)
 
 
-def _est(e: ScalarEstimate) -> Dict:
-    return {"value": e.value, "stderr": e.stderr, "count": e.count,
-            "bias_bound": e.bias_bound}
+def _table(recs: List[Dict], header: Tuple[str, ...]) -> Tuple[Tuple[str, ...], List[Tuple]]:
+    """The table whose columns are the records' values under ``header``: one
+    row per record, in record order."""
+    return header, [tuple(r[k] for k in header) for r in recs]
 
 
 def _chain(cfg: ExperimentConfig, model: GibbsModel, stream: str, **kwargs):
@@ -380,13 +384,9 @@ def _run_volume(cfg: ExperimentConfig):
     sizes = _sweep(cfg, "sizes", _size, None if N is None else [_size(N)])
     R = _real(cfg.param("R", 1.0), "R")
     _require(R > 0, f"R must be positive, got {R}")
-    results = []
-    rows = []
-    for N in sizes:
-        lv = log_ball_volume(N, R)
-        results.append({"kind": "volume", "N": N, "R": R, "log_volume": lv})
-        rows.append((N, R, lv))
-    return results, {"volume": (("N", "R", "log_volume"), rows)}
+    recs = [{"kind": "volume", "N": N, "R": R, "log_volume": log_ball_volume(N, R)}
+            for N in sizes]
+    return recs, {"volume": _table(recs, ("N", "R", "log_volume"))}
 
 
 def _run_sample(cfg: ExperimentConfig):
@@ -412,10 +412,10 @@ def _fit_record(fit: FitResult, N: int, K: int) -> Dict:
     return {
         "N": N, "K": K,
         "coeffs": {lab: float(c) for lab, c in zip(fit.basis.labels, fit.coeffs)},
-        "rho": _est(fit.rho),
-        "dual_value": _est(fit.dual_value),
-        "log_i": _est(fit.log_i),
-        "energy": _est(fit.energy),
+        "rho": asdict(fit.rho),
+        "dual_value": asdict(fit.dual_value),
+        "log_i": asdict(fit.log_i),
+        "energy": asdict(fit.energy),
         "residuals": fit.residuals.tolist(),
         "residual_stderr": fit.residual_stderr.tolist(),
         "tolerances": fit.tolerances.tolist(),
@@ -474,11 +474,10 @@ def _run_chi_tilde(cfg: ExperimentConfig):
         dens = _semicircle_density(var)
     work = [(cfg.seed, tau, N, K, eps, opts) for N in sizes]
     recs = _parallel_map(_chi_point, work, cfg.threads)
-    rows = [(r["N"], r["value"], r["stderr"]) for r in recs]
     if ref is not None:
         for r in recs:
             r["reference"] = one_variable_chi_reference(dens, tau.R, r["N"]).chi
-    return recs, {"chi_tilde": (("N", "value", "stderr"), rows)}
+    return recs, {"chi_tilde": _table(recs, ("N", "value", "stderr"))}
 
 
 def _semicircle_density(var: float):
@@ -493,7 +492,7 @@ def _semicircle_density(var: float):
 def _pressure_point(args):
     (seed, P, N, R, ti) = args
     est = free_pressure(P, N, R, substream(seed, "pressure", N), ti)
-    return {"kind": "pressure", "N": N, "R": R, **_est(est)}
+    return {"kind": "pressure", "N": N, "R": R, **asdict(est)}
 
 
 def _run_pressure(cfg: ExperimentConfig):
@@ -504,8 +503,7 @@ def _run_pressure(cfg: ExperimentConfig):
     sizes = _sweep(cfg, "sizes", _size, [_size(cfg.param("N", 8))])
     ti = _options(TIOptions, cfg.param("ti"), "ti")
     recs = _parallel_map(_pressure_point, [(cfg.seed, P, N, R, ti) for N in sizes], cfg.threads)
-    rows = [(r["N"], r["value"], r["stderr"]) for r in recs]
-    return recs, {"pressure": (("N", "value", "stderr"), rows)}
+    return recs, {"pressure": _table(recs, ("N", "value", "stderr"))}
 
 
 def _orbital_point(args):
@@ -527,15 +525,15 @@ def _run_orbital(cfg: ExperimentConfig):
     header = ("value", "stderr", "bias_bound")
     if "couplings" in cfg.params:
         header = ("coupling",) + header
-    return recs, {"orbital": (header, [tuple(r[k] for k in header) for r in recs])}
+    return recs, {"orbital": _table(recs, header)}
 
 
 def _run_chain_rule(cfg: ExperimentConfig):
     [(_, req)] = _orbital_requests(cfg, [None])
     rep = chain_rule_check(req, substream(cfg.seed, "chain-rule"),
                            ti=_options(TIOptions, cfg.param("ti"), "ti"))
-    rec = {"kind": "chain-rule", "total": _est(rep.total),
-           "orbital": _est(rep.orbital), "conjugated": _est(rep.conjugated),
+    rec = {"kind": "chain-rule", "total": asdict(rep.total),
+           "orbital": asdict(rep.orbital), "conjugated": asdict(rep.conjugated),
            "residual": rep.residual, "residual_stderr": rep.residual_stderr,
            "combined_stderr": rep.combined_stderr, "holds": rep.holds}
     rows = [(rep.total.value, rep.orbital.value, rep.conjugated.value,
@@ -563,10 +561,8 @@ def _run_talagrand(cfg: ExperimentConfig):
     requests = _orbital_requests(cfg, [1.0], s_out=192, s_in=96, chain_thin=20)
     recs = _parallel_map(_talagrand_point, [(cfg.seed, c, req, K) for c, req in requests],
                          cfg.threads)
-    rows = [(r["coupling"], r["lhs_free"], r["lhs_conj"], r["rhs"],
-             r["rhs_upper"], r["orbital_value"], r["freeness_gap"]) for r in recs]
-    return recs, {"talagrand": (("coupling", "lhs_free", "lhs_conj", "rhs",
-                                 "rhs_upper", "orbital_value", "freeness_gap"), rows)}
+    return recs, {"talagrand": _table(recs, ("coupling", "lhs_free", "lhs_conj", "rhs",
+                                              "rhs_upper", "orbital_value", "freeness_gap"))}
 
 
 def _duality_point(args):
@@ -576,7 +572,7 @@ def _duality_point(args):
     sigma = fit.energy.stderr
     # an exact (n = 1) fit has sigma 0 and its residual cost as bias bound
     return {"kind": "duality-check", "label": name, "N": N, "K": K,
-            "entropy": _est(fit.rho), "dual": _est(fit.dual_value),
+            "entropy": asdict(fit.rho), "dual": asdict(fit.dual_value),
             "gap": gap, "gap_sigma": sigma,
             "within_3sigma": bool(abs(gap) <= 3 * sigma + fit.energy.bias_bound)}
 
@@ -652,7 +648,7 @@ def _run_hit_rate(cfg: ExperimentConfig):
     est = microstate_hit_rate(tau, eps, K, N, trials, substream(cfg.seed, "hit-rate"))
     rec = {"kind": "hit-rate", "hits": est.hits, "trials": est.trials,
            "base_log_volume": est.base_log_volume,
-           "log_volume": _est(est.log_volume) if est.log_volume else None}
+           "log_volume": asdict(est.log_volume) if est.log_volume else None}
     rows = ([(est.hits, est.trials, est.log_volume.value, est.log_volume.stderr)]
             if est.log_volume else [])
     return [rec], {"hit_rate": (("hits", "trials", "log_volume", "stderr"), rows)}

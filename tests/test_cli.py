@@ -650,6 +650,28 @@ def test_sweep_records_do_not_depend_on_threads(tmp_path, case):
     assert outs[0] == outs[1]
 
 
+# the kinds whose table is its records' columns: (config, table)
+RECORD_TABLES = {
+    "volume": (OTHER_KINDS["volume"], "volume"),
+    "chi-tilde": (END_TO_END["chi-tilde"][0], "chi_tilde"),
+    "pressure": (SWEEPS["pressure"], "pressure"),
+    "orbital": (SWEEPS["orbital"], "orbital"),
+    "talagrand": (SWEEPS["talagrand"], "talagrand"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_TABLES))
+def test_record_tables_are_their_records_columns(tmp_path, case):
+    # each row is one record's values under the header, in record order
+    doc, name = RECORD_TABLES[case]
+    out = tmp_path / "out"
+    assert main(["--config", write_yaml(tmp_path / "c.yaml", dict(doc, seed=5)),
+                 "--out", str(out)]) == 0
+    header, *rows = [line.split("\t") for line in (out / f"{name}.tsv").read_text().splitlines()]
+    recs = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert rows and rows == [[cli._format_cell(r[k]) for k in header] for r in recs]
+
+
 def _assert_table_cells_parse(out):
     # every cell of every table but the label and word columns is a number
     # that float() reads back (numpy 2's repr of a float names its type)
