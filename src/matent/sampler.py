@@ -155,9 +155,8 @@ class ChainEngine:
 
     Keeps the current blocks, as one (n, K, N, N) array for K walkers (block
     i of walker k is ``blocks[i, k]``), and their energies, shape (K,). The
-    chain targets exp(-beta E) with E = N Tr V and ``beta`` 1 (no package
-    code calls :meth:`set_beta`); the model (:meth:`set_model`) can be
-    swapped without discarding the state, as the path of :func:`_ti_log_I`
+    chain targets exp(-E) with E = N Tr V; the model (:meth:`set_model`) can
+    be swapped without discarding the state, as the path of :func:`_ti_log_I`
     does at each node and Monte Carlo Newton at each iterate. Every step
     proposes a joint Gaussian Hermitian increment of all blocks of every
     walker, for any n; :func:`_draw` draws Gaussian and separable states
@@ -201,7 +200,6 @@ class ChainEngine:
     def __init__(self, model: GibbsModel, rng: np.random.Generator, walkers: int = 1):
         self.model = model
         self.rng = rng
-        self.beta = 1.0
         N = model.N
         self.blocks = np.zeros((model.n, walkers, N, N), dtype=complex)
         self.step_scale = model.R / (2.0 * math.sqrt(N))
@@ -219,7 +217,10 @@ class ChainEngine:
         return self.blocks.shape[1]
 
     def set_beta(self, beta: float) -> None:
-        self.beta = beta
+        """Target exp(-beta E), as the model of ``beta`` V; a later
+        :meth:`set_model` replaces it. No package code calls this."""
+        m = self.model
+        self.set_model(GibbsModel(m.n, m.N, m.R, beta * m.potential))
 
     def set_model(self, model: GibbsModel) -> None:
         self.model = model
@@ -253,7 +254,7 @@ class ChainEngine:
         proposal of step t + j is blocks + s/2 increment[t + j], what that
         step proposes when every step before it rejects; one energy call
         prices all d, each with the bits it gets alone. The Metropolis test,
-        log U < -beta (E' - E), runs first on all of them; then, one step at
+        log U < -(E' - E), runs first on all of them; then, one step at
         a time and in order, the batched Cholesky ball test
         (:func:`~matent.matrices.in_norm_ball`) runs on the K walkers of each
         step where some walker passed it, and on no other step. Neither order
@@ -274,7 +275,7 @@ class ChainEngine:
                                 self.step_scale / 2.0, order="C")
         proposals += self.blocks[:, None]
         energies = self.model.energy(proposals)
-        accept = self._log_u[t:t + d] < -self.beta * (energies - self.energy)
+        accept = self._log_u[t:t + d] < -(energies - self.energy)
         taken, count = d, 0
         # a step at a time: the batch ends at the first step with a move
         for j in range(d):
