@@ -74,6 +74,9 @@ __all__ = [
 
 ACCEPT_BAND = (0.30, 0.45)
 MIN_ACCEPTANCE = 0.01
+# the Gaussian first-batch acceptance below which a separable model's exact
+# spectra cost less than its Gaussian rejection draws (see _draw)
+SPECTRA_ACCEPTANCE = 0.1
 # the share of a chain's burn-in that tunes its step size (see _draw)
 TUNE_SHARE = 0.8
 # bytes of the increments a chain engine draws at once (see ChainEngine)
@@ -408,8 +411,9 @@ def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.
 
     - a Gaussian model (:func:`_gaussian_draws`, a positive definite
       quadratic form cut to the ball by rejection) whose first batch accepts
-      ``MIN_ACCEPTANCE`` or more: ``walkers`` * (``steps`` // ``thin``)
-      exact i.i.d. draws, as many as a chain hands on;
+      ``MIN_ACCEPTANCE`` or more, or ``SPECTRA_ACCEPTANCE`` or more for a
+      separable one: ``walkers`` * (``steps`` // ``thin``) exact i.i.d.
+      draws, as many as a chain hands on;
     - a separable model (:func:`_blocks`) that route refuses: as many exact
       draws, the blocks' spectra (:class:`_ExactSpectra`) in block order,
       then per batch of max(1, ``DRAW_BUFFER_BYTES`` // (16 n N^2)) one
@@ -429,9 +433,10 @@ def _draw(model: GibbsModel, steps: int, burnin: int, thin: int, rng: np.random.
     """
     count = walkers * (steps // thin)
     if engine is None:
-        acceptance = _gaussian_draws(model, count, rng, take)
-        blocks = _blocks(model) if acceptance is None else None
-        if blocks is not None:
+        blocks = _blocks(model)
+        acceptance = _gaussian_draws(model, count, rng, take,
+                                     MIN_ACCEPTANCE if blocks is None else SPECTRA_ACCEPTANCE)
+        if acceptance is None and blocks is not None:
             spectra = [_ExactSpectra(block).draw(count, rng) for block in blocks]
             size = max(1, DRAW_BUFFER_BYTES // (16 * model.n * model.N ** 2))
             for lo in range(0, count, size):
@@ -1075,12 +1080,13 @@ def _gaussian_parts(model: GibbsModel) -> Optional[Tuple[np.ndarray, np.ndarray]
 
 
 def _gaussian_draws(model: GibbsModel, count: int, rng: np.random.Generator,
-                    take: Callable[[np.ndarray], None]) -> Optional[float]:
+                    take: Callable[[np.ndarray], None],
+                    floor: float = MIN_ACCEPTANCE) -> Optional[float]:
     """Exact i.i.d. draws of a Gaussian model (:func:`_gaussian_parts`) cut to
     the ball, by rejection: ``take`` gets ``count`` draws in all, as (n, k, N, N)
     batches in order. Returns the fraction of proposals accepted; None, and no
     draw, for a model that is not Gaussian, and None after one batch whose
-    acceptance is below ``MIN_ACCEPTANCE``, where the caller runs a chain.
+    acceptance is below ``floor``, where the caller takes another route.
 
     Proposals come in batches of max(1, ``DRAW_BUFFER_BYTES`` // (16 n N^2)):
     a standard normal Z of shape (n, batch, N, N) is mixed over blocks by the
@@ -1108,7 +1114,7 @@ def _gaussian_draws(model: GibbsModel, count: int, rng: np.random.Generator,
         x.real[..., diag, diag] += mean[:, None, None]
         ok = _screened_ball_test(x, model.R).all(axis=0)
         hits = int(np.count_nonzero(ok))
-        if not proposed and hits < MIN_ACCEPTANCE * size:
+        if not proposed and hits < floor * size:
             return None
         proposed += size
         accepted += hits

@@ -592,12 +592,12 @@ def test_exact_final_run_energy_is_the_measured_traces(monkeypatch):
     energies = []
     gaussian_draws = sampler._gaussian_draws
 
-    def spy(model, count, rng, take):
+    def spy(model, count, rng, take, floor):
         def both(blocks):
             energies.append(model.energy(blocks))
             take(blocks)
 
-        return gaussian_draws(model, count, rng, both)
+        return gaussian_draws(model, count, rng, both, floor)
 
     monkeypatch.setattr(sampler, "_gaussian_draws", spy)
     basis = build_dual_basis(2, 2)

@@ -1119,14 +1119,12 @@ EXACT_CASES = [GibbsModel(1, 16, 2.0, NcPoly.zero(1)),
                GibbsModel(1, 8, 2.0, _scalar_poly([0.0, 0.3, 0.5, 0.0, 0.4]))]
 
 
-@pytest.mark.parametrize("model", EXACT_CASES, ids=["uniform-16", "quartic-8"])
-def test_exact_draws_match_kernel_moments(model):
+def _assert_kernel_moments(model, lam):
     # one-point: E tr X^p = (1/N) sum_x x^p K(x, x); two-point: Var Tr f(X) =
-    # sum_x f^2 K(x, x) - ||Q diag(f) Q^T||_F^2, which a wrong pair law misses
+    # sum_x f^2 K(x, x) - ||Q diag(f) Q^T||_F^2, which a wrong pair law misses;
+    # lam holds one draw's eigenvalues per row
     x, qs = _kernel_on_nodes(model)
     kdiag = (qs * qs).sum(axis=0)
-    lam, acceptance = _ExactSpectra(model).draw(3000, substream(30, "kernel", model.N))
-    assert 0.0 < acceptance < 1.0
     zs = []
     for p in (1, 2, 4):
         vals = np.mean(lam ** p, axis=1)
@@ -1141,6 +1139,28 @@ def test_exact_draws_match_kernel_moments(model):
         zs.append((dev2.mean() - want) / (dev2.std(ddof=1) / math.sqrt(dev2.size)))
     print("z", np.round(zs, 2))
     assert np.max(np.abs(zs)) <= 4.0
+
+
+@pytest.mark.parametrize("model", EXACT_CASES, ids=["uniform-16", "quartic-8"])
+def test_exact_draws_match_kernel_moments(model):
+    lam, acceptance = _ExactSpectra(model).draw(3000, substream(30, "kernel", model.N))
+    assert 0.0 < acceptance < 1.0
+    _assert_kernel_moments(model, lam)
+
+
+def test_wasteful_separable_gaussian_takes_the_spectra_route(monkeypatch):
+    # X^2 at N = 8, R = 1: the Gaussian draws' first batch accepts about 0.07,
+    # below SPECTRA_ACCEPTANCE, so the exact spectra draw it (acceptance about
+    # 0.33); at R = 2 nearly every Gaussian draw is inside, and no spectra are
+    # drawn
+    square = NcPoly.from_word(1, (1, 1))
+    model = GibbsModel(1, 8, 1.0, square)
+    samples, diag = mcmc_chain(model, 3000, 0, 1, rng=substream(37, "spectra"))
+    assert diag.step_scale == 0.0 and 0.25 <= diag.acceptance <= 0.45
+    _assert_kernel_moments(model, np.linalg.eigvalsh(samples[0]))
+    monkeypatch.setattr(sampler, "_ExactSpectra", None)
+    _, diag = mcmc_chain(GibbsModel(1, 8, 2.0, square), 300, 0, 1, rng=substream(37, "wide"))
+    assert diag.step_scale == 0.0 and diag.acceptance >= sampler.SPECTRA_ACCEPTANCE
 
 
 @pytest.mark.parametrize("model", EXACT_CASES + [
@@ -1203,6 +1223,28 @@ def test_gaussian_draws_match_closed_form_moments(case):
                    / (series.std(axis=1, ddof=1) / math.sqrt(series.shape[1])))
     print("z", np.round(zs, 2))
     assert np.max(np.abs(zs)) <= 4.0
+
+
+@pytest.mark.parametrize("model", EXACT_CASES, ids=["uniform-16", "quartic-8"])
+def test_exact_draws_match_kernel_moments(model):
+    lam, acceptance = _ExactSpectra(model).draw(3000, substream(30, "kernel", model.N))
+    assert 0.0 < acceptance < 1.0
+    _assert_kernel_moments(model, lam)
+
+
+def test_wasteful_separable_gaussian_takes_the_spectra_route(monkeypatch):
+    # X^2 at N = 8, R = 1: the Gaussian draws' first batch accepts about 0.07,
+    # below SPECTRA_ACCEPTANCE, so the exact spectra draw it (acceptance about
+    # 0.33); at R = 2 nearly every Gaussian draw is inside, and no spectra are
+    # drawn
+    square = NcPoly.from_word(1, (1, 1))
+    model = GibbsModel(1, 8, 1.0, square)
+    samples, diag = mcmc_chain(model, 3000, 0, 1, rng=substream(37, "spectra"))
+    assert diag.step_scale == 0.0 and 0.25 <= diag.acceptance <= 0.45
+    _assert_kernel_moments(model, np.linalg.eigvalsh(samples[0]))
+    monkeypatch.setattr(sampler, "_ExactSpectra", None)
+    _, diag = mcmc_chain(GibbsModel(1, 8, 2.0, square), 300, 0, 1, rng=substream(37, "wide"))
+    assert diag.step_scale == 0.0 and diag.acceptance >= sampler.SPECTRA_ACCEPTANCE
 
 
 @pytest.mark.parametrize("pot", [
