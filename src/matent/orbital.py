@@ -678,10 +678,11 @@ def _free_gap_series(bary: MomentSpec, traces: np.ndarray, blockmap: BlockMap,
     """Each sample's traces (rows of ``traces``) carried through the
     linearization of gap = bary - ``proxy`` (:func:`_free_proxy`) at the
     barycenter, in the columns of the words across groups (the only ones
-    :func:`_stderrs` reads). The proxy moves only with the words inside one group below
-    degree K (a word of degree <= K across groups has fewer than K letters of
-    each), each by a forward difference of relative step ``FREE_STEP`` in the
-    real direction and, where Tr w can be complex, in the imaginary one."""
+    :func:`_stderrs` reads). The proxy moves only with the words inside one
+    group below degree K (a word of degree <= K across groups has fewer than
+    K letters of each), each by a forward difference of relative step
+    ``FREE_STEP`` in the real direction and, where Tr w can be complex, in
+    the imaginary one."""
     words = canonical_classes(bary.n, K, 1)
     base = np.array([proxy.values[w] for w in words])
     out = traces.copy()
