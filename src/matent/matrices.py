@@ -183,11 +183,12 @@ def in_norm_ball(m: np.ndarray, R: float) -> np.ndarray:
     product and one batched Cholesky decide; R^2 I is built once per (N, R).
     numpy's Cholesky gufunc fills a failed factor with NaN (and warns), so
     each matrix gets its own verdict; ``np.linalg.cholesky`` would raise at
-    the first failure of the stack.
+    the first failure of the stack. A matrix whose square overflows is
+    outside every ball, and gets that verdict without a warning.
     """
-    gap = m @ m
-    np.subtract(_scaled_identity(gap.shape[-1], R * R), gap, out=gap)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = m @ m
+        np.subtract(_scaled_identity(gap.shape[-1], R * R), gap, out=gap)
         factor = _umath_linalg.cholesky_lo(gap)
     return np.isfinite(factor[..., -1, -1])
 

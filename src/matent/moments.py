@@ -7,8 +7,9 @@ resolves the class and conjugates when the word sits on the reversed
 orientation of its class.
 
 Reference constructors produce the semicircle and arcsine moment sequences
-and moments of free products of given blocks (via the non-crossing partition
-moment-cumulant recursion).
+and moments of free products of given blocks (by one recursion on the
+definition of freeness: a product of centered runs from alternating blocks
+has trace 0).
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from typing import Dict, Mapping, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "arcsine_moments",
     "free_product_moments",
     "catalan",
-    "nc_partitions",
 ]
 
 PSD_TOL_FACTOR = 1e-8
@@ -227,46 +226,17 @@ def arcsine_moments(R: float, K: int) -> MomentSpec:
     return MomentSpec(1, K, float(R), vals)
 
 
-@lru_cache(maxsize=None)
-def nc_partitions(size: int):
-    """All non-crossing partitions of range(size), blocks as sorted tuples.
-
-    Recursion on the block containing position 0: its members split the rest
-    into independent contiguous segments.
-    """
-    if size == 0:
-        return ((),)
-    out = []
-    rest = range(1, size)
-    for r in range(0, size):
-        for members in combinations(rest, r):
-            block = (0,) + members
-            edges = block + (size,)
-            segments = [
-                range(edges[i] + 1, edges[i + 1]) for i in range(len(block))
-            ]
-            partials = [()]
-            for seg in segments:
-                seg = list(seg)
-                sub = nc_partitions(len(seg))
-                partials = [
-                    p + tuple(tuple(seg[i] for i in blk) for blk in q)
-                    for p in partials
-                    for q in sub
-                ]
-            for p in partials:
-                out.append(((block,) + p))
-    return tuple(out)
-
-
 def free_product_moments(blocks: Sequence[MomentSpec], K: int) -> MomentSpec:
     """Joint moments of the free product of the given marginal blocks.
 
-    Mixed moments come from the moment-cumulant relation on non-crossing
-    partitions with color-homogeneous blocks; mixed free cumulants vanish, so
-    each partition contributes the product of within-block cumulants. The
-    restriction to any single block reproduces that block's moments exactly.
-    Degree is capped at 8 (partition count grows as Catalan numbers).
+    The letters of block i follow those of blocks 0..i-1. Freeness says a
+    product of centered runs from alternating blocks has trace 0; expanded,
+    that gives tau(w) for a word of maximal one-block runs r_1 ... r_k as
+    -sum over proper subsets S of the runs of prod_{i not in S} (-tau(r_i))
+    tau(r_S), r_S the runs of S joined in order, which has fewer runs. A
+    single run is its block's own value, so the restriction to any block
+    reproduces that block's moments exactly. Degree is capped at 8 (a word
+    of k runs sums 2^k - 1 terms).
     """
     if K > 8:
         raise ValueError("free products supported up to degree 8")
@@ -275,50 +245,25 @@ def free_product_moments(blocks: Sequence[MomentSpec], K: int) -> MomentSpec:
     for i, b in enumerate(blocks):
         if b.K < K:
             raise ValueError(f"block {i} only records moments to degree {b.K} < {K}")
-    offsets = []
-    total = 0
-    for b in blocks:
-        offsets.append(total)
-        total += b.n
-    color_of = {}
-    local_of = {}
-    for bi, b in enumerate(blocks):
-        for g in range(1, b.n + 1):
-            color_of[offsets[bi] + g] = bi
-            local_of[offsets[bi] + g] = g
-
-    cumulant_memo: Dict[Tuple[int, Word], complex] = {}
-
-    def cumulant(bi: int, word: Word) -> complex:
-        key = (bi, word)
-        if key in cumulant_memo:
-            return cumulant_memo[key]
-        total_c = complex(blocks[bi].value(word))
-        for part in nc_partitions(len(word)):
-            if len(part) == 1:
-                continue
-            prod = 1.0 + 0.0j
-            for blk in part:
-                prod *= cumulant(bi, tuple(word[i] for i in blk))
-            total_c -= prod
-        cumulant_memo[key] = total_c
-        return total_c
+    # owner[g - 1]: letter g's block, and g in that block's numbering
+    owner = [(bi, g) for bi, b in enumerate(blocks) for g in range(1, b.n + 1)]
+    memo: Dict[Word, complex] = {(): 1.0 + 0.0j}
 
     def tau(word: Word) -> complex:
-        colors = [color_of[g] for g in word]
-        local = tuple(local_of[g] for g in word)
-        total_v = 0.0 + 0.0j
-        for part in nc_partitions(len(word)):
-            prod = 1.0 + 0.0j
-            for blk in part:
-                c0 = colors[blk[0]]
-                if any(colors[i] != c0 for i in blk[1:]):
-                    prod = 0.0
-                    break
-                prod *= cumulant(c0, tuple(local[i] for i in blk))
-            total_v += prod
-        return total_v
+        if word in memo:
+            return memo[word]
+        runs = [tuple(run) for _, run in groupby(word, lambda g: owner[g - 1][0])]
+        if len(runs) == 1:
+            total = blocks[owner[word[0] - 1][0]].value(tuple(owner[g - 1][1] for g in word))
+        else:
+            total = 0.0 + 0.0j
+            for mask in range(2 ** len(runs) - 1):
+                coeff = math.prod(-tau(r) for i, r in enumerate(runs) if not mask >> i & 1)
+                if coeff:
+                    kept = sum((r for i, r in enumerate(runs) if mask >> i & 1), ())
+                    total -= coeff * tau(kept)
+        memo[word] = total
+        return total
 
-    vals = {w: tau(w) for w in canonical_classes(total, K, 1)}
-    R = max(b.R for b in blocks)
-    return MomentSpec(total, K, R, vals)
+    vals = {w: tau(w) for w in canonical_classes(len(owner), K, 1)}
+    return MomentSpec(len(owner), K, max(b.R for b in blocks), vals)

@@ -667,10 +667,14 @@ def _stderrs(series: np.ndarray, K: int, blockmap: BlockMap) -> Dict[Word, float
 
 
 def _free_proxy(bary: MomentSpec, blockmap: BlockMap, K: int) -> MomentSpec:
-    """The free product of the barycenter's per-group marginals."""
+    """The free product of the barycenter's per-group marginals, its
+    variables relabeled back to their positions: the product lists them
+    group by group, which is position order only when the groups are."""
     groups = [[i + 1 for i in range(bary.n) if blockmap.groups[i] == g]
               for g in range(blockmap.ell)]
-    return free_product_moments([_group_marginal(bary, g) for g in groups], K)
+    free = free_product_moments([_group_marginal(bary, g) for g in groups], K)
+    order = [p for g in groups for p in g]
+    return _group_marginal(free, [order.index(p) + 1 for p in range(1, bary.n + 1)])
 
 
 def _free_gap_series(bary: MomentSpec, traces: np.ndarray, blockmap: BlockMap,
@@ -715,8 +719,9 @@ def talagrand_report(request: OrbitalRequest, rng: np.random.Generator,
 
     The conjugation-relative entropy controls how far the ensemble can sit
     from the free product of its per-group marginals; both the free product
-    (exact, from the non-crossing recursion) and the empirical conjugation
-    randomization provide the comparison state, and their mutual distance is
+    (exact, by :func:`~matent.moments.free_product_moments`) and the
+    empirical conjugation randomization provide the comparison state (the
+    free product's variables in position order), and their mutual distance is
     reported as a diagnostic of how free the randomized ensemble really is.
     One outer chain of the request feeds both the orbital estimate, by
     :func:`_orbital_from_samples`, and the moment barycenters: on a

@@ -1179,7 +1179,7 @@ def _next_node(d: np.ndarray, s: float) -> float:
     """The largest s' in (s, min(1, s + 1/2)] whose importance weights
     exp(-(s' - s) d) on the states at s keep an ESS, (sum w)^2 / sum w^2, of
     half their number: the end, or by bisection to 2^-50 (the ESS falls as
-    s' grows: the cumulant generating function of -d is convex)."""
+    s' grows: log E exp(-t d) is convex in t)."""
     x = d - d.min()
 
     def keeps_half(t: float) -> bool:
@@ -1195,8 +1195,8 @@ def _next_node(d: np.ndarray, s: float) -> float:
     return lo
 
 
-def _ti_log_I(model: GibbsModel, opts: TIOptions, rng: Optional[np.random.Generator],
-              split: bool = True) -> ScalarEstimate:
+def _ti_log_I(model: GibbsModel, opts: TIOptions,
+              rng: Optional[np.random.Generator]) -> ScalarEstimate:
     """log I by reference-state integration (Frenkel & Ladd, J. Chem. Phys.
     81 (1984) 3188) from V0, the separable part of V: its one-letter words.
 
@@ -1212,13 +1212,12 @@ def _ti_log_I(model: GibbsModel, opts: TIOptions, rng: Optional[np.random.Genera
     :func:`matent.estimates.pooled_mean`) add in quadrature, weighted as the
     means; ``bias_bound`` adds the exact value's error and the trapezoid's,
     h^3 |f''| / 12 per interval with the larger adjacent second divided
-    difference. ``split`` False starts at V0 = 0, the empty ball.
+    difference.
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
     n, N, R = model.n, model.N, model.R
-    ref = (model.potential - NcPoly(n, model.potential.letter_parts()[1]) if split
-           else NcPoly.zero(n))
+    ref = model.potential - NcPoly(n, model.potential.letter_parts()[1])
     rest, base = model.potential - ref, GibbsModel(n, N, R, ref)
     exact, rest_energy = estimate_log_I(base), GibbsModel(n, N, R, rest).energy
     states = np.empty((n, opts.node_steps, N, N), dtype=complex)
@@ -1288,7 +1287,8 @@ def microstate_hit_rate(tau: MomentSpec, eps: float, K: int, N: int,
     hits = 0
     for lo in range(0, trials, 4096):
         size = min(4096, trials - lo)
-        draws, _ = mcmc_chain(model, tau.n * size, 0, 1, rng)
+        draws = np.empty((1, tau.n * size, N, N), dtype=complex)
+        _draw(model, tau.n * size, 0, 1, rng, _into(draws))
         tuples = draws[0].reshape(tau.n, size, N, N)
         gap = np.abs(word_traces(tuples, words) / N - target).max(axis=-1)
         hits += int(np.count_nonzero(gap < eps))

@@ -10,9 +10,9 @@ import oracles
 from matent.matrices import MatrixTuple
 from matent.moments import (MomentSpec, arcsine_moments, catalan,
                             empirical_moments, free_product_moments,
-                            moment_distance, moment_pairing, nc_partitions,
+                            moment_distance, moment_pairing,
                             semicircle_moments, validate)
-from matent.ncpoly import NcPoly
+from matent.ncpoly import NcPoly, canonical_classes
 from matent.streams import substream
 
 
@@ -110,10 +110,6 @@ def test_catalan_literals():
     assert [catalan(k) for k in range(7)] == [1, 1, 2, 5, 14, 42, 132]
 
 
-def test_nc_partition_counts_are_catalan():
-    assert [len(nc_partitions(k)) for k in range(1, 7)] == [1, 2, 5, 14, 42, 132]
-
-
 def test_semicircle_moments_catalan_scaling():
     spec = semicircle_moments(0.7, 6)
     assert spec.R == pytest.approx(2 * math.sqrt(0.7))
@@ -156,6 +152,45 @@ def test_free_product_matches_subset_expansion_oracle():
             if w:
                 assert prod.values[w] == pytest.approx(
                     oracles.free_word_value(w, margs), abs=1e-10)
+
+
+def _nc_pairings(word, var):
+    """Sum over the non-crossing pairings of ``word``'s positions that pair
+    equal letters of the product of the pairs' variances."""
+    if not word:
+        return 1.0
+    return sum(var[word[0]] * _nc_pairings(word[1:j], var) * _nc_pairings(word[j + 1:], var)
+               for j in range(1, len(word), 2) if word[j] == word[0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_free_semicirculars_count_noncrossing_pairings(n):
+    # free semicirculars: tau(w) is the sum over non-crossing pairings of
+    # equal letters (Wick's rule for free Gaussians), at every degree to 8
+    var = dict(zip(range(1, n + 1), (0.5, 1.0, 2.0)))
+    prod = free_product_moments([semicircle_moments(var[g], 8) for g in var], 8)
+    for w in canonical_classes(n, 8, 1):
+        assert prod.values[w] == pytest.approx(_nc_pairings(w, var), abs=1e-12)
+
+
+def test_free_product_runs_split_by_block_not_by_letter():
+    # block (X1, X2) with X2 = X1^2 from a discrete law, free with Y: a run
+    # of the block mixes two letters, and each word, X2 written as X1 X1,
+    # is the oracle's word in two free letters
+    rng = substream(6, "fp-runs")
+    pts, ws = rng.uniform(-1.2, 1.2, 4), rng.dirichlet(np.ones(4))
+    ys, vs = rng.uniform(-1.2, 1.2, 3), rng.dirichlet(np.ones(3))
+    power = {1: 1, 2: 2}
+    block = MomentSpec(2, 4, 1.44, {w: float((ws * pts ** sum(power[g] for g in w)).sum())
+                                    for w in canonical_classes(2, 4, 1)})
+    y = MomentSpec(1, 4, 1.2, {(1,) * p: float((vs * ys ** p).sum()) for p in range(1, 5)})
+    margs = {1: [float((ws * pts ** p).sum()) for p in range(9)],
+             2: [float((vs * ys ** p).sum()) for p in range(5)]}
+    spelled = {1: (1,), 2: (1, 1), 3: (2,)}
+    prod = free_product_moments([block, y], 4)
+    for w in canonical_classes(3, 4, 1):
+        want = oracles.free_word_value(sum((spelled[g] for g in w), ()), margs)
+        assert prod.values[w] == pytest.approx(want, abs=1e-12)
 
 
 def test_free_product_guards():

@@ -551,6 +551,24 @@ def test_talagrand_verdicts_on_decoupled_models():
     assert fails["free"] <= 2 and fails["conj"] <= 1, fails
 
 
+def test_talagrand_free_proxy_in_position_order():
+    # the free stand-in of X^2 + 3 Y^2 does not depend on how the groups are
+    # numbered: under BlockMap((1, 0)) the free product lists Y first, and
+    # read in that order its tr X1^2 was Y's 0.17 against the barycenter's 0.50
+    model = GibbsModel(2, 4, 2.0, NcPoly(2, {(1, 1): 1.0, (2, 2): 3.0}))
+    reps = [talagrand_report(OrbitalRequest(model, BlockMap(groups), s_out=64, s_in=16,
+                                            chain_burnin=200, chain_thin=5),
+                             np.random.default_rng(3), K=2)
+            for groups in ((0, 1), (1, 0))]
+    for w in canonical_classes(2, 2, 1):
+        assert reps[1].proxy_free.value(w) == pytest.approx(reps[0].proxy_free.value(w),
+                                                            abs=1e-12)
+        if len(set(w)) == 1:
+            assert reps[1].proxy_free.value(w) == reps[1].barycenter.value(w)
+    assert reps[1].lhs_free == pytest.approx(reps[0].lhs_free, abs=1e-12)
+    assert reps[0].holds_free and reps[1].holds_free
+
+
 def test_free_gap_linearization_and_stderrs_on_complex_words():
     # four matrices in groups {1, 2, 3} and {4}: Tr X1 X2 X3 is complex
     # inside a group and Tr X1 X2 X4 across groups. Samples pulled toward
